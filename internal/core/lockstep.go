@@ -52,9 +52,9 @@ type callResult struct {
 }
 
 // followerSlot is one follower variant's seat in the variant set: its
-// address-space window (delta), thread identity, IPC lanes (the strict
-// rendezvous channel and the pipelined run-ahead ring with its own drain
-// cursor), and per-slot lifecycle state (death, policy detach).
+// address-space window (delta), thread identity, IPC lanes (the rendezvous
+// channel and the pipelined run-ahead ring with its own drain cursor), and
+// per-slot lifecycle state (death, policy detach).
 type followerSlot struct {
 	id    int   // 1-based slot index; window sits at id*Delta
 	delta int64 // this slot's address-window shift
@@ -62,7 +62,7 @@ type followerSlot struct {
 	tid    int
 	thread *kernel.Thread
 
-	req  chan *callRecord   // strict-mode rendezvous lane
+	req  chan *callRecord   // rendezvous lane: strict calls and pipelined barriers
 	ring chan *leaderRecord // pipelined run-ahead lane
 
 	// drained counts records this slot has verified; fCycles is the slot
@@ -99,7 +99,16 @@ func (sl *followerSlot) detached() bool {
 	}
 }
 
-// drainPending clears any rendezvous slot the follower published before
+// lag returns the cycles the slot's thread t charged since its previous
+// rendezvous and restarts the count.
+func (sl *followerSlot) lag(t *machine.Thread) clock.Cycles {
+	cyc := t.UserCycles()
+	lag := cyc - sl.fCycles
+	sl.fCycles = cyc
+	return lag
+}
+
+// drainPending clears any rendezvous record the follower published before
 // the detach, replying with the detach verdict so it never blocks on resp.
 func (sl *followerSlot) drainPending() {
 	for {
@@ -158,6 +167,13 @@ type session struct {
 	// lr is this region's cost-ledger bucket (nil when no ledger is
 	// attached; every method on a nil Region is a free no-op).
 	lr *ledger.Region
+
+	// arrivals holds the records collected at the leader's current
+	// rendezvous (leader goroutine only). It lives here, not in the
+	// rendezvous frame: a frame that large can grow the leader's stack on
+	// entry, and that host delay before the wait starts lets the
+	// followers' concurrent charges drop out of the measured wait.
+	arrivals [MaxVariants - 1]slotArrival
 }
 
 func newSession(mon *Monitor, fn string, delta int64, leaderTID int) *session {
@@ -187,25 +203,15 @@ func newSession(mon *Monitor, fn string, delta int64, leaderTID int) *session {
 	return s
 }
 
-// attached returns the slots the policy has not severed, in slot order.
-func (s *session) attached() []*followerSlot {
-	out := make([]*followerSlot, 0, len(s.slots))
+// attached appends the slots the policy has not severed to buf, in slot
+// order. Callers pass a stack buffer of MaxVariants-1 slots.
+func (s *session) attached(buf []*followerSlot) []*followerSlot {
 	for _, sl := range s.slots {
 		if !sl.detached() {
-			out = append(out, sl)
+			buf = append(buf, sl)
 		}
 	}
-	return out
-}
-
-// allDetached reports whether every slot has been severed.
-func (s *session) allDetached() bool {
-	for _, sl := range s.slots {
-		if !sl.detached() {
-			return false
-		}
-	}
-	return true
+	return buf
 }
 
 // allSlotsDead reports whether every slot's thread has terminated.
@@ -247,11 +253,6 @@ func (s *session) slotByTID(tid int) *followerSlot {
 	return nil
 }
 
-// abortFollower replies abort to a pending follower call.
-func abortFollower(rec *callRecord) {
-	rec.resp <- callResult{mode: modeAbort}
-}
-
 // rejectFollower answers a diverging rendezvous per the policy: kill-both
 // aborts the follower with ErrDivergence (the paper's behaviour),
 // containment detaches it. Detach bookkeeping runs before the reply so the
@@ -262,7 +263,7 @@ func (s *session) rejectFollower(sl *followerSlot, rec *callRecord, cause string
 		rec.resp <- callResult{mode: modeDetach}
 		return
 	}
-	abortFollower(rec)
+	rec.resp <- callResult{mode: modeAbort}
 }
 
 // tripTimeout wakes whoever is blocked on the session's rendezvous.
@@ -288,9 +289,9 @@ const (
 // deadline, or — the frozen-clock breaker — when the leader is waiting and
 // virtual time has stopped advancing entirely (a follower hung off-CPU
 // charges no cycles, so a purely virtual deadline would never fire).
-// Stalls that do charge cycles are caught deterministically at rendezvous
-// completion in leaderCall; the watchdog covers followers that never
-// arrive at all.
+// Stalls that do charge cycles are caught deterministically from the
+// arrived record's lag in rendezvous; the watchdog covers followers that
+// never arrive at all.
 func (s *session) watch(deadline clock.Cycles) {
 	ticker := time.NewTicker(watchdogPoll)
 	defer ticker.Stop()
@@ -330,177 +331,115 @@ func (s *session) watch(deadline clock.Cycles) {
 	}
 }
 
-// leaderCall runs the leader's side of one lockstep libc call: wait for the
-// attached followers to arrive at their own calls, compare (pairwise with a
-// single follower, by majority vote with more), execute (leader-only for
-// kernel-facing calls), emulate results to the followers, and reply.
-// Pipelined sessions branch into the run-ahead engine (pipeline.go).
+// leaderCall runs the leader's side of one lockstep libc call: a full
+// rendezvous with every attached follower slot. Pipelined sessions branch
+// into the run-ahead engine (pipeline.go).
 func (s *session) leaderCall(t *machine.Thread, name string, args []uint64) uint64 {
 	if s.pipelined {
 		return s.leaderCallPipelined(t, name, args)
 	}
 	idx := s.calls.Add(1)
-	att := s.attached()
-	switch len(att) {
-	case 0:
+	var buf [MaxVariants - 1]*followerSlot
+	att := s.attached(buf[:0])
+	if len(att) == 0 {
 		// Degraded single-variant mode after a policy detach: no
 		// rendezvous to charge or wait for. Under rollback the detach means
 		// a follower faulted — unwind instead of running un-replicated.
 		s.maybeAbortRegion(t, name, idx)
 		return s.mon.lib.Call(t, name, args)
-	case 1:
-		return s.leaderCallPair(t, name, args, att[0], idx)
-	default:
-		return s.leaderCallVote(t, name, args, att, idx)
 	}
+	return s.rendezvous(t, name, args, idx, att, false)
 }
 
-// leaderCallPair is the paper's two-party rendezvous against the one
-// remaining attached slot — the exact pairwise discipline the pair-shaped
-// monitor ran, byte for byte at Variants=2.
-func (s *session) leaderCallPair(t *machine.Thread, name string, args []uint64, sl *followerSlot, idx uint64) uint64 {
-	s.mon.m.ChargeThread(t, s.mon.m.Costs().LockstepRendezvous)
+// slotArrival pairs a follower slot with the call record it published at a
+// rendezvous; args is the record's decoded argument list once resolve has
+// counted the slot among the winners.
+type slotArrival struct {
+	slot *followerSlot
+	rec  *callRecord
+	args []uint64
+}
+
+// rendezvous runs one full rendezvous of the leader with the given slots at
+// call idx — every strict call, and every pipelined barrier, which first
+// publishes its barrier record on each slot's ring: charge the entry cost
+// per slot, collect each slot's record, sever the slots that arrived past
+// the deadline, and resolve the rest by vote. When no slot arrives at all
+// (each died, severed itself, or was timed out) nothing was verified and no
+// rendezvous is recorded: the region unwinds under rollback — the leader
+// may be executing hijacked control flow — and otherwise the leader runs
+// the call un-replicated so the region can wind down.
+func (s *session) rendezvous(t *machine.Thread, name string, args []uint64, idx uint64, slots []*followerSlot, barrier bool) uint64 {
+	entry := s.mon.m.Costs().LockstepRendezvous * clock.Cycles(len(slots))
+	s.mon.m.ChargeThread(t, entry)
 	obsRec := s.mon.rec
 	waitStart := s.mon.m.Counter().Cycles()
 	var span obs.RendezvousSpan
 	if obsRec != nil {
+		if barrier {
+			obsRec.Metrics().Inc(obs.MetricLockstepBarrier)
+		}
 		span = obsRec.BeginRendezvousSpan(obs.VariantLeader, t.TID(), name,
 			uint64(libc.CategoryOf(name)))
 	}
-
+	phase := ledger.PhaseRendezvous
+	if barrier {
+		phase = ledger.PhaseBarrier
+		slots, _, _ = s.publish(t, name, args, idx, slots, 0, 0)
+	}
 	s.waitingSince.Store(int64(waitStart) + 1)
-	select {
-	case rec := <-sl.req:
-		s.waitingSince.Store(0)
-		now := s.mon.m.Counter().Cycles()
-		t.AddWaitCycles(now - waitStart)
-		if obsRec != nil {
-			obsRec.Metrics().Observe("lockstep.wait.cycles", uint64(now-waitStart))
-			obsRec.Metrics().Observe(obs.MetricRendezvousLeaderCycles,
-				uint64(s.mon.m.Costs().LockstepRendezvous+(now-waitStart)))
-			obsRec.ObserveSeries(obs.SeriesRendezvous,
-				uint64(s.mon.m.Costs().LockstepRendezvous+(now-waitStart)))
-		}
-		if lr := s.lr; lr != nil {
-			// The two charges below sum to exactly what the
-			// rendezvous.leader.cycles histogram observed above — the
-			// ledger/histogram reconciliation invariant.
-			cls := ledger.ClassOf(name)
-			lr.Add(ledger.PhaseRendezvous, obs.VariantLeader, cls,
-				s.mon.m.Costs().LockstepRendezvous, ledger.Mark{}, 0)
-			lr.Add(ledger.PhaseWait, obs.VariantLeader, cls,
-				now-waitStart, ledger.Mark{}, 0)
-		}
-		if d := s.mon.opts.RendezvousDeadline; d > 0 && (rec.lag > d || now-waitStart > d) {
-			// The follower did arrive, but only after stalling past the
-			// deadline. rec.lag (the follower's own cycles since its last
-			// rendezvous) is the deterministic detector — it is independent
-			// of how the goroutines interleaved; the elapsed-wait check is a
-			// backstop for pathological multi-thread charging.
-			late := now - waitStart
-			if rec.lag > d {
-				late = rec.lag
-			}
-			ret := s.leaderTimedOut(t, name, args, sl, rec, idx, late)
-			span.End(ret)
-			return ret
-		}
-		ret := s.leaderPaired(t, name, args, sl, rec, idx)
-		span.End(ret)
-		return ret
-	case <-sl.dead:
-		s.waitingSince.Store(0)
-		// The follower died mid-region (e.g. faulted on a gadget
-		// address). The alarm is raised by the variant waiter; under
-		// rollback the region is unwound right here — the leader may be
-		// executing hijacked control flow — otherwise the leader continues
-		// un-replicated so the region can wind down.
-		s.diverged.Store(true)
+	arr := s.collect(t, slots, name, idx, s.arrivals[:0])
+	s.waitingSince.Store(0)
+	if len(arr) == 0 {
 		s.maybeAbortRegion(t, name, idx)
 		ret := s.mon.lib.Call(t, name, args)
 		span.End(ret)
 		return ret
-	case <-s.timedOut:
-		s.waitingSince.Store(0)
-		ret := s.leaderTimedOut(t, name, args, sl, nil, idx, 0)
-		span.End(ret)
-		return ret
 	}
-}
-
-// slotArrival pairs a follower slot with the call record it published at a
-// multi-party rendezvous.
-type slotArrival struct {
-	slot *followerSlot
-	rec  *callRecord
-}
-
-// leaderCallVote runs an N-way strict rendezvous: collect every attached
-// slot's record (granting the pipeline grace window to stragglers once the
-// session deadline blows), then resolve by majority vote.
-func (s *session) leaderCallVote(t *machine.Thread, name string, args []uint64, att []*followerSlot, idx uint64) uint64 {
-	costs := s.mon.m.Costs()
-	s.mon.m.ChargeThread(t, costs.LockstepRendezvous*clock.Cycles(len(att)))
-	obsRec := s.mon.rec
-	waitStart := s.mon.m.Counter().Cycles()
-	var span obs.RendezvousSpan
+	wait := s.mon.m.Counter().Cycles() - waitStart
+	t.AddWaitCycles(wait)
 	if obsRec != nil {
-		span = obsRec.BeginRendezvousSpan(obs.VariantLeader, t.TID(), name,
-			uint64(libc.CategoryOf(name)))
-	}
-	s.waitingSince.Store(int64(waitStart) + 1)
-	arrivals := s.collectArrivals(t, att, name, idx)
-	s.waitingSince.Store(0)
-	now := s.mon.m.Counter().Cycles()
-	t.AddWaitCycles(now - waitStart)
-	if obsRec != nil {
-		obsRec.Metrics().Observe("lockstep.wait.cycles", uint64(now-waitStart))
-		obsRec.Metrics().Observe(obs.MetricRendezvousLeaderCycles,
-			uint64(costs.LockstepRendezvous*clock.Cycles(len(att))+(now-waitStart)))
-		obsRec.ObserveSeries(obs.SeriesRendezvous,
-			uint64(costs.LockstepRendezvous*clock.Cycles(len(att))+(now-waitStart)))
+		obsRec.Metrics().Observe("lockstep.wait.cycles", uint64(wait))
+		obsRec.Metrics().Observe(obs.MetricRendezvousLeaderCycles, uint64(entry+wait))
+		obsRec.ObserveSeries(obs.SeriesRendezvous, uint64(entry+wait))
 	}
 	if lr := s.lr; lr != nil {
+		// The two charges sum to exactly what the rendezvous.leader.cycles
+		// histogram observed above — the ledger/histogram reconciliation
+		// invariant. A barrier's wait started before its ring appends, so
+		// it folds in any backpressure the barrier record hit.
 		cls := ledger.ClassOf(name)
-		lr.Add(ledger.PhaseRendezvous, obs.VariantLeader, cls,
-			costs.LockstepRendezvous*clock.Cycles(len(att)), ledger.Mark{}, 0)
-		lr.Add(ledger.PhaseWait, obs.VariantLeader, cls,
-			now-waitStart, ledger.Mark{}, 0)
+		lr.Add(phase, obs.VariantLeader, cls, entry, ledger.Mark{}, 0)
+		lr.Add(ledger.PhaseWait, obs.VariantLeader, cls, wait, ledger.Mark{}, 0)
 	}
-	// Deadline verdicts per arrival: a slot that arrived but stalled past
-	// the deadline is severed exactly as the pairwise path would sever it.
 	if d := s.mon.opts.RendezvousDeadline; d > 0 {
-		kept := arrivals[:0]
-		for _, a := range arrivals {
+		// A slot that arrived, but only after stalling past the deadline, is
+		// severed. rec.lag (the follower's own cycles since its previous
+		// rendezvous) is independent of how the goroutines interleaved.
+		kept := arr[:0]
+		for _, a := range arr {
 			if a.rec.lag > d {
-				s.mon.raiseAlarm(Alarm{
-					Reason: AlarmRendezvousTimeout, CallIndex: idx, Function: s.fn,
-					LeaderCall: name, FollowerCall: a.rec.name, Variant: VariantID(a.slot.id),
-					Detail: fmt.Sprintf("variant %d arrived %d cycles into a %d-cycle rendezvous deadline",
-						a.slot.id, a.rec.lag, d),
-				}, s.rendezvousSnapshots(t, a.rec)...)
-				s.diverged.Store(true)
-				s.mon.rec.Metrics().Inc("rendezvous.timeout")
-				s.rejectFollower(a.slot, a.rec, "rendezvous-timeout")
+				s.rendezvousTimeout(t, a.slot, a.rec, name, idx)
 				continue
 			}
 			kept = append(kept, a)
 		}
-		arrivals = kept
+		arr = kept
 	}
-	ret := s.voteResolve(t, name, args, arrivals, idx)
+	ret := s.resolve(t, name, args, arr, idx)
 	span.End(ret)
 	return ret
 }
 
-// collectArrivals waits for each attached slot's rendezvous record in slot
-// order. Once the session deadline trips, each remaining slot is granted
-// the pipeline grace window; a slot that still has not arrived is declared
-// wedged and severed with a timeout alarm.
-func (s *session) collectArrivals(t *machine.Thread, att []*followerSlot, name string, idx uint64) []slotArrival {
-	arrivals := make([]slotArrival, 0, len(att))
+// collect waits for each slot's rendezvous record in slot order and
+// appends the arrivals to arr. Once the session deadline trips, each
+// remaining slot is granted the pipeline grace window; a slot that still
+// has not arrived is declared wedged and timed out. A slot that died
+// instead of arriving marks the region diverged; its variant waiter raises
+// the follower-fault alarm.
+func (s *session) collect(t *machine.Thread, slots []*followerSlot, name string, idx uint64, arr []slotArrival) []slotArrival {
 	graced := false
-	for _, sl := range att {
+	for _, sl := range slots {
 		var rec *callRecord
 		if !graced {
 			select {
@@ -515,96 +454,66 @@ func (s *session) collectArrivals(t *machine.Thread, att []*followerSlot, name s
 			case rec = <-sl.req:
 			case <-sl.dead:
 			case <-time.After(pipelineGrace):
-				s.mon.raiseAlarm(Alarm{
-					Reason: AlarmRendezvousTimeout, CallIndex: idx, Function: s.fn,
-					LeaderCall: name, Variant: VariantID(sl.id),
-					Detail: fmt.Sprintf("variant %d missed the %d-cycle rendezvous deadline",
-						sl.id, s.mon.opts.RendezvousDeadline),
-				})
-				s.diverged.Store(true)
-				s.mon.rec.Metrics().Inc("rendezvous.timeout")
-				s.mon.detachFollower(s, sl, "rendezvous-timeout")
+				s.rendezvousTimeout(t, sl, nil, name, idx)
 			}
 		}
-		if rec == nil {
-			select {
-			case <-sl.dead:
-				// The slot died instead of arriving; its variant waiter
-				// raises the follower-fault alarm.
-				s.diverged.Store(true)
-			default:
-			}
+		if rec != nil {
+			arr = append(arr, slotArrival{slot: sl, rec: rec})
 			continue
 		}
-		arrivals = append(arrivals, slotArrival{slot: sl, rec: rec})
+		select {
+		case <-sl.dead:
+			s.diverged.Store(true)
+		default:
+		}
 	}
-	return arrivals
+	return arr
 }
 
-// voteResolve finishes a multi-party rendezvous after collection: decode
-// each record, vote, quarantine the minority, and emulate results to the
-// majority. Shared by the strict N-way rendezvous and the pipelined
-// barrier.
-func (s *session) voteResolve(t *machine.Thread, name string, args []uint64, arrivals []slotArrival, idx uint64) uint64 {
-	if s.mon.snapshotDue(s) && len(arrivals) > 0 {
-		recs := make([]*callRecord, 0, len(arrivals))
-		for _, a := range arrivals {
-			recs = append(recs, a.rec)
-		}
-		s.mon.captureCheckpoint(s, t, recs, name, idx)
+// resolve finishes a rendezvous once the arrived records are in: decode
+// each into a ballot, vote, quarantine the losers, then execute the call
+// once and emulate its results to the followers that voted with the
+// leader. A lone follower ballot that loses raises the pairwise compare's
+// own alarm (call or argument mismatch); among more ballots a loser is
+// outvoted. When no follower votes with the leader it runs the call alone.
+func (s *session) resolve(t *machine.Thread, name string, args []uint64, arr []slotArrival, idx uint64) uint64 {
+	if len(arr) > 0 && s.mon.snapshotDue(s) {
+		// A quiescent anchor point: every arrived variant is parked at the
+		// same ordinal (in pipelined mode this is a barrier, so the rings are
+		// drained) and no emulation is in flight. The checkpoint lands
+		// before this call's divergence checks — a rendezvous that fails
+		// them below was still quiescent when captured, and the budget
+		// catches a checkpoint that keeps absorbing the same divergence.
+		s.mon.captureCheckpoint(s, t, arr, name, idx)
 	}
-	// Decode every record; one that does not frame is a divergence in its
-	// own right (that slot's monitor half wrote garbage) and its ballot is
-	// invalid.
-	type decoded struct {
-		slotArrival
-		fname string
-		fargs []uint64
-	}
-	valid := make([]decoded, 0, len(arrivals))
+	// Ballot 0 is the leader; ballot i+1 is arr[i]. A record that does not
+	// frame cannot be compared, which is itself a divergence (that slot's
+	// monitor half wrote garbage): its ballot is invalid and the slot is
+	// rejected right away.
 	cmpMark := s.lr.Mark()
+	var bb [MaxVariants]Ballot
+	ballots := append(bb[:0], Ballot{Name: name, Args: args, Valid: true})
 	var wireBytes uint64
-	for _, a := range arrivals {
-		fname, fargs, derr := decodeCallRecord(a.rec.wire)
+	valid := 0
+	for _, a := range arr {
+		fname, fargs, err := decodeCallRecord(a.rec.wire)
 		wireBytes += uint64(len(a.rec.wire))
-		if derr != nil {
-			s.mon.raiseAlarm(Alarm{
-				Reason: AlarmCallMismatch, CallIndex: idx, Function: s.fn,
-				LeaderCall: name, Variant: VariantID(a.slot.id),
-				Detail: fmt.Sprintf("corrupt IPC call record: %v", derr),
-			}, s.rendezvousSnapshots(t, a.rec)...)
-			s.diverged.Store(true)
-			s.rejectFollower(a.slot, a.rec, "ipc-corruption")
+		ballots = append(ballots, Ballot{Variant: VariantID(a.slot.id), Name: fname, Args: fargs, Valid: err == nil})
+		if err == nil {
+			valid++
 			continue
 		}
-		valid = append(valid, decoded{slotArrival: a, fname: fname, fargs: fargs})
-	}
-	switch len(valid) {
-	case 0:
-		s.maybeAbortRegion(t, name, idx)
-		return s.mon.lib.Call(t, name, args)
-	case 1:
-		// One survivor: the pairwise compare and its legacy alarms apply.
-		return s.leaderPaired(t, name, args, valid[0].slot, valid[0].rec, idx)
-	}
-
-	// The vote. Ballot 0 is the leader; ballot k maps to valid[k-1].
-	ballots := make([]Ballot, 1, len(valid)+1)
-	ballots[0] = Ballot{Variant: 0, Name: name, Args: args, Valid: true}
-	for _, v := range valid {
-		ballots = append(ballots, Ballot{
-			Variant: VariantID(v.slot.id), Name: v.fname, Args: v.fargs, Valid: true,
-		})
+		s.mon.raiseAlarm(Alarm{
+			Reason: AlarmCallMismatch, CallIndex: idx, Function: s.fn,
+			LeaderCall: name, Variant: VariantID(a.slot.id),
+			Detail: fmt.Sprintf("corrupt IPC call record: %v", err),
+		}, s.rendezvousSnapshots(t, a.rec)...)
+		s.diverged.Store(true)
+		s.rejectFollower(a.slot, a.rec, "ipc-corruption")
 	}
 	res := Vote(ballots)
 	obsRec := s.mon.rec
-	if lr := s.lr; lr != nil {
-		lr.Add(ledger.PhaseCompare, obs.VariantLeader, ledger.ClassOf(name),
-			0, cmpMark, wireBytes)
-	}
-
-	leaderWon := res.Winner == 0
-	if !leaderWon {
+	if res.Winner != 0 {
 		// The followers outvoted the leader. The leader is the only variant
 		// wired to the kernel, so it still executes — but the whole set is
 		// suspect: the alarm names variant 0 and every follower is rejected
@@ -620,166 +529,50 @@ func (s *session) voteResolve(t *machine.Thread, name string, args []uint64, arr
 		if obsRec != nil {
 			obsRec.Metrics().Inc("vote.leader_outvoted")
 		}
-		for _, v := range valid {
-			s.rejectFollower(v.slot, v.rec, "outvoted")
+		for i, a := range arr {
+			if ballots[i+1].Valid {
+				s.rejectFollower(a.slot, a.rec, "outvoted")
+			}
 		}
 		s.maybeAbortRegion(t, name, idx)
 		return s.mon.lib.Call(t, name, args)
 	}
 
-	// Leader in the majority: quarantine each minority follower, then run
-	// the call once and emulate results to the winners.
-	winners := make([]decoded, 0, len(valid))
-	losers := make(map[int]bool, len(res.Losers))
-	for _, li := range res.Losers {
-		losers[li] = true
-	}
-	for bi, v := range valid {
-		if losers[bi+1] {
-			s.mon.raiseAlarm(Alarm{
+	// Leader in the majority: quarantine each losing follower; the
+	// winners are filtered into arr's prefix.
+	winners := arr[:0]
+	for i, a := range arr {
+		b := ballots[i+1]
+		if !b.Valid {
+			continue // rejected above
+		}
+		if !res.Lost(i + 1) {
+			a.args = b.Args
+			winners = append(winners, a)
+			continue
+		}
+		var alarm Alarm
+		cause := "outvoted"
+		if valid == 1 {
+			v := compareCalls(name, args, b.Name, b.Args)
+			alarm, cause = v.alarm(s.fn, idx, name, b.Name), v.cause()
+		} else {
+			alarm = Alarm{
 				Reason: AlarmOutvoted, CallIndex: idx, Function: s.fn,
-				LeaderCall: name, FollowerCall: v.fname, Variant: VariantID(v.slot.id),
+				LeaderCall: name, FollowerCall: b.Name,
 				Detail: fmt.Sprintf("variant %d outvoted %d-to-1 at call %s: it called %s",
-					v.slot.id, res.Majority, name, v.fname),
-			}, s.rendezvousSnapshots(t, v.rec)...)
-			s.diverged.Store(true)
+					a.slot.id, res.Majority, name, b.Name),
+			}
 			if obsRec != nil {
 				obsRec.Metrics().Inc("vote.follower_outvoted")
 			}
-			s.rejectFollower(v.slot, v.rec, "outvoted")
-			continue
 		}
-		winners = append(winners, v)
-	}
-
-	cat := libc.CategoryOf(name)
-	if obsRec != nil {
-		obsRec.Record(obs.EvLockstep, obs.VariantLeader, t.TID(), name, uint64(cat), idx, 0)
-		obsRec.Metrics().Inc("lockstep.category." + cat.Slug())
-	}
-	switch cat {
-	case libc.CatLocal:
-		// User-space call: each variant executes in its own space.
-		ret := s.mon.lib.Call(t, name, args)
-		for _, w := range winners {
-			w.rec.resp <- callResult{mode: modeLocal}
-		}
-		return ret
-	default:
-		// Leader-only execution; each winning follower receives return
-		// value, errno, and output buffers over its own IPC lane.
-		ret := s.mon.lib.Call(t, name, args)
-		errno := t.Errno()
-		var esp obs.EmulationSpan
-		if obsRec != nil {
-			esp = obsRec.BeginEmulationSpan(obs.VariantLeader, t.TID(), name, uint64(cat))
-		}
-		emuMark := s.lr.Mark()
-		total := 0
-		for _, w := range winners {
-			copied, efault := s.emulate(name, args, w.fargs, ret, idx, w.slot.delta)
-			total += copied
-			s.emulatedBytes.Add(uint64(copied))
-			if efault && s.mon.contain() {
-				s.mon.detachFollower(s, w.slot, "emulation-fault")
-				w.rec.resp <- callResult{mode: modeDetach}
-				continue
-			}
-			w.rec.resp <- callResult{mode: modeEmulated, ret: ret, errno: errno}
-		}
-		esp.End(uint64(total))
-		if lr := s.lr; lr != nil {
-			lr.Add(ledger.PhaseEmulate, obs.VariantLeader, ledger.ClassOf(name),
-				s.mon.m.Costs().LockstepCopyPerByte*cyclesOf(total), emuMark, uint64(total))
-		}
-		if obsRec != nil {
-			obsRec.Record(obs.EvEmulated, obs.VariantLeader, t.TID(), name, uint64(total), 0, ret)
-			obsRec.Metrics().Add("lockstep.emulated.bytes", uint64(total))
-		}
-		return ret
-	}
-}
-
-// leaderTimedOut handles a blown rendezvous deadline against one slot:
-// raise AlarmRendezvousTimeout, sever that slot per the policy, and let
-// the leader continue. rec is non-nil when the follower did arrive, too
-// late — elapsed is the measured wait in that case; nil means the watchdog
-// tripped while the follower was still missing.
-func (s *session) leaderTimedOut(t *machine.Thread, name string, args []uint64, sl *followerSlot, rec *callRecord, idx uint64, elapsed clock.Cycles) uint64 {
-	deadline := s.mon.opts.RendezvousDeadline
-	detail := fmt.Sprintf("follower missed the %d-cycle rendezvous deadline", deadline)
-	fcall := ""
-	var snaps []obs.ThreadSnapshot
-	if rec != nil {
-		fcall = rec.name
-		detail = fmt.Sprintf("follower arrived %d cycles into a %d-cycle rendezvous deadline", elapsed, deadline)
-		snaps = s.rendezvousSnapshots(t, rec)
-	} else if s.mon.rec != nil {
-		snaps = []obs.ThreadSnapshot{s.mon.snapshot("leader", t)}
-	}
-	s.mon.raiseAlarm(Alarm{
-		Reason: AlarmRendezvousTimeout, CallIndex: idx, Function: s.fn,
-		LeaderCall: name, FollowerCall: fcall, Detail: detail,
-		Variant: VariantID(sl.id),
-	}, snaps...)
-	s.diverged.Store(true)
-	s.mon.rec.Metrics().Inc("rendezvous.timeout")
-	if rec != nil {
-		s.rejectFollower(sl, rec, "rendezvous-timeout")
-	} else {
-		s.mon.detachFollower(s, sl, "rendezvous-timeout")
-	}
-	return s.mon.lib.Call(t, name, args)
-}
-
-// leaderPaired handles a rendezvous where the leader and one follower slot
-// arrived — the paper's pairwise compare.
-func (s *session) leaderPaired(t *machine.Thread, name string, args []uint64, sl *followerSlot, rec *callRecord, idx uint64) uint64 {
-	obsRec := s.mon.rec
-	if s.mon.snapshotDue(s) {
-		// A quiescent anchor point: both variants are parked at the same
-		// ordinal (in pipelined mode this is a barrier, so the ring is
-		// drained) and no emulation is in flight. The checkpoint lands
-		// before this call's divergence checks — a rendezvous that fails
-		// them below was still quiescent when captured, and the budget
-		// catches a checkpoint that keeps absorbing the same divergence.
-		s.mon.captureCheckpoint(s, t, []*callRecord{rec}, name, idx)
-	}
-	cmpMark := s.lr.Mark()
-	// Lockstep check 0: the IPC record itself must decode. A record that
-	// does not frame correctly cannot be compared, which is itself a
-	// divergence (the follower's monitor half wrote garbage).
-	fname, fargs, derr := decodeCallRecord(rec.wire)
-	if derr != nil {
-		s.mon.raiseAlarm(Alarm{
-			Reason: AlarmCallMismatch, CallIndex: idx, Function: s.fn,
-			LeaderCall: name, Variant: VariantID(sl.id),
-			Detail: fmt.Sprintf("corrupt IPC call record: %v", derr),
-		}, s.rendezvousSnapshots(t, rec)...)
+		alarm.Variant = VariantID(a.slot.id)
+		s.mon.raiseAlarm(alarm, s.rendezvousSnapshots(t, a.rec)...)
 		s.diverged.Store(true)
-		s.rejectFollower(sl, rec, "ipc-corruption")
-		return s.mon.lib.Call(t, name, args)
+		s.rejectFollower(a.slot, a.rec, cause)
 	}
-	// Lockstep check 1: same libc function name (Section 3.3).
-	if fname != name {
-		s.mon.raiseAlarm(Alarm{
-			Reason: AlarmCallMismatch, CallIndex: idx, Function: s.fn,
-			LeaderCall: name, FollowerCall: fname, Variant: VariantID(sl.id),
-			Detail: fmt.Sprintf("leader called %s, follower called %s", name, fname),
-		}, s.rendezvousSnapshots(t, rec)...)
-		s.diverged.Store(true)
-		s.rejectFollower(sl, rec, "call-mismatch")
-		return s.mon.lib.Call(t, name, args)
-	}
-	// Lockstep check 2: same non-pointer argument values.
-	if bad, li, fi := scalarMismatch(name, args, fargs); bad {
-		s.mon.raiseAlarm(Alarm{
-			Reason: AlarmArgMismatch, CallIndex: idx, Function: s.fn,
-			LeaderCall: name, FollowerCall: fname, Variant: VariantID(sl.id),
-			Detail: fmt.Sprintf("%s arg mismatch: leader %#x vs follower %#x", name, li, fi),
-		}, s.rendezvousSnapshots(t, rec)...)
-		s.diverged.Store(true)
-		s.rejectFollower(sl, rec, "arg-mismatch")
+	if len(winners) == 0 {
 		return s.mon.lib.Call(t, name, args)
 	}
 
@@ -793,77 +586,129 @@ func (s *session) leaderPaired(t *machine.Thread, name string, args []uint64, sl
 		// into the rendezvous entry); the ledger still counts occurrences,
 		// allocations, and the wire volume verified.
 		lr.Add(ledger.PhaseCompare, obs.VariantLeader, ledger.ClassOf(name),
-			0, cmpMark, uint64(len(rec.wire)))
+			0, cmpMark, wireBytes)
 	}
-	switch cat {
-	case libc.CatLocal:
+	ret := s.mon.lib.Call(t, name, args)
+	if cat == libc.CatLocal {
 		// User-space call: each variant executes in its own space.
-		ret := s.mon.lib.Call(t, name, args)
-		rec.resp <- callResult{mode: modeLocal}
-		return ret
-	default:
-		// Leader-only execution; follower receives return value, errno,
-		// and any output buffers over the IPC.
-		ret := s.mon.lib.Call(t, name, args)
-		errno := t.Errno()
-		var esp obs.EmulationSpan
-		if obsRec != nil {
-			esp = obsRec.BeginEmulationSpan(obs.VariantLeader, t.TID(), name, uint64(cat))
+		for _, w := range winners {
+			w.rec.resp <- callResult{mode: modeLocal}
 		}
-		emuMark := s.lr.Mark()
-		copied, efault := s.emulate(name, args, fargs, ret, idx, sl.delta)
-		esp.End(uint64(copied))
-		if lr := s.lr; lr != nil {
-			lr.Add(ledger.PhaseEmulate, obs.VariantLeader, ledger.ClassOf(name),
-				s.mon.m.Costs().LockstepCopyPerByte*cyclesOf(copied), emuMark, uint64(copied))
-		}
-		s.emulatedBytes.Add(uint64(copied))
-		if obsRec != nil {
-			obsRec.Record(obs.EvEmulated, obs.VariantLeader, t.TID(), name, uint64(copied), 0, ret)
-			obsRec.Metrics().Add("lockstep.emulated.bytes", uint64(copied))
-		}
-		if efault && s.mon.contain() {
-			// The follower's result buffer is gone; it cannot keep up.
-			s.mon.detachFollower(s, sl, "emulation-fault")
-			rec.resp <- callResult{mode: modeDetach}
-			return ret
-		}
-		rec.resp <- callResult{mode: modeEmulated, ret: ret, errno: errno}
 		return ret
 	}
+	// Leader-only execution: each winning follower receives return value,
+	// errno, and output buffers over its own IPC lane. The replies go out
+	// only once the emulation is recorded, so the released followers'
+	// events never interleave with it.
+	errno := t.Errno()
+	var esp obs.EmulationSpan
+	if obsRec != nil {
+		esp = obsRec.BeginEmulationSpan(obs.VariantLeader, t.TID(), name, uint64(cat))
+	}
+	emuMark := s.lr.Mark()
+	total := 0
+	var faulted uint16
+	for i, w := range winners {
+		copied, efault := s.emulate(name, args, w.args, ret, idx, w.slot.delta)
+		total += copied
+		if efault {
+			faulted |= 1 << i
+		}
+	}
+	esp.End(uint64(total))
+	if lr := s.lr; lr != nil {
+		lr.Add(ledger.PhaseEmulate, obs.VariantLeader, ledger.ClassOf(name),
+			s.mon.m.Costs().LockstepCopyPerByte*cyclesOf(total), emuMark, uint64(total))
+	}
+	s.emulatedBytes.Add(uint64(total))
+	if obsRec != nil {
+		obsRec.Record(obs.EvEmulated, obs.VariantLeader, t.TID(), name, uint64(total), 0, ret)
+		obsRec.Metrics().Add("lockstep.emulated.bytes", uint64(total))
+	}
+	for i, w := range winners {
+		if faulted&(1<<i) != 0 && s.mon.contain() {
+			// The follower's result buffer is gone; it cannot keep up.
+			s.mon.detachFollower(s, w.slot, "emulation-fault")
+			w.rec.resp <- callResult{mode: modeDetach}
+			continue
+		}
+		w.rec.resp <- callResult{mode: modeEmulated, ret: ret, errno: errno}
+	}
+	return ret
 }
 
-// rendezvousSnapshots captures both variants' thread states at a paired
-// rendezvous, for the forensics report. The follower is blocked on the resp
-// channel, so reading its thread is race-free (see callRecord). Snapshots
-// are captured only when a recorder is attached.
+// rendezvousTimeout raises AlarmRendezvousTimeout against slot sl at call
+// idx and severs the slot per the policy. rec is the slot's record when it
+// arrived past the deadline; nil means the slot never arrived (or stopped
+// draining its ring) before the watchdog's grace ran out.
+func (s *session) rendezvousTimeout(t *machine.Thread, sl *followerSlot, rec *callRecord, name string, idx uint64) {
+	d := s.mon.opts.RendezvousDeadline
+	a := Alarm{
+		Reason: AlarmRendezvousTimeout, CallIndex: idx, Function: s.fn,
+		LeaderCall: name, Variant: VariantID(sl.id),
+		Detail: fmt.Sprintf("variant %d missed the %d-cycle rendezvous deadline", sl.id, d),
+	}
+	if rec != nil {
+		a.FollowerCall = rec.name
+		a.Detail = fmt.Sprintf("variant %d arrived %d cycles into a %d-cycle rendezvous deadline",
+			sl.id, rec.lag, d)
+	}
+	s.mon.raiseAlarm(a, s.rendezvousSnapshots(t, rec)...)
+	s.diverged.Store(true)
+	s.mon.rec.Metrics().Inc("rendezvous.timeout")
+	if rec != nil {
+		s.rejectFollower(sl, rec, "rendezvous-timeout")
+		return
+	}
+	s.mon.detachFollower(s, sl, "rendezvous-timeout")
+}
+
+// rendezvousSnapshots captures the leader's thread state and, when rec is
+// non-nil, the parked follower's, for the forensics report. The follower
+// is blocked on the resp channel, so reading its thread is race-free (see
+// callRecord). Snapshots are captured only when a recorder is attached.
 func (s *session) rendezvousSnapshots(leader *machine.Thread, rec *callRecord) []obs.ThreadSnapshot {
 	if s.mon.rec == nil {
 		return nil
 	}
 	snaps := []obs.ThreadSnapshot{s.mon.snapshot("leader", leader)}
-	if rec.thread != nil {
+	if rec != nil && rec.thread != nil {
 		snaps = append(snaps, s.mon.snapshot("follower", rec.thread))
 	}
 	return snaps
 }
 
-// followerCall runs one follower slot's side: publish the call on the
-// slot's lane, wait for the leader's verdict. Pipelined sessions drain the
-// slot's rendezvous ring instead (pipeline.go).
+// followerSnapshots captures only the calling follower's own thread: the
+// leader runs ahead (or has left the region) concurrently.
+func (s *session) followerSnapshots(t *machine.Thread) []obs.ThreadSnapshot {
+	if s.mon.rec == nil {
+		return nil
+	}
+	return []obs.ThreadSnapshot{s.mon.snapshot("follower", t)}
+}
+
+// followerCall runs one follower slot's side of a lockstep call: a full
+// rendezvous. Pipelined sessions drain the slot's rendezvous ring instead
+// (pipeline.go).
 func (s *session) followerCall(t *machine.Thread, sl *followerSlot, name string, args []uint64) uint64 {
 	if s.pipelined {
 		return s.followerCallPipelined(t, sl, name, args)
 	}
+	return s.followerRendezvous(t, sl, name, args, sl.lag(t))
+}
+
+// followerRendezvous runs one follower slot's side of a full rendezvous —
+// every strict call, and every pipelined barrier once the ring before it
+// has drained: publish the call on the slot's rendezvous lane, wait for
+// the leader's verdict, and apply it. lag is the slot's own cycles since
+// its previous rendezvous.
+func (s *session) followerRendezvous(t *machine.Thread, sl *followerSlot, name string, args []uint64, lag clock.Cycles) uint64 {
 	fv := obs.FollowerVariant(sl.id)
-	cyc := t.UserCycles()
 	mshMark := s.lr.Mark()
 	rec := &callRecord{
 		name: name, args: args, wire: encodeCallRecord(name, args),
-		thread: t, resp: make(chan callResult, 1),
-		lag: cyc - sl.fCycles,
+		thread: t, resp: make(chan callResult, 1), lag: lag,
 	}
-	sl.fCycles = cyc
 	lr := s.lr
 	var cls ledger.Class
 	var fwaitStart clock.Cycles
@@ -874,71 +719,65 @@ func (s *session) followerCall(t *machine.Thread, sl *followerSlot, name string,
 	}
 	obsRec := s.mon.rec
 	var arriveTS clock.Cycles
-	var a0, a1 uint64
 	if obsRec != nil {
 		arriveTS = s.mon.m.Counter().Cycles()
-		if len(args) > 0 {
-			a0 = args[0]
-		}
-		if len(args) > 1 {
-			a1 = args[1]
-		}
 	}
 	select {
 	case sl.req <- rec:
-		res := <-rec.resp
-		if lr != nil {
-			lr.Add(ledger.PhaseWait, fv, cls,
-				s.mon.m.Counter().Cycles()-fwaitStart, ledger.Mark{}, 0)
-		}
-		switch res.mode {
-		case modeLocal:
-			// lib.Call records the follower's enter/exit events itself.
-			return s.mon.lib.Call(t, name, args)
-		case modeEmulated:
-			// The follower never reaches libc for this call, so record the
-			// pair here: enter back-dated to the rendezvous arrival, exit
-			// when the emulated result lands.
-			if obsRec != nil {
-				obsRec.RecordInAt(arriveTS, t.Fn(), obs.EvLibcEnter, fv, t.TID(), name, a0, a1, 0)
-				obsRec.RecordIn(t.Fn(), obs.EvLibcExit, fv, t.TID(), name, 0, 0, res.ret)
-			}
-			t.SetErrno(res.errno)
-			return res.ret
-		case modeDetach:
-			// The policy severed this follower; wind it down without a
-			// fresh divergence panic.
-			if obsRec != nil {
-				obsRec.RecordInAt(arriveTS, t.Fn(), obs.EvLibcEnter, fv, t.TID(), name, a0, a1, 0)
-			}
-			panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDetached})
-		default:
-			if obsRec != nil {
-				obsRec.RecordInAt(arriveTS, t.Fn(), obs.EvLibcEnter, fv, t.TID(), name, a0, a1, 0)
-			}
-			panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDivergence})
-		}
 	case <-sl.detachCh:
 		panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDetached})
 	case <-s.leaderDone:
-		if sl.detached() {
-			panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDetached})
-		}
-		// The leader already left the region: the follower is executing
-		// calls the leader never made. The leader is no longer in the
-		// region, so only the follower's own thread may be snapshotted.
-		var snaps []obs.ThreadSnapshot
+		s.overrun(t, sl, name)
+	}
+	// Once published, the record is answered: by the leader, or with the
+	// detach verdict by drainPending.
+	res := <-rec.resp
+	if lr != nil {
+		lr.Add(ledger.PhaseWait, fv, cls,
+			s.mon.m.Counter().Cycles()-fwaitStart, ledger.Mark{}, 0)
+	}
+	if res.mode == modeLocal {
+		// lib.Call records the follower's enter/exit events itself.
+		return s.mon.lib.Call(t, name, args)
+	}
+	// The follower never reaches libc for this call, so record the pair
+	// here: enter back-dated to the rendezvous arrival, exit when the
+	// emulated result lands.
+	if obsRec != nil {
+		obsRec.RecordInAt(arriveTS, t.Fn(), obs.EvLibcEnter, fv, t.TID(), name,
+			argAt(args, 0), argAt(args, 1), 0)
+	}
+	switch res.mode {
+	case modeEmulated:
 		if obsRec != nil {
-			snaps = []obs.ThreadSnapshot{s.mon.snapshot("follower", t)}
+			obsRec.RecordIn(t.Fn(), obs.EvLibcExit, fv, t.TID(), name, 0, 0, res.ret)
 		}
-		s.mon.raiseAlarm(Alarm{
-			Reason: AlarmSequenceLength, CallIndex: s.calls.Load(), Function: s.fn,
-			FollowerCall: name, Variant: VariantID(sl.id),
-			Detail: fmt.Sprintf("follower issued %s after leader finished the region", name),
-		}, snaps...)
-		s.diverged.Store(true)
+		t.SetErrno(res.errno)
+		return res.ret
+	case modeDetach:
+		// The policy severed this follower; wind it down without a fresh
+		// divergence panic.
+		panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDetached})
+	default:
 		panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDivergence})
 	}
+}
+
+// overrun handles a follower call issued after the leader finished the
+// region: a severed slot just winds down; otherwise the follower is
+// executing calls the leader never made — a sequence divergence. Never
+// returns.
+func (s *session) overrun(t *machine.Thread, sl *followerSlot, name string) {
+	if sl.detached() {
+		panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDetached})
+	}
+	s.mon.raiseAlarm(Alarm{
+		Reason: AlarmSequenceLength, CallIndex: s.calls.Load(), Function: s.fn,
+		FollowerCall: name, Variant: VariantID(sl.id),
+		Detail: fmt.Sprintf("follower issued %s after leader finished the region", name),
+	}, s.followerSnapshots(t)...)
+	s.diverged.Store(true)
+	panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDivergence})
 }
 
 // emulate copies the leader's output buffers into one follower's
@@ -952,18 +791,12 @@ func (s *session) emulate(name string, leaderArgs, followerArgs []uint64, ret ui
 	as := s.mon.m.AddressSpace()
 	costs := s.mon.m.Costs()
 	faulted := false
-	arg := func(a []uint64, i int) uint64 {
-		if i < len(a) {
-			return a[i]
-		}
-		return 0
-	}
 	copyBuf := func(argIdx, n int) int {
 		if n <= 0 {
 			return 0
 		}
-		src := mem.Addr(arg(leaderArgs, argIdx))
-		dst := mem.Addr(arg(followerArgs, argIdx))
+		src := mem.Addr(argAt(leaderArgs, argIdx))
+		dst := mem.Addr(argAt(followerArgs, argIdx))
 		if src == 0 || dst == 0 {
 			return 0
 		}
@@ -1018,7 +851,7 @@ func (s *session) emulate(name string, leaderArgs, followerArgs []uint64, ret ui
 	case "ioctl":
 		// Special: the third argument is emulated only when it looks like
 		// a pointer into the process's address space (Section 3.3).
-		if s.inLeaderSpace(mem.Addr(arg(leaderArgs, 2))) {
+		if s.inLeaderSpace(mem.Addr(argAt(leaderArgs, 2))) {
 			copied = copyBuf(2, 8)
 		}
 	case "epoll_wait", "epoll_pwait":
@@ -1026,8 +859,8 @@ func (s *session) emulate(name string, leaderArgs, followerArgs []uint64, ret ui
 		// pointers into the leader's space must be rebased into the
 		// follower's window (Section 3.3).
 		n := retN
-		src := mem.Addr(arg(leaderArgs, 1))
-		dst := mem.Addr(arg(followerArgs, 1))
+		src := mem.Addr(argAt(leaderArgs, 1))
+		dst := mem.Addr(argAt(followerArgs, 1))
 		total := 0
 		for i := 0; i < n; i++ {
 			var entry [16]byte
@@ -1072,15 +905,11 @@ func (s *session) inLeaderSpace(v mem.Addr) bool {
 // scalarMismatch compares the non-pointer arguments of a libc call between
 // variants, returning the first differing pair.
 func scalarMismatch(name string, leader, follower []uint64) (bad bool, l, f uint64) {
-	mask := scalarArgMask(name)
-	n := len(leader)
-	if len(follower) < n {
-		n = len(follower)
-	}
 	if len(leader) != len(follower) {
 		return true, uint64(len(leader)), uint64(len(follower))
 	}
-	for i := 0; i < n && i < len(mask); i++ {
+	mask := scalarArgMasks[name]
+	for i := 0; i < len(leader) && i < len(mask); i++ {
 		if mask[i] && leader[i] != follower[i] {
 			return true, leader[i], follower[i]
 		}
@@ -1094,8 +923,9 @@ func scalarMismatch(name string, leader, follower []uint64) (bad bool, l, f uint
 // address windows). Positions beyond the mask are not comparable. This is
 // the rendezvous check's own table, exported so offline analysis
 // (internal/obs/replay) applies the exact same pointer semantics when
-// diffing a recorded leader stream against its follower stream.
-func ScalarArgMask(name string) []bool { return scalarArgMask(name) }
+// diffing a recorded leader stream against its follower stream. The
+// returned slice is shared: callers must not modify it.
+func ScalarArgMask(name string) []bool { return scalarArgMasks[name] }
 
 // ScalarRet reports whether a libc call's return value is a scalar,
 // comparable across variants. Allocation and buffer calls return pointers
@@ -1110,55 +940,47 @@ func ScalarRet(name string) bool {
 	}
 }
 
-// scalarArgMask returns, per argument position, whether the value is a
-// scalar (comparable across variants) as opposed to a pointer (whose value
-// legitimately differs between non-overlapping address spaces).
-func scalarArgMask(name string) []bool {
-	switch name {
-	case "open", "mkdir":
-		return []bool{false, true}
-	case "stat":
-		return []bool{false, false} // path and stat buffer: both pointers
-	case "close", "epoll_create", "socket", "random", "time", "free",
-		"strlen", "atoi", "localtime_r":
-		return []bool{false, false}
-	case "read", "recv", "write", "send", "writev":
-		return []bool{true, false, true}
-	case "fstat":
-		return []bool{true, false}
-	case "gettimeofday":
-		return []bool{false, true}
-	case "sendfile":
-		return []bool{true, true, false, true}
-	case "bind", "listen", "connect", "shutdown":
-		return []bool{true, true}
-	case "setsockopt":
-		return []bool{true, true, true}
-	case "getsockopt", "ioctl":
-		return []bool{true, true, false}
-	case "epoll_ctl":
-		return []bool{true, true, true, false}
-	case "epoll_wait":
-		return []bool{true, false, true, true}
-	case "epoll_pwait":
-		return []bool{true, false, true, true, true}
-	case "malloc":
-		return []bool{true}
-	case "calloc":
-		return []bool{true, true}
-	case "realloc":
-		return []bool{false, true}
-	case "memcpy", "memset":
-		return []bool{false, false, true}
-	case "strcmp":
-		return []bool{false, false}
-	case "strncmp":
-		return []bool{false, false, true}
-	case "snprintf":
-		return []bool{false, true, false}
-	default:
-		return nil
-	}
+// scalarArgMasks is the table behind ScalarArgMask. The masks are shared
+// and read-only, so the rendezvous compare allocates nothing.
+var scalarArgMasks = map[string][]bool{
+	"open":         {false, true},
+	"mkdir":        {false, true},
+	"stat":         {false, false}, // path and stat buffer: both pointers
+	"close":        {false, false},
+	"epoll_create": {false, false},
+	"socket":       {false, false},
+	"random":       {false, false},
+	"time":         {false, false},
+	"free":         {false, false},
+	"strlen":       {false, false},
+	"atoi":         {false, false},
+	"localtime_r":  {false, false},
+	"read":         {true, false, true},
+	"recv":         {true, false, true},
+	"write":        {true, false, true},
+	"send":         {true, false, true},
+	"writev":       {true, false, true},
+	"fstat":        {true, false},
+	"gettimeofday": {false, true},
+	"sendfile":     {true, true, false, true},
+	"bind":         {true, true},
+	"listen":       {true, true},
+	"connect":      {true, true},
+	"shutdown":     {true, true},
+	"setsockopt":   {true, true, true},
+	"getsockopt":   {true, true, false},
+	"ioctl":        {true, true, false},
+	"epoll_ctl":    {true, true, true, false},
+	"epoll_wait":   {true, false, true, true},
+	"epoll_pwait":  {true, false, true, true, true},
+	"malloc":       {true},
+	"calloc":       {true, true},
+	"realloc":      {false, true},
+	"memcpy":       {false, false, true},
+	"memset":       {false, false, true},
+	"strcmp":       {false, false},
+	"strncmp":      {false, false, true},
+	"snprintf":     {false, true, false},
 }
 
 func cyclesOf(n int) clock.Cycles {
@@ -1177,4 +999,11 @@ func toLE(b []byte, v uint64) {
 	for i := 0; i < 8; i++ {
 		b[i] = byte(v >> (8 * i))
 	}
+}
+
+func argAt(a []uint64, i int) uint64 {
+	if i >= 0 && i < len(a) {
+		return a[i]
+	}
+	return 0
 }

@@ -22,7 +22,7 @@ func TestScalarMaskCoverage(t *testing.T) {
 		"snprintf": {0, 2}, "sendfile": {2},
 	}
 	for _, name := range libc.Names() {
-		mask := scalarArgMask(name)
+		mask := ScalarArgMask(name)
 		for _, pos := range pointerArgs[name] {
 			if pos < len(mask) && mask[pos] {
 				t.Errorf("%s: arg %d is a pointer but marked scalar-comparable", name, pos)
@@ -55,7 +55,7 @@ func TestScalarMismatchProperty(t *testing.T) {
 // is always flagged.
 func TestScalarMismatchDetectsScalarChange(t *testing.T) {
 	for _, name := range libc.Names() {
-		mask := scalarArgMask(name)
+		mask := ScalarArgMask(name)
 		for i, isScalar := range mask {
 			if !isScalar {
 				continue
@@ -74,7 +74,7 @@ func TestScalarMismatchDetectsScalarChange(t *testing.T) {
 // argument (legitimately different across variants) is never flagged.
 func TestScalarMismatchIgnoresPointerChange(t *testing.T) {
 	for _, name := range libc.Names() {
-		mask := scalarArgMask(name)
+		mask := ScalarArgMask(name)
 		for i, isScalar := range mask {
 			if isScalar {
 				continue

@@ -224,8 +224,9 @@ type Options struct {
 	Delta int64
 	// Variants is the total variant count, leader included (default
 	// DefaultVariants; clamped to [2, MaxVariants]). N-1 follower slots
-	// are cloned at each region entry and every rendezvous becomes a
-	// majority vote once more than one follower is attached.
+	// are cloned at each region entry and every rendezvous is a majority
+	// vote over the attached slots — with one follower ballot, the
+	// paper's pairwise compare.
 	Variants int
 	// Seed drives trampoline address randomization.
 	Seed int64

@@ -14,8 +14,8 @@ package core
 // sync classes (libc.SyncClassOf): results-emulation calls pipeline
 // freely, local calls pipeline with no result payload, and state-changing
 // or externally-visible calls are hard barriers — the leader drains every
-// ring and completes a full rendezvous (pairwise with one live slot, by
-// majority vote with more) before the call's effects leave the process.
+// ring and completes the strict rendezvous, the same vote for any number
+// of live slots, before the call's effects leave the process.
 
 import (
 	"fmt"
@@ -25,6 +25,7 @@ import (
 	"smvx/internal/obs"
 	"smvx/internal/obs/ledger"
 	"smvx/internal/sim/clock"
+	"smvx/internal/sim/kernel"
 	"smvx/internal/sim/machine"
 	"smvx/internal/sim/mem"
 )
@@ -84,9 +85,9 @@ const pipelineGrace = 200 * time.Millisecond
 // the canonical-varint call record (name + args); result — present for
 // pipelined-class calls — frames the return value, errno, and output
 // buffer snapshots captured at call time. The follower decodes both
-// rather than trusting in-process fields. Barrier records carry a reply
-// channel instead: the follower hands its own callRecord back and the
-// set completes a full rendezvous.
+// rather than trusting in-process fields. A barrier record carries no
+// result: the follower hands its own callRecord over the slot's
+// rendezvous lane and the set completes a full rendezvous.
 type leaderRecord struct {
 	idx     uint64 // 1-based libc-call ordinal, stamped by the leader
 	name    string
@@ -95,7 +96,6 @@ type leaderRecord struct {
 	barrier bool
 	local   bool
 	result  []byte
-	reply   chan *callRecord
 }
 
 // emuBuf is one output-buffer snapshot inside a result record: the bytes
@@ -121,178 +121,107 @@ const (
 // externally visible.
 func (s *session) leaderCallPipelined(t *machine.Thread, name string, args []uint64) uint64 {
 	idx := s.calls.Add(1)
-	att := s.attached()
-	if len(att) == 0 {
-		// Degraded single-variant mode after a policy detach. Under
-		// rollback the detach means a follower was severed mid-region —
-		// unwind instead of running un-replicated.
-		s.maybeAbortRegion(t, name, idx)
-		return s.mon.lib.Call(t, name, args)
-	}
-	live := att[:0:0]
-	anyDead := false
+	var buf [MaxVariants - 1]*followerSlot
+	att := s.attached(buf[:0])
+	live := att[:0]
 	for _, sl := range att {
 		select {
 		case <-sl.dead:
-			anyDead = true
+			// A follower died mid-region; the variant waiter raises the alarm.
+			s.diverged.Store(true)
 		default:
 			live = append(live, sl)
 		}
 	}
-	if anyDead {
-		// A follower died mid-region; the variant waiter raises the alarm.
-		s.diverged.Store(true)
-	}
 	if len(live) == 0 {
-		// Under rollback the region is unwound here (the leader's
-		// remaining control flow is suspect); otherwise the leader
+		// Degraded single-variant mode after a policy detach, or every
+		// follower died. Under rollback the region is unwound here (the
+		// leader's remaining control flow is suspect); otherwise the leader
 		// continues un-replicated (as in strict mode).
 		s.maybeAbortRegion(t, name, idx)
 		return s.mon.lib.Call(t, name, args)
 	}
 	if libc.SyncClassOf(name) == libc.SyncBarrier {
-		return s.leaderBarrier(t, name, args, idx, live)
+		return s.rendezvous(t, name, args, idx, live, true)
 	}
-	if len(live) == 1 {
-		return s.leaderPipelinedOne(t, name, args, idx, live[0])
-	}
-	return s.leaderPipelinedMany(t, name, args, idx, live)
+	return s.enqueue(t, name, args, idx, live)
 }
 
-// leaderPipelinedOne publishes one non-barrier call to the single live
-// slot — the pair-shaped run-ahead discipline, byte for byte at
-// Variants=2.
-func (s *session) leaderPipelinedOne(t *machine.Thread, name string, args []uint64, idx uint64, sl *followerSlot) uint64 {
-	costs := s.mon.m.Costs()
-	s.mon.m.ChargeThread(t, costs.LockstepEnqueue)
-	// Execute before publishing: the record carries the concrete result
-	// (and output-buffer snapshots) the follower will verify and apply.
-	// Snapshots are taken now, so the leader overwriting the buffer
-	// while running ahead cannot corrupt the follower's copy.
+// enqueue runs one non-barrier pipelined call: execute it once, then
+// publish a record on every live slot's ring. When no slot accepted the
+// record (each died or severed itself at drain time, the alarms raised on
+// its goroutine) rollback unwinds here.
+func (s *session) enqueue(t *machine.Thread, name string, args []uint64, idx uint64, live []*followerSlot) uint64 {
+	entry := s.mon.m.Costs().LockstepEnqueue * clock.Cycles(len(live))
+	s.mon.m.ChargeThread(t, entry)
+	// Execute before publishing: the records carry the concrete result
+	// (and output-buffer snapshots) the followers will verify and apply.
+	// Snapshots are taken now, so the leader overwriting the buffer while
+	// running ahead cannot corrupt a follower's copy.
 	ret := s.mon.lib.Call(t, name, args)
-	errno := t.Errno()
-	mshMark := s.lr.Mark()
-	rec := &leaderRecord{
-		idx:  idx,
-		name: name,
-		wire: encodeCallRecord(name, args),
-		cat:  libc.CategoryOf(name),
-	}
-	if libc.SyncClassOf(name) == libc.SyncLocal {
-		rec.local = true
-	} else {
-		rec.result = encodeResultRecord(ret, errno, s.captureOutputs(name, args, ret, sl.delta))
-	}
-	lr := s.lr
-	var cls ledger.Class
-	if lr != nil {
-		cls = ledger.ClassOf(name)
-		lr.Add(ledger.PhaseMarshal, obs.VariantLeader, cls, 0, mshMark,
-			uint64(len(rec.wire)+len(rec.result)))
-	}
-	enqStart := s.mon.m.Counter().Cycles()
-	switch s.appendRecord(t, sl, rec) {
-	case appendDead:
-		s.diverged.Store(true)
-		s.maybeAbortRegion(t, name, idx)
-	case appendTimedOut:
-		s.enqueueTimedOut(t, sl, name, idx)
-	case appendDetached:
-		// The follower severed itself at drain time; bookkeeping and the
-		// alarm already happened on its goroutine. Rollback unwinds here.
-		s.maybeAbortRegion(t, name, idx)
-	case appendOK:
-		now := s.mon.m.Counter().Cycles()
-		if obsRec := s.mon.rec; obsRec != nil {
-			m := obsRec.Metrics()
-			m.Observe(obs.MetricRendezvousLeaderCycles,
-				uint64(costs.LockstepEnqueue+(now-enqStart)))
-			m.SetGauge(obs.MetricPipelineDepth, float64(len(sl.ring)))
-			obsRec.ObserveSeries(obs.SeriesRendezvous,
-				uint64(costs.LockstepEnqueue+(now-enqStart)))
-			obsRec.ObserveSeries(obs.SeriesPipelineDepth, uint64(len(sl.ring)))
-		}
-		if lr != nil {
-			// Enqueue+wait sum to the rendezvous.leader.cycles observation
-			// above — the ledger/histogram reconciliation invariant.
-			lr.Add(ledger.PhaseEnqueue, obs.VariantLeader, cls,
-				costs.LockstepEnqueue, ledger.Mark{}, 0)
-			lr.Add(ledger.PhaseWait, obs.VariantLeader, cls,
-				now-enqStart, ledger.Mark{}, 0)
-		}
-	}
-	return ret
-}
-
-// leaderPipelinedMany publishes one non-barrier call to every live slot's
-// ring. The call executes once; each slot receives its own record with
-// output snapshots rebased into that slot's window.
-func (s *session) leaderPipelinedMany(t *machine.Thread, name string, args []uint64, idx uint64, live []*followerSlot) uint64 {
-	costs := s.mon.m.Costs()
-	s.mon.m.ChargeThread(t, costs.LockstepEnqueue*clock.Cycles(len(live)))
-	ret := s.mon.lib.Call(t, name, args)
-	errno := t.Errno()
-	lr := s.lr
-	var cls ledger.Class
-	if lr != nil {
-		cls = ledger.ClassOf(name)
-	}
-	mshMark := s.lr.Mark()
-	wire := encodeCallRecord(name, args)
-	local := libc.SyncClassOf(name) == libc.SyncLocal
-	enqStart := s.mon.m.Counter().Cycles()
-	anyOK := false
-	maxDepth := 0
-	for i, sl := range live {
-		if i > 0 {
-			mshMark = s.lr.Mark()
-		}
-		rec := &leaderRecord{idx: idx, name: name, wire: wire, cat: libc.CategoryOf(name)}
-		if local {
-			rec.local = true
-		} else {
-			rec.result = encodeResultRecord(ret, errno, s.captureOutputs(name, args, ret, sl.delta))
-		}
-		if lr != nil {
-			lr.Add(ledger.PhaseMarshal, obs.VariantLeader, cls, 0, mshMark,
-				uint64(len(rec.wire)+len(rec.result)))
-		}
-		switch s.appendRecord(t, sl, rec) {
-		case appendDead:
-			s.diverged.Store(true)
-		case appendTimedOut:
-			s.enqueueTimedOut(t, sl, name, idx)
-		case appendDetached:
-			// Drain-time bookkeeping already happened on the slot's
-			// goroutine.
-		case appendOK:
-			anyOK = true
-			if d := len(sl.ring); d > maxDepth {
-				maxDepth = d
-			}
-		}
-	}
-	if !anyOK {
+	accepted, depth, wait := s.publish(t, name, args, idx, live, ret, t.Errno())
+	if len(accepted) == 0 {
 		s.maybeAbortRegion(t, name, idx)
 		return ret
 	}
-	now := s.mon.m.Counter().Cycles()
 	if obsRec := s.mon.rec; obsRec != nil {
 		m := obsRec.Metrics()
-		m.Observe(obs.MetricRendezvousLeaderCycles,
-			uint64(costs.LockstepEnqueue*clock.Cycles(len(live))+(now-enqStart)))
-		m.SetGauge(obs.MetricPipelineDepth, float64(maxDepth))
-		obsRec.ObserveSeries(obs.SeriesRendezvous,
-			uint64(costs.LockstepEnqueue*clock.Cycles(len(live))+(now-enqStart)))
-		obsRec.ObserveSeries(obs.SeriesPipelineDepth, uint64(maxDepth))
+		m.Observe(obs.MetricRendezvousLeaderCycles, uint64(entry+wait))
+		m.SetGauge(obs.MetricPipelineDepth, float64(depth))
+		obsRec.ObserveSeries(obs.SeriesRendezvous, uint64(entry+wait))
+		obsRec.ObserveSeries(obs.SeriesPipelineDepth, uint64(depth))
 	}
-	if lr != nil {
-		lr.Add(ledger.PhaseEnqueue, obs.VariantLeader, cls,
-			costs.LockstepEnqueue*clock.Cycles(len(live)), ledger.Mark{}, 0)
-		lr.Add(ledger.PhaseWait, obs.VariantLeader, cls,
-			now-enqStart, ledger.Mark{}, 0)
+	if lr := s.lr; lr != nil {
+		// Enqueue+wait sum to the rendezvous.leader.cycles observation
+		// above — the ledger/histogram reconciliation invariant.
+		cls := ledger.ClassOf(name)
+		lr.Add(ledger.PhaseEnqueue, obs.VariantLeader, cls, entry, ledger.Mark{}, 0)
+		lr.Add(ledger.PhaseWait, obs.VariantLeader, cls, wait, ledger.Mark{}, 0)
 	}
 	return ret
+}
+
+// publish puts call idx's record on each slot's ring: a barrier record, or
+// the executed call's result (ret, errno, and output snapshots rebased
+// into that slot's window). It returns, filtered in place, the slots that
+// accepted the record, the deepest ring among them, and the cycles the
+// leader spent blocked on full rings. A slot that stopped draining inside
+// the deadline is timed out.
+func (s *session) publish(t *machine.Thread, name string, args []uint64, idx uint64, slots []*followerSlot, ret uint64, errno kernel.Errno) ([]*followerSlot, int, clock.Cycles) {
+	sc := libc.SyncClassOf(name)
+	cls := ledger.ClassOf(name)
+	mshMark := s.lr.Mark()
+	wire := encodeCallRecord(name, args)
+	accepted, depth := slots[:0], 0
+	var wait clock.Cycles
+	for i, sl := range slots {
+		if i > 0 {
+			mshMark = s.lr.Mark()
+		}
+		rec := &leaderRecord{
+			idx: idx, name: name, wire: wire, cat: libc.CategoryOf(name),
+			barrier: sc == libc.SyncBarrier, local: sc == libc.SyncLocal,
+		}
+		if sc == libc.SyncPipelined {
+			rec.result = encodeResultRecord(ret, errno, s.captureOutputs(name, args, ret, sl.delta))
+		}
+		if lr := s.lr; lr != nil {
+			lr.Add(ledger.PhaseMarshal, obs.VariantLeader, cls, 0, mshMark,
+				uint64(len(rec.wire)+len(rec.result)))
+		}
+		start := s.mon.m.Counter().Cycles()
+		switch s.appendRecord(t, sl, rec) {
+		case appendOK:
+			wait += s.mon.m.Counter().Cycles() - start
+			accepted = append(accepted, sl)
+			depth = max(depth, len(sl.ring))
+		case appendDead:
+			s.diverged.Store(true)
+		case appendTimedOut:
+			s.rendezvousTimeout(t, sl, nil, name, idx)
+		}
+	}
+	return accepted, depth, wait
 }
 
 // appendRecord publishes one record on a slot's ring, blocking when its
@@ -346,277 +275,6 @@ func (s *session) appendRecord(t *machine.Thread, sl *followerSlot, rec *leaderR
 	}
 }
 
-// enqueueTimedOut handles a blown deadline while the leader was parked on
-// a full ring: the call itself already executed, so — unlike
-// leaderTimedOut — there is nothing to re-run, only the alarm and the
-// policy detach.
-func (s *session) enqueueTimedOut(t *machine.Thread, sl *followerSlot, name string, idx uint64) {
-	deadline := s.mon.opts.RendezvousDeadline
-	var snaps []obs.ThreadSnapshot
-	if s.mon.rec != nil {
-		snaps = []obs.ThreadSnapshot{s.mon.snapshot("leader", t)}
-	}
-	s.mon.raiseAlarm(Alarm{
-		Reason: AlarmRendezvousTimeout, CallIndex: idx, Function: s.fn,
-		LeaderCall: name, Variant: VariantID(sl.id),
-		Detail: fmt.Sprintf("follower stopped draining the rendezvous ring inside the %d-cycle deadline",
-			deadline),
-	}, snaps...)
-	s.diverged.Store(true)
-	s.mon.rec.Metrics().Inc("rendezvous.timeout")
-	s.mon.detachFollower(s, sl, "rendezvous-timeout")
-}
-
-// leaderBarrier completes a hard sync point: publish the barrier record to
-// every live ring, wait for each follower to drain everything before it
-// and hand back its own callRecord, then run the full rendezvous —
-// compare (pairwise or by vote), execute, emulate — before the call's
-// effects become externally visible.
-func (s *session) leaderBarrier(t *machine.Thread, name string, args []uint64, idx uint64, live []*followerSlot) uint64 {
-	if len(live) == 1 {
-		return s.leaderBarrierOne(t, name, args, idx, live[0])
-	}
-	return s.leaderBarrierMany(t, name, args, idx, live)
-}
-
-// leaderBarrierOne is the pair-shaped barrier against the single live
-// slot, byte for byte at Variants=2.
-func (s *session) leaderBarrierOne(t *machine.Thread, name string, args []uint64, idx uint64, sl *followerSlot) uint64 {
-	costs := s.mon.m.Costs()
-	s.mon.m.ChargeThread(t, costs.LockstepRendezvous)
-	obsRec := s.mon.rec
-	var span obs.RendezvousSpan
-	if obsRec != nil {
-		obsRec.Metrics().Inc(obs.MetricLockstepBarrier)
-		span = obsRec.BeginRendezvousSpan(obs.VariantLeader, t.TID(), name,
-			uint64(libc.CategoryOf(name)))
-	}
-	mshMark := s.lr.Mark()
-	rec := &leaderRecord{
-		idx: idx, name: name, wire: encodeCallRecord(name, args),
-		cat: libc.CategoryOf(name), barrier: true,
-		reply: make(chan *callRecord, 1),
-	}
-	if lr := s.lr; lr != nil {
-		lr.Add(ledger.PhaseMarshal, obs.VariantLeader, ledger.ClassOf(name),
-			0, mshMark, uint64(len(rec.wire)))
-	}
-	waitStart := s.mon.m.Counter().Cycles()
-	switch s.appendRecord(t, sl, rec) {
-	case appendDead:
-		s.diverged.Store(true)
-		s.maybeAbortRegion(t, name, idx)
-		ret := s.mon.lib.Call(t, name, args)
-		span.End(ret)
-		return ret
-	case appendDetached:
-		s.maybeAbortRegion(t, name, idx)
-		ret := s.mon.lib.Call(t, name, args)
-		span.End(ret)
-		return ret
-	case appendTimedOut:
-		ret := s.leaderTimedOut(t, name, args, sl, nil, idx, 0)
-		span.End(ret)
-		return ret
-	}
-
-	paired := func(frec *callRecord) uint64 {
-		s.waitingSince.Store(0)
-		now := s.mon.m.Counter().Cycles()
-		t.AddWaitCycles(now - waitStart)
-		if obsRec != nil {
-			obsRec.Metrics().Observe("lockstep.wait.cycles", uint64(now-waitStart))
-			obsRec.Metrics().Observe(obs.MetricRendezvousLeaderCycles,
-				uint64(costs.LockstepRendezvous+(now-waitStart)))
-			obsRec.ObserveSeries(obs.SeriesRendezvous,
-				uint64(costs.LockstepRendezvous+(now-waitStart)))
-		}
-		if lr := s.lr; lr != nil {
-			// Barrier+wait sum to the rendezvous.leader.cycles observation
-			// above; the wait started before the ring append, so it folds
-			// in any backpressure the barrier record hit.
-			cls := ledger.ClassOf(name)
-			lr.Add(ledger.PhaseBarrier, obs.VariantLeader, cls,
-				costs.LockstepRendezvous, ledger.Mark{}, 0)
-			lr.Add(ledger.PhaseWait, obs.VariantLeader, cls,
-				now-waitStart, ledger.Mark{}, 0)
-		}
-		if d := s.mon.opts.RendezvousDeadline; d > 0 && (frec.lag > d || now-waitStart > d) {
-			// Backstop: the follower self-checks its lag at drain time,
-			// so this only fires on pathological multi-thread charging.
-			late := now - waitStart
-			if frec.lag > d {
-				late = frec.lag
-			}
-			return s.leaderTimedOut(t, name, args, sl, frec, idx, late)
-		}
-		return s.leaderPaired(t, name, args, sl, frec, idx)
-	}
-
-	s.waitingSince.Store(int64(waitStart) + 1)
-	defer s.waitingSince.Store(0)
-	select {
-	case frec := <-rec.reply:
-		ret := paired(frec)
-		span.End(ret)
-		return ret
-	case <-sl.dead:
-		s.diverged.Store(true)
-		s.maybeAbortRegion(t, name, idx)
-		ret := s.mon.lib.Call(t, name, args)
-		span.End(ret)
-		return ret
-	case <-sl.detachCh:
-		s.maybeAbortRegion(t, name, idx)
-		ret := s.mon.lib.Call(t, name, args)
-		span.End(ret)
-		return ret
-	case <-s.timedOut:
-		// Same grace as appendRecord: only a zero-charging follower gets
-		// past the reply/death cases here.
-		select {
-		case frec := <-rec.reply:
-			ret := paired(frec)
-			span.End(ret)
-			return ret
-		case <-sl.dead:
-			s.diverged.Store(true)
-			s.maybeAbortRegion(t, name, idx)
-			ret := s.mon.lib.Call(t, name, args)
-			span.End(ret)
-			return ret
-		case <-sl.detachCh:
-			s.maybeAbortRegion(t, name, idx)
-			ret := s.mon.lib.Call(t, name, args)
-			span.End(ret)
-			return ret
-		case <-time.After(pipelineGrace):
-			ret := s.leaderTimedOut(t, name, args, sl, nil, idx, 0)
-			span.End(ret)
-			return ret
-		}
-	}
-}
-
-// leaderBarrierMany publishes the barrier record to every live slot's
-// ring, collects each slot's callRecord, and resolves by majority vote.
-func (s *session) leaderBarrierMany(t *machine.Thread, name string, args []uint64, idx uint64, live []*followerSlot) uint64 {
-	costs := s.mon.m.Costs()
-	s.mon.m.ChargeThread(t, costs.LockstepRendezvous*clock.Cycles(len(live)))
-	obsRec := s.mon.rec
-	var span obs.RendezvousSpan
-	if obsRec != nil {
-		obsRec.Metrics().Inc(obs.MetricLockstepBarrier)
-		span = obsRec.BeginRendezvousSpan(obs.VariantLeader, t.TID(), name,
-			uint64(libc.CategoryOf(name)))
-	}
-	waitStart := s.mon.m.Counter().Cycles()
-	type published struct {
-		sl  *followerSlot
-		rec *leaderRecord
-	}
-	pubs := make([]published, 0, len(live))
-	for _, sl := range live {
-		mshMark := s.lr.Mark()
-		rec := &leaderRecord{
-			idx: idx, name: name, wire: encodeCallRecord(name, args),
-			cat: libc.CategoryOf(name), barrier: true,
-			reply: make(chan *callRecord, 1),
-		}
-		if lr := s.lr; lr != nil {
-			lr.Add(ledger.PhaseMarshal, obs.VariantLeader, ledger.ClassOf(name),
-				0, mshMark, uint64(len(rec.wire)))
-		}
-		switch s.appendRecord(t, sl, rec) {
-		case appendDead:
-			s.diverged.Store(true)
-		case appendDetached:
-		case appendTimedOut:
-			s.enqueueTimedOut(t, sl, name, idx)
-		case appendOK:
-			pubs = append(pubs, published{sl: sl, rec: rec})
-		}
-	}
-
-	s.waitingSince.Store(int64(waitStart) + 1)
-	arrivals := make([]slotArrival, 0, len(pubs))
-	graced := false
-	for _, p := range pubs {
-		var frec *callRecord
-		if !graced {
-			select {
-			case frec = <-p.rec.reply:
-			case <-p.sl.dead:
-				s.diverged.Store(true)
-			case <-p.sl.detachCh:
-			case <-s.timedOut:
-				graced = true
-			}
-		}
-		if frec == nil && graced {
-			select {
-			case frec = <-p.rec.reply:
-			case <-p.sl.dead:
-				s.diverged.Store(true)
-			case <-p.sl.detachCh:
-			case <-time.After(pipelineGrace):
-				s.mon.raiseAlarm(Alarm{
-					Reason: AlarmRendezvousTimeout, CallIndex: idx, Function: s.fn,
-					LeaderCall: name, Variant: VariantID(p.sl.id),
-					Detail: fmt.Sprintf("variant %d missed the %d-cycle rendezvous deadline at a barrier",
-						p.sl.id, s.mon.opts.RendezvousDeadline),
-				})
-				s.diverged.Store(true)
-				s.mon.rec.Metrics().Inc("rendezvous.timeout")
-				s.mon.detachFollower(s, p.sl, "rendezvous-timeout")
-			}
-		}
-		if frec != nil {
-			arrivals = append(arrivals, slotArrival{slot: p.sl, rec: frec})
-		}
-	}
-	s.waitingSince.Store(0)
-	now := s.mon.m.Counter().Cycles()
-	t.AddWaitCycles(now - waitStart)
-	if obsRec != nil {
-		obsRec.Metrics().Observe("lockstep.wait.cycles", uint64(now-waitStart))
-		obsRec.Metrics().Observe(obs.MetricRendezvousLeaderCycles,
-			uint64(costs.LockstepRendezvous*clock.Cycles(len(live))+(now-waitStart)))
-		obsRec.ObserveSeries(obs.SeriesRendezvous,
-			uint64(costs.LockstepRendezvous*clock.Cycles(len(live))+(now-waitStart)))
-	}
-	if lr := s.lr; lr != nil {
-		cls := ledger.ClassOf(name)
-		lr.Add(ledger.PhaseBarrier, obs.VariantLeader, cls,
-			costs.LockstepRendezvous*clock.Cycles(len(live)), ledger.Mark{}, 0)
-		lr.Add(ledger.PhaseWait, obs.VariantLeader, cls,
-			now-waitStart, ledger.Mark{}, 0)
-	}
-	// Deadline verdicts per arrival, as in the strict N-way rendezvous.
-	if d := s.mon.opts.RendezvousDeadline; d > 0 {
-		kept := arrivals[:0]
-		for _, a := range arrivals {
-			if a.rec.lag > d {
-				s.mon.raiseAlarm(Alarm{
-					Reason: AlarmRendezvousTimeout, CallIndex: idx, Function: s.fn,
-					LeaderCall: name, FollowerCall: a.rec.name, Variant: VariantID(a.slot.id),
-					Detail: fmt.Sprintf("variant %d arrived %d cycles into a %d-cycle rendezvous deadline",
-						a.slot.id, a.rec.lag, d),
-				}, s.rendezvousSnapshots(t, a.rec)...)
-				s.diverged.Store(true)
-				s.mon.rec.Metrics().Inc("rendezvous.timeout")
-				s.rejectFollower(a.slot, a.rec, "rendezvous-timeout")
-				continue
-			}
-			kept = append(kept, a)
-		}
-		arrivals = kept
-	}
-	ret := s.voteResolve(t, name, args, arrivals, idx)
-	span.End(ret)
-	return ret
-}
-
 // followerCallPipelined runs one follower slot's side: drain the next
 // leader record from the slot's ring and verify it — the strict
 // rendezvous's decode-before-compare checks, moved to drain time and
@@ -625,9 +283,7 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, nam
 	fv := obs.FollowerVariant(sl.id)
 	costs := s.mon.m.Costs()
 	s.mon.m.ChargeThread(t, costs.LockstepEnqueue)
-	cyc := t.UserCycles()
-	lag := cyc - sl.fCycles
-	sl.fCycles = cyc
+	lag := sl.lag(t)
 	// The deterministic deadline verdict lives on the follower in
 	// pipelined mode: at every drain it knows its own lag and the exact
 	// ordinal of the call that stalled, where the leader — running ahead
@@ -654,23 +310,14 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, nam
 
 	obsRec := s.mon.rec
 	var arriveTS clock.Cycles
-	var a0, a1 uint64
-	if obsRec != nil {
-		arriveTS = s.mon.m.Counter().Cycles()
-		if len(args) > 0 {
-			a0 = args[0]
-		}
-		if len(args) > 1 {
-			a1 = args[1]
-		}
-	}
 	var dspan obs.DrainSpan
 	if obsRec != nil {
+		arriveTS = s.mon.m.Counter().Cycles()
 		dspan = obsRec.BeginDrainSpan(fv, t.TID(), name, uint64(rec.cat))
 	}
 
 	// Drain-time divergence checks: decode what crossed the ring, then
-	// the same name/scalar comparison as the strict rendezvous.
+	// the rendezvous compare against the follower's own call.
 	cmpMark := s.lr.Mark()
 	lname, largs, derr := decodeCallRecord(rec.wire)
 	if derr != nil {
@@ -680,19 +327,8 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, nam
 			Detail:       fmt.Sprintf("corrupt IPC call record: %v", derr),
 		}, "ipc-corruption")
 	}
-	if lname != name {
-		s.drainDiverged(t, sl, Alarm{
-			Reason: AlarmCallMismatch, CallIndex: rec.idx, Function: s.fn,
-			LeaderCall: lname, FollowerCall: name,
-			Detail: fmt.Sprintf("leader called %s, follower called %s", lname, name),
-		}, "call-mismatch")
-	}
-	if bad, li, fi := scalarMismatch(name, largs, args); bad {
-		s.drainDiverged(t, sl, Alarm{
-			Reason: AlarmArgMismatch, CallIndex: rec.idx, Function: s.fn,
-			LeaderCall: lname, FollowerCall: name,
-			Detail: fmt.Sprintf("%s arg mismatch: leader %#x vs follower %#x", name, li, fi),
-		}, "arg-mismatch")
+	if v := compareCalls(lname, largs, name, args); v.reason != 0 {
+		s.drainDiverged(t, sl, v.alarm(s.fn, rec.idx, lname, name), v.cause())
 	}
 
 	if obsRec != nil {
@@ -708,7 +344,9 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, nam
 	}
 
 	if rec.barrier {
-		ret := s.followerBarrier(t, sl, name, args, rec, lag, arriveTS, a0, a1)
+		// Everything before the barrier has drained, so the leader's
+		// verdict arrives exactly as in strict lockstep.
+		ret := s.followerRendezvous(t, sl, name, args, lag)
 		dspan.End(ret)
 		return ret
 	}
@@ -739,17 +377,17 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, nam
 	if obsRec != nil {
 		obsRec.Record(obs.EvEmulated, fv, t.TID(), name, uint64(copied), 0, ret)
 		obsRec.Metrics().Add("lockstep.emulated.bytes", uint64(copied))
-		obsRec.RecordInAt(arriveTS, t.Fn(), obs.EvLibcEnter, fv, t.TID(), name, a0, a1, 0)
+		obsRec.RecordInAt(arriveTS, t.Fn(), obs.EvLibcEnter, fv, t.TID(), name,
+			argAt(args, 0), argAt(args, 1), 0)
 		obsRec.RecordIn(t.Fn(), obs.EvLibcExit, fv, t.TID(), name, 0, 0, ret)
 	}
+	dspan.End(ret)
 	if faulted && s.mon.contain() {
 		// The follower's result buffer is gone; it cannot keep up.
-		dspan.End(ret)
 		s.mon.detachFollower(s, sl, "emulation-fault")
 		panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDetached})
 	}
 	t.SetErrno(errno)
-	dspan.End(ret)
 	return ret
 }
 
@@ -775,83 +413,8 @@ func (s *session) dequeueRecord(t *machine.Thread, sl *followerSlot, name string
 			return rec
 		default:
 		}
-		if sl.detached() {
-			panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDetached})
-		}
-		// The leader already left the region: the follower is executing
-		// calls the leader never made.
-		var snaps []obs.ThreadSnapshot
-		if s.mon.rec != nil {
-			snaps = []obs.ThreadSnapshot{s.mon.snapshot("follower", t)}
-		}
-		s.mon.raiseAlarm(Alarm{
-			Reason: AlarmSequenceLength, CallIndex: s.calls.Load(), Function: s.fn,
-			FollowerCall: name, Variant: VariantID(sl.id),
-			Detail: fmt.Sprintf("follower issued %s after leader finished the region", name),
-		}, snaps...)
-		s.diverged.Store(true)
-		panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDivergence})
-	}
-}
-
-// followerBarrier hands the follower's own callRecord back through the
-// barrier record's reply channel and completes a full rendezvous:
-// everything before this call has drained, so the leader's verdict
-// arrives exactly as in strict lockstep.
-func (s *session) followerBarrier(t *machine.Thread, sl *followerSlot, name string, args []uint64, rec *leaderRecord, lag clock.Cycles, arriveTS clock.Cycles, a0, a1 uint64) uint64 {
-	fv := obs.FollowerVariant(sl.id)
-	mshMark := s.lr.Mark()
-	frec := &callRecord{
-		name: name, args: args, wire: encodeCallRecord(name, args),
-		thread: t, resp: make(chan callResult, 1),
-		lag: lag,
-	}
-	lr := s.lr
-	var cls ledger.Class
-	var fwaitStart clock.Cycles
-	if lr != nil {
-		cls = ledger.ClassOf(name)
-		lr.Add(ledger.PhaseMarshal, fv, cls, 0, mshMark, uint64(len(frec.wire)))
-		fwaitStart = s.mon.m.Counter().Cycles()
-	}
-	rec.reply <- frec // cap 1: never blocks
-	obsRec := s.mon.rec
-	var res callResult
-	select {
-	case res = <-frec.resp:
-	case <-sl.detachCh:
-		// A buffered verdict beats the detach signal (select picks ready
-		// cases at random; the reply may already be in flight).
-		select {
-		case res = <-frec.resp:
-		default:
-			panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDetached})
-		}
-	}
-	if lr != nil {
-		lr.Add(ledger.PhaseWait, fv, cls,
-			s.mon.m.Counter().Cycles()-fwaitStart, ledger.Mark{}, 0)
-	}
-	switch res.mode {
-	case modeLocal:
-		return s.mon.lib.Call(t, name, args)
-	case modeEmulated:
-		if obsRec != nil {
-			obsRec.RecordInAt(arriveTS, t.Fn(), obs.EvLibcEnter, fv, t.TID(), name, a0, a1, 0)
-			obsRec.RecordIn(t.Fn(), obs.EvLibcExit, fv, t.TID(), name, 0, 0, res.ret)
-		}
-		t.SetErrno(res.errno)
-		return res.ret
-	case modeDetach:
-		if obsRec != nil {
-			obsRec.RecordInAt(arriveTS, t.Fn(), obs.EvLibcEnter, fv, t.TID(), name, a0, a1, 0)
-		}
-		panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDetached})
-	default:
-		if obsRec != nil {
-			obsRec.RecordInAt(arriveTS, t.Fn(), obs.EvLibcEnter, fv, t.TID(), name, a0, a1, 0)
-		}
-		panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDivergence})
+		s.overrun(t, sl, name)
+		return nil
 	}
 }
 
@@ -859,19 +422,16 @@ func (s *session) followerBarrier(t *machine.Thread, sl *followerSlot, name stri
 // slot's goroutine and severs that slot per the policy. When other slots
 // remain live, the slot disagreeing with the leader's record is implicitly
 // outvoted (the leader plus the agreeing slots form the majority), so the
-// alarm is re-marked AlarmOutvoted. Only the follower's own thread may be
-// snapshotted here — the leader is running ahead concurrently. Never
-// returns.
+// alarm is re-marked AlarmOutvoted; a lone live slot keeps the pairwise
+// reason, as a lone ballot does in the vote. Only the follower's own
+// thread may be snapshotted here — the leader is running ahead
+// concurrently. Never returns.
 func (s *session) drainDiverged(t *machine.Thread, sl *followerSlot, a Alarm, cause string) {
 	a.Variant = VariantID(sl.id)
 	if s.liveAttached() > 1 {
 		a.Reason = AlarmOutvoted
 	}
-	var snaps []obs.ThreadSnapshot
-	if s.mon.rec != nil {
-		snaps = []obs.ThreadSnapshot{s.mon.snapshot("follower", t)}
-	}
-	s.mon.raiseAlarm(a, snaps...)
+	s.mon.raiseAlarm(a, s.followerSnapshots(t)...)
 	s.diverged.Store(true)
 	if a.Reason == AlarmOutvoted {
 		if obsRec := s.mon.rec; obsRec != nil {
@@ -884,17 +444,12 @@ func (s *session) drainDiverged(t *machine.Thread, sl *followerSlot, a Alarm, ca
 // followerTimedOut raises the drain-time deadline alarm with the stalled
 // call's own ordinal and severs the slot per the policy. Never returns.
 func (s *session) followerTimedOut(t *machine.Thread, sl *followerSlot, name string, ordinal uint64, lag clock.Cycles) {
-	deadline := s.mon.opts.RendezvousDeadline
-	var snaps []obs.ThreadSnapshot
-	if s.mon.rec != nil {
-		snaps = []obs.ThreadSnapshot{s.mon.snapshot("follower", t)}
-	}
 	s.mon.raiseAlarm(Alarm{
 		Reason: AlarmRendezvousTimeout, CallIndex: ordinal, Function: s.fn,
 		FollowerCall: name, Variant: VariantID(sl.id),
 		Detail: fmt.Sprintf("follower stalled %d cycles against a %d-cycle rendezvous deadline",
-			lag, deadline),
-	}, snaps...)
+			lag, s.mon.opts.RendezvousDeadline),
+	}, s.followerSnapshots(t)...)
 	s.diverged.Store(true)
 	s.mon.rec.Metrics().Inc("rendezvous.timeout")
 	s.mon.severFromFollower(s, sl, t, "rendezvous-timeout")
@@ -1001,11 +556,4 @@ func (s *session) applyResult(t *machine.Thread, sl *followerSlot, name string, 
 		copied += len(b.data)
 	}
 	return copied, faulted
-}
-
-func argAt(a []uint64, i int) uint64 {
-	if i >= 0 && i < len(a) {
-		return a[i]
-	}
-	return 0
 }

@@ -41,13 +41,6 @@ const (
 	PolicyRollback
 )
 
-// PolicyRestartVariant is the variant-set name for PolicyRestartFollower:
-// with more than one follower slot the policy restarts whichever variant
-// was quarantined, not "the" follower. The old name remains the canonical
-// spelling (String still prints "restart-follower"); this alias exists so
-// new code can use variant-set vocabulary.
-const PolicyRestartVariant DivergencePolicy = PolicyRestartFollower
-
 // String names the policy (the same spelling ParsePolicy accepts).
 func (p DivergencePolicy) String() string {
 	switch p {
@@ -71,7 +64,7 @@ func ParsePolicy(s string) (DivergencePolicy, error) {
 		return PolicyKillBoth, nil
 	case "leader-continue":
 		return PolicyLeaderContinue, nil
-	case "restart-follower", "restart-variant":
+	case "restart-follower":
 		return PolicyRestartFollower, nil
 	case "rollback":
 		return PolicyRollback, nil

@@ -35,10 +35,9 @@ import (
 	"smvx/internal/sim/mem"
 )
 
-// VariantSnapshot is one checkpoint of the full leader/follower pair,
-// captured at a quiescent rendezvous: the ring is drained, no emulation is
-// in flight, and both variants are parked at the same verified libc-call
-// ordinal.
+// VariantSnapshot is one checkpoint of the full variant set, captured at a
+// quiescent rendezvous: the rings are drained, no emulation is in flight,
+// and every variant is parked at the same verified libc-call ordinal.
 type VariantSnapshot struct {
 	// Gen is the underlying memory snapshot's generation.
 	Gen uint64
@@ -53,12 +52,11 @@ type VariantSnapshot struct {
 	// regions, permissions, MPK keys, and taint tags, with per-page dirty
 	// tracking armed until the next capture.
 	Mem *mem.Snapshot
-	// Leader and Follower are the variants' architectural thread states
-	// (registers, stack top, call stack) at the capture rendezvous.
-	// Follower is the first follower slot's state, kept for pair-era
-	// consumers; Followers holds every parked follower in slot order.
-	Leader, Follower obs.ThreadSnapshot
-	Followers        []obs.ThreadSnapshot
+	// Leader and Followers are the variants' architectural thread states
+	// (registers, stack top, call stack) at the capture rendezvous:
+	// Followers holds every parked follower in slot order.
+	Leader    obs.ThreadSnapshot
+	Followers []obs.ThreadSnapshot
 	// RingDepth and Drained are the pipeline ring cursors at capture:
 	// records in flight on the rendezvous ring (always 0 — captures anchor
 	// to quiescent points) and records the follower had verified.
@@ -141,12 +139,12 @@ func (mo *Monitor) snapshotDue(s *session) bool {
 }
 
 // captureCheckpoint snapshots the variant set at a quiescent rendezvous.
-// Called from the rendezvous paths with every arrived follower parked on
-// its rendezvous reply (strict) or barrier reply (pipelined — the rings
-// are drained), so the thread states and the shared address space are
-// race-free. recs holds the parked followers' call records in slot order.
-// The redo log restarts here: the checkpoint owns the tail.
-func (mo *Monitor) captureCheckpoint(s *session, leader *machine.Thread, recs []*callRecord, name string, idx uint64) {
+// Called from the rendezvous with every arrived follower parked on its
+// rendezvous reply (at a pipelined barrier the rings are drained), so the
+// thread states and the shared address space are race-free. parked holds
+// the arrived followers in slot order. The redo log restarts here: the
+// checkpoint owns the tail.
+func (mo *Monitor) captureCheckpoint(s *session, leader *machine.Thread, parked []slotArrival, name string, idx uint64) {
 	start := mo.m.Counter().Cycles()
 	ms := mo.m.AddressSpace().Snapshot()
 	ringDepth := 0
@@ -166,15 +164,10 @@ func (mo *Monitor) captureCheckpoint(s *session, leader *machine.Thread, recs []
 		Drained:       drained,
 		EmulatedBytes: s.emulatedBytes.Load(),
 	}
-	for _, rec := range recs {
-		if rec == nil || rec.thread == nil {
-			continue
+	for _, a := range parked {
+		if a.rec.thread != nil {
+			ck.Followers = append(ck.Followers, mo.snapshot("follower", a.rec.thread))
 		}
-		fs := mo.snapshot("follower", rec.thread)
-		if len(ck.Followers) == 0 {
-			ck.Follower = fs
-		}
-		ck.Followers = append(ck.Followers, fs)
 	}
 	mo.redo.Reset()
 	mo.mu.Lock()

@@ -18,6 +18,18 @@ func voteBallot(variant int, fd uint64) Ballot {
 	}
 }
 
+// losers expands a result's loser bitmask into ascending ballot indices
+// (nil when every ballot is in the winning class).
+func losers(r VoteResult) []int {
+	var out []int
+	for i := 0; i < MaxVariants; i++ {
+		if r.Lost(i) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // TestVoteAllAgreementPatternsN3 enumerates every corruption pattern of a
 // 3-variant set (each of leader, follower 1, follower 2 either casts the
 // honest value or a shared corrupted one — all 2^3 subsets) and pins the
@@ -63,8 +75,8 @@ func TestVoteAllAgreementPatternsN3(t *testing.T) {
 			if res.Winner != c.wantWinner {
 				t.Errorf("winner = %d, want %d", res.Winner, c.wantWinner)
 			}
-			if !reflect.DeepEqual(res.Losers, c.wantLosers) {
-				t.Errorf("losers = %v, want %v", res.Losers, c.wantLosers)
+			if got := losers(res); !reflect.DeepEqual(got, c.wantLosers) {
+				t.Errorf("losers = %v, want %v", got, c.wantLosers)
 			}
 			if res.Majority != c.wantMajority {
 				t.Errorf("majority = %d, want %d", res.Majority, c.wantMajority)
@@ -82,7 +94,7 @@ func TestVoteNameMismatch(t *testing.T) {
 		{Variant: 2, Name: "read", Args: []uint64{3, 0x400500, 17}, Valid: true},
 	}
 	res := Vote(ballots)
-	if res.Winner != 0 || res.Majority != 2 || !reflect.DeepEqual(res.Losers, []int{2}) {
+	if res.Winner != 0 || res.Majority != 2 || !reflect.DeepEqual(losers(res), []int{2}) {
 		t.Errorf("vote = %+v, want leader wins 2-1 over the read ballot", res)
 	}
 }
@@ -97,12 +109,12 @@ func TestVoteInvalidBallots(t *testing.T) {
 		voteBallot(2, 3),
 	}
 	res := Vote(ballots)
-	if res.Winner != 0 || res.Majority != 2 || !reflect.DeepEqual(res.Losers, []int{1}) {
+	if res.Winner != 0 || res.Majority != 2 || !reflect.DeepEqual(losers(res), []int{1}) {
 		t.Errorf("vote = %+v, want invalid ballot among losers", res)
 	}
 
 	none := Vote([]Ballot{{Valid: false}, {Valid: false}})
-	if none.Winner != -1 || !reflect.DeepEqual(none.Losers, []int{0, 1}) || none.Majority != 0 {
+	if none.Winner != -1 || !reflect.DeepEqual(losers(none), []int{0, 1}) || none.Majority != 0 {
 		t.Errorf("all-invalid vote = %+v, want winner -1 and everyone losing", none)
 	}
 }
@@ -118,7 +130,7 @@ func TestVoteTieBreaksTowardLeader(t *testing.T) {
 		voteBallot(3, 9),
 	}
 	res := Vote(ballots)
-	if res.Winner != 0 || res.Majority != 2 || !reflect.DeepEqual(res.Losers, []int{1, 3}) {
+	if res.Winner != 0 || res.Majority != 2 || !reflect.DeepEqual(losers(res), []int{1, 3}) {
 		t.Errorf("2-2 vote = %+v, want the leader's class to win the tie", res)
 	}
 }
@@ -128,11 +140,45 @@ func TestVoteTieBreaksTowardLeader(t *testing.T) {
 // leader's singleton class.
 func TestVotePairDegenerates(t *testing.T) {
 	agree := Vote([]Ballot{voteBallot(0, 3), voteBallot(1, 3)})
-	if agree.Winner != 0 || agree.Majority != 2 || len(agree.Losers) != 0 {
+	if agree.Winner != 0 || agree.Majority != 2 || agree.Losers != 0 {
 		t.Errorf("agreeing pair = %+v", agree)
 	}
 	differ := Vote([]Ballot{voteBallot(0, 3), voteBallot(1, 4)})
-	if differ.Winner != 0 || differ.Majority != 1 || !reflect.DeepEqual(differ.Losers, []int{1}) {
+	if differ.Winner != 0 || differ.Majority != 1 || !reflect.DeepEqual(losers(differ), []int{1}) {
 		t.Errorf("differing pair = %+v, want leader's singleton to win", differ)
+	}
+}
+
+// TestVoteAllocatesNothing pins the allocation-free vote at the set sizes
+// the workloads run: the rendezvous votes once per libc call.
+func TestVoteAllocatesNothing(t *testing.T) {
+	for _, n := range []int{2, 3, 5} {
+		ballots := make([]Ballot, n)
+		for i := range ballots {
+			ballots[i] = voteBallot(i, 3)
+		}
+		ballots[n-1] = voteBallot(n-1, 4) // one loser exercises the split path
+		if allocs := testing.AllocsPerRun(100, func() { Vote(ballots) }); allocs != 0 {
+			t.Errorf("Vote over %d ballots allocates %.0f times, want 0", n, allocs)
+		}
+	}
+}
+
+// TestCompareCallsVerdicts pins the one rendezvous equivalence and the
+// pairwise alarm it yields for a lone losing follower.
+func TestCompareCallsVerdicts(t *testing.T) {
+	args := []uint64{3, 0x400500, 17}
+	if v := compareCalls("write", args, "write", []uint64{3, 0x2000_0040_0500, 17}); v.reason != 0 {
+		t.Errorf("pointer-only difference = %+v, want agreement", v)
+	}
+	call := compareCalls("write", args, "read", args)
+	if a := call.alarm("f", 4, "write", "read"); a.Reason != AlarmCallMismatch || call.cause() != "call-mismatch" ||
+		a.Detail != "leader called write, follower called read" {
+		t.Errorf("name mismatch alarm = %+v (cause %s)", a, call.cause())
+	}
+	arg := compareCalls("write", args, "write", []uint64{2, 0x400500, 17})
+	if a := arg.alarm("f", 4, "write", "write"); a.Reason != AlarmArgMismatch || arg.cause() != "arg-mismatch" ||
+		a.Detail != "write arg mismatch: leader 0x3 vs follower 0x2" || a.CallIndex != 4 {
+		t.Errorf("arg mismatch alarm = %+v (cause %s)", a, arg.cause())
 	}
 }

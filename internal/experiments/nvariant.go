@@ -14,9 +14,9 @@ import (
 
 // The N-variant artifact measures what a larger variant set buys and what
 // it costs: the chaos fault matrix replayed at N ∈ {2, 3, 5} under the
-// leader-continue policy. At N=2 a divergence is a pairwise alarm and the
-// lone follower is detached; at N≥3 the rendezvous becomes a majority
-// vote, so a single corrupted follower is outvoted and quarantined while
+// leader-continue policy. At N=2 the vote has one follower ballot, so a
+// divergence is a pairwise alarm and the lone follower is detached; at
+// N≥3 a single corrupted follower is outvoted and quarantined while
 // the surviving majority keeps full lockstep — and a colluding pair of
 // corrupted followers can outvote the leader at N=3 but loses again at
 // N=5. Overhead is the clean run's virtual cycle cost versus the pair.

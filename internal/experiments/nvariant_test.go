@@ -7,13 +7,14 @@ import (
 	"testing"
 
 	"smvx/internal/core"
+	"smvx/internal/faultinject"
 )
 
-// pairAlarmKeyGolden pins the alarm-key sets the pre-variant-set pair
-// path raised on the chaos matrix at seed 42 under strict lockstep. The
-// variant-set refactor must reproduce them exactly at -variants 2: any
-// drift here means the N=2 rendezvous stopped being byte-compatible with
-// the leader/follower pair it replaced.
+// pairAlarmKeyGolden pins the alarm-key sets the leader/follower pair
+// monitor raised on the chaos matrix at seed 42 under strict lockstep. At
+// -variants 2 every rendezvous is a vote with one follower ballot, and it
+// must reproduce them exactly: any drift here means the N=2 vote stopped
+// being the paper's pairwise compare.
 var pairAlarmKeyGolden = map[string][]string{
 	"none/kill-both":                    {},
 	"none/leader-continue":              {},
@@ -35,9 +36,9 @@ var pairAlarmKeyGolden = map[string][]string{
 	"emu-corrupt@1/restart-follower":    {"follower emulation-buffer fault@1"},
 }
 
-// TestPairParityAlarmKeys is the N=2 regression gate of the variant-set
-// refactor: the chaos matrix at the default two variants must raise
-// exactly the pair path's alarm-key sets, strict and pipelined both.
+// TestPairParityAlarmKeys is the N=2 regression gate of the vote: the
+// chaos matrix at the default two variants must raise exactly the pair
+// monitor's alarm-key sets, strict and pipelined both.
 func TestPairParityAlarmKeys(t *testing.T) {
 	for _, mode := range []core.LockstepMode{core.LockstepStrict, core.LockstepPipelined} {
 		res, err := ChaosMode(42, mode)
@@ -61,7 +62,7 @@ func TestPairParityAlarmKeys(t *testing.T) {
 			}
 			sort.Strings(got)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("%s %s: alarm keys %q, pair path raised %q", mode, coord, got, want)
+				t.Errorf("%s %s: alarm keys %q, pair monitor raised %q", mode, coord, got, want)
 			}
 		}
 	}
@@ -124,6 +125,33 @@ func TestNVariantOutvoteAndContinue(t *testing.T) {
 	}
 	if c := res.cell(5, "arg-flip@4-collude"); c == nil || c.Outvotes != 2 || !c.Survived {
 		t.Errorf("collusion at N=5 = %+v, want both colluders outvoted", c)
+	}
+}
+
+// TestLoneBallotKeepsPairwiseReason pins the vote's one-ballot case at
+// N=3: once follower 2 has crashed, follower 1 casts the only follower
+// ballot, so its flipped argument loses the 1-1 tie with the pairwise
+// argument-mismatch alarm, not an outvote.
+func TestLoneBallotKeepsPairwiseReason(t *testing.T) {
+	c, err := runNVariantCell(42, 3, "follower-crash@2:variant:2+arg-flip@4", []faultinject.Fault{
+		{Kind: faultinject.FollowerCrash, Call: 2, Variant: 2},
+		{Kind: faultinject.ArgFlip, Call: 4, Bit: 0, Variant: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]string, 0, len(c.Alarms))
+	for reason := range c.Alarms {
+		got = append(got, reason)
+	}
+	sort.Strings(got)
+	want := []string{core.AlarmFollowerFault.String(), core.AlarmArgMismatch.String()}
+	sort.Strings(want)
+	if fmt.Sprint(got) != fmt.Sprint(want) || c.Outvotes != 0 {
+		t.Errorf("alarms %q with %d outvotes, want exactly %q and none", got, c.Outvotes, want)
+	}
+	if !c.Survived {
+		t.Errorf("leader did not finish: regions=%d err=%q", c.Regions, c.LeaderErr)
 	}
 }
 

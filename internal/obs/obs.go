@@ -662,15 +662,3 @@ func (r *Recorder) PublishDerived() {
 	r.metrics.SetGauge("events.buffered", float64(buffered))
 	r.metrics.SetGauge("uptime.cycles", float64(r.now()))
 }
-
-// VariantTotals returns how many events each variant has ever recorded.
-// The leader/follower delta is the follower-lag signal the SLO watchdog
-// monitors: in healthy lockstep the streams advance together.
-func (r *Recorder) VariantTotals() (leader, follower uint64) {
-	if r == nil {
-		return 0, 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.vseq[VariantLeader], r.vseq[VariantFollower]
-}

@@ -238,19 +238,6 @@ func TestTelemetryWatchdogThresholds(t *testing.T) {
 			t.Error("did not trip over the rate budget")
 		}
 	})
-	t.Run("follower lag", func(t *testing.T) {
-		rec := obs.NewRecorder(obs.Config{})
-		for i := 0; i < 6; i++ {
-			rec.Record(obs.EvLibcEnter, obs.VariantLeader, 1, "read", 0, 0, 0)
-		}
-		rec.Record(obs.EvLibcEnter, obs.VariantFollower, 2, "read", 0, 0, 0)
-		if NewWatchdog(rec, SLO{MaxAlarms: -1, MaxFollowerLag: 10}).Check() {
-			t.Error("tripped under the lag budget")
-		}
-		if !NewWatchdog(rec, SLO{MaxAlarms: -1, MaxFollowerLag: 3}).Check() {
-			t.Error("did not trip on follower lag")
-		}
-	})
 }
 
 // TestTelemetryWatchdogStartStop exercises the periodic evaluator.

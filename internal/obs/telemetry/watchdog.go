@@ -23,9 +23,6 @@ type SLO struct {
 	// rendezvous RTT histograms exceeds this many virtual cycles
 	// (0 disables).
 	MaxRendezvousP99 uint64
-	// MaxFollowerLag trips when the leader's recorded event stream is more
-	// than this many events ahead of the follower's (0 disables).
-	MaxFollowerLag uint64
 	// MaxRequestP99 trips when the p99 of the fleet's merged served-request
 	// latency exceeds this many virtual cycles (0 disables; requires a
 	// fleet attached via SetFleet).
@@ -96,12 +93,6 @@ func (w *Watchdog) Check() bool {
 	if w.slo.MaxRendezvousP99 > 0 && rtt.Count > 0 {
 		if p99 := rtt.Quantile(0.99); p99 > w.slo.MaxRendezvousP99 {
 			viols = append(viols, fmt.Sprintf("rendezvous p99 %d cycles > max %d", p99, w.slo.MaxRendezvousP99))
-		}
-	}
-	if w.slo.MaxFollowerLag > 0 {
-		leader, follower := w.rec.VariantTotals()
-		if leader > follower && leader-follower > w.slo.MaxFollowerLag {
-			viols = append(viols, fmt.Sprintf("follower lag %d events > max %d", leader-follower, w.slo.MaxFollowerLag))
 		}
 	}
 	if w.slo.MaxRequestP99 > 0 {

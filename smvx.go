@@ -164,10 +164,6 @@ const (
 	PolicyLeaderContinue  = core.PolicyLeaderContinue
 	PolicyRestartFollower = core.PolicyRestartFollower
 	PolicyRollback        = core.PolicyRollback
-	// PolicyRestartVariant is the variant-set spelling of
-	// PolicyRestartFollower: the quarantined variant, whichever slot it
-	// holds, is re-cloned at the next protected-region entry.
-	PolicyRestartVariant = core.PolicyRestartVariant
 )
 
 // Lockstep modes, re-exported.
