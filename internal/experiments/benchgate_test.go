@@ -9,11 +9,11 @@ import (
 
 func TestGateBenchPassesIdenticalRun(t *testing.T) {
 	base := map[string]float64{
-		"ledger.strict.phase.rendezvous.cycles": 100000,
-		"ledger.strict.phase.rendezvous.count":  50,
-		"ledger.strict.calls":                   100,
-		"ledger.strict.allocs_per_call":         1.5,
-		"ledger.strict.reconcile_pct":           0.0,
+		"ledger.strict.phase.rendezvous.cycles":  100000,
+		"ledger.strict.phase.rendezvous.count":   50,
+		"ledger.strict.calls":                    100,
+		"ledger.strict.allocs_per_call":          1.5,
+		"ledger.strict.reconcile_pct":            0.0,
 		"pipeline.overhead.strict.reduction_pct": 0,
 	}
 	if v := GateBench(base, base, DefaultGateRules()); len(v) != 0 {
@@ -71,7 +71,7 @@ func TestGateBenchReconcileCeiling(t *testing.T) {
 func TestGateBenchIgnoresUngatedAndNewMetrics(t *testing.T) {
 	base := map[string]float64{"pipeline.overhead.lag16.reduction_pct": 66}
 	fresh := map[string]float64{
-		"pipeline.overhead.lag16.reduction_pct": 20, // worse, but ungated ratio
+		"pipeline.overhead.lag16.reduction_pct": 20,  // worse, but ungated ratio
 		"ledger.brandnew.series":                1e9, // fresh-only: addition
 	}
 	if v := GateBench(base, fresh, DefaultGateRules()); len(v) != 0 {

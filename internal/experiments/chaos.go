@@ -35,7 +35,7 @@ const (
 	chaosDeadline clock.Cycles = 4_000_000
 	// chaosRestartBudget and chaosRestartBackoff keep PolicyRestartFollower
 	// on a short leash: two re-clones, then leader-only.
-	chaosRestartBudget  = 2
+	chaosRestartBudget               = 2
 	chaosRestartBackoff clock.Cycles = 1_000
 )
 

@@ -60,7 +60,7 @@ func (t *Thread) runGadgets(ip mem.Addr) {
 				}
 				if mem.Addr(target) == image.LibcSentinelBase+mem.Addr(slot) {
 					rax = t.m.libc.Call(t, name, args)
-				} else if ipo := t.m.getInterposer(); ipo != nil {
+				} else if ipo := t.m.hooks.Load().interposer; ipo != nil {
 					rax = ipo.Intercept(t, slot, name, args)
 				} else {
 					t.fault(fmt.Errorf("machine: patched PLT with no interposer during gadget chain"))

@@ -19,6 +19,7 @@ package machine
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"smvx/internal/sim/clock"
 	"smvx/internal/sim/image"
@@ -121,7 +122,6 @@ type Machine struct {
 
 	costs   clock.CostTable
 	counter *clock.Counter
-	wall    *clock.Counter
 
 	libc LibcDispatcher
 
@@ -130,20 +130,38 @@ type Machine struct {
 	sampler      CycleSampler
 	samplePeriod clock.Cycles
 
-	mu           sync.RWMutex
+	// hooks is read with one atomic load on every charge, call and libc
+	// call; each Set* replaces the whole set under mu.
+	hooks atomic.Pointer[hookSet]
+
+	mu      sync.Mutex
+	nextTID int
+}
+
+// hookSet is the machine's wall counter, interposer and observers, all
+// optional. A published set is never modified.
+type hookSet struct {
+	wall         *clock.Counter
 	interposer   Interposer
 	taintSink    TaintSink
 	profiler     Profiler
 	libcObserver func(t *Thread, name string)
 	libcFault    LibcFaultHook
+}
 
-	nextTID int
+// setHooks publishes a copy of the current hook set with set applied.
+func (m *Machine) setHooks(set func(h *hookSet)) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	h := *m.hooks.Load()
+	set(&h)
+	m.hooks.Store(&h)
 }
 
 // New creates a machine. counter receives all user-space cycle charges and
 // should be the same counter the process charges syscalls to.
 func New(prog *Program, as *mem.AddressSpace, proc *kernel.Process, libc LibcDispatcher, counter *clock.Counter, costs clock.CostTable) *Machine {
-	return &Machine{
+	m := &Machine{
 		prog:    prog,
 		as:      as,
 		proc:    proc,
@@ -152,6 +170,8 @@ func New(prog *Program, as *mem.AddressSpace, proc *kernel.Process, libc LibcDis
 		libc:    libc,
 		nextTID: 1,
 	}
+	m.hooks.Store(&hookSet{})
+	return m
 }
 
 // Program returns the machine's program.
@@ -175,33 +195,23 @@ func (m *Machine) Counter() *clock.Counter { return m.counter }
 // paper's distinction between throughput overhead (Figures 6 and 7) and
 // CPU-cycle consumption (Section 4.1).
 func (m *Machine) SetWallCounter(c *clock.Counter) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.wall = c
+	m.setHooks(func(h *hookSet) { h.wall = c })
 }
 
 // WallCounter returns the elapsed-time counter (may be nil).
-func (m *Machine) WallCounter() *clock.Counter {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.wall
-}
+func (m *Machine) WallCounter() *clock.Counter { return m.hooks.Load().wall }
 
 // Libc returns the machine's libc dispatcher.
 func (m *Machine) Libc() LibcDispatcher { return m.libc }
 
 // SetInterposer installs (or removes, with nil) the PLT interposer.
 func (m *Machine) SetInterposer(i Interposer) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.interposer = i
+	m.setHooks(func(h *hookSet) { h.interposer = i })
 }
 
 // SetTaintSink installs the taint-event consumer.
 func (m *Machine) SetTaintSink(s TaintSink) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.taintSink = s
+	m.setHooks(func(h *hookSet) { h.taintSink = s })
 }
 
 // SetCycleSampler installs the sampling profiler with its period in
@@ -217,27 +227,7 @@ func (m *Machine) SetCycleSampler(s CycleSampler, period clock.Cycles) {
 
 // SetProfiler installs the function-level profiler.
 func (m *Machine) SetProfiler(p Profiler) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.profiler = p
-}
-
-func (m *Machine) getInterposer() Interposer {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.interposer
-}
-
-func (m *Machine) getTaintSink() TaintSink {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.taintSink
-}
-
-func (m *Machine) getProfiler() Profiler {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.profiler
+	m.setHooks(func(h *hookSet) { h.profiler = p })
 }
 
 // SetLibcObserver installs a callback invoked on every PLT (libc) call with
@@ -245,15 +235,7 @@ func (m *Machine) getProfiler() Profiler {
 // observer can inspect the thread's call stack to attribute the call to a
 // candidate protected region.
 func (m *Machine) SetLibcObserver(fn func(t *Thread, name string)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.libcObserver = fn
-}
-
-func (m *Machine) getLibcObserver() func(t *Thread, name string) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.libcObserver
+	m.setHooks(func(h *hookSet) { h.libcObserver = fn })
 }
 
 // LibcFaultHook sees every PLT (libc) call before it is dispatched and
@@ -265,15 +247,7 @@ type LibcFaultHook func(t *Thread, name string, args []uint64) []uint64
 
 // SetLibcFaultHook installs (or removes, with nil) the fault-injection hook.
 func (m *Machine) SetLibcFaultHook(fn LibcFaultHook) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.libcFault = fn
-}
-
-func (m *Machine) getLibcFaultHook() LibcFaultHook {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.libcFault
+	m.setHooks(func(h *hookSet) { h.libcFault = fn })
 }
 
 // charge adds user-space cycles with no thread context: total and wall.

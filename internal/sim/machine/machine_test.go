@@ -42,7 +42,7 @@ type testRig struct {
 	as   *mem.AddressSpace
 }
 
-func newRig(t *testing.T) *testRig {
+func newRig(t testing.TB) *testRig {
 	t.Helper()
 	img := image.NewBuilder("app", 0x400000).
 		AddFunc("main", 128).

@@ -82,6 +82,10 @@ type Thread struct {
 
 	pkru mpk.PKRU
 
+	// tlb caches the thread's recent address translations; only the owning
+	// goroutine touches it.
+	tlb mem.TLB
+
 	stackBase mem.Addr
 	stackSize uint64
 
@@ -467,7 +471,7 @@ func (t *Thread) Call(name string, args ...uint64) uint64 {
 	t.depth++
 
 	var startCycles clock.Cycles
-	prof := t.m.getProfiler()
+	prof := t.m.hooks.Load().profiler
 	if prof != nil {
 		prof.OnEnter(t.tid, name)
 		if t.m.counter != nil {
@@ -501,20 +505,15 @@ func (t *Thread) Call(name string, args ...uint64) uint64 {
 	return rax
 }
 
-// readMem / writeMem are the thread's checked memory accessors, routing
-// background threads' charges off the wall counter.
+// readMem / writeMem are the thread's checked memory accessors: they go
+// through the thread's TLB and route background threads' charges off the
+// wall counter.
 func (t *Thread) readMem(a mem.Addr, buf []byte) error {
-	if t.background {
-		return t.m.as.CheckedReadAtBG(a, buf, t.pkru)
-	}
-	return t.m.as.CheckedReadAt(a, buf, t.pkru)
+	return t.m.as.ThreadReadAt(&t.tlb, a, buf, t.pkru, !t.background)
 }
 
 func (t *Thread) writeMem(a mem.Addr, buf []byte) error {
-	if t.background {
-		return t.m.as.CheckedWriteAtBG(a, buf, t.pkru)
-	}
-	return t.m.as.CheckedWriteAt(a, buf, t.pkru)
+	return t.m.as.ThreadWriteAt(&t.tlb, a, buf, t.pkru, !t.background)
 }
 
 // push stores v at the new top of stack.
@@ -563,7 +562,7 @@ func fromLE64(b []byte) uint64 {
 func (t *Thread) reportTaint(addr mem.Addr, n int) mem.Taint {
 	tag := t.m.as.TaintOf(addr, n)
 	if tag != mem.TaintNone {
-		if sink := t.m.getTaintSink(); sink != nil {
+		if sink := t.m.hooks.Load().taintSink; sink != nil {
 			sink.OnTaintedAccess(t.ip, addr)
 		}
 	}
@@ -699,10 +698,10 @@ func (t *Thread) Libc(name string, args ...uint64) uint64 {
 	}
 	t.pltCalls.Add(1)
 	t.m.ChargeThread(t, t.m.costs.Call)
-	if obs := t.m.getLibcObserver(); obs != nil {
+	if obs := t.m.hooks.Load().libcObserver; obs != nil {
 		obs(t, name)
 	}
-	if fh := t.m.getLibcFaultHook(); fh != nil {
+	if fh := t.m.hooks.Load().libcFault; fh != nil {
 		args = fh(t, name, args)
 	}
 
@@ -718,7 +717,7 @@ func (t *Thread) Libc(name string, args ...uint64) uint64 {
 		// Unpatched: straight into libc.
 		return t.m.libc.Call(t, name, args)
 	}
-	ipo := t.m.getInterposer()
+	ipo := t.m.hooks.Load().interposer
 	if ipo == nil {
 		t.fault(fmt.Errorf("machine: PLT slot %d (%s) patched to %#x but no interposer installed", slot, name, target))
 	}

@@ -13,9 +13,11 @@
 package mem
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"smvx/internal/sim/clock"
 	"smvx/internal/sim/mpk"
@@ -170,11 +172,17 @@ type AddressSpace struct {
 	pages   map[Addr]*page
 	regions []*Region // sorted by Base
 
+	// gen stamps the region table and page set for the thread TLBs; see
+	// bumpLocked.
+	gen uint64
+
 	counter *clock.Counter
 	wall    *clock.Counter
 	costs   clock.CostTable
 
-	taintEnabled bool
+	// taintEnabled is written under the write lock and read without it, so
+	// the taint paths cost one atomic load while tracking is off.
+	taintEnabled atomic.Bool
 
 	// snap is the active copy-on-write snapshot (nil when none); snapGen
 	// numbers captures. See snapshot.go.
@@ -227,15 +235,11 @@ func (as *AddressSpace) charge(n clock.Cycles, wall bool) {
 func (as *AddressSpace) EnableTaint() {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	as.taintEnabled = true
+	as.taintEnabled.Store(true)
 }
 
 // TaintEnabled reports whether taint tracking is on.
-func (as *AddressSpace) TaintEnabled() bool {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	return as.taintEnabled
-}
+func (as *AddressSpace) TaintEnabled() bool { return as.taintEnabled.Load() }
 
 // Map adds a region to the address space. The base and size are rounded out
 // to page boundaries. Overlap with an existing region is an error.
@@ -248,14 +252,28 @@ func (as *AddressSpace) Map(r Region) (*Region, error) {
 
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	for _, existing := range as.regions {
-		if r.Base < existing.End() && existing.Base < r.Base+Addr(r.Size) {
+	return as.mapLocked(r)
+}
+
+// mapLocked inserts the page-rounded region r at its sorted position. Must
+// be called with the write lock held.
+func (as *AddressSpace) mapLocked(r Region) (*Region, error) {
+	i := sort.Search(len(as.regions), func(i int) bool { return as.regions[i].Base >= r.Base })
+	// Only the neighbours of the insertion point can overlap; the lower one
+	// is reported first, as a scan in address order would.
+	for _, j := range [2]int{i - 1, i} {
+		if j < 0 || j >= len(as.regions) {
+			continue
+		}
+		if existing := as.regions[j]; r.Base < existing.End() && existing.Base < r.Base+Addr(r.Size) {
 			return nil, fmt.Errorf("mem: map %q at %s: overlaps region %q", r.Name, r.Base, existing.Name)
 		}
 	}
 	reg := &Region{Name: r.Name, Base: r.Base, Size: r.Size, Perm: r.Perm, Key: r.Key}
-	as.regions = append(as.regions, reg)
-	sort.Slice(as.regions, func(i, j int) bool { return as.regions[i].Base < as.regions[j].Base })
+	as.regions = append(as.regions, nil)
+	copy(as.regions[i+1:], as.regions[i:])
+	as.regions[i] = reg
+	as.bumpLocked()
 	return reg, nil
 }
 
@@ -263,21 +281,22 @@ func (as *AddressSpace) Map(r Region) (*Region, error) {
 func (as *AddressSpace) Unmap(base Addr) error {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	for i, r := range as.regions {
-		if r.Base == base {
-			for p := r.Base; p < r.End(); p += PageSize {
-				if pg := as.pages[p]; pg != nil {
-					// Unmapping destroys page contents; preserve pre-images
-					// so a checkpoint restore can resurrect the region.
-					as.cowSaveLocked(p, pg, true)
-				}
-				delete(as.pages, p)
-			}
-			as.regions = append(as.regions[:i], as.regions[i+1:]...)
-			return nil
-		}
+	i := as.regionIndexLocked(base)
+	if i < 0 {
+		return fmt.Errorf("mem: unmap %s: no region at that base", base)
 	}
-	return fmt.Errorf("mem: unmap %s: no region at that base", base)
+	r := as.regions[i]
+	for p := r.Base; p < r.End(); p += PageSize {
+		if pg := as.pages[p]; pg != nil {
+			// Unmapping destroys page contents; preserve pre-images so a
+			// checkpoint restore can resurrect the region.
+			as.cowSaveLocked(p, pg, true)
+		}
+		delete(as.pages, p)
+	}
+	as.regions = append(as.regions[:i], as.regions[i+1:]...)
+	as.bumpLocked()
+	return nil
 }
 
 // RegionAt returns the region containing a, or nil.
@@ -293,6 +312,16 @@ func (as *AddressSpace) regionAtLocked(a Addr) *Region {
 		return as.regions[i]
 	}
 	return nil
+}
+
+// regionIndexLocked returns the index of the region based exactly at base,
+// or -1.
+func (as *AddressSpace) regionIndexLocked(base Addr) int {
+	i := sort.Search(len(as.regions), func(i int) bool { return as.regions[i].Base >= base })
+	if i < len(as.regions) && as.regions[i].Base == base {
+		return i
+	}
+	return -1
 }
 
 // RegionByName returns the first region with the given name, or nil.
@@ -323,13 +352,13 @@ func (as *AddressSpace) Regions() []Region {
 func (as *AddressSpace) SetRegionPerm(base Addr, p Perm) error {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	for _, r := range as.regions {
-		if r.Base == base {
-			r.Perm = p
-			return nil
-		}
+	i := as.regionIndexLocked(base)
+	if i < 0 {
+		return fmt.Errorf("mem: set perm at %s: no region", base)
 	}
-	return fmt.Errorf("mem: set perm at %s: no region", base)
+	as.regions[i].Perm = p
+	as.bumpLocked()
+	return nil
 }
 
 // SetRegionKey attaches protection key k to the region based at base,
@@ -337,61 +366,140 @@ func (as *AddressSpace) SetRegionPerm(base Addr, p Perm) error {
 func (as *AddressSpace) SetRegionKey(base Addr, k mpk.Key) error {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	for _, r := range as.regions {
-		if r.Base == base {
-			r.Key = k
-			return nil
-		}
+	i := as.regionIndexLocked(base)
+	if i < 0 {
+		return fmt.Errorf("mem: set pkey at %s: no region", base)
 	}
-	return fmt.Errorf("mem: set pkey at %s: no region", base)
+	as.regions[i].Key = k
+	as.bumpLocked()
+	return nil
 }
 
-// pageFor returns the resident page containing a, faulting it in if the
-// address is mapped.
-func (as *AddressSpace) pageFor(a Addr) (*page, *Region, error) {
-	base := a.PageBase()
-	as.mu.RLock()
-	pg := as.pages[base]
-	reg := as.regionAtLocked(a)
-	taint := as.taintEnabled
-	as.mu.RUnlock()
+// permit validates an access of kind op at a, which lies in reg (nil when
+// unmapped), against the region's permission mask and, when pkru is
+// non-nil, against the thread's protection-key rights.
+func permit(reg *Region, a Addr, op mpk.Access, pkru *mpk.PKRU) error {
 	if reg == nil {
-		return nil, nil, &FaultError{Kind: FaultUnmapped, Addr: a, Access: mpk.Read}
+		return &FaultError{Kind: FaultUnmapped, Addr: a, Access: op}
 	}
-	if pg != nil {
-		return pg, reg, nil
+	if !reg.Perm.allows(op) {
+		return &FaultError{Kind: FaultPerm, Addr: a, Access: op, Region: reg.Name}
+	}
+	if pkru != nil && !pkru.Check(reg.Key, op) {
+		return &FaultError{Kind: FaultPkey, Addr: a, Access: op, Region: reg.Name}
+	}
+	return nil
+}
+
+// checkLocked validates an access of n > 0 bytes at a: the first byte's
+// region, then the last byte's when it lies on another page (regions are
+// page-aligned with uniform permissions, so the two ends cover the span).
+// It returns the first byte's page, nil while that page is not resident.
+// Must be called with as.mu held.
+func (as *AddressSpace) checkLocked(a Addr, n int, op mpk.Access, pkru *mpk.PKRU, tlb *TLB) (*page, error) {
+	reg, pg := as.translateLocked(a, tlb)
+	if err := permit(reg, a, op, pkru); err != nil {
+		return nil, err
+	}
+	if last := a + Addr(n-1); last.PageBase() != a.PageBase() {
+		if err := permit(as.regionAtLocked(last), last, op, pkru); err != nil {
+			return nil, err
+		}
+	}
+	return pg, nil
+}
+
+// residentLocked returns the page containing a, faulting it in if the
+// address is mapped. Must be called with the write lock held.
+func (as *AddressSpace) residentLocked(a Addr, op mpk.Access) (*page, error) {
+	base := a.PageBase()
+	if pg := as.pages[base]; pg != nil {
+		return pg, nil
+	}
+	if as.regionAtLocked(a) == nil {
+		return nil, &FaultError{Kind: FaultUnmapped, Addr: a, Access: op}
+	}
+	pg := &page{}
+	if as.taintEnabled.Load() {
+		pg.taint = make([]byte, PageSize)
+	}
+	as.pages[base] = pg
+	return pg, nil
+}
+
+// errNotResident stops a load or fetch running under the read lock at a
+// page that must be faulted in first, which takes the write lock.
+var errNotResident = errors.New("mem: page not resident")
+
+// access is the one path every load, store and instruction fetch takes. It
+// runs in one lock section: the region lookup, the permission and key
+// checks, the charge, the page lookup or fault-in, and the copy. A store
+// holds the write lock throughout, so the copy-on-write barrier saves each
+// pre-image atomically with its mutation and a concurrent Snapshot or
+// Restore sees the whole store or none of it. A load or fetch holds the
+// read lock; if it reaches a page that is not resident it starts over
+// under the write lock, repeating the checks, and is charged once, by
+// whichever pass completes. tlb, when non-nil, is the issuing thread's
+// translation cache.
+func (as *AddressSpace) access(a Addr, buf []byte, op mpk.Access, pkru *mpk.PKRU, tlb *TLB, wall bool) error {
+	if op == mpk.Write {
+		as.mu.Lock()
+		defer as.mu.Unlock()
+		return as.accessLocked(a, buf, op, pkru, tlb, wall, true)
+	}
+	as.mu.RLock()
+	err := as.accessLocked(a, buf, op, pkru, tlb, wall, false)
+	as.mu.RUnlock()
+	if err != errNotResident {
+		return err
 	}
 	as.mu.Lock()
-	if pg = as.pages[base]; pg == nil {
-		pg = &page{}
-		if taint {
-			pg.taint = make([]byte, PageSize)
-		}
-		as.pages[base] = pg
-	}
-	as.mu.Unlock()
-	return pg, reg, nil
+	defer as.mu.Unlock()
+	return as.accessLocked(a, buf, op, pkru, tlb, wall, true)
 }
 
-// check validates an access of n bytes at a against page permissions and,
-// when pkru is non-nil, against the thread's protection-key rights.
-func (as *AddressSpace) check(a Addr, n int, access mpk.Access, pkru *mpk.PKRU) error {
-	if n <= 0 {
+// accessLocked performs access with as.mu held; exclusive says it is the
+// write lock. A fetch costs one MemAccess; a load or store costs one more
+// per 64 bytes, and an empty one is charged without being checked.
+func (as *AddressSpace) accessLocked(a Addr, buf []byte, op mpk.Access, pkru *mpk.PKRU, tlb *TLB, wall, exclusive bool) error {
+	cost := as.costs.MemAccess
+	if op != mpk.Execute {
+		cost *= clock.Cycles(1 + len(buf)/64)
+	}
+	if len(buf) == 0 {
+		as.charge(cost, wall)
 		return nil
 	}
-	// Validate the first and last byte's pages; regions have uniform
-	// permissions, so checking region boundaries suffices.
-	for _, probe := range []Addr{a, a + Addr(n-1)} {
-		reg := as.RegionAt(probe)
-		if reg == nil {
-			return &FaultError{Kind: FaultUnmapped, Addr: probe, Access: access}
+	pg, err := as.checkLocked(a, len(buf), op, pkru, tlb)
+	if err != nil {
+		return err
+	}
+	if exclusive {
+		as.charge(cost, wall)
+	}
+	for off := 0; off < len(buf); {
+		addr := a + Addr(off)
+		if off > 0 {
+			pg = as.pages[addr.PageBase()]
 		}
-		if !reg.Perm.allows(access) {
-			return &FaultError{Kind: FaultPerm, Addr: probe, Access: access, Region: reg.Name}
+		if pg == nil {
+			if !exclusive {
+				return errNotResident
+			}
+			if pg, err = as.residentLocked(addr, op); err != nil {
+				return err
+			}
 		}
-		if pkru != nil && !pkru.Check(reg.Key, access) {
-			return &FaultError{Kind: FaultPkey, Addr: probe, Access: access, Region: reg.Name}
+		po := int(addr & (PageSize - 1))
+		if op == mpk.Write {
+			as.cowSaveLocked(addr.PageBase(), pg, wall)
+			off += copy(pg.data[po:], buf[off:])
+		} else {
+			off += copy(buf[off:], pg.data[po:])
 		}
+	}
+	if !exclusive {
+		as.charge(cost, wall)
 	}
 	return nil
 }
@@ -399,83 +507,35 @@ func (as *AddressSpace) check(a Addr, n int, access mpk.Access, pkru *mpk.PKRU) 
 // ReadAt copies len(buf) bytes from address a into buf using monitor
 // privileges (page permissions enforced, protection keys bypassed).
 func (as *AddressSpace) ReadAt(a Addr, buf []byte) error {
-	return as.read(a, buf, nil, true)
+	return as.access(a, buf, mpk.Read, nil, nil, true)
 }
 
 // CheckedReadAt is ReadAt with the thread's PKRU enforced.
 func (as *AddressSpace) CheckedReadAt(a Addr, buf []byte, pkru mpk.PKRU) error {
-	return as.read(a, buf, &pkru, true)
+	return as.access(a, buf, mpk.Read, &pkru, nil, true)
 }
 
-// CheckedReadAtBG is CheckedReadAt for background (spare-core) threads: the
-// work counts toward CPU consumption but not wall time.
-func (as *AddressSpace) CheckedReadAtBG(a Addr, buf []byte, pkru mpk.PKRU) error {
-	return as.read(a, buf, &pkru, false)
-}
-
-func (as *AddressSpace) read(a Addr, buf []byte, pkru *mpk.PKRU, wall bool) error {
-	if err := as.check(a, len(buf), mpk.Read, pkru); err != nil {
-		return err
-	}
-	as.charge(as.costs.MemAccess*clock.Cycles(1+len(buf)/64), wall)
-	for off := 0; off < len(buf); {
-		pg, _, err := as.pageFor(a + Addr(off))
-		if err != nil {
-			return err
-		}
-		po := int((a + Addr(off)) & (PageSize - 1))
-		n := copy(buf[off:], pg.data[po:])
-		off += n
-	}
-	return nil
+// ThreadReadAt is the form of CheckedReadAt a simulated thread uses: tlb is
+// the thread's translation cache, and wall is false for a background
+// thread, whose work counts toward CPU consumption but not wall time.
+func (as *AddressSpace) ThreadReadAt(tlb *TLB, a Addr, buf []byte, pkru mpk.PKRU, wall bool) error {
+	return as.access(a, buf, mpk.Read, &pkru, tlb, wall)
 }
 
 // WriteAt copies buf to address a using monitor privileges.
 func (as *AddressSpace) WriteAt(a Addr, buf []byte) error {
-	return as.write(a, buf, nil, true)
+	return as.access(a, buf, mpk.Write, nil, nil, true)
 }
 
 // CheckedWriteAt is WriteAt with the thread's PKRU enforced.
 func (as *AddressSpace) CheckedWriteAt(a Addr, buf []byte, pkru mpk.PKRU) error {
-	return as.write(a, buf, &pkru, true)
+	return as.access(a, buf, mpk.Write, &pkru, nil, true)
 }
 
-// CheckedWriteAtBG is CheckedWriteAt for background (spare-core) threads.
-func (as *AddressSpace) CheckedWriteAtBG(a Addr, buf []byte, pkru mpk.PKRU) error {
-	return as.write(a, buf, &pkru, false)
-}
-
-func (as *AddressSpace) write(a Addr, buf []byte, pkru *mpk.PKRU, wall bool) error {
-	if err := as.check(a, len(buf), mpk.Write, pkru); err != nil {
-		return err
-	}
-	as.charge(as.costs.MemAccess*clock.Cycles(1+len(buf)/64), wall)
-	// The whole store runs under the write lock so a concurrent Snapshot
-	// sits entirely before or entirely after it — a checkpoint can never
-	// observe a torn multi-page write — and so the copy-on-write barrier
-	// preserves each page's pre-image atomically with its mutation.
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	for off := 0; off < len(buf); {
-		addr := a + Addr(off)
-		base := addr.PageBase()
-		pg := as.pages[base]
-		if pg == nil {
-			if as.regionAtLocked(addr) == nil {
-				return &FaultError{Kind: FaultUnmapped, Addr: addr, Access: mpk.Write}
-			}
-			pg = &page{}
-			if as.taintEnabled {
-				pg.taint = make([]byte, PageSize)
-			}
-			as.pages[base] = pg
-		}
-		as.cowSaveLocked(base, pg, wall)
-		po := int(addr & (PageSize - 1))
-		n := copy(pg.data[po:], buf[off:])
-		off += n
-	}
-	return nil
+// ThreadWriteAt is the form of CheckedWriteAt a simulated thread uses, with
+// the thread's translation cache (see ThreadReadAt).
+func (as *AddressSpace) ThreadWriteAt(tlb *TLB, a Addr, buf []byte, pkru mpk.PKRU, wall bool) error {
+	return as.access(a, buf, mpk.Write, &pkru, tlb, wall)
 }
 
 // Read64 loads a little-endian 64-bit word.
@@ -495,9 +555,13 @@ func (as *AddressSpace) Write64(a Addr, v uint64) error {
 }
 
 // CheckExec validates an instruction fetch at a (page permissions only;
-// protection keys never block execution — XoM semantics).
+// protection keys never block execution — XoM semantics). It neither
+// charges nor faults the page in.
 func (as *AddressSpace) CheckExec(a Addr) error {
-	return as.check(a, 1, mpk.Execute, nil)
+	as.mu.RLock()
+	defer as.mu.RUnlock()
+	_, err := as.checkLocked(a, 1, mpk.Execute, nil, nil)
+	return err
 }
 
 // FetchCode reads len(buf) instruction bytes at a the way the CPU's fetch
@@ -506,20 +570,7 @@ func (as *AddressSpace) CheckExec(a Addr) error {
 // not ReadAt. The gadget interpreter uses this to "run" bytes it could
 // never disclose.
 func (as *AddressSpace) FetchCode(a Addr, buf []byte) error {
-	if err := as.check(a, len(buf), mpk.Execute, nil); err != nil {
-		return err
-	}
-	as.charge(as.costs.MemAccess, true)
-	for off := 0; off < len(buf); {
-		pg, _, err := as.pageFor(a + Addr(off))
-		if err != nil {
-			return err
-		}
-		po := int((a + Addr(off)) & (PageSize - 1))
-		n := copy(buf[off:], pg.data[po:])
-		off += n
-	}
-	return nil
+	return as.access(a, buf, mpk.Execute, nil, nil, true)
 }
 
 // ResidentPages returns the number of faulted-in pages: the simulated RSS
@@ -553,8 +604,10 @@ func (as *AddressSpace) ResidentKBIn(keep func(region string) bool) int {
 // Touch faults in every page of the region based at base, as a loader
 // populating an image does.
 func (as *AddressSpace) Touch(base Addr, size uint64) error {
+	as.mu.Lock()
+	defer as.mu.Unlock()
 	for a := base.PageBase(); a < base+Addr(size); a += PageSize {
-		if _, _, err := as.pageFor(a); err != nil {
+		if _, err := as.residentLocked(a, mpk.Read); err != nil {
 			return err
 		}
 	}

@@ -267,8 +267,9 @@ func TestSetRegionPermAndKey(t *testing.T) {
 
 func TestChargesCycles(t *testing.T) {
 	ctr := clock.NewCounter()
-	as := NewAddressSpace(ctr, clock.DefaultCosts())
-	_, err := as.Map(Region{Name: "d", Base: 0x1000, Size: PageSize, Perm: PermRW})
+	costs := clock.DefaultCosts()
+	as := NewAddressSpace(ctr, costs)
+	_, err := as.Map(Region{Name: "d", Base: 0x1000, Size: 2 * PageSize, Perm: PermRW})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,6 +279,18 @@ func TestChargesCycles(t *testing.T) {
 	}
 	if ctr.Cycles() <= before {
 		t.Error("WriteAt should charge cycles")
+	}
+	// A load reaching a non-resident page starts over under the write lock
+	// to fault it in, and is still charged once.
+	before = ctr.Cycles()
+	if err := as.ReadAt(0x1000+PageSize-4, make([]byte, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if got := ctr.Cycles() - before; got != costs.MemAccess {
+		t.Errorf("straddling load charged %d cycles, want %d", got, costs.MemAccess)
+	}
+	if got := as.ResidentPages(); got != 2 {
+		t.Errorf("ResidentPages = %d, want 2", got)
 	}
 }
 

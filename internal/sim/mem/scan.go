@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"smvx/internal/sim/clock"
+	"smvx/internal/sim/mpk"
 )
 
 // PointerHit is one pointer-looking slot found by the scanner.
@@ -78,45 +79,18 @@ func (as *AddressSpace) RelocatePointers(start, end, oldBase Addr, size uint64, 
 // the clone's mappings persist across regions and only contents are
 // refreshed.
 func (as *AddressSpace) RefreshClone(srcBase Addr, delta int64) error {
-	as.mu.RLock()
-	var src *Region
-	for _, r := range as.regions {
-		if r.Base == srcBase {
-			src = r
-			break
-		}
-	}
-	as.mu.RUnlock()
-	if src == nil {
+	as.mu.Lock()
+	defer as.mu.Unlock()
+	i := as.regionIndexLocked(srcBase)
+	if i < 0 {
 		return fmt.Errorf("mem: refresh: no region at %s", srcBase)
 	}
+	src := as.regions[i]
 	dstBase := Addr(int64(src.Base) + delta)
-	if as.RegionAt(dstBase) == nil {
+	if as.regionAtLocked(dstBase) == nil {
 		return fmt.Errorf("mem: refresh: no clone at %s", dstBase)
 	}
-	copied := clock.Cycles(0)
-	for off := Addr(0); off < Addr(src.Size); off += PageSize {
-		as.mu.RLock()
-		pg := as.pages[src.Base+off]
-		as.mu.RUnlock()
-		if pg == nil {
-			continue
-		}
-		npg, _, err := as.pageFor(dstBase + off)
-		if err != nil {
-			return err
-		}
-		as.mu.Lock()
-		as.cowSaveLocked((dstBase + off).PageBase(), npg, true)
-		npg.data = pg.data
-		if pg.taint != nil {
-			npg.taint = append([]byte(nil), pg.taint...)
-		}
-		as.mu.Unlock()
-		copied++
-	}
-	as.charge(as.costs.PageCopy*copied, true)
-	return nil
+	return as.copyResidentLocked(src, dstBase)
 }
 
 // CloneRegionShifted maps a copy of the region based at srcBase to
@@ -124,44 +98,46 @@ func (as *AddressSpace) RefreshClone(srcBase Addr, delta int64) error {
 // It charges CostTable.PageCopy per resident page and returns the new
 // region. This is the "shift and clone" step of Figure 5.
 func (as *AddressSpace) CloneRegionShifted(srcBase Addr, delta int64, newName string) (*Region, error) {
-	as.mu.RLock()
-	var src *Region
-	for _, r := range as.regions {
-		if r.Base == srcBase {
-			src = r
-			break
-		}
-	}
-	as.mu.RUnlock()
-	if src == nil {
+	as.mu.Lock()
+	defer as.mu.Unlock()
+	i := as.regionIndexLocked(srcBase)
+	if i < 0 {
 		return nil, fmt.Errorf("mem: clone: no region at %s", srcBase)
 	}
+	src := as.regions[i]
 	newBase := Addr(int64(src.Base) + delta)
-	dst, err := as.Map(Region{Name: newName, Base: newBase, Size: src.Size, Perm: src.Perm, Key: src.Key})
+	dst, err := as.mapLocked(Region{Name: newName, Base: newBase, Size: src.Size, Perm: src.Perm, Key: src.Key})
 	if err != nil {
 		return nil, fmt.Errorf("mem: clone %q: %w", src.Name, err)
 	}
+	if err := as.copyResidentLocked(src, newBase); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// copyResidentLocked copies every resident page of src, taint tags
+// included, to the same offset from dstBase, charging one PageCopy per
+// page; non-resident pages stay non-resident at the destination. Must be
+// called with the write lock held.
+func (as *AddressSpace) copyResidentLocked(src *Region, dstBase Addr) error {
 	copied := clock.Cycles(0)
 	for off := Addr(0); off < Addr(src.Size); off += PageSize {
-		as.mu.RLock()
 		pg := as.pages[src.Base+off]
-		as.mu.RUnlock()
 		if pg == nil {
-			continue // non-resident pages stay non-resident in the clone
+			continue
 		}
-		npg, _, err := as.pageFor(newBase + off)
+		npg, err := as.residentLocked(dstBase+off, mpk.Read)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		as.mu.Lock()
-		as.cowSaveLocked((newBase + off).PageBase(), npg, true)
+		as.cowSaveLocked((dstBase + off).PageBase(), npg, true)
 		npg.data = pg.data
 		if pg.taint != nil {
 			npg.taint = append([]byte(nil), pg.taint...)
 		}
-		as.mu.Unlock()
 		copied++
 	}
 	as.charge(as.costs.PageCopy*copied, true)
-	return dst, nil
+	return nil
 }

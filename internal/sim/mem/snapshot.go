@@ -60,7 +60,7 @@ func (as *AddressSpace) Snapshot() *Snapshot {
 	as.snapGen++
 	s := &Snapshot{
 		gen:          as.snapGen,
-		taintEnabled: as.taintEnabled,
+		taintEnabled: as.taintEnabled.Load(),
 		resident:     make(map[Addr]struct{}, len(as.pages)),
 		saved:        make(map[Addr]*page),
 	}
@@ -176,7 +176,8 @@ func (as *AddressSpace) Restore(s *Snapshot) error {
 		}
 	}
 	as.regions = restored // s.regions was captured sorted
-	as.taintEnabled = s.taintEnabled
+	as.taintEnabled.Store(s.taintEnabled)
+	as.bumpLocked()
 	as.charge(as.costs.PageCopy*touched, true)
 	return nil
 }

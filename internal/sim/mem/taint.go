@@ -1,5 +1,7 @@
 package mem
 
+import "smvx/internal/sim/mpk"
+
 // Taint is a per-byte taint tag bitmask. The taint engine marks network
 // input with TaintNetwork at the recv/read boundary (the taint source) and
 // the machine propagates tags through loads, stores, and copies, mirroring
@@ -22,27 +24,26 @@ func (as *AddressSpace) SetTaint(a Addr, n int, t Taint) error {
 	if !as.TaintEnabled() {
 		return nil
 	}
+	as.mu.Lock()
+	defer as.mu.Unlock()
 	for off := 0; off < n; {
-		pg, _, err := as.pageFor(a + Addr(off))
+		addr := a + Addr(off)
+		pg, err := as.residentLocked(addr, mpk.Read)
 		if err != nil {
 			return err
 		}
-		as.mu.Lock()
-		as.cowSaveLocked((a + Addr(off)).PageBase(), pg, true)
+		as.cowSaveLocked(addr.PageBase(), pg, true)
 		if pg.taint == nil {
 			pg.taint = make([]byte, PageSize)
 		}
-		po := int((a + Addr(off)) & (PageSize - 1))
-		for po < PageSize && off < n {
+		for po := int(addr & (PageSize - 1)); po < PageSize && off < n; po++ {
 			if t == TaintNone {
 				pg.taint[po] = 0
 			} else {
 				pg.taint[po] |= byte(t)
 			}
-			po++
 			off++
 		}
-		as.mu.Unlock()
 	}
 	return nil
 }
@@ -54,10 +55,10 @@ func (as *AddressSpace) TaintOf(a Addr, n int) Taint {
 		return TaintNone
 	}
 	var t Taint
+	as.mu.RLock()
+	defer as.mu.RUnlock()
 	for off := 0; off < n; {
-		base := (a + Addr(off)).PageBase()
-		as.mu.RLock()
-		pg := as.pages[base]
+		pg := as.pages[(a + Addr(off)).PageBase()]
 		po := int((a + Addr(off)) & (PageSize - 1))
 		if pg != nil && pg.taint != nil {
 			for po < PageSize && off < n {
@@ -68,7 +69,6 @@ func (as *AddressSpace) TaintOf(a Addr, n int) Taint {
 		} else {
 			off += PageSize - po
 		}
-		as.mu.RUnlock()
 	}
 	return t
 }
