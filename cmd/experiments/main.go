@@ -4,15 +4,11 @@
 // Usage:
 //
 //	experiments                # run everything
-//	experiments -run fig7      # one artifact: table1 table2 fig6 fig7 fig8
-//	                           # fig9 cpu mem cve chaos pipeline ledger
-//	                           # fleet incidents
+//	experiments -run fig7      # one artifact (-h lists them)
 //	experiments -requests 60   # heavier server workloads
-//	experiments -run pipeline  # strict-vs-pipelined rendezvous overhead
-//	experiments -run ledger    # rendezvous phase/allocation cost breakdown
-//	experiments -run ledger -gate BENCH_ledger.json   # CI perf-regression gate
-//	experiments -run fleet -fleet-c 1,64,1024         # requests/sec concurrency sweep
-//	experiments -run fleet -gate BENCH_fleet.json     # CI throughput gate
+//	experiments -run ledger    # strict-vs-pipelined rendezvous cost breakdown
+//	experiments -run fleet -fleet-c 1,64,1024                       # requests/sec concurrency sweep
+//	experiments -bench-json fresh.json -gate BENCH_experiments.json # CI perf-regression gate
 package main
 
 import (
@@ -35,17 +31,110 @@ func main() {
 	}
 }
 
+// result is what every artifact produces: a paper-style rendering and the
+// series it contributes to the benchmark registry.
+type result interface {
+	String() string
+	RecordMetrics(*obs.Metrics)
+}
+
+// text is an artifact that renders a table and records no series.
+type text string
+
+func (t text) String() string           { return string(t) }
+func (text) RecordMetrics(*obs.Metrics) {}
+
+// withBlocks appends extra blocks (the flame summary, forensics reports)
+// to an artifact's rendering, one line break apart.
+type withBlocks struct {
+	result
+	blocks []string
+}
+
+func (w withBlocks) String() string {
+	return strings.Join(append([]string{w.result.String()}, w.blocks...), "\n")
+}
+
 func run() error {
 	var (
-		which     = flag.String("run", "all", "artifact: all | table1 | table2 | fig6 | fig7 | fig8 | fig9 | cpu | mem | cve | chaos | pipeline | ledger | fleet | incidents | survival | nvariant")
 		requests  = flag.Int("requests", 40, "server workload size")
 		target    = flag.Uint64("nbench-cycles", 1_500_000, "nbench per-kernel cycle target")
 		fleetC    = flag.String("fleet-c", "1,64", "fleet sweep concurrency levels, comma-separated")
-		benchJSON = flag.String("bench-json", "BENCH_experiments.json", "write metric name -> value JSON here (empty to skip)")
-		gate      = flag.String("gate", "", "committed BENCH_*.json baseline: fail if any gated metric regresses past its tolerance band")
+		benchJSON = flag.String("bench-json", "", "write metric name -> value JSON here (empty to skip)")
+		gate      = flag.String("gate", "", "committed BENCH_experiments.json baseline: fail if any gated metric regresses past its tolerance band")
 	)
 	var cfg cli.Config
 	cfg.Register(flag.CommandLine)
+	// The run functions read rt and mode, which exist once flags parse.
+	var (
+		rt   *cli.Runtime
+		mode core.LockstepMode
+	)
+	// bench is the benchmark registry the -bench-json artifact serialises;
+	// it is separate from the flight recorder so a plain `-metrics` run
+	// reports experiment results, not recorder internals.
+	bench := obs.NewMetrics()
+	artifacts := []struct {
+		name string
+		run  func() (result, error)
+	}{
+		{"table1", func() (result, error) { return text(experiments.Table1()), nil }},
+		{"fig6", func() (result, error) { return experiments.Figure6(*target) }},
+		{"fig7", func() (result, error) { return experiments.Figure7(*requests) }},
+		{"cpu", func() (result, error) {
+			res, err := experiments.CPUCycles(*requests)
+			if err != nil {
+				return nil, err
+			}
+			return withBlocks{res, []string{res.FlameNginx}}, nil
+		}},
+		{"mem", func() (result, error) { return experiments.Memory(10) }},
+		{"fig8", func() (result, error) { return experiments.Figure8(*requests) }},
+		{"table2", func() (result, error) { return experiments.Table2() }},
+		{"fig9", func() (result, error) { return experiments.Figure9(15, []int{10, 30, 60, 20}) }},
+		{"cve", func() (result, error) {
+			res, err := experiments.CVEObservedOpts(rt.Recorder, rt.MonitorOptions()...)
+			if err != nil {
+				return nil, err
+			}
+			if rt.Telemetry == nil && rt.Recorder != nil {
+				// When telemetry is live the cve run already traced into
+				// the shared recorder; merging it into bench too would
+				// double-count once bench folds back into the telemetry
+				// registry below.
+				bench.Merge(rt.Recorder.Metrics())
+			}
+			out := withBlocks{result: res}
+			if cfg.Forensics {
+				out.blocks = append(out.blocks, res.Forensics...)
+			}
+			if cfg.Trace != "" {
+				if err := cli.WriteChromeTrace(rt.Recorder, cfg.Trace); err != nil {
+					return nil, err
+				}
+				out.blocks = append(out.blocks, fmt.Sprintf(
+					"chrome trace written to %s (open in chrome://tracing or ui.perfetto.dev)", cfg.Trace))
+			}
+			return out, nil
+		}},
+		{"chaos", func() (result, error) { return experiments.ChaosMode(cfg.EffectiveChaosSeed(), mode) }},
+		{"ledger", func() (result, error) { return experiments.LedgerBreakdown() }},
+		{"fleet", func() (result, error) {
+			levels, err := parseLevels(*fleetC)
+			if err != nil {
+				return nil, err
+			}
+			return experiments.FleetSweep(levels)
+		}},
+		{"incidents", func() (result, error) { return experiments.Incidents(cfg.EffectiveChaosSeed()) }},
+		{"survival", func() (result, error) { return experiments.Survival(cfg.EffectiveChaosSeed()) }},
+		{"nvariant", func() (result, error) { return experiments.NVariant(cfg.EffectiveChaosSeed()) }},
+	}
+	names := []string{"all"}
+	for _, a := range artifacts {
+		names = append(names, a.name)
+	}
+	which := flag.String("run", "all", "artifact: "+strings.Join(names, " | "))
 	flag.Parse()
 	// Load the baseline before any artifact runs: -gate and -bench-json may
 	// name the same file, and the artifact write must not race the read.
@@ -57,180 +146,24 @@ func run() error {
 		}
 	}
 	// The artifacts render their own tables — Finish must not re-emit the
-	// forensics block the CI replay-roundtrip job extracts byte-identically.
+	// forensics block the CI replay job extracts byte-identically.
 	cfg.Quiet = true
 
-	rt, err := cfg.Resolve(map[string]string{"app": "nginx", "artifact": "cve"})
-	if err != nil {
+	var err error
+	if rt, err = cfg.Resolve(map[string]string{"app": "nginx", "artifact": "cve"}); err != nil {
 		return err
 	}
-	mode, err := core.ParseLockstepMode(cfg.Lockstep)
-	if err != nil {
+	if mode, err = core.ParseLockstepMode(cfg.Lockstep); err != nil {
 		return err
 	}
 
-	want := func(name string) bool { return *which == "all" || *which == name }
 	ran := false
-	// bench is the benchmark registry the -bench-json artifact serialises;
-	// it is separate from the flight recorder so a plain `-metrics` run
-	// reports experiment results, not recorder internals.
-	bench := obs.NewMetrics()
-
-	if want("table1") {
+	for _, a := range artifacts {
+		if *which != "all" && *which != a.name {
+			continue
+		}
 		ran = true
-		fmt.Println(experiments.Table1())
-	}
-	if want("fig6") {
-		ran = true
-		res, err := experiments.Figure6(*target)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-		res.RecordMetrics(bench)
-	}
-	if want("fig7") {
-		ran = true
-		res, err := experiments.Figure7(*requests)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-		res.RecordMetrics(bench)
-	}
-	if want("cpu") {
-		ran = true
-		res, err := experiments.CPUCycles(*requests)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-		fmt.Println(res.FlameNginx)
-		res.RecordMetrics(bench)
-	}
-	if want("mem") {
-		ran = true
-		res, err := experiments.Memory(10)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-		res.RecordMetrics(bench)
-	}
-	if want("fig8") {
-		ran = true
-		res, err := experiments.Figure8(*requests)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-		res.RecordMetrics(bench)
-	}
-	if want("table2") {
-		ran = true
-		res, err := experiments.Table2()
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-		res.RecordMetrics(bench)
-	}
-	if want("fig9") {
-		ran = true
-		res, err := experiments.Figure9(15, []int{10, 30, 60, 20})
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-		res.RecordMetrics(bench)
-	}
-	if want("cve") {
-		ran = true
-		res, err := experiments.CVEObservedOpts(rt.Recorder, rt.MonitorOptions()...)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-		res.RecordMetrics(bench)
-		if rt.Telemetry == nil && rt.Recorder != nil {
-			// When telemetry is live the cve run already traced into the
-			// shared recorder; merging it into bench too would double-count
-			// once bench folds back into the telemetry registry below.
-			bench.Merge(rt.Recorder.Metrics())
-		}
-		if cfg.Forensics {
-			for _, rep := range res.Forensics {
-				fmt.Println(rep)
-			}
-		}
-		if cfg.Trace != "" {
-			if err := cli.WriteChromeTrace(rt.Recorder, cfg.Trace); err != nil {
-				return err
-			}
-			fmt.Printf("chrome trace written to %s (open in chrome://tracing or ui.perfetto.dev)\n", cfg.Trace)
-		}
-	}
-	if want("chaos") {
-		ran = true
-		res, err := experiments.ChaosMode(cfg.EffectiveChaosSeed(), mode)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-		res.RecordMetrics(bench)
-	}
-	if want("pipeline") {
-		ran = true
-		res, err := experiments.PipelineOverhead()
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-		res.RecordMetrics(bench)
-	}
-	if want("ledger") {
-		ran = true
-		res, err := experiments.LedgerBreakdown()
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-		res.RecordMetrics(bench)
-	}
-	if want("fleet") {
-		ran = true
-		levels, err := parseLevels(*fleetC)
-		if err != nil {
-			return err
-		}
-		res, err := experiments.FleetSweep(levels)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-		res.RecordMetrics(bench)
-	}
-	if want("incidents") {
-		ran = true
-		res, err := experiments.Incidents(cfg.EffectiveChaosSeed())
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-		res.RecordMetrics(bench)
-	}
-	if want("survival") {
-		ran = true
-		res, err := experiments.Survival(cfg.EffectiveChaosSeed())
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-		res.RecordMetrics(bench)
-	}
-	if want("nvariant") {
-		ran = true
-		res, err := experiments.NVariant(cfg.EffectiveChaosSeed())
+		res, err := a.run()
 		if err != nil {
 			return err
 		}
@@ -238,8 +171,7 @@ func run() error {
 		res.RecordMetrics(bench)
 	}
 	if !ran {
-		return fmt.Errorf("unknown artifact %q; want one of %s", *which,
-			strings.Join([]string{"all", "table1", "table2", "fig6", "fig7", "fig8", "fig9", "cpu", "mem", "cve", "chaos", "pipeline", "ledger", "fleet", "incidents", "survival", "nvariant"}, " "))
+		return fmt.Errorf("unknown artifact %q; want one of %s", *which, strings.Join(names, " "))
 	}
 	if cfg.Metrics {
 		fmt.Println(bench.TableText())

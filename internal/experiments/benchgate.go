@@ -8,8 +8,8 @@ import (
 	"strings"
 )
 
-// The bench gate turns the committed BENCH_*.json artifacts from a record
-// into a contract: CI re-runs the benchmark, loads the committed baseline,
+// The bench gate turns the committed BENCH_experiments.json from a record
+// into a contract: CI re-runs every experiment, loads the committed baseline,
 // and fails the build when a gated metric regresses past its tolerance
 // band. The simulation's virtual clock makes most series deterministic,
 // but wait-phase cycles depend on real goroutine interleaving and the
@@ -49,8 +49,8 @@ func (r GateRule) matches(key string) bool {
 	return true
 }
 
-// DefaultGateRules is the band set CI applies to the committed pipeline
-// and ledger baselines.
+// DefaultGateRules is the band set CI applies to the committed
+// BENCH_experiments.json baseline.
 func DefaultGateRules() []GateRule {
 	return []GateRule{
 		// The ledger must keep reconciling with the rendezvous histogram:
@@ -113,8 +113,8 @@ func DefaultGateRules() []GateRule {
 		{Name: "cycles", Suffix: ".cycles", Tolerance: 0.15, Slack: 1000},
 		{Name: "cycles-total", Suffix: ".cycles_total", Tolerance: 0.15, Slack: 1000},
 		{Name: "rendezvous-mean", Suffix: ".rendezvous_cycles_mean", Tolerance: 0.15, Slack: 50},
-		// Ratios derived from the above (reduction_pct is higher-is-better
-		// and bounded by its cycle inputs) and anything ungated.
+		// Ratios derived from the above (bounded by their cycle inputs) and
+		// anything ungated.
 		{Name: "ungated", Skip: true},
 	}
 }

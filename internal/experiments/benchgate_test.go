@@ -9,12 +9,12 @@ import (
 
 func TestGateBenchPassesIdenticalRun(t *testing.T) {
 	base := map[string]float64{
-		"ledger.strict.phase.rendezvous.cycles":  100000,
-		"ledger.strict.phase.rendezvous.count":   50,
-		"ledger.strict.calls":                    100,
-		"ledger.strict.allocs_per_call":          1.5,
-		"ledger.strict.reconcile_pct":            0.0,
-		"pipeline.overhead.strict.reduction_pct": 0,
+		"ledger.strict.phase.rendezvous.cycles": 100000,
+		"ledger.strict.phase.rendezvous.count":  50,
+		"ledger.strict.calls":                   100,
+		"ledger.strict.allocs_per_call":         1.5,
+		"ledger.strict.reconcile_pct":           0.0,
+		"ledger.strict.rendezvous_cycles_mean":  2185.6,
 	}
 	if v := GateBench(base, base, DefaultGateRules()); len(v) != 0 {
 		t.Fatalf("identical run violates gate: %v", v)
@@ -60,8 +60,8 @@ func TestGateBenchStructuralCountExact(t *testing.T) {
 }
 
 func TestGateBenchReconcileCeiling(t *testing.T) {
-	base := map[string]float64{"ledger.lag4.reconcile_pct": 0.1}
-	fresh := map[string]float64{"ledger.lag4.reconcile_pct": 3.5}
+	base := map[string]float64{"ledger.lag16.reconcile_pct": 0.1}
+	fresh := map[string]float64{"ledger.lag16.reconcile_pct": 3.5}
 	v := GateBench(base, fresh, DefaultGateRules())
 	if len(v) == 0 {
 		t.Fatal("reconcile_pct above the 2% ceiling passed the gate")
@@ -69,10 +69,10 @@ func TestGateBenchReconcileCeiling(t *testing.T) {
 }
 
 func TestGateBenchIgnoresUngatedAndNewMetrics(t *testing.T) {
-	base := map[string]float64{"pipeline.overhead.lag16.reduction_pct": 66}
+	base := map[string]float64{"nvariant.n3.overhead_pct": 20}
 	fresh := map[string]float64{
-		"pipeline.overhead.lag16.reduction_pct": 20,  // worse, but ungated ratio
-		"ledger.brandnew.series":                1e9, // fresh-only: addition
+		"nvariant.n3.overhead_pct": 66,  // worse, but ungated ratio
+		"ledger.brandnew.series":   1e9, // fresh-only: addition
 	}
 	if v := GateBench(base, fresh, DefaultGateRules()); len(v) != 0 {
 		t.Fatalf("ungated/new metrics raised violations: %v", v)

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"smvx/internal/core"
 )
 
 // TestChaosMatrixDeterministic runs the full matrix twice at the same seed
@@ -39,18 +41,18 @@ func TestChaosMatrixOutcomes(t *testing.T) {
 		c := &res.Cells[i]
 		if !c.Survived {
 			t.Errorf("(%s, %s): leader did not survive: regions=%d err=%q",
-				c.Fault, c.Policy, c.Regions, c.LeaderErr)
+				c.Fault, c.Policy, c.Completed, c.LeaderErr)
 			continue
 		}
 		want := ""
 		switch {
 		case c.Fault == "none":
 			want = "clean"
-		case c.Policy == "kill-both":
+		case c.Policy == core.PolicyKillBoth:
 			want = "killed"
-		case c.Policy == "leader-continue":
+		case c.Policy == core.PolicyLeaderContinue:
 			want = "contained"
-		case c.Policy == "restart-follower":
+		case c.Policy == core.PolicyRestartFollower:
 			want = "restarted"
 		}
 		if c.Outcome != want {
@@ -61,13 +63,13 @@ func TestChaosMatrixOutcomes(t *testing.T) {
 		}
 		// Containment means no unhandled alarms; kill-both must leave them
 		// unhandled (the paper's verdict).
-		if c.Policy == "kill-both" && c.Fault != "none" && c.Unhandled == 0 {
+		if c.Policy == core.PolicyKillBoth && c.Fault != "none" && c.Unhandled == 0 {
 			t.Errorf("(%s, %s): kill-both left no unhandled alarms", c.Fault, c.Policy)
 		}
-		if c.Policy != "kill-both" && c.Unhandled != 0 {
+		if c.Policy != core.PolicyKillBoth && c.Unhandled != 0 {
 			t.Errorf("(%s, %s): containment left %d unhandled alarms", c.Fault, c.Policy, c.Unhandled)
 		}
-		if c.Policy == "restart-follower" && c.Fault != "none" && c.Restarts != 1 {
+		if c.Policy == core.PolicyRestartFollower && c.Fault != "none" && c.Restarts != 1 {
 			t.Errorf("(%s, %s): restarts = %d, want 1", c.Fault, c.Policy, c.Restarts)
 		}
 	}

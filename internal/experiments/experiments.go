@@ -19,7 +19,6 @@ import (
 	"smvx/internal/core"
 	"smvx/internal/sim/clock"
 	"smvx/internal/sim/kernel"
-	"smvx/internal/sim/machine"
 )
 
 // Seed is the deterministic seed all experiments run under.
@@ -108,5 +107,3 @@ func startLighttpdOpts(cfg lighttpd.Config, withMon bool, monOpts []core.Option,
 
 // pct renders a ratio-1 as a percentage string.
 func pct(v float64) string { return fmt.Sprintf("%.0f%%", v*100) }
-
-var _ = machine.NoMVX{} // keep the hook type in the package's vocabulary

@@ -5,139 +5,46 @@ import (
 	"strings"
 
 	"smvx/internal/core"
-	"smvx/internal/faultinject"
 	"smvx/internal/obs"
-	"smvx/internal/obs/anomaly"
-	"smvx/internal/obs/incident"
-	"smvx/internal/sim/machine"
 )
 
 // The incidents suite measures the incident plane end to end: every chaos
-// fault class runs under both lockstep modes with the anomaly detector and
-// incident correlator attached, and the artifact reports — per cell — how
-// many incidents opened, what the root-cause attribution says, and the
-// virtual-cycle latency from fault injection to first detection. The
-// matrix doubles as the acceptance harness: each fault class must open
-// exactly ONE incident whose root cause names the injected fault's
-// libc-call ordinal, and the control cell must open none.
-//
-// incidentExpWindow must bridge the slowest fault's full causal chain:
-// the injected stall charges faultinject.StallCycles (64M) before the
-// follower wakes and the policy detaches it, and that detach belongs to
-// the same incident as the fault that caused it. 2x the stall covers the
-// chain with margin; each cell injects one fault, so a wide window cannot
-// merge unrelated incidents.
-const incidentExpWindow = 2 * faultinject.StallCycles
-
-// IncidentCell is one (fault, mode) outcome.
-type IncidentCell struct {
-	Fault string
-	Mode  string
-	// Incidents is how many incidents the correlator opened (want 1, or 0
-	// for the fault-free control); Severity is the first incident's.
-	Incidents int
-	Severity  string
-	// RootCause is the first incident's attributed origin; RootOrdinal the
-	// libc-call ordinal it carries, which must equal WantOrdinal (the
-	// ordinal the fault plan was told to fire at).
-	RootCause   string
-	RootOrdinal uint64
-	WantOrdinal uint64
-	// DetectCycles is the fault-to-first-detection latency on the virtual
-	// clock (valid when DetectOK).
-	DetectCycles uint64
-	DetectOK     bool
-	// Anomalies counts detector firings across all series; Timeline is the
-	// first incident's event count.
-	Anomalies uint64
-	Timeline  int
-}
+// fault class runs under both lockstep modes, and the artifact reports —
+// per cell — how many incidents opened, what the root-cause attribution
+// says, and the virtual-cycle latency from fault injection to first
+// detection. The matrix doubles as the acceptance harness: each fault class
+// must open exactly ONE incident whose root cause names the injected
+// fault's libc-call ordinal, and the control cell must open none. The
+// leader-continue policy makes the run outlive the fault, so the table
+// shows containment, not termination.
 
 // IncidentsResult is the full fault x mode detection matrix.
 type IncidentsResult struct {
 	Seed  int64
-	Cells []IncidentCell
-	// Tables holds each cell's canonical incident table, keyed
-	// "fault/mode" — the determinism test's byte-compare surface.
-	Tables map[string]string
+	Cells []Cell
 }
 
-// runIncidentCell runs one fault class under one lockstep mode with the
-// full incident plane attached: detector on the series feed, correlator
-// on the recorder tap, leader-continue policy so the run outlives the
-// fault and the table shows containment, not termination.
-func runIncidentCell(seed int64, fault string, faults []faultinject.Fault, mode core.LockstepMode) (IncidentCell, string, error) {
-	cell := IncidentCell{Fault: fault, Mode: mode.String()}
-	if len(faults) > 0 {
-		cell.WantOrdinal = faults[0].Call
-	}
-	env, rec, err := chaosEnv(seed)
-	if err != nil {
-		return cell, "", err
-	}
-	eng := incident.New(incidentExpWindow)
-	rec.SetTap(eng)
-	det := anomaly.New(rec, anomaly.Defaults())
-	rec.SetSeriesSink(det)
-
-	mon := core.New(env.Machine, env.LibC,
-		core.WithSeed(seed), core.WithRecorder(rec),
-		core.WithPolicy(core.PolicyLeaderContinue),
-		core.WithLockstepMode(mode),
-		core.WithRendezvousDeadline(chaosDeadline))
-	var plan *faultinject.Plan
-	if len(faults) > 0 {
-		plan = faultinject.New(seed, faults...)
-		plan.Install(env.Machine, rec)
-	}
-
-	th, err := env.MainThread()
-	if err != nil {
-		return cell, "", err
-	}
-	if err := mon.Init(th); err != nil {
-		return cell, "", err
-	}
-	var loopErr error
-	runErr := th.Run(func(t *machine.Thread) {
-		for i := 0; i < chaosRegions; i++ {
-			if loopErr = mon.Start(t, "protected_func"); loopErr != nil {
-				return
-			}
-			t.Call("protected_func")
-			if loopErr = mon.End(t); loopErr != nil {
-				return
-			}
-		}
-	})
-	if runErr == nil {
-		runErr = loopErr
-	}
-	if runErr != nil {
-		return cell, "", fmt.Errorf("leader died: %w", runErr)
-	}
-
-	incs := eng.Incidents()
-	cell.Incidents = len(incs)
-	if len(incs) > 0 {
-		in := &incs[0]
-		cell.Severity = in.Severity.String()
-		cell.RootCause = in.RootCause()
-		cell.RootOrdinal = in.Root().Arg0
-		cell.Timeline = len(in.Events)
-		if lat, ok := in.DetectionLatency(); ok {
-			cell.DetectCycles, cell.DetectOK = uint64(lat), true
-		}
-	}
-	for _, n := range det.Fired() {
-		cell.Anomalies += n
-	}
-	return cell, eng.TableText(), nil
+// incidentScenario is one (fault, mode) cell of the detection matrix.
+func incidentScenario(f faultPlan, mode core.LockstepMode) Scenario {
+	s := baseScenario.withPlan(f)
+	s.Policy, s.Mode = core.PolicyLeaderContinue, mode
+	return s
 }
 
-// validate enforces the detection contract one cell must satisfy.
-func (c *IncidentCell) validate() error {
-	if c.WantOrdinal == 0 { // control cell: no faults, no incidents
+// incidentsSlice is the fault x lockstep-mode matrix.
+func incidentsSlice() []Scenario {
+	var scs []Scenario
+	for _, mode := range lockstepModes {
+		for _, f := range chaosFaults {
+			scs = append(scs, incidentScenario(f, mode))
+		}
+	}
+	return scs
+}
+
+// validateIncident enforces the detection contract one cell must satisfy.
+func validateIncident(c *Cell) error {
+	if len(c.Faults) == 0 { // control cell: no faults, no incidents
 		if c.Incidents != 0 {
 			return fmt.Errorf("incidents %s/%s: control cell opened %d incidents", c.Fault, c.Mode, c.Incidents)
 		}
@@ -146,9 +53,9 @@ func (c *IncidentCell) validate() error {
 	if c.Incidents != 1 {
 		return fmt.Errorf("incidents %s/%s: %d incidents, want exactly 1", c.Fault, c.Mode, c.Incidents)
 	}
-	if c.RootOrdinal != c.WantOrdinal {
+	if want := c.Faults[0].Call; c.RootOrdinal != want {
 		return fmt.Errorf("incidents %s/%s: root cause %q at call %d, want the injected ordinal %d",
-			c.Fault, c.Mode, c.RootCause, c.RootOrdinal, c.WantOrdinal)
+			c.Fault, c.Mode, c.RootCause, c.RootOrdinal, want)
 	}
 	if !strings.HasPrefix(c.RootCause, "fault-injected") {
 		return fmt.Errorf("incidents %s/%s: root cause %q, want the injected fault", c.Fault, c.Mode, c.RootCause)
@@ -160,25 +67,23 @@ func (c *IncidentCell) validate() error {
 }
 
 // Incidents runs the fault x lockstep-mode detection matrix. Every cell is
-// an independent deterministic simulation; a violated detection contract
-// (wrong incident count, wrong root ordinal, missing detection) is an
-// error, so the artifact doubles as an acceptance gate.
+// an independent deterministic simulation; a dead leader or a violated
+// detection contract (wrong incident count, wrong root ordinal, missing
+// detection) is an error, so the artifact doubles as an acceptance gate.
 func Incidents(seed int64) (*IncidentsResult, error) {
-	res := &IncidentsResult{Seed: seed, Tables: map[string]string{}}
-	for _, mode := range []core.LockstepMode{core.LockstepStrict, core.LockstepPipelined} {
-		for _, f := range chaosFaults {
-			cell, table, err := runIncidentCell(seed, f.Name, f.Faults, mode)
-			if err != nil {
-				return nil, fmt.Errorf("incidents cell (%s, %s): %w", f.Name, mode, err)
-			}
-			if err := cell.validate(); err != nil {
-				return nil, err
-			}
-			res.Cells = append(res.Cells, cell)
-			res.Tables[f.Name+"/"+mode.String()] = table
+	cells, err := runSlice(seed, incidentsSlice())
+	if err == nil {
+		err = mustSurvive(cells)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("incidents: %w", err)
+	}
+	for i := range cells {
+		if err := validateIncident(&cells[i]); err != nil {
+			return nil, err
 		}
 	}
-	return res, nil
+	return &IncidentsResult{Seed: seed, Cells: cells}, nil
 }
 
 // String renders the detection-latency matrix plus per-cell detail.
@@ -195,12 +100,8 @@ func (r *IncidentsResult) String() string {
 		if c.DetectOK {
 			det = fmt.Sprintf("%d", c.DetectCycles)
 		}
-		root := c.RootCause
-		if root == "" {
-			root = "-"
-		}
 		fmt.Fprintf(&b, "%-18s %-10s %-9d %-9s %-14s %-10d %s\n",
-			c.Fault, c.Mode, c.Incidents, orDashStr(c.Severity), det, c.Anomalies, root)
+			c.Fault, c.Mode, c.Incidents, orDashStr(c.Severity), det, c.Anomalies, orDashStr(c.RootCause))
 	}
 	return b.String()
 }
@@ -213,14 +114,14 @@ func orDashStr(s string) string {
 	return s
 }
 
-// RecordMetrics folds the matrix into the benchmark registry — the
-// BENCH_incidents.json surface. Counts gate exactly; detection latencies
-// are virtual-cycle measurements and gate with a tolerance band.
+// RecordMetrics folds the matrix into the benchmark registry. Counts gate
+// exactly; detection latencies are virtual-cycle measurements and gate
+// with a tolerance band.
 func (r *IncidentsResult) RecordMetrics(bench *obs.Metrics) {
 	var totalAnomalies uint64
 	for i := range r.Cells {
 		c := &r.Cells[i]
-		key := "incidents." + c.Mode + "." + obs.SanitizeName(c.Fault)
+		key := "incidents." + c.Mode.String() + "." + obs.SanitizeName(c.Fault)
 		bench.SetGauge(key+".count", float64(c.Incidents))
 		if c.DetectOK {
 			bench.SetGauge(key+".detect_cycles", float64(c.DetectCycles))

@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"smvx/internal/core"
 )
 
 // TestIncidentsMatrixContract runs the full fault x mode matrix and spot
@@ -21,7 +19,7 @@ func TestIncidentsMatrixContract(t *testing.T) {
 	}
 	for i := range res.Cells {
 		c := &res.Cells[i]
-		if c.WantOrdinal == 0 {
+		if len(c.Faults) == 0 {
 			continue
 		}
 		if c.Severity != "critical" {
@@ -42,15 +40,16 @@ func TestIncidentsMatrixContract(t *testing.T) {
 // CI live-vs-replay diff and the BENCH gate both stand on.
 func TestIncidentCellDeterminism(t *testing.T) {
 	f := chaosFaults[2] // arg-flip@4
-	for _, mode := range []core.LockstepMode{core.LockstepStrict, core.LockstepPipelined} {
-		_, a, err := runIncidentCell(42, f.Name, f.Faults, mode)
+	for _, mode := range lockstepModes {
+		ca, err := runScenario(42, incidentScenario(f, mode))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, b, err := runIncidentCell(42, f.Name, f.Faults, mode)
+		cb, err := runScenario(42, incidentScenario(f, mode))
 		if err != nil {
 			t.Fatal(err)
 		}
+		a, b := ca.IncidentTable, cb.IncidentTable
 		if a != b {
 			t.Errorf("%s/%s incident tables differ across identical runs:\n%s\n---\n%s", f.Name, mode, a, b)
 		}

@@ -7,18 +7,18 @@ import (
 	"smvx/internal/core"
 	"smvx/internal/obs"
 	"smvx/internal/obs/ledger"
-	"smvx/internal/sim/machine"
 )
 
-// The ledger experiment decomposes the pipeline experiment's headline
-// number: PR 5's strict-vs-pipelined table says *how much* the run-ahead
-// ring saves; the rendezvous cost ledger says *where* — which phase of
-// which sync class carries the remaining cycles, and how many heap
-// allocations ride along per call. Each configuration runs the same
-// pipeline workload with a ledger (and its allocation probe) attached, and
-// the row cross-checks itself: the ledger's leader-side sync phases must
-// reconcile with the rendezvous.leader.cycles histogram the pipeline
-// experiment already reports.
+// The ledger experiment quantifies what the bounded run-ahead ring buys and
+// where the remaining cycles go: the pipe app runs under strict lockstep
+// and under pipelined lockstep at the default lag window. Each row reports
+// the leader's mean rendezvous cost per libc call (the
+// rendezvous.leader.cycles histogram, recorded identically in both modes)
+// and its reduction against strict, then the rendezvous cost ledger's
+// breakdown of that cost — which phase of which sync class carries the
+// cycles, and how many heap allocations ride along per call. The row
+// cross-checks itself: the ledger's leader-side sync phases must reconcile
+// with the histogram.
 
 // LedgerPhase is one phase's totals, aggregated across regions, sync
 // classes, and variants.
@@ -30,108 +30,20 @@ type LedgerPhase struct {
 	Bytes  uint64
 }
 
-// LedgerRow is one lockstep configuration's phase-level accounting.
-type LedgerRow struct {
-	// Config names the configuration: "strict" or "lag=N".
-	Config string
-	// Lag is the run-ahead window (0 for strict).
-	Lag int
-	// Calls counts protected libc calls (ledger libc-phase occurrences,
-	// both variants).
-	Calls uint64
-	// Cycles and Allocs are the ledger grand totals.
-	Cycles uint64
-	Allocs uint64
-	// AllocsPerCall is Allocs/Calls — the hot path's heap traffic.
-	AllocsPerCall float64
-	// LeaderSyncCycles is the ledger's leader-side rendezvous+enqueue+
-	// barrier+wait total; HistSumCycles is the same total as accumulated by
-	// the rendezvous.leader.cycles histogram. ReconcilePct is their
-	// relative difference (acceptance bound: 2%).
-	LeaderSyncCycles uint64
-	HistSumCycles    uint64
-	ReconcilePct     float64
-	// RendezvousMean is the histogram's mean cycles/call, for continuity
-	// with the pipeline experiment's table.
-	RendezvousMean float64
-	// Phases is the per-phase breakdown, in hot-path order, zero phases
-	// omitted.
-	Phases []LedgerPhase
-}
-
 // LedgerResult is the phase-level cost accounting across lockstep
 // configurations.
 type LedgerResult struct {
 	Seed int64
-	Rows []LedgerRow
+	Rows []Cell
 }
 
-// ledgerLags is the configuration axis (0 = strict lockstep).
-var ledgerLags = []int{0, 4, 16, 64}
-
-// runLedgerCell measures one lockstep configuration with the ledger and
-// its allocation probe attached.
-func runLedgerCell(seed int64, lag int) (LedgerRow, error) {
-	row := LedgerRow{Config: "strict", Lag: lag}
-	mode := core.LockstepStrict
-	if lag > 0 {
-		mode = core.LockstepPipelined
-		row.Config = fmt.Sprintf("lag=%d", lag)
+// ledgerLabel names a ledger row: "strict", or "lag", sep, and the window
+// for a pipelined row ("lag=16" in the table, "lag16" in metric keys).
+func ledgerLabel(c *Cell, sep string) string {
+	if c.Mode == core.LockstepStrict {
+		return "strict"
 	}
-	env, rec, err := pipeEnv(seed)
-	if err != nil {
-		return row, err
-	}
-	led := ledger.New()
-	led.SetRun(mode.String(), core.PolicyKillBoth.String(), lag)
-	led.EnableAllocProbe()
-	mon := core.New(env.Machine, env.LibC,
-		core.WithSeed(seed), core.WithRecorder(rec),
-		core.WithLockstepMode(mode), core.WithLagWindow(lag),
-		core.WithLedger(led))
-	th, err := env.MainThread()
-	if err != nil {
-		return row, err
-	}
-	if err := mon.Init(th); err != nil {
-		return row, err
-	}
-	var loopErr error
-	runErr := th.Run(func(t *machine.Thread) {
-		for i := 0; i < pipeRegions; i++ {
-			if loopErr = mon.Start(t, "protected_func"); loopErr != nil {
-				return
-			}
-			t.Call("protected_func")
-			if loopErr = mon.End(t); loopErr != nil {
-				return
-			}
-		}
-	})
-	if runErr == nil {
-		runErr = loopErr
-	}
-	if runErr != nil {
-		return row, fmt.Errorf("ledger cell %s: %w", row.Config, runErr)
-	}
-
-	row.Calls, row.Cycles, row.Allocs = led.Totals()
-	if row.Calls > 0 {
-		row.AllocsPerCall = float64(row.Allocs) / float64(row.Calls)
-	}
-	row.LeaderSyncCycles = led.LeaderSyncCycles()
-	h := rec.Metrics().Histogram(obs.MetricRendezvousLeaderCycles)
-	row.HistSumCycles = h.Sum
-	row.RendezvousMean = h.Mean()
-	if h.Sum > 0 {
-		diff := float64(row.LeaderSyncCycles) - float64(h.Sum)
-		if diff < 0 {
-			diff = -diff
-		}
-		row.ReconcilePct = diff / float64(h.Sum) * 100
-	}
-	row.Phases = phaseBreakdown(led)
-	return row, nil
+	return fmt.Sprintf("lag%s%d", sep, core.DefaultLagWindow)
 }
 
 // phaseBreakdown folds the ledger snapshot's (region, phase, class,
@@ -160,27 +72,51 @@ func phaseBreakdown(led *ledger.Ledger) []LedgerPhase {
 	return out
 }
 
-// LedgerBreakdown runs the phase-level cost accounting across the lag axis.
-func LedgerBreakdown() (*LedgerResult, error) {
-	res := &LedgerResult{Seed: Seed}
-	for _, lag := range ledgerLags {
-		row, err := runLedgerCell(Seed, lag)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
+// ledgerSlice is the pipe app under strict lockstep, then pipelined at the
+// default lag window.
+func ledgerSlice() []Scenario {
+	var scs []Scenario
+	for _, mode := range lockstepModes {
+		s := baseScenario
+		s.App, s.Mode = pipeEnv, mode
+		scs = append(scs, s)
 	}
-	return res, nil
+	return scs
+}
+
+// LedgerBreakdown runs the phase-level cost accounting across the lockstep
+// modes. The region is honest, so every row must keep its leader.
+func LedgerBreakdown() (*LedgerResult, error) {
+	rows, err := runSlice(Seed, ledgerSlice())
+	if err == nil {
+		err = mustSurvive(rows)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("ledger: %w", err)
+	}
+	return &LedgerResult{Seed: Seed, Rows: rows}, nil
+}
+
+// reductionPct is row's rendezvous-mean improvement over the strict row,
+// in percent.
+func (r *LedgerResult) reductionPct(row *Cell) float64 {
+	strict := findCell(r.Rows, func(c *Cell) bool { return c.Mode == core.LockstepStrict })
+	if strict == nil || strict.RendezvousMean <= 0 {
+		return 0
+	}
+	return (1 - row.RendezvousMean/strict.RendezvousMean) * 100
 }
 
 // String renders the per-configuration phase tables.
 func (r *LedgerResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Rendezvous cost ledger (seed %d): phase-level cycle/alloc accounting, %d regions x %d-call loop\n",
-		r.Seed, pipeRegions, pipeLoopIters*4+2)
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "\n%s: %d calls, %d cycles, %.2f allocs/call, rendezvous mean %.0f cyc/call, reconcile %.2f%%\n",
-			row.Config, row.Calls, row.Cycles, row.AllocsPerCall, row.RendezvousMean, row.ReconcilePct)
+	fmt.Fprintf(&b, "Rendezvous cost ledger (seed %d): phase-level cycle/alloc accounting, %d regions x %d-call loop, open/close barriers\n",
+		r.Seed, defaultRegions, pipeLoopIters*4+2)
+	for i := range r.Rows {
+		row := &r.Rows[i]
+		fmt.Fprintf(&b, "\n%s: %d calls, %d cycles, %.2f allocs/call, rendezvous mean %.0f cyc/call (%.1f%% below strict), %d alarms, reconcile %.2f%%\n",
+			ledgerLabel(row, "="), row.Calls, row.LedgerCycles, row.AllocsPerCall, row.RendezvousMean,
+			r.reductionPct(row), len(row.Alarms), row.ReconcilePct)
 		fmt.Fprintf(&b, "  %-11s %8s %12s %10s %8s %10s\n", "phase", "count", "cycles", "cyc/call", "allocs", "bytes")
 		for _, ph := range row.Phases {
 			per := float64(0)
@@ -194,20 +130,16 @@ func (r *LedgerResult) String() string {
 	return b.String()
 }
 
-// RecordMetrics folds the accounting into the benchmark registry — the
-// series BENCH_ledger.json commits and the CI bench gate compares.
-// Allocation counts are deliberately NOT gated: the probe reads a
-// process-global runtime counter, so absolute values are environment-noisy;
-// allocs_per_call is recorded for trend-watching only.
+// RecordMetrics folds the accounting into the benchmark registry.
+// Allocation counts are deliberately NOT gated tightly: the probe reads a
+// process-global runtime counter, so absolute values are
+// environment-noisy; allocs_per_call is recorded for trend-watching.
 func (r *LedgerResult) RecordMetrics(bench *obs.Metrics) {
-	for _, row := range r.Rows {
-		slug := "strict"
-		if row.Lag > 0 {
-			slug = fmt.Sprintf("lag%d", row.Lag)
-		}
-		prefix := "ledger." + slug + "."
+	for i := range r.Rows {
+		row := &r.Rows[i]
+		prefix := "ledger." + ledgerLabel(row, "") + "."
 		bench.SetGauge(prefix+"calls", float64(row.Calls))
-		bench.SetGauge(prefix+"cycles_total", float64(row.Cycles))
+		bench.SetGauge(prefix+"cycles_total", float64(row.LedgerCycles))
 		bench.SetGauge(prefix+"allocs_per_call", row.AllocsPerCall)
 		bench.SetGauge(prefix+"reconcile_pct", row.ReconcilePct)
 		bench.SetGauge(prefix+"rendezvous_cycles_mean", row.RendezvousMean)

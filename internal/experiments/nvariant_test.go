@@ -50,7 +50,7 @@ func TestPairParityAlarmKeys(t *testing.T) {
 		}
 		for i := range res.Cells {
 			c := &res.Cells[i]
-			coord := c.Fault + "/" + c.Policy
+			coord := c.Fault + "/" + c.Policy.String()
 			want, ok := pairAlarmKeyGolden[coord]
 			if !ok {
 				t.Errorf("%s: cell %s not in the pair golden", mode, coord)
@@ -100,8 +100,8 @@ func TestNVariantOutvoteAndContinue(t *testing.T) {
 			if c == nil {
 				t.Fatalf("no cell (N=%d, %s)", n, fault)
 			}
-			if !c.Survived || c.Regions != chaosRegions {
-				t.Errorf("(N=%d, %s): leader did not finish: regions=%d err=%q", n, fault, c.Regions, c.LeaderErr)
+			if !c.Survived || c.Completed != c.Regions {
+				t.Errorf("(N=%d, %s): leader did not finish: regions=%d err=%q", n, fault, c.Completed, c.LeaderErr)
 			}
 			if c.Unhandled != 0 {
 				t.Errorf("(N=%d, %s): %d unhandled alarms under containment", n, fault, c.Unhandled)
@@ -113,7 +113,7 @@ func TestNVariantOutvoteAndContinue(t *testing.T) {
 			if c.Outvotes != wantOutvotes {
 				t.Errorf("(N=%d, %s): outvotes = %d, want %d", n, fault, c.Outvotes, wantOutvotes)
 			}
-			if !c.Detected {
+			if !c.Detected() {
 				t.Errorf("(N=%d, %s): fault not detected", n, fault)
 			}
 		}
@@ -133,10 +133,10 @@ func TestNVariantOutvoteAndContinue(t *testing.T) {
 // ballot, so its flipped argument loses the 1-1 tie with the pairwise
 // argument-mismatch alarm, not an outvote.
 func TestLoneBallotKeepsPairwiseReason(t *testing.T) {
-	c, err := runNVariantCell(42, 3, "follower-crash@2:variant:2+arg-flip@4", []faultinject.Fault{
+	c, err := runScenario(42, nvariantScenario(3, faultPlan{"follower-crash@2:variant:2+arg-flip@4", []faultinject.Fault{
 		{Kind: faultinject.FollowerCrash, Call: 2, Variant: 2},
 		{Kind: faultinject.ArgFlip, Call: 4, Bit: 0, Variant: 1},
-	})
+	}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestLoneBallotKeepsPairwiseReason(t *testing.T) {
 		t.Errorf("alarms %q with %d outvotes, want exactly %q and none", got, c.Outvotes, want)
 	}
 	if !c.Survived {
-		t.Errorf("leader did not finish: regions=%d err=%q", c.Regions, c.LeaderErr)
+		t.Errorf("leader did not finish: regions=%d err=%q", c.Completed, c.LeaderErr)
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"strings"
 
@@ -13,7 +12,6 @@ import (
 	"smvx/internal/faultinject"
 	"smvx/internal/obs"
 	"smvx/internal/sim/clock"
-	"smvx/internal/sim/machine"
 	"smvx/internal/workload"
 )
 
@@ -74,42 +72,12 @@ type SurvivalAttackCell struct {
 	PctNative    float64 `json:"pct_native"`
 }
 
-// SurvivalMatrixCell is one (fault, policy, mode) steady-state outcome.
-type SurvivalMatrixCell struct {
-	Fault        string `json:"fault"`
-	Policy       string `json:"policy"`
-	Mode         string `json:"mode"`
-	Regions      int    `json:"regions"`
-	Survived     bool   `json:"survived"`
-	Injected     int    `json:"injected"`
-	Alarms       int    `json:"alarms"`
-	Unhandled    int    `json:"unhandled"`
-	Rollbacks    int    `json:"rollbacks"`
-	RegionAborts uint64 `json:"region_aborts"`
-	Restarts     int    `json:"restarts"`
-	Escalated    bool   `json:"escalated"`
-	Degraded     bool   `json:"degraded"`
-	Outcome      string `json:"outcome"`
-}
-
-// SurvivalSweepRow is one snapshot-interval configuration under the
-// every-region fault.
-type SurvivalSweepRow struct {
-	Interval       clock.Cycles `json:"interval"`
-	Snapshots      int          `json:"snapshots"`
-	Rollbacks      int          `json:"rollbacks"`
-	CaptureCycles  uint64       `json:"capture_cycles"`
-	RecoveryCycles uint64       `json:"recovery_cycles"`
-	RedoBytes      uint64       `json:"redo_bytes"`
-	TotalCycles    uint64       `json:"total_cycles"`
-}
-
 // SurvivalResult is the full continuous-attack survival benchmark.
 type SurvivalResult struct {
-	Seed   int64                `json:"seed"`
-	Attack []SurvivalAttackCell `json:"attack"`
-	Matrix []SurvivalMatrixCell `json:"matrix"`
-	Sweep  []SurvivalSweepRow   `json:"sweep"`
+	Seed   int64
+	Attack []SurvivalAttackCell
+	Matrix []Cell
+	Sweep  []Cell
 }
 
 // survivalFaults are the repeating fault plans of the matrix, named in the
@@ -126,22 +94,14 @@ type SurvivalResult struct {
 //   - repeat-every:6 (ipc-truncate) walks onto the close call's length
 //     mismatch and recurs there back to back — a second escalation path
 //     through a different alarm family.
-var survivalFaults = []struct {
-	Name   string
-	Faults []faultinject.Fault
-}{
+var survivalFaults = []faultPlan{
 	{"arg-flip@4:repeat-every:4", []faultinject.Fault{{Kind: faultinject.ArgFlip, Call: 4, Bit: 0, Every: 4}}},
 	{"arg-flip@4:repeat-every:8", []faultinject.Fault{{Kind: faultinject.ArgFlip, Call: 4, Bit: 0, Every: 8}}},
 	{"ipc-truncate@5:repeat-every:6", []faultinject.Fault{{Kind: faultinject.IPCTruncate, Call: 5, Every: 6}}},
 }
 
-// survivalPolicies is the full policy axis, rollback included.
-var survivalPolicies = []core.DivergencePolicy{
-	core.PolicyKillBoth,
-	core.PolicyLeaderContinue,
-	core.PolicyRestartFollower,
-	core.PolicyRollback,
-}
+// survivalPolicies is the full policy axis: chaos's, then rollback.
+var survivalPolicies = append(append([]core.DivergencePolicy{}, chaosPolicies...), core.PolicyRollback)
 
 // runSurvivalNative measures the unattacked benign baseline: the same
 // vulnerable binary, no monitor, the same number of benign requests the
@@ -269,135 +229,46 @@ func runSurvivalKillBoth() (SurvivalAttackCell, error) {
 	return cell, nil
 }
 
-// runSurvivalMatrixCell runs one (fault, policy, mode) cell of the
-// repeating-fault matrix. Unlike the chaos cells, regions enter through
-// Monitor.Invoke so PolicyRollback can unwind a compromised region
-// mid-flight instead of letting the leader finish it un-replicated.
-func runSurvivalMatrixCell(seed int64, fault string, faults []faultinject.Fault, pol core.DivergencePolicy, mode core.LockstepMode) (SurvivalMatrixCell, error) {
-	cell := SurvivalMatrixCell{Fault: fault, Policy: pol.String(), Mode: mode.String()}
-	env, rec, err := chaosEnv(seed)
-	if err != nil {
-		return cell, err
-	}
-	mon := core.New(env.Machine, env.LibC,
-		core.WithSeed(seed), core.WithRecorder(rec),
-		core.WithPolicy(pol),
-		core.WithLockstepMode(mode),
-		core.WithRendezvousDeadline(chaosDeadline),
-		core.WithRestartBudget(chaosRestartBudget),
-		core.WithRestartBackoff(chaosRestartBackoff))
-	plan := faultinject.New(seed, faults...)
-	plan.Install(env.Machine, rec)
-
-	th, err := env.MainThread()
-	if err != nil {
-		return cell, err
-	}
-	if err := mon.Init(th); err != nil {
-		return cell, err
-	}
-	var loopErr error
-	runErr := th.Run(func(t *machine.Thread) {
-		for i := 0; i < survivalRegions; i++ {
-			if _, loopErr = mon.Invoke(t, "protected_func"); loopErr != nil {
-				if !errors.Is(loopErr, machine.ErrRegionRolledBack) {
-					return
-				}
-				loopErr = nil // rolled back, not failed: the worker lives on
-			}
-			cell.Regions++
-		}
-	})
-	if runErr == nil {
-		runErr = loopErr
-	}
-	cell.Survived = runErr == nil && cell.Regions == survivalRegions
-	cell.Injected = int(rec.Metrics().Counter("faultinject.fired"))
-	cell.Alarms = len(mon.Alarms())
-	cell.Unhandled = mon.UnhandledAlarmCount()
-	cell.Rollbacks = mon.Rollbacks()
-	cell.RegionAborts = rec.Metrics().Counter("rollback.region_aborts")
-	cell.Restarts = mon.RestartsUsed()
-	cell.Escalated = mon.Escalated()
-	cell.Degraded = mon.Degraded()
-
-	switch {
-	case !cell.Survived:
-		cell.Outcome = "leader-dead"
-	case cell.Escalated:
-		cell.Outcome = "escalated"
-	case cell.Rollbacks > 0:
-		cell.Outcome = "recovered"
-	case cell.Restarts > 0:
-		cell.Outcome = "restarted"
-	case cell.Unhandled > 0:
-		cell.Outcome = "killed"
-	case rec.Metrics().Counter("policy.follower_detached") > 0:
-		cell.Outcome = "contained"
-	default:
-		cell.Outcome = "clean"
-	}
-	return cell, nil
+// survivalScenario is one (fault, policy, mode) cell of the
+// repeating-fault matrix.
+func survivalScenario(f faultPlan, pol core.DivergencePolicy, mode core.LockstepMode) Scenario {
+	s := baseScenario.withPlan(f)
+	s.Policy, s.Mode, s.Regions = pol, mode, survivalRegions
+	return s
 }
 
-// runSurvivalSweepRow runs the sustained-recovery fault (repeat-every:8,
-// three rollbacks across six regions) under PolicyRollback with one
-// checkpoint cadence.
-func runSurvivalSweepRow(seed int64, interval clock.Cycles) (SurvivalSweepRow, error) {
-	row := SurvivalSweepRow{Interval: interval}
-	env, rec, err := chaosEnv(seed)
-	if err != nil {
-		return row, err
-	}
-	mon := core.New(env.Machine, env.LibC,
-		core.WithSeed(seed), core.WithRecorder(rec),
-		core.WithPolicy(core.PolicyRollback),
-		core.WithLockstepMode(core.LockstepStrict),
-		core.WithRendezvousDeadline(chaosDeadline),
-		core.WithRollbackBudget(survivalRegions+1), // sweep rows never escalate
-		core.WithSnapshotInterval(interval))
-	plan := faultinject.New(seed, faultinject.Fault{
-		Kind: faultinject.ArgFlip, Call: 4, Bit: 0, Every: 8})
-	plan.Install(env.Machine, rec)
-
-	th, err := env.MainThread()
-	if err != nil {
-		return row, err
-	}
-	if err := mon.Init(th); err != nil {
-		return row, err
-	}
-	var loopErr error
-	runErr := th.Run(func(t *machine.Thread) {
-		for i := 0; i < survivalRegions; i++ {
-			if _, loopErr = mon.Invoke(t, "protected_func"); loopErr != nil {
-				if !errors.Is(loopErr, machine.ErrRegionRolledBack) {
-					return
-				}
-				loopErr = nil
-			}
-		}
-	})
-	if runErr == nil {
-		runErr = loopErr
-	}
-	if runErr != nil {
-		return row, fmt.Errorf("survival sweep interval %d: %w", interval, runErr)
-	}
-	row.Snapshots = mon.Snapshots()
-	row.Rollbacks = mon.Rollbacks()
-	m := rec.Metrics()
-	row.CaptureCycles = m.HistSum("snapshot.capture.cycles")
-	row.RecoveryCycles = m.HistSum("rollback.recovery.cycles")
-	row.RedoBytes = m.Counter("rollback.redo.bytes")
-	row.TotalCycles = uint64(env.Machine.Counter().Cycles())
-	return row, nil
+// sweepScenario runs the sustained-recovery fault (repeat-every:8, three
+// rollbacks across six regions, never escalating) under PolicyRollback
+// with one checkpoint cadence.
+func sweepScenario(interval clock.Cycles) Scenario {
+	s := survivalScenario(survivalFaults[1], core.PolicyRollback, core.LockstepStrict)
+	s.Interval = interval
+	return s
 }
 
-// survivalSweepIntervals is the checkpoint-cadence axis: entry-only (0),
-// the -snapshot-interval default, and a tight cadence that re-captures
-// inside every region.
-var survivalSweepIntervals = []clock.Cycles{0, core.DefaultSnapshotInterval, 20_000}
+// survivalMatrix is the fault x policy x lockstep-mode matrix.
+func survivalMatrix() []Scenario {
+	var scs []Scenario
+	for _, f := range survivalFaults {
+		for _, pol := range survivalPolicies {
+			for _, mode := range lockstepModes {
+				scs = append(scs, survivalScenario(f, pol, mode))
+			}
+		}
+	}
+	return scs
+}
+
+// survivalSweep is the checkpoint-cadence axis: entry-only (0), the
+// -snapshot-interval default, and a tight cadence that re-captures inside
+// every region.
+func survivalSweep() []Scenario {
+	var scs []Scenario
+	for _, iv := range []clock.Cycles{0, core.DefaultSnapshotInterval, 20_000} {
+		scs = append(scs, sweepScenario(iv))
+	}
+	return scs
+}
 
 // Survival runs the full continuous-attack benchmark.
 func Survival(seed int64) (*SurvivalResult, error) {
@@ -430,24 +301,14 @@ func Survival(seed int64) (*SurvivalResult, error) {
 	}
 	res.Attack = append(res.Attack, ref)
 
-	for _, f := range survivalFaults {
-		for _, pol := range survivalPolicies {
-			for _, mode := range []core.LockstepMode{core.LockstepStrict, core.LockstepPipelined} {
-				cell, err := runSurvivalMatrixCell(seed, f.Name, f.Faults, pol, mode)
-				if err != nil {
-					return nil, fmt.Errorf("survival cell (%s, %s, %s): %w", f.Name, pol, mode, err)
-				}
-				res.Matrix = append(res.Matrix, cell)
-			}
-		}
+	if res.Matrix, err = runSlice(seed, survivalMatrix()); err != nil {
+		return nil, fmt.Errorf("survival matrix: %w", err)
 	}
-
-	for _, iv := range survivalSweepIntervals {
-		row, err := runSurvivalSweepRow(seed, iv)
-		if err != nil {
-			return nil, err
-		}
-		res.Sweep = append(res.Sweep, row)
+	if res.Sweep, err = runSlice(seed, survivalSweep()); err == nil {
+		err = mustSurvive(res.Sweep)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("survival sweep: %w", err)
 	}
 	return res, nil
 }
@@ -473,7 +334,7 @@ func (r *SurvivalResult) String() string {
 		"fault", "policy", "mode", "regions", "injected", "rollbacks", "aborts", "unhandled", "outcome")
 	for _, c := range r.Matrix {
 		fmt.Fprintf(&b, "%-28s %-17s %-10s %7d/%d %9d %9d %7d %9d %s\n",
-			c.Fault, c.Policy, c.Mode, c.Regions, survivalRegions,
+			c.Fault, c.Policy, c.Mode, c.Completed, c.Regions,
 			c.Injected, c.Rollbacks, c.RegionAborts, c.Unhandled, c.Outcome)
 	}
 	b.WriteString("\n")
@@ -488,7 +349,7 @@ func (r *SurvivalResult) String() string {
 		}
 		fmt.Fprintf(&b, "%-12s %9d %9d %14d %15d %10d %13d\n",
 			iv, row.Snapshots, row.Rollbacks, row.CaptureCycles,
-			row.RecoveryCycles, row.RedoBytes, row.TotalCycles)
+			row.RecoveryCycles, row.RedoBytes, row.Cycles)
 	}
 	return b.String()
 }
@@ -541,6 +402,6 @@ func (r *SurvivalResult) RecordMetrics(bench *obs.Metrics) {
 		bench.SetGauge(p+"capture_cycles", float64(row.CaptureCycles))
 		bench.SetGauge(p+"recovery_cycles", float64(row.RecoveryCycles))
 		bench.SetGauge(p+"redo_bytes", float64(row.RedoBytes))
-		bench.SetGauge(p+"total_cycles", float64(row.TotalCycles))
+		bench.SetGauge(p+"total_cycles", float64(row.Cycles))
 	}
 }

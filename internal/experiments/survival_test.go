@@ -1,11 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"smvx/internal/core"
-	"smvx/internal/faultinject"
 )
 
 // TestSurvivalAttackCellRollback is the headline survivability contract:
@@ -37,6 +37,9 @@ func TestSurvivalAttackCellRollback(t *testing.T) {
 			}
 			if c.Rollbacks != survivalAttacks {
 				t.Errorf("rollbacks = %d, want %d", c.Rollbacks, survivalAttacks)
+			}
+			if c.RegionAborts != survivalAttacks {
+				t.Errorf("region aborts = %d, want %d (one unwound region per attack)", c.RegionAborts, survivalAttacks)
 			}
 			if c.Pwned {
 				t.Error("exploit payload reached the filesystem under rollback")
@@ -70,8 +73,14 @@ func TestSurvivalKillBothReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Detected == 0 {
-		t.Error("kill-both failed to detect the exploit")
+	if c.Detected != 1 {
+		t.Errorf("kill-both detected %d attacks, want the one delivered", c.Detected)
+	}
+	if c.Rollbacks != 0 || c.RegionAborts != 0 {
+		t.Errorf("kill-both rolled back %d regions and aborted %d, want neither", c.Rollbacks, c.RegionAborts)
+	}
+	if c.BenignSent != 0 {
+		t.Errorf("kill-both sent %d benign requests, want none after the fatal attack", c.BenignSent)
 	}
 	if c.WorkerAlive {
 		t.Error("kill-both worker survived, want dead after first attack")
@@ -92,8 +101,8 @@ func TestSurvivalMatrixShapes(t *testing.T) {
 		"ipc-truncate@5:repeat-every:6": "escalated",
 	}
 	for _, f := range survivalFaults {
-		for _, mode := range []core.LockstepMode{core.LockstepStrict, core.LockstepPipelined} {
-			cell, err := runSurvivalMatrixCell(Seed, f.Name, f.Faults, core.PolicyRollback, mode)
+		for _, mode := range lockstepModes {
+			cell, err := runScenario(Seed, survivalScenario(f, core.PolicyRollback, mode))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,11 +124,11 @@ func TestSurvivalMatrixShapes(t *testing.T) {
 // interval takes more checkpoints and pays more capture cycles, but never
 // changes how many rollbacks the fault plan forces.
 func TestSurvivalSweepMonotone(t *testing.T) {
-	entry, err := runSurvivalSweepRow(Seed, 0)
+	entry, err := runScenario(Seed, sweepScenario(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := runSurvivalSweepRow(Seed, 20_000)
+	tight, err := runScenario(Seed, sweepScenario(20_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,16 +152,24 @@ func TestSurvivalSweepMonotone(t *testing.T) {
 // TestSurvivalMatrixDeterminism: two runs of the same cell must agree on
 // every gated counter — the property the bench gate relies on.
 func TestSurvivalMatrixDeterminism(t *testing.T) {
-	f := survivalFaults[2] // ipc-truncate: the cell with the most moving parts
-	a, err := runSurvivalMatrixCell(Seed, f.Name, []faultinject.Fault{{Kind: faultinject.IPCTruncate, Call: 5, Every: 6}}, core.PolicyRollback, core.LockstepPipelined)
+	s := survivalScenario(survivalFaults[2], core.PolicyRollback, core.LockstepPipelined) // ipc-truncate: the cell with the most moving parts
+	gated := func(c Cell) string {
+		alarms := 0
+		for _, n := range c.Alarms {
+			alarms += n
+		}
+		return fmt.Sprint(c.Completed, c.Survived, c.Injected, alarms, c.Unhandled, c.Rollbacks,
+			c.RegionAborts, c.Restarts, c.Escalated, c.Degraded, c.Outcome)
+	}
+	a, err := runScenario(Seed, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runSurvivalMatrixCell(Seed, f.Name, []faultinject.Fault{{Kind: faultinject.IPCTruncate, Call: 5, Every: 6}}, core.PolicyRollback, core.LockstepPipelined)
+	b, err := runScenario(Seed, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Errorf("matrix cell not deterministic:\n  a = %+v\n  b = %+v", a, b)
+	if gated(a) != gated(b) {
+		t.Errorf("matrix cell not deterministic:\n  a = %s\n  b = %s", gated(a), gated(b))
 	}
 }

@@ -168,21 +168,23 @@ func TestAllocProbe(t *testing.T) {
 	if !m.ok {
 		t.Fatal("Mark with probe enabled returned the zero Mark")
 	}
-	// Allocate something measurable between mark and add.
-	sink := make([][]byte, 0, 64)
-	for i := 0; i < 64; i++ {
-		sink = append(sink, make([]byte, 128))
-	}
-	_ = sink
+	// Allocate something measurable between mark and add: one large object
+	// that escapes to the heap. /gc/heap/allocs:objects counts a large
+	// object when it is allocated, but small objects only when their
+	// span leaves the mcache, so small makes need not move the counter.
+	allocProbeSink = make([]byte, 64<<10)
 	rg.Add(PhaseCompare, obs.VariantLeader, ClassPipelined, 0, m, 0)
 	snap := l.Snapshot()
 	if len(snap.Regions) != 1 || len(snap.Regions[0].Cells) != 1 {
 		t.Fatalf("snapshot shape: %+v", snap)
 	}
 	if snap.Regions[0].Cells[0].Allocs == 0 {
-		t.Fatal("alloc probe recorded zero allocations across 64 makes")
+		t.Fatal("alloc probe recorded zero allocations across a 64 KiB make")
 	}
 }
+
+// allocProbeSink keeps TestAllocProbe's allocation on the heap.
+var allocProbeSink []byte
 
 func TestNilLedgerIsFreeNoop(t *testing.T) {
 	var l *Ledger
