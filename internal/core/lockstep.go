@@ -579,7 +579,7 @@ func (s *session) resolve(t *machine.Thread, name string, args []uint64, arr []s
 	cat := libc.CategoryOf(name)
 	if obsRec != nil {
 		obsRec.Record(obs.EvLockstep, obs.VariantLeader, t.TID(), name, uint64(cat), idx, 0)
-		obsRec.Metrics().Inc("lockstep.category." + cat.Slug())
+		obsRec.Metrics().Inc(obs.LockstepCategoryMetricName(uint64(cat)))
 	}
 	if lr := s.lr; lr != nil {
 		// Decode+compare charges no virtual cycles (the cost model folds it

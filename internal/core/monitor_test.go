@@ -540,6 +540,55 @@ func TestRepeatedRegionsReuseWindow(t *testing.T) {
 	}
 }
 
+// TestStartFailureReclaimsPartialClones: a Start that fails after cloning
+// part of the image (here the heap clone is blocked by an existing mapping)
+// unmaps what it mapped, so once the blocker is gone the next region is
+// protected normally instead of failing on the stale clones.
+func TestStartFailureReclaimsPartialClones(t *testing.T) {
+	env, mon := testApp(t)
+	defineProtected(t, env)
+	th, _ := env.Machine.NewThread("main", 0)
+	if err := mon.Init(th); err != nil {
+		t.Fatal(err)
+	}
+	blocker := mon.leaderHeapBase() + mem.Addr(FollowerDelta)
+	if _, err := env.AS.Map(mem.Region{Name: "blocker", Base: blocker, Size: mem.PageSize, Perm: mem.PermRW}); err != nil {
+		t.Fatal(err)
+	}
+	before := len(env.AS.Regions())
+	err := th.Run(func(tt *machine.Thread) {
+		if err := mon.Start(tt, "protected_func"); err == nil {
+			t.Error("Start with the heap window blocked succeeded")
+			_ = mon.End(tt)
+			return
+		}
+		if after := len(env.AS.Regions()); after != before {
+			t.Errorf("failed Start left %d regions mapped, want %d", after, before)
+		}
+		if err := env.AS.Unmap(blocker); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := mon.Start(tt, "protected_func"); err != nil {
+			t.Errorf("Start after the blocker is gone: %v", err)
+			return
+		}
+		tt.Call("protected_func")
+		if err := mon.End(tt); err != nil {
+			t.Errorf("End: %v", err)
+		}
+	})
+	if err != nil {
+		t.Fatalf("leader crashed: %v", err)
+	}
+	if alarms := mon.Alarms(); len(alarms) != 0 {
+		t.Errorf("alarms: %v", alarms)
+	}
+	if n := len(mon.Reports()); n != 1 {
+		t.Errorf("reports = %d, want 1", n)
+	}
+}
+
 func TestNestedStartRejected(t *testing.T) {
 	env, mon := testApp(t)
 	defineProtected(t, env)

@@ -334,7 +334,7 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, nam
 	if obsRec != nil {
 		obsRec.Record(obs.EvLockstep, fv, t.TID(), name, uint64(rec.cat), rec.idx, 0)
 		m := obsRec.Metrics()
-		m.Inc("lockstep.category." + rec.cat.Slug())
+		m.Inc(obs.LockstepCategoryMetricName(uint64(rec.cat)))
 		m.Observe(obs.MetricRendezvousLag, s.calls.Load()-rec.idx)
 		obsRec.ObserveSeries(obs.SeriesLag, s.calls.Load()-rec.idx)
 	}

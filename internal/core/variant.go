@@ -137,94 +137,10 @@ func (mo *Monitor) Start(t *machine.Thread, fn string, args ...uint64) error {
 	} else {
 		// Reclaim any previous mappings before recreating from scratch.
 		mo.destroyFollower()
-
-		// Step 1 — process duplication: clone every image section plus
-		// the heap into each slot's shifted window ("copy+move" in
-		// Table 2).
-		mark := ctr.Cycles()
-		heapBase, heapSize := mo.lib.HeapBounds(0)
-		for k := 1; k <= mo.numFollowers(); k++ {
-			if !upSlot[k-1] {
-				continue
-			}
-			dk := delta * int64(k)
-			for _, secName := range clonedSections {
-				sec, ok := mo.img.Section(secName)
-				if !ok {
-					continue
-				}
-				clone, err := as.CloneRegionShifted(sec.Addr, dk, fmt.Sprintf("v%d:%s", k+1, secName))
-				if err != nil {
-					return fmt.Errorf("smvx: clone %s: %w", secName, err)
-				}
-				newBases = append(newBases, clone.Base)
-				// Variant separation: each slot's regions carry that slot's
-				// own key.
-				if sec.Perm&mem.PermWrite != 0 {
-					if err := as.SetRegionKey(clone.Base, mo.pkeyFollowers[k-1]); err != nil {
-						return err
-					}
-				}
-			}
-			if heapSize > 0 {
-				clone, err := as.CloneRegionShifted(heapBase, dk, fmt.Sprintf("v%d:heap", k+1))
-				if err != nil {
-					return fmt.Errorf("smvx: clone heap: %w", err)
-				}
-				newBases = append(newBases, clone.Base)
-				if err := as.SetRegionKey(clone.Base, mo.pkeyFollowers[k-1]); err != nil {
-					return err
-				}
-				if err := mo.lib.CloneHeap(0, dk, dk); err != nil {
-					return fmt.Errorf("smvx: clone heap metadata: %w", err)
-				}
-			}
+		var err error
+		if newBases, err = mo.createVariants(upSlot, upDeltas, &stats); err != nil {
+			return err
 		}
-		// Tag the leader's writable regions with the leader key so a
-		// follower access through a stale pointer faults.
-		for _, secName := range []string{image.SecData, image.SecBSS, image.SecGotPLT} {
-			if sec, ok := mo.img.Section(secName); ok {
-				if err := as.SetRegionKey(sec.Addr, mo.pkeyLeader); err != nil {
-					return err
-				}
-			}
-		}
-		if heapSize > 0 {
-			if err := as.SetRegionKey(heapBase, mo.pkeyLeader); err != nil {
-				return err
-			}
-		}
-		stats.DupCycles = ctr.Cycles() - mark
-
-		// Step 2 — .data/.bss pointer relocation, per slot window. With
-		// static hints (the alias-analysis narrowing of Section 3.4) only
-		// the hinted globals' slots are scanned; otherwise the whole
-		// sections are.
-		mark = ctr.Cycles()
-		for _, dk := range upDeltas {
-			relocated, err := mo.relocateDataPointers(dk)
-			if err != nil {
-				return err
-			}
-			stats.PointersRelocated += relocated
-		}
-		stats.DataScanCycles = ctr.Cycles() - mark
-
-		// Step 3 — heap pointer scan: every 8-byte-aligned slot up to the
-		// allocation watermark (the dominant cost in Table 2), per window.
-		mark = ctr.Cycles()
-		if heapSize > 0 {
-			for _, dk := range upDeltas {
-				lo := mem.Addr(int64(heapBase) + dk)
-				hi := mem.Addr(int64(mo.lib.HeapWatermark(0)) + dk)
-				n, err := mo.relocateRange(lo, hi, dk)
-				if err != nil {
-					return err
-				}
-				stats.PointersRelocated += n
-			}
-		}
-		stats.HeapScanCycles = ctr.Cycles() - mark
 	}
 
 	// Step 4 — clone() each follower thread and redirect it to the
@@ -385,6 +301,115 @@ func (mo *Monitor) Start(t *machine.Thread, fn string, args ...uint64) error {
 		mo.rec.Metrics().Inc("policy.follower_restarted")
 	}
 	return nil
+}
+
+// createVariants builds every up slot's window from scratch — Table 2's
+// copy+move, .data/.bss relocation and heap scan phases, charged into stats
+// — and returns the bases of the regions it mapped. On error it unmaps
+// those regions and drops the cloned heaps, so a failed mvx_start leaves
+// no untracked follower mapping to block the next one.
+func (mo *Monitor) createVariants(upSlot []bool, upDeltas []int64, stats *CreationStats) (bases []mem.Addr, err error) {
+	as := mo.m.AddressSpace()
+	ctr := mo.m.Counter()
+	defer func() {
+		if err == nil {
+			return
+		}
+		for _, b := range bases {
+			_ = as.Unmap(b)
+		}
+		for _, dk := range upDeltas {
+			mo.lib.DropHeap(dk)
+		}
+		bases = nil
+	}()
+
+	// Step 1 — process duplication: clone every image section plus the
+	// heap into each slot's shifted window ("copy+move" in Table 2).
+	mark := ctr.Cycles()
+	heapBase, heapSize := mo.lib.HeapBounds(0)
+	for k := 1; k <= mo.numFollowers(); k++ {
+		if !upSlot[k-1] {
+			continue
+		}
+		dk := mo.opts.Delta * int64(k)
+		for _, secName := range clonedSections {
+			sec, ok := mo.img.Section(secName)
+			if !ok {
+				continue
+			}
+			clone, err := as.CloneRegionShifted(sec.Addr, dk, fmt.Sprintf("v%d:%s", k+1, secName))
+			if err != nil {
+				return bases, fmt.Errorf("smvx: clone %s: %w", secName, err)
+			}
+			bases = append(bases, clone.Base)
+			// Variant separation: each slot's regions carry that slot's own
+			// key.
+			if sec.Perm&mem.PermWrite != 0 {
+				if err := as.SetRegionKey(clone.Base, mo.pkeyFollowers[k-1]); err != nil {
+					return bases, err
+				}
+			}
+		}
+		if heapSize > 0 {
+			clone, err := as.CloneRegionShifted(heapBase, dk, fmt.Sprintf("v%d:heap", k+1))
+			if err != nil {
+				return bases, fmt.Errorf("smvx: clone heap: %w", err)
+			}
+			bases = append(bases, clone.Base)
+			if err := as.SetRegionKey(clone.Base, mo.pkeyFollowers[k-1]); err != nil {
+				return bases, err
+			}
+			if err := mo.lib.CloneHeap(0, dk, dk); err != nil {
+				return bases, fmt.Errorf("smvx: clone heap metadata: %w", err)
+			}
+		}
+	}
+	// Tag the leader's writable regions with the leader key so a follower
+	// access through a stale pointer faults.
+	for _, secName := range []string{image.SecData, image.SecBSS, image.SecGotPLT} {
+		if sec, ok := mo.img.Section(secName); ok {
+			if err := as.SetRegionKey(sec.Addr, mo.pkeyLeader); err != nil {
+				return bases, err
+			}
+		}
+	}
+	if heapSize > 0 {
+		if err := as.SetRegionKey(heapBase, mo.pkeyLeader); err != nil {
+			return bases, err
+		}
+	}
+	stats.DupCycles = ctr.Cycles() - mark
+
+	// Step 2 — .data/.bss pointer relocation, per slot window. With static
+	// hints (the alias-analysis narrowing of Section 3.4) only the hinted
+	// globals' slots are scanned; otherwise the whole sections are.
+	mark = ctr.Cycles()
+	for _, dk := range upDeltas {
+		relocated, err := mo.relocateDataPointers(dk)
+		if err != nil {
+			return bases, err
+		}
+		stats.PointersRelocated += relocated
+	}
+	stats.DataScanCycles = ctr.Cycles() - mark
+
+	// Step 3 — heap pointer scan: every 8-byte-aligned slot up to the
+	// allocation watermark (the dominant cost in Table 2), per window.
+	mark = ctr.Cycles()
+	if heapSize > 0 {
+		for _, dk := range upDeltas {
+			lo := mem.Addr(int64(heapBase) + dk)
+			hi := mem.Addr(int64(mo.lib.HeapWatermark(0)) + dk)
+			n, err := mo.relocateRange(lo, hi, dk)
+			if err != nil {
+				return bases, err
+			}
+			stats.PointersRelocated += n
+		}
+	}
+	stats.HeapScanCycles = ctr.Cycles() - mark
+	return bases, nil
 }
 
 // startLeaderOnly opens a degraded protected region with no followers: the

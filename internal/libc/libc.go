@@ -237,21 +237,37 @@ func (l *LibC) Call(t *machine.Thread, name string, args []uint64) uint64 {
 		if t.Bias() != 0 {
 			v = obs.VariantFollower
 		}
-		r.Metrics().Observe("libc.cycles."+name, uint64(d))
-		r.Metrics().Observe(categoryCycleMetric[CategoryOf(name)], uint64(d))
+		names, ok := callCycleMetrics[name]
+		if !ok {
+			names = cycleMetricsFor(name)
+		}
+		r.Metrics().Observe(names.call, uint64(d))
+		r.Metrics().Observe(names.category, uint64(d))
 		r.RecordIn(fn, obs.EvLibcExit, v, t.TID(), name, 0, 0, ret)
 	}
 	return ret
 }
 
-// categoryCycleMetric pre-builds the per-Table-1-category labeled
-// histogram names so the instrumented path observes without concatenating.
-var categoryCycleMetric = map[Category]string{
-	CatRetOnly: "libc.cycles{category=" + CatRetOnly.Slug() + "}",
-	CatRetBuf:  "libc.cycles{category=" + CatRetBuf.Slug() + "}",
-	CatSpecial: "libc.cycles{category=" + CatSpecial.Slug() + "}",
-	CatLocal:   "libc.cycles{category=" + CatLocal.Slug() + "}",
+// cycleMetrics are the two histograms an instrumented call observes: its
+// own and its Table 1 category's.
+type cycleMetrics struct{ call, category string }
+
+func cycleMetricsFor(name string) cycleMetrics {
+	return cycleMetrics{
+		call:     "libc.cycles." + name,
+		category: "libc.cycles{category=" + CategoryOf(name).Slug() + "}",
+	}
 }
+
+// callCycleMetrics pre-builds the histogram names of every simulated call,
+// so the instrumented path observes without concatenating.
+var callCycleMetrics = func() map[string]cycleMetrics {
+	out := make(map[string]cycleMetrics, len(Table1))
+	for _, name := range Names() {
+		out[name] = cycleMetricsFor(name)
+	}
+	return out
+}()
 
 // dispatch is the uninstrumented call path.
 func (l *LibC) dispatch(t *machine.Thread, name string, args []uint64) uint64 {

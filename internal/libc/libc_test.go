@@ -3,6 +3,7 @@ package libc
 import (
 	"testing"
 
+	"smvx/internal/obs"
 	"smvx/internal/sim/clock"
 	"smvx/internal/sim/image"
 	"smvx/internal/sim/kernel"
@@ -497,6 +498,38 @@ func TestStatFstatSendfileMkdir(t *testing.T) {
 	}
 	if !r.k.FS().DirExists("/newdir") {
 		t.Error("mkdir did not create directory")
+	}
+}
+
+// TestInstrumentedCallBuildsNoMetricName: with a recorder attached, a call
+// observes its per-call and per-category histograms under names built once,
+// so it allocates no more objects than the same call uninstrumented; the
+// prebuilt names, and the lockstep category counters, are the names the
+// metric tables and dashboards read.
+func TestInstrumentedCallBuildsNoMetricName(t *testing.T) {
+	r := newRig(t)
+	var bare, instrumented float64
+	r.run(t, func(th *machine.Thread, _ []uint64) uint64 {
+		args := []uint64{uint64(th.Global("g_buf"))}
+		bare = testing.AllocsPerRun(100, func() { r.l.Call(th, "strlen", args) })
+		r.l.SetRecorder(obs.NewRecorder(obs.Config{}))
+		instrumented = testing.AllocsPerRun(100, func() { r.l.Call(th, "strlen", args) })
+		return 0
+	})
+	if instrumented != bare {
+		t.Errorf("instrumented strlen allocates %v objects, uninstrumented %v", instrumented, bare)
+	}
+	m := r.l.rec.Metrics()
+	if m.Histogram("libc.cycles.strlen").Count == 0 {
+		t.Error("no libc.cycles.strlen observations")
+	}
+	if m.Histogram("libc.cycles{category=local}").Count == 0 {
+		t.Error("no libc.cycles{category=local} observations")
+	}
+	for _, c := range []Category{CatRetOnly, CatRetBuf, CatSpecial, CatLocal} {
+		if got, want := obs.LockstepCategoryMetricName(uint64(c)), "lockstep.category."+c.Slug(); got != want {
+			t.Errorf("lockstep counter for %v = %q, want %q", c, got, want)
+		}
 	}
 }
 

@@ -103,7 +103,7 @@ func (r *Replay) RebuildMetrics() *obs.Metrics {
 		m.Inc("replay.events." + obs.SanitizeName(e.Kind.String()))
 		switch e.Kind {
 		case obs.EvLockstep:
-			m.Inc("lockstep.category." + obs.CategoryLabel(e.Arg0))
+			m.Inc(obs.LockstepCategoryMetricName(e.Arg0))
 		case obs.EvEmulated:
 			m.Add("lockstep.emulated.bytes", e.Arg0)
 		case obs.EvSpanEnd:

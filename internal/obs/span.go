@@ -37,6 +37,12 @@ var (
 	rendezvousMetricNames = categoryMetricNames("rendezvous.cycles")
 	emulationMetricNames  = categoryMetricNames("emulation.cycles")
 	drainMetricNames      = categoryMetricNames("drain.cycles")
+	lockstepCategoryNames = func() (out [6]string) {
+		for code := range out {
+			out[code] = "lockstep.category." + CategoryLabel(uint64(code))
+		}
+		return out
+	}()
 )
 
 // Pipelined-lockstep metric names, shared between the core producer and
@@ -75,6 +81,15 @@ func RendezvousMetricName(code uint64) string {
 		code = 0
 	}
 	return rendezvousMetricNames[code]
+}
+
+// LockstepCategoryMetricName returns the counter a lockstep call of the
+// given category code increments, live and in replay.
+func LockstepCategoryMetricName(code uint64) string {
+	if code >= uint64(len(lockstepCategoryNames)) {
+		code = 0
+	}
+	return lockstepCategoryNames[code]
 }
 
 // span is the machinery shared by the typed spans.

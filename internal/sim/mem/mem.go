@@ -15,6 +15,7 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -162,15 +163,35 @@ type page struct {
 	taint []byte // lazily allocated; parallel per-byte taint tags
 }
 
+// mapping is one mapped region and its page table: one slot per page of the
+// region, nil until that page is faulted in. The table lives beside the
+// Region, not inside it, so Region stays a comparable value; a *Region the
+// address space hands out points into its mapping.
+type mapping struct {
+	Region
+	pages []*page
+}
+
+// slot returns the index in m's table of the page holding a, which must lie
+// in m.
+func (m *mapping) slot(a Addr) int { return int((a - m.Base) / PageSize) }
+
 // AddressSpace is a simulated virtual address space.
 //
 // It is safe for concurrent use by multiple simulated threads. The sMVX
 // leader and follower variants share one AddressSpace (the follower is a
 // thread) but operate on non-overlapping regions.
 type AddressSpace struct {
-	mu      sync.RWMutex
-	pages   map[Addr]*page
-	regions []*Region // sorted by Base
+	mu   sync.RWMutex
+	maps []*mapping // sorted by Base
+
+	// resident counts the pages faulted in across every table.
+	resident int
+	// free holds the pages Unmap and Restore released; the next fault-in
+	// takes one, zeroed, instead of allocating. Page pointers are therefore
+	// only dereferenced under mu: once it is dropped a page may be recycled
+	// into another region.
+	free []*page
 
 	// gen stamps the region table and page set for the thread TLBs; see
 	// bumpLocked.
@@ -211,11 +232,7 @@ func (as *AddressSpace) GetWallCounter() *clock.Counter {
 // NewAddressSpace returns an empty address space charging cycle costs to
 // counter (which may be nil to disable accounting).
 func NewAddressSpace(counter *clock.Counter, costs clock.CostTable) *AddressSpace {
-	return &AddressSpace{
-		pages:   make(map[Addr]*page),
-		counter: counter,
-		costs:   costs,
-	}
+	return &AddressSpace{counter: counter, costs: costs}
 }
 
 // charge adds n cycles to the counter(s) if accounting is enabled. wall
@@ -258,26 +275,25 @@ func (as *AddressSpace) Map(r Region) (*Region, error) {
 // mapLocked inserts the page-rounded region r at its sorted position. Must
 // be called with the write lock held.
 func (as *AddressSpace) mapLocked(r Region) (*Region, error) {
-	i := sort.Search(len(as.regions), func(i int) bool { return as.regions[i].Base >= r.Base })
+	i := sort.Search(len(as.maps), func(i int) bool { return as.maps[i].Base >= r.Base })
 	// Only the neighbours of the insertion point can overlap; the lower one
 	// is reported first, as a scan in address order would.
 	for _, j := range [2]int{i - 1, i} {
-		if j < 0 || j >= len(as.regions) {
+		if j < 0 || j >= len(as.maps) {
 			continue
 		}
-		if existing := as.regions[j]; r.Base < existing.End() && existing.Base < r.Base+Addr(r.Size) {
+		if existing := as.maps[j]; r.Base < existing.End() && existing.Base < r.Base+Addr(r.Size) {
 			return nil, fmt.Errorf("mem: map %q at %s: overlaps region %q", r.Name, r.Base, existing.Name)
 		}
 	}
-	reg := &Region{Name: r.Name, Base: r.Base, Size: r.Size, Perm: r.Perm, Key: r.Key}
-	as.regions = append(as.regions, nil)
-	copy(as.regions[i+1:], as.regions[i:])
-	as.regions[i] = reg
+	m := &mapping{Region: r, pages: make([]*page, r.Size/PageSize)}
+	as.maps = slices.Insert(as.maps, i, m)
 	as.bumpLocked()
-	return reg, nil
+	return &m.Region, nil
 }
 
-// Unmap removes the region containing base and discards its resident pages.
+// Unmap removes the region containing base and releases its resident pages
+// to the free list.
 func (as *AddressSpace) Unmap(base Addr) error {
 	as.mu.Lock()
 	defer as.mu.Unlock()
@@ -285,16 +301,17 @@ func (as *AddressSpace) Unmap(base Addr) error {
 	if i < 0 {
 		return fmt.Errorf("mem: unmap %s: no region at that base", base)
 	}
-	r := as.regions[i]
-	for p := r.Base; p < r.End(); p += PageSize {
-		if pg := as.pages[p]; pg != nil {
+	m := as.maps[i]
+	for j, pg := range m.pages {
+		if pg != nil {
 			// Unmapping destroys page contents; preserve pre-images so a
 			// checkpoint restore can resurrect the region.
-			as.cowSaveLocked(p, pg, true)
+			as.cowSaveLocked(m.Base+Addr(j)*PageSize, pg, true)
+			as.releaseLocked(pg)
 		}
-		delete(as.pages, p)
 	}
-	as.regions = append(as.regions[:i], as.regions[i+1:]...)
+	m.pages = nil
+	as.maps = slices.Delete(as.maps, i, i+1)
 	as.bumpLocked()
 	return nil
 }
@@ -303,13 +320,17 @@ func (as *AddressSpace) Unmap(base Addr) error {
 func (as *AddressSpace) RegionAt(a Addr) *Region {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
-	return as.regionAtLocked(a)
+	if m := as.mappingAtLocked(a); m != nil {
+		return &m.Region
+	}
+	return nil
 }
 
-func (as *AddressSpace) regionAtLocked(a Addr) *Region {
-	i := sort.Search(len(as.regions), func(i int) bool { return as.regions[i].End() > a })
-	if i < len(as.regions) && as.regions[i].Contains(a) {
-		return as.regions[i]
+// mappingAtLocked returns the mapping containing a, or nil.
+func (as *AddressSpace) mappingAtLocked(a Addr) *mapping {
+	i := sort.Search(len(as.maps), func(i int) bool { return as.maps[i].End() > a })
+	if i < len(as.maps) && as.maps[i].Contains(a) {
+		return as.maps[i]
 	}
 	return nil
 }
@@ -317,8 +338,8 @@ func (as *AddressSpace) regionAtLocked(a Addr) *Region {
 // regionIndexLocked returns the index of the region based exactly at base,
 // or -1.
 func (as *AddressSpace) regionIndexLocked(base Addr) int {
-	i := sort.Search(len(as.regions), func(i int) bool { return as.regions[i].Base >= base })
-	if i < len(as.regions) && as.regions[i].Base == base {
+	i := sort.Search(len(as.maps), func(i int) bool { return as.maps[i].Base >= base })
+	if i < len(as.maps) && as.maps[i].Base == base {
 		return i
 	}
 	return -1
@@ -328,9 +349,9 @@ func (as *AddressSpace) regionIndexLocked(base Addr) int {
 func (as *AddressSpace) RegionByName(name string) *Region {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
-	for _, r := range as.regions {
-		if r.Name == name {
-			return r
+	for _, m := range as.maps {
+		if m.Name == name {
+			return &m.Region
 		}
 	}
 	return nil
@@ -340,9 +361,9 @@ func (as *AddressSpace) RegionByName(name string) *Region {
 func (as *AddressSpace) Regions() []Region {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
-	out := make([]Region, len(as.regions))
-	for i, r := range as.regions {
-		out[i] = *r
+	out := make([]Region, len(as.maps))
+	for i, m := range as.maps {
+		out[i] = m.Region
 	}
 	return out
 }
@@ -356,7 +377,7 @@ func (as *AddressSpace) SetRegionPerm(base Addr, p Perm) error {
 	if i < 0 {
 		return fmt.Errorf("mem: set perm at %s: no region", base)
 	}
-	as.regions[i].Perm = p
+	as.maps[i].Perm = p
 	as.bumpLocked()
 	return nil
 }
@@ -370,23 +391,23 @@ func (as *AddressSpace) SetRegionKey(base Addr, k mpk.Key) error {
 	if i < 0 {
 		return fmt.Errorf("mem: set pkey at %s: no region", base)
 	}
-	as.regions[i].Key = k
+	as.maps[i].Key = k
 	as.bumpLocked()
 	return nil
 }
 
-// permit validates an access of kind op at a, which lies in reg (nil when
+// permit validates an access of kind op at a, which lies in m (nil when
 // unmapped), against the region's permission mask and, when pkru is
 // non-nil, against the thread's protection-key rights.
-func permit(reg *Region, a Addr, op mpk.Access, pkru *mpk.PKRU) error {
-	if reg == nil {
+func permit(m *mapping, a Addr, op mpk.Access, pkru *mpk.PKRU) error {
+	if m == nil {
 		return &FaultError{Kind: FaultUnmapped, Addr: a, Access: op}
 	}
-	if !reg.Perm.allows(op) {
-		return &FaultError{Kind: FaultPerm, Addr: a, Access: op, Region: reg.Name}
+	if !m.Perm.allows(op) {
+		return &FaultError{Kind: FaultPerm, Addr: a, Access: op, Region: m.Name}
 	}
-	if pkru != nil && !pkru.Check(reg.Key, op) {
-		return &FaultError{Kind: FaultPkey, Addr: a, Access: op, Region: reg.Name}
+	if pkru != nil && !pkru.Check(m.Key, op) {
+		return &FaultError{Kind: FaultPkey, Addr: a, Access: op, Region: m.Name}
 	}
 	return nil
 }
@@ -397,12 +418,12 @@ func permit(reg *Region, a Addr, op mpk.Access, pkru *mpk.PKRU) error {
 // It returns the first byte's page, nil while that page is not resident.
 // Must be called with as.mu held.
 func (as *AddressSpace) checkLocked(a Addr, n int, op mpk.Access, pkru *mpk.PKRU, tlb *TLB) (*page, error) {
-	reg, pg := as.translateLocked(a, tlb)
-	if err := permit(reg, a, op, pkru); err != nil {
+	m, pg := as.translateLocked(a, tlb)
+	if err := permit(m, a, op, pkru); err != nil {
 		return nil, err
 	}
 	if last := a + Addr(n-1); last.PageBase() != a.PageBase() {
-		if err := permit(as.regionAtLocked(last), last, op, pkru); err != nil {
+		if err := permit(as.mappingAtLocked(last), last, op, pkru); err != nil {
 			return nil, err
 		}
 	}
@@ -412,19 +433,47 @@ func (as *AddressSpace) checkLocked(a Addr, n int, op mpk.Access, pkru *mpk.PKRU
 // residentLocked returns the page containing a, faulting it in if the
 // address is mapped. Must be called with the write lock held.
 func (as *AddressSpace) residentLocked(a Addr, op mpk.Access) (*page, error) {
-	base := a.PageBase()
-	if pg := as.pages[base]; pg != nil {
-		return pg, nil
-	}
-	if as.regionAtLocked(a) == nil {
+	m := as.mappingAtLocked(a)
+	if m == nil {
 		return nil, &FaultError{Kind: FaultUnmapped, Addr: a, Access: op}
 	}
-	pg := &page{}
-	if as.taintEnabled.Load() {
-		pg.taint = make([]byte, PageSize)
+	i := m.slot(a)
+	if m.pages[i] == nil {
+		m.pages[i] = as.takePageLocked()
 	}
-	as.pages[base] = pg
-	return pg, nil
+	return m.pages[i], nil
+}
+
+// takePageLocked returns a zeroed, untainted page for a fault-in, reusing
+// a released one when the free list has it, and counts it resident. Must
+// be called with the write lock held.
+func (as *AddressSpace) takePageLocked() *page {
+	var pg *page
+	if n := len(as.free); n > 0 {
+		pg = as.free[n-1]
+		as.free[n-1] = nil
+		as.free = as.free[:n-1]
+		pg.data = [PageSize]byte{}
+	} else {
+		pg = &page{}
+	}
+	switch {
+	case !as.taintEnabled.Load():
+		pg.taint = nil
+	case pg.taint == nil:
+		pg.taint = make([]byte, PageSize)
+	default:
+		clear(pg.taint)
+	}
+	as.resident++
+	return pg
+}
+
+// releaseLocked puts a page its table no longer holds on the free list.
+// Must be called with the write lock held.
+func (as *AddressSpace) releaseLocked(pg *page) {
+	as.resident--
+	as.free = append(as.free, pg)
 }
 
 // errNotResident stops a load or fetch running under the read lock at a
@@ -480,7 +529,7 @@ func (as *AddressSpace) accessLocked(a Addr, buf []byte, op mpk.Access, pkru *mp
 	for off := 0; off < len(buf); {
 		addr := a + Addr(off)
 		if off > 0 {
-			pg = as.pages[addr.PageBase()]
+			_, pg = as.translateLocked(addr, nil)
 		}
 		if pg == nil {
 			if !exclusive {
@@ -578,7 +627,7 @@ func (as *AddressSpace) FetchCode(a Addr, buf []byte) error {
 func (as *AddressSpace) ResidentPages() int {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
-	return len(as.pages)
+	return as.resident
 }
 
 // ResidentKB returns the simulated resident set size in KiB, the quantity
@@ -588,14 +637,27 @@ func (as *AddressSpace) ResidentKB() int {
 }
 
 // ResidentKBIn returns the RSS in KiB restricted to regions whose names
-// satisfy keep.
+// satisfy keep. keep runs after the lock is released.
 func (as *AddressSpace) ResidentKBIn(keep func(region string) bool) int {
+	type count struct {
+		region string
+		pages  int
+	}
 	as.mu.RLock()
-	defer as.mu.RUnlock()
+	counts := make([]count, len(as.maps))
+	for i, m := range as.maps {
+		counts[i].region = m.Name
+		for _, pg := range m.pages {
+			if pg != nil {
+				counts[i].pages++
+			}
+		}
+	}
+	as.mu.RUnlock()
 	n := 0
-	for base := range as.pages {
-		if r := as.regionAtLocked(base); r != nil && keep(r.Name) {
-			n++
+	for _, c := range counts {
+		if keep(c.region) {
+			n += c.pages
 		}
 	}
 	return n * PageSize / 1024

@@ -219,6 +219,53 @@ func TestUnmapDiscardsPages(t *testing.T) {
 	}
 }
 
+// TestRecycledPageIsZeroAndUntainted: pages an Unmap releases are taken by
+// the next fault-in, in another region, and read there as fresh pages do:
+// all zero with no taint. The resident counts follow the tables.
+func TestRecycledPageIsZeroAndUntainted(t *testing.T) {
+	as := newTestSpace(t)
+	as.EnableTaint()
+	mustMap(t, as, Region{Name: "old", Base: 0x100000, Size: 2 * PageSize, Perm: PermRW})
+	if err := as.WriteAt(0x100000, bytes.Repeat([]byte{0xAB}, 2*PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.SetTaint(0x100000, 2*PageSize, TaintNetwork); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Unmap(0x100000); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(as.free); got != 2 {
+		t.Fatalf("free list holds %d pages after Unmap, want 2", got)
+	}
+	mustMap(t, as, Region{Name: "new", Base: 0x200000, Size: 3 * PageSize, Perm: PermRW})
+	if err := as.Touch(0x200000, 3*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(as.free); got != 0 {
+		t.Errorf("free list holds %d pages after the fault-ins, want 0", got)
+	}
+	got := make([]byte, 3*PageSize)
+	if err := as.ReadAt(0x200000, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, 3*PageSize)) {
+		t.Error("a recycled page is not zero in its new region")
+	}
+	if tag := as.TaintOf(0x200000, 3*PageSize); tag != TaintNone {
+		t.Errorf("recycled pages carry taint %v", tag)
+	}
+	if n := as.TaintedBytesIn(0, 0x300000); n != 0 {
+		t.Errorf("TaintedBytesIn = %d, want 0", n)
+	}
+	if got := as.ResidentPages(); got != 3 {
+		t.Errorf("ResidentPages = %d, want 3", got)
+	}
+	if got, all := as.ResidentKBIn(func(n string) bool { return n == "new" }), as.ResidentKB(); got != 12 || all != 12 {
+		t.Errorf("ResidentKBIn(new) = %d, ResidentKB = %d, want 12 and 12", got, all)
+	}
+}
+
 func TestRegionLookups(t *testing.T) {
 	as := newTestSpace(t)
 	mustMap(t, as, Region{Name: ".text", Base: 0x400000, Size: 2 * PageSize, Perm: PermRX})

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"sort"
 
 	"smvx/internal/sim/clock"
 	"smvx/internal/sim/mpk"
@@ -24,18 +25,22 @@ type PointerHit struct {
 // CostTable.ScanPerSlot cycles — the dominant cost in Table 2.
 //
 // Only resident pages are scanned: non-resident pages are known-zero and
-// cannot hold pointers.
+// cannot hold pointers. Each page is copied out under the read lock, since
+// once the lock is dropped it may be unmapped and recycled; the predicate
+// runs on the copy, outside the lock.
 func (as *AddressSpace) ScanPointers(start, end Addr, looksLikePointer func(Addr) bool) []PointerHit {
 	start = (start + PointerAlign - 1) &^ (PointerAlign - 1)
 	var hits []PointerHit
+	var data [PageSize]byte
 	slots := clock.Cycles(0)
-	for pageBase := start.PageBase(); pageBase < end; pageBase += PageSize {
+	for next := start.PageBase(); next < end; {
 		as.mu.RLock()
-		pg := as.pages[pageBase]
+		pageBase, ok := as.nextResidentLocked(next, end, &data)
 		as.mu.RUnlock()
-		if pg == nil {
-			continue
+		if !ok {
+			break
 		}
+		next = pageBase + PageSize
 		lo := pageBase
 		if lo < start {
 			lo = start
@@ -46,7 +51,7 @@ func (as *AddressSpace) ScanPointers(start, end Addr, looksLikePointer func(Addr
 		}
 		for a := lo; a+PointerAlign <= hi; a += PointerAlign {
 			slots++
-			v := Addr(le64(pg.data[a-pageBase : a-pageBase+8]))
+			v := Addr(le64(data[a-pageBase : a-pageBase+8]))
 			if v != 0 && looksLikePointer(v) {
 				hits = append(hits, PointerHit{Slot: a, Value: v})
 			}
@@ -54,6 +59,32 @@ func (as *AddressSpace) ScanPointers(start, end Addr, looksLikePointer func(Addr
 	}
 	as.charge(as.costs.ScanPerSlot*slots, true)
 	return hits
+}
+
+// nextResidentLocked finds the first resident page based in [from, end),
+// walking the page tables of the regions that overlap the range, and
+// copies its contents into data. from must be page-aligned. Must be called
+// with as.mu held.
+func (as *AddressSpace) nextResidentLocked(from, end Addr, data *[PageSize]byte) (Addr, bool) {
+	i := sort.Search(len(as.maps), func(i int) bool { return as.maps[i].End() > from })
+	for ; i < len(as.maps) && as.maps[i].Base < end; i++ {
+		m := as.maps[i]
+		j := 0
+		if from > m.Base {
+			j = m.slot(from)
+		}
+		for ; j < len(m.pages); j++ {
+			base := m.Base + Addr(j)*PageSize
+			if base >= end {
+				break
+			}
+			if pg := m.pages[j]; pg != nil {
+				*data = pg.data
+				return base, true
+			}
+		}
+	}
+	return 0, false
 }
 
 // RelocatePointers rewrites every slot found by ScanPointers in
@@ -85,9 +116,9 @@ func (as *AddressSpace) RefreshClone(srcBase Addr, delta int64) error {
 	if i < 0 {
 		return fmt.Errorf("mem: refresh: no region at %s", srcBase)
 	}
-	src := as.regions[i]
+	src := as.maps[i]
 	dstBase := Addr(int64(src.Base) + delta)
-	if as.regionAtLocked(dstBase) == nil {
+	if as.mappingAtLocked(dstBase) == nil {
 		return fmt.Errorf("mem: refresh: no clone at %s", dstBase)
 	}
 	return as.copyResidentLocked(src, dstBase)
@@ -104,7 +135,7 @@ func (as *AddressSpace) CloneRegionShifted(srcBase Addr, delta int64, newName st
 	if i < 0 {
 		return nil, fmt.Errorf("mem: clone: no region at %s", srcBase)
 	}
-	src := as.regions[i]
+	src := as.maps[i]
 	newBase := Addr(int64(src.Base) + delta)
 	dst, err := as.mapLocked(Region{Name: newName, Base: newBase, Size: src.Size, Perm: src.Perm, Key: src.Key})
 	if err != nil {
@@ -118,20 +149,21 @@ func (as *AddressSpace) CloneRegionShifted(srcBase Addr, delta int64, newName st
 
 // copyResidentLocked copies every resident page of src, taint tags
 // included, to the same offset from dstBase, charging one PageCopy per
-// page; non-resident pages stay non-resident at the destination. Must be
-// called with the write lock held.
-func (as *AddressSpace) copyResidentLocked(src *Region, dstBase Addr) error {
+// page; non-resident pages stay non-resident at the destination. It walks
+// src's page table, so it costs O(src's slots) plus one region lookup per
+// resident page. Must be called with the write lock held.
+func (as *AddressSpace) copyResidentLocked(src *mapping, dstBase Addr) error {
 	copied := clock.Cycles(0)
-	for off := Addr(0); off < Addr(src.Size); off += PageSize {
-		pg := as.pages[src.Base+off]
+	for j, pg := range src.pages {
 		if pg == nil {
 			continue
 		}
-		npg, err := as.residentLocked(dstBase+off, mpk.Read)
+		dst := dstBase + Addr(j)*PageSize
+		npg, err := as.residentLocked(dst, mpk.Read)
 		if err != nil {
 			return err
 		}
-		as.cowSaveLocked((dstBase + off).PageBase(), npg, true)
+		as.cowSaveLocked(dst.PageBase(), npg, true)
 		npg.data = pg.data
 		if pg.taint != nil {
 			npg.taint = append([]byte(nil), pg.taint...)

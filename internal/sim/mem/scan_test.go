@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"sync"
 	"testing"
 
 	"smvx/internal/sim/clock"
@@ -221,5 +222,124 @@ func TestTaintCrossesPageBoundary(t *testing.T) {
 	}
 	if n := as.TaintedBytesIn(0x10000, 0x10000+2*PageSize); n != 8 {
 		t.Errorf("TaintedBytesIn = %d, want 8", n)
+	}
+}
+
+// TestScanPointersConcurrentWithRemap: a scan runs while other goroutines
+// unmap regions and fault their recycled pages into new ones. The scan of a
+// stable region finds exactly its pointers, and a scan of a region that is
+// itself being unmapped and remapped sees only that region's pointers,
+// never the contents a recycled page takes on elsewhere. Run it under
+// -race: every page is read under the address space's lock.
+func TestScanPointersConcurrentWithRemap(t *testing.T) {
+	as := newTestSpace(t)
+	const (
+		stable, victim, other = Addr(0x100000), Addr(0x200000), Addr(0x300000)
+		pages                 = 8
+		mine, theirs          = Addr(0x400000), Addr(0x500000)
+	)
+	plant := func(base, value Addr) error {
+		for p := Addr(0); p < pages; p++ {
+			if err := as.Write64(base+p*PageSize+8*p, uint64(value+p)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	mustMap(t, as, Region{Name: "stable", Base: stable, Size: pages * PageSize, Perm: PermRW})
+	if err := plant(stable, mine); err != nil {
+		t.Fatal(err)
+	}
+	isPointer := func(v Addr) bool { return v >= mine && v < theirs+pages }
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, r := range []struct {
+				base, value Addr
+			}{{victim, mine}, {other, theirs}} {
+				if _, err := as.Map(Region{Name: "churn", Base: r.base, Size: pages * PageSize, Perm: PermRW}); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := plant(r.base, r.value); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := as.Unmap(r.base); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	for round := 0; round < 200; round++ {
+		hits := as.ScanPointers(stable, stable+pages*PageSize, isPointer)
+		if len(hits) != pages {
+			t.Fatalf("round %d: stable region has %d hits, want %d", round, len(hits), pages)
+		}
+		for p, h := range hits {
+			if want := stable + Addr(p)*PageSize + 8*Addr(p); h.Slot != want || h.Value != mine+Addr(p) {
+				t.Fatalf("round %d: hit %d = %+v", round, p, h)
+			}
+		}
+		for _, h := range as.ScanPointers(victim, victim+pages*PageSize, isPointer) {
+			p := (h.Slot - victim) / PageSize
+			if h.Slot != victim+p*PageSize+8*p || h.Value != mine+p {
+				t.Fatalf("round %d: victim scan saw %+v, not one of its own pointers", round, h)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// BenchmarkCloneScanUnmap is one follower's variant creation and teardown
+// on the shape of the nginx heap: clone a 4 MiB region whose first 60 pages
+// are resident into a shifted window, scan the clone up to that watermark
+// for pointers into the source, and unmap the clone.
+func BenchmarkCloneScanUnmap(b *testing.B) {
+	const (
+		heap      = Addr(0x1000_0000)
+		heapSize  = 4 << 20
+		resident  = 60
+		watermark = heap + resident*PageSize
+		delta     = int64(0x2000_0000_0000)
+	)
+	as := NewAddressSpace(clock.NewCounter(), clock.DefaultCosts())
+	if _, err := as.Map(Region{Name: "heap", Base: heap, Size: heapSize, Perm: PermRW}); err != nil {
+		b.Fatal(err)
+	}
+	// Four pointers into the heap per page, as linked allocations leave.
+	for p := Addr(0); p < resident; p++ {
+		for k := Addr(0); k < 4; k++ {
+			if err := as.Write64(heap+p*PageSize+k*512, uint64(heap+(p*7+k)%resident*PageSize)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	intoHeap := func(v Addr) bool { return v >= heap && v < watermark }
+	shift := func(a Addr) Addr { return Addr(int64(a) + delta) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clone, err := as.CloneRegionShifted(heap, delta, "v2:heap")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if hits := as.ScanPointers(clone.Base, shift(watermark), intoHeap); len(hits) != 4*resident {
+			b.Fatalf("scan found %d pointers, want %d", len(hits), 4*resident)
+		}
+		if err := as.Unmap(clone.Base); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

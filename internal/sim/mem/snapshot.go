@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"sort"
 
 	"smvx/internal/sim/clock"
 )
@@ -21,9 +22,11 @@ type Snapshot struct {
 	gen          uint64
 	regions      []Region // deep copy, sorted by Base
 	taintEnabled bool
-	// resident is the set of page bases that were faulted in at capture.
-	// Pages born later are dropped by Restore, not saved by the barrier.
-	resident map[Addr]struct{}
+	// resident marks the pages that were faulted in at capture: resident[i]
+	// holds one bit per page of regions[i]. Pages born later are dropped by
+	// Restore, not saved by the barrier.
+	resident  [][]uint64
+	nResident int
 	// saved maps dirtied page bases to their capture-time contents. Entries
 	// survive Restore (they are still the capture-time truth), so repeated
 	// rollbacks to the same checkpoint cost no additional page saves.
@@ -39,7 +42,22 @@ func (s *Snapshot) Generation() uint64 { return s.gen }
 func (s *Snapshot) DirtyPages() int { return len(s.saved) }
 
 // ResidentPages returns how many pages were resident at capture.
-func (s *Snapshot) ResidentPages() int { return len(s.resident) }
+func (s *Snapshot) ResidentPages() int { return s.nResident }
+
+// wasResident reports whether the page based at base was resident at
+// capture.
+func (s *Snapshot) wasResident(base Addr) bool {
+	i := sort.Search(len(s.regions), func(i int) bool { return s.regions[i].End() > base })
+	if i == len(s.regions) || !s.regions[i].Contains(base) {
+		return false
+	}
+	return s.residentAt(i, int((base-s.regions[i].Base)/PageSize))
+}
+
+// residentAt reports whether page j of regions[i] was resident at capture.
+func (s *Snapshot) residentAt(i, j int) bool {
+	return s.resident[i][j/64]&(1<<(j%64)) != 0
+}
 
 // Regions returns the region table as it stood at capture.
 func (s *Snapshot) Regions() []Region {
@@ -53,7 +71,8 @@ func (s *Snapshot) Regions() []Region {
 // write barrier in every mutation path preserves a page's pre-image the
 // first time it is dirtied. Each resident page is charged one MemAccess
 // (arming its dirty tracking), so capture cost scales with RSS, not with
-// how much later gets written.
+// how much later gets written. The resident set is one bitmap per region,
+// built by walking the page tables.
 func (as *AddressSpace) Snapshot() *Snapshot {
 	as.mu.Lock()
 	defer as.mu.Unlock()
@@ -61,18 +80,28 @@ func (as *AddressSpace) Snapshot() *Snapshot {
 	s := &Snapshot{
 		gen:          as.snapGen,
 		taintEnabled: as.taintEnabled.Load(),
-		resident:     make(map[Addr]struct{}, len(as.pages)),
+		regions:      make([]Region, len(as.maps)),
+		resident:     make([][]uint64, len(as.maps)),
+		nResident:    as.resident,
 		saved:        make(map[Addr]*page),
 	}
-	s.regions = make([]Region, len(as.regions))
-	for i, r := range as.regions {
-		s.regions[i] = *r
+	words := 0
+	for _, m := range as.maps {
+		words += (len(m.pages) + 63) / 64
 	}
-	for base := range as.pages {
-		s.resident[base] = struct{}{}
+	bits := make([]uint64, words)
+	for i, m := range as.maps {
+		s.regions[i] = m.Region
+		n := (len(m.pages) + 63) / 64
+		s.resident[i], bits = bits[:n:n], bits[n:]
+		for j, pg := range m.pages {
+			if pg != nil {
+				s.resident[i][j/64] |= 1 << (j % 64)
+			}
+		}
 	}
 	as.snap = s
-	as.charge(as.costs.MemAccess*clock.Cycles(len(as.pages)), true)
+	as.charge(as.costs.MemAccess*clock.Cycles(as.resident), true)
 	return s
 }
 
@@ -105,7 +134,7 @@ func (as *AddressSpace) cowSaveLocked(base Addr, pg *page, wall bool) {
 	if _, dirty := s.saved[base]; dirty {
 		return
 	}
-	if _, wasResident := s.resident[base]; !wasResident {
+	if !s.wasResident(base) {
 		return
 	}
 	cp := &page{data: pg.data}
@@ -118,11 +147,11 @@ func (as *AddressSpace) cowSaveLocked(base Addr, pg *page, wall bool) {
 
 // Restore rolls the address space back, in place, to the state s captured:
 // dirtied pages get their saved pre-images back, pages faulted in after
-// capture are dropped, and the region table — including permissions and
-// protection keys — is reinstated. Only the active snapshot can be
-// restored (an older one no longer has complete pre-images). The snapshot
-// stays active afterwards, so the same checkpoint can absorb repeated
-// rollbacks.
+// capture are released to the free list, and the region table — including
+// permissions and protection keys — is reinstated. Only the active
+// snapshot can be restored (an older one no longer has complete
+// pre-images). The snapshot stays active afterwards, so the same
+// checkpoint can absorb repeated rollbacks.
 func (as *AddressSpace) Restore(s *Snapshot) error {
 	if s == nil {
 		return fmt.Errorf("mem: restore: nil snapshot")
@@ -133,14 +162,66 @@ func (as *AddressSpace) Restore(s *Snapshot) error {
 		return fmt.Errorf("mem: restore: snapshot generation %d is no longer active", s.gen)
 	}
 	touched := clock.Cycles(0)
-	// Put back the pre-images of every dirtied page, reusing the live page
-	// object where one exists so references held by in-flight scans stay
-	// coherent.
+	// Reinstate the region table. A region whose base survives is restored
+	// field by field in its mapping, keeping pointers other subsystems hold
+	// into the table valid, and keeps its page table when its size is
+	// unchanged; added regions vanish, removed ones come back. A page that
+	// was resident at capture survives at its address, wherever the table
+	// holding it now is; any other page is released.
+	cur := as.maps
+	as.maps = make([]*mapping, len(s.regions))
+	var orphans []*mapping // pages to re-home or release once as.maps is whole
+	k := 0
+	for i, sv := range s.regions {
+		for ; k < len(cur) && cur[k].Base < sv.Base; k++ {
+			orphans = append(orphans, cur[k])
+		}
+		if k < len(cur) && cur[k].Base == sv.Base {
+			m := cur[k]
+			k++
+			if m.Size == sv.Size {
+				for j, pg := range m.pages {
+					if pg != nil && !s.residentAt(i, j) {
+						m.pages[j] = nil
+						as.releaseLocked(pg)
+						touched++
+					}
+				}
+			} else {
+				orphans = append(orphans, &mapping{Region: m.Region, pages: m.pages})
+				m.pages = make([]*page, sv.Size/PageSize)
+			}
+			m.Region = sv
+			as.maps[i] = m
+			continue
+		}
+		as.maps[i] = &mapping{Region: sv, pages: make([]*page, sv.Size/PageSize)}
+	}
+	orphans = append(orphans, cur[k:]...)
+	for _, o := range orphans {
+		for j, pg := range o.pages {
+			if pg == nil {
+				continue
+			}
+			if base := o.Base + Addr(j)*PageSize; s.wasResident(base) {
+				m := as.mappingAtLocked(base)
+				m.pages[m.slot(base)] = pg
+			} else {
+				as.releaseLocked(pg)
+				touched++
+			}
+		}
+		o.pages = nil
+	}
+	// Put back the pre-images of every dirtied page, reusing the page where
+	// one survives. Every saved page lies in a captured region.
 	for base, cp := range s.saved {
-		pg := as.pages[base]
+		m := as.mappingAtLocked(base)
+		j := m.slot(base)
+		pg := m.pages[j]
 		if pg == nil {
-			pg = &page{}
-			as.pages[base] = pg
+			pg = as.takePageLocked()
+			m.pages[j] = pg
 		}
 		pg.data = cp.data
 		if cp.taint != nil {
@@ -150,32 +231,6 @@ func (as *AddressSpace) Restore(s *Snapshot) error {
 		}
 		touched++
 	}
-	// Drop pages that did not exist at capture (lazily faulted in, or
-	// mapped by a post-capture region).
-	for base := range as.pages {
-		if _, ok := s.resident[base]; !ok {
-			delete(as.pages, base)
-			touched++
-		}
-	}
-	// Reinstate the region table. Regions whose base survives are restored
-	// field-by-field in place, keeping pointers other subsystems hold into
-	// the table valid; added regions vanish, removed ones come back.
-	cur := make(map[Addr]*Region, len(as.regions))
-	for _, r := range as.regions {
-		cur[r.Base] = r
-	}
-	restored := make([]*Region, 0, len(s.regions))
-	for _, sv := range s.regions {
-		if r, ok := cur[sv.Base]; ok {
-			*r = sv
-			restored = append(restored, r)
-		} else {
-			rc := sv
-			restored = append(restored, &rc)
-		}
-	}
-	as.regions = restored // s.regions was captured sorted
 	as.taintEnabled.Store(s.taintEnabled)
 	as.bumpLocked()
 	as.charge(as.costs.PageCopy*touched, true)

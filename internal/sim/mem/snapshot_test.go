@@ -132,6 +132,20 @@ func TestSnapshotRestoreRoundTripProperty(t *testing.T) {
 		}
 		if rng.Intn(3) == 0 {
 			_ = as.Unmap(0x800000)
+			// The unmapped heap's pages go to the free list; fault them
+			// into a region born after capture — elsewhere, at the heap's
+			// base with another size, or straddling the heap's range —
+			// which Restore must drop while the heap comes back with its
+			// capture-time bytes and tags.
+			reuse := []Addr{0x3000000, 0x800000, 0x802000}[rng.Intn(3)]
+			if _, err := as.Map(Region{Name: "reuse", Base: reuse, Size: 10 * PageSize, Perm: PermRW}); err != nil {
+				return false
+			}
+			rng.Read(buf)
+			for p := Addr(0); p < 10*PageSize; p += PageSize {
+				_ = as.WriteAt(reuse+p, buf)
+				_ = as.SetTaint(reuse+p, 32, TaintFile)
+			}
 		}
 
 		if err := as.Restore(snap); err != nil {
@@ -139,9 +153,9 @@ func TestSnapshotRestoreRoundTripProperty(t *testing.T) {
 			return false
 		}
 		got := digestSpace(t, as)
-		return digestsEqual(want, got)
+		return digestsEqual(want, got) && as.ResidentPages() == snap.ResidentPages()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }

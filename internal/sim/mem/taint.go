@@ -58,7 +58,7 @@ func (as *AddressSpace) TaintOf(a Addr, n int) Taint {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
 	for off := 0; off < n; {
-		pg := as.pages[(a + Addr(off)).PageBase()]
+		_, pg := as.translateLocked(a+Addr(off), nil)
 		po := int((a + Addr(off)) & (PageSize - 1))
 		if pg != nil && pg.taint != nil {
 			for po < PageSize && off < n {
@@ -97,14 +97,19 @@ func (as *AddressSpace) TaintedBytesIn(start, end Addr) int {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
 	n := 0
-	for base, pg := range as.pages {
-		if pg.taint == nil || base+PageSize <= start || base >= end {
+	for _, m := range as.maps {
+		if m.End() <= start || m.Base >= end {
 			continue
 		}
-		for i, tag := range pg.taint {
-			a := base + Addr(i)
-			if a >= start && a < end && tag != 0 {
-				n++
+		for j, pg := range m.pages {
+			if pg == nil || pg.taint == nil {
+				continue
+			}
+			base := m.Base + Addr(j)*PageSize
+			for i, tag := range pg.taint {
+				if a := base + Addr(i); a >= start && a < end && tag != 0 {
+					n++
+				}
 			}
 		}
 	}

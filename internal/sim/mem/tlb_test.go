@@ -31,6 +31,28 @@ func TestTLBMatchesUncachedAfterMutation(t *testing.T) {
 		{"Unmap", data, mpk.AllowAll, func(t *testing.T, as *AddressSpace) func() error {
 			return func() error { return as.Unmap(data) }
 		}},
+		{"Unmap recycles the page into another region", data, mpk.AllowAll, func(t *testing.T, as *AddressSpace) func() error {
+			return func() error {
+				if err := as.Unmap(data); err != nil {
+					return err
+				}
+				if _, err := as.Map(Region{Name: "other", Base: 0x30000, Size: PageSize, Perm: PermRW}); err != nil {
+					return err
+				}
+				return as.WriteAt(0x30000, []byte("recycled"))
+			}
+		}},
+		{"Unmap and remap at the same base", data, mpk.AllowAll, func(t *testing.T, as *AddressSpace) func() error {
+			return func() error {
+				if err := as.Unmap(data); err != nil {
+					return err
+				}
+				if _, err := as.Map(Region{Name: "again", Base: data, Size: PageSize, Perm: PermRW}); err != nil {
+					return err
+				}
+				return as.WriteAt(data, []byte("remapped"))
+			}
+		}},
 		{"SetRegionPerm read-only", data, mpk.AllowAll, func(t *testing.T, as *AddressSpace) func() error {
 			return func() error { return as.SetRegionPerm(data, PermRead) }
 		}},
