@@ -11,9 +11,10 @@
 package libc
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -482,18 +483,20 @@ func (l *LibC) dispatch(t *machine.Thread, name string, args []uint64) uint64 {
 		t.Memset(mem.Addr(arg(0)), byte(arg(1)), int(arg(2)))
 		return ok(t, arg(0))
 	case "strlen":
-		return ok(t, uint64(len(t.CString(mem.Addr(arg(0)), CStrMax))))
+		var s cstrBuf
+		return ok(t, uint64(len(t.AppendCString(s[:0], mem.Addr(arg(0)), CStrMax))))
 	case "strcmp":
-		a := t.CString(mem.Addr(arg(0)), CStrMax)
-		b := t.CString(mem.Addr(arg(1)), CStrMax)
-		return ok(t, uint64(int64(strings.Compare(a, b))))
+		return ok(t, strncmp(t, mem.Addr(arg(0)), mem.Addr(arg(1)), CStrMax))
 	case "strncmp":
-		n := int(arg(2))
-		a := t.CString(mem.Addr(arg(0)), n)
-		b := t.CString(mem.Addr(arg(1)), n)
-		return ok(t, uint64(int64(strings.Compare(a, b))))
+		// A size_t bound past CStrMax, SIZE_MAX included, reads no further.
+		n := CStrMax
+		if arg(2) < CStrMax {
+			n = int(arg(2))
+		}
+		return ok(t, strncmp(t, mem.Addr(arg(0)), mem.Addr(arg(1)), n))
 	case "atoi":
-		return ok(t, uint64(int64(atoi(t.CString(mem.Addr(arg(0)), 32)))))
+		var s [32]byte
+		return ok(t, uint64(atoi(t.AppendCString(s[:0], mem.Addr(arg(0)), len(s)))))
 	case "snprintf":
 		return l.snprintf(t, args)
 	default:
@@ -645,6 +648,19 @@ func (l *LibC) realloc(t *machine.Thread, old mem.Addr, n uint64) mem.Addr {
 	return nw
 }
 
+// cstrBuf is a stack buffer for one C string read; the evaluation
+// applications' strings fit, and a longer one spills to the heap.
+type cstrBuf [256]byte
+
+// strncmp compares the C strings at a and b, each read up to its NUL or max
+// bytes. The simulated call reads all of a, then all of b, before comparing.
+func strncmp(t *machine.Thread, a, b mem.Addr, max int) uint64 {
+	var sa, sb cstrBuf
+	x := t.AppendCString(sa[:0], a, max)
+	y := t.AppendCString(sb[:0], b, max)
+	return uint64(int64(bytes.Compare(x, y)))
+}
+
 // snprintf supports the %s, %d and %x verbs — enough for the evaluation
 // applications' header formatting.
 func (l *LibC) snprintf(t *machine.Thread, args []uint64) uint64 {
@@ -653,8 +669,9 @@ func (l *LibC) snprintf(t *machine.Thread, args []uint64) uint64 {
 	}
 	dst := mem.Addr(args[0])
 	size := int(args[1])
-	format := t.CString(mem.Addr(args[2]), CStrMax)
-	var out strings.Builder
+	var fbuf, obuf cstrBuf
+	format := t.AppendCString(fbuf[:0], mem.Addr(args[2]), CStrMax)
+	out := obuf[:0]
 	argi := 3
 	nextArg := func() uint64 {
 		if argi < len(args) {
@@ -667,38 +684,36 @@ func (l *LibC) snprintf(t *machine.Thread, args []uint64) uint64 {
 	for i := 0; i < len(format); i++ {
 		c := format[i]
 		if c != '%' || i+1 >= len(format) {
-			out.WriteByte(c)
+			out = append(out, c)
 			continue
 		}
 		i++
 		switch format[i] {
 		case 's':
-			out.WriteString(t.CString(mem.Addr(nextArg()), CStrMax))
+			out = t.AppendCString(out, mem.Addr(nextArg()), CStrMax)
 		case 'd':
-			out.WriteString(fmt.Sprintf("%d", int64(nextArg())))
+			out = strconv.AppendInt(out, int64(nextArg()), 10)
 		case 'x':
-			out.WriteString(fmt.Sprintf("%x", nextArg()))
-		case '%':
-			out.WriteByte('%')
+			out = strconv.AppendUint(out, nextArg(), 16)
 		default:
-			out.WriteByte(format[i])
+			out = append(out, format[i])
 		}
 	}
-	s := out.String()
-	if len(s) >= size && size > 0 {
-		s = s[:size-1]
+	if len(out) >= size && size > 0 {
+		out = out[:size-1]
 	}
-	t.WriteCString(dst, s)
-	return ok(t, uint64(len(s)))
+	n := len(out)
+	t.WriteBytes(dst, append(out, 0))
+	return ok(t, uint64(n))
 }
 
-func atoi(s string) int64 {
-	s = strings.TrimSpace(s)
+func atoi(s []byte) int64 {
+	s = bytes.TrimSpace(s)
 	neg := false
-	if strings.HasPrefix(s, "-") {
+	if len(s) > 0 && s[0] == '-' {
 		neg = true
 		s = s[1:]
-	} else if strings.HasPrefix(s, "+") {
+	} else if len(s) > 0 && s[0] == '+' {
 		s = s[1:]
 	}
 	var v int64

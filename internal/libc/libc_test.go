@@ -25,7 +25,7 @@ type rig struct {
 const heapBase = mem.Addr(0x10000000)
 const heapSize = uint64(1 << 20)
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	img := image.NewBuilder("app", 0x400000).
 		AddFunc("main", 256).
@@ -266,6 +266,36 @@ func TestStringFunctions(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("string scenario failed at step %d", got)
+	}
+}
+
+// TestStrncmpHugeBound: a size_t bound of 2^63 or more compares up to
+// CStrMax, as strcmp does, instead of comparing nothing.
+func TestStrncmpHugeBound(t *testing.T) {
+	r := newRig(t)
+	bounds := []struct {
+		name string
+		n    uint64
+	}{{"SIZE_MAX", ^uint64(0)}, {"2^63", 1 << 63}, {"CStrMax+1", CStrMax + 1}}
+	var cmp int64
+	ncmp := make([]int64, len(bounds))
+	r.run(t, func(t *machine.Thread, args []uint64) uint64 {
+		g := t.Global("g_buf")
+		t.WriteCString(g, "abc")
+		t.WriteCString(g+64, "xyz")
+		cmp = int64(t.Libc("strcmp", uint64(g), uint64(g+64)))
+		for i, b := range bounds {
+			ncmp[i] = int64(t.Libc("strncmp", uint64(g), uint64(g+64), b.n))
+		}
+		return 0
+	})
+	if cmp != -1 {
+		t.Fatalf("strcmp(abc, xyz) = %d, want -1", cmp)
+	}
+	for i, b := range bounds {
+		if ncmp[i] != cmp {
+			t.Errorf("strncmp(abc, xyz, %s) = %d, want strcmp's %d", b.name, ncmp[i], cmp)
+		}
 	}
 }
 
@@ -571,5 +601,39 @@ func TestResetCounts(t *testing.T) {
 	r.l.ResetCounts()
 	if r.l.TotalCalls() != 0 || r.l.CallCount("malloc") != 0 {
 		t.Error("ResetCounts did not zero counters")
+	}
+}
+
+// sinkRet keeps the compiler from discarding the benchmarked calls.
+var sinkRet uint64
+
+// BenchmarkLibcStrings dispatches the string calls each variant runs
+// locally through LibC.Call, on strings as long as nginx's request lines.
+func BenchmarkLibcStrings(b *testing.B) {
+	r := newRig(b)
+	th, err := r.m.NewThread("t", 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := th.Global("g_buf")
+	th.WriteCString(g, "GET /index.html HTTP/1.1")
+	th.WriteCString(g+64, "GET /index.html HTTP/1.0")
+	th.WriteCString(g+128, "%s %s")
+	out := uint64(g + 256)
+	for _, c := range []struct {
+		name string
+		args []uint64
+	}{
+		{"strlen", []uint64{uint64(g)}},
+		{"strcmp", []uint64{uint64(g), uint64(g + 64)}},
+		{"strncmp", []uint64{uint64(g), uint64(g + 64), 8}},
+		{"snprintf", []uint64{out, 128, uint64(g + 128), uint64(g), uint64(g + 64)}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkRet = r.l.Call(th, c.name, c.args)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 
@@ -55,7 +56,7 @@ func BenchmarkLoad8(b *testing.B) {
 	}
 }
 
-// BenchmarkCString reads a 64-byte string, one Load8 per byte.
+// BenchmarkCString reads a 64-byte string: one page, one lock section.
 func BenchmarkCString(b *testing.B) {
 	r := newRig(b)
 	w := mapWindow(b, r, 0)
@@ -101,7 +102,7 @@ func BenchmarkLoad8TwoThreads(b *testing.B) {
 // while a third goroutine maps, fills and unmaps a spare region and
 // flips a window's protection key, bumping the address-space generation
 // under the threads' TLBs. Every load must return the thread's own last
-// store. Run it under -race.
+// store, and every C-string read the window's string. Run it under -race.
 func TestTLBConcurrentRemap(t *testing.T) {
 	r := newRig(t)
 	ths := [2]*Thread{newTestThread(t, r, "leader"), newTestThread(t, r, "follower")}
@@ -152,6 +153,10 @@ func TestTLBConcurrentRemap(t *testing.T) {
 					}
 					if got := th.Load8(w + mem.Addr(i%64)); got != 'x' {
 						t.Errorf("%s: string byte %d = %q, want 'x'", th.Name(), i%64, got)
+						return
+					}
+					if got := th.CString(w, mem.PageSize); got != strings.Repeat("x", 64) {
+						t.Errorf("%s: CString = %q, want the window's 64 x's", th.Name(), got)
 						return
 					}
 				}

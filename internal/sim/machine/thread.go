@@ -673,15 +673,31 @@ func (t *Thread) Memset(addr mem.Addr, v byte, n int) {
 
 // CString reads a NUL-terminated string of at most max bytes.
 func (t *Thread) CString(addr mem.Addr, max int) string {
-	out := make([]byte, 0, 32)
-	for i := 0; i < max; i++ {
-		b := t.Load8(addr + mem.Addr(i))
-		if b == 0 {
-			break
+	var buf [64]byte
+	return string(t.AppendCString(buf[:0], addr, max))
+}
+
+// AppendCString appends to dst the NUL-terminated string at addr, reading
+// at most max bytes, and returns the extended slice. It charges, faults,
+// faults pages in and accumulates taint exactly as a loop of Load8 calls
+// that stops after the NUL does, and the taint sink sees the same calls,
+// but the address space reads the string a page at a time.
+func (t *Thread) AppendCString(dst []byte, addr mem.Addr, max int) []byte {
+	dst, n, tag, err := t.m.as.ThreadAppendCString(&t.tlb, dst, addr, max, t.pkru, !t.background)
+	if tag != mem.TaintNone {
+		t.acc |= tag
+		if sink := t.m.hooks.Load().taintSink; sink != nil {
+			for i := 0; i < n; i++ {
+				if a := addr + mem.Addr(i); t.m.as.TaintOf(a, 1) != mem.TaintNone {
+					sink.OnTaintedAccess(t.ip, a)
+				}
+			}
 		}
-		out = append(out, b)
 	}
-	return string(out)
+	if err != nil {
+		t.fault(err)
+	}
+	return dst
 }
 
 // WriteCString writes s plus a NUL terminator.

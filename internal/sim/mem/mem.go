@@ -13,6 +13,7 @@
 package mem
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -569,6 +570,83 @@ func (as *AddressSpace) CheckedReadAt(a Addr, buf []byte, pkru mpk.PKRU) error {
 // thread, whose work counts toward CPU consumption but not wall time.
 func (as *AddressSpace) ThreadReadAt(tlb *TLB, a Addr, buf []byte, pkru mpk.PKRU, wall bool) error {
 	return as.access(a, buf, mpk.Read, &pkru, tlb, wall)
+}
+
+// ThreadAppendCString appends to dst the NUL-terminated string at a, reading
+// at most max bytes, as a simulated thread's loop of one-byte loads does:
+// each byte read, the NUL included, is charged one MemAccess, and the first
+// byte the thread may not load ends the read with its fault, charging only
+// the bytes before it. It runs one lock section per page, with access's
+// retry: a page found not resident under the read lock is faulted in under
+// the write lock. It returns dst with the string (not its NUL) appended,
+// the number of bytes read, and the union of their taint tags. tlb and wall
+// are as for ThreadReadAt.
+func (as *AddressSpace) ThreadAppendCString(tlb *TLB, dst []byte, a Addr, max int, pkru mpk.PKRU, wall bool) ([]byte, int, Taint, error) {
+	r := cstringRead{dst: dst}
+	for r.n < max && !r.nul {
+		as.mu.RLock()
+		next, err := as.cstringPageLocked(r, tlb, a, max, &pkru, wall, false)
+		as.mu.RUnlock()
+		if err == errNotResident {
+			as.mu.Lock()
+			next, err = as.cstringPageLocked(r, tlb, a, max, &pkru, wall, true)
+			as.mu.Unlock()
+		}
+		if err != nil {
+			return r.dst, r.n, r.tag, err
+		}
+		r = next
+	}
+	return r.dst, r.n, r.tag, nil
+}
+
+// cstringRead is the state of one C-string read. It is passed and returned
+// by value, so the caller's buffer can stay on its stack.
+type cstringRead struct {
+	dst []byte // the caller's buffer with the string bytes read so far
+	n   int    // bytes read, the NUL included
+	tag Taint  // union of their taint tags
+	nul bool   // the NUL has been read
+}
+
+// cstringPageLocked continues r, a read of at most max bytes of the string
+// at a, on the page holding its next byte: it checks and faults in that
+// page as a one-byte load does, then reads to the page end, to max bytes or
+// through a NUL, and charges what it read. Must be called with as.mu held;
+// exclusive says it is the write lock.
+func (as *AddressSpace) cstringPageLocked(r cstringRead, tlb *TLB, a Addr, max int, pkru *mpk.PKRU, wall, exclusive bool) (cstringRead, error) {
+	a += Addr(r.n)
+	m, pg := as.translateLocked(a, tlb)
+	if err := permit(m, a, mpk.Read, pkru); err != nil {
+		return r, err
+	}
+	if pg == nil {
+		if !exclusive {
+			return r, errNotResident
+		}
+		var err error
+		if pg, err = as.residentLocked(a, mpk.Read); err != nil {
+			return r, err
+		}
+	}
+	po := int(a & (PageSize - 1))
+	span := pg.data[po:]
+	if rest := max - r.n; rest < len(span) {
+		span = span[:rest]
+	}
+	n := len(span)
+	if i := bytes.IndexByte(span, 0); i >= 0 {
+		span, n, r.nul = span[:i], i+1, true
+	}
+	r.dst = append(r.dst, span...)
+	if pg.taint != nil && as.taintEnabled.Load() {
+		for _, t := range pg.taint[po : po+n] {
+			r.tag |= Taint(t)
+		}
+	}
+	r.n += n
+	as.charge(as.costs.MemAccess*clock.Cycles(n), wall)
+	return r, nil
 }
 
 // WriteAt copies buf to address a using monitor privileges.
