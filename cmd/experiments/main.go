@@ -101,7 +101,9 @@ func run() error {
 				// When telemetry is live the cve run already traced into
 				// the shared recorder; merging it into bench too would
 				// double-count once bench folds back into the telemetry
-				// registry below.
+				// registry below. The WAL is still open, so its byte and
+				// record counts are published first.
+				rt.Blackbox.Publish()
 				bench.Merge(rt.Recorder.Metrics())
 			}
 			out := withBlocks{result: res}

@@ -505,10 +505,10 @@ func (l *LibC) dispatch(t *machine.Thread, name string, args []uint64) uint64 {
 	}
 }
 
-// doRead implements read(2)/recv(2): the kernel fills a staging buffer,
-// libc copies it into the application's (simulated) buffer and — when the
-// descriptor is a socket — tags the bytes as network-tainted, making recv
-// the taint source of the libdft workflow (Section 3.2).
+// doRead implements read(2)/recv(2): the kernel returns the received
+// bytes, libc copies them into the application's (simulated) buffer and —
+// when the descriptor is a socket — tags them as network-tainted, making
+// recv the taint source of the libdft workflow (Section 3.2).
 func (l *LibC) doRead(t *machine.Thread, fd int, buf mem.Addr, n int, recvCall bool) uint64 {
 	if n < 0 {
 		return fail(t, kernel.EINVAL)
@@ -516,34 +516,28 @@ func (l *LibC) doRead(t *machine.Thread, fd int, buf mem.Addr, n int, recvCall b
 	// The kernel's socket buffer bounds one read regardless of the length
 	// argument — which is why CVE-2013-2028's miscast "huge size_t" recv
 	// still returns only the attacker's payload length (and still writes
-	// it past the 4KiB discard buffer).
+	// it past the 4KiB discard buffer). A socket read stages nothing: the
+	// kernel hands back only the bytes it delivers.
 	const sockBufMax = 1 << 20
 	if n > sockBufMax {
 		n = sockBufMax
 	}
-	staging := make([]byte, n)
-	var got int
-	var e kernel.Errno
-	if recvCall {
-		got, e = l.proc.Recv(fd, staging)
-	} else {
-		got, e = l.proc.Read(fd, staging)
-	}
+	got, e := l.proc.Receive(fd, n, recvCall)
 	if e != kernel.OK {
 		return fail(t, e)
 	}
 	as := t.Machine().AddressSpace()
-	if err := as.CheckedWriteAt(buf, staging[:got], t.PKRU()); err != nil {
+	if err := as.CheckedWriteAt(buf, got, t.PKRU()); err != nil {
 		// The kernel writing past the buffer's region is the simulated
 		// SIGSEGV; surface it as a crash like the hardware would.
 		panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: err})
 	}
 	if l.proc.IsSocket(fd) {
-		if err := as.SetTaint(buf, got, mem.TaintNetwork); err != nil {
+		if err := as.SetTaint(buf, len(got), mem.TaintNetwork); err != nil {
 			panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: err})
 		}
 	}
-	return ok(t, uint64(got))
+	return ok(t, uint64(len(got)))
 }
 
 func (l *LibC) doWritev(t *machine.Thread, fd int, iov mem.Addr, iovcnt int) uint64 {

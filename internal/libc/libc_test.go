@@ -1,6 +1,8 @@
 package libc
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
 	"smvx/internal/obs"
@@ -406,6 +408,76 @@ func TestSocketPathThroughLibc(t *testing.T) {
 	}
 	if rc != 0 {
 		t.Errorf("server scenario failed at step %d", rc)
+	}
+}
+
+// TestHugeRecvStagesOnlyDeliveredBytes is CVE-2013-2028's delivery: a
+// recv whose length is a huge size_t, on a socket holding 300 bytes. It
+// must return 300, write and taint exactly those bytes, and allocate
+// nothing near the 1 MiB the length clamps to.
+func TestHugeRecvStagesOnlyDeliveredBytes(t *testing.T) {
+	r := newRig(t)
+	r.as.EnableTaint()
+	client := r.k.NewProcess(clock.NewCounter())
+	payload := bytes.Repeat([]byte("A"), 300)
+	sent := make(chan struct{})
+
+	var g mem.Addr
+	var got, allocated uint64
+	r.prog.MustDefine("main", func(t *machine.Thread, args []uint64) uint64 {
+		g = t.Global("g_buf")
+		lfd := t.Libc("socket")
+		t.Libc("bind", lfd, 8181)
+		t.Libc("listen", lfd, 64)
+		afd := t.Libc("accept4", lfd)
+		t.Memset(g, 0xee, 1024)
+		<-sent
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got = t.Libc("recv", afd, uint64(g), ^uint64(0)>>1)
+		runtime.ReadMemStats(&after)
+		allocated = after.TotalAlloc - before.TotalAlloc
+		t.Libc("close", afd)
+		t.Libc("close", lfd)
+		return 0
+	})
+	th, _ := r.m.NewThread("server", 0)
+	done := make(chan error, 1)
+	go func() { done <- th.Run(func(t *machine.Thread) { t.Call("main") }) }()
+
+	cfd, _ := client.Socket()
+	for client.Connect(cfd, 8181) != kernel.OK {
+		// Server may not have bound yet; retry.
+	}
+	if n, e := client.Send(cfd, payload); e != kernel.OK || n != len(payload) {
+		t.Fatalf("send = (%d, %v)", n, e)
+	}
+	close(sent)
+	if err := <-done; err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	_ = client.Close(cfd)
+
+	if got != uint64(len(payload)) {
+		t.Fatalf("recv returned %d, want %d", got, len(payload))
+	}
+	buf := make([]byte, 1024)
+	if err := r.as.ReadAt(g, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf[:300], payload) || !bytes.Equal(buf[300:], bytes.Repeat([]byte{0xee}, 1024-300)) {
+		t.Error("recv must write the 300 delivered bytes and nothing past them")
+	}
+	for i := 0; i < 300; i++ {
+		if r.as.TaintOf(g+mem.Addr(i), 1) != mem.TaintNetwork {
+			t.Fatalf("delivered byte %d is not network-tainted", i)
+		}
+	}
+	if tag := r.as.TaintOf(g+300, 1024-300); tag != mem.TaintNone {
+		t.Errorf("bytes past the delivery are tainted %v", tag)
+	}
+	if allocated >= 64<<10 {
+		t.Errorf("recv allocated %d bytes for a 300-byte delivery", allocated)
 	}
 }
 

@@ -24,6 +24,11 @@ const DefaultSegmentBytes = 4 << 20
 // round-trip guarantee; it bounds disk use on long runs.
 const DefaultMaxSegments = 16
 
+// frameHeadroom is the scratch space reserved ahead of every encoded
+// payload: room for the longest uvarint length prefix, so a frame is
+// completed in place around its payload.
+const frameHeadroom = binary.MaxVarintLen64
+
 // Options tunes a Writer.
 type Options struct {
 	// SegmentBytes is the per-segment rotation threshold
@@ -32,8 +37,11 @@ type Options struct {
 	// MaxSegments caps retained segments (default DefaultMaxSegments;
 	// negative = unlimited).
 	MaxSegments int
-	// Metrics receives the blackbox.* family (bytes written, records,
-	// rotations, drops, flush latency). May be nil.
+	// Metrics receives the blackbox.* family. Rotations, drops and flush
+	// latency reach it as they happen. The byte and record counts
+	// (blackbox.bytes.written, blackbox.records.written) are kept in the
+	// Writer and added at every Flush, rotation, Close and Snapshot, or
+	// when Publish is called. May be nil.
 	Metrics *obs.Metrics
 	// Sync controls whether Flush also fsyncs the segment file (default
 	// true; tests disable it for speed).
@@ -42,22 +50,25 @@ type Options struct {
 
 // Writer is the durable event sink: it implements obs.Sink, appending
 // every event and alarm to the WAL directory. All methods are safe for
-// concurrent use; write failures are counted (blackbox.sink.drops), never
-// propagated into the recording hot path.
+// concurrent use. Write failures never propagate into the recording hot
+// path: the first one is kept (Err, Close) and stops the Writer, and
+// every record it refuses from then on counts as one blackbox.sink.drops.
 type Writer struct {
 	mu   sync.Mutex
 	dir  string
 	meta Meta
 	opts Options
 
-	f        *os.File
-	bw       *bufio.Writer
+	f        *os.File      // the segment being written; nil once sealed
+	bw       *bufio.Writer // reused across segments
 	segBytes int64
 	segIndex int
 	sealed   []string // sealed segment paths, oldest first
-	buf      []byte   // encode scratch, reused across records
-	lastErr  error
-	closed   bool
+	buf      []byte   // frame scratch: frameHeadroom bytes, then the payload
+	// bytes and records count the frames written since the last publish.
+	bytes, records uint64
+	err            error // the first write error; nothing is written after it
+	closed         bool
 }
 
 // Open creates (or appends to) the WAL directory dir and starts a fresh
@@ -78,7 +89,10 @@ func Open(dir string, meta Meta, opts Options) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{dir: dir, meta: meta, opts: opts, segIndex: len(existing)}
+	w := &Writer{
+		dir: dir, meta: meta, opts: opts, segIndex: len(existing),
+		bw: bufio.NewWriterSize(nil, 64<<10), buf: make([]byte, frameHeadroom),
+	}
 	for _, s := range existing {
 		w.sealed = append(w.sealed, s)
 		if idx, ok := segmentIndex(s); ok && idx >= w.segIndex {
@@ -130,7 +144,8 @@ func segmentFiles(dir string) ([]string, error) {
 
 // openSegment starts the next segment: magic header plus a meta record, so
 // every segment is independently decodable after retention drops earlier
-// ones.
+// ones. The header goes to the file at once, so a segment on disk is
+// self-describing from the moment it exists.
 func (w *Writer) openSegment() error {
 	path := filepath.Join(w.dir, segmentName(w.segIndex))
 	f, err := os.Create(path)
@@ -138,60 +153,81 @@ func (w *Writer) openSegment() error {
 		return fmt.Errorf("blackbox: %w", err)
 	}
 	w.f = f
-	w.bw = bufio.NewWriterSize(f, 64<<10)
+	w.bw.Reset(f)
 	w.segBytes = 0
 	if _, err := w.bw.WriteString(Magic); err != nil {
 		return err
 	}
 	w.segBytes += int64(len(Magic))
-	w.buf = appendMeta(w.buf[:0], w.meta)
-	return w.writeFrame(w.buf)
+	w.buf = appendMeta(w.buf[:frameHeadroom], w.meta)
+	if err := w.writeFrame(); err != nil {
+		return err
+	}
+	return w.bw.Flush()
 }
 
-// writeFrame appends one CRC32C-framed record to the current segment.
-func (w *Writer) writeFrame(payload []byte) error {
+// writeFrame frames the payload encoded in w.buf after frameHeadroom — its
+// uvarint length just before it, its CRC32C just after — and hands the
+// whole frame to the segment buffer in one Write.
+func (w *Writer) writeFrame() error {
+	payload := w.buf[frameHeadroom:]
 	var hdr [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
-	if _, err := w.bw.Write(hdr[:n]); err != nil {
+	start := frameHeadroom - n
+	copy(w.buf[start:], hdr[:n])
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.Checksum(payload, crcTable))
+	frame := w.buf[start:]
+	if _, err := w.bw.Write(frame); err != nil {
 		return err
 	}
-	if _, err := w.bw.Write(payload); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload, crcTable))
-	if _, err := w.bw.Write(crc[:]); err != nil {
-		return err
-	}
-	frame := int64(n + len(payload) + 4)
-	w.segBytes += frame
-	w.opts.Metrics.Add("blackbox.bytes.written", uint64(frame))
-	w.opts.Metrics.Inc("blackbox.records.written")
+	w.segBytes += int64(len(frame))
+	w.bytes += uint64(len(frame))
+	w.records++
 	return nil
 }
 
-// append encodes-and-writes one record under the lock, rotating afterwards
-// if the segment crossed the threshold. Failures are counted and swallowed:
-// the flight recorder must keep flying with a dead disk.
-func (w *Writer) append(encode func([]byte) []byte) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
+// accepting reports whether a record may be written, counting it as a drop
+// when not: after Close or the first write error, no record reaches a
+// closed or failed segment.
+func (w *Writer) accepting() bool {
+	if w.closed || w.err != nil {
 		w.opts.Metrics.Inc("blackbox.sink.drops")
-		return
+		return false
 	}
-	w.buf = encode(w.buf[:0])
-	if err := w.writeFrame(w.buf); err != nil {
-		w.lastErr = err
+	return true
+}
+
+// commit writes the record encoded in w.buf, rotating afterwards if the
+// segment crossed the threshold. Failures are kept and swallowed: the
+// flight recorder must keep flying with a dead disk.
+func (w *Writer) commit() {
+	if err := w.writeFrame(); err != nil {
+		w.fail(err)
 		w.opts.Metrics.Inc("blackbox.sink.drops")
 		return
 	}
 	if w.segBytes >= w.opts.SegmentBytes {
-		if err := w.rotate(); err != nil {
-			w.lastErr = err
-			w.opts.Metrics.Inc("blackbox.sink.drops")
-		}
+		w.fail(w.rotate())
+		w.publish()
 	}
+}
+
+// fail keeps err if it is the first write error. Once one is kept, the
+// Writer writes nothing more.
+func (w *Writer) fail(err error) {
+	if w.err == nil {
+		w.err = err
+	}
+}
+
+// publish adds the frames written since the last publish to the registry.
+func (w *Writer) publish() {
+	if w.records == 0 {
+		return
+	}
+	w.opts.Metrics.Add("blackbox.bytes.written", w.bytes)
+	w.opts.Metrics.Add("blackbox.records.written", w.records)
+	w.bytes, w.records = 0, 0
 }
 
 // rotate seals the current segment, starts the next, and enforces the
@@ -215,29 +251,39 @@ func (w *Writer) rotate() error {
 	return w.openSegment()
 }
 
-// seal flushes and closes the current segment file.
+// seal flushes, syncs and closes the current segment file. The file is
+// closed even when the flush or sync fails.
 func (w *Writer) seal() error {
-	if err := w.bw.Flush(); err != nil {
-		w.f.Close() //nolint:errcheck // already failing
-		return err
+	f := w.f
+	w.f = nil
+	err := w.bw.Flush()
+	if err == nil && !w.opts.NoSync {
+		err = f.Sync()
 	}
-	if !w.opts.NoSync {
-		if err := w.f.Sync(); err != nil {
-			w.f.Close() //nolint:errcheck
-			return err
-		}
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return w.f.Close()
+	return err
 }
 
 // SinkEvent implements obs.Sink.
 func (w *Writer) SinkEvent(e obs.Event) {
-	w.append(func(b []byte) []byte { return appendEvent(b, e) })
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.accepting() {
+		w.buf = appendEvent(w.buf[:frameHeadroom], e)
+		w.commit()
+	}
 }
 
 // SinkAlarm implements obs.Sink.
 func (w *Writer) SinkAlarm(a obs.AlarmInfo) {
-	w.append(func(b []byte) []byte { return appendAlarm(b, a) })
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.accepting() {
+		w.buf = appendAlarm(w.buf[:frameHeadroom], a)
+		w.commit()
+	}
 }
 
 // Flush implements obs.Sink: it pushes buffered frames to the OS and (by
@@ -250,19 +296,18 @@ func (w *Writer) Flush() error {
 }
 
 func (w *Writer) flushLocked() error {
-	if w.closed {
-		return w.lastErr
+	w.publish()
+	if w.closed || w.err != nil {
+		return w.err
 	}
 	start := time.Now()
 	if err := w.bw.Flush(); err != nil {
-		w.lastErr = err
-		w.opts.Metrics.Inc("blackbox.sink.drops")
+		w.fail(err)
 		return err
 	}
 	if !w.opts.NoSync {
 		if err := w.f.Sync(); err != nil {
-			w.lastErr = err
-			w.opts.Metrics.Inc("blackbox.sink.drops")
+			w.fail(err)
 			return err
 		}
 	}
@@ -270,20 +315,31 @@ func (w *Writer) flushLocked() error {
 	return nil
 }
 
-// Close flushes and seals the WAL. The Writer drops (and counts) any
-// records sunk after Close.
+// Publish adds the byte and record counts not yet in Options.Metrics to
+// it. Flush, rotation, Close and Snapshot publish on their own; code that
+// reads the registry while the WAL is open calls Publish first. Nil-safe.
+func (w *Writer) Publish() {
+	if w == nil {
+		return
+	}
+	w.mu.Lock()
+	w.publish()
+	w.mu.Unlock()
+}
+
+// Close flushes and seals the WAL and returns the first write error. The
+// Writer drops (and counts) any records sunk after Close.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return w.lastErr
+	if !w.closed {
+		w.closed = true
+		if w.f != nil {
+			w.fail(w.seal())
+		}
+		w.publish()
 	}
-	w.closed = true
-	if err := w.seal(); err != nil {
-		w.lastErr = err
-		return err
-	}
-	return w.lastErr
+	return w.err
 }
 
 // Err returns the first write error the Writer swallowed (nil if none) —
@@ -291,7 +347,7 @@ func (w *Writer) Close() error {
 func (w *Writer) Err() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.lastErr
+	return w.err
 }
 
 // SegmentInfo describes one on-disk segment for the /blackbox endpoint.
@@ -310,16 +366,15 @@ type Stats struct {
 	LastError    string        `json:"last_error,omitempty"`
 }
 
-// Snapshot flushes buffered frames and reports the live WAL directory
-// state: one entry per segment file with its on-disk size.
+// Snapshot flushes buffered frames, publishes the byte and record counts,
+// and reports the live WAL directory state: one entry per segment file with
+// its on-disk size.
 func (w *Writer) Snapshot() Stats {
 	w.mu.Lock()
-	if !w.closed {
-		w.flushLocked() //nolint:errcheck // recorded in lastErr
-	}
+	w.flushLocked() //nolint:errcheck // kept in w.err
 	st := Stats{Dir: w.dir, CurrentBytes: w.segBytes, Closed: w.closed}
-	if w.lastErr != nil {
-		st.LastError = w.lastErr.Error()
+	if w.err != nil {
+		st.LastError = w.err.Error()
 	}
 	w.mu.Unlock()
 

@@ -171,8 +171,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.rec.PublishDerived()
 	s.mu.Lock()
-	led, fleet, inc := s.led, s.fleet, s.inc
+	led, fleet, inc, bb := s.led, s.fleet, s.inc, s.bb
 	s.mu.Unlock()
+	bb.Publish()
 	led.PublishTo(s.rec.Metrics())
 	fleet.PublishTo(s.rec.Metrics())
 	inc.PublishTo(s.rec.Metrics())

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"smvx/internal/boot"
 	"smvx/internal/core"
 	"smvx/internal/obs"
+	"smvx/internal/obs/blackbox"
 	"smvx/internal/perfprof"
 	"smvx/internal/sim/clock"
 	"smvx/internal/sim/kernel"
@@ -290,6 +293,39 @@ func TestTelemetryServerStartClose(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("close: %v", err)
+	}
+}
+
+// TestTelemetryMetricsPublishesOpenWAL: the black-box writer keeps its
+// byte and record counts until it publishes them, so a /metrics scrape of a
+// run whose WAL is still open must publish first.
+func TestTelemetryMetricsPublishesOpenWAL(t *testing.T) {
+	rec := obs.NewRecorder(obs.Config{Clock: clock.NewCounter()})
+	dir := t.TempDir()
+	bb, err := blackbox.Open(dir, blackbox.Meta{Capacity: obs.DefaultCapacity}, blackbox.Options{Metrics: rec.Metrics(), NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.SetSink(bb)
+	for i := 0; i < 5; i++ {
+		rec.Record(obs.EvSyscall, obs.VariantLeader, 1, "read", uint64(i), 0, 0)
+	}
+	ts := httptest.NewServer(New(rec, WithBlackbox(bb)).Handler())
+	defer ts.Close()
+	_, body := get(t, ts, "/metrics")
+	if !strings.Contains(body, "smvx_blackbox_records_written 6\n") {
+		t.Errorf("/metrics must count the meta record and 5 events while the WAL is open:\n%s", body)
+	}
+	if err := bb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(filepath.Join(dir, bb.CurrentSegment()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("smvx_blackbox_bytes_written %d\n", info.Size()-int64(len(blackbox.Magic)))
+	if _, body := get(t, ts, "/metrics"); !strings.Contains(body, want) {
+		t.Errorf("/metrics after Close lacks %q:\n%s", want, body)
 	}
 }
 

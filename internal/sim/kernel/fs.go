@@ -159,6 +159,40 @@ func (p *Process) Read(fd int, buf []byte) (int, Errno) {
 	if e != OK {
 		return -1, e
 	}
+	return p.read(f, buf)
+}
+
+// Receive is Read, or Recv when recv is set, for a caller that copies the
+// bytes elsewhere: it returns up to n bytes instead of filling a caller's
+// buffer. On a connection they are a view of the next queued send record,
+// the immutable copy send made, so nothing is staged and the caller must
+// not write to them. Other descriptors read into a fresh n-byte buffer.
+func (p *Process) Receive(fd, n int, recv bool) ([]byte, Errno) {
+	if recv {
+		p.enter("recv")
+	} else {
+		p.enter("read")
+	}
+	f, e := p.lookup(fd)
+	if e != OK {
+		return nil, e
+	}
+	if f.kind == fdConn && f.conn != nil {
+		return f.conn.next(n)
+	}
+	if recv {
+		return nil, ENOTCONN
+	}
+	buf := make([]byte, n)
+	got, e := p.read(f, buf)
+	if e != OK {
+		return nil, e
+	}
+	return buf[:got], OK
+}
+
+// read reads up to len(buf) bytes from an open descriptor into buf.
+func (p *Process) read(f *FD, buf []byte) (int, Errno) {
 	switch f.kind {
 	case fdFile:
 		of := f.file
@@ -182,6 +216,9 @@ func (p *Process) Read(fd int, buf []byte) (int, Errno) {
 	case fdNull:
 		return 0, OK
 	case fdConn:
+		if f.conn == nil {
+			return -1, ENOTCONN
+		}
 		return f.conn.recv(buf, p.k)
 	default:
 		return -1, EINVAL

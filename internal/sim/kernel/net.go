@@ -164,27 +164,37 @@ func (c *Conn) send(buf []byte, _ *Kernel) (int, Errno) {
 // (EOF), exactly the condition an nginx worker uses to tear a connection
 // down.
 func (c *Conn) recv(buf []byte, _ *Kernel) (int, Errno) {
+	b, e := c.next(len(buf))
+	if e != OK {
+		return -1, e
+	}
+	return copy(buf, b), OK
+}
+
+// next is recv without the copy: it consumes up to n bytes of the head
+// send record and returns them as a view of that record, empty at EOF.
+// Records are the immutable copies send made, and the view's capacity
+// ends at its length, so it cannot reach the bytes still queued.
+func (c *Conn) next(n int) ([]byte, Errno) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	for len(c.queue) == 0 && !c.peerClosed && !c.closed {
 		c.cond.Wait()
 	}
 	if c.closed {
-		c.mu.Unlock()
-		return -1, EBADF
+		return nil, EBADF
 	}
 	if len(c.queue) == 0 {
-		c.mu.Unlock()
-		return 0, OK // EOF
+		return nil, OK // EOF
 	}
 	head := c.queue[0]
-	n := copy(buf, head)
-	if n == len(head) {
+	if n >= len(head) {
+		n = len(head)
 		c.queue = c.queue[1:]
 	} else {
 		c.queue[0] = head[n:]
 	}
-	c.mu.Unlock()
-	return n, OK
+	return head[:n:n], OK
 }
 
 // shutdown marks the write side closed, delivering EOF to the peer.

@@ -143,6 +143,71 @@ func TestRecvOnNotConnected(t *testing.T) {
 	}
 }
 
+// TestReceiveMatchesReadAndRecv: Receive returns what Read or Recv would
+// have copied, is accounted as that syscall, and fails the way it would.
+func TestReceiveMatchesReadAndRecv(t *testing.T) {
+	server, client := twoProcs(t)
+	lfd, _ := server.Socket()
+	_ = server.Bind(lfd, 8080)
+	_ = server.Listen(lfd, 1)
+	cfd, _ := client.Socket()
+	if e := client.Connect(cfd, 8080); e != OK {
+		t.Fatal(e)
+	}
+	afd, _ := server.Accept4(lfd)
+	_, _ = client.Send(cfd, []byte("hello world"))
+	_, _ = client.Send(cfd, []byte("xyz"))
+
+	b, e := server.Receive(afd, 5, true)
+	if e != OK || string(b) != "hello" || cap(b) != 5 {
+		t.Errorf("Receive(5, recv) = (%q, %v) cap %d, want \"hello\" cap 5", b, e, cap(b))
+	}
+	// One receive consumes from one send record, however long the length.
+	if b, e := server.Receive(afd, 1<<20, false); e != OK || string(b) != " world" {
+		t.Errorf("Receive(1 MiB, read) = (%q, %v), want \" world\"", b, e)
+	}
+	if b, e := server.Receive(afd, 1<<20, true); e != OK || string(b) != "xyz" {
+		t.Errorf("Receive = (%q, %v), want \"xyz\"", b, e)
+	}
+	if server.SyscallCount("recv") != 2 || server.SyscallCount("read") != 1 {
+		t.Errorf("accounted recv %d, read %d; want 2 and 1", server.SyscallCount("recv"), server.SyscallCount("read"))
+	}
+	_ = client.Shutdown(cfd, 1)
+	if b, e := server.Receive(afd, 8, true); e != OK || len(b) != 0 {
+		t.Errorf("Receive after shutdown = (%q, %v), want EOF", b, e)
+	}
+
+	unconnected, _ := server.Socket()
+	for _, c := range []struct {
+		name string
+		fd   int
+		recv bool
+		want Errno
+	}{
+		{"recv on a listener", lfd, true, ENOTCONN},
+		{"read on a listener", lfd, false, EINVAL},
+		{"recv on an unconnected socket", unconnected, true, ENOTCONN},
+		{"read on an unconnected socket", unconnected, false, ENOTCONN},
+		{"read on a bad descriptor", 999, false, EBADF},
+	} {
+		if _, e := server.Receive(c.fd, 4, c.recv); e != c.want {
+			t.Errorf("%s = %v, want %v", c.name, e, c.want)
+		}
+	}
+	if _, e := server.Read(unconnected, make([]byte, 4)); e != ENOTCONN {
+		t.Errorf("Read unconnected = %v, want ENOTCONN", e)
+	}
+
+	server.k.FS().WriteFile("/f", []byte("file bytes"))
+	ffd, _ := server.Open("/f", ORdonly)
+	if b, e := server.Receive(ffd, 1<<20, false); e != OK || string(b) != "file bytes" {
+		t.Errorf("Receive(file) = (%q, %v)", b, e)
+	}
+	if _, e := server.Receive(ffd, 4, true); e != ENOTCONN {
+		t.Errorf("recv on a file = %v, want ENOTCONN", e)
+	}
+}
+
 func TestIoctlFIONREAD(t *testing.T) {
 	server, client := twoProcs(t)
 	lfd, _ := server.Socket()
