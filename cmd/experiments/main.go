@@ -8,6 +8,7 @@
 //	experiments -requests 60   # heavier server workloads
 //	experiments -run ledger    # strict-vs-pipelined rendezvous cost breakdown
 //	experiments -run fleet -fleet-c 1,64,1024                       # requests/sec concurrency sweep
+//	experiments -run ablation  # the DESIGN.md §5 design-choice ablations
 //	experiments -bench-json fresh.json -gate BENCH_experiments.json # CI perf-regression gate
 package main
 
@@ -131,6 +132,7 @@ func run() error {
 		{"incidents", func() (result, error) { return experiments.Incidents(cfg.EffectiveChaosSeed()) }},
 		{"survival", func() (result, error) { return experiments.Survival(cfg.EffectiveChaosSeed()) }},
 		{"nvariant", func() (result, error) { return experiments.NVariant(cfg.EffectiveChaosSeed()) }},
+		{"ablation", func() (result, error) { return experiments.Ablations() }},
 	}
 	names := []string{"all"}
 	for _, a := range artifacts {

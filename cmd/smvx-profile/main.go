@@ -12,7 +12,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -22,11 +21,11 @@ import (
 	"smvx/internal/apps/nginx"
 	"smvx/internal/boot"
 	"smvx/internal/cli"
+	"smvx/internal/experiments"
 	"smvx/internal/perfprof"
 	"smvx/internal/sim/clock"
 	"smvx/internal/sim/image"
 	"smvx/internal/sim/kernel"
-	"smvx/internal/workload"
 )
 
 func main() {
@@ -89,56 +88,23 @@ func run() error {
 // flamegraph.pl / inferno.
 func runFlame(app string, seed int64, rt *cli.Runtime) error {
 	rec, sampler := rt.Recorder, rt.Sampler
-	k := kernel.New(clock.DefaultCosts(), seed)
-	opts := rt.BootOptions(seed)
-
 	var env *boot.Env
 	var err error
 	switch app {
 	case "nginx":
-		srv := nginx.NewServer(nginx.Config{Port: 8080, MaxRequests: 8, AccessLog: true})
-		if env, err = boot.NewEnv(k, srv.Program(), opts...); err != nil {
-			return err
-		}
-		k.FS().WriteFile("/var/www/index.html", bytes.Repeat([]byte("x"), 4096))
-		client := k.NewProcess(clock.NewCounter())
-		th, err := env.MainThread()
-		if err != nil {
-			return err
-		}
-		done := make(chan error, 1)
-		go func() { done <- srv.Run(th) }()
-		workload.RunAB(client, 8080, "/index.html", 8)
-		if err := <-done; err != nil {
-			return err
-		}
+		env, err = flameServer(nginx.NewServer(nginx.Config{Port: experiments.Port, MaxRequests: 8, AccessLog: true}), seed, rt)
 	case "lighttpd":
-		srv := lighttpd.NewServer(lighttpd.Config{Port: 8080, MaxRequests: 8})
-		if env, err = boot.NewEnv(k, srv.Program(), opts...); err != nil {
-			return err
-		}
-		k.FS().WriteFile("/srv/www/index.html", bytes.Repeat([]byte("x"), 4096))
-		client := k.NewProcess(clock.NewCounter())
-		th, err := env.MainThread()
-		if err != nil {
-			return err
-		}
-		done := make(chan error, 1)
-		go func() { done <- srv.Run(th) }()
-		workload.RunAB(client, 8080, "/index.html", 8)
-		if err := <-done; err != nil {
-			return err
-		}
+		env, err = flameServer(lighttpd.NewServer(lighttpd.Config{Port: experiments.Port, MaxRequests: 8}), seed, rt)
 	case "nbench":
-		if env, err = boot.NewEnv(k, nbench.Program(), opts...); err != nil {
-			return err
-		}
-		nbench.SetupFS(env)
-		if _, err := nbench.RunOne(env, nil, "numeric_sort", 3); err != nil {
-			return err
+		if env, err = boot.NewEnv(kernel.New(clock.DefaultCosts(), seed), nbench.Program(), rt.BootOptions(seed)...); err == nil {
+			nbench.SetupFS(env)
+			_, err = nbench.RunOne(env, nil, "numeric_sort", 3)
 		}
 	default:
 		return fmt.Errorf("unknown app %q", app)
+	}
+	if err != nil {
+		return err
 	}
 
 	fmt.Print(perfprof.FromTrace(rec.Events()).FlameText(env.Counter.Cycles()))
@@ -146,4 +112,16 @@ func runFlame(app string, seed int64, rt *cli.Runtime) error {
 	fmt.Println("folded stacks (frame;frame;... samples — flamegraph.pl input)")
 	fmt.Print(sampler.Folded())
 	return nil
+}
+
+// flameServer serves srv an unprotected 8-request ab workload.
+func flameServer(srv experiments.Server, seed int64, rt *cli.Runtime) (*boot.Env, error) {
+	r, err := experiments.Start(experiments.Launch{
+		Server: srv, Mode: experiments.Vanilla, Seed: seed, Boot: rt.BootOptions(seed),
+	})
+	if err != nil {
+		return nil, err
+	}
+	r.AB(8)
+	return r.Env, r.Wait()
 }

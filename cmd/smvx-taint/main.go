@@ -19,9 +19,7 @@ import (
 	"smvx/internal/boot"
 	"smvx/internal/cli"
 	"smvx/internal/experiments"
-	"smvx/internal/sim/clock"
 	"smvx/internal/sim/image"
-	"smvx/internal/sim/kernel"
 	"smvx/internal/taint"
 	"smvx/internal/workload"
 )
@@ -47,38 +45,28 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	seed := &cfg.Seed
-
-	k := kernel.New(clock.DefaultCosts(), *seed)
-	srv := nginx.NewServer(nginx.Config{
-		Port: 8080, MaxRequests: *abN + *fuzzN,
-		AuthUser: "admin", AuthPass: "s3cret",
-	})
-	env, err := boot.NewEnv(k, srv.Program(), append(rt.BootOptions(*seed), boot.WithTaint())...)
-	if err != nil {
-		return err
-	}
-	k.FS().WriteFile("/var/www/index.html", experiments.Page4K)
-	client := k.NewProcess(clock.NewCounter())
+	seed := cfg.Seed
 
 	engine := taint.NewEngine()
-	env.Machine.SetTaintSink(engine)
-
-	th, err := env.MainThread()
+	r, err := experiments.Start(experiments.Launch{
+		Server: nginx.NewServer(nginx.Config{
+			Port: experiments.Port, MaxRequests: *abN + *fuzzN,
+			AuthUser: "admin", AuthPass: "s3cret",
+		}),
+		Mode: experiments.Vanilla, Seed: seed, Boot: append(rt.BootOptions(seed), boot.WithTaint()),
+		Setup: func(env *boot.Env) { env.Machine.SetTaintSink(engine) },
+	})
 	if err != nil {
 		return err
 	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Run(th) }()
 
 	fmt.Printf("[1/4] running libdft-instrumented nginx under ab (%d requests)\n", *abN)
-	workload.RunAB(client, 8080, "/index.html", *abN)
+	r.AB(*abN)
 	fmt.Printf("      tainted instruction addresses so far: %d\n", engine.Count())
 
 	fmt.Printf("[2/4] fuzzing with scout-style URL fuzzer (%d probes)\n", *fuzzN)
-	fz := workload.NewFuzzer(8080, *seed)
-	fz.Run(client, *fuzzN)
-	if err := <-done; err != nil {
+	workload.NewFuzzer(experiments.Port, seed).Run(r.Client, *fuzzN)
+	if err := r.Wait(); err != nil {
 		return err
 	}
 	fmt.Printf("      tainted instruction addresses total: %d\n", engine.Count())
@@ -88,7 +76,7 @@ func run() error {
 	if *showDFT {
 		os.Stdout.Write(dft)
 	}
-	prof, err := image.ParseProfile(env.Img.WriteProfile())
+	prof, err := image.ParseProfile(r.Env.Img.WriteProfile())
 	if err != nil {
 		return err
 	}

@@ -23,11 +23,9 @@ import (
 	"smvx/internal/cli"
 	"smvx/internal/core"
 	"smvx/internal/experiments"
-	"smvx/internal/mvx/remon"
 	"smvx/internal/sim/clock"
 	"smvx/internal/sim/kernel"
 	"smvx/internal/sim/machine"
-	"smvx/internal/workload"
 )
 
 // errUnhandledAlarms marks a run whose monitor raised alarms no containment
@@ -72,21 +70,10 @@ func run() error {
 	}
 
 	var appErr error
-	switch *app {
-	case "nbench":
+	if *app == "nbench" {
 		appErr = runNbench(*bench, *iters, *mode, cfg.Seed, rt)
-	case "nginx":
-		if *protect == "" {
-			*protect = "ngx_worker_process_cycle"
-		}
-		appErr = runNginx(*mode, *protect, *requests, *version, cfg.Seed, rt)
-	case "lighttpd":
-		if *protect == "" {
-			*protect = "server_main_loop"
-		}
-		appErr = runLighttpd(*mode, *protect, *requests, cfg.Seed, rt)
-	default:
-		return fmt.Errorf("unknown app %q", *app)
+	} else {
+		appErr = runServer(*app, *mode, *protect, *requests, *version, cfg.Seed, rt)
 	}
 	if appErr != nil && !errors.Is(appErr, errUnhandledAlarms) {
 		return appErr
@@ -118,125 +105,69 @@ func runNbench(name string, iters int, mode string, seed int64, rt *cli.Runtime)
 	return printAlarms(mon)
 }
 
-func runNginx(mode, protect string, requests int, version string, seed int64, rt *cli.Runtime) error {
-	k := kernel.New(clock.DefaultCosts(), seed)
-	cfg := nginx.Config{Port: 8080, MaxRequests: requests, AccessLog: true, Version: version}
-	if mode == "smvx" {
-		cfg.Protect = protect
-	}
+// runServer drives one HTTP server under mode with an ab workload and
+// prints its summary.
+func runServer(app, mode, protect string, requests int, version string, seed int64, rt *cli.Runtime) error {
+	var onRequest func(uint64)
 	if rt.Recorder != nil {
-		cfg.OnRequest = func(total uint64) {
+		onRequest = func(total uint64) {
 			rt.Recorder.Metrics().SetGauge("http.requests.served", float64(total))
 		}
 	}
+	var track *apputil.RequestTracker
 	if rt.Fleet != nil {
-		cfg.Track = &apputil.RequestTracker{App: "nginx", Rec: rt.Recorder, Fleet: rt.Fleet}
+		track = &apputil.RequestTracker{App: app, Rec: rt.Recorder, Fleet: rt.Fleet}
 	}
-	srv := nginx.NewServer(cfg)
-	env, mon, err := rt.Boot(k, srv.Program(), seed, mode == "smvx")
+	var srv experiments.Server
+	label, libcRatio := app, false
+	switch app {
+	case "nginx":
+		if protect == "" {
+			protect = "ngx_worker_process_cycle"
+		}
+		cfg := nginx.Config{Port: experiments.Port, MaxRequests: requests, AccessLog: true, Version: version,
+			OnRequest: onRequest, Track: track}
+		if mode == experiments.SMVX {
+			cfg.Protect = protect
+		}
+		srv = nginx.NewServer(cfg)
+		label, libcRatio = fmt.Sprintf("nginx (%s)", version), true
+	case "lighttpd":
+		if protect == "" {
+			protect = "server_main_loop"
+		}
+		cfg := lighttpd.Config{Port: experiments.Port, MaxRequests: requests, OnRequest: onRequest, Track: track}
+		if mode == experiments.SMVX {
+			cfg.Protect = protect
+		}
+		srv = lighttpd.NewServer(cfg)
+	default:
+		return fmt.Errorf("unknown app %q", app)
+	}
+	r, err := experiments.Start(experiments.Launch{
+		Server: srv, Mode: mode, Seed: seed, Boot: rt.BootOptions(seed), Monitor: rt.NewMonitor,
+	})
 	if err != nil {
 		return err
 	}
-	k.FS().WriteFile("/var/www/index.html", experiments.Page4K)
-	client := k.NewProcess(clock.NewCounter())
-
-	var rem *remon.Runner
-	done := make(chan error, 1)
-	switch mode {
-	case "vanilla":
-		th, err := env.MainThread()
-		if err != nil {
-			return err
-		}
-		go func() { done <- srv.Run(th) }()
-	case "smvx":
-		srv.SetMVX(mon)
-		th, err := env.MainThread()
-		if err != nil {
-			return err
-		}
-		go func() { done <- srv.Run(th) }()
-	case "remon":
-		rem = remon.New(env.Machine, env.LibC)
-		go func() { done <- rem.Run("main") }()
-	default:
-		return fmt.Errorf("unknown mode %q", mode)
-	}
-
-	res := workload.RunAB(client, 8080, "/index.html", requests)
-	if err := <-done; err != nil {
+	res := r.AB(requests)
+	if err := r.Exit(); err != nil {
 		fmt.Printf("server exited with: %v\n", err)
 	}
-	fmt.Printf("nginx (%s) under %s: %d/%d requests, %d bytes\n",
-		version, mode, res.Completed, requests, res.BytesRead)
+	fmt.Printf("%s under %s: %d/%d requests, %d bytes\n", label, mode, res.Completed, requests, res.BytesRead)
+	env := r.Env
 	fmt.Printf("wall: %s   total CPU: %s   RSS: %dKB\n",
 		env.Wall.Cycles(), env.Counter.Cycles(), env.ResidentKB())
-	fmt.Printf("libc calls: %d   syscalls: %d   ratio: %.2f\n",
-		env.LibC.TotalCalls(), env.Proc.SyscallTotal(),
-		float64(env.LibC.TotalCalls())/float64(env.Proc.SyscallTotal()))
-	if rem != nil && rem.Diverged() {
-		fmt.Printf("remon alarms: %v\n", rem.Alarms())
+	if libcRatio {
+		fmt.Printf("libc calls: %d   syscalls: %d   ratio: %.2f\n",
+			env.LibC.TotalCalls(), env.Proc.SyscallTotal(),
+			float64(env.LibC.TotalCalls())/float64(env.Proc.SyscallTotal()))
+	}
+	if r.ReMon != nil && r.ReMon.Diverged() {
+		fmt.Printf("remon alarms: %v\n", r.ReMon.Alarms())
 		return fmt.Errorf("%w: remon reported divergence", errUnhandledAlarms)
 	}
-	return printAlarms(mon)
-}
-
-func runLighttpd(mode, protect string, requests int, seed int64, rt *cli.Runtime) error {
-	k := kernel.New(clock.DefaultCosts(), seed)
-	cfg := lighttpd.Config{Port: 8080, MaxRequests: requests}
-	if mode == "smvx" {
-		cfg.Protect = protect
-	}
-	if rt.Recorder != nil {
-		cfg.OnRequest = func(total uint64) {
-			rt.Recorder.Metrics().SetGauge("http.requests.served", float64(total))
-		}
-	}
-	if rt.Fleet != nil {
-		cfg.Track = &apputil.RequestTracker{App: "lighttpd", Rec: rt.Recorder, Fleet: rt.Fleet}
-	}
-	srv := lighttpd.NewServer(cfg)
-	env, mon, err := rt.Boot(k, srv.Program(), seed, mode == "smvx")
-	if err != nil {
-		return err
-	}
-	k.FS().WriteFile("/srv/www/index.html", experiments.Page4K)
-	client := k.NewProcess(clock.NewCounter())
-
-	done := make(chan error, 1)
-	switch mode {
-	case "vanilla":
-	case "smvx":
-		srv.SetMVX(mon)
-	case "remon":
-		rem := remon.New(env.Machine, env.LibC)
-		go func() { done <- rem.Run("main") }()
-		res := workload.RunAB(client, 8080, "/index.html", requests)
-		if err := <-done; err != nil {
-			fmt.Printf("server exited with: %v\n", err)
-		}
-		fmt.Printf("lighttpd under remon: %d/%d requests; wall %s; diverged=%v\n",
-			res.Completed, requests, env.Wall.Cycles(), rem.Diverged())
-		if rem.Diverged() {
-			return fmt.Errorf("%w: remon reported divergence", errUnhandledAlarms)
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown mode %q", mode)
-	}
-	th, err := env.MainThread()
-	if err != nil {
-		return err
-	}
-	go func() { done <- srv.Run(th) }()
-	res := workload.RunAB(client, 8080, "/index.html", requests)
-	if err := <-done; err != nil {
-		fmt.Printf("server exited with: %v\n", err)
-	}
-	fmt.Printf("lighttpd under %s: %d/%d requests, %d bytes\n", mode, res.Completed, requests, res.BytesRead)
-	fmt.Printf("wall: %s   total CPU: %s   RSS: %dKB\n",
-		env.Wall.Cycles(), env.Counter.Cycles(), env.ResidentKB())
-	return printAlarms(mon)
+	return printAlarms(r.Mon)
 }
 
 // printAlarms reports the monitor's alarms and returns errUnhandledAlarms

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"smvx/internal/obs"
 )
 
 func TestGateBenchPassesIdenticalRun(t *testing.T) {
@@ -95,5 +97,81 @@ func TestLoadBenchRoundtrip(t *testing.T) {
 	}
 	if _, err := LoadBench(filepath.Join(dir, "absent.json")); err == nil {
 		t.Fatal("LoadBench of a missing file succeeded")
+	}
+}
+
+// A zero-tolerance rule is exact: a drop fails as surely as a rise. These
+// four changes all passed when the gate only flagged increases.
+func TestGateBenchExactCountDropFails(t *testing.T) {
+	base := map[string]float64{
+		"incidents.strict.arg_flip_4.count": 1,
+		"fleet.nginx.strict.c1.completed":   64,
+		"cve.smvx_detected":                 1,
+		"survival.attack.kill_both.pwned":   1,
+	}
+	fresh := map[string]float64{
+		"incidents.strict.arg_flip_4.count": 0,
+		"fleet.nginx.strict.c1.completed":   63,
+		"cve.smvx_detected":                 0,
+		"survival.attack.kill_both.pwned":   0,
+	}
+	v := GateBench(base, fresh, DefaultGateRules())
+	if len(v) != len(base) {
+		t.Fatalf("violations = %v, want one per dropped count", v)
+	}
+	for _, msg := range v {
+		if !strings.Contains(msg, "exact") {
+			t.Errorf("violation %q does not name an exact rule", msg)
+		}
+	}
+}
+
+// Figure 7's overheads reach the terminal rule, which gates exactly: a
+// rise and a fall both fail and name the key.
+func TestGateBenchFig7ChangeFails(t *testing.T) {
+	base := map[string]float64{"fig7.nginx.smvx_overhead": 2.5771359930232753}
+	for _, fv := range []float64{9.9, 2.5} {
+		v := GateBench(base, map[string]float64{"fig7.nginx.smvx_overhead": fv}, DefaultGateRules())
+		if len(v) != 1 || !strings.Contains(v[0], "fig7.nginx.smvx_overhead") || !strings.Contains(v[0], "exact") {
+			t.Errorf("fig7 overhead %v: violations = %v, want one naming the key and the exact rule", fv, v)
+		}
+	}
+}
+
+// table2.clone_us is the one paper number with a band (ROADMAP item 1):
+// the scheduling-noise reading passes, a real rise does not.
+func TestGateBenchTable2CloneBand(t *testing.T) {
+	base := map[string]float64{"table2.clone_us": 9.714285714285714}
+	if v := GateBench(base, map[string]float64{"table2.clone_us": 9.81}, DefaultGateRules()); len(v) != 0 {
+		t.Errorf("clone_us inside its band violates the gate: %v", v)
+	}
+	if v := GateBench(base, map[string]float64{"table2.clone_us": 10.5}, DefaultGateRules()); len(v) != 1 {
+		t.Errorf("clone_us 8%% over baseline passed the gate: %v", v)
+	}
+}
+
+// Every ablation key reaches the terminal exact rule.
+func TestGateBenchAblationKeysExact(t *testing.T) {
+	rules := DefaultGateRules()
+	terminal := rules[len(rules)-1]
+	m := obs.NewMetrics()
+	(&AblationResult{}).RecordMetrics(m)
+	keys := m.Snapshot()
+	if len(keys) == 0 {
+		t.Fatal("the ablations record no metric")
+	}
+	for key := range keys {
+		for i := range rules {
+			if rules[i].matches(key) {
+				if rules[i].Name != terminal.Name {
+					t.Errorf("%s reaches rule %s, want %s", key, rules[i].Name, terminal.Name)
+				}
+				break
+			}
+		}
+		v := GateBench(map[string]float64{key: 1160784}, map[string]float64{key: 1160785}, rules)
+		if len(v) != 1 {
+			t.Errorf("%s: a one-unit change passed the gate: %v", key, v)
+		}
 	}
 }

@@ -63,7 +63,7 @@ func (r *ChaosResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sMVX chaos survival matrix (fault x policy), seed %d, %s lockstep\n", r.Seed, r.Mode)
 	fmt.Fprintf(&b, "%d regions per cell, rendezvous deadline %d cycles, restart budget %d\n\n",
-		defaultRegions, chaosDeadline, chaosRestartBudget)
+		defaultRegions, cellDeadline, cellRestartBudget)
 
 	fmt.Fprintf(&b, "%-18s", "fault")
 	for _, pol := range chaosPolicies {

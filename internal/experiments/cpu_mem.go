@@ -4,14 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"smvx/internal/apps/lighttpd"
-	"smvx/internal/apps/nginx"
 	"smvx/internal/boot"
-	"smvx/internal/mvx/tradmvx"
 	"smvx/internal/perfprof"
-	"smvx/internal/sim/clock"
-	"smvx/internal/sim/kernel"
-	"smvx/internal/workload"
 )
 
 // CPUServer is one server's CPU-cycles result (Section 4.1).
@@ -50,109 +44,36 @@ type CPUResult struct {
 // function versus 2× vanilla for traditional MVX.
 func CPUCycles(requests int) (*CPUResult, error) {
 	res := &CPUResult{}
-
-	n, flame, err := cpuNginx(requests)
-	if err != nil {
+	var err error
+	if res.Nginx, res.FlameNginx, err = cpuServer(nginxApp, requests); err != nil {
 		return nil, err
 	}
-	res.Nginx = *n
-	res.FlameNginx = flame
-
-	l, err := cpuLighttpd(requests)
-	if err != nil {
+	if res.Lighttpd, _, err = cpuServer(lighttpdApp, requests); err != nil {
 		return nil, err
 	}
-	res.Lighttpd = *l
 	return res, nil
 }
 
-func cpuNginx(requests int) (*CPUServer, string, error) {
-	out := &CPUServer{Name: "nginx", ProtectedFn: "ngx_http_process_request_line", TradPercent: 200}
-
-	// Vanilla run with the profiler attached: the flame-graph step.
-	h, err := startNginx(nginx.Config{Port: 8080, MaxRequests: requests, AccessLog: true}, false)
-	if err != nil {
-		return nil, "", err
-	}
+// cpuServer profiles one server's vanilla run — the flame-graph step, with
+// the profiler attached before the worker starts — then measures total CPU
+// with the outermost tainted function protected, the follower's replicated
+// share included. It returns the vanilla flame summary too.
+func cpuServer(a httpApp, requests int) (CPUServer, string, error) {
+	out := CPUServer{Name: a.name, ProtectedFn: a.taintedRoot, TradPercent: 200}
 	prof := perfprof.New()
-	h.env.Machine.SetProfiler(prof)
-	ab := workload.RunAB(h.client, 8080, "/index.html", requests)
-	if err := <-h.done; err != nil {
-		return nil, "", fmt.Errorf("cpu nginx vanilla: %w", err)
+	van, err := a.serve(Vanilla, "", requests, func(env *boot.Env) { env.Machine.SetProfiler(prof) })
+	if err != nil {
+		return out, "", fmt.Errorf("cpu: %w", err)
 	}
-	if ab.Completed != requests {
-		return nil, "", fmt.Errorf("cpu nginx vanilla: %d/%d", ab.Completed, requests)
-	}
-	vanillaTotal := h.env.Counter.Cycles()
+	vanillaTotal := van.Env.Counter.Cycles()
 	out.SubtreePercent = prof.Percent(out.ProtectedFn, vanillaTotal)
 	out.AnalyticPercent = 100 + out.SubtreePercent
-	flame := prof.FlameText(vanillaTotal)
-
-	// sMVX protecting the outermost tainted function: total CPU includes
-	// the follower's replicated share.
-	h, err = startNginx(nginx.Config{
-		Port: 8080, MaxRequests: requests, AccessLog: true,
-		Protect: out.ProtectedFn,
-	}, true)
+	mvx, err := a.serve(SMVX, a.taintedRoot, requests, nil)
 	if err != nil {
-		return nil, "", err
+		return out, "", fmt.Errorf("cpu: %w", err)
 	}
-	ab = workload.RunAB(h.client, 8080, "/index.html", requests)
-	if err := <-h.done; err != nil {
-		return nil, "", fmt.Errorf("cpu nginx smvx: %w", err)
-	}
-	if ab.Completed != requests {
-		return nil, "", fmt.Errorf("cpu nginx smvx: %d/%d", ab.Completed, requests)
-	}
-	if alarms := h.mon.Alarms(); len(alarms) != 0 {
-		return nil, "", fmt.Errorf("cpu nginx smvx alarms: %v", alarms)
-	}
-	out.MeasuredPercent = float64(h.env.Counter.Cycles()) / float64(vanillaTotal) * 100
-	return out, flame, nil
-}
-
-func cpuLighttpd(requests int) (*CPUServer, error) {
-	// The paper protects server_main_loop (70% of cycles). In our
-	// lighttpd model the per-request state machine plays that role: it is
-	// the subtree containing every sensitive function while excluding the
-	// event-wait and accept overhead.
-	out := &CPUServer{Name: "lighttpd", ProtectedFn: "connection_state_machine", TradPercent: 200}
-
-	h, err := startLighttpd(lighttpd.Config{Port: 8080, MaxRequests: requests}, false)
-	if err != nil {
-		return nil, err
-	}
-	prof := perfprof.New()
-	h.env.Machine.SetProfiler(prof)
-	ab := workload.RunAB(h.client, 8080, "/index.html", requests)
-	if err := <-h.done; err != nil {
-		return nil, fmt.Errorf("cpu lighttpd vanilla: %w", err)
-	}
-	if ab.Completed != requests {
-		return nil, fmt.Errorf("cpu lighttpd vanilla: %d/%d", ab.Completed, requests)
-	}
-	vanillaTotal := h.env.Counter.Cycles()
-	out.SubtreePercent = prof.Percent(out.ProtectedFn, vanillaTotal)
-	out.AnalyticPercent = 100 + out.SubtreePercent
-
-	h, err = startLighttpd(lighttpd.Config{
-		Port: 8080, MaxRequests: requests, Protect: out.ProtectedFn,
-	}, true)
-	if err != nil {
-		return nil, err
-	}
-	ab = workload.RunAB(h.client, 8080, "/index.html", requests)
-	if err := <-h.done; err != nil {
-		return nil, fmt.Errorf("cpu lighttpd smvx: %w", err)
-	}
-	if ab.Completed != requests {
-		return nil, fmt.Errorf("cpu lighttpd smvx: %d/%d", ab.Completed, requests)
-	}
-	if alarms := h.mon.Alarms(); len(alarms) != 0 {
-		return nil, fmt.Errorf("cpu lighttpd smvx alarms: %v", alarms)
-	}
-	out.MeasuredPercent = float64(h.env.Counter.Cycles()) / float64(vanillaTotal) * 100
-	return out, nil
+	out.MeasuredPercent = float64(mvx.Env.Counter.Cycles()) / float64(vanillaTotal) * 100
+	return out, prof.FlameText(vanillaTotal), nil
 }
 
 // String renders the CPU experiment.
@@ -192,143 +113,43 @@ type MemResult struct {
 
 // Memory measures RSS after 10 HTTP requests, as the paper does with pmap:
 // one vanilla instance, the sMVX instance with its follower variant
-// resident, and two actual vanilla instances (internal/mvx/tradmvx) as the
-// traditional-MVX baseline.
+// resident, and traditional MVX as two vanilla instances, their RSS summed.
 // (Paper: nginx 3208KB vs 6392KB; lighttpd 1372KB vs 2720KB.)
 func Memory(requests int) (*MemResult, error) {
 	res := &MemResult{}
-
-	// nginx vanilla + the replicated two-instance baseline.
-	h, err := startNginx(nginx.Config{Port: 8080, MaxRequests: requests, AccessLog: true}, false)
-	if err != nil {
+	var err error
+	if res.Nginx, err = memServer(nginxApp, requests); err != nil {
 		return nil, err
 	}
-	_ = workload.RunAB(h.client, 8080, "/index.html", requests)
-	if err := <-h.done; err != nil {
+	if res.Lighttpd, err = memServer(lighttpdApp, requests); err != nil {
 		return nil, err
-	}
-	nVan := h.env.ResidentKB()
-	nTrad, err := tradNginxRSS(requests)
-	if err != nil {
-		return nil, err
-	}
-
-	// nginx under sMVX with the protected region's follower resident.
-	h, err = startNginx(nginx.Config{
-		Port: 8080, MaxRequests: requests, AccessLog: true,
-		Protect: "ngx_http_process_request_line",
-	}, true)
-	if err != nil {
-		return nil, err
-	}
-	_ = workload.RunAB(h.client, 8080, "/index.html", requests)
-	if err := <-h.done; err != nil {
-		return nil, err
-	}
-	nSMVX := h.env.ResidentKB()
-	res.Nginx = MemServer{
-		Name: "nginx", VanillaKB: nVan, SMVXKB: nSMVX, TradKB: nTrad,
-		SavedPercent: (1 - float64(nSMVX)/float64(nTrad)) * 100,
-	}
-
-	// lighttpd vanilla.
-	lh, err := startLighttpd(lighttpd.Config{Port: 8080, MaxRequests: requests}, false)
-	if err != nil {
-		return nil, err
-	}
-	_ = workload.RunAB(lh.client, 8080, "/index.html", requests)
-	if err := <-lh.done; err != nil {
-		return nil, err
-	}
-	lVan := lh.env.ResidentKB()
-
-	lh, err = startLighttpd(lighttpd.Config{
-		Port: 8080, MaxRequests: requests, Protect: "connection_state_machine",
-	}, true)
-	if err != nil {
-		return nil, err
-	}
-	_ = workload.RunAB(lh.client, 8080, "/index.html", requests)
-	if err := <-lh.done; err != nil {
-		return nil, err
-	}
-	lSMVX := lh.env.ResidentKB()
-	lTrad, err := tradLighttpdRSS(requests)
-	if err != nil {
-		return nil, err
-	}
-	res.Lighttpd = MemServer{
-		Name: "lighttpd", VanillaKB: lVan, SMVXKB: lSMVX, TradKB: lTrad,
-		SavedPercent: (1 - float64(lSMVX)/float64(lTrad)) * 100,
 	}
 	return res, nil
 }
 
-// tradNginxRSS runs two fully independent nginx instances — the
-// traditional-MVX replication — and returns their summed RSS.
-func tradNginxRSS(requests int) (int, error) {
-	var instances []tradmvx.Instance
+// memServer measures one server's row. Traditional MVX replicates the
+// whole program, so its baseline is two vanilla runs; the first is also the
+// vanilla column.
+func memServer(a httpApp, requests int) (MemServer, error) {
+	s := MemServer{Name: a.name}
 	for i := 0; i < 2; i++ {
-		port := uint16(8080 + i)
-		k := kernel.New(clock.DefaultCosts(), Seed)
-		srv := nginx.NewServer(nginx.Config{Port: port, MaxRequests: requests, AccessLog: true})
-		env, err := boot.NewEnv(k, srv.Program(), boot.WithSeed(Seed))
+		van, err := a.serve(Vanilla, "", requests, nil)
 		if err != nil {
-			return 0, err
+			return s, fmt.Errorf("mem: %w", err)
 		}
-		k.FS().WriteFile("/var/www/index.html", Page4K)
-		client := k.NewProcess(clock.NewCounter())
-		th, err := env.MainThread()
-		if err != nil {
-			return 0, err
+		if i == 0 {
+			s.VanillaKB = van.Env.ResidentKB()
 		}
-		instances = append(instances, tradmvx.Instance{
-			Env: env,
-			Run: func() error { return srv.Run(th) },
-			Drive: func() error {
-				workload.RunAB(client, port, "/index.html", requests)
-				return nil
-			},
-		})
+		s.TradKB += van.Env.ResidentKB()
 	}
-	r, err := tradmvx.Measure(instances)
+	// sMVX with the protected region's follower resident.
+	mvx, err := a.serve(SMVX, a.taintedRoot, requests, nil)
 	if err != nil {
-		return 0, err
+		return s, fmt.Errorf("mem: %w", err)
 	}
-	return r.TotalRSSKB, nil
-}
-
-// tradLighttpdRSS is tradNginxRSS for lighttpd.
-func tradLighttpdRSS(requests int) (int, error) {
-	var instances []tradmvx.Instance
-	for i := 0; i < 2; i++ {
-		port := uint16(8080 + i)
-		k := kernel.New(clock.DefaultCosts(), Seed)
-		srv := lighttpd.NewServer(lighttpd.Config{Port: port, MaxRequests: requests})
-		env, err := boot.NewEnv(k, srv.Program(), boot.WithSeed(Seed))
-		if err != nil {
-			return 0, err
-		}
-		k.FS().WriteFile("/srv/www/index.html", Page4K)
-		client := k.NewProcess(clock.NewCounter())
-		th, err := env.MainThread()
-		if err != nil {
-			return 0, err
-		}
-		instances = append(instances, tradmvx.Instance{
-			Env: env,
-			Run: func() error { return srv.Run(th) },
-			Drive: func() error {
-				workload.RunAB(client, port, "/index.html", requests)
-				return nil
-			},
-		})
-	}
-	r, err := tradmvx.Measure(instances)
-	if err != nil {
-		return 0, err
-	}
-	return r.TotalRSSKB, nil
+	s.SMVXKB = mvx.Env.ResidentKB()
+	s.SavedPercent = (1 - float64(s.SMVXKB)/float64(s.TradKB)) * 100
+	return s, nil
 }
 
 // String renders the memory experiment.
@@ -344,5 +165,3 @@ func (r *MemResult) String() string {
 	b.WriteString("paper: nginx 3208KB vs 6392KB; lighttpd 1372KB vs 2720KB (~49% saved)\n")
 	return b.String()
 }
-
-var _ = clock.Cycles(0)

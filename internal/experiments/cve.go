@@ -56,65 +56,80 @@ func CVEObservedOpts(rec *obs.Recorder, monOpts ...core.Option) (*CVEResult, err
 	res := &CVEResult{}
 
 	// 1. Vulnerable, unprotected.
-	h, err := startNginx(nginx.Config{Port: 8080, MaxRequests: 1, Version: nginx.VersionVulnerable}, false)
-	if err != nil {
-		return nil, err
-	}
-	ex, err := workload.BuildCVE2013_2028(h.env.Img, "/pwned")
+	r, ex, err := startCVE(nginx.Config{MaxRequests: 1, Version: nginx.VersionVulnerable}, Vanilla, nil)
 	if err != nil {
 		return nil, err
 	}
 	res.Chain = ex.Chain
-	if err := ex.Deliver(h.client, 8080); err != nil {
+	if err := ex.Deliver(r.Client, Port); err != nil {
 		return nil, fmt.Errorf("cve deliver: %w", err)
 	}
-	res.VanillaCrashed = <-h.done != nil
-	res.VanillaPwned = h.env.Kernel.FS().DirExists("/pwned")
+	res.VanillaCrashed = r.Exit() != nil
+	res.VanillaPwned = pwned(r)
 
 	// 2. Vulnerable under sMVX, optionally with the flight recorder.
-	h, err = startNginxOpts(nginx.Config{
-		Port: 8080, MaxRequests: 1,
-		Version: nginx.VersionVulnerable,
+	r, ex, err = startCVE(nginx.Config{
+		MaxRequests: 1, Version: nginx.VersionVulnerable,
 		Protect: "ngx_http_process_request_line",
-	}, true, monOpts, boot.WithRecorder(rec))
+	}, SMVX, rec, monOpts...)
 	if err != nil {
 		return nil, err
 	}
-	ex2, err := workload.BuildCVE2013_2028(h.env.Img, "/pwned")
-	if err != nil {
-		return nil, err
-	}
-	if err := ex2.Deliver(h.client, 8080); err != nil {
+	if err := ex.Deliver(r.Client, Port); err != nil {
 		return nil, fmt.Errorf("cve smvx deliver: %w", err)
 	}
-	<-h.done
-	for _, a := range h.mon.Alarms() {
-		if a.Reason == core.AlarmFollowerFault {
-			res.SMVXDetected = true
-			res.SMVXAlarm = a.Detail
-		}
-	}
+	r.Exit()
+	detected, detail := followerFaults(r.Mon)
+	res.SMVXDetected, res.SMVXAlarm = detected > 0, detail
 	// Both variants have quiesced: the forensics reports are stable now.
 	res.Forensics = rec.ForensicReports()
 
 	// 3. Fixed version: the discard read is bounded.
-	h, err = startNginx(nginx.Config{Port: 8080, MaxRequests: 1, Version: nginx.VersionFixed}, false)
+	r, ex, err = startCVE(nginx.Config{MaxRequests: 1, Version: nginx.VersionFixed}, Vanilla, nil)
 	if err != nil {
 		return nil, err
 	}
-	ex3, err := workload.BuildCVE2013_2028(h.env.Img, "/pwned")
+	resp, err := ex.DeliverAndRead(r.Client, Port)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := ex3.DeliverAndRead(h.client, 8080)
-	if err != nil {
-		return nil, err
-	}
-	if err := <-h.done; err == nil && strings.HasPrefix(string(resp), "HTTP/1.1 200") &&
-		!h.env.Kernel.FS().DirExists("/pwned") {
+	if err := r.Exit(); err == nil && strings.HasPrefix(string(resp), "HTTP/1.1 200") && !pwned(r) {
 		res.FixedSurvives = true
 	}
 	return res, nil
+}
+
+// startCVE starts nginx (cfg, on Port) under mode, tracing into rec with
+// a monitor built from monOpts, and builds the CVE-2013-2028 exploit
+// against its image.
+func startCVE(cfg nginx.Config, mode string, rec *obs.Recorder, monOpts ...core.Option) (*Run, *workload.Exploit, error) {
+	cfg.Port = Port
+	r, err := Start(Launch{
+		Server: nginx.NewServer(cfg), Mode: mode, Seed: Seed,
+		Boot: []boot.Option{boot.WithRecorder(rec)}, Monitor: monitor(monOpts...),
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	ex, err := workload.BuildCVE2013_2028(r.Env.Img, "/pwned")
+	return r, ex, err
+}
+
+// pwned reports whether the exploit's ROP chain reached its mkdir.
+func pwned(r *Run) bool { return r.Env.Kernel.FS().DirExists("/pwned") }
+
+// followerFaults counts the follower-fault alarms — the exploit
+// detections — and returns the last one's detail.
+func followerFaults(mon *core.Monitor) (n int, detail string) {
+	if mon == nil {
+		return 0, ""
+	}
+	for _, a := range mon.Alarms() {
+		if a.Reason == core.AlarmFollowerFault {
+			n, detail = n+1, a.Detail
+		}
+	}
+	return n, detail
 }
 
 // String renders the experiment.

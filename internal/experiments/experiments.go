@@ -17,8 +17,11 @@ import (
 	"smvx/internal/apps/nginx"
 	"smvx/internal/boot"
 	"smvx/internal/core"
+	"smvx/internal/mvx/remon"
 	"smvx/internal/sim/clock"
 	"smvx/internal/sim/kernel"
+	"smvx/internal/sim/machine"
+	"smvx/internal/workload"
 )
 
 // Seed is the deterministic seed all experiments run under.
@@ -28,81 +31,215 @@ const Seed = 42
 // workload ("the page size that we were serving ... was 4KB in length").
 var Page4K = bytes.Repeat([]byte("smvx-eval-page-4k---"), 4096/20+1)[:4096]
 
-// nginxHandle bundles a booted nginx with its driver pieces.
-type nginxHandle struct {
-	srv    *nginx.Server
-	env    *boot.Env
-	client *kernel.Process
-	mon    *core.Monitor
-	done   chan error
+// Server is one of the evaluation's HTTP servers: *nginx.Server or
+// *lighttpd.Server, configured to listen on Port.
+type Server interface {
+	Program() *machine.Program
+	SetMVX(machine.MVX)
+	Run(*machine.Thread) error
 }
 
-// startNginx boots and launches nginx; withMon attaches an sMVX monitor.
-func startNginx(cfg nginx.Config, withMon bool, opts ...boot.Option) (*nginxHandle, error) {
-	return startNginxOpts(cfg, withMon, nil, opts...)
+// The execution modes, spelled as cmd/smvx's -mode values.
+const (
+	// Vanilla runs the server unprotected.
+	Vanilla = "vanilla"
+	// SMVX runs it under the sMVX monitor, which protects the server's
+	// configured root function.
+	SMVX = "smvx"
+	// ReMon replicates the whole program under the ReMon-style baseline.
+	ReMon = "remon"
+)
+
+// Port is the loopback port every started server listens on.
+const Port = 8080
+
+// Launch is one server run: the server, how it executes, and what is
+// attached to the process before the worker starts.
+type Launch struct {
+	Server Server
+	// Mode is Vanilla, SMVX or ReMon.
+	Mode string
+	// Seed seeds the kernel, the process and the monitor.
+	Seed int64
+	// Boot holds boot options applied after boot.WithSeed(Seed).
+	Boot []boot.Option
+	// Monitor builds the SMVX-mode monitor of the booted process; nil
+	// builds one with the seed and the process's recorder, nothing else.
+	Monitor func(env *boot.Env, seed int64) *core.Monitor
+	// Setup, when non-nil, runs before the worker's first instruction: the
+	// place to attach libc observers, profilers and taint sinks.
+	Setup func(env *boot.Env)
 }
 
-// startNginxOpts is startNginx with extra monitor options layered on top of
-// the defaults — how the CVE scenario re-runs under a containment policy or
-// pipelined lockstep without its own boot path.
-func startNginxOpts(cfg nginx.Config, withMon bool, monOpts []core.Option, opts ...boot.Option) (*nginxHandle, error) {
-	k := kernel.New(clock.DefaultCosts(), Seed)
-	srv := nginx.NewServer(cfg)
-	env, err := boot.NewEnv(k, srv.Program(), append([]boot.Option{boot.WithSeed(Seed)}, opts...)...)
+// Run is a started server and the client that drives it.
+type Run struct {
+	Env *boot.Env
+	// Client is the external machine the request helpers send from.
+	Client *kernel.Process
+	// Mon is the SMVX-mode monitor and ReMon the whole-program runner; the
+	// other is nil.
+	Mon   *core.Monitor
+	ReMon *remon.Runner
+
+	mode         string
+	sent, served int
+	done         chan error
+}
+
+// Start boots l.Server in a fresh kernel, installs the 4KiB page at its
+// doc root, creates the client, attaches the mode's monitor, runs l.Setup
+// and launches the worker. The caller drives traffic, then calls Wait (a
+// clean run) or Exit (a run that delivered attacks).
+func Start(l Launch) (*Run, error) {
+	var docRoot string
+	switch s := l.Server.(type) {
+	case *nginx.Server:
+		docRoot = s.Config().DocRoot
+	case *lighttpd.Server:
+		docRoot = s.Config().DocRoot
+	default:
+		return nil, fmt.Errorf("start: unknown server %T", l.Server)
+	}
+	k := kernel.New(clock.DefaultCosts(), l.Seed)
+	env, err := boot.NewEnv(k, l.Server.Program(), append([]boot.Option{boot.WithSeed(l.Seed)}, l.Boot...)...)
 	if err != nil {
 		return nil, err
 	}
-	k.FS().WriteFile("/var/www/index.html", Page4K)
-	h := &nginxHandle{srv: srv, env: env, client: k.NewProcess(clock.NewCounter())}
-	if withMon {
-		h.mon = core.New(env.Machine, env.LibC,
-			append([]core.Option{core.WithSeed(Seed), core.WithRecorder(env.Obs)}, monOpts...)...)
-		srv.SetMVX(h.mon)
+	k.FS().WriteFile(docRoot+"/index.html", Page4K)
+	r := &Run{Env: env, Client: k.NewProcess(clock.NewCounter()), mode: l.Mode, done: make(chan error, 1)}
+	switch l.Mode {
+	case Vanilla:
+	case SMVX:
+		newMon := l.Monitor
+		if newMon == nil {
+			newMon = monitor()
+		}
+		r.Mon = newMon(env, l.Seed)
+		l.Server.SetMVX(r.Mon)
+	case ReMon:
+		r.ReMon = remon.New(env.Machine, env.LibC)
+	default:
+		return nil, fmt.Errorf("unknown mode %q", l.Mode)
 	}
-	th, err := env.MainThread()
+	worker := func() error { return r.ReMon.Run("main") }
+	if r.ReMon == nil {
+		th, err := env.MainThread()
+		if err != nil {
+			return nil, err
+		}
+		worker = func() error { return l.Server.Run(th) }
+	}
+	if l.Setup != nil {
+		l.Setup(env)
+	}
+	go func() { r.done <- worker() }()
+	return r, nil
+}
+
+// monitor is the experiments' monitor constructor: the run's seed and
+// recorder, then opts.
+func monitor(opts ...core.Option) func(*boot.Env, int64) *core.Monitor {
+	return func(env *boot.Env, seed int64) *core.Monitor {
+		return core.New(env.Machine, env.LibC,
+			append([]core.Option{core.WithSeed(seed), core.WithRecorder(env.Obs)}, opts...)...)
+	}
+}
+
+// AB sends n sequential GETs of the page, as `ab -n n`.
+func (r *Run) AB(n int) workload.ABResult {
+	res := workload.RunAB(r.Client, Port, "/index.html", n)
+	r.sent += n
+	r.served += res.Completed
+	return res
+}
+
+// Load sends n GETs of the page through c closed-loop clients, as
+// `ab -n n -c c`.
+func (r *Run) Load(n, c int) workload.LoadResult {
+	res := workload.RunConcurrent(r.Env.Kernel, Port, "/index.html", n, c)
+	r.sent += n
+	r.served += res.Completed
+	return res
+}
+
+// Get sends one GET of the page and returns the response.
+func (r *Run) Get() ([]byte, error) {
+	resp, err := workload.RequestPath(r.Client, Port, workload.GetRequest("/index.html"))
+	r.sent++
+	if err == nil && len(resp) > 0 {
+		r.served++
+	}
+	return resp, err
+}
+
+// Exit waits for the worker to return and returns its error. A run ends
+// with one call to Exit or Wait.
+func (r *Run) Exit() error { return <-r.done }
+
+// Wait finishes a clean run: it fails unless the worker returned cleanly,
+// every request sent was served, and no variant raised an alarm.
+func (r *Run) Wait() error {
+	name := r.Env.Img.Name + " " + r.mode
+	if err := r.Exit(); err != nil {
+		return fmt.Errorf("%s: %w", name, err)
+	}
+	if r.served != r.sent {
+		return fmt.Errorf("%s: served %d of %d requests", name, r.served, r.sent)
+	}
+	if r.Mon != nil && len(r.Mon.Alarms()) != 0 {
+		return fmt.Errorf("%s alarms: %v", name, r.Mon.Alarms())
+	}
+	if r.ReMon != nil && r.ReMon.Diverged() {
+		return fmt.Errorf("%s diverged: %v", name, r.ReMon.Alarms())
+	}
+	return nil
+}
+
+// httpApp is the app coordinate of the paper's request-driven artifacts
+// (Figures 7 and 8, the CPU and memory experiments of Section 4.1).
+type httpApp struct {
+	name string
+	// server builds the app for an ab workload of requests, protecting
+	// root ("" for none).
+	server func(requests int, root string) Server
+	// loopRoot is the whole request loop, Figure 7's full protection;
+	// taintedRoot is the outermost tainted function that Section 4.1
+	// protects.
+	loopRoot, taintedRoot string
+}
+
+var (
+	nginxApp = httpApp{
+		name: "nginx",
+		server: func(n int, root string) Server {
+			return nginx.NewServer(nginx.Config{Port: Port, MaxRequests: n, AccessLog: true, Protect: root})
+		},
+		loopRoot:    "ngx_worker_process_cycle",
+		taintedRoot: "ngx_http_process_request_line",
+	}
+	// The paper protects lighttpd's server_main_loop (70% of cycles) in
+	// Section 4.1. In this model the per-request state machine plays that
+	// role: the subtree holding every sensitive function, without the
+	// event-wait and accept overhead.
+	lighttpdApp = httpApp{
+		name: "lighttpd",
+		server: func(n int, root string) Server {
+			return lighttpd.NewServer(lighttpd.Config{Port: Port, MaxRequests: n, Protect: root})
+		},
+		loopRoot:    "server_main_loop",
+		taintedRoot: "connection_state_machine",
+	}
+)
+
+// serve runs the app under mode for an ab workload of n requests —
+// protecting root under SMVX — and returns the finished clean run.
+func (a httpApp) serve(mode, root string, n int, setup func(*boot.Env)) (*Run, error) {
+	r, err := Start(Launch{Server: a.server(n, root), Mode: mode, Seed: Seed, Setup: setup})
 	if err != nil {
 		return nil, err
 	}
-	h.done = make(chan error, 1)
-	go func() { h.done <- srv.Run(th) }()
-	return h, nil
-}
-
-// lighttpdHandle bundles a booted lighttpd.
-type lighttpdHandle struct {
-	srv    *lighttpd.Server
-	env    *boot.Env
-	client *kernel.Process
-	mon    *core.Monitor
-	done   chan error
-}
-
-func startLighttpd(cfg lighttpd.Config, withMon bool, opts ...boot.Option) (*lighttpdHandle, error) {
-	return startLighttpdOpts(cfg, withMon, nil, opts...)
-}
-
-// startLighttpdOpts mirrors startNginxOpts for the lighttpd scenarios.
-func startLighttpdOpts(cfg lighttpd.Config, withMon bool, monOpts []core.Option, opts ...boot.Option) (*lighttpdHandle, error) {
-	k := kernel.New(clock.DefaultCosts(), Seed)
-	srv := lighttpd.NewServer(cfg)
-	env, err := boot.NewEnv(k, srv.Program(), append([]boot.Option{boot.WithSeed(Seed)}, opts...)...)
-	if err != nil {
-		return nil, err
-	}
-	k.FS().WriteFile("/srv/www/index.html", Page4K)
-	h := &lighttpdHandle{srv: srv, env: env, client: k.NewProcess(clock.NewCounter())}
-	if withMon {
-		h.mon = core.New(env.Machine, env.LibC,
-			append([]core.Option{core.WithSeed(Seed), core.WithRecorder(env.Obs)}, monOpts...)...)
-		srv.SetMVX(h.mon)
-	}
-	th, err := env.MainThread()
-	if err != nil {
-		return nil, err
-	}
-	h.done = make(chan error, 1)
-	go func() { h.done <- srv.Run(th) }()
-	return h, nil
+	r.AB(n)
+	return r, r.Wait()
 }
 
 // pct renders a ratio-1 as a percentage string.

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
+
+	"smvx/internal/sim/clock"
 )
 
 // The experiment tests assert the paper's *shapes*: orderings, crossovers,
@@ -183,12 +186,15 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable2HintsNarrowScan(t *testing.T) {
-	hinted, unhinted, err := Table2WithHints()
+	res, err := Ablations()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hinted >= unhinted {
-		t.Errorf("hinted scan (%.1fus) should be cheaper than full scan (%.1fus)", hinted, unhinted)
+	if res.HintedScanUS >= res.FullScanUS {
+		t.Errorf("hinted scan (%.1fus) should be cheaper than full scan (%.1fus)", res.HintedScanUS, res.FullScanUS)
+	}
+	if res.PivotOnCycles <= res.PivotOffCycles {
+		t.Errorf("the stack pivot (%d cycles) should cost more than no pivot (%d)", res.PivotOnCycles, res.PivotOffCycles)
 	}
 }
 
@@ -230,6 +236,11 @@ func TestMemoryShape(t *testing.T) {
 		if s.SMVXKB >= s.TradKB {
 			t.Errorf("%s: sMVX (%dKB) must undercut 2x vanilla (%dKB)", s.Name, s.SMVXKB, s.TradKB)
 		}
+		// Traditional MVX is two independent vanilla instances of one
+		// deterministic workload: exactly twice the vanilla RSS.
+		if s.TradKB != 2*s.VanillaKB {
+			t.Errorf("%s: 2 instances = %dKB, want 2x %dKB", s.Name, s.TradKB, s.VanillaKB)
+		}
 		// Paper: ~49% saved; accept a generous band around it.
 		if s.SavedPercent < 25 || s.SavedPercent > 60 {
 			t.Errorf("%s saved = %.0f%%, paper ~49%%", s.Name, s.SavedPercent)
@@ -238,6 +249,34 @@ func TestMemoryShape(t *testing.T) {
 	// Paper: nginx's RSS exceeds lighttpd's under MVX.
 	if res.Nginx.SMVXKB <= 0 || res.Lighttpd.SMVXKB <= 0 {
 		t.Error("zero RSS measured")
+	}
+}
+
+// TestTwoInstancesDoubleResources checks the traditional-MVX baseline of
+// the resource experiments: two vanilla instances fed the same workload
+// through the start path use exactly twice one instance's CPU and RSS.
+func TestTwoInstancesDoubleResources(t *testing.T) {
+	const requests = 5
+	for _, a := range []httpApp{nginxApp, lighttpdApp} {
+		var cpu [3]clock.Cycles
+		var rss [3]int
+		for i := range cpu {
+			r, err := a.serve(Vanilla, "", requests, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cpu[i], rss[i] = r.Env.Counter.Cycles(), r.Env.ResidentKB()
+		}
+		// Run 0 is the single instance; runs 1 and 2 are the pair.
+		if two := rss[1] + rss[2]; two != 2*rss[0] {
+			t.Errorf("%s RSS: 2 instances = %dKB, want 2x %dKB", a.name, two, rss[0])
+		}
+		if two := cpu[1] + cpu[2]; two != 2*cpu[0] {
+			t.Errorf("%s CPU: 2 instances = %d, want 2x %d", a.name, two, cpu[0])
+		}
+		if cpu[1] != cpu[2] {
+			t.Errorf("%s per-instance CPU should match: %d vs %d", a.name, cpu[1], cpu[2])
+		}
 	}
 }
 
@@ -260,5 +299,52 @@ func TestCVEAllOutcomes(t *testing.T) {
 	}
 	if len(res.Chain) != 3 {
 		t.Errorf("3-gadget chain expected: %v", res.Chain)
+	}
+}
+
+// TestFigure8AndCPUDeterministicUnderConcurrency runs Figure 8 and the CPU
+// experiment eight times each, all at once, and requires every run of each
+// to render the same bytes. The libc observer and the profiler attach
+// before the worker's first instruction, so no run can miss the calls its
+// worker makes while a hook is being installed.
+func TestFigure8AndCPUDeterministicUnderConcurrency(t *testing.T) {
+	const runs, requests = 8, 5
+	fig8 := make([]string, runs)
+	cpu := make([]string, runs)
+	errs := make(chan error, 2*runs)
+	var wg sync.WaitGroup
+	for i := 0; i < runs; i++ {
+		wg.Add(2)
+		go func(i int) {
+			defer wg.Done()
+			res, err := Figure8(requests)
+			if err != nil {
+				errs <- err
+				return
+			}
+			fig8[i] = res.String()
+		}(i)
+		go func(i int) {
+			defer wg.Done()
+			res, err := CPUCycles(requests)
+			if err != nil {
+				errs <- err
+				return
+			}
+			cpu[i] = res.String() + res.FlameNginx
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for i := 1; i < runs; i++ {
+		if fig8[i] != fig8[0] {
+			t.Errorf("fig8 run %d differs from run 0:\n%s\nrun 0:\n%s", i, fig8[i], fig8[0])
+		}
+		if cpu[i] != cpu[0] {
+			t.Errorf("cpu run %d differs from run 0:\n%s\nrun 0:\n%s", i, cpu[i], cpu[0])
+		}
 	}
 }

@@ -4,13 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"smvx/internal/apps/lighttpd"
-	"smvx/internal/apps/nginx"
-	"smvx/internal/boot"
-	"smvx/internal/mvx/remon"
 	"smvx/internal/sim/clock"
-	"smvx/internal/sim/kernel"
-	"smvx/internal/workload"
 )
 
 // Fig7Server is one server's column set in Figure 7.
@@ -44,165 +38,37 @@ type Fig7Result struct {
 // a 4KB page.
 func Figure7(requests int) (*Fig7Result, error) {
 	res := &Fig7Result{}
-	n, err := figure7Nginx(requests)
-	if err != nil {
+	var err error
+	if res.Nginx, err = figure7Server(nginxApp, requests); err != nil {
 		return nil, err
 	}
-	res.Nginx = *n
-	l, err := figure7Lighttpd(requests)
-	if err != nil {
+	if res.Lighttpd, err = figure7Server(lighttpdApp, requests); err != nil {
 		return nil, err
 	}
-	res.Lighttpd = *l
 	return res, nil
 }
 
-func figure7Nginx(requests int) (*Fig7Server, error) {
-	out := &Fig7Server{Name: "nginx"}
-
-	// Vanilla baseline + the libc:syscall ratio.
-	h, err := startNginx(nginx.Config{Port: 8080, MaxRequests: requests, AccessLog: true}, false)
+// figure7Server measures one server column: vanilla (with the
+// libc:syscall ratio), the whole worker loop protected, and ReMon.
+func figure7Server(a httpApp, requests int) (Fig7Server, error) {
+	out := Fig7Server{Name: a.name}
+	van, err := a.serve(Vanilla, "", requests, nil)
 	if err != nil {
-		return nil, err
+		return out, fmt.Errorf("fig7: %w", err)
 	}
-	ab := workload.RunAB(h.client, 8080, "/index.html", requests)
-	if err := <-h.done; err != nil {
-		return nil, fmt.Errorf("fig7 nginx vanilla: %w", err)
-	}
-	if ab.Completed != requests {
-		return nil, fmt.Errorf("fig7 nginx vanilla: %d/%d requests", ab.Completed, requests)
-	}
-	out.VanillaWall = h.env.Wall.Cycles()
-	out.LibcSyscallRatio = float64(h.env.LibC.TotalCalls()) / float64(h.env.Proc.SyscallTotal())
-
-	// sMVX full protection: the whole worker loop is the protected region.
-	h, err = startNginx(nginx.Config{
-		Port: 8080, MaxRequests: requests, AccessLog: true,
-		Protect: "ngx_worker_process_cycle",
-	}, true)
+	mvx, err := a.serve(SMVX, a.loopRoot, requests, nil)
 	if err != nil {
-		return nil, err
+		return out, fmt.Errorf("fig7: %w", err)
 	}
-	ab = workload.RunAB(h.client, 8080, "/index.html", requests)
-	if err := <-h.done; err != nil {
-		return nil, fmt.Errorf("fig7 nginx smvx: %w", err)
-	}
-	if ab.Completed != requests {
-		return nil, fmt.Errorf("fig7 nginx smvx: %d/%d requests", ab.Completed, requests)
-	}
-	if alarms := h.mon.Alarms(); len(alarms) != 0 {
-		return nil, fmt.Errorf("fig7 nginx smvx alarms: %v", alarms)
-	}
-	out.SMVXWall = h.env.Wall.Cycles()
-
-	// ReMon-style whole-program replication.
-	remonWall, err := runNginxUnderRemon(requests)
+	rem, err := a.serve(ReMon, "", requests, nil)
 	if err != nil {
-		return nil, err
+		return out, fmt.Errorf("fig7: %w", err)
 	}
-	out.ReMonWall = remonWall
-
+	out.VanillaWall, out.SMVXWall, out.ReMonWall = van.Env.Wall.Cycles(), mvx.Env.Wall.Cycles(), rem.Env.Wall.Cycles()
+	out.LibcSyscallRatio = float64(van.Env.LibC.TotalCalls()) / float64(van.Env.Proc.SyscallTotal())
 	out.SMVXOverhead = float64(out.SMVXWall)/float64(out.VanillaWall) - 1
 	out.ReMonOverhead = float64(out.ReMonWall)/float64(out.VanillaWall) - 1
 	return out, nil
-}
-
-func runNginxUnderRemon(requests int) (clock.Cycles, error) {
-	k := kernel.New(clock.DefaultCosts(), Seed)
-	srv := nginx.NewServer(nginx.Config{Port: 8080, MaxRequests: requests, AccessLog: true})
-	env, err := boot.NewEnv(k, srv.Program(), boot.WithSeed(Seed))
-	if err != nil {
-		return 0, err
-	}
-	k.FS().WriteFile("/var/www/index.html", Page4K)
-	client := k.NewProcess(clock.NewCounter())
-
-	r := remon.New(env.Machine, env.LibC)
-	done := make(chan error, 1)
-	go func() { done <- r.Run("main") }()
-	ab := workload.RunAB(client, 8080, "/index.html", requests)
-	if err := <-done; err != nil {
-		return 0, fmt.Errorf("fig7 nginx remon: %w", err)
-	}
-	if ab.Completed != requests {
-		return 0, fmt.Errorf("fig7 nginx remon: %d/%d requests", ab.Completed, requests)
-	}
-	if r.Diverged() {
-		return 0, fmt.Errorf("fig7 nginx remon diverged: %v", r.Alarms())
-	}
-	return env.Wall.Cycles(), nil
-}
-
-func figure7Lighttpd(requests int) (*Fig7Server, error) {
-	out := &Fig7Server{Name: "lighttpd"}
-
-	h, err := startLighttpd(lighttpd.Config{Port: 8080, MaxRequests: requests}, false)
-	if err != nil {
-		return nil, err
-	}
-	ab := workload.RunAB(h.client, 8080, "/index.html", requests)
-	if err := <-h.done; err != nil {
-		return nil, fmt.Errorf("fig7 lighttpd vanilla: %w", err)
-	}
-	if ab.Completed != requests {
-		return nil, fmt.Errorf("fig7 lighttpd vanilla: %d/%d requests", ab.Completed, requests)
-	}
-	out.VanillaWall = h.env.Wall.Cycles()
-	out.LibcSyscallRatio = float64(h.env.LibC.TotalCalls()) / float64(h.env.Proc.SyscallTotal())
-
-	h, err = startLighttpd(lighttpd.Config{
-		Port: 8080, MaxRequests: requests, Protect: "server_main_loop",
-	}, true)
-	if err != nil {
-		return nil, err
-	}
-	ab = workload.RunAB(h.client, 8080, "/index.html", requests)
-	if err := <-h.done; err != nil {
-		return nil, fmt.Errorf("fig7 lighttpd smvx: %w", err)
-	}
-	if ab.Completed != requests {
-		return nil, fmt.Errorf("fig7 lighttpd smvx: %d/%d requests", ab.Completed, requests)
-	}
-	if alarms := h.mon.Alarms(); len(alarms) != 0 {
-		return nil, fmt.Errorf("fig7 lighttpd smvx alarms: %v", alarms)
-	}
-	out.SMVXWall = h.env.Wall.Cycles()
-
-	remonWall, err := runLighttpdUnderRemon(requests)
-	if err != nil {
-		return nil, err
-	}
-	out.ReMonWall = remonWall
-
-	out.SMVXOverhead = float64(out.SMVXWall)/float64(out.VanillaWall) - 1
-	out.ReMonOverhead = float64(out.ReMonWall)/float64(out.VanillaWall) - 1
-	return out, nil
-}
-
-func runLighttpdUnderRemon(requests int) (clock.Cycles, error) {
-	k := kernel.New(clock.DefaultCosts(), Seed)
-	srv := lighttpd.NewServer(lighttpd.Config{Port: 8080, MaxRequests: requests})
-	env, err := boot.NewEnv(k, srv.Program(), boot.WithSeed(Seed))
-	if err != nil {
-		return 0, err
-	}
-	k.FS().WriteFile("/srv/www/index.html", Page4K)
-	client := k.NewProcess(clock.NewCounter())
-
-	r := remon.New(env.Machine, env.LibC)
-	done := make(chan error, 1)
-	go func() { done <- r.Run("main") }()
-	ab := workload.RunAB(client, 8080, "/index.html", requests)
-	if err := <-done; err != nil {
-		return 0, fmt.Errorf("fig7 lighttpd remon: %w", err)
-	}
-	if ab.Completed != requests {
-		return 0, fmt.Errorf("fig7 lighttpd remon: %d/%d requests", ab.Completed, requests)
-	}
-	if r.Diverged() {
-		return 0, fmt.Errorf("fig7 lighttpd remon diverged: %v", r.Alarms())
-	}
-	return env.Wall.Cycles(), nil
 }
 
 // String renders the figure as a table.

@@ -6,8 +6,8 @@ import (
 	"sync"
 
 	"smvx/internal/apps/nginx"
+	"smvx/internal/boot"
 	"smvx/internal/sim/machine"
-	"smvx/internal/workload"
 )
 
 // Fig8Row is one candidate protected root in Figure 8.
@@ -38,29 +38,28 @@ type Fig8Result struct {
 // fall from ~8.8M under main() to ~100k under the tainted functions; the
 // monotone decrease is the reproduced shape.
 func Figure8(requests int) (*Fig8Result, error) {
-	h, err := startNginx(nginx.Config{Port: 8080, MaxRequests: requests, AccessLog: true}, false)
-	if err != nil {
-		return nil, err
-	}
-
 	var mu sync.Mutex
 	counts := make(map[string]uint64, len(nginx.Fig8Roots))
-	h.env.Machine.SetLibcObserver(func(t *machine.Thread, name string) {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, root := range nginx.Fig8Roots {
-			if root == "main" || t.InFunction(root) {
-				counts[root]++
+	// The observer is attached before the worker's first instruction, so
+	// main's row counts every libc call the process makes.
+	r, err := nginxApp.serve(Vanilla, "", requests, func(env *boot.Env) {
+		env.Machine.SetLibcObserver(func(t *machine.Thread, name string) {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, root := range nginx.Fig8Roots {
+				if root == "main" || t.InFunction(root) {
+					counts[root]++
+				}
 			}
-		}
+		})
 	})
-
-	ab := workload.RunAB(h.client, 8080, "/index.html", requests)
-	if err := <-h.done; err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("fig8: %w", err)
 	}
-	if ab.Completed != requests {
-		return nil, fmt.Errorf("fig8: %d/%d requests", ab.Completed, requests)
+	mu.Lock()
+	defer mu.Unlock()
+	if total := r.Env.LibC.TotalCalls(); counts["main"] != total {
+		return nil, fmt.Errorf("fig8: main's extent counted %d libc calls, the process made %d", counts["main"], total)
 	}
 
 	tainted := make(map[string]bool, len(nginx.TaintedRoots))
@@ -68,8 +67,6 @@ func Figure8(requests int) (*Fig8Result, error) {
 		tainted[fn] = true
 	}
 	res := &Fig8Result{Requests: requests}
-	mu.Lock()
-	defer mu.Unlock()
 	for _, root := range nginx.Fig8Roots {
 		res.Rows = append(res.Rows, Fig8Row{Fn: root, LibcCalls: counts[root], Tainted: tainted[root]})
 	}

@@ -6,9 +6,7 @@ import (
 
 	"smvx/internal/apps/nginx"
 	"smvx/internal/boot"
-	"smvx/internal/sim/clock"
 	"smvx/internal/sim/image"
-	"smvx/internal/sim/kernel"
 	"smvx/internal/taint"
 	"smvx/internal/workload"
 )
@@ -42,30 +40,23 @@ func Figure9(abRequests int, fuzzBatches []int) (*Fig9Result, error) {
 	for _, n := range fuzzBatches {
 		totalFuzz += n
 	}
-	k := kernel.New(clock.DefaultCosts(), Seed)
-	srv := nginx.NewServer(nginx.Config{
-		Port: 8080, MaxRequests: abRequests + totalFuzz,
-		AuthUser: "admin", AuthPass: "s3cret",
-	})
-	env, err := boot.NewEnv(k, srv.Program(), boot.WithSeed(Seed), boot.WithTaint())
-	if err != nil {
-		return nil, err
-	}
-	k.FS().WriteFile("/var/www/index.html", Page4K)
-	k.FS().WriteFile("/var/www/images/logo.png", Page4K[:512])
-	client := k.NewProcess(clock.NewCounter())
-
 	engine := taint.NewEngine()
-	env.Machine.SetTaintSink(engine)
-
-	th, err := env.MainThread()
+	r, err := Start(Launch{
+		Server: nginx.NewServer(nginx.Config{
+			Port: Port, MaxRequests: abRequests + totalFuzz,
+			AuthUser: "admin", AuthPass: "s3cret",
+		}),
+		Mode: Vanilla, Seed: Seed, Boot: []boot.Option{boot.WithTaint()},
+		Setup: func(env *boot.Env) {
+			env.Kernel.FS().WriteFile("/var/www/images/logo.png", Page4K[:512])
+			env.Machine.SetTaintSink(engine)
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Run(th) }()
 
-	prof, err := image.ParseProfile(env.Img.WriteProfile())
+	prof, err := image.ParseProfile(r.Env.Img.WriteProfile())
 	if err != nil {
 		return nil, err
 	}
@@ -78,20 +69,17 @@ func Figure9(abRequests int, fuzzBatches []int) (*Fig9Result, error) {
 	}
 
 	res := &Fig9Result{}
-	ab := workload.RunAB(client, 8080, "/index.html", abRequests)
-	if ab.Completed != abRequests {
-		return nil, fmt.Errorf("fig9 ab: %d/%d", ab.Completed, abRequests)
-	}
+	r.AB(abRequests)
 	pt, err := snapshot("ab")
 	if err != nil {
 		return nil, err
 	}
 	res.Points = append(res.Points, pt)
 
-	fz := workload.NewFuzzer(8080, Seed)
+	fz := workload.NewFuzzer(Port, Seed)
 	minutes := []string{"1min", "5min", "30min", "41min,end"}
 	for i, batch := range fuzzBatches {
-		fz.Run(client, batch)
+		fz.Run(r.Client, batch)
 		label := fmt.Sprintf("fuzzing (batch %d)", i+1)
 		if i < len(minutes) {
 			label = "fuzzing (" + minutes[i] + ")"
@@ -102,8 +90,8 @@ func Figure9(abRequests int, fuzzBatches []int) (*Fig9Result, error) {
 		}
 		res.Points = append(res.Points, pt)
 	}
-	if err := <-done; err != nil {
-		return nil, fmt.Errorf("fig9 server: %w", err)
+	if err := r.Wait(); err != nil {
+		return nil, fmt.Errorf("fig9: %w", err)
 	}
 	return res, nil
 }

@@ -11,7 +11,6 @@ import (
 	"smvx/internal/core"
 	"smvx/internal/obs"
 	"smvx/internal/sim/clock"
-	"smvx/internal/workload"
 )
 
 // The fleet experiment is the paper's A⁸ throughput story told at request
@@ -38,6 +37,24 @@ var fleetNginxModes = []fleetMode{
 	{name: "native"},
 	{name: "strict", mon: true},
 	{name: "lag16", mon: true, lag: 16},
+}
+
+// fleetApp is the sweep's app coordinate: the server with request
+// tracking, its per-request protected root, and the modes it runs.
+type fleetApp struct {
+	name   string
+	server func(total int, root string, track *apputil.RequestTracker) Server
+	root   string
+	modes  []fleetMode
+}
+
+var fleetApps = []fleetApp{
+	{"nginx", func(n int, root string, track *apputil.RequestTracker) Server {
+		return nginx.NewServer(nginx.Config{Port: Port, MaxRequests: n, Protect: root, Track: track})
+	}, "ngx_http_process_request_line", fleetNginxModes},
+	{"lighttpd", func(n int, root string, track *apputil.RequestTracker) Server {
+		return lighttpd.NewServer(lighttpd.Config{Port: Port, MaxRequests: n, Protect: root, Track: track})
+	}, "connection_state_machine", fleetNginxModes[:2]},
 }
 
 // FleetLevels is the default concurrency axis: the paper-style sweep is
@@ -99,56 +116,33 @@ func fleetMonOpts(m fleetMode) []core.Option {
 	return nil
 }
 
-// runFleetNginxCell measures one nginx (mode, concurrency) cell.
-func runFleetNginxCell(m fleetMode, c int) (FleetRow, error) {
+// runFleetCell measures one (app, mode, concurrency) cell.
+func runFleetCell(a fleetApp, m fleetMode, c int) (FleetRow, error) {
 	total := fleetTotalFor(c)
 	rec := obs.NewRecorder(obs.Config{})
 	fleet := obs.NewFleet()
 	fleet.SetRun(m.name)
-	cfg := nginx.Config{
-		Port: 8080, MaxRequests: total,
-		Track: &apputil.RequestTracker{App: "nginx", Rec: rec, Fleet: fleet},
-	}
+	mode, root := Vanilla, ""
 	if m.mon {
-		cfg.Protect = "ngx_http_process_request_line"
+		mode, root = SMVX, a.root
 	}
-	h, err := startNginxOpts(cfg, m.mon, fleetMonOpts(m), boot.WithRecorder(rec))
+	r, err := Start(Launch{
+		Server: a.server(total, root, &apputil.RequestTracker{App: a.name, Rec: rec, Fleet: fleet}),
+		Mode:   mode, Seed: Seed,
+		Boot: []boot.Option{boot.WithRecorder(rec)}, Monitor: monitor(fleetMonOpts(m)...),
+	})
 	if err != nil {
 		return FleetRow{}, err
 	}
-	load := workload.RunConcurrent(h.env.Kernel, 8080, "/index.html", total, c)
-	if err := <-h.done; err != nil {
-		return FleetRow{}, fmt.Errorf("fleet nginx %s c=%d: %w", m.name, c, err)
+	r.Load(total, c)
+	if err := r.Wait(); err != nil {
+		return FleetRow{}, fmt.Errorf("fleet %s c=%d: %w", m.name, c, err)
 	}
-	return fleetRowFrom("nginx", m.name, c, total, load, fleet), nil
-}
-
-// runFleetLighttpdCell measures one lighttpd (mode, concurrency) cell.
-func runFleetLighttpdCell(m fleetMode, c int) (FleetRow, error) {
-	total := fleetTotalFor(c)
-	rec := obs.NewRecorder(obs.Config{})
-	fleet := obs.NewFleet()
-	fleet.SetRun(m.name)
-	cfg := lighttpd.Config{
-		Port: 8080, MaxRequests: total,
-		Track: &apputil.RequestTracker{App: "lighttpd", Rec: rec, Fleet: fleet},
-	}
-	if m.mon {
-		cfg.Protect = "connection_state_machine"
-	}
-	h, err := startLighttpdOpts(cfg, m.mon, fleetMonOpts(m), boot.WithRecorder(rec))
-	if err != nil {
-		return FleetRow{}, err
-	}
-	load := workload.RunConcurrent(h.env.Kernel, 8080, "/index.html", total, c)
-	if err := <-h.done; err != nil {
-		return FleetRow{}, fmt.Errorf("fleet lighttpd %s c=%d: %w", m.name, c, err)
-	}
-	return fleetRowFrom("lighttpd", m.name, c, total, load, fleet), nil
+	return fleetRowFrom(a.name, m.name, c, total, fleet), nil
 }
 
 // fleetRowFrom derives the row from the cell's fleet aggregate.
-func fleetRowFrom(app, mode string, c, total int, load workload.LoadResult, fleet *obs.Fleet) FleetRow {
+func fleetRowFrom(app, mode string, c, total int, fleet *obs.Fleet) FleetRow {
 	row := FleetRow{App: app, Mode: mode, Concurrency: c, Requests: total}
 	snap := fleet.Snapshot()
 	if len(snap.Apps) == 0 {
@@ -167,7 +161,6 @@ func fleetRowFrom(app, mode string, c, total int, load workload.LoadResult, flee
 	row.P999Cycles = a.P999Cycles
 	row.MaxCycles = a.MaxCycles
 	row.MVXMean = a.MVXMeanCycles
-	_ = load // the span aggregate is authoritative; load cross-checks in tests
 	return row
 }
 
@@ -178,34 +171,24 @@ func FleetSweep(levels []int) (*FleetResult, error) {
 		levels = FleetLevels
 	}
 	res := &FleetResult{Seed: Seed, Levels: levels}
-	// nativeRPS[app][c] anchors the pct-of-native column.
-	nativeRPS := map[string]map[int]float64{"nginx": {}, "lighttpd": {}}
 	for _, c := range levels {
-		for _, m := range fleetNginxModes {
-			row, err := runFleetNginxCell(m, c)
-			if err != nil {
-				return nil, err
+		for _, a := range fleetApps {
+			// The native cell runs first and anchors the pct-of-native
+			// column of the app's other cells at this level.
+			var native float64
+			for _, m := range a.modes {
+				row, err := runFleetCell(a, m, c)
+				if err != nil {
+					return nil, err
+				}
+				if m.name == "native" {
+					native = row.RPS
+				}
+				if native > 0 {
+					row.PctNative = row.RPS / native * 100
+				}
+				res.Rows = append(res.Rows, row)
 			}
-			if m.name == "native" {
-				nativeRPS["nginx"][c] = row.RPS
-			}
-			if base := nativeRPS["nginx"][c]; base > 0 {
-				row.PctNative = row.RPS / base * 100
-			}
-			res.Rows = append(res.Rows, row)
-		}
-		for _, m := range fleetNginxModes[:2] { // lighttpd: native + strict
-			row, err := runFleetLighttpdCell(m, c)
-			if err != nil {
-				return nil, err
-			}
-			if m.name == "native" {
-				nativeRPS["lighttpd"][c] = row.RPS
-			}
-			if base := nativeRPS["lighttpd"][c]; base > 0 {
-				row.PctNative = row.RPS / base * 100
-			}
-			res.Rows = append(res.Rows, row)
 		}
 	}
 	return res, nil

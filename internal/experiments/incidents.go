@@ -91,7 +91,7 @@ func (r *IncidentsResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sMVX incident detection matrix (fault x lockstep mode), seed %d\n", r.Seed)
 	fmt.Fprintf(&b, "correlation window %d cycles, rendezvous deadline %d cycles, leader-continue policy\n\n",
-		incidentExpWindow, chaosDeadline)
+		incidentExpWindow, cellDeadline)
 	fmt.Fprintf(&b, "%-18s %-10s %-9s %-9s %-14s %-10s %s\n",
 		"fault", "mode", "incidents", "severity", "detect cycles", "anomalies", "root cause")
 	for i := range r.Cells {

@@ -88,7 +88,7 @@ func (r *NVariantResult) detectedAt(n int) int {
 func (r *NVariantResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sMVX N-variant voting matrix (fault x set size), seed %d, strict lockstep, leader-continue\n", r.Seed)
-	fmt.Fprintf(&b, "%d regions per cell, rendezvous deadline %d cycles\n\n", defaultRegions, chaosDeadline)
+	fmt.Fprintf(&b, "%d regions per cell, rendezvous deadline %d cycles\n\n", defaultRegions, cellDeadline)
 
 	fmt.Fprintf(&b, "%-20s", "fault")
 	for _, n := range nvariantNs {

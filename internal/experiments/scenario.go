@@ -39,14 +39,14 @@ const (
 	// later regions show the policy's recovery mode (leader-only vs
 	// restarted lockstep).
 	defaultRegions = 3
-	// chaosDeadline is the per-rendezvous deadline — small enough that the
+	// cellDeadline is the per-rendezvous deadline — small enough that the
 	// injected 64M-cycle stall blows it, large enough that honest regions
 	// never come close.
-	chaosDeadline clock.Cycles = 4_000_000
-	// chaosRestartBudget and chaosRestartBackoff keep PolicyRestartFollower
+	cellDeadline clock.Cycles = 4_000_000
+	// cellRestartBudget and cellRestartBackoff keep PolicyRestartFollower
 	// on a short leash: two re-clones, then leader-only.
-	chaosRestartBudget               = 2
-	chaosRestartBackoff clock.Cycles = 1_000
+	cellRestartBudget               = 2
+	cellRestartBackoff clock.Cycles = 1_000
 	// incidentExpWindow must bridge the slowest fault's full causal chain:
 	// the injected stall charges faultinject.StallCycles (64M) before the
 	// follower wakes and the policy detaches it, and that detach belongs to
@@ -218,9 +218,9 @@ func runScenario(seed int64, s Scenario) (Cell, error) {
 		core.WithPolicy(s.Policy),
 		core.WithLockstepMode(s.Mode), core.WithVariants(s.N),
 		core.WithSnapshotInterval(s.Interval),
-		core.WithRendezvousDeadline(chaosDeadline),
-		core.WithRestartBudget(chaosRestartBudget),
-		core.WithRestartBackoff(chaosRestartBackoff))
+		core.WithRendezvousDeadline(cellDeadline),
+		core.WithRestartBudget(cellRestartBudget),
+		core.WithRestartBackoff(cellRestartBackoff))
 	faultinject.New(seed, s.Faults...).Install(env.Machine, rec)
 
 	th, err := env.MainThread()

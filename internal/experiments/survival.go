@@ -7,12 +7,10 @@ import (
 
 	"smvx/internal/apps/apputil"
 	"smvx/internal/apps/nginx"
-	"smvx/internal/boot"
 	"smvx/internal/core"
 	"smvx/internal/faultinject"
 	"smvx/internal/obs"
 	"smvx/internal/sim/clock"
-	"smvx/internal/workload"
 )
 
 // The survival benchmark is the robustness counterpart of the fleet sweep:
@@ -103,129 +101,99 @@ var survivalFaults = []faultPlan{
 // survivalPolicies is the full policy axis: chaos's, then rollback.
 var survivalPolicies = append(append([]core.DivergencePolicy{}, chaosPolicies...), core.PolicyRollback)
 
-// runSurvivalNative measures the unattacked benign baseline: the same
-// vulnerable binary, no monitor, the same number of benign requests the
-// attacked cells interleave — the pct-of-native anchor.
-func runSurvivalNative(requests int) (float64, error) {
-	rec := obs.NewRecorder(obs.Config{})
-	fleet := obs.NewFleet()
-	fleet.SetRun("native")
-	h, err := startNginx(nginx.Config{
-		Port: 8080, MaxRequests: requests, Version: nginx.VersionVulnerable,
-		Track: &apputil.RequestTracker{App: "nginx", Rec: rec, Fleet: fleet},
-	}, false, boot.WithRecorder(rec))
-	if err != nil {
-		return 0, err
-	}
-	req := workload.GetRequest("/index.html")
-	for i := 0; i < requests; i++ {
-		if _, err := workload.RequestPath(h.client, 8080, req); err != nil {
-			return 0, fmt.Errorf("survival native request %d: %w", i, err)
-		}
-	}
-	if err := <-h.done; err != nil {
-		return 0, fmt.Errorf("survival native worker: %w", err)
-	}
-	snap := fleet.Snapshot()
-	if len(snap.Apps) == 0 {
-		return 0, nil
-	}
-	return snap.Apps[0].RPS, nil
+// attackSpec is one row of the continuous-attack table: the monitor (none
+// for native) with its policy and lockstep mode, how many rounds the
+// client runs, and what each round sends.
+type attackSpec struct {
+	name     string
+	mode     string
+	policy   core.DivergencePolicy
+	lockstep core.LockstepMode
+	rounds   int
+	// attack opens each round with an exploit delivery; benign ends it
+	// with a GET of the page.
+	attack, benign bool
 }
 
-// runSurvivalAttackCell drives the continuous attack against one rollback
-// configuration: alternate exploit delivery and benign request, then read
-// the detection, recovery, and service counters out of the run.
-func runSurvivalAttackCell(name string, mode core.LockstepMode, nativeRPS float64) (SurvivalAttackCell, error) {
-	cell := SurvivalAttackCell{Mode: name, Attacks: survivalAttacks}
+// attackSpecs are the table's rows. native is the same vulnerable binary
+// unattacked, serving the benign requests the rollback rows interleave —
+// the pct-of-native anchor. kill-both is the paper-policy reference: one
+// delivery, and the worker dies mid-ROP-chain — detection without
+// survival.
+var attackSpecs = []attackSpec{
+	{name: "native", mode: Vanilla, rounds: survivalAttacks, benign: true},
+	{name: "rollback-strict", mode: SMVX, policy: core.PolicyRollback, lockstep: core.LockstepStrict,
+		rounds: survivalAttacks, attack: true, benign: true},
+	{name: "rollback-pipelined", mode: SMVX, policy: core.PolicyRollback, lockstep: core.LockstepPipelined,
+		rounds: survivalAttacks, attack: true, benign: true},
+	{name: "kill-both", mode: SMVX, policy: core.PolicyKillBoth, lockstep: core.LockstepStrict,
+		rounds: 1, attack: true},
+}
+
+// runAttackCell runs one row against vulnerable nginx with
+// ngx_http_process_request_line protected, then reads the detection,
+// recovery and service counters out of the run. An unattacked row is a
+// clean run: it fails unless every request is served. PctNative is left
+// to the caller.
+func runAttackCell(s attackSpec) (SurvivalAttackCell, error) {
+	cell := SurvivalAttackCell{Mode: s.name}
 	rec := obs.NewRecorder(obs.Config{})
 	fleet := obs.NewFleet()
-	fleet.SetRun(name)
-	h, err := startNginxOpts(nginx.Config{
-		Port: 8080, MaxRequests: 2 * survivalAttacks,
-		Version: nginx.VersionVulnerable,
-		Protect: "ngx_http_process_request_line",
-		Track:   &apputil.RequestTracker{App: "nginx", Rec: rec, Fleet: fleet},
-	}, true,
-		[]core.Option{core.WithPolicy(core.PolicyRollback), core.WithLockstepMode(mode)},
-		boot.WithRecorder(rec))
+	fleet.SetRun(s.name)
+	perRound, root := 0, ""
+	if s.attack {
+		perRound++
+	}
+	if s.benign {
+		perRound++
+	}
+	if s.mode == SMVX {
+		root = "ngx_http_process_request_line"
+	}
+	r, ex, err := startCVE(nginx.Config{
+		MaxRequests: s.rounds * perRound, Version: nginx.VersionVulnerable, Protect: root,
+		Track: &apputil.RequestTracker{App: "nginx", Rec: rec, Fleet: fleet},
+	}, s.mode, rec, core.WithPolicy(s.policy), core.WithLockstepMode(s.lockstep))
 	if err != nil {
 		return cell, err
 	}
-	ex, err := workload.BuildCVE2013_2028(h.env.Img, "/pwned")
-	if err != nil {
-		return cell, err
-	}
-	benign := workload.GetRequest("/index.html")
-	for i := 0; i < survivalAttacks; i++ {
-		if err := ex.Deliver(h.client, 8080); err != nil {
-			return cell, fmt.Errorf("survival attack %d: %w", i, err)
+	for i := 0; i < s.rounds; i++ {
+		if s.attack {
+			if err := ex.Deliver(r.Client, Port); err != nil {
+				return cell, fmt.Errorf("survival %s attack %d: %w", s.name, i, err)
+			}
+			cell.Attacks++
 		}
-		cell.BenignSent++
-		resp, err := workload.RequestPath(h.client, 8080, benign)
-		if err == nil && bytes.HasPrefix(resp, []byte("HTTP/1.1 200")) {
-			cell.BenignOK++
+		if s.benign {
+			cell.BenignSent++
+			if resp, err := r.Get(); err == nil && bytes.HasPrefix(resp, []byte("HTTP/1.1 200")) {
+				cell.BenignOK++
+			}
 		}
 	}
-	werr := <-h.done
+	var werr error
+	if s.attack {
+		werr = r.Exit()
+	} else if err := r.Wait(); err != nil {
+		return cell, fmt.Errorf("survival %s: %w", s.name, err)
+	}
 	cell.WorkerAlive = werr == nil
 	if werr != nil {
 		cell.WorkerErr = werr.Error()
 	}
-	for _, a := range h.mon.Alarms() {
-		if a.Reason == core.AlarmFollowerFault {
-			cell.Detected++
-		}
+	cell.Detected, _ = followerFaults(r.Mon)
+	if r.Mon != nil {
+		cell.Rollbacks = r.Mon.Rollbacks()
+		cell.Snapshots = r.Mon.Snapshots()
+		cell.Escalated = r.Mon.Escalated()
+		cell.Degraded = r.Mon.Degraded()
 	}
-	cell.Rollbacks = h.mon.Rollbacks()
-	cell.Snapshots = h.mon.Snapshots()
 	cell.RegionAborts = rec.Metrics().Counter("rollback.region_aborts")
-	cell.Pwned = h.env.Kernel.FS().DirExists("/pwned")
 	cell.LeaderOnly = rec.Metrics().Counter("region.leader_only")
-	cell.Escalated = h.mon.Escalated()
-	cell.Degraded = h.mon.Degraded()
-	snap := fleet.Snapshot()
-	if len(snap.Apps) > 0 {
+	cell.Pwned = pwned(r)
+	if snap := fleet.Snapshot(); len(snap.Apps) > 0 {
 		cell.RPS = snap.Apps[0].RPS
 	}
-	if nativeRPS > 0 {
-		cell.PctNative = cell.RPS / nativeRPS * 100
-	}
-	return cell, nil
-}
-
-// runSurvivalKillBoth is the paper-policy reference row: one exploit
-// delivery, the worker dies mid-ROP-chain. Detection without survival.
-func runSurvivalKillBoth() (SurvivalAttackCell, error) {
-	cell := SurvivalAttackCell{Mode: "kill-both", Attacks: 1}
-	rec := obs.NewRecorder(obs.Config{})
-	h, err := startNginxOpts(nginx.Config{
-		Port: 8080, MaxRequests: 1,
-		Version: nginx.VersionVulnerable,
-		Protect: "ngx_http_process_request_line",
-	}, true, nil, boot.WithRecorder(rec))
-	if err != nil {
-		return cell, err
-	}
-	ex, err := workload.BuildCVE2013_2028(h.env.Img, "/pwned")
-	if err != nil {
-		return cell, err
-	}
-	if err := ex.Deliver(h.client, 8080); err != nil {
-		return cell, fmt.Errorf("survival kill-both attack: %w", err)
-	}
-	werr := <-h.done
-	cell.WorkerAlive = werr == nil
-	if werr != nil {
-		cell.WorkerErr = werr.Error()
-	}
-	for _, a := range h.mon.Alarms() {
-		if a.Reason == core.AlarmFollowerFault {
-			cell.Detected++
-		}
-	}
-	cell.Pwned = h.env.Kernel.FS().DirExists("/pwned")
-	cell.LeaderOnly = rec.Metrics().Counter("region.leader_only")
 	return cell, nil
 }
 
@@ -274,33 +242,20 @@ func survivalSweep() []Scenario {
 func Survival(seed int64) (*SurvivalResult, error) {
 	res := &SurvivalResult{Seed: seed}
 
-	nativeRPS, err := runSurvivalNative(survivalAttacks)
-	if err != nil {
-		return nil, err
-	}
-	res.Attack = append(res.Attack, SurvivalAttackCell{
-		Mode: "native", Attacks: 0, BenignSent: survivalAttacks,
-		BenignOK: survivalAttacks, WorkerAlive: true, RPS: nativeRPS, PctNative: 100,
-	})
-	for _, m := range []struct {
-		name string
-		mode core.LockstepMode
-	}{
-		{"rollback-strict", core.LockstepStrict},
-		{"rollback-pipelined", core.LockstepPipelined},
-	} {
-		cell, err := runSurvivalAttackCell(m.name, m.mode, nativeRPS)
+	for _, spec := range attackSpecs {
+		cell, err := runAttackCell(spec)
 		if err != nil {
 			return nil, err
 		}
 		res.Attack = append(res.Attack, cell)
 	}
-	ref, err := runSurvivalKillBoth()
-	if err != nil {
-		return nil, err
+	for i := range res.Attack {
+		if native := res.Attack[0].RPS; native > 0 {
+			res.Attack[i].PctNative = res.Attack[i].RPS / native * 100
+		}
 	}
-	res.Attack = append(res.Attack, ref)
 
+	var err error
 	if res.Matrix, err = runSlice(seed, survivalMatrix()); err != nil {
 		return nil, fmt.Errorf("survival matrix: %w", err)
 	}

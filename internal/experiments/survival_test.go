@@ -13,22 +13,19 @@ import (
 // filesystem, every benign request served, the worker alive at the end,
 // and never a degraded single-variant region.
 func TestSurvivalAttackCellRollback(t *testing.T) {
-	native, err := runSurvivalNative(survivalAttacks)
+	native, err := runAttackCell(attackSpecs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if native <= 0 {
-		t.Fatalf("native RPS = %v, want > 0", native)
+	if native.RPS <= 0 {
+		t.Fatalf("native RPS = %v, want > 0", native.RPS)
 	}
-	for _, m := range []struct {
-		name string
-		mode core.LockstepMode
-	}{
-		{"rollback-strict", core.LockstepStrict},
-		{"rollback-pipelined", core.LockstepPipelined},
-	} {
-		t.Run(m.name, func(t *testing.T) {
-			c, err := runSurvivalAttackCell(m.name, m.mode, native)
+	for _, spec := range attackSpecs {
+		if spec.policy != core.PolicyRollback {
+			continue
+		}
+		t.Run(spec.name, func(t *testing.T) {
+			c, err := runAttackCell(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +66,7 @@ func TestSurvivalAttackCellRollback(t *testing.T) {
 // down leader still executes the payload's mkdir — detection without
 // survival, and without prevention.
 func TestSurvivalKillBothReference(t *testing.T) {
-	c, err := runSurvivalKillBoth()
+	c, err := runAttackCell(attackSpecs[len(attackSpecs)-1])
 	if err != nil {
 		t.Fatal(err)
 	}

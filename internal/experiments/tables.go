@@ -5,12 +5,9 @@ import (
 	"strings"
 
 	"smvx/internal/apps/lighttpd"
-	"smvx/internal/boot"
-	"smvx/internal/core"
 	"smvx/internal/libc"
 	"smvx/internal/sim/clock"
 	"smvx/internal/sim/kernel"
-	"smvx/internal/workload"
 )
 
 // Table1 renders the libc-call emulation categories (Table 1 of the paper)
@@ -55,20 +52,17 @@ func Table2() (*Table2Result, error) {
 	// Protected lighttpd run to capture the mvx_start breakdown. The
 	// production-style buffer-pool configuration gives the heap the
 	// dominant share of the scan, as in the paper's Table 2.
-	h, err := startLighttpd(lighttpd.Config{
-		Port: 8080, MaxRequests: 2, Protect: "server_main_loop", PoolKB: 2048,
-	}, true)
+	r, err := Start(Launch{Server: lighttpd.NewServer(lighttpd.Config{
+		Port: Port, MaxRequests: 2, Protect: "server_main_loop", PoolKB: 2048,
+	}), Mode: SMVX, Seed: Seed})
 	if err != nil {
 		return nil, err
 	}
-	ab := workload.RunAB(h.client, 8080, "/index.html", 2)
-	if err := <-h.done; err != nil {
-		return nil, fmt.Errorf("table2 lighttpd: %w", err)
+	r.AB(2)
+	if err := r.Wait(); err != nil {
+		return nil, fmt.Errorf("table2: %w", err)
 	}
-	if ab.Completed != 2 {
-		return nil, fmt.Errorf("table2: %d/2 requests", ab.Completed)
-	}
-	stats := h.mon.LastCreation()
+	stats := r.Mon.LastCreation()
 
 	res := &Table2Result{
 		DupUS:             stats.DupCycles.Micros(),
@@ -89,22 +83,20 @@ func Table2() (*Table2Result, error) {
 
 	// fork during lighttpd initialization: resident pages inflate the
 	// page-table duplication.
-	h2, err := startLighttpd(lighttpd.Config{
-		Port: 8081, MaxRequests: 1, ForkInInit: true,
-	}, false)
+	r, err = Start(Launch{Server: lighttpd.NewServer(lighttpd.Config{
+		Port: Port, MaxRequests: 1, ForkInInit: true,
+	}), Mode: Vanilla, Seed: Seed})
 	if err != nil {
 		return nil, err
 	}
-	forkStart := h2.env.Counter.Cycles()
-	_ = forkStart
-	_ = workload.RunAB(h2.client, 8081, "/index.html", 1)
-	if err := <-h2.done; err != nil {
+	r.AB(1)
+	if err := r.Wait(); err != nil {
 		return nil, fmt.Errorf("table2 fork-init run: %w", err)
 	}
 	// Isolate the fork's share: resident pages at init ≈ final residency
 	// before serving; recompute from the cost model against the process's
 	// page count for an exact, deterministic figure.
-	resident := h2.env.AS.ResidentPages()
+	resident := r.Env.AS.ResidentPages()
 	res.ForkInitUS = (costs.ForkBase + costs.ForkPerPage*clock.Cycles(resident)).Micros()
 	return res, nil
 }
@@ -121,46 +113,4 @@ func (r *Table2Result) String() string {
 	fmt.Fprintf(&b, "%-46s %10.1fus  (697us)\n", "fork() overhead (during lighttpd init)", r.ForkInitUS)
 	fmt.Fprintf(&b, "%-46s %10d\n", "pointer slots relocated", r.PointersRelocated)
 	return b.String()
-}
-
-// Ablation knobs exposed for the design-choice benchmarks.
-
-// Table2WithHints reruns the mvx_start breakdown with the static-analysis
-// scan hints enabled (the paper's alias-analysis narrowing), returning the
-// hinted and unhinted data-scan costs.
-func Table2WithHints() (hinted, unhinted float64, err error) {
-	run := func(opts ...core.Option) (float64, error) {
-		k := kernel.New(clock.DefaultCosts(), Seed)
-		srv := lighttpd.NewServer(lighttpd.Config{
-			Port: 8080, MaxRequests: 1, Protect: "server_main_loop",
-		})
-		env, err := boot.NewEnv(k, srv.Program(), boot.WithSeed(Seed))
-		if err != nil {
-			return 0, err
-		}
-		k.FS().WriteFile("/srv/www/index.html", Page4K)
-		client := k.NewProcess(clock.NewCounter())
-		mon := core.New(env.Machine, env.LibC, append([]core.Option{core.WithSeed(Seed)}, opts...)...)
-		srv.SetMVX(mon)
-		th, err := env.MainThread()
-		if err != nil {
-			return 0, err
-		}
-		done := make(chan error, 1)
-		go func() { done <- srv.Run(th) }()
-		_ = workload.RunAB(client, 8080, "/index.html", 1)
-		if err := <-done; err != nil {
-			return 0, err
-		}
-		return mon.LastCreation().DataScanCycles.Micros(), nil
-	}
-	unhinted, err = run()
-	if err != nil {
-		return 0, 0, err
-	}
-	hinted, err = run(core.WithScanHints("srv_listen_fd", "srv_epoll_fd", "srv_docroot"))
-	if err != nil {
-		return 0, 0, err
-	}
-	return hinted, unhinted, nil
 }
