@@ -150,7 +150,7 @@ func run() error {
 		}
 	}
 	// The artifacts render their own tables — Finish must not re-emit the
-	// forensics block the CI replay job extracts byte-identically.
+	// forensics block the cve artifact already printed.
 	cfg.Quiet = true
 
 	var err error

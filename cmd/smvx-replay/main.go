@@ -5,24 +5,24 @@
 //
 // Usage:
 //
-//	smvx-replay inspect [-ledger] [-fleet] <wal-dir>
+//	smvx-replay inspect <wal-dir>
 //	smvx-replay forensics <wal-dir>
-//	smvx-replay incidents [-window N] [-json] <wal-dir>
+//	smvx-replay tables <wal-dir>
 //	smvx-replay diff [-variant leader|follower] [-context 5] <wal-a> <wal-b>
 //	smvx-replay diff -variants <wal-dir>
 //	smvx-replay export [-format chrome|table|metrics] [-o out] <wal-dir>
 //
-// `forensics`, `incidents`, and `export -format chrome` are byte-identical
+// `forensics`, `tables`, and `export -format chrome` are byte-identical
 // to what the recorded run itself would have printed: the replayer
 // truncates the WAL stream to the ring view the live exporters saw, and
-// folds the full stream through the same incident correlator the live tap
-// ran. `diff` extends the
+// folds the full stream through the cost ledger, request fleet and
+// incident engine built as the live run built them. `diff` extends the
 // Section 3.2 first-divergence analysis from in-memory basic-block logs
 // to recorded libc-call streams: diff a success-login WAL against a
 // failed-login WAL and the first divergent call — attributed to its
 // simulated calling function — flags the authentication code; diff one
-// run's variants (-variants) and it flags the call where the follower
-// parted from the leader.
+// run's variants (-variants) and it flags the call where each diverging
+// follower parted from the leader.
 package main
 
 import (
@@ -33,7 +33,6 @@ import (
 
 	"smvx/internal/obs"
 	"smvx/internal/obs/replay"
-	"smvx/internal/sim/clock"
 )
 
 func main() {
@@ -44,7 +43,7 @@ func main() {
 }
 
 func usage() error {
-	return fmt.Errorf("usage: smvx-replay <inspect|forensics|incidents|diff|export> [flags] <wal-dir> [<wal-dir>]")
+	return fmt.Errorf("usage: smvx-replay <inspect|forensics|tables|diff|export> [flags] <wal-dir> [<wal-dir>]")
 }
 
 func run(args []string, out io.Writer) error {
@@ -56,8 +55,8 @@ func run(args []string, out io.Writer) error {
 		return cmdInspect(rest, out)
 	case "forensics":
 		return cmdForensics(rest, out)
-	case "incidents":
-		return cmdIncidents(rest, out)
+	case "tables":
+		return cmdTables(rest, out)
 	case "diff":
 		return cmdDiff(rest, out)
 	case "export":
@@ -81,41 +80,30 @@ func load(dir string) (*replay.Replay, error) {
 	return r, nil
 }
 
-func cmdInspect(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("inspect", flag.ContinueOnError)
-	led := fs.Bool("ledger", false, "also rebuild and print the rendezvous cost ledger from the WAL")
-	fleet := fs.Bool("fleet", false, "also rebuild and print the request-fleet summary from the WAL")
+// loadOne parses the arguments of a subcommand that takes no flags and
+// one <wal-dir>, and loads that WAL.
+func loadOne(cmd string, args []string) (*replay.Replay, error) {
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: smvx-replay inspect [-ledger] [-fleet] <wal-dir>")
+		return nil, fmt.Errorf("usage: smvx-replay %s <wal-dir>", cmd)
 	}
-	r, err := load(fs.Arg(0))
+	return load(fs.Arg(0))
+}
+
+func cmdInspect(args []string, out io.Writer) error {
+	r, err := loadOne("inspect", args)
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(out, r.Summary())
-	if *led {
-		fmt.Fprintln(out)
-		fmt.Fprint(out, r.RebuildLedger().TableText())
-	}
-	if *fleet {
-		fmt.Fprintln(out)
-		fmt.Fprint(out, r.RebuildFleet().TableText())
-	}
-	return nil
+	_, err = io.WriteString(out, r.Summary())
+	return err
 }
 
 func cmdForensics(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("forensics", flag.ContinueOnError)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: smvx-replay forensics <wal-dir>")
-	}
-	r, err := load(fs.Arg(0))
+	r, err := loadOne("forensics", args)
 	if err != nil {
 		return err
 	}
@@ -130,32 +118,23 @@ func cmdForensics(args []string, out io.Writer) error {
 	return nil
 }
 
-func cmdIncidents(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("incidents", flag.ContinueOnError)
-	window := fs.Uint64("window", 0, "correlation window in virtual cycles (default: the WAL's incident-window label, else the engine default)")
-	asJSON := fs.Bool("json", false, "emit the JSON snapshot instead of the canonical table")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: smvx-replay incidents [-window N] [-json] <wal-dir>")
-	}
-	r, err := load(fs.Arg(0))
+// cmdTables prints the tables rebuilt from the WAL as smvx -metrics
+// prints the live ones: ledger, fleet and incidents, each followed by a
+// blank line.
+func cmdTables(args []string, out io.Writer) error {
+	r, err := loadOne("tables", args)
 	if err != nil {
 		return err
 	}
-	eng := r.RebuildIncidents(clock.Cycles(*window))
-	if *asJSON {
-		return eng.WriteJSON(out)
-	}
-	_, werr := io.WriteString(out, eng.TableText())
-	return werr
+	t := r.Tables()
+	_, err = fmt.Fprintf(out, "%s\n%s\n%s\n", t.Ledger.TableText(), t.Fleet.TableText(), t.Incidents.TableText())
+	return err
 }
 
 func cmdDiff(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
 	variant := fs.String("variant", "leader", "which variant's call stream to diff across runs: leader | follower")
-	variants := fs.Bool("variants", false, "diff one run's leader stream against its follower stream")
+	variants := fs.Bool("variants", false, "diff one run's leader stream against each follower's stream")
 	context := fs.Int("context", replay.DefaultDiffContext, "libc calls of leading context to print per side")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -169,12 +148,17 @@ func cmdDiff(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		d, ok := r.DiffVariants(*context)
-		if !ok {
+		divs := r.DiffVariants(*context)
+		if len(divs) == 0 {
 			fmt.Fprintln(out, "leader and follower call streams are identical")
 			return nil
 		}
-		fmt.Fprint(out, d.Format("leader", "follower"))
+		for i, d := range divs {
+			if i > 0 {
+				fmt.Fprintln(out)
+			}
+			fmt.Fprint(out, d.Format("leader", d.Follower.String()))
+		}
 		return nil
 	}
 

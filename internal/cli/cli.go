@@ -22,6 +22,7 @@ import (
 	"smvx/internal/obs/blackbox"
 	"smvx/internal/obs/incident"
 	"smvx/internal/obs/ledger"
+	"smvx/internal/obs/replay"
 	"smvx/internal/obs/telemetry"
 	"smvx/internal/perfprof"
 	"smvx/internal/sim/clock"
@@ -89,7 +90,7 @@ func (c *Config) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&c.Ledger, "ledger", false, "account every protected-region libc call phase-by-phase in the rendezvous cost ledger (served at /ledger, printed with -metrics)")
 	fs.Uint64Var(&c.RequestP99, "request-p99", 0, "SLO watchdog: degrade /healthz when the served-request p99 exceeds this many virtual cycles (0 disables)")
 	fs.BoolVar(&c.Anomaly, "anomaly", false, "run streaming anomaly detectors (EWMA z-score, rate-of-change, static threshold) over the recorder's metric series")
-	fs.BoolVar(&c.Incidents, "incidents", false, "correlate alarms, faults, detaches, watchdog trips, and anomalies into incidents (served at /incidents, rebuilt offline with smvx-replay incidents); implies -anomaly")
+	fs.BoolVar(&c.Incidents, "incidents", false, "correlate alarms, faults, detaches, watchdog trips, and anomalies into incidents (served at /incidents, rebuilt offline with smvx-replay tables); implies -anomaly")
 	fs.Uint64Var(&c.IncidentWindow, "incident-window", 0, "incident correlation window in virtual cycles (0 uses the default)")
 }
 
@@ -149,9 +150,24 @@ func (c *Config) Resolve(labels map[string]string) (*Runtime, error) {
 		core.WithLockstepMode(mode),
 		core.WithLagWindow(c.LagWindow),
 	}
+	// The run labels annotate the black-box WAL's meta, and the derived
+	// tables are built from them with the constructor smvx-replay rebuilds
+	// them with, so a replayed table is configured like the live one.
+	wl := make(map[string]string, len(labels)+7)
+	for k, v := range labels {
+		wl[k] = v
+	}
+	replay.SetTableLabels(wl, mode.String(), pol.String(), c.LagWindow, c.Incidents, c.IncidentWindow)
+	wl["variants"] = fmt.Sprintf("%d", c.Variants)
+	if pol == core.PolicyRollback {
+		// Stamp the survivable-MVX knobs so an offline inspection of a
+		// rollback run is labeled like the live one.
+		wl["snapshot-interval"] = fmt.Sprintf("%d", c.SnapshotInterval)
+		wl["rollback-budget"] = fmt.Sprintf("%d", c.RollbackBudget)
+	}
+	tables := replay.NewTables(wl)
 	if c.Ledger {
-		rt.Ledger = ledger.New()
-		rt.Ledger.SetRun(mode.String(), pol.String(), c.LagWindow)
+		rt.Ledger = tables.Ledger
 		rt.monOpts = append(rt.monOpts, core.WithLedger(rt.Ledger))
 	}
 
@@ -168,35 +184,13 @@ func (c *Config) Resolve(labels map[string]string) (*Runtime, error) {
 		rt.Recorder = obs.NewRecorder(obs.Config{})
 		// A recorder implies request spans are wanted: the fleet aggregate
 		// is cheap and feeds /fleet, /healthz, and the -metrics summary.
-		rt.Fleet = obs.NewFleet()
-		rt.Fleet.SetRun(mode.String())
+		rt.Fleet = tables.Fleet
 	}
 	// Mirror ledger charges into the recorder (and through it into the
 	// WAL) so smvx-replay can rebuild the ledger offline.
 	rt.Ledger.SetRecorder(rt.Recorder)
 	if c.Blackbox != "" {
 		cfg := rt.Recorder.Config()
-		// Stamp the run configuration into the WAL meta so an offline
-		// ledger rebuild is labeled like the live one.
-		wl := make(map[string]string, len(labels)+3)
-		for k, v := range labels {
-			wl[k] = v
-		}
-		wl["lockstep"] = mode.String()
-		wl["policy"] = pol.String()
-		wl["lag-window"] = fmt.Sprintf("%d", c.LagWindow)
-		wl["variants"] = fmt.Sprintf("%d", c.Variants)
-		if pol == core.PolicyRollback {
-			// Stamp the survivable-MVX knobs so an offline rebuild of a
-			// rollback run is labeled like the live one.
-			wl["snapshot-interval"] = fmt.Sprintf("%d", c.SnapshotInterval)
-			wl["rollback-budget"] = fmt.Sprintf("%d", c.RollbackBudget)
-		}
-		if c.Incidents {
-			// Stamp the correlation window so smvx-replay incidents folds
-			// the stream with exactly the live engine's window.
-			wl["incident-window"] = fmt.Sprintf("%d", incidentWindow(c.IncidentWindow))
-		}
 		w, err := blackbox.Open(c.Blackbox, blackbox.Meta{
 			Capacity: cfg.Capacity, ForensicWindow: cfg.ForensicWindow,
 			Labels: wl,
@@ -212,7 +206,7 @@ func (c *Config) Resolve(labels map[string]string) (*Runtime, error) {
 		// recorder lock, in exactly WAL order, which is what makes the
 		// offline rebuild byte-identical. Sources are attached after the
 		// WAL opens so bundles can reference the live segment.
-		rt.Incidents = incident.New(clock.Cycles(c.IncidentWindow))
+		rt.Incidents = tables.Incidents
 		rt.Incidents.SetSources(rt.Ledger, rt.Fleet, rt.Blackbox)
 		rt.Recorder.SetTap(rt.Incidents)
 	}
@@ -369,15 +363,6 @@ func (rt *Runtime) Finish() error {
 		fmt.Printf("chrome trace written to %s (open in chrome://tracing or ui.perfetto.dev)\n", rt.cfg.Trace)
 	}
 	return nil
-}
-
-// incidentWindow resolves the -incident-window flag value to the
-// effective correlation window.
-func incidentWindow(v uint64) clock.Cycles {
-	if v == 0 {
-		return incident.DefaultWindowCycles
-	}
-	return clock.Cycles(v)
 }
 
 // WriteChromeTrace dumps the recorder's events as Chrome trace_event JSON.

@@ -20,8 +20,8 @@ import (
 // live span start/end both updates the aggregate and mirrors one event
 // (EvRequestStart/EvRequestEnd) into the flight recorder, both carrying
 // the identical clock reading and payload, and the replay rebuild folds
-// those events back through the same apply functions — so the offline
-// table is byte-for-byte the live one. A nil *Fleet is the disabled
+// those events back through the same apply functions (TapEvent) — so the
+// offline table is byte-for-byte the live one. A nil *Fleet is the disabled
 // state: every method is a no-op.
 type Fleet struct {
 	mu       sync.Mutex
@@ -91,8 +91,8 @@ func (f *Fleet) appLocked(name string) *fleetApp {
 }
 
 // applyStartLocked is the single mutation path for a span start — live
-// Begin and replay Apply both come through here with event-payload data
-// only, which is what guarantees live/replay byte identity.
+// Begin and replay TapEvent both come through here with event-payload
+// data only, which is what guarantees live/replay byte identity.
 func (f *Fleet) applyStartLocked(app string, ts clock.Cycles) {
 	if ts > f.maxTS {
 		f.maxTS = ts
@@ -197,9 +197,9 @@ func (sp RequestSpan) End(served bool) {
 	}
 }
 
-// Apply folds one recorded event into the aggregate — the replay
-// rebuild's entry point. Non-request events are ignored.
-func (f *Fleet) Apply(e Event) {
+// TapEvent is the fleet's Tap fold: it folds one recorded event into the
+// aggregate. Non-request events are ignored.
+func (f *Fleet) TapEvent(e Event) {
 	if f == nil {
 		return
 	}

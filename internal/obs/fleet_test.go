@@ -49,7 +49,7 @@ func TestFleetReplayParity(t *testing.T) {
 	replayed := NewFleet()
 	replayed.SetRun("strict")
 	for _, e := range sink.events {
-		replayed.Apply(e)
+		replayed.TapEvent(e)
 	}
 
 	liveTable, replayTable := live.TableText(), replayed.TableText()

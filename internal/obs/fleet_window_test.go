@@ -14,8 +14,8 @@ import (
 func TestFleetWindowRateDecaysWhenTrafficStops(t *testing.T) {
 	f := NewFleet()
 	serve := func(app string, start, end clock.Cycles) {
-		f.Apply(Event{Kind: EvRequestStart, Name: app, TS: start})
-		f.Apply(Event{Kind: EvRequestEnd, Name: app, TS: end, Arg0: uint64(end - start), Fn: "served"})
+		f.TapEvent(Event{Kind: EvRequestStart, Name: app, TS: start})
+		f.TapEvent(Event{Kind: EvRequestEnd, Name: app, TS: end, Arg0: uint64(end - start), Fn: "served"})
 	}
 	// App "stale" serves a burst, then goes quiet.
 	serve("stale", 100, 1000)
@@ -56,8 +56,8 @@ func TestFleetWindowRateDecaysWhenTrafficStops(t *testing.T) {
 func TestFleetWindowRateLiveBurst(t *testing.T) {
 	f := NewFleet()
 	for i := clock.Cycles(1); i <= 10; i++ {
-		f.Apply(Event{Kind: EvRequestStart, Name: "srv", TS: i * 100})
-		f.Apply(Event{Kind: EvRequestEnd, Name: "srv", TS: i*100 + 50, Arg0: 50, Fn: "served"})
+		f.TapEvent(Event{Kind: EvRequestStart, Name: "srv", TS: i * 100})
+		f.TapEvent(Event{Kind: EvRequestEnd, Name: "srv", TS: i*100 + 50, Arg0: 50, Fn: "served"})
 	}
 	snap := f.Snapshot()
 	if len(snap.Apps) != 1 {

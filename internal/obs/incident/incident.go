@@ -9,7 +9,7 @@
 // every event under the recorder lock, in exact record order. Record
 // order is also WAL order, which is the whole trick behind the offline
 // rebuild: folding a WAL's event stream through the same TapEvent gives
-// byte-for-byte the live incident table (`smvx-replay incidents`), the
+// byte-for-byte the live incident table (`smvx-replay tables`), the
 // same discipline the ledger and fleet rebuilds follow.
 //
 // Correlation is windowed: a signal event within WindowCycles of the
@@ -473,7 +473,7 @@ func (e *Engine) PublishTo(m *obs.Metrics) {
 }
 
 // TableText renders the canonical incident table — the byte-identity
-// artifact `smvx-replay incidents` reproduces from the WAL alone. It
+// artifact `smvx-replay tables` reproduces from the WAL alone. It
 // deliberately contains no raw timestamps (cross-run interleaving is not
 // deterministic; the event sequence is) and no bundle data (bundles are
 // live-only captures).

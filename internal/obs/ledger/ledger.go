@@ -18,8 +18,8 @@
 //   - allocation counts come from an optional probe (test/bench mode
 //     only) so production instrumentation never touches runtime.MemStats;
 //   - every Add optionally mirrors into the flight recorder as an
-//     EvLedger event, which is what lets replay re-derive the ledger
-//     byte-identically from the black-box WAL.
+//     EvLedger event, which TapEvent folds back through Add's own cell
+//     update: replay re-derives the ledger byte-identically from the WAL.
 package ledger
 
 import (
@@ -149,8 +149,8 @@ func PhaseClassName(p Phase, c Class) string {
 	return phaseClassNames[p][c]
 }
 
-// ParsePhaseClass inverts PhaseClassName — the replay rebuild's decoder.
-func ParsePhaseClass(name string) (Phase, Class, bool) {
+// parsePhaseClass inverts PhaseClassName — TapEvent's decoder.
+func parsePhaseClass(name string) (Phase, Class, bool) {
 	i := strings.IndexByte(name, '/')
 	if i < 0 {
 		return 0, 0, false
@@ -304,36 +304,35 @@ func (rg *Region) Add(p Phase, v obs.Variant, c Class, cycles clock.Cycles, m Ma
 			allocs = cur - m.v
 		}
 	}
-	vi := int(v.ID())
-	cl := &rg.cells[p][c][vi]
-	cl.count.Add(1)
-	cl.cycles.Add(uint64(cycles))
-	cl.allocs.Add(allocs)
-	cl.bytes.Add(bytes)
+	rg.charge(p, v, c, uint64(cycles), allocs, bytes)
 	if rec := rg.led.rec; rec != nil {
 		rec.RecordIn(rg.name, obs.EvLedger, v, 0, phaseClassNames[p][c],
 			uint64(cycles), allocs, bytes)
 	}
 }
 
-// AddRaw folds pre-aggregated counts into the region without touching the
-// probe or the recorder — the replay rebuild's entry point.
-func (rg *Region) AddRaw(p Phase, v obs.Variant, c Class, count, cycles, allocs, bytes uint64) {
-	if rg == nil {
-		return
-	}
-	if p >= NumPhases {
-		p = 0
-	}
-	if c >= NumClasses {
-		c = ClassUnknown
-	}
-	vi := int(v.ID())
-	cl := &rg.cells[p][c][vi]
-	cl.count.Add(count)
+// charge is the one mutation of a region's cells, shared by the live Add
+// and the replay fold TapEvent.
+func (rg *Region) charge(p Phase, v obs.Variant, c Class, cycles, allocs, bytes uint64) {
+	cl := &rg.cells[p][c][v.ID()]
+	cl.count.Add(1)
 	cl.cycles.Add(cycles)
 	cl.allocs.Add(allocs)
 	cl.bytes.Add(bytes)
+}
+
+// TapEvent is the ledger's obs.Tap fold: an EvLedger event (Fn = region,
+// Name = "phase/class", Arg0/Arg1/Ret = cycles/allocs/bytes) charges its
+// cell as the Add that recorded it did. Other events are ignored.
+func (l *Ledger) TapEvent(e obs.Event) {
+	if l == nil || e.Kind != obs.EvLedger {
+		return
+	}
+	p, c, ok := parsePhaseClass(e.Name)
+	if !ok {
+		return
+	}
+	l.Region(e.Fn).charge(p, e.Variant, c, e.Arg0, e.Arg1, e.Ret)
 }
 
 var variantNames = func() (out [NumVariantSlots]string) {

@@ -12,18 +12,18 @@ func TestPhaseClassNameRoundtrip(t *testing.T) {
 	for p := Phase(0); p < NumPhases; p++ {
 		for c := Class(0); c < NumClasses; c++ {
 			name := PhaseClassName(p, c)
-			gp, gc, ok := ParsePhaseClass(name)
+			gp, gc, ok := parsePhaseClass(name)
 			if !ok || gp != p || gc != c {
 				t.Fatalf("roundtrip %q: got (%v, %v, %v), want (%v, %v, true)",
 					name, gp, gc, ok, p, c)
 			}
 		}
 	}
-	if _, _, ok := ParsePhaseClass("nonsense"); ok {
-		t.Fatal("ParsePhaseClass accepted a name with no slash")
+	if _, _, ok := parsePhaseClass("nonsense"); ok {
+		t.Fatal("parsePhaseClass accepted a name with no slash")
 	}
-	if _, _, ok := ParsePhaseClass("wait/bogus"); ok {
-		t.Fatal("ParsePhaseClass accepted an unknown class")
+	if _, _, ok := parsePhaseClass("wait/bogus"); ok {
+		t.Fatal("parsePhaseClass accepted an unknown class")
 	}
 }
 
@@ -109,21 +109,22 @@ func TestRecorderMirrorAndRawRebuild(t *testing.T) {
 	rg.Add(PhaseWait, obs.VariantLeader, ClassPipelined, 120, Mark{}, 0)
 	rg.Add(PhaseEmulate, obs.VariantFollower, ClassPipelined, 64, Mark{}, 64)
 
-	// Fold the mirrored events back into a fresh ledger, as replay does.
+	// Fold the recorded events back into a fresh ledger, as replay does.
 	rebuilt := New()
 	rebuilt.SetRun("pipelined", "kill-both", 16)
 	n := 0
 	for _, e := range rec.Events() {
-		if e.Kind != obs.EvLedger {
-			continue
+		if e.Kind == obs.EvLedger {
+			if _, _, ok := parsePhaseClass(e.Name); !ok {
+				t.Fatalf("unparseable EvLedger name %q", e.Name)
+			}
+			n++
 		}
-		p, c, ok := ParsePhaseClass(e.Name)
-		if !ok {
-			t.Fatalf("unparseable EvLedger name %q", e.Name)
-		}
-		rebuilt.Region(e.Fn).AddRaw(p, e.Variant, c, 1, e.Arg0, e.Arg1, e.Ret)
-		n++
+		rebuilt.TapEvent(e)
 	}
+	// The fold ignores other event kinds and unknown phase/class names.
+	rebuilt.TapEvent(obs.Event{Kind: obs.EvLibcEnter, Fn: "vuln", Name: "wait/pipelined", Arg0: 1})
+	rebuilt.TapEvent(obs.Event{Kind: obs.EvLedger, Fn: "vuln", Name: "wait/bogus", Arg0: 1})
 	if n != 3 {
 		t.Fatalf("mirrored events = %d, want 3", n)
 	}
@@ -196,7 +197,7 @@ func TestNilLedgerIsFreeNoop(t *testing.T) {
 		t.Fatal("nil ledger returned a non-nil region")
 	}
 	rg.Add(PhaseLibc, obs.VariantLeader, ClassLocal, 1, rg.Mark(), 0)
-	rg.AddRaw(PhaseLibc, obs.VariantLeader, ClassLocal, 1, 1, 0, 0)
+	l.TapEvent(obs.Event{Kind: obs.EvLedger, Fn: "fn", Name: PhaseClassName(PhaseLibc, ClassLocal), Arg0: 1})
 	if got := l.LeaderSyncCycles(); got != 0 {
 		t.Fatalf("nil LeaderSyncCycles = %d", got)
 	}

@@ -363,11 +363,14 @@ type SeriesSink interface {
 	ObserveSeries(id SeriesID, ts clock.Cycles, v uint64)
 }
 
-// Tap receives every recorded event immediately after the durable sink —
-// the incident correlator's input feed. TapEvent is invoked under the
-// recorder's lock, in exact record order (which is also WAL order, the
-// property that makes the offline incident rebuild byte-identical), so
-// implementations must be fast and must NOT call back into the Recorder.
+// Tap is the fold of a derived table over the event stream. The cost
+// ledger, the request fleet and the incident engine implement it, each
+// TapEvent sharing its table's live mutation, so folding a black-box WAL
+// through them (replay.Replay.Tables) rebuilds the live tables. A tap
+// attached with SetTap (live, the incident engine) runs right after the
+// durable sink, under the recorder's lock, in exact record order — which
+// is also WAL order — so it must be fast and must NOT call back into the
+// Recorder.
 type Tap interface {
 	TapEvent(e Event)
 }

@@ -190,19 +190,43 @@ func DiffRuns(a, b *Replay, v obs.Variant, context int) (CallDivergence, bool) {
 	return DiffCalls(a.Calls(v), b.Calls(v), context)
 }
 
-// DiffVariants diffs the leader and follower streams of one run — the
-// intra-run mode: under attack, the follower's calls part from the
-// leader's at the corrupted call, which is what the live monitor alarmed
-// on. Only calls made inside protected regions are compared: outside a
+// VariantDivergence is where one follower's call stream first parts from
+// the leader's.
+type VariantDivergence struct {
+	// Follower is the follower slot whose stream diverged.
+	Follower obs.Variant
+	CallDivergence
+}
+
+// DiffVariants diffs the leader stream of one run against each follower
+// slot's — the intra-run mode: under attack, a follower's calls part from
+// the leader's at the corrupted call, which is what the live monitor
+// alarmed on. It returns one divergence per diverging follower, in slot
+// order, and none when every follower matches the leader. The first
+// follower is always compared, later slots when they made calls: a first
+// follower with no calls shows up as the leader's calls outrunning it.
+// Only calls made inside protected regions are compared: outside a
 // region no follower exists, so the leader's setup calls (socket, bind,
 // accept) would otherwise always "diverge" at call #0.
 // Pointer values legitimately differ between the variants' disjoint
-// address windows (the follower runs at a fixed offset from the leader),
+// address windows (each follower runs at a fixed offset from the leader),
 // so — exactly like the live rendezvous check — only scalar argument
 // positions and scalar return values participate in the comparison.
-func (r *Replay) DiffVariants(context int) (CallDivergence, bool) {
+func (r *Replay) DiffVariants(context int) []VariantDivergence {
 	ev := regionEvents(r.Run.Events)
-	return diffCallsKeyed(Calls(ev, obs.VariantLeader), Calls(ev, obs.VariantFollower), context, variantKey)
+	leader := Calls(ev, obs.VariantLeader)
+	var out []VariantDivergence
+	for id := obs.VariantID(1); id <= obs.MaxFollowers; id++ {
+		v := id.Variant()
+		calls := Calls(ev, v)
+		if len(calls) == 0 && v != obs.VariantFollower {
+			continue
+		}
+		if d, ok := diffCallsKeyed(leader, calls, context, variantKey); ok {
+			out = append(out, VariantDivergence{Follower: v, CallDivergence: d})
+		}
+	}
+	return out
 }
 
 // variantKey is the leader-vs-follower call identity: pointer-position

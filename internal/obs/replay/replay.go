@@ -9,24 +9,26 @@
 //     held at exit (the newest Capacity events, per the persisted Meta), so
 //     forensics reports and Chrome traces regenerated offline are
 //     byte-identical to what the live process would have printed;
+//   - the full stream folds through the derived tables (tables.go): the
+//     cost ledger, the request fleet and the incident engine, built from
+//     the WAL's labels exactly as the live run built them, so each
+//     rebuilt table equals the live one;
 //   - the full stream feeds the libc-call diff (diff.go), which extends the
 //     Section 3.2 basic-block divergence analysis to recorded runs: diff
-//     two runs' WALs (success vs fail login) or one run's leader and
-//     follower streams, and the first divergent libc call — attributed to
-//     its simulated calling function via Event.Fn — flags the same
-//     function the in-memory block diff flags.
+//     two runs' WALs (success vs fail login) or one run's leader stream
+//     against each follower's, and the first divergent libc call —
+//     attributed to its simulated calling function via Event.Fn — flags
+//     the same function the in-memory block diff flags.
 package replay
 
 import (
 	"fmt"
 	"io"
-	"strconv"
+	"sort"
+	"strings"
 
 	"smvx/internal/obs"
 	"smvx/internal/obs/blackbox"
-	"smvx/internal/obs/incident"
-	"smvx/internal/obs/ledger"
-	"smvx/internal/sim/clock"
 )
 
 // Replay is one run reconstructed from its WAL directory.
@@ -46,13 +48,6 @@ func Load(dir string) (*Replay, error) {
 	}
 	return &Replay{Dir: dir, Run: run}, nil
 }
-
-// Events returns the full recorded event stream, in append order — every
-// event the WAL retained, including those the live ring evicted.
-func (r *Replay) Events() []obs.Event { return r.Run.Events }
-
-// Alarms returns the recorded alarm contexts, in raise order.
-func (r *Replay) Alarms() []obs.AlarmInfo { return r.Run.Alarms }
 
 // RingView returns what the live ring buffer held when the run ended: the
 // newest min(Meta.Capacity, total) events. This — not the full stream — is
@@ -109,7 +104,7 @@ func (r *Replay) RebuildMetrics() *obs.Metrics {
 		case obs.EvSpanEnd:
 			// EvSpanEnd: Name is "<kind>:<detail>", Arg0 the duration in
 			// cycles, Arg1 the category code for rendezvous/emulation spans.
-			switch kind := spanKind(e.Name); kind {
+			switch kind, _, _ := strings.Cut(e.Name, ":"); kind {
 			case "rendezvous":
 				m.Observe(obs.RendezvousMetricName(e.Arg1), e.Arg0)
 			case "emulation":
@@ -130,100 +125,41 @@ func (r *Replay) RebuildMetrics() *obs.Metrics {
 	return m
 }
 
-// RebuildLedger re-derives the rendezvous cost ledger from the full event
-// stream. Unlike RebuildMetrics this reconstruction is exact: every live
-// ledger charge is mirrored as one EvLedger event (Fn = region, Name =
-// "phase/class", Arg0/Arg1/Ret = cycles/allocs/bytes), so folding the
-// stream back through AddRaw reproduces the live ledger field-for-field —
-// the same byte-identity discipline as the forensics reports. The run
-// labels (lockstep mode, policy, lag window) come from the WAL meta.
-func (r *Replay) RebuildLedger() *ledger.Ledger {
-	led := ledger.New()
-	labels := r.Run.Meta.Labels
-	lag := 0
-	if v, err := strconv.Atoi(labels["lag-window"]); err == nil {
-		lag = v
-	}
-	led.SetRun(labels["lockstep"], labels["policy"], lag)
-	for _, e := range r.Run.Events {
-		if e.Kind != obs.EvLedger {
-			continue
-		}
-		p, c, ok := ledger.ParsePhaseClass(e.Name)
-		if !ok {
-			continue
-		}
-		led.Region(e.Fn).AddRaw(p, e.Variant, c, 1, e.Arg0, e.Arg1, e.Ret)
-	}
-	return led
-}
-
-// RebuildFleet re-derives the request-fleet aggregate from the event
-// stream. Exact like RebuildLedger: every live span mirrors an
-// EvRequestStart/EvRequestEnd pair carrying the span's own timestamps and
-// durations, and live mutation and this fold go through the same apply
-// functions, so the rebuilt fleet's table renders byte-for-byte identical
-// to the live one. The lockstep label comes from the WAL meta.
-func (r *Replay) RebuildFleet() *obs.Fleet {
-	f := obs.NewFleet()
-	f.SetRun(r.Run.Meta.Labels["lockstep"])
-	for _, e := range r.Run.Events {
-		f.Apply(e)
-	}
-	return f
-}
-
-// RebuildIncidents re-derives the incident table from the full event
-// stream. Exact like RebuildLedger: the live incident engine is a
-// recorder tap, consuming events under the recorder lock in exactly the
-// order they were appended to the WAL, so folding the stream back through
-// the same TapEvent reproduces the live correlation state and a
-// byte-identical canonical table (forensic bundles are live-only captures
-// and excluded from that table). The correlation window comes from the
-// WAL's "incident-window" meta label when present; window <= 0 with no
-// label uses the engine default.
-func (r *Replay) RebuildIncidents(window clock.Cycles) *incident.Engine {
-	if v, err := strconv.ParseUint(r.Run.Meta.Labels["incident-window"], 10, 64); err == nil && v > 0 {
-		window = clock.Cycles(v)
-	}
-	eng := incident.New(window)
-	for _, e := range r.Run.Events {
-		eng.TapEvent(e)
-	}
-	return eng
-}
-
-// spanKind splits the "<kind>:<detail>" span naming convention.
-func spanKind(name string) string {
-	for i := 0; i < len(name); i++ {
-		if name[i] == ':' {
-			return name[:i]
-		}
-	}
-	return name
-}
-
 // Summary renders a one-screen inspection of the run: metadata, stream
-// sizes, per-variant totals, alarms, and any damage notes.
+// sizes, per-variant totals, alarms, and any damage notes. Each variant
+// present gets its own count; events with no variant affinity (and any
+// out-of-range variant byte, which the live recorder stores as none)
+// count as none, so the counts sum to the total.
 func (r *Replay) Summary() string {
-	var leader, follower uint64
+	var perVariant [256]uint64
 	for _, e := range r.Run.Events {
-		switch e.Variant {
-		case obs.VariantLeader:
-			leader++
-		case obs.VariantFollower:
-			follower++
+		perVariant[e.Variant]++
+	}
+	var counts []string
+	none := uint64(len(r.Run.Events))
+	for id := obs.VariantID(0); id <= obs.MaxFollowers; id++ {
+		if n := perVariant[id.Variant()]; n > 0 {
+			counts = append(counts, fmt.Sprintf("%s %d", id.Variant(), n))
+			none -= n
 		}
+	}
+	if none > 0 {
+		counts = append(counts, fmt.Sprintf("none %d", none))
 	}
 	s := fmt.Sprintf("blackbox run: %s\n", r.Dir)
 	s += fmt.Sprintf("  segments: %d (%d bytes)\n", r.Run.Segments, r.Run.Bytes)
 	s += fmt.Sprintf("  ring capacity: %d  forensic window: %d\n",
 		r.Run.Meta.Capacity, r.Run.Meta.ForensicWindow)
-	for _, k := range sortedLabelKeys(r.Run.Meta.Labels) {
+	keys := make([]string, 0, len(r.Run.Meta.Labels))
+	for k := range r.Run.Meta.Labels {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
 		s += fmt.Sprintf("  label %s=%s\n", k, r.Run.Meta.Labels[k])
 	}
-	s += fmt.Sprintf("  events: %d total (leader %d, follower %d), ring view %d\n",
-		len(r.Run.Events), leader, follower, len(r.RingView()))
+	s += fmt.Sprintf("  events: %d total (%s), ring view %d\n",
+		len(r.Run.Events), strings.Join(counts, ", "), len(r.RingView()))
 	s += fmt.Sprintf("  alarms: %d\n", len(r.Run.Alarms))
 	for i, a := range r.Run.Alarms {
 		s += fmt.Sprintf("    #%d %s at call %d in %s\n", i+1, a.Reason, a.CallIndex, a.Function)
@@ -232,17 +168,4 @@ func (r *Replay) Summary() string {
 		s += fmt.Sprintf("  damage: %s\n", d)
 	}
 	return s
-}
-
-func sortedLabelKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
 }

@@ -97,7 +97,7 @@ func TestRingViewTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(r.Events()); got <= len(r.RingView()) {
+	if got := len(r.Run.Events); got <= len(r.RingView()) {
 		t.Fatalf("full stream (%d) should exceed ring view (%d)", got, len(r.RingView()))
 	}
 	view := r.RingView()
@@ -218,8 +218,14 @@ func TestSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A second follower's event and a request event, which has no
+	// variant, get counts of their own: the counts sum to the total.
+	r.Run.Events = append(r.Run.Events,
+		obs.Event{Kind: obs.EvLibcEnter, Variant: obs.FollowerVariant(2), TID: 3, Name: "write"},
+		obs.Event{Kind: obs.EvRequestStart, Variant: obs.VariantNone, Name: "nginx"})
 	s := r.Summary()
-	for _, want := range []string{"segments: 1", "ring capacity: 16", "alarms: 1", "call name mismatch"} {
+	for _, want := range []string{"segments: 1", "ring capacity: 16", "alarms: 1", "call name mismatch",
+		"events: 75 total (leader 48, follower 24, follower2 1, none 2), ring view 16"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q:\n%s", want, s)
 		}

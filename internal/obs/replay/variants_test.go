@@ -48,12 +48,23 @@ func TestDiffVariantsSynthetic(t *testing.T) {
 	// verdict.
 	evs = append(evs, call(obs.VariantLeader, lTID, "auth", "strcmp", 0x4000, 0x5000, 0)...)
 	evs = append(evs, call(obs.VariantFollower, fTID, "auth", "strcmp", 0x4000+followerDelta, 0x5000+followerDelta, 1)...)
+	// A second follower matches the leader on every scalar, so only the
+	// first follower's stream diverges.
+	f2, f2TID := obs.FollowerVariant(2), 3
+	evs = append(evs, call(f2, f2TID, "handler", "strlen", 0x1000+2*followerDelta, 0, 4)...)
+	evs = append(evs, call(f2, f2TID, "handler", "memcpy", 0x2000+2*followerDelta, 0x1000+2*followerDelta, 0x2000+2*followerDelta)...)
+	evs = append(evs, call(f2, f2TID, "handler", "read", 5, 0x3000+2*followerDelta, 10)...)
+	evs = append(evs, call(f2, f2TID, "auth", "strcmp", 0x4000+2*followerDelta, 0x5000+2*followerDelta, 0)...)
 	evs = append(evs, lc(obs.EvRegionEnd, obs.VariantLeader, lTID, "handler", "handler", 0, 0, 0))
 
 	r := &Replay{Run: &blackbox.Run{Events: evs, Meta: blackbox.Meta{Capacity: 64}}}
-	d, ok := r.DiffVariants(2)
-	if !ok {
-		t.Fatal("variant streams did not diverge")
+	divs := r.DiffVariants(2)
+	if len(divs) != 1 {
+		t.Fatalf("diverging followers = %d, want 1 (the first follower only): %+v", len(divs), divs)
+	}
+	d := divs[0]
+	if d.Follower != obs.VariantFollower {
+		t.Errorf("diverging follower = %v, want follower", d.Follower)
 	}
 	if d.Index != 3 {
 		t.Errorf("divergence at call #%d, want #3 (bias or region filtering broke)", d.Index)
@@ -81,8 +92,8 @@ func TestDiffVariantsIdenticalStreams(t *testing.T) {
 		{Kind: obs.EvRegionEnd, Variant: obs.VariantLeader, TID: 1, Name: "handler"},
 	}
 	r := &Replay{Run: &blackbox.Run{Events: evs}}
-	if d, ok := r.DiffVariants(0); ok {
-		t.Errorf("identical biased streams diverged: %s", d.Format("leader", "follower"))
+	for _, d := range r.DiffVariants(0) {
+		t.Errorf("identical biased streams diverged: %s", d.Format("leader", d.Follower.String()))
 	}
 }
 
@@ -116,10 +127,11 @@ func TestDiffVariantsRecordedAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, ok := r.DiffVariants(0)
-	if !ok {
-		t.Fatal("attacked run's variant streams compare identical")
+	divs := r.DiffVariants(0)
+	if len(divs) != 1 {
+		t.Fatalf("diverging followers = %d, want the one follower of the pair", len(divs))
 	}
+	d := divs[0]
 	if d.Kind != analysis.DivPrefix || d.B != nil {
 		t.Errorf("Kind = %v, B = %v; want the follower stream to end (prefix-exhausted)", d.Kind, d.B)
 	}
