@@ -1,0 +1,178 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"testing"
+
+	"smvx/internal/boot"
+	"smvx/internal/obs"
+	"smvx/internal/sim/machine"
+	"smvx/internal/sim/mem"
+)
+
+// loopApp is testApp with a recorder wired through libc, the kernel and a
+// monitor built with opts, and with protected_func(k) making k rounds of
+// round's calls. On the leader, begin runs before the first round and end
+// after the last (either may be nil).
+func loopApp(tb testing.TB, round func(th *machine.Thread, g mem.Addr), begin, end func(), opts ...Option) (*boot.Env, *Monitor) {
+	tb.Helper()
+	rec := obs.NewRecorder(obs.Config{})
+	env, _ := testApp(tb, boot.WithRecorder(rec))
+	env.Prog.MustDefine("protected_func", func(th *machine.Thread, args []uint64) uint64 {
+		g := th.Global("g_buf")
+		leader := th.Bias() == 0
+		if leader && begin != nil {
+			begin()
+		}
+		for i := uint64(0); i < argAt(args, 0); i++ {
+			round(th, g)
+		}
+		if leader && end != nil {
+			end()
+		}
+		return 0
+	})
+	mon := New(env.Machine, env.LibC, append([]Option{WithSeed(11), WithRecorder(rec)}, opts...)...)
+	return env, mon
+}
+
+// syncClassRound makes one call of each pipelined sync class: gettimeofday
+// (its result rides the ring), strlen of the empty string in the zeroed
+// g_buf (local) and time (a barrier, whose result the rendezvous
+// emulates). Under strict lockstep all three rendezvous, and gettimeofday
+// and time are emulated.
+func syncClassRound(th *machine.Thread, g mem.Addr) {
+	th.Libc("gettimeofday", uint64(g), 0)
+	th.Libc("strlen", uint64(g+256))
+	th.Libc("time", uint64(g+16))
+}
+
+const syncClassCalls = 3
+
+// runLoop runs protected_func(k) on t, as a protected region when mon is
+// non-nil; mvx_start hands the followers the same k.
+func runLoop(tb testing.TB, t *machine.Thread, mon *Monitor, k int) {
+	if mon != nil {
+		if err := mon.Start(t, "protected_func", uint64(k)); err != nil {
+			tb.Fatalf("Start: %v", err)
+		}
+	}
+	t.Call("protected_func", uint64(k))
+	if mon != nil {
+		if err := mon.End(t); err != nil {
+			tb.Fatalf("End: %v", err)
+		}
+	}
+}
+
+// TestLibcCallPathsAllocateNothing: once warm, one simulated libc call
+// allocates nothing on the host — unprotected, through a strict rendezvous
+// (N=2 and N=3), or through a pipelined enqueue and drain with barriers
+// (N=3, lag 16) — with a recorder attached. Regions with extra calls are
+// measured against the same regions without them, so variant creation and
+// the other per-region costs cancel out. Allocations count on every
+// goroutine, the followers' included.
+func TestLibcCallPathsAllocateNothing(t *testing.T) {
+	const regions, base, extra = 4, 8, 64
+	cases := []struct {
+		name    string
+		protect bool
+		opts    []Option
+	}{
+		{"unprotected", false, nil},
+		{"strict", true, nil},
+		{"strict-n3", true, []Option{WithVariants(3)}},
+		{"pipelined-n3", true, []Option{WithLockstepMode(LockstepPipelined), WithVariants(3)}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			env, mon := loopApp(t, syncClassRound, nil, nil, c.opts...)
+			th, err := env.MainThread()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !c.protect {
+				mon = nil
+			} else if err := mon.Init(th); err != nil {
+				t.Fatal(err)
+			}
+			mallocs := func(tt *machine.Thread, k int) uint64 {
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				before := ms.Mallocs
+				for i := 0; i < regions; i++ {
+					runLoop(t, tt, mon, k)
+				}
+				runtime.ReadMemStats(&ms)
+				return ms.Mallocs - before
+			}
+			perCall := math.Inf(1)
+			if err := th.Run(func(tt *machine.Thread) {
+				mallocs(tt, base+extra) // warm up
+				// The smallest of three differences: runtime background
+				// work only ever adds allocations.
+				for try := 0; try < 3; try++ {
+					without := mallocs(tt, base)
+					with := mallocs(tt, base+extra)
+					d := (float64(with) - float64(without)) / (regions * extra * syncClassCalls)
+					perCall = min(perCall, d)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if mon != nil && len(mon.Alarms()) != 0 {
+				t.Fatalf("alarms: %v", mon.Alarms())
+			}
+			if perCall > 0.01 {
+				t.Errorf("%.3f allocations per libc call, want 0", perCall)
+			}
+		})
+	}
+}
+
+// benchLoop times one protected region of b.N rounds, from the leader's
+// first round to its last; variant creation and region exit stay out of
+// the measurement.
+func benchLoop(b *testing.B, round func(th *machine.Thread, g mem.Addr), opts ...Option) {
+	env, mon := loopApp(b, round, b.ResetTimer, b.StopTimer, opts...)
+	th, err := env.MainThread()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := mon.Init(th); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	if err := th.Run(func(tt *machine.Thread) { runLoop(b, tt, mon, b.N) }); err != nil {
+		b.Fatal(err)
+	}
+	if alarms := mon.Alarms(); len(alarms) != 0 {
+		b.Fatalf("alarms: %v", alarms)
+	}
+}
+
+// timeRound is one gettimeofday: a result-emulation call whose 16-byte
+// result every follower receives.
+func timeRound(th *machine.Thread, g mem.Addr) {
+	th.Libc("gettimeofday", uint64(g), 0)
+}
+
+// BenchmarkRendezvous is one libc call through a strict rendezvous: each
+// follower publishes its call record, the leader decodes the records and
+// votes, executes the call and emulates its result to every follower.
+func BenchmarkRendezvous(b *testing.B) {
+	for _, n := range []int{2, 3} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			benchLoop(b, timeRound, WithVariants(n))
+		})
+	}
+}
+
+// BenchmarkRingDrain is one pipelined call with a lag window of 16: the
+// leader executes the call and appends its record, result snapshot
+// included, to the ring, and the follower drains, verifies and applies it.
+func BenchmarkRingDrain(b *testing.B) {
+	benchLoop(b, timeRound, WithLockstepMode(LockstepPipelined), WithLagWindow(16))
+}

@@ -27,16 +27,16 @@ const (
 	maxCallArgs    = 64
 )
 
-// encodeCallRecord frames one follower call for the IPC ring.
-func encodeCallRecord(name string, args []uint64) []byte {
-	buf := make([]byte, 0, 2+len(name)+2+len(args)*binary.MaxVarintLen64)
-	buf = binary.AppendUvarint(buf, uint64(len(name)))
-	buf = append(buf, name...)
-	buf = binary.AppendUvarint(buf, uint64(len(args)))
+// appendCallRecord appends the framed record of one follower call to dst
+// and returns the extended slice; callers pass a buffer they reuse.
+func appendCallRecord(dst []byte, name string, args []uint64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(name)))
+	dst = append(dst, name...)
+	dst = binary.AppendUvarint(dst, uint64(len(args)))
 	for _, a := range args {
-		buf = binary.AppendUvarint(buf, a)
+		dst = binary.AppendUvarint(dst, a)
 	}
-	return buf
+	return dst
 }
 
 // errCorruptCallRecord is wrapped by every decodeCallRecord failure.
@@ -54,9 +54,13 @@ func readUvarint(wire []byte) (uint64, int) {
 	return v, w
 }
 
-// decodeCallRecord parses a framed call record. It never panics on
-// arbitrary input (fuzzed) and rejects trailing garbage.
-func decodeCallRecord(wire []byte) (name string, args []uint64, err error) {
+// decodeCallRecord parses a framed call record, appending its arguments to
+// args (a reused buffer, passed with length 0). When the record's name
+// equals want, the call the decoding side expects, the returned name is
+// want itself, so a matching record allocates nothing; any other name is
+// copied out of wire. It never panics on arbitrary input (fuzzed) and
+// rejects trailing garbage.
+func decodeCallRecord(wire []byte, want string, args []uint64) (string, []uint64, error) {
 	n, w := readUvarint(wire)
 	if w <= 0 {
 		return "", nil, fmt.Errorf("%w: bad name length", errCorruptCallRecord)
@@ -68,7 +72,10 @@ func decodeCallRecord(wire []byte) (name string, args []uint64, err error) {
 	if uint64(len(wire)) < n {
 		return "", nil, fmt.Errorf("%w: name truncated", errCorruptCallRecord)
 	}
-	name = string(wire[:n])
+	name := want
+	if string(wire[:n]) != want {
+		name = string(wire[:n])
+	}
 	wire = wire[n:]
 	count, w := readUvarint(wire)
 	if w <= 0 {
@@ -77,9 +84,6 @@ func decodeCallRecord(wire []byte) (name string, args []uint64, err error) {
 	wire = wire[w:]
 	if count > maxCallArgs {
 		return "", nil, fmt.Errorf("%w: argument count %d exceeds %d", errCorruptCallRecord, count, maxCallArgs)
-	}
-	if count > 0 {
-		args = make([]uint64, 0, count)
 	}
 	for i := uint64(0); i < count; i++ {
 		v, w := readUvarint(wire)
@@ -117,27 +121,26 @@ const (
 // errCorruptResultRecord is wrapped by every decodeResultRecord failure.
 var errCorruptResultRecord = errors.New("corrupt result record")
 
-// encodeResultRecord frames a pipelined call's result for the ring.
-func encodeResultRecord(ret uint64, errno kernel.Errno, bufs []emuBuf) []byte {
-	n := 3 * binary.MaxVarintLen64
+// appendResultRecord appends the framed result of a pipelined call to dst
+// and returns the extended slice; callers pass a buffer they reuse.
+func appendResultRecord(dst []byte, ret uint64, errno kernel.Errno, bufs []emuBuf) []byte {
+	dst = binary.AppendUvarint(dst, ret)
+	dst = binary.AppendUvarint(dst, uint64(errno))
+	dst = binary.AppendUvarint(dst, uint64(len(bufs)))
 	for _, b := range bufs {
-		n += 2*binary.MaxVarintLen64 + len(b.data)
+		dst = binary.AppendUvarint(dst, uint64(b.argIdx))
+		dst = binary.AppendUvarint(dst, uint64(len(b.data)))
+		dst = append(dst, b.data...)
 	}
-	wire := make([]byte, 0, n)
-	wire = binary.AppendUvarint(wire, ret)
-	wire = binary.AppendUvarint(wire, uint64(errno))
-	wire = binary.AppendUvarint(wire, uint64(len(bufs)))
-	for _, b := range bufs {
-		wire = binary.AppendUvarint(wire, uint64(b.argIdx))
-		wire = binary.AppendUvarint(wire, uint64(len(b.data)))
-		wire = append(wire, b.data...)
-	}
-	return wire
+	return dst
 }
 
-// decodeResultRecord parses a framed result record. Like decodeCallRecord
-// it never panics on arbitrary input and rejects trailing garbage.
-func decodeResultRecord(wire []byte) (ret uint64, errno kernel.Errno, bufs []emuBuf, err error) {
+// decodeResultRecord parses a framed result record, appending its buffers
+// to bufs (a reused buffer, passed with length 0). Each buffer's data is a
+// view into wire, not a copy: it is valid only while wire is. Like
+// decodeCallRecord it never panics on arbitrary input and rejects trailing
+// garbage.
+func decodeResultRecord(wire []byte, bufs []emuBuf) (ret uint64, errno kernel.Errno, _ []emuBuf, err error) {
 	ret, w := readUvarint(wire)
 	if w <= 0 {
 		return 0, 0, nil, fmt.Errorf("%w: bad return value", errCorruptResultRecord)
@@ -173,10 +176,8 @@ func decodeResultRecord(wire []byte) (ret uint64, errno kernel.Errno, bufs []emu
 		if uint64(len(wire)) < n {
 			return 0, 0, nil, fmt.Errorf("%w: buffer %d truncated", errCorruptResultRecord, i)
 		}
-		data := make([]byte, n)
-		copy(data, wire[:n])
+		bufs = append(bufs, emuBuf{argIdx: int(idx), data: wire[:n:n]})
 		wire = wire[n:]
-		bufs = append(bufs, emuBuf{argIdx: int(idx), data: data})
 	}
 	if len(wire) != 0 {
 		return 0, 0, nil, fmt.Errorf("%w: %d trailing bytes", errCorruptResultRecord, len(wire))

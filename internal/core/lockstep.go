@@ -30,9 +30,13 @@ const (
 // is the follower's machine thread: while the follower blocks on resp the
 // leader may snapshot it for forensics (the send on req established the
 // happens-before edge).
+//
+// Each follower slot owns one record, reused for every rendezvous: the
+// follower fills it and publishes it on req, the leader reads it only
+// until it replies on resp (a channel made with the session), and the
+// follower writes it again only after the reply.
 type callRecord struct {
 	name   string
-	args   []uint64
 	wire   []byte
 	thread *machine.Thread
 	resp   chan callResult
@@ -63,7 +67,20 @@ type followerSlot struct {
 	thread *kernel.Thread
 
 	req  chan *callRecord   // rendezvous lane: strict calls and pipelined barriers
-	ring chan *leaderRecord // pipelined run-ahead lane
+	ring chan *leaderRecord // pipelined run-ahead lane (nil in strict sessions)
+	free chan *leaderRecord // drained ring records going back to the leader (nil in strict sessions)
+
+	// call is the slot's one rendezvous record (see callRecord) and
+	// wireBuf the backing array of its wire. ballot is the leader's decode
+	// buffer for that wire: only the leader goroutine touches it.
+	call    callRecord
+	wireBuf [64]byte
+	ballot  [8]uint64
+
+	// drainArgs and drainBufs are the follower's decode buffers for the
+	// ring records it drains: only the slot's goroutine touches them.
+	drainArgs [8]uint64
+	drainBufs [1]emuBuf
 
 	// drained counts records this slot has verified; fCycles is the slot
 	// thread's cycle total at its previous rendezvous. Both are touched
@@ -174,6 +191,12 @@ type session struct {
 	// entry, and that host delay before the wait starts lets the
 	// followers' concurrent charges drop out of the measured wait.
 	arrivals [MaxVariants - 1]slotArrival
+
+	// stage is the leader's staging buffer for the output-buffer copies of
+	// the strict emulate and the pipelined captureOutputs (leader goroutine
+	// only). Whatever must outlive the call, such as a redo-log entry, is
+	// copied out of it.
+	stage []byte
 }
 
 func newSession(mon *Monitor, fn string, delta int64, leaderTID int) *session {
@@ -191,16 +214,36 @@ func newSession(mon *Monitor, fn string, delta int64, leaderTID int) *session {
 	n := mon.numFollowers()
 	s.slots = make([]*followerSlot, n)
 	for i := 0; i < n; i++ {
-		s.slots[i] = &followerSlot{
+		sl := &followerSlot{
 			id:       i + 1,
 			delta:    delta * int64(i+1),
 			req:      make(chan *callRecord),
-			ring:     make(chan *leaderRecord, mon.opts.LagWindow),
+			call:     callRecord{resp: make(chan callResult, 1)},
 			dead:     make(chan struct{}),
 			detachCh: make(chan struct{}),
 		}
+		sl.call.wire = sl.wireBuf[:0]
+		if s.pipelined {
+			// Up to LagWindow records sit in the ring, the follower holds the
+			// one it drains and the leader the one it fills, so free never
+			// holds more than LagWindow+2 and a return never blocks.
+			sl.ring = make(chan *leaderRecord, mon.opts.LagWindow)
+			sl.free = make(chan *leaderRecord, mon.opts.LagWindow+2)
+		}
+		s.slots[i] = sl
+	}
+	if s.pipelined {
+		s.lendRecords()
 	}
 	return s
+}
+
+// staging returns the leader's staging buffer resized to n bytes.
+func (s *session) staging(n int) []byte {
+	if cap(s.stage) < n {
+		s.stage = make([]byte, n)
+	}
+	return s.stage[:n]
 }
 
 // attached appends the slots the policy has not severed to buf, in slot
@@ -379,7 +422,7 @@ func (s *session) rendezvous(t *machine.Thread, name string, args []uint64, idx 
 		if barrier {
 			obsRec.Metrics().Inc(obs.MetricLockstepBarrier)
 		}
-		span = obsRec.BeginRendezvousSpan(obs.VariantLeader, t.TID(), name,
+		span = obsRec.BeginRendezvousSpan(obs.VariantLeader, t.TID(), spanNames(name).Rendezvous,
 			uint64(libc.CategoryOf(name)))
 	}
 	phase := ledger.PhaseRendezvous
@@ -496,7 +539,7 @@ func (s *session) resolve(t *machine.Thread, name string, args []uint64, arr []s
 	var wireBytes uint64
 	valid := 0
 	for _, a := range arr {
-		fname, fargs, err := decodeCallRecord(a.rec.wire)
+		fname, fargs, err := decodeCallRecord(a.rec.wire, name, a.slot.ballot[:0])
 		wireBytes += uint64(len(a.rec.wire))
 		ballots = append(ballots, Ballot{Variant: VariantID(a.slot.id), Name: fname, Args: fargs, Valid: err == nil})
 		if err == nil {
@@ -603,7 +646,7 @@ func (s *session) resolve(t *machine.Thread, name string, args []uint64, arr []s
 	errno := t.Errno()
 	var esp obs.EmulationSpan
 	if obsRec != nil {
-		esp = obsRec.BeginEmulationSpan(obs.VariantLeader, t.TID(), name, uint64(cat))
+		esp = obsRec.BeginEmulationSpan(obs.VariantLeader, t.TID(), spanNames(name).Emulation, uint64(cat))
 	}
 	emuMark := s.lr.Mark()
 	total := 0
@@ -705,10 +748,9 @@ func (s *session) followerCall(t *machine.Thread, sl *followerSlot, name string,
 func (s *session) followerRendezvous(t *machine.Thread, sl *followerSlot, name string, args []uint64, lag clock.Cycles) uint64 {
 	fv := obs.FollowerVariant(sl.id)
 	mshMark := s.lr.Mark()
-	rec := &callRecord{
-		name: name, args: args, wire: encodeCallRecord(name, args),
-		thread: t, resp: make(chan callResult, 1), lag: lag,
-	}
+	rec := &sl.call
+	rec.name, rec.thread, rec.lag = name, t, lag
+	rec.wire = appendCallRecord(rec.wire[:0], name, args)
 	lr := s.lr
 	var cls ledger.Class
 	var fwaitStart clock.Cycles
@@ -800,7 +842,7 @@ func (s *session) emulate(name string, leaderArgs, followerArgs []uint64, ret ui
 		if src == 0 || dst == 0 {
 			return 0
 		}
-		buf := make([]byte, n)
+		buf := s.staging(n)
 		if err := as.ReadAt(src, buf); err != nil {
 			return 0
 		}
@@ -824,8 +866,9 @@ func (s *session) emulate(name string, leaderArgs, followerArgs []uint64, ret ui
 		if s.mon.opts.Policy == PolicyRollback {
 			// The kernel-sourced bytes just landed in the follower's
 			// buffer; log them so a rollback can replay the post-snapshot
-			// libc tail (buf is freshly allocated per call — safe to keep).
-			s.mon.redo.Append(idx, name, dst, buf)
+			// libc tail. buf is the reused staging buffer, so the log
+			// keeps a copy.
+			s.mon.redo.Append(idx, name, dst, append([]byte(nil), buf...))
 		}
 		return n
 	}
@@ -981,6 +1024,26 @@ var scalarArgMasks = map[string][]bool{
 	"strcmp":       {false, false},
 	"strncmp":      {false, false, true},
 	"snprintf":     {false, true, false},
+}
+
+// callSpans holds the lockstep span names of every simulated call, built
+// once like libc's metric-name table and never written afterwards, so an
+// enabled recorder opens spans without concatenating.
+var callSpans = func() map[string]obs.SpanNames {
+	out := make(map[string]obs.SpanNames, len(libc.Table1))
+	for _, name := range libc.Names() {
+		out[name] = obs.NewSpanNames(name)
+	}
+	return out
+}()
+
+// spanNames returns the lockstep span names of the call name, building
+// them for a name outside the table.
+func spanNames(name string) obs.SpanNames {
+	if n, ok := callSpans[name]; ok {
+		return n
+	}
+	return obs.NewSpanNames(name)
 }
 
 func cyclesOf(n int) clock.Cycles {

@@ -411,6 +411,8 @@ type Monitor struct {
 	regionCalls    map[string]uint64 // protected fn -> libc calls (Figure 8)
 	followerBases  []mem.Addr        // cloned section/heap regions
 	followerStacks []mem.Addr        // follower stack regions
+	slotNames      []slotNames       // per-slot thread and region names, built once
+	ringPool       [][]*leaderRecord // per-slot pipelined ring records kept between regions
 	variantReady   bool              // clones exist and can be refreshed
 	reports        []RegionReport
 
@@ -486,6 +488,8 @@ func New(m *machine.Machine, lib *libc.LibC, opts ...Option) *Monitor {
 		redo:        NewRedoLog(),
 	}
 	mo.slotDown = make([]bool, mo.numFollowers())
+	mo.slotNames = newSlotNames(mo.numFollowers())
+	mo.ringPool = make([][]*leaderRecord, mo.numFollowers())
 	if mo.led != nil {
 		// Charge the libc dispatch itself to the ledger's libc phase. The
 		// hook loads the active region lock-free; outside a region it is

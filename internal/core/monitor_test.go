@@ -15,7 +15,8 @@ import (
 )
 
 // testApp builds a small instrumented application with a protected region.
-func testApp(t *testing.T) (*boot.Env, *Monitor) {
+// opts are added to the boot options.
+func testApp(t testing.TB, opts ...boot.Option) (*boot.Env, *Monitor) {
 	t.Helper()
 	img := image.NewBuilder("testapp", 0x400000).
 		AddFunc("main", 128).
@@ -33,7 +34,7 @@ func testApp(t *testing.T) (*boot.Env, *Monitor) {
 		NeedLibc(libc.Names()...).
 		Build()
 	prog := machine.NewProgram(img)
-	env, err := boot.NewEnv(kernel.New(clock.DefaultCosts(), 11), prog, boot.WithSeed(11))
+	env, err := boot.NewEnv(kernel.New(clock.DefaultCosts(), 11), prog, append([]boot.Option{boot.WithSeed(11)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}

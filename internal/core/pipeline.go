@@ -88,9 +88,12 @@ const pipelineGrace = 200 * time.Millisecond
 // rather than trusting in-process fields. A barrier record carries no
 // result: the follower hands its own callRecord over the slot's
 // rendezvous lane and the set completes a full rendezvous.
+//
+// Records are recycled per slot: after its last read of a record, idx
+// included, the follower sends it back on the slot's free lane, and the
+// leader refills it, wire and result buffers included, for a later call.
 type leaderRecord struct {
 	idx     uint64 // 1-based libc-call ordinal, stamped by the leader
-	name    string
 	wire    []byte
 	cat     libc.Category
 	barrier bool
@@ -190,20 +193,23 @@ func (s *session) enqueue(t *machine.Thread, name string, args []uint64, idx uin
 func (s *session) publish(t *machine.Thread, name string, args []uint64, idx uint64, slots []*followerSlot, ret uint64, errno kernel.Errno) ([]*followerSlot, int, clock.Cycles) {
 	sc := libc.SyncClassOf(name)
 	cls := ledger.ClassOf(name)
-	mshMark := s.lr.Mark()
-	wire := encodeCallRecord(name, args)
+	cat := libc.CategoryOf(name)
 	accepted, depth := slots[:0], 0
 	var wait clock.Cycles
-	for i, sl := range slots {
-		if i > 0 {
-			mshMark = s.lr.Mark()
+	for _, sl := range slots {
+		mshMark := s.lr.Mark()
+		var rec *leaderRecord
+		select {
+		case rec = <-sl.free:
+		default:
+			rec = new(leaderRecord)
 		}
-		rec := &leaderRecord{
-			idx: idx, name: name, wire: wire, cat: libc.CategoryOf(name),
-			barrier: sc == libc.SyncBarrier, local: sc == libc.SyncLocal,
-		}
+		rec.idx, rec.cat = idx, cat
+		rec.barrier, rec.local = sc == libc.SyncBarrier, sc == libc.SyncLocal
+		rec.wire = appendCallRecord(rec.wire[:0], name, args)
+		rec.result = rec.result[:0]
 		if sc == libc.SyncPipelined {
-			rec.result = encodeResultRecord(ret, errno, s.captureOutputs(name, args, ret, sl.delta))
+			rec.result = s.captureOutputs(rec.result, name, args, ret, errno, sl.delta)
 		}
 		if lr := s.lr; lr != nil {
 			lr.Add(ledger.PhaseMarshal, obs.VariantLeader, cls, 0, mshMark,
@@ -313,13 +319,13 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, nam
 	var dspan obs.DrainSpan
 	if obsRec != nil {
 		arriveTS = s.mon.m.Counter().Cycles()
-		dspan = obsRec.BeginDrainSpan(fv, t.TID(), name, uint64(rec.cat))
+		dspan = obsRec.BeginDrainSpan(fv, t.TID(), spanNames(name).Drain, uint64(rec.cat))
 	}
 
 	// Drain-time divergence checks: decode what crossed the ring, then
 	// the rendezvous compare against the follower's own call.
 	cmpMark := s.lr.Mark()
-	lname, largs, derr := decodeCallRecord(rec.wire)
+	lname, largs, derr := decodeCallRecord(rec.wire, name, sl.drainArgs[:0])
 	if derr != nil {
 		s.drainDiverged(t, sl, Alarm{
 			Reason: AlarmCallMismatch, CallIndex: rec.idx, Function: s.fn,
@@ -344,6 +350,7 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, nam
 	}
 
 	if rec.barrier {
+		sl.recycle(rec)
 		// Everything before the barrier has drained, so the leader's
 		// verdict arrives exactly as in strict lockstep.
 		ret := s.followerRendezvous(t, sl, name, args, lag)
@@ -351,6 +358,7 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, nam
 		return ret
 	}
 	if rec.local {
+		sl.recycle(rec)
 		// User-space call: execute in the follower's own window.
 		// lib.Call records the follower's enter/exit events itself.
 		ret := s.mon.lib.Call(t, name, args)
@@ -358,9 +366,11 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, nam
 		return ret
 	}
 
-	// Pipelined record: decode and apply the leader's result snapshot.
+	// Pipelined record: decode and apply the leader's result snapshot. The
+	// decoded buffers are views into rec.result, so the record goes back
+	// to the leader only once they are applied.
 	emuMark := s.lr.Mark()
-	ret, errno, bufs, rerr := decodeResultRecord(rec.result)
+	ret, errno, bufs, rerr := decodeResultRecord(rec.result, sl.drainBufs[:0])
 	if rerr != nil {
 		s.drainDiverged(t, sl, Alarm{
 			Reason: AlarmCallMismatch, CallIndex: rec.idx, Function: s.fn,
@@ -369,6 +379,7 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, nam
 		}, "ipc-corruption")
 	}
 	copied, faulted := s.applyResult(t, sl, name, rec.idx, largs, args, bufs)
+	sl.recycle(rec)
 	if lr != nil {
 		lr.Add(ledger.PhaseEmulate, fv, cls,
 			costs.LockstepCopyPerByte*cyclesOf(copied), emuMark, uint64(copied))
@@ -389,6 +400,55 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, nam
 	}
 	t.SetErrno(errno)
 	return ret
+}
+
+// lendRecords puts the ring records the monitor kept from earlier
+// pipelined regions on each slot's free lane, so a region starts with the
+// records, and the buffers, that the previous ones grew. A slot never has
+// more records than its free lane holds (see newSession), so the sends
+// never block.
+func (s *session) lendRecords() {
+	mo := s.mon
+	mo.mu.Lock()
+	defer mo.mu.Unlock()
+	for i, sl := range s.slots {
+		for _, rec := range mo.ringPool[i] {
+			sl.free <- rec
+		}
+		clear(mo.ringPool[i])
+		mo.ringPool[i] = mo.ringPool[i][:0]
+	}
+}
+
+// keepRecords takes the records on each slot's free lane back into the
+// monitor's pool at region exit, after the followers have wound down.
+// Only records on a free lane are past their follower's last read; one a
+// severed follower still holds, or one stranded on a ring, is left behind.
+// Call with mo.mu held.
+func (s *session) keepRecords() {
+	for i, sl := range s.slots {
+		pool := s.mon.ringPool[i]
+	drain:
+		for {
+			select {
+			case rec := <-sl.free:
+				pool = append(pool, rec)
+			default:
+				break drain
+			}
+		}
+		s.mon.ringPool[i] = pool
+	}
+}
+
+// recycle hands a drained record back to the leader for a later call. The
+// free lane has room for every record the slot can hold (see newSession);
+// were it ever full, the record would just be dropped.
+func (sl *followerSlot) recycle(rec *leaderRecord) {
+	select {
+	case sl.free <- rec:
+	default:
+	}
 }
 
 // dequeueRecord takes the next leader record off the slot's ring, blocking
@@ -455,28 +515,32 @@ func (s *session) followerTimedOut(t *machine.Thread, sl *followerSlot, name str
 	s.mon.severFromFollower(s, sl, t, "rendezvous-timeout")
 }
 
-// captureOutputs snapshots the buffers the leader's call wrote through
-// its pointer arguments — the per-call rules of emulate (lockstep.go),
-// applied at call time so the record is immune to the leader overwriting
-// the buffer while it runs ahead. delta is the target slot's window
+// captureOutputs appends to dst the result record of the leader's call:
+// ret, errno and a snapshot of the buffer the call wrote through its
+// pointer arguments — the per-call rules of emulate (lockstep.go), applied
+// at call time so the record is immune to the leader overwriting the
+// buffer while it runs ahead. The snapshot is read into the leader's
+// staging buffer and framed into dst. delta is the target slot's window
 // shift: epoll_data entries that point into the leader's space are
 // rebased into that slot's window here, while the leader's heap
 // watermark still reflects the moment of the call.
-func (s *session) captureOutputs(name string, args []uint64, ret uint64, delta int64) []emuBuf {
+func (s *session) captureOutputs(dst []byte, name string, args []uint64, ret uint64, errno kernel.Errno, delta int64) []byte {
 	as := s.mon.m.AddressSpace()
-	grab := func(argIdx, n int) []emuBuf {
+	var out [1]emuBuf
+	bufs := out[:0]
+	grab := func(argIdx, n int) {
 		if n <= 0 {
-			return nil
+			return
 		}
 		src := mem.Addr(argAt(args, argIdx))
 		if src == 0 {
-			return nil
+			return
 		}
-		buf := make([]byte, n)
+		buf := s.staging(n)
 		if err := as.ReadAt(src, buf); err != nil {
-			return nil
+			return
 		}
-		return []emuBuf{{argIdx: argIdx, data: buf}}
+		bufs = append(bufs, emuBuf{argIdx: argIdx, data: buf})
 	}
 	retN := 0
 	if int64(ret) > 0 {
@@ -484,22 +548,22 @@ func (s *session) captureOutputs(name string, args []uint64, ret uint64, delta i
 	}
 	switch name {
 	case "read", "recv":
-		return grab(1, retN)
+		grab(1, retN)
 	case "stat", "fstat":
-		return grab(1, 24)
+		grab(1, 24)
 	case "gettimeofday":
-		return grab(0, 16)
+		grab(0, 16)
 	case "time":
-		return grab(0, 8)
+		grab(0, 8)
 	case "localtime_r":
-		return grab(1, 64)
+		grab(1, 64)
 	case "getsockopt":
-		return grab(2, 8)
+		grab(2, 8)
 	case "accept4":
-		return nil // peer-address buffer unused by the simulated apps
+		// The peer-address buffer is unused by the simulated apps.
 	case "epoll_wait", "epoll_pwait":
 		src := mem.Addr(argAt(args, 1))
-		data := make([]byte, 0, retN*16)
+		data := s.staging(0)
 		for i := 0; i < retN; i++ {
 			var entry [16]byte
 			if err := as.ReadAt(src+mem.Addr(i*16), entry[:]); err != nil {
@@ -511,12 +575,12 @@ func (s *session) captureOutputs(name string, args []uint64, ret uint64, delta i
 			}
 			data = append(data, entry[:]...)
 		}
-		if len(data) == 0 {
-			return nil
+		s.stage = data
+		if len(data) > 0 {
+			bufs = append(bufs, emuBuf{argIdx: 1, data: data})
 		}
-		return []emuBuf{{argIdx: 1, data: data}}
 	}
-	return nil
+	return appendResultRecord(dst, ret, errno, bufs)
 }
 
 // applyResult writes the decoded buffer snapshots into the follower's own
@@ -549,9 +613,9 @@ func (s *session) applyResult(t *machine.Thread, sl *followerSlot, name string, 
 		_ = as.CopyTaint(dst, src, len(b.data))
 		s.mon.m.ChargeThread(t, costs.LockstepCopyPerByte*cyclesOf(len(b.data)))
 		if s.mon.opts.Policy == PolicyRollback {
-			// Same redo capture as the strict emulate: the decoded result
-			// snapshot is owned by this record and never reused.
-			s.mon.redo.Append(idx, name, dst, b.data)
+			// Same redo capture as the strict emulate: b.data is a view into
+			// a ring record the leader will refill, so the log keeps a copy.
+			s.mon.redo.Append(idx, name, dst, append([]byte(nil), b.data...))
 		}
 		copied += len(b.data)
 	}

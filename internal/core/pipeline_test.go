@@ -410,8 +410,8 @@ func TestResultRecordCodec(t *testing.T) {
 		{argIdx: 0, data: []byte{1, 2, 3, 4}},
 		{argIdx: 2, data: []byte("timeval bytes....")},
 	}
-	wire := encodeResultRecord(0x1f, kernel.Errno(11), bufs)
-	ret, errno, got, err := decodeResultRecord(wire)
+	wire := appendResultRecord(nil, 0x1f, kernel.Errno(11), bufs)
+	ret, errno, got, err := decodeResultRecord(wire, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestResultRecordCodec(t *testing.T) {
 	}
 	// Truncations at every prefix length must fail cleanly, not panic.
 	for i := 0; i < len(wire); i++ {
-		if _, _, _, err := decodeResultRecord(wire[:i]); err == nil && i < len(wire) {
+		if _, _, _, err := decodeResultRecord(wire[:i], nil); err == nil && i < len(wire) {
 			// Short prefixes that happen to decode (e.g. ret-only frames)
 			// are still rejected by the trailing-garbage check elsewhere;
 			// only a full prefix may parse.
@@ -431,12 +431,12 @@ func TestResultRecordCodec(t *testing.T) {
 		}
 	}
 	// Trailing garbage is rejected.
-	if _, _, _, err := decodeResultRecord(append(append([]byte{}, wire...), 0x00)); err == nil {
+	if _, _, _, err := decodeResultRecord(append(append([]byte{}, wire...), 0x00), nil); err == nil {
 		t.Error("trailing garbage accepted")
 	}
 	// Oversized buffer count is rejected.
-	big := encodeResultRecord(0, 0, make([]emuBuf, maxResultBufs+1))
-	if _, _, _, err := decodeResultRecord(big); err == nil {
+	big := appendResultRecord(nil, 0, 0, make([]emuBuf, maxResultBufs+1))
+	if _, _, _, err := decodeResultRecord(big, nil); err == nil {
 		t.Error("oversized buffer count accepted")
 	}
 }

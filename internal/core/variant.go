@@ -18,6 +18,34 @@ var clonedSections = []string{
 	image.SecPLT, image.SecGotPLT,
 }
 
+// slotNames are one follower slot's thread and cloned-region names. They
+// appear in Regions(), snapshots and forensics, so they keep their
+// formatted forms byte for byte; the monitor builds them once rather than
+// on every region.
+type slotNames struct {
+	thread   string
+	sections []string // parallel to clonedSections
+	heap     string
+}
+
+// newSlotNames builds the names of follower slots 1..n.
+func newSlotNames(n int) []slotNames {
+	out := make([]slotNames, n)
+	for k := 1; k <= n; k++ {
+		sn := &out[k-1]
+		sn.thread = "smvx-follower"
+		if k > 1 {
+			sn.thread = fmt.Sprintf("smvx-follower%d", k)
+		}
+		sn.sections = make([]string, len(clonedSections))
+		for i, sec := range clonedSections {
+			sn.sections[i] = fmt.Sprintf("v%d:%s", k+1, sec)
+		}
+		sn.heap = fmt.Sprintf("v%d:heap", k+1)
+	}
+	return out
+}
+
 // leaderHeapBase returns the base of the leader's heap region.
 func (mo *Monitor) leaderHeapBase() mem.Addr {
 	base, _ := mo.lib.HeapBounds(0)
@@ -188,10 +216,7 @@ func (mo *Monitor) Start(t *machine.Thread, fn string, args ...uint64) error {
 		sl := sl
 		dk := sl.delta
 		ftid := sl.tid
-		tname := "smvx-follower"
-		if sl.id > 1 {
-			tname = fmt.Sprintf("smvx-follower%d", sl.id)
-		}
+		tname := mo.slotNames[sl.id-1].thread
 		fStackBase := mem.Addr(int64(mo.img.End())+dk) + 0x100_0000
 		imgLo := mem.Addr(int64(mo.img.Base) + dk)
 		imgHi := mem.Addr(int64(mo.img.End()) + dk)
@@ -333,12 +358,13 @@ func (mo *Monitor) createVariants(upSlot []bool, upDeltas []int64, stats *Creati
 			continue
 		}
 		dk := mo.opts.Delta * int64(k)
-		for _, secName := range clonedSections {
+		names := &mo.slotNames[k-1]
+		for i, secName := range clonedSections {
 			sec, ok := mo.img.Section(secName)
 			if !ok {
 				continue
 			}
-			clone, err := as.CloneRegionShifted(sec.Addr, dk, fmt.Sprintf("v%d:%s", k+1, secName))
+			clone, err := as.CloneRegionShifted(sec.Addr, dk, names.sections[i])
 			if err != nil {
 				return bases, fmt.Errorf("smvx: clone %s: %w", secName, err)
 			}
@@ -352,7 +378,7 @@ func (mo *Monitor) createVariants(upSlot []bool, upDeltas []int64, stats *Creati
 			}
 		}
 		if heapSize > 0 {
-			clone, err := as.CloneRegionShifted(heapBase, dk, fmt.Sprintf("v%d:heap", k+1))
+			clone, err := as.CloneRegionShifted(heapBase, dk, names.heap)
 			if err != nil {
 				return bases, fmt.Errorf("smvx: clone heap: %w", err)
 			}
@@ -595,6 +621,9 @@ func (mo *Monitor) End(t *machine.Thread) error {
 	}
 	mo.regionCalls[s.fn] += report.LibcCalls
 	mo.reports = append(mo.reports, report)
+	if s.pipelined {
+		s.keepRecords()
+	}
 	mo.session = nil
 	mo.curRegion.Store(nil)
 	mo.mu.Unlock()

@@ -38,7 +38,7 @@ func fuzzSeedSegment(f *testing.F) (string, []byte) {
 		rg.Add(ledger.PhaseEnqueue, obs.VariantLeader, ledger.ClassPipelined, 250, ledger.Mark{}, 0)
 		rg.Add(ledger.PhaseDrain, obs.VariantFollower, ledger.ClassPipelined, 80, ledger.Mark{}, 0)
 		rg.Add(ledger.PhaseEmulate, obs.FollowerVariant(2), ledger.ClassBarrier, 64, ledger.Mark{}, 64)
-		span := rec.BeginRendezvousSpan(obs.VariantLeader, 1, "write", 2)
+		span := rec.BeginRendezvousSpan(obs.VariantLeader, 1, obs.NewSpanNames("write").Rendezvous, 2)
 		ctr.Charge(20)
 		span.End(64)
 		sp.End(i != 1)

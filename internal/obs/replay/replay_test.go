@@ -26,7 +26,7 @@ func scenario(t *testing.T, dir string) *obs.Recorder {
 	for i := 0; i < 12; i++ {
 		ctr.Charge(50)
 		rec.RecordIn("ngx_http_handler", obs.EvLibcEnter, obs.VariantLeader, 1, "write", uint64(0x100+i), 64, 0)
-		sp := rec.BeginRendezvousSpan(obs.VariantLeader, 1, "write", 2)
+		sp := rec.BeginRendezvousSpan(obs.VariantLeader, 1, obs.NewSpanNames("write").Rendezvous, 2)
 		ctr.Charge(20)
 		sp.End(64)
 		rec.RecordIn("ngx_http_handler", obs.EvLibcExit, obs.VariantLeader, 1, "write", 0, 0, 64)

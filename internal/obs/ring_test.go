@@ -133,8 +133,8 @@ func TestNilRecorderIsNoop(t *testing.T) {
 	r.Metrics().Inc("n")
 	r.Metrics().Observe("h", 4)
 	r.Metrics().SetGauge("g", 1.5)
-	r.BeginRendezvousSpan(VariantLeader, 1, "read", 2).End(0)
-	r.BeginEmulationSpan(VariantLeader, 1, "read", 2).End(64)
+	r.BeginRendezvousSpan(VariantLeader, 1, NewSpanNames("read").Rendezvous, 2).End(0)
+	r.BeginEmulationSpan(VariantLeader, 1, NewSpanNames("read").Emulation, 2).End(64)
 	r.BeginVariantCreateSpan(1, "f").End(3)
 	if got := r.Events(); got != nil {
 		t.Errorf("nil recorder events = %v", got)
@@ -152,12 +152,13 @@ func TestNilRecorderIsNoop(t *testing.T) {
 
 func TestNilRecordDoesNotAllocate(t *testing.T) {
 	var r *Recorder
+	names := NewSpanNames("read")
 	allocs := testing.AllocsPerRun(100, func() {
 		r.Record(EvLibcEnter, VariantLeader, 1, "read", 1, 2, 3)
 		r.Metrics().Inc("x")
-		sp := r.BeginRendezvousSpan(VariantLeader, 1, "read", 2)
+		sp := r.BeginRendezvousSpan(VariantLeader, 1, names.Rendezvous, 2)
 		sp.End(0)
-		esp := r.BeginEmulationSpan(VariantLeader, 1, "read", 2)
+		esp := r.BeginEmulationSpan(VariantLeader, 1, names.Emulation, 2)
 		esp.End(128)
 		vsp := r.BeginVariantCreateSpan(1, "handle_input")
 		vsp.End(9)
@@ -218,7 +219,7 @@ func TestEvictionCounter(t *testing.T) {
 
 func TestSpanRecordsEventsAndHistogram(t *testing.T) {
 	r := NewRecorder(Config{})
-	sp := r.BeginRendezvousSpan(VariantLeader, 1, "read", 2)
+	sp := r.BeginRendezvousSpan(VariantLeader, 1, NewSpanNames("read").Rendezvous, 2)
 	sp.End(42)
 	ev := r.Events()
 	if len(ev) != 2 || ev[0].Kind != EvSpanBegin || ev[1].Kind != EvSpanEnd {

@@ -92,6 +92,23 @@ func LockstepCategoryMetricName(code uint64) string {
 	return lockstepCategoryNames[code]
 }
 
+// SpanNames are the names of the lockstep spans one libc call opens. The
+// hot path passes a prebuilt field to the matching Begin*Span, so build
+// them once per call name (NewSpanNames at init, into a table nothing
+// writes afterwards) rather than once per span.
+type SpanNames struct {
+	Rendezvous, Emulation, Drain string
+}
+
+// NewSpanNames builds the lockstep span names of call.
+func NewSpanNames(call string) SpanNames {
+	return SpanNames{
+		Rendezvous: "rendezvous:" + call,
+		Emulation:  "emulation:" + call,
+		Drain:      "drain:" + call,
+	}
+}
+
 // span is the machinery shared by the typed spans.
 type span struct {
 	rec   *Recorder
@@ -129,16 +146,17 @@ type RendezvousSpan struct {
 	category uint64
 }
 
-// BeginRendezvousSpan opens a rendezvous span for a libc call of the given
-// Table 1 category code. Nil-safe: returns a no-op span when disabled.
-func (r *Recorder) BeginRendezvousSpan(v Variant, tid int, call string, category uint64) RendezvousSpan {
+// BeginRendezvousSpan opens the rendezvous span name (the call's
+// SpanNames.Rendezvous) for a libc call of the given Table 1 category
+// code. Nil-safe: returns a no-op span when disabled.
+func (r *Recorder) BeginRendezvousSpan(v Variant, tid int, name string, category uint64) RendezvousSpan {
 	if r == nil {
 		return RendezvousSpan{}
 	}
 	if category >= uint64(len(rendezvousMetricNames)) {
 		category = 0
 	}
-	return RendezvousSpan{s: r.beginSpan(v, tid, "rendezvous:"+call, category), category: category}
+	return RendezvousSpan{s: r.beginSpan(v, tid, name, category), category: category}
 }
 
 // End closes the rendezvous with the leader's return value.
@@ -157,16 +175,17 @@ type EmulationSpan struct {
 	category uint64
 }
 
-// BeginEmulationSpan opens an emulation span for a libc call of the given
-// Table 1 category code. Nil-safe.
-func (r *Recorder) BeginEmulationSpan(v Variant, tid int, call string, category uint64) EmulationSpan {
+// BeginEmulationSpan opens the emulation span name (the call's
+// SpanNames.Emulation) for a libc call of the given Table 1 category code.
+// Nil-safe.
+func (r *Recorder) BeginEmulationSpan(v Variant, tid int, name string, category uint64) EmulationSpan {
 	if r == nil {
 		return EmulationSpan{}
 	}
 	if category >= uint64(len(emulationMetricNames)) {
 		category = 0
 	}
-	return EmulationSpan{s: r.beginSpan(v, tid, "emulation:"+call, category), category: category}
+	return EmulationSpan{s: r.beginSpan(v, tid, name, category), category: category}
 }
 
 // End closes the emulation with the number of bytes copied.
@@ -185,16 +204,16 @@ type DrainSpan struct {
 	category uint64
 }
 
-// BeginDrainSpan opens a drain span for a libc call of the given Table 1
-// category code. Nil-safe.
-func (r *Recorder) BeginDrainSpan(v Variant, tid int, call string, category uint64) DrainSpan {
+// BeginDrainSpan opens the drain span name (the call's SpanNames.Drain) for
+// a libc call of the given Table 1 category code. Nil-safe.
+func (r *Recorder) BeginDrainSpan(v Variant, tid int, name string, category uint64) DrainSpan {
 	if r == nil {
 		return DrainSpan{}
 	}
 	if category >= uint64(len(drainMetricNames)) {
 		category = 0
 	}
-	return DrainSpan{s: r.beginSpan(v, tid, "drain:"+call, category), category: category}
+	return DrainSpan{s: r.beginSpan(v, tid, name, category), category: category}
 }
 
 // End closes the drain with the follower's return value.

@@ -170,3 +170,32 @@ func TestTLBConcurrentRemap(t *testing.T) {
 	close(stop)
 	<-stopped
 }
+
+// argSum is a libc dispatcher that keeps nothing: it returns the sum of the
+// arguments it is handed.
+type argSum struct{}
+
+func (argSum) Call(_ *Thread, _ string, args []uint64) uint64 {
+	var sum uint64
+	for _, a := range args {
+		sum += a
+	}
+	return sum
+}
+
+var sinkRet uint64
+
+// BenchmarkLibcCall is one unprotected libc call through Thread.Libc: PLT
+// resolution, the call charge and direct dispatch. The arguments reach the
+// dispatcher in the thread's argument registers, so the call allocates
+// nothing.
+func BenchmarkLibcCall(b *testing.B) {
+	r := newRig(b)
+	r.m.libc = argSum{}
+	th := newTestThread(b, r, "t")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkRet = th.Libc("write", 1, uint64(i), 5)
+	}
+}

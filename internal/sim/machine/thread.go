@@ -125,8 +125,19 @@ type Thread struct {
 	// access only, like userCycles.
 	waitCycles clock.Cycles
 
+	// argRegs are the argument registers of the thread's current libc
+	// call: Libc copies its variadic arguments here, so the caller's
+	// argument array stays on the caller's stack, and hands this slice to
+	// the fault hook, the dispatcher and the interposer. A consumer must
+	// not keep the slice after the call returns. Owning goroutine only.
+	argRegs [maxRegArgs]uint64
+
 	depth int
 }
+
+// maxRegArgs is how many libc arguments fit in the argument registers; a
+// call with more gets a heap copy.
+const maxRegArgs = 8
 
 // defaultStackPages is the stack size for threads that don't specify one.
 const defaultStackPages = 16
@@ -717,8 +728,16 @@ func (t *Thread) Libc(name string, args ...uint64) uint64 {
 	if obs := t.m.hooks.Load().libcObserver; obs != nil {
 		obs(t, name)
 	}
+	// From here on only regs is used: escape analysis follows variables,
+	// so args, read only by the copy, does not escape.
+	var regs []uint64
+	if len(args) <= len(t.argRegs) {
+		regs = t.argRegs[:copy(t.argRegs[:], args)]
+	} else {
+		regs = append([]uint64(nil), args...)
+	}
 	if fh := t.m.hooks.Load().libcFault; fh != nil {
-		args = fh(t, name, args)
+		regs = fh(t, name, regs)
 	}
 
 	// The call goes through the PLT stub, which jumps through .got.plt.
@@ -731,11 +750,11 @@ func (t *Thread) Libc(name string, args ...uint64) uint64 {
 	}
 	if mem.Addr(target) == image.LibcSentinelBase+mem.Addr(slot) {
 		// Unpatched: straight into libc.
-		return t.m.libc.Call(t, name, args)
+		return t.m.libc.Call(t, name, regs)
 	}
 	ipo := t.m.hooks.Load().interposer
 	if ipo == nil {
 		t.fault(fmt.Errorf("machine: PLT slot %d (%s) patched to %#x but no interposer installed", slot, name, target))
 	}
-	return ipo.Intercept(t, slot, name, args)
+	return ipo.Intercept(t, slot, name, regs)
 }
