@@ -279,12 +279,12 @@ func (rt *Runtime) Boot(k *kernel.Kernel, prog *machine.Program, seed int64, wit
 	return env, mon, nil
 }
 
-// NewMonitor builds a monitor with the resolved options, installs the
-// chaos plan (if any) at the machine's libc choke point, and points
-// telemetry's /healthz at it.
-func (rt *Runtime) NewMonitor(env *boot.Env, seed int64) *core.Monitor {
-	opts := append([]core.Option{core.WithSeed(seed), core.WithRecorder(env.Obs)}, rt.monOpts...)
-	mon := core.New(env.Machine, env.LibC, opts...)
+// NewMonitor builds a monitor with the resolved options followed by opts,
+// installs the chaos plan (if any) at the machine's libc choke point, and
+// points telemetry's /healthz at it.
+func (rt *Runtime) NewMonitor(env *boot.Env, seed int64, opts ...core.Option) *core.Monitor {
+	all := append([]core.Option{core.WithSeed(seed), core.WithRecorder(env.Obs)}, rt.monOpts...)
+	mon := core.New(env.Machine, env.LibC, append(all, opts...)...)
 	if rt.Chaos != nil {
 		rt.Chaos.Install(env.Machine, env.Obs)
 	}

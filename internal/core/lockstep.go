@@ -413,7 +413,11 @@ type slotArrival struct {
 // may be executing hijacked control flow — and otherwise the leader runs
 // the call un-replicated so the region can wind down.
 func (s *session) rendezvous(t *machine.Thread, name string, args []uint64, idx uint64, slots []*followerSlot, barrier bool) uint64 {
-	entry := s.mon.m.Costs().LockstepRendezvous * clock.Cycles(len(slots))
+	per := s.mon.m.Costs().LockstepRendezvous
+	if s.mon.opts.SyscallGranularity && cpMonCalls[name] {
+		per = s.mon.m.Costs().PtraceStop
+	}
+	entry := per * clock.Cycles(len(slots))
 	s.mon.m.ChargeThread(t, entry)
 	obsRec := s.mon.rec
 	waitStart := s.mon.m.Counter().Cycles()

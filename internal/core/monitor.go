@@ -289,6 +289,12 @@ type Options struct {
 	// kill-both (default DefaultRollbackBudget). A clean region resets
 	// the streak.
 	RollbackBudget int
+	// SyscallGranularity moves lockstep from libc calls to system calls,
+	// ReMon's posture (Volckaert et al.): a call that never reaches the
+	// kernel runs in each variant untouched by the monitor, and ReMon's
+	// ptrace-monitored subset pays PtraceStop instead of the in-process
+	// rendezvous. Protecting main makes the region the whole program.
+	SyscallGranularity bool
 }
 
 // Option mutates Options.
@@ -374,6 +380,13 @@ func WithSnapshotInterval(c clock.Cycles) Option {
 // rollbacks before escalating to kill-both.
 func WithRollbackBudget(n int) Option {
 	return func(o *Options) { o.RollbackBudget = n }
+}
+
+// WithSyscallGranularity synchronises the variants at system calls
+// instead of libc calls: the ReMon side of the lockstep-granularity
+// ablation.
+func WithSyscallGranularity() Option {
+	return func(o *Options) { o.SyscallGranularity = true }
 }
 
 // Monitor is the in-process sMVX monitor.
@@ -494,9 +507,8 @@ func New(m *machine.Machine, lib *libc.LibC, opts ...Option) *Monitor {
 		// Charge the libc dispatch itself to the ledger's libc phase. The
 		// hook loads the active region lock-free; outside a region it is
 		// nil and Add is a no-op.
-		lib.SetLedgerHook(func(t *machine.Thread, name string, d clock.Cycles) {
-			mo.curRegion.Load().Add(ledger.PhaseLibc, mo.variantOfThread(t),
-				ledger.ClassOf(name), d, ledger.Mark{}, 0)
+		lib.SetLedgerHook(func(v obs.Variant, name string, d clock.Cycles) {
+			mo.curRegion.Load().Add(ledger.PhaseLibc, v, ledger.ClassOf(name), d, ledger.Mark{}, 0)
 		})
 	}
 	return mo
@@ -621,13 +633,13 @@ func (mo *Monitor) Init(t *machine.Thread) error {
 // disabled, plus every other variant's key disabled once variants exist.
 func (mo *Monitor) appPKRU(t *machine.Thread) mpk.PKRU {
 	p := mpk.AllowAll.WithAccessDisabled(mo.pkeyMonitor, true)
-	if t.Bias() == 0 {
+	slot := t.Variant()
+	if slot == 0 {
 		for _, k := range mo.pkeyFollowers {
 			p = p.WithAccessDisabled(k, true)
 		}
 		return p
 	}
-	slot := int(t.Bias() / mo.opts.Delta)
 	p = p.WithAccessDisabled(mo.pkeyLeader, true)
 	for i, k := range mo.pkeyFollowers {
 		if i != slot-1 {
@@ -790,15 +802,6 @@ func (mo *Monitor) snapshot(role string, t *machine.Thread) obs.ThreadSnapshot {
 		Stack:     stack,
 		CallStack: t.FnStack(),
 	}
-}
-
-// variantOfThread labels a thread by its address-window bias: slot k's
-// window sits at k*Delta.
-func (mo *Monitor) variantOfThread(t *machine.Thread) obs.Variant {
-	if b := t.Bias(); b != 0 {
-		return obs.FollowerVariant(int(b / mo.opts.Delta))
-	}
-	return obs.VariantLeader
 }
 
 // safeStackFor returns (allocating on demand) the thread's trampoline safe

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"smvx/internal/libc"
 	"smvx/internal/obs"
 	"smvx/internal/obs/ledger"
 	"smvx/internal/sim/clock"
@@ -22,6 +23,21 @@ func (s *session) ledgerTrampoline(v obs.Variant, name string, costs clock.CostT
 	lr.Add(ledger.PhaseTrampoline, v, ledger.ClassOf(name), c, ledger.Mark{}, 0)
 }
 
+// userSpaceCall reports whether a libc call never reaches the kernel, so a
+// syscall-granularity monitor never sees it: the allocator, string and
+// memory functions, and localtime_r.
+func userSpaceCall(name string) bool {
+	return name == "localtime_r" || libc.CategoryOf(name) == libc.CatLocal
+}
+
+// cpMonCalls are the security-sensitive system calls ReMon routes through
+// its ptrace-based cross-process monitor, CP-MON (Section 2.1, footnote 1);
+// at syscall granularity their rendezvous costs a ptrace stop.
+var cpMonCalls = map[string]bool{
+	"open": true, "mkdir": true, "bind": true, "listen": true,
+	"setsockopt": true, "shutdown": true,
+}
+
 // Intercept implements machine.Interposer: the MPK trampoline of Figure 4.
 //
 // Every patched PLT call lands here. The trampoline (1) disables MPK
@@ -33,13 +49,13 @@ func (s *session) ledgerTrampoline(v obs.Variant, name string, costs clock.CostT
 // executions and the fixed pivot cost are charged per interception, which
 // is what makes sMVX's per-libc-call overhead visible in Figure 7.
 func (mo *Monitor) Intercept(t *machine.Thread, slot int, name string, args []uint64) uint64 {
+	if mo.opts.SyscallGranularity && userSpaceCall(name) {
+		return mo.lib.Call(t, name, args)
+	}
 	costs := mo.m.Costs()
 	mo.m.ChargeThread(t, costs.TrampolineEntry)
 	rec := mo.rec
-	v := obs.VariantLeader
-	if rec != nil {
-		v = mo.variantOfThread(t)
-	}
+	v := obs.VariantID(t.Variant()).Variant()
 
 	// DEACTIVATE_MPK_PROT(): open the monitor's pages for this thread.
 	oldPKRU := t.PKRU()
@@ -89,11 +105,11 @@ func (mo *Monitor) Intercept(t *machine.Thread, slot int, name string, args []ui
 		return mo.lib.Call(t, name, args)
 	}
 	if t.TID() == s.leaderTID {
-		s.ledgerTrampoline(obs.VariantLeader, name, costs, pivoted)
+		s.ledgerTrampoline(v, name, costs, pivoted)
 		return s.leaderCall(t, name, args)
 	}
 	if sl := s.slotByTID(t.TID()); sl != nil {
-		s.ledgerTrampoline(obs.FollowerVariant(sl.id), name, costs, pivoted)
+		s.ledgerTrampoline(v, name, costs, pivoted)
 		return s.followerCall(t, sl, name, args)
 	}
 	// Unrelated thread (e.g. another worker): passthrough.

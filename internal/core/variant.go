@@ -246,6 +246,7 @@ func (mo *Monitor) Start(t *machine.Thread, fn string, args ...uint64) error {
 				sl.markDead(err)
 				return err
 			}
+			ft.SetVariant(sl.id)
 			mo.mu.Lock()
 			mo.followerStacks = append(mo.followerStacks, ft.StackBase())
 			mo.mu.Unlock()
@@ -406,36 +407,41 @@ func (mo *Monitor) createVariants(upSlot []bool, upDeltas []int64, stats *Creati
 		}
 	}
 	stats.DupCycles = ctr.Cycles() - mark
+	return bases, mo.relocate(upDeltas, stats)
+}
 
-	// Step 2 — .data/.bss pointer relocation, per slot window. With static
-	// hints (the alias-analysis narrowing of Section 3.4) only the hinted
-	// globals' slots are scanned; otherwise the whole sections are.
-	mark = ctr.Cycles()
-	for _, dk := range upDeltas {
-		relocated, err := mo.relocateDataPointers(dk)
+// relocate runs Table 2's two relocation steps in every follower window
+// at a shift in deltas, charging each step into stats: step 2 rebases
+// .data/.bss pointers (only the hinted globals' slots with static hints,
+// the alias-analysis narrowing of Section 3.4), step 3 scans every
+// 8-byte-aligned heap slot up to the allocation watermark (the dominant
+// cost in Table 2). Variant creation and reuse both end with it.
+func (mo *Monitor) relocate(deltas []int64, stats *CreationStats) error {
+	ctr := mo.m.Counter()
+	mark := ctr.Cycles()
+	for _, dk := range deltas {
+		n, err := mo.relocateDataPointers(dk)
 		if err != nil {
-			return bases, err
+			return err
 		}
-		stats.PointersRelocated += relocated
+		stats.PointersRelocated += n
 	}
 	stats.DataScanCycles = ctr.Cycles() - mark
 
-	// Step 3 — heap pointer scan: every 8-byte-aligned slot up to the
-	// allocation watermark (the dominant cost in Table 2), per window.
 	mark = ctr.Cycles()
-	if heapSize > 0 {
-		for _, dk := range upDeltas {
+	if heapBase, heapSize := mo.lib.HeapBounds(0); heapSize > 0 {
+		for _, dk := range deltas {
 			lo := mem.Addr(int64(heapBase) + dk)
 			hi := mem.Addr(int64(mo.lib.HeapWatermark(0)) + dk)
 			n, err := mo.relocateRange(lo, hi, dk)
 			if err != nil {
-				return bases, err
+				return err
 			}
 			stats.PointersRelocated += n
 		}
 	}
 	stats.HeapScanCycles = ctr.Cycles() - mark
-	return bases, nil
+	return nil
 }
 
 // startLeaderOnly opens a degraded protected region with no followers: the
@@ -740,29 +746,5 @@ func (mo *Monitor) refreshVariant(deltas []int64, stats *CreationStats) error {
 		}
 	}
 	stats.DupCycles = ctr.Cycles() - mark
-
-	mark = ctr.Cycles()
-	for _, delta := range deltas {
-		relocated, err := mo.relocateDataPointers(delta)
-		if err != nil {
-			return err
-		}
-		stats.PointersRelocated += relocated
-	}
-	stats.DataScanCycles = ctr.Cycles() - mark
-
-	mark = ctr.Cycles()
-	if heapSize > 0 {
-		for _, delta := range deltas {
-			lo := mem.Addr(int64(heapBase) + delta)
-			hi := mem.Addr(int64(mo.lib.HeapWatermark(0)) + delta)
-			n, err := mo.relocateRange(lo, hi, delta)
-			if err != nil {
-				return err
-			}
-			stats.PointersRelocated += n
-		}
-	}
-	stats.HeapScanCycles = ctr.Cycles() - mark
-	return nil
+	return mo.relocate(deltas, stats)
 }

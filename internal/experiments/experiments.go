@@ -11,13 +11,13 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"smvx/internal/apps/lighttpd"
 	"smvx/internal/apps/nginx"
 	"smvx/internal/boot"
 	"smvx/internal/core"
-	"smvx/internal/mvx/remon"
 	"smvx/internal/sim/clock"
 	"smvx/internal/sim/kernel"
 	"smvx/internal/sim/machine"
@@ -46,9 +46,28 @@ const (
 	// SMVX runs it under the sMVX monitor, which protects the server's
 	// configured root function.
 	SMVX = "smvx"
-	// ReMon replicates the whole program under the ReMon-style baseline.
+	// ReMon runs it under the same monitor at syscall granularity with
+	// main as the root (see Root): the whole program is replicated, as by
+	// ReMon (Volckaert et al.), Figure 7's baseline.
 	ReMon = "remon"
 )
+
+// ErrUnknownMode is the error, wrapped with the mode, for a mode that is
+// none of Vanilla, SMVX and ReMon.
+var ErrUnknownMode = errors.New("unknown mode")
+
+// Root returns the function a server run in mode protects: protect under
+// SMVX, main under ReMon (the region is the whole program, its followers
+// cloned before main runs) and none under Vanilla.
+func Root(mode, protect string) string {
+	switch mode {
+	case SMVX:
+		return protect
+	case ReMon:
+		return "main"
+	}
+	return ""
+}
 
 // Port is the loopback port every started server listens on.
 const Port = 8080
@@ -57,15 +76,17 @@ const Port = 8080
 // attached to the process before the worker starts.
 type Launch struct {
 	Server Server
-	// Mode is Vanilla, SMVX or ReMon.
+	// Mode is Vanilla, SMVX or ReMon. A ReMon server protects
+	// Root(ReMon, "").
 	Mode string
 	// Seed seeds the kernel, the process and the monitor.
 	Seed int64
 	// Boot holds boot options applied after boot.WithSeed(Seed).
 	Boot []boot.Option
-	// Monitor builds the SMVX-mode monitor of the booted process; nil
-	// builds one with the seed and the process's recorder, nothing else.
-	Monitor func(env *boot.Env, seed int64) *core.Monitor
+	// Monitor builds the monitor of the booted process, adding opts (the
+	// mode's own options) to its own; nil builds one with the seed, the
+	// process's recorder and opts, nothing else.
+	Monitor func(env *boot.Env, seed int64, opts ...core.Option) *core.Monitor
 	// Setup, when non-nil, runs before the worker's first instruction: the
 	// place to attach libc observers, profilers and taint sinks.
 	Setup func(env *boot.Env)
@@ -76,10 +97,8 @@ type Run struct {
 	Env *boot.Env
 	// Client is the external machine the request helpers send from.
 	Client *kernel.Process
-	// Mon is the SMVX-mode monitor and ReMon the whole-program runner; the
-	// other is nil.
-	Mon   *core.Monitor
-	ReMon *remon.Runner
+	// Mon is the run's monitor, nil under Vanilla.
+	Mon *core.Monitor
 
 	mode         string
 	sent, served int
@@ -91,14 +110,17 @@ type Run struct {
 // and launches the worker. The caller drives traffic, then calls Wait (a
 // clean run) or Exit (a run that delivered attacks).
 func Start(l Launch) (*Run, error) {
-	var docRoot string
+	var docRoot, root string
 	switch s := l.Server.(type) {
 	case *nginx.Server:
-		docRoot = s.Config().DocRoot
+		docRoot, root = s.Config().DocRoot, s.Config().Protect
 	case *lighttpd.Server:
-		docRoot = s.Config().DocRoot
+		docRoot, root = s.Config().DocRoot, s.Config().Protect
 	default:
 		return nil, fmt.Errorf("start: unknown server %T", l.Server)
+	}
+	if l.Mode == ReMon && root != Root(ReMon, "") {
+		return nil, fmt.Errorf("start: remon protects %s, not %q", Root(ReMon, ""), root)
 	}
 	k := kernel.New(clock.DefaultCosts(), l.Seed)
 	env, err := boot.NewEnv(k, l.Server.Program(), append([]boot.Option{boot.WithSeed(l.Seed)}, l.Boot...)...)
@@ -109,39 +131,37 @@ func Start(l Launch) (*Run, error) {
 	r := &Run{Env: env, Client: k.NewProcess(clock.NewCounter()), mode: l.Mode, done: make(chan error, 1)}
 	switch l.Mode {
 	case Vanilla:
-	case SMVX:
+	case SMVX, ReMon:
 		newMon := l.Monitor
 		if newMon == nil {
 			newMon = monitor()
 		}
-		r.Mon = newMon(env, l.Seed)
-		l.Server.SetMVX(r.Mon)
-	case ReMon:
-		r.ReMon = remon.New(env.Machine, env.LibC)
-	default:
-		return nil, fmt.Errorf("unknown mode %q", l.Mode)
-	}
-	worker := func() error { return r.ReMon.Run("main") }
-	if r.ReMon == nil {
-		th, err := env.MainThread()
-		if err != nil {
-			return nil, err
+		var opts []core.Option
+		if l.Mode == ReMon {
+			opts = append(opts, core.WithSyscallGranularity())
 		}
-		worker = func() error { return l.Server.Run(th) }
+		r.Mon = newMon(env, l.Seed, opts...)
+		l.Server.SetMVX(r.Mon)
+	default:
+		return nil, fmt.Errorf("%w %q", ErrUnknownMode, l.Mode)
+	}
+	th, err := env.MainThread()
+	if err != nil {
+		return nil, err
 	}
 	if l.Setup != nil {
 		l.Setup(env)
 	}
-	go func() { r.done <- worker() }()
+	go func() { r.done <- l.Server.Run(th) }()
 	return r, nil
 }
 
 // monitor is the experiments' monitor constructor: the run's seed and
-// recorder, then opts.
-func monitor(opts ...core.Option) func(*boot.Env, int64) *core.Monitor {
-	return func(env *boot.Env, seed int64) *core.Monitor {
-		return core.New(env.Machine, env.LibC,
-			append([]core.Option{core.WithSeed(seed), core.WithRecorder(env.Obs)}, opts...)...)
+// recorder, then opts, then the mode's options.
+func monitor(opts ...core.Option) func(*boot.Env, int64, ...core.Option) *core.Monitor {
+	return func(env *boot.Env, seed int64, mode ...core.Option) *core.Monitor {
+		all := append([]core.Option{core.WithSeed(seed), core.WithRecorder(env.Obs)}, opts...)
+		return core.New(env.Machine, env.LibC, append(all, mode...)...)
 	}
 }
 
@@ -189,9 +209,6 @@ func (r *Run) Wait() error {
 	if r.Mon != nil && len(r.Mon.Alarms()) != 0 {
 		return fmt.Errorf("%s alarms: %v", name, r.Mon.Alarms())
 	}
-	if r.ReMon != nil && r.ReMon.Diverged() {
-		return fmt.Errorf("%s diverged: %v", name, r.ReMon.Alarms())
-	}
 	return nil
 }
 
@@ -232,9 +249,9 @@ var (
 )
 
 // serve runs the app under mode for an ab workload of n requests —
-// protecting root under SMVX — and returns the finished clean run.
+// protecting Root(mode, root) — and returns the finished clean run.
 func (a httpApp) serve(mode, root string, n int, setup func(*boot.Env)) (*Run, error) {
-	r, err := Start(Launch{Server: a.server(n, root), Mode: mode, Seed: Seed, Setup: setup})
+	r, err := Start(Launch{Server: a.server(n, Root(mode, root)), Mode: mode, Seed: Seed, Setup: setup})
 	if err != nil {
 		return nil, err
 	}

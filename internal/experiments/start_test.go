@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -36,9 +37,9 @@ func TestWaitFailsOnAlarm(t *testing.T) {
 	r, err := Start(Launch{
 		Server: nginx.NewServer(nginx.Config{Port: Port, MaxRequests: 4, Protect: "ngx_http_process_request_line"}),
 		Mode:   SMVX, Seed: Seed,
-		Monitor: func(env *boot.Env, seed int64) *core.Monitor {
+		Monitor: func(env *boot.Env, seed int64, opts ...core.Option) *core.Monitor {
 			faultinject.New(seed, faultinject.Fault{Kind: faultinject.ArgFlip, Call: 4}).Install(env.Machine, env.Obs)
-			return monitor(core.WithPolicy(core.PolicyLeaderContinue))(env, seed)
+			return monitor(core.WithPolicy(core.PolicyLeaderContinue))(env, seed, opts...)
 		},
 	})
 	if err != nil {
@@ -53,9 +54,13 @@ func TestWaitFailsOnAlarm(t *testing.T) {
 }
 
 // TestStartRejectsUnknownMode: the mode is cmd/smvx's -mode value, checked
-// before any worker starts.
+// before any worker starts, and a ReMon run must protect the whole
+// program.
 func TestStartRejectsUnknownMode(t *testing.T) {
-	if _, err := Start(Launch{Server: nginxApp.server(1, ""), Mode: "bogus", Seed: Seed}); err == nil {
-		t.Error("Start accepted an unknown mode")
+	if _, err := Start(Launch{Server: nginxApp.server(1, ""), Mode: "bogus", Seed: Seed}); !errors.Is(err, ErrUnknownMode) {
+		t.Errorf("Start(bogus) = %v, want %v", err, ErrUnknownMode)
+	}
+	if _, err := Start(Launch{Server: nginxApp.server(1, nginxApp.loopRoot), Mode: ReMon, Seed: Seed}); err == nil {
+		t.Error("Start ran remon with a region rooted below main")
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"smvx/internal/apps/nginx"
 	"smvx/internal/boot"
 	"smvx/internal/core"
-	"smvx/internal/mvx/remon"
+	"smvx/internal/experiments"
 	"smvx/internal/sim/clock"
 	"smvx/internal/sim/kernel"
 	"smvx/internal/taint"
@@ -206,45 +206,38 @@ func TestNoFDLeakAcrossRegions(t *testing.T) {
 }
 
 // TestSMVXAndRemonAgreeOnBehavior: the same workload served under both
-// engines produces the same application-visible results.
+// postures of the monitor — libc-call lockstep on the worker loop and
+// ReMon's syscall lockstep on the whole program — produces the response
+// bytes and access log of an unprotected run.
 func TestSMVXAndRemonAgreeOnBehavior(t *testing.T) {
-	serve := func(useRemon bool) (int, string) {
-		k := kernel.New(clock.DefaultCosts(), 42)
-		cfg := nginx.Config{Port: 8080, MaxRequests: 4, AccessLog: true}
-		if !useRemon {
-			cfg.Protect = "ngx_worker_process_cycle"
-		}
-		srv := nginx.NewServer(cfg)
-		env, err := boot.NewEnv(k, srv.Program(), boot.WithSeed(42))
+	serve := func(mode string) (int, string) {
+		r, err := experiments.Start(experiments.Launch{
+			Server: nginx.NewServer(nginx.Config{Port: experiments.Port, MaxRequests: 4, AccessLog: true,
+				Protect: experiments.Root(mode, "ngx_worker_process_cycle")}),
+			Mode: mode, Seed: 42,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		k.FS().WriteFile("/var/www/index.html", bytes.Repeat([]byte("i"), page))
-		client := k.NewProcess(clock.NewCounter())
-		done := make(chan error, 1)
-		if useRemon {
-			r := remon.New(env.Machine, env.LibC)
-			go func() { done <- r.Run("main") }()
-		} else {
-			mon := core.New(env.Machine, env.LibC, core.WithSeed(42))
-			srv.SetMVX(mon)
-			th, _ := env.MainThread()
-			go func() { done <- srv.Run(th) }()
-		}
-		res := workload.RunAB(client, 8080, "/index.html", 4)
-		if err := <-done; err != nil {
+		res := r.AB(4)
+		if err := r.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		logData, _ := k.FS().ReadFile("/var/log/nginx/access.log")
+		logData, _ := r.Env.Kernel.FS().ReadFile("/var/log/nginx/access.log")
 		return res.BytesRead, string(logData)
 	}
-	bytesSMVX, logSMVX := serve(false)
-	bytesRemon, logRemon := serve(true)
-	if bytesSMVX != bytesRemon {
-		t.Errorf("response bytes differ: smvx=%d remon=%d", bytesSMVX, bytesRemon)
+	wantBytes, wantLog := serve(experiments.Vanilla)
+	if wantBytes == 0 || strings.Count(wantLog, "\n") != 4 {
+		t.Fatalf("vanilla reference: %d bytes, log %q", wantBytes, wantLog)
 	}
-	if logSMVX != logRemon {
-		t.Errorf("access logs differ:\nsmvx:  %q\nremon: %q", logSMVX, logRemon)
+	for _, mode := range []string{experiments.SMVX, experiments.ReMon} {
+		gotBytes, gotLog := serve(mode)
+		if gotBytes != wantBytes {
+			t.Errorf("%s: response bytes %d, vanilla %d", mode, gotBytes, wantBytes)
+		}
+		if gotLog != wantLog {
+			t.Errorf("%s: access log differs from vanilla\n%s:  %q\nvanilla: %q", mode, mode, gotLog, wantLog)
+		}
 	}
 }
 

@@ -45,7 +45,7 @@ type LibC struct {
 	total  atomic.Uint64
 
 	rec     *obs.Recorder
-	ledHook func(t *machine.Thread, name string, d clock.Cycles)
+	ledHook func(v obs.Variant, name string, d clock.Cycles)
 }
 
 var _ machine.LibcDispatcher = (*LibC)(nil)
@@ -72,11 +72,11 @@ func (l *LibC) Proc() *kernel.Process { return l.proc }
 func (l *LibC) SetRecorder(r *obs.Recorder) { l.rec = r }
 
 // SetLedgerHook attaches a per-call cost-ledger callback: after every
-// dispatched call, hook(t, name, d) receives the call's measured cycle
-// delta. The monitor installs it to charge the ledger's libc phase — libc
-// itself never imports the ledger. Must be set before threads run; nil
-// (the default) keeps the call path hook-free.
-func (l *LibC) SetLedgerHook(hook func(t *machine.Thread, name string, d clock.Cycles)) {
+// dispatched call, hook(v, name, d) receives the calling thread's variant
+// and the call's measured cycle delta. The monitor installs it to charge
+// the ledger's libc phase — libc itself never imports the ledger. Must be
+// set before threads run; nil (the default) keeps the call path hook-free.
+func (l *LibC) SetLedgerHook(hook func(v obs.Variant, name string, d clock.Cycles)) {
 	l.ledHook = hook
 }
 
@@ -209,11 +209,8 @@ func (l *LibC) Call(t *machine.Thread, name string, args []uint64) uint64 {
 		return l.dispatch(t, name, args)
 	}
 	var fn string
+	v := obs.VariantID(t.Variant()).Variant()
 	if r != nil {
-		v := obs.VariantLeader
-		if t.Bias() != 0 {
-			v = obs.VariantFollower
-		}
 		var a0, a1 uint64
 		if len(args) > 0 {
 			a0 = args[0]
@@ -231,13 +228,9 @@ func (l *LibC) Call(t *machine.Thread, name string, args []uint64) uint64 {
 	// the histograms are indicative, not exact per-call costs.
 	d := l.counter.Cycles() - start
 	if hook != nil {
-		hook(t, name, d)
+		hook(v, name, d)
 	}
 	if r != nil {
-		v := obs.VariantLeader
-		if t.Bias() != 0 {
-			v = obs.VariantFollower
-		}
 		names, ok := callCycleMetrics[name]
 		if !ok {
 			names = cycleMetricsFor(name)

@@ -28,8 +28,8 @@ type recorded struct {
 // use, seals each one's black-box WAL, replays it, and requires every
 // table the live run had — the cost ledger's JSON, the fleet and incident
 // tables, the forensics reports — to equal its replay byte for byte. The
-// first six runs are the command lines below as given to experiments
-// -run cve and to smvx; the seventh folds an exploit's incidents through
+// first seven runs are the command lines below as given to experiments
+// -run cve and to smvx; the eighth folds an exploit's incidents through
 // a non-default correlation window, which replay must read back from the
 // WAL's labels.
 func TestReplayParity(t *testing.T) {
@@ -90,6 +90,19 @@ func TestReplayParity(t *testing.T) {
 					t.Errorf("diverging followers = %+v, want follower2 alone", divs)
 				}
 				wantContains(t, "variant diff", variantDiff(run.replay), "--- follower2 ---")
+			}},
+		{name: "n3-clean", args: []string{"-variants", "3"},
+			protect: "ngx_worker_process_cycle", requests: 5,
+			check: func(t *testing.T, run recorded) {
+				// Each follower's calls land in its own stream, and a clean
+				// run's streams match the leader's.
+				f1, f2 := run.replay.Calls(obs.FollowerVariant(1)), run.replay.Calls(obs.FollowerVariant(2))
+				if len(f1) == 0 || len(f1) != len(f2) {
+					t.Errorf("follower calls: %d and %d, want the same nonzero count", len(f1), len(f2))
+				}
+				if divs := run.replay.DiffVariants(0); len(divs) != 0 {
+					t.Errorf("a clean N=3 run diverges:\n%s", variantDiff(run.replay))
+				}
 			}},
 		{name: "cve-incidents",
 			args: []string{"-policy", "leader-continue", "-incidents", "-incident-window", "12000000"},

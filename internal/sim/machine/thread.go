@@ -73,6 +73,8 @@ type Thread struct {
 
 	// Bias is added to every symbol and PLT address this thread resolves.
 	bias int64
+	// variant is the thread's index in its MVX variant set (see Variant).
+	variant int
 
 	regs  [NumRegs]uint64
 	sp    mem.Addr
@@ -210,6 +212,15 @@ func (t *Thread) Machine() *Machine { return t.m }
 
 // Bias returns the thread's address bias.
 func (t *Thread) Bias() int64 { return t.bias }
+
+// SetVariant records the thread's index in its variant set (k for follower
+// slot k). Call before the thread runs.
+func (t *Thread) SetVariant(k int) { t.variant = k }
+
+// Variant returns the thread's index in its variant set: 0 for the leader
+// and any unmonitored thread, k for follower slot k. Trace events, the
+// cost ledger and the monitor's per-variant PKRU all read it.
+func (t *Thread) Variant() int { return t.variant }
 
 // SetBackground marks the thread as running on a spare core: its work
 // counts toward CPU consumption but not wall time.

@@ -239,6 +239,9 @@ var (
 	// diversified followers, majority-voted at each rendezvous (2
 	// reproduces the paper's pair byte for byte).
 	WithVariants = core.WithVariants
+	// WithSyscallGranularity synchronises at system calls instead of libc
+	// calls: ReMon's posture, the Figure 7 baseline when main is protected.
+	WithSyscallGranularity = core.WithSyscallGranularity
 )
 
 // NewLedger creates an enabled, empty rendezvous cost ledger.
