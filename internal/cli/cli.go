@@ -88,9 +88,9 @@ func (c *Config) Register(fs *flag.FlagSet) {
 	fs.IntVar(&c.LagWindow, "lag-window", core.DefaultLagWindow, "pipelined lockstep run-ahead window, in libc calls")
 	fs.IntVar(&c.Variants, "variants", core.DefaultVariants, "variant-set size: the leader plus N-1 diversified followers, majority-voted at each rendezvous (2 = the paper's pair)")
 	fs.BoolVar(&c.Ledger, "ledger", false, "account every protected-region libc call phase-by-phase in the rendezvous cost ledger (served at /ledger, printed with -metrics)")
-	fs.Uint64Var(&c.RequestP99, "request-p99", 0, "SLO watchdog: degrade /healthz when the served-request p99 exceeds this many virtual cycles (0 disables)")
+	fs.Uint64Var(&c.RequestP99, "request-p99", 0, "degrade /healthz (with -telemetry) once the served-request p99 exceeds this many virtual cycles (0 disables; the first divergence alarm always degrades it)")
 	fs.BoolVar(&c.Anomaly, "anomaly", false, "run streaming anomaly detectors (EWMA z-score, rate-of-change, static threshold) over the recorder's metric series")
-	fs.BoolVar(&c.Incidents, "incidents", false, "correlate alarms, faults, detaches, watchdog trips, and anomalies into incidents (served at /incidents, rebuilt offline with smvx-replay tables); implies -anomaly")
+	fs.BoolVar(&c.Incidents, "incidents", false, "correlate alarms, faults, detaches, restarts, rollbacks, and anomalies into incidents (served at /incidents, rebuilt offline with smvx-replay tables); implies -anomaly")
 	fs.Uint64Var(&c.IncidentWindow, "incident-window", 0, "incident correlation window in virtual cycles (0 uses the default)")
 }
 
@@ -224,10 +224,8 @@ func (c *Config) Resolve(labels map[string]string) (*Runtime, error) {
 		if rt.Sampler == nil {
 			rt.Sampler = perfprof.NewSampler(0)
 		}
-		wd := telemetry.NewWatchdog(rt.Recorder, telemetry.SLO{MaxAlarms: 0, MaxRequestP99: c.RequestP99})
-		wd.SetFleet(rt.Fleet)
 		rt.Telemetry = telemetry.New(rt.Recorder,
-			telemetry.WithWatchdog(wd),
+			telemetry.WithRequestP99(c.RequestP99),
 			telemetry.WithProfile(rt.Sampler),
 			telemetry.WithBlackbox(rt.Blackbox),
 			telemetry.WithLedger(rt.Ledger),
@@ -237,7 +235,6 @@ func (c *Config) Resolve(labels map[string]string) (*Runtime, error) {
 		if err != nil {
 			return nil, err
 		}
-		wd.Start(0)
 		fmt.Printf("telemetry: http://%s/metrics (healthz, trace.json, forensics, profile, blackbox, ledger, fleet)\n", addr)
 	}
 	return rt, nil

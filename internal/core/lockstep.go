@@ -60,8 +60,8 @@ type callResult struct {
 // channel and the pipelined run-ahead ring with its own drain cursor), and
 // per-slot lifecycle state (death, policy detach).
 type followerSlot struct {
-	id    int   // 1-based slot index; window sits at id*Delta
-	delta int64 // this slot's address-window shift
+	id    VariantID // 1-based slot index; window sits at id*Delta
+	delta int64     // this slot's address-window shift
 
 	tid    int
 	thread *kernel.Thread
@@ -142,9 +142,8 @@ func (sl *followerSlot) drainPending() {
 // set's follower slots in lockstep. Channels model the shared-memory IPC
 // ring with its mutexes and condition variables (Section 3.2).
 type session struct {
-	mon   *Monitor
-	fn    string
-	delta int64 // base window shift; slot k sits at k*delta
+	mon *Monitor
+	fn  string
 
 	leaderTID int
 	slots     []*followerSlot
@@ -203,7 +202,6 @@ func newSession(mon *Monitor, fn string, delta int64, leaderTID int) *session {
 	s := &session{
 		mon:        mon,
 		fn:         fn,
-		delta:      delta,
 		leaderTID:  leaderTID,
 		leaderDone: make(chan struct{}),
 		timedOut:   make(chan struct{}),
@@ -215,7 +213,7 @@ func newSession(mon *Monitor, fn string, delta int64, leaderTID int) *session {
 	s.slots = make([]*followerSlot, n)
 	for i := 0; i < n; i++ {
 		sl := &followerSlot{
-			id:       i + 1,
+			id:       VariantID(i + 1),
 			delta:    delta * int64(i+1),
 			req:      make(chan *callRecord),
 			call:     callRecord{resp: make(chan callResult, 1)},
@@ -545,14 +543,14 @@ func (s *session) resolve(t *machine.Thread, name string, args []uint64, arr []s
 	for _, a := range arr {
 		fname, fargs, err := decodeCallRecord(a.rec.wire, name, a.slot.ballot[:0])
 		wireBytes += uint64(len(a.rec.wire))
-		ballots = append(ballots, Ballot{Variant: VariantID(a.slot.id), Name: fname, Args: fargs, Valid: err == nil})
+		ballots = append(ballots, Ballot{Variant: a.slot.id, Name: fname, Args: fargs, Valid: err == nil})
 		if err == nil {
 			valid++
 			continue
 		}
 		s.mon.raiseAlarm(Alarm{
 			Reason: AlarmCallMismatch, CallIndex: idx, Function: s.fn,
-			LeaderCall: name, Variant: VariantID(a.slot.id),
+			LeaderCall: name, Variant: a.slot.id,
 			Detail: fmt.Sprintf("corrupt IPC call record: %v", err),
 		}, s.rendezvousSnapshots(t, a.rec)...)
 		s.diverged.Store(true)
@@ -614,7 +612,7 @@ func (s *session) resolve(t *machine.Thread, name string, args []uint64, arr []s
 				obsRec.Metrics().Inc("vote.follower_outvoted")
 			}
 		}
-		alarm.Variant = VariantID(a.slot.id)
+		alarm.Variant = a.slot.id
 		s.mon.raiseAlarm(alarm, s.rendezvousSnapshots(t, a.rec)...)
 		s.diverged.Store(true)
 		s.rejectFollower(a.slot, a.rec, cause)
@@ -656,7 +654,7 @@ func (s *session) resolve(t *machine.Thread, name string, args []uint64, arr []s
 	total := 0
 	var faulted uint16
 	for i, w := range winners {
-		copied, efault := s.emulate(name, args, w.args, ret, idx, w.slot.delta)
+		copied, efault := s.emulate(name, args, w.args, ret, idx, w.slot)
 		total += copied
 		if efault {
 			faulted |= 1 << i
@@ -692,7 +690,7 @@ func (s *session) rendezvousTimeout(t *machine.Thread, sl *followerSlot, rec *ca
 	d := s.mon.opts.RendezvousDeadline
 	a := Alarm{
 		Reason: AlarmRendezvousTimeout, CallIndex: idx, Function: s.fn,
-		LeaderCall: name, Variant: VariantID(sl.id),
+		LeaderCall: name, Variant: sl.id,
 		Detail: fmt.Sprintf("variant %d missed the %d-cycle rendezvous deadline", sl.id, d),
 	}
 	if rec != nil {
@@ -750,7 +748,7 @@ func (s *session) followerCall(t *machine.Thread, sl *followerSlot, name string,
 // the leader's verdict, and apply it. lag is the slot's own cycles since
 // its previous rendezvous.
 func (s *session) followerRendezvous(t *machine.Thread, sl *followerSlot, name string, args []uint64, lag clock.Cycles) uint64 {
-	fv := obs.FollowerVariant(sl.id)
+	fv := sl.id
 	mshMark := s.lr.Mark()
 	rec := &sl.call
 	rec.name, rec.thread, rec.lag = name, t, lag
@@ -819,7 +817,7 @@ func (s *session) overrun(t *machine.Thread, sl *followerSlot, name string) {
 	}
 	s.mon.raiseAlarm(Alarm{
 		Reason: AlarmSequenceLength, CallIndex: s.calls.Load(), Function: s.fn,
-		FollowerCall: name, Variant: VariantID(sl.id),
+		FollowerCall: name, Variant: sl.id,
 		Detail: fmt.Sprintf("follower issued %s after leader finished the region", name),
 	}, s.followerSnapshots(t)...)
 	s.diverged.Store(true)
@@ -829,11 +827,11 @@ func (s *session) overrun(t *machine.Thread, sl *followerSlot, name string) {
 // emulate copies the leader's output buffers into one follower's
 // corresponding buffers, translating embedded pointers for the special
 // category, and returns bytes copied plus whether a follower destination
-// buffer was unwritable (AlarmEmulationFault raised). delta is the target
-// slot's window shift — pointer rebasing lands in that slot's window.
-// Copies run with monitor privileges (raw address-space access — the
-// monitor's PKRU has every key enabled).
-func (s *session) emulate(name string, leaderArgs, followerArgs []uint64, ret uint64, idx uint64, delta int64) (int, bool) {
+// buffer was unwritable (AlarmEmulationFault raised). sl is the target
+// slot — pointer rebasing lands in its window. Copies run with monitor
+// privileges (raw address-space access — the monitor's PKRU has every
+// key enabled).
+func (s *session) emulate(name string, leaderArgs, followerArgs []uint64, ret uint64, idx uint64, sl *followerSlot) (int, bool) {
 	as := s.mon.m.AddressSpace()
 	costs := s.mon.m.Costs()
 	faulted := false
@@ -857,7 +855,7 @@ func (s *session) emulate(name string, leaderArgs, followerArgs []uint64, ret ui
 			// divergence the stale data would cause later.
 			s.mon.raiseAlarm(Alarm{
 				Reason: AlarmEmulationFault, CallIndex: idx, Function: s.fn,
-				LeaderCall: name, Variant: VariantID(int(delta / s.delta)),
+				LeaderCall: name, Variant: sl.id,
 				Detail: fmt.Sprintf("emulation copy of %d bytes into follower buffer %#x failed: %v",
 					n, dst, err),
 			})
@@ -916,7 +914,7 @@ func (s *session) emulate(name string, leaderArgs, followerArgs []uint64, ret ui
 			}
 			data := fromLE(entry[8:])
 			if s.inLeaderSpace(mem.Addr(data)) {
-				data = uint64(int64(data) + delta)
+				data = uint64(int64(data) + sl.delta)
 				toLE(entry[8:], data)
 			}
 			if err := as.WriteAt(dst+mem.Addr(i*16), entry[:]); err != nil {

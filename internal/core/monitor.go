@@ -67,9 +67,9 @@ var (
 // collide with its clone. Follower slot k sits at k*FollowerDelta.
 const FollowerDelta int64 = 0x2000_0000_0000
 
-// VariantID is the dense per-variant index (0 = leader, k = follower slot
-// k), shared with the observability plane.
-type VariantID = obs.VariantID
+// VariantID is the variant's index in its set (0 = leader, k = follower
+// slot k), shared with the observability plane.
+type VariantID = obs.Variant
 
 // Variant-set sizing.
 const (
@@ -78,7 +78,7 @@ const (
 	DefaultVariants = 2
 	// MaxVariants bounds the variant set: the leader plus obs.MaxFollowers
 	// follower slots (the MPK key space caps the follower windows).
-	MaxVariants = 1 + obs.MaxFollowers
+	MaxVariants = obs.MaxVariants
 )
 
 // followerStackPages is the follower variant's stack size.

@@ -286,7 +286,7 @@ func (s *session) appendRecord(t *machine.Thread, sl *followerSlot, rec *leaderR
 // rendezvous's decode-before-compare checks, moved to drain time and
 // attributed to the ordinal the leader stamped on the record.
 func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, name string, args []uint64) uint64 {
-	fv := obs.FollowerVariant(sl.id)
+	fv := sl.id
 	costs := s.mon.m.Costs()
 	s.mon.m.ChargeThread(t, costs.LockstepEnqueue)
 	lag := sl.lag(t)
@@ -487,7 +487,7 @@ func (s *session) dequeueRecord(t *machine.Thread, sl *followerSlot, name string
 // thread may be snapshotted here — the leader is running ahead
 // concurrently. Never returns.
 func (s *session) drainDiverged(t *machine.Thread, sl *followerSlot, a Alarm, cause string) {
-	a.Variant = VariantID(sl.id)
+	a.Variant = sl.id
 	if s.liveAttached() > 1 {
 		a.Reason = AlarmOutvoted
 	}
@@ -506,7 +506,7 @@ func (s *session) drainDiverged(t *machine.Thread, sl *followerSlot, a Alarm, ca
 func (s *session) followerTimedOut(t *machine.Thread, sl *followerSlot, name string, ordinal uint64, lag clock.Cycles) {
 	s.mon.raiseAlarm(Alarm{
 		Reason: AlarmRendezvousTimeout, CallIndex: ordinal, Function: s.fn,
-		FollowerCall: name, Variant: VariantID(sl.id),
+		FollowerCall: name, Variant: sl.id,
 		Detail: fmt.Sprintf("follower stalled %d cycles against a %d-cycle rendezvous deadline",
 			lag, s.mon.opts.RendezvousDeadline),
 	}, s.followerSnapshots(t)...)
@@ -602,7 +602,7 @@ func (s *session) applyResult(t *machine.Thread, sl *followerSlot, name string, 
 		if err := as.WriteAt(dst, b.data); err != nil {
 			s.mon.raiseAlarm(Alarm{
 				Reason: AlarmEmulationFault, CallIndex: idx, Function: s.fn,
-				LeaderCall: name, Variant: VariantID(sl.id),
+				LeaderCall: name, Variant: sl.id,
 				Detail: fmt.Sprintf("emulation copy of %d bytes into follower buffer %#x failed: %v",
 					len(b.data), dst, err),
 			})

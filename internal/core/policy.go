@@ -187,7 +187,7 @@ func (mo *Monitor) detachFollower(s *session, sl *followerSlot, cause string) {
 		close(sl.detachCh)
 		sl.drainPending()
 		if mo.contain() && !wasDown {
-			mo.rec.Record(obs.EvFollowerDetached, obs.FollowerVariant(sl.id), sl.tid,
+			mo.rec.Record(obs.EvFollowerDetached, sl.id, sl.tid,
 				cause, s.calls.Load(), 0, 0)
 			mo.rec.Metrics().Inc("policy.follower_detached")
 		}

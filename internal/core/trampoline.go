@@ -55,7 +55,7 @@ func (mo *Monitor) Intercept(t *machine.Thread, slot int, name string, args []ui
 	costs := mo.m.Costs()
 	mo.m.ChargeThread(t, costs.TrampolineEntry)
 	rec := mo.rec
-	v := obs.VariantID(t.Variant()).Variant()
+	v := obs.Variant(t.Variant())
 
 	// DEACTIVATE_MPK_PROT(): open the monitor's pages for this thread.
 	oldPKRU := t.PKRU()

@@ -241,12 +241,12 @@ func (mo *Monitor) Start(t *machine.Thread, fn string, args ...uint64) error {
 				err = fmt.Errorf("smvx: follower thread: %w", err)
 				mo.raiseAlarm(Alarm{
 					Reason: AlarmFollowerFault, Function: fn,
-					Variant: VariantID(sl.id), Detail: err.Error(),
+					Variant: sl.id, Detail: err.Error(),
 				})
 				sl.markDead(err)
 				return err
 			}
-			ft.SetVariant(sl.id)
+			ft.SetVariant(int(sl.id))
 			mo.mu.Lock()
 			mo.followerStacks = append(mo.followerStacks, ft.StackBase())
 			mo.mu.Unlock()
@@ -270,14 +270,14 @@ func (mo *Monitor) Start(t *machine.Thread, fn string, args ...uint64) error {
 				if mo.rec != nil {
 					var fe *mem.FaultError
 					if errors.As(runErr, &fe) {
-						mo.rec.Record(obs.EvPageFault, obs.FollowerVariant(sl.id), ft.TID(),
+						mo.rec.Record(obs.EvPageFault, sl.id, ft.TID(),
 							fe.Kind.String(), uint64(fe.Addr), 0, 0)
 					}
 					snaps = []obs.ThreadSnapshot{mo.snapshot("follower", ft)}
 				}
 				mo.raiseAlarm(Alarm{
 					Reason: AlarmFollowerFault, CallIndex: s.calls.Load(),
-					Function: fn, Variant: VariantID(sl.id), Detail: runErr.Error(),
+					Function: fn, Variant: sl.id, Detail: runErr.Error(),
 				}, snaps...)
 				if mo.contain() {
 					mo.detachFollower(s, sl, "follower-fault")
@@ -573,7 +573,7 @@ func (mo *Monitor) End(t *machine.Thread) error {
 			if !sl.detached() {
 				mo.raiseAlarm(Alarm{
 					Reason: AlarmRendezvousTimeout, CallIndex: s.calls.Load(), Function: s.fn,
-					Variant: VariantID(sl.id),
+					Variant: sl.id,
 					Detail:  "follower failed to exit the region before the rendezvous deadline",
 				})
 				s.diverged.Store(true)

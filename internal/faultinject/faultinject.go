@@ -237,15 +237,15 @@ func (p *Plan) Install(m *machine.Machine, rec *obs.Recorder) {
 	m.SetLibcFaultHook(p.hook)
 }
 
-// hook runs on every PLT libc call of every thread; only follower-biased
-// threads are counted and faulted. The thread's address-window bias
-// identifies its slot (slot k runs at k*FollowerDelta), so per-variant
-// ordinals stay stable however the scheduler interleaves followers.
+// hook runs on every PLT libc call of every thread; only follower threads
+// are counted and faulted. Each thread carries its slot in the variant
+// set, so per-variant ordinals stay stable however the scheduler
+// interleaves followers, and whatever window shift the monitor chose.
 func (p *Plan) hook(t *machine.Thread, name string, args []uint64) []uint64 {
-	if t.Bias() == 0 {
+	k := t.Variant()
+	if k == 0 {
 		return args
 	}
-	k := slotForBias(t.Bias())
 	p.calls.Add(1)
 	n := p.vcalls[k].Add(1)
 	for i := range p.faults {
@@ -271,17 +271,6 @@ func (p *Plan) hook(t *machine.Thread, name string, args []uint64) []uint64 {
 	return args
 }
 
-// slotForBias maps a follower thread's address-window bias to its 1-based
-// slot number (slot k runs at k*FollowerDelta). Out-of-range biases fold
-// to slot 1 so a custom-delta monitor still gets pair-era behavior.
-func slotForBias(bias int64) int {
-	k := int(bias / core.FollowerDelta)
-	if k < 1 || k >= core.MaxVariants {
-		return 1
-	}
-	return k
-}
-
 // triggers decides whether fault f fires at follower call n to name.
 func (p *Plan) triggers(f Fault, n uint64, name string) bool {
 	if f.Every > 0 {
@@ -299,7 +288,7 @@ func (p *Plan) triggers(f Fault, n uint64, name string) bool {
 
 // record surfaces the firing to the flight recorder and metrics.
 func (p *Plan) record(t *machine.Thread, f Fault, n uint64, name string) {
-	p.rec.Record(obs.EvFaultInjected, obs.FollowerVariant(f.Variant), t.TID(),
+	p.rec.Record(obs.EvFaultInjected, obs.Variant(f.Variant), t.TID(),
 		f.Kind.String()+":"+name, n, uint64(f.Bit), 0)
 	p.rec.Metrics().Inc("faultinject.fired")
 	p.rec.Metrics().Inc("faultinject." + obs.SanitizeName(f.Kind.String()))

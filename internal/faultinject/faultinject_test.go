@@ -4,7 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"smvx/internal/boot"
 	"smvx/internal/core"
+	"smvx/internal/libc"
+	"smvx/internal/sim/clock"
+	"smvx/internal/sim/image"
+	"smvx/internal/sim/kernel"
+	"smvx/internal/sim/machine"
 )
 
 func TestKindStringRoundTrip(t *testing.T) {
@@ -144,23 +150,72 @@ func TestNewNormalizesVariant(t *testing.T) {
 	}
 }
 
-func TestSlotForBias(t *testing.T) {
-	cases := []struct {
-		bias int64
-		want int
-	}{
-		{core.FollowerDelta, 1},
-		{2 * core.FollowerDelta, 2},
-		{8 * core.FollowerDelta, 8},
-		{9 * core.FollowerDelta, 1}, // past MaxVariants: fold to slot 1
-		{core.FollowerDelta / 2, 1}, // custom-delta monitor: pair-era slot
-		{-core.FollowerDelta, 1},    // nonsense bias: never index negative
-	}
-	for _, c := range cases {
-		if got := slotForBias(c.bias); got != c.want {
-			t.Errorf("slotForBias(%#x) = %d, want %d", c.bias, got, c.want)
+// TestVariantSlotUnderCustomDelta: a slot-addressed fault fires at its
+// slot's own call ordinal whatever window shift the monitor uses, because
+// the hook reads the thread's slot rather than its address bias. Under
+// half the default delta, slot 2's window sits where the default puts
+// slot 1.
+func TestVariantSlotUnderCustomDelta(t *testing.T) {
+	for _, delta := range []int64{core.FollowerDelta, core.FollowerDelta / 2} {
+		alarms := shutdownRegion(t, "arg-flip@3:variant:2", core.WithDelta(delta))
+		if len(alarms) != 1 {
+			t.Errorf("delta %#x: %d alarms, want one: %v", delta, len(alarms), alarms)
+			continue
+		}
+		if a := alarms[0]; a.Reason != core.AlarmOutvoted || a.Variant != 2 || a.CallIndex != 3 {
+			t.Errorf("delta %#x: alarm %s variant %d at call %d, want %s variant 2 at call 3",
+				delta, a.Reason, a.Variant, a.CallIndex, core.AlarmOutvoted)
 		}
 	}
+}
+
+// shutdownRegion runs one protected region of six shutdown calls under an
+// N=3, leader-continue monitor with the chaos spec installed, and returns
+// the monitor's alarms.
+func shutdownRegion(t *testing.T, spec string, opts ...core.Option) []core.Alarm {
+	t.Helper()
+	img := image.NewBuilder("chaosapp", 0x400000).
+		AddFunc("main", 64).
+		AddFunc("protected_func", 128).
+		NeedLibc(libc.Names()...).
+		Build()
+	prog := machine.NewProgram(img)
+	env, err := boot.NewEnv(kernel.New(clock.DefaultCosts(), 7), prog, boot.WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.MustDefine("protected_func", func(th *machine.Thread, args []uint64) uint64 {
+		for i := 0; i < 6; i++ {
+			th.Libc("shutdown", uint64(100+i), 2)
+		}
+		return 0
+	})
+	plan, err := Parse(spec, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Install(env.Machine, nil)
+	mon := core.New(env.Machine, env.LibC, append([]core.Option{core.WithSeed(7),
+		core.WithVariants(3), core.WithPolicy(core.PolicyLeaderContinue)}, opts...)...)
+	th, err := env.Machine.NewThread("main", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mon.Init(th); err != nil {
+		t.Fatal(err)
+	}
+	err = th.Run(func(tt *machine.Thread) {
+		if err := mon.Start(tt, "protected_func"); err != nil {
+			t.Errorf("Start: %v", err)
+			return
+		}
+		tt.Call("protected_func")
+		_ = mon.End(tt)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mon.Alarms()
 }
 
 // fakeThread-free hook tests: trigger and apply logic that doesn't need a

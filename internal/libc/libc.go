@@ -209,7 +209,7 @@ func (l *LibC) Call(t *machine.Thread, name string, args []uint64) uint64 {
 		return l.dispatch(t, name, args)
 	}
 	var fn string
-	v := obs.VariantID(t.Variant()).Variant()
+	v := obs.Variant(t.Variant())
 	if r != nil {
 		var a0, a1 uint64
 		if len(args) > 0 {

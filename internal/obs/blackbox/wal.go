@@ -75,9 +75,43 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// Variant bytes. The WAL predates N-variant sets: a pair-era segment
+// stores the leader as 0, its one follower as 1 and no variant as 2, and
+// later follower slots k extend past that as k+1. walNone is that none
+// byte; walMaxVariant is the last byte a follower slot encodes to.
+const (
+	walNone       byte = 2
+	walMaxVariant byte = obs.MaxFollowers + 1
+)
+
+// variantByte encodes a variant as its WAL byte.
+func variantByte(v obs.Variant) byte {
+	switch {
+	case v <= obs.VariantFollower:
+		return byte(v)
+	case v < obs.VariantNone:
+		return byte(v) + 1
+	default:
+		return walNone
+	}
+}
+
+// variantOf decodes a WAL variant byte. A byte past the last follower slot
+// decodes to none, as the recorder stores an out-of-range variant.
+func variantOf(b byte) obs.Variant {
+	switch {
+	case b < walNone:
+		return obs.Variant(b)
+	case b > walNone && b <= walMaxVariant:
+		return obs.Variant(b - 1)
+	default:
+		return obs.VariantNone
+	}
+}
+
 // appendEvent encodes one event payload (type byte included).
 func appendEvent(b []byte, e obs.Event) []byte {
-	b = append(b, recEvent, byte(e.Kind), byte(e.Variant))
+	b = append(b, recEvent, byte(e.Kind), variantByte(e.Variant))
 	b = binary.AppendUvarint(b, e.Seq)
 	b = binary.AppendUvarint(b, e.VSeq)
 	b = binary.AppendUvarint(b, uint64(e.TS))
@@ -191,7 +225,7 @@ func decodeEvent(payload []byte) (obs.Event, error) {
 	d := &decoder{buf: payload}
 	e := obs.Event{
 		Kind:    obs.EventKind(d.byte()),
-		Variant: obs.Variant(d.byte()),
+		Variant: variantOf(d.byte()),
 	}
 	e.Seq = d.uvarint()
 	e.VSeq = d.uvarint()

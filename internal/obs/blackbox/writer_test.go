@@ -52,6 +52,37 @@ func referenceSegments(meta Meta, payloads [][]byte, segBytes int) [][]byte {
 	return append(segs, cur)
 }
 
+// TestVariantBytes pins the WAL's variant byte for every variant. The
+// bytes predate N-variant sets (leader 0, the pair's follower 1, none 2),
+// so later follower slots k encode as k+1, and a segment recorded by any
+// version decodes to the same variants.
+func TestVariantBytes(t *testing.T) {
+	want := map[obs.Variant]byte{obs.VariantLeader: 0, obs.VariantFollower: 1, obs.VariantNone: 2}
+	for k := 2; k <= obs.MaxFollowers; k++ {
+		want[obs.Variant(k)] = byte(k + 1)
+	}
+	for v, b := range want {
+		if got := variantByte(v); got != b {
+			t.Errorf("variantByte(%s) = %d, want %d", v, got, b)
+		}
+		if got := variantOf(b); got != v {
+			t.Errorf("variantOf(%d) = %s, want %s", b, got, v)
+		}
+		e := obs.Event{Kind: obs.EvLibcEnter, Variant: v}
+		if got := appendEvent(nil, e)[2]; got != b {
+			t.Errorf("appendEvent wrote variant byte %d for %s, want %d", got, v, b)
+		}
+		if back, err := decodeEvent(appendEvent(nil, e)[1:]); err != nil || back.Variant != v {
+			t.Errorf("decodeEvent of %s = %s (%v)", v, back.Variant, err)
+		}
+	}
+	for b := 10; b <= 255; b++ {
+		if got := variantOf(byte(b)); got != obs.VariantNone {
+			t.Errorf("variantOf(%d) = %s, want none", b, got)
+		}
+	}
+}
+
 // TestFrameBytesMatchReference writes a fixed sequence through the Writer
 // and compares every segment file byte for byte with the reference
 // framing: empty and long strings, maximal uvarint fields, an alarm large

@@ -232,7 +232,7 @@ func (f *Fleet) Totals() (started, completed, aborted uint64, active int64) {
 }
 
 // MergedLatency returns the cross-app served-latency distribution — the
-// SLO watchdog's request-p99 input.
+// request p99 /healthz reports and holds to its ceiling.
 func (f *Fleet) MergedLatency() LatencyHist {
 	var out LatencyHist
 	if f == nil {

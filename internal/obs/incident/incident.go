@@ -1,9 +1,9 @@
 // Package incident is the correlation half of the sMVX incident plane: it
 // stitches temporally adjacent signal events — divergence alarms, injected
-// faults, policy detaches and restarts, rollback recoveries, watchdog
-// trips, anomaly-detector firings — into incident objects an operator can
-// read top-down, instead
-// of hand-correlating four telemetry endpoints during a chaos run.
+// faults, policy detaches and restarts, rollback recoveries,
+// anomaly-detector firings, and the watchdog trips of older WALs — into
+// incident objects an operator can read top-down, instead of
+// hand-correlating four telemetry endpoints during a chaos run.
 //
 // The engine hangs off the flight recorder as an obs.Tap: it consumes
 // every event under the recorder lock, in exact record order. Record
@@ -76,9 +76,10 @@ func (s Severity) String() string {
 
 // severityOf ranks one signal event kind. Alarms are the detection the
 // whole system exists to produce; a detach means the run degraded; a
-// watchdog trip, anomaly, or state rollback is an early warning — the
-// rollback recovered, but only because real divergence forced a rewind; an
-// injected fault or a follower restart is context, not damage.
+// watchdog trip (recorded only by older WALs), anomaly, or state rollback
+// is an early warning — the rollback recovered, but only because real
+// divergence forced a rewind; an injected fault or a follower restart is
+// context, not damage.
 func severityOf(k obs.EventKind) Severity {
 	switch k {
 	case obs.EvAlarm:

@@ -185,17 +185,13 @@ type cell struct {
 	bytes  atomic.Uint64
 }
 
-// NumVariantSlots sizes the per-variant cell axis: the leader plus every
-// follower slot a variant set can hold.
-const NumVariantSlots = 1 + obs.MaxFollowers
-
 // Region is one protected function's ledger. The monitor holds one per
 // session; instrumentation sites hold the pointer and call Add with no
 // map lookups on the hot path. A nil Region is the disabled state.
 type Region struct {
 	led   *Ledger
 	name  string
-	cells [NumPhases][NumClasses][NumVariantSlots]cell // indexed by VariantID
+	cells [NumPhases][NumClasses][obs.MaxVariants]cell // indexed by variant
 }
 
 // Ledger aggregates Regions and carries the run configuration the
@@ -314,7 +310,12 @@ func (rg *Region) Add(p Phase, v obs.Variant, c Class, cycles clock.Cycles, m Ma
 // charge is the one mutation of a region's cells, shared by the live Add
 // and the replay fold TapEvent.
 func (rg *Region) charge(p Phase, v obs.Variant, c Class, cycles, allocs, bytes uint64) {
-	cl := &rg.cells[p][c][v.ID()]
+	if v >= obs.VariantNone {
+		// An event with no variant (monitor bookkeeping) is charged to
+		// the leader.
+		v = obs.VariantLeader
+	}
+	cl := &rg.cells[p][c][v]
 	cl.count.Add(1)
 	cl.cycles.Add(cycles)
 	cl.allocs.Add(allocs)
@@ -335,9 +336,9 @@ func (l *Ledger) TapEvent(e obs.Event) {
 	l.Region(e.Fn).charge(p, e.Variant, c, e.Arg0, e.Arg1, e.Ret)
 }
 
-var variantNames = func() (out [NumVariantSlots]string) {
+var variantNames = func() (out [obs.MaxVariants]string) {
 	for vi := range out {
-		out[vi] = obs.VariantID(vi).Variant().String()
+		out[vi] = obs.Variant(vi).String()
 	}
 	return
 }()
@@ -385,7 +386,7 @@ func (l *Ledger) Snapshot() Snapshot {
 		rs := RegionSnapshot{Region: rg.name}
 		for p := Phase(0); p < NumPhases; p++ {
 			for c := Class(0); c < NumClasses; c++ {
-				for vi := 0; vi < NumVariantSlots; vi++ {
+				for vi := 0; vi < obs.MaxVariants; vi++ {
 					cl := &rg.cells[p][c][vi]
 					count := cl.count.Load()
 					cyc := cl.cycles.Load()
@@ -451,7 +452,7 @@ func (l *Ledger) Totals() (calls, cycles, allocs uint64) {
 	for _, rg := range regions {
 		for p := Phase(0); p < NumPhases; p++ {
 			for c := Class(0); c < NumClasses; c++ {
-				for vi := 0; vi < NumVariantSlots; vi++ {
+				for vi := 0; vi < obs.MaxVariants; vi++ {
 					cl := &rg.cells[p][c][vi]
 					cycles += cl.cycles.Load()
 					allocs += cl.allocs.Load()

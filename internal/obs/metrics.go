@@ -281,8 +281,8 @@ func mergeHist(dst, src *Hist) {
 
 // MergedHistogram returns the bucket-wise merge of every histogram whose
 // name begins with prefix — e.g. MergedHistogram("rendezvous.cycles")
-// aggregates the per-category RTT histograms into one distribution (the
-// SLO watchdog's p99 input). Returns the zero Hist if nothing matches.
+// aggregates the per-category RTT histograms into one distribution.
+// Returns the zero Hist if nothing matches.
 func (m *Metrics) MergedHistogram(prefix string) Hist {
 	var out Hist
 	if m == nil {

@@ -73,6 +73,8 @@ const (
 	EvSpanBegin
 	EvSpanEnd
 	// EvWatchdog is an SLO watchdog trip: Name is the violated threshold.
+	// No code records it now; it keeps its number so that older WALs
+	// still decode and replay to their incident tables.
 	EvWatchdog
 	// EvFaultInjected is one fired chaos fault: Name is "<kind>:<libc
 	// call>", Arg0 the follower libc-call ordinal it fired at, Arg1 the
@@ -182,40 +184,30 @@ func (k EventKind) String() string {
 	}
 }
 
-// Variant attributes an event to one member of the MVX variant set.
+// Variant attributes an event to one member of the MVX variant set. It is
+// the variant's dense index in its set: 0 is the leader, k is follower
+// slot k. The black-box WAL keeps its own byte encoding (package blackbox),
+// so this numbering never reaches disk.
 type Variant uint8
-
-// Variant values. The first three byte values are frozen (they appear in
-// serialized WAL records from pair-era runs); follower slots beyond the
-// first extend the space past VariantNone.
-const (
-	// VariantLeader is the leader (or any ordinary, bias-0 thread).
-	VariantLeader Variant = iota
-	// VariantFollower is the first cloned, shifted follower.
-	VariantFollower
-	// VariantNone marks events with no variant affinity (kernel, monitor
-	// bookkeeping).
-	VariantNone
-)
 
 // MaxFollowers bounds the follower-slot count of a variant set. It is
 // limited by the MPK key space: 16 keys minus the reserved key 0, the
 // monitor key, and the leader key leaves headroom for 8 follower windows.
 const MaxFollowers = 8
 
-// numVariantSlots is the width of per-variant sequence state: leader,
-// first follower, none, then followers 2..MaxFollowers.
-const numVariantSlots = 2 + MaxFollowers
+// MaxVariants bounds a variant set: the leader plus MaxFollowers slots.
+const MaxVariants = 1 + MaxFollowers
 
-// FollowerVariant returns the Variant tag for the k-th follower slot
-// (1-based). Slot 1 is the pair-era VariantFollower; later slots use the
-// extended byte values after VariantNone.
-func FollowerVariant(k int) Variant {
-	if k <= 1 {
-		return VariantFollower
-	}
-	return Variant(1 + k)
-}
+// Variant values.
+const (
+	// VariantLeader is the leader (or any thread outside a variant set).
+	VariantLeader Variant = 0
+	// VariantFollower is the first follower slot, the pair's follower.
+	VariantFollower Variant = 1
+	// VariantNone marks events with no variant affinity (kernel, monitor
+	// bookkeeping). It sits past the last follower slot.
+	VariantNone Variant = MaxVariants
+)
 
 // String names the variant.
 func (v Variant) String() string {
@@ -224,42 +216,10 @@ func (v Variant) String() string {
 		return "leader"
 	case v == VariantFollower:
 		return "follower"
-	case v > VariantNone && v < Variant(numVariantSlots):
-		return "follower" + string(rune('0'+int(v)-1))
+	case v < VariantNone:
+		return "follower" + string(rune('0'+int(v)))
 	default:
 		return "-"
-	}
-}
-
-// VariantID is a dense per-variant index: 0 is the leader, k >= 1 is the
-// k-th follower slot. Unlike Variant (whose byte values are frozen for WAL
-// compatibility and leave a hole at VariantNone), VariantID is contiguous
-// and suitable as an array/ledger key or alarm field.
-type VariantID uint8
-
-// ID converts an event-level Variant tag to its dense variant index.
-// VariantNone maps to 0 (monitor bookkeeping is charged to the leader
-// bucket, matching the pair-era ledger).
-func (v Variant) ID() VariantID {
-	switch {
-	case v == VariantFollower:
-		return 1
-	case v > VariantNone && v < Variant(numVariantSlots):
-		return VariantID(v - 1)
-	default:
-		return 0
-	}
-}
-
-// Variant converts a dense variant index back to its event-level tag.
-func (id VariantID) Variant() Variant {
-	switch {
-	case id == 0:
-		return VariantLeader
-	case id == 1:
-		return VariantFollower
-	default:
-		return Variant(id + 1)
 	}
 }
 
@@ -398,7 +358,7 @@ type Sink interface {
 type Recorder struct {
 	mu      sync.Mutex
 	ring    *ring
-	vseq    [numVariantSlots]uint64
+	vseq    [VariantNone + 1]uint64
 	clk     atomic.Pointer[clock.Counter]
 	window  int
 	metrics *Metrics
@@ -573,7 +533,7 @@ func (r *Recorder) RecordInAt(ts clock.Cycles, fn string, kind EventKind, v Vari
 }
 
 func (r *Recorder) recordAt(ts clock.Cycles, kind EventKind, v Variant, tid int, fn, name string, a0, a1, ret uint64) {
-	if v >= Variant(numVariantSlots) {
+	if v > VariantNone {
 		v = VariantNone
 	}
 	r.mu.Lock()

@@ -157,4 +157,10 @@ func TestEventKindAndVariantStrings(t *testing.T) {
 	if VariantLeader.String() != "leader" || VariantFollower.String() != "follower" {
 		t.Error("variant names")
 	}
+	if Variant(2).String() != "follower2" || Variant(MaxFollowers).String() != "follower8" {
+		t.Error("later follower slots are named by their slot")
+	}
+	if VariantNone != MaxVariants || VariantNone.String() != "-" || Variant(200).String() != "-" {
+		t.Error("none sits past the last slot and has no name")
+	}
 }

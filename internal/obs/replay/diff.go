@@ -216,8 +216,7 @@ func (r *Replay) DiffVariants(context int) []VariantDivergence {
 	ev := regionEvents(r.Run.Events)
 	leader := Calls(ev, obs.VariantLeader)
 	var out []VariantDivergence
-	for id := obs.VariantID(1); id <= obs.MaxFollowers; id++ {
-		v := id.Variant()
+	for v := obs.VariantFollower; v < obs.VariantNone; v++ {
 		calls := Calls(ev, v)
 		if len(calls) == 0 && v != obs.VariantFollower {
 			continue

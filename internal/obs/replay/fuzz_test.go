@@ -37,7 +37,7 @@ func fuzzSeedSegment(f *testing.F) (string, []byte) {
 		ctr.Charge(100)
 		rg.Add(ledger.PhaseEnqueue, obs.VariantLeader, ledger.ClassPipelined, 250, ledger.Mark{}, 0)
 		rg.Add(ledger.PhaseDrain, obs.VariantFollower, ledger.ClassPipelined, 80, ledger.Mark{}, 0)
-		rg.Add(ledger.PhaseEmulate, obs.FollowerVariant(2), ledger.ClassBarrier, 64, ledger.Mark{}, 64)
+		rg.Add(ledger.PhaseEmulate, obs.Variant(2), ledger.ClassBarrier, 64, ledger.Mark{}, 64)
 		span := rec.BeginRendezvousSpan(obs.VariantLeader, 1, obs.NewSpanNames("write").Rendezvous, 2)
 		ctr.Charge(20)
 		span.End(64)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -28,8 +30,8 @@ type recorded struct {
 // use, seals each one's black-box WAL, replays it, and requires every
 // table the live run had — the cost ledger's JSON, the fleet and incident
 // tables, the forensics reports — to equal its replay byte for byte. The
-// first seven runs are the command lines below as given to experiments
-// -run cve and to smvx; the eighth folds an exploit's incidents through
+// first eight runs are the command lines below as given to experiments
+// -run cve and to smvx; the ninth folds an exploit's incidents through
 // a non-default correlation window, which replay must read back from the
 // WAL's labels.
 func TestReplayParity(t *testing.T) {
@@ -86,7 +88,7 @@ func TestReplayParity(t *testing.T) {
 				// The fault is injected into the second follower only, so
 				// the variant diff must name it.
 				divs := run.replay.DiffVariants(0)
-				if len(divs) != 1 || divs[0].Follower != obs.FollowerVariant(2) {
+				if len(divs) != 1 || divs[0].Follower != obs.Variant(2) {
 					t.Errorf("diverging followers = %+v, want follower2 alone", divs)
 				}
 				wantContains(t, "variant diff", variantDiff(run.replay), "--- follower2 ---")
@@ -96,12 +98,33 @@ func TestReplayParity(t *testing.T) {
 			check: func(t *testing.T, run recorded) {
 				// Each follower's calls land in its own stream, and a clean
 				// run's streams match the leader's.
-				f1, f2 := run.replay.Calls(obs.FollowerVariant(1)), run.replay.Calls(obs.FollowerVariant(2))
+				f1, f2 := run.replay.Calls(obs.Variant(1)), run.replay.Calls(obs.Variant(2))
 				if len(f1) == 0 || len(f1) != len(f2) {
 					t.Errorf("follower calls: %d and %d, want the same nonzero count", len(f1), len(f2))
 				}
 				if divs := run.replay.DiffVariants(0); len(divs) != 0 {
 					t.Errorf("a clean N=3 run diverges:\n%s", variantDiff(run.replay))
+				}
+			}},
+		{name: "telemetry-incidents",
+			args: []string{"-telemetry", "127.0.0.1:0", "-chaos", "arg-flip@6", "-policy", "leader-continue",
+				"-incidents"},
+			protect: "ngx_worker_process_cycle", requests: 20,
+			check: func(t *testing.T, run recorded) {
+				// The alarm opens the run's one incident. /healthz reads the
+				// alarm count and records nothing, so a scrape after the WAL
+				// is sealed leaves the live stream as the replay has it.
+				if n := run.live.Incidents.Count(); n != 1 {
+					t.Errorf("live incidents = %d, want the alarm's one:\n%s", n, run.live.Incidents.TableText())
+				}
+				total := run.live.Recorder.Total()
+				w := httptest.NewRecorder()
+				run.live.Telemetry.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/healthz", nil))
+				if w.Code != http.StatusServiceUnavailable {
+					t.Errorf("/healthz after the alarm = %d, want 503:\n%s", w.Code, w.Body)
+				}
+				if got := run.live.Recorder.Total(); got != total || got != uint64(len(run.replay.Run.Events)) {
+					t.Errorf("recorded %d events, %d before the scrape; the WAL holds %d", got, total, len(run.replay.Run.Events))
 				}
 			}},
 		{name: "cve-incidents",
@@ -191,6 +214,10 @@ func record(t *testing.T, args []string, cve bool, protect string, requests int)
 		_ = r.Exit()
 	}
 	if err := rt.Blackbox.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Runtime.Finish closes the telemetry server after it seals the WAL.
+	if err := rt.Telemetry.Close(); err != nil {
 		t.Fatal(err)
 	}
 	r, err := replay.Load(dir)

@@ -90,8 +90,7 @@ func (r *Replay) TableText() string {
 // metrics whose inputs are present in the event stream can be rebuilt
 // (event-kind counts, alarm counters, lockstep categories, emulated bytes,
 // span-duration histograms). Registry entries the live process derived
-// from non-event state — libc per-call cycle histograms, watchdog
-// internals — are absent.
+// from non-event state — libc per-call cycle histograms — are absent.
 func (r *Replay) RebuildMetrics() *obs.Metrics {
 	m := obs.NewMetrics()
 	for _, e := range r.Run.Events {
@@ -127,9 +126,8 @@ func (r *Replay) RebuildMetrics() *obs.Metrics {
 
 // Summary renders a one-screen inspection of the run: metadata, stream
 // sizes, per-variant totals, alarms, and any damage notes. Each variant
-// present gets its own count; events with no variant affinity (and any
-// out-of-range variant byte, which the live recorder stores as none)
-// count as none, so the counts sum to the total.
+// present gets its own count; events with no variant affinity count as
+// none, so the counts sum to the total.
 func (r *Replay) Summary() string {
 	var perVariant [256]uint64
 	for _, e := range r.Run.Events {
@@ -137,9 +135,9 @@ func (r *Replay) Summary() string {
 	}
 	var counts []string
 	none := uint64(len(r.Run.Events))
-	for id := obs.VariantID(0); id <= obs.MaxFollowers; id++ {
-		if n := perVariant[id.Variant()]; n > 0 {
-			counts = append(counts, fmt.Sprintf("%s %d", id.Variant(), n))
+	for v := obs.VariantLeader; v < obs.VariantNone; v++ {
+		if n := perVariant[v]; n > 0 {
+			counts = append(counts, fmt.Sprintf("%s %d", v, n))
 			none -= n
 		}
 	}

@@ -221,7 +221,7 @@ func TestSummary(t *testing.T) {
 	// A second follower's event and a request event, which has no
 	// variant, get counts of their own: the counts sum to the total.
 	r.Run.Events = append(r.Run.Events,
-		obs.Event{Kind: obs.EvLibcEnter, Variant: obs.FollowerVariant(2), TID: 3, Name: "write"},
+		obs.Event{Kind: obs.EvLibcEnter, Variant: obs.Variant(2), TID: 3, Name: "write"},
 		obs.Event{Kind: obs.EvRequestStart, Variant: obs.VariantNone, Name: "nginx"})
 	s := r.Summary()
 	for _, want := range []string{"segments: 1", "ring capacity: 16", "alarms: 1", "call name mismatch",

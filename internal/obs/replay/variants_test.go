@@ -50,7 +50,7 @@ func TestDiffVariantsSynthetic(t *testing.T) {
 	evs = append(evs, call(obs.VariantFollower, fTID, "auth", "strcmp", 0x4000+followerDelta, 0x5000+followerDelta, 1)...)
 	// A second follower matches the leader on every scalar, so only the
 	// first follower's stream diverges.
-	f2, f2TID := obs.FollowerVariant(2), 3
+	f2, f2TID := obs.Variant(2), 3
 	evs = append(evs, call(f2, f2TID, "handler", "strlen", 0x1000+2*followerDelta, 0, 4)...)
 	evs = append(evs, call(f2, f2TID, "handler", "memcpy", 0x2000+2*followerDelta, 0x1000+2*followerDelta, 0x2000+2*followerDelta)...)
 	evs = append(evs, call(f2, f2TID, "handler", "read", 5, 0x3000+2*followerDelta, 10)...)

@@ -2,10 +2,11 @@
 // embedded HTTP server that serves the flight recorder's metrics registry
 // in Prometheus text format, health derived from the monitor's lockstep
 // state, the Chrome-trace span timeline, divergence forensics, and the
-// virtual-cycle sampling profile — plus an SLO watchdog that degrades
-// /healthz instead of killing the run. Everything reads the same nil-safe
-// obs.Recorder the monitor already writes, so serving telemetry adds no
-// work to the lockstep hot path.
+// virtual-cycle sampling profile. /healthz degrades on the first
+// divergence alarm (or a blown request-p99 ceiling) instead of killing the
+// run. Everything reads the same nil-safe obs.Recorder the monitor already
+// writes, and nothing here writes to it, so serving telemetry adds no work
+// to the lockstep hot path and no event to the recorded stream.
 package telemetry
 
 import (
@@ -47,14 +48,15 @@ type FoldedSource interface {
 type Server struct {
 	rec *obs.Recorder
 
-	mu      sync.Mutex
-	health  Health
-	wd      *Watchdog
-	profile FoldedSource
-	bb      *blackbox.Writer
-	led     *ledger.Ledger
-	fleet   *obs.Fleet
-	inc     *incident.Engine
+	mu         sync.Mutex
+	health     Health
+	requestP99 uint64
+	degraded   bool
+	profile    FoldedSource
+	bb         *blackbox.Writer
+	led        *ledger.Ledger
+	fleet      *obs.Fleet
+	inc        *incident.Engine
 
 	ln net.Listener
 }
@@ -65,8 +67,10 @@ type Option func(*Server)
 // WithHealth attaches monitor health probes to /healthz.
 func WithHealth(h Health) Option { return func(s *Server) { s.health = h } }
 
-// WithWatchdog attaches an SLO watchdog; once tripped, /healthz reports 503.
-func WithWatchdog(w *Watchdog) Option { return func(s *Server) { s.wd = w } }
+// WithRequestP99 sets the served-request latency ceiling: once the fleet's
+// request p99 exceeds this many virtual cycles, /healthz reports 503
+// (0 disables the ceiling; the first divergence alarm always degrades).
+func WithRequestP99(cycles uint64) Option { return func(s *Server) { s.requestP99 = cycles } }
 
 // WithProfile attaches a folded-stack source to /profile.
 func WithProfile(f FoldedSource) Option { return func(s *Server) { s.profile = f } }
@@ -110,16 +114,6 @@ func (s *Server) SetHealth(h Health) {
 	s.mu.Unlock()
 }
 
-// Watchdog returns the attached watchdog (nil when none).
-func (s *Server) Watchdog() *Watchdog {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.wd
-}
-
 // Handler returns the telemetry mux, for embedding or httptest.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -151,16 +145,15 @@ func (s *Server) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Close stops the listener (if Start ran) and the watchdog (if attached).
+// Close stops the listener (if Start ran).
 func (s *Server) Close() error {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
-	ln, wd := s.ln, s.wd
+	ln := s.ln
 	s.ln = nil
 	s.mu.Unlock()
-	wd.Stop()
 	if ln != nil {
 		return ln.Close()
 	}
@@ -182,29 +175,27 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // healthState is the /healthz JSON body.
 type healthState struct {
-	Status          string   `json:"status"`
-	Phase           string   `json:"phase"`
-	FollowerLive    bool     `json:"follower_live"`
-	LockstepMode    string   `json:"lockstep_mode"`
-	LagWindow       int      `json:"lag_window"`
-	PipelineDepth   float64  `json:"pipeline_depth"`
-	Alarms          int      `json:"alarms"`
-	EventsEvicted   uint64   `json:"events_evicted"`
-	RequestsTotal   uint64   `json:"requests_total"`
-	FleetP99Cycles  uint64   `json:"fleet_p99_cycles"`
-	Concurrency     int64    `json:"concurrency"`
-	UptimeCycles    uint64   `json:"uptime_cycles"`
-	IncidentsActive int      `json:"incidents_active"`
-	Snapshots       int      `json:"snapshots_captured"`
-	Rollbacks       int      `json:"rollbacks"`
-	RollbackEscal   bool     `json:"rollback_escalated"`
-	WatchdogTripped bool     `json:"watchdog_tripped"`
-	WatchdogReasons []string `json:"watchdog_reasons,omitempty"`
+	Status          string  `json:"status"`
+	Phase           string  `json:"phase"`
+	FollowerLive    bool    `json:"follower_live"`
+	LockstepMode    string  `json:"lockstep_mode"`
+	LagWindow       int     `json:"lag_window"`
+	PipelineDepth   float64 `json:"pipeline_depth"`
+	Alarms          int     `json:"alarms"`
+	EventsEvicted   uint64  `json:"events_evicted"`
+	RequestsTotal   uint64  `json:"requests_total"`
+	FleetP99Cycles  uint64  `json:"fleet_p99_cycles"`
+	Concurrency     int64   `json:"concurrency"`
+	UptimeCycles    uint64  `json:"uptime_cycles"`
+	IncidentsActive int     `json:"incidents_active"`
+	Snapshots       int     `json:"snapshots_captured"`
+	Rollbacks       int     `json:"rollbacks"`
+	RollbackEscal   bool    `json:"rollback_escalated"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	h, wd, fleet, inc := s.health, s.wd, s.fleet, s.inc
+	h, fleet, inc, ceiling := s.health, s.fleet, s.inc, s.requestP99
 	s.mu.Unlock()
 
 	st := healthState{Status: "ok", Phase: "unknown", FollowerLive: true, LockstepMode: "unknown"}
@@ -233,15 +224,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			st.FleetP99Cycles = h.Quantile(0.99)
 		}
 	}
-	if wd != nil {
-		// Evaluate on scrape too, so a watchdog without a Start loop (or
-		// between ticks) still reflects the latest recorder state.
-		wd.Check()
-		st.WatchdogTripped = wd.Tripped()
-		st.WatchdogReasons = wd.Reasons()
-	}
 	code := http.StatusOK
-	if st.WatchdogTripped {
+	if s.latchDegraded(st.Alarms > 0 || (ceiling > 0 && st.FleetP99Cycles > ceiling)) {
 		st.Status = "degraded"
 		code = http.StatusServiceUnavailable
 	}
@@ -250,6 +234,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(st) //nolint:errcheck // client went away
+}
+
+// latchDegraded latches the degraded state once bad is seen: the alarm and
+// the run's worst latency are history, so a later scrape stays 503.
+func (s *Server) latchDegraded(bad bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.degraded = s.degraded || bad
+	return s.degraded
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -340,5 +333,5 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, "smvx telemetry\n\n/metrics    Prometheus text format\n/healthz    monitor health (503 when SLO watchdog tripped)\n/trace.json Chrome trace of recorded events and spans\n/forensics  divergence forensics reports\n/profile    folded stacks from the virtual-cycle sampler\n/blackbox   live trace-WAL directory snapshot\n/ledger     rendezvous cost ledger (phase-level cycle/alloc breakdown)\n/fleet      per-app request latency/throughput aggregate\n/incidents  correlated incident timeline with root-cause attribution\n")
+	fmt.Fprint(w, "smvx telemetry\n\n/metrics    Prometheus text format\n/healthz    monitor health (503 after a divergence alarm or a blown request p99)\n/trace.json Chrome trace of recorded events and spans\n/forensics  divergence forensics reports\n/profile    folded stacks from the virtual-cycle sampler\n/blackbox   live trace-WAL directory snapshot\n/ledger     rendezvous cost ledger (phase-level cycle/alloc breakdown)\n/fleet      per-app request latency/throughput aggregate\n/incidents  correlated incident timeline with root-cause attribution\n")
 }

@@ -10,8 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"smvx/internal/apps/nginx"
 	"smvx/internal/boot"
@@ -40,8 +40,8 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, string) {
 }
 
 // TestTelemetryLiveNginx is the acceptance test: nginx under sMVX protection
-// with the full telemetry plane attached — recorder, sampler, watchdog, HTTP
-// server — then every endpoint is scraped and checked against the run.
+// with the full telemetry plane attached — recorder, sampler, HTTP server —
+// then every endpoint is scraped and checked against the run.
 func TestTelemetryLiveNginx(t *testing.T) {
 	rec := obs.NewRecorder(obs.Config{})
 	sampler := perfprof.NewSampler(1000)
@@ -59,10 +59,8 @@ func TestTelemetryLiveNginx(t *testing.T) {
 	mon := core.New(env.Machine, env.LibC, core.WithSeed(42), core.WithRecorder(rec))
 	srv.SetMVX(mon)
 
-	wd := NewWatchdog(rec, SLO{MaxAlarms: 0})
 	s := New(rec,
 		WithHealth(Health{Phase: mon.Phase, FollowerLive: mon.FollowerLive}),
-		WithWatchdog(wd),
 		WithProfile(sampler))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -115,7 +113,7 @@ func TestTelemetryLiveNginx(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatalf("/healthz json: %v", err)
 	}
-	if st.Status != "ok" || st.Phase != "idle" || st.Alarms != 0 || st.WatchdogTripped {
+	if st.Status != "ok" || st.Phase != "idle" || st.Alarms != 0 {
 		t.Errorf("/healthz = %+v", st)
 	}
 
@@ -144,8 +142,9 @@ func TestTelemetryLiveNginx(t *testing.T) {
 		t.Error("/trace.json has no events")
 	}
 
-	// Inject a divergence alarm: the watchdog trips on the /healthz scrape
-	// and the endpoint degrades to 503 — without touching the run.
+	// Inject a divergence alarm: the next /healthz scrape degrades to 503
+	// — without touching the run or recording anything.
+	recorded := rec.Total()
 	rec.Alarm(obs.AlarmInfo{Reason: "injected", Function: "ngx_worker_process_cycle", Detail: "test injection"})
 	code, body = get(t, ts, "/healthz")
 	if code != http.StatusServiceUnavailable {
@@ -154,8 +153,11 @@ func TestTelemetryLiveNginx(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatalf("/healthz json: %v", err)
 	}
-	if st.Status != "degraded" || !st.WatchdogTripped || len(st.WatchdogReasons) == 0 {
+	if st.Status != "degraded" || st.Alarms != 1 {
 		t.Errorf("/healthz after alarm = %+v", st)
+	}
+	if got := rec.Total() - recorded; got != 1 {
+		t.Errorf("the alarm and the scrape recorded %d events, want the alarm's 1", got)
 	}
 
 	// /forensics now carries the injected alarm's report.
@@ -165,99 +167,71 @@ func TestTelemetryLiveNginx(t *testing.T) {
 	}
 }
 
-// TestTelemetryWatchdogThresholds drives each SLO check in isolation.
-func TestTelemetryWatchdogThresholds(t *testing.T) {
-	t.Run("alarms disabled", func(t *testing.T) {
-		rec := obs.NewRecorder(obs.Config{})
-		rec.Alarm(obs.AlarmInfo{Reason: "r"})
-		wd := NewWatchdog(rec, SLO{MaxAlarms: -1})
-		if wd.Check() {
-			t.Error("tripped with alarm check disabled")
+// TestHealthzRequestP99: with a request-p99 ceiling set, /healthz answers
+// 200 while the fleet's served-request p99 is at or under it, 503 once the
+// p99 exceeds it, and stays 503 after the p99 falls back under it.
+func TestHealthzRequestP99(t *testing.T) {
+	clk := clock.NewCounter()
+	rec := obs.NewRecorder(obs.Config{Clock: clk})
+	fleet := obs.NewFleet()
+	serve := func(n int, cycles clock.Cycles) {
+		for i := 0; i < n; i++ {
+			sp := fleet.Begin(rec, "nginx")
+			clk.Charge(cycles)
+			sp.End(true)
 		}
-	})
-	t.Run("alarm count", func(t *testing.T) {
-		rec := obs.NewRecorder(obs.Config{})
-		wd := NewWatchdog(rec, SLO{MaxAlarms: 1})
-		if wd.Check() {
-			t.Error("tripped with no alarms")
+	}
+	ts := httptest.NewServer(New(rec, WithFleet(fleet), WithRequestP99(100_000)).Handler())
+	defer ts.Close()
+	scrape := func(want int) healthState {
+		t.Helper()
+		code, body := get(t, ts, "/healthz")
+		var st healthState
+		if err := json.Unmarshal([]byte(body), &st); err != nil {
+			t.Fatalf("/healthz json: %v", err)
 		}
-		rec.Alarm(obs.AlarmInfo{Reason: "a"})
-		if wd.Check() {
-			t.Error("tripped at the threshold")
+		if code != want {
+			t.Errorf("/healthz = %d, want %d; body %s", code, want, body)
 		}
-		rec.Alarm(obs.AlarmInfo{Reason: "b"})
-		if !wd.Check() || !wd.Tripped() {
-			t.Error("did not trip past the threshold")
-		}
-		if rs := wd.Reasons(); len(rs) != 1 || !strings.Contains(rs[0], "alarms 2 > max 1") {
-			t.Errorf("reasons = %v", rs)
-		}
-		// The trip is recorded on the flight recorder and as metrics.
-		var evs int
-		for _, e := range rec.Events() {
-			if e.Kind == obs.EvWatchdog {
-				evs++
-			}
-		}
-		if evs != 1 {
-			t.Errorf("EvWatchdog events = %d, want 1", evs)
-		}
-		if c := rec.Metrics().Counter("watchdog.trips"); c != 1 {
-			t.Errorf("watchdog.trips = %d", c)
-		}
-		// Re-checking the same violation does not duplicate it.
-		wd.Check()
-		if rs := wd.Reasons(); len(rs) != 1 {
-			t.Errorf("reasons after recheck = %v", rs)
-		}
-	})
-	t.Run("rendezvous p99", func(t *testing.T) {
-		rec := obs.NewRecorder(obs.Config{})
-		for i := 0; i < 10; i++ {
-			rec.Metrics().Observe(obs.RendezvousMetricName(1), 100)
-		}
-		wd := NewWatchdog(rec, SLO{MaxAlarms: -1, MaxRendezvousP99: 1000})
-		if wd.Check() {
-			t.Error("tripped under the latency budget")
-		}
-		for i := 0; i < 5; i++ {
-			rec.Metrics().Observe(obs.RendezvousMetricName(2), 1<<20)
-		}
-		if !NewWatchdog(rec, SLO{MaxAlarms: -1, MaxRendezvousP99: 1000}).Check() {
-			t.Error("did not trip on p99 blowout")
-		}
-	})
-	t.Run("divergence rate", func(t *testing.T) {
-		rec := obs.NewRecorder(obs.Config{})
-		for i := 0; i < 10; i++ {
-			rec.Metrics().Observe(obs.RendezvousMetricName(1), 50)
-		}
-		rec.Alarm(obs.AlarmInfo{Reason: "x"})
-		// 1 alarm / 10 rendezvous = 0.1.
-		if NewWatchdog(rec, SLO{MaxAlarms: -1, MaxDivergenceRate: 0.5}).Check() {
-			t.Error("tripped under the rate budget")
-		}
-		if !NewWatchdog(rec, SLO{MaxAlarms: -1, MaxDivergenceRate: 0.05}).Check() {
-			t.Error("did not trip over the rate budget")
-		}
-	})
-}
+		return st
+	}
 
-// TestTelemetryWatchdogStartStop exercises the periodic evaluator.
-func TestTelemetryWatchdogStartStop(t *testing.T) {
-	rec := obs.NewRecorder(obs.Config{})
-	wd := NewWatchdog(rec, SLO{MaxAlarms: 0})
-	wd.Start(time.Millisecond)
-	rec.Alarm(obs.AlarmInfo{Reason: "late"})
-	deadline := time.Now().Add(2 * time.Second)
-	for !wd.Tripped() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	serve(10, 1_000)
+	if st := scrape(http.StatusOK); st.Status != "ok" || st.FleetP99Cycles == 0 || st.FleetP99Cycles > 100_000 {
+		t.Errorf("/healthz under the ceiling = %+v", st)
 	}
-	if !wd.Tripped() {
-		t.Error("periodic evaluator never tripped")
+	serve(1, 10_000_000)
+	if st := scrape(http.StatusServiceUnavailable); st.Status != "degraded" || st.FleetP99Cycles <= 100_000 {
+		t.Errorf("/healthz over the ceiling = %+v", st)
 	}
-	wd.Stop()
-	wd.Stop() // idempotent
+	// Enough fast requests pull the p99 back under the ceiling while
+	// concurrent scrapes read the latch; the degraded state holds.
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 5; j++ {
+				resp, err := http.Get(ts.URL + "/healthz")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusServiceUnavailable {
+					t.Errorf("concurrent /healthz = %d, want 503", resp.StatusCode)
+				}
+			}
+		}()
+	}
+	serve(1000, 1_000)
+	wg.Wait()
+	if st := scrape(http.StatusServiceUnavailable); st.Status != "degraded" || st.FleetP99Cycles > 100_000 {
+		t.Errorf("/healthz after recovery = %+v", st)
+	}
+	if st := scrape(http.StatusServiceUnavailable); st.Alarms != 0 {
+		t.Errorf("the ceiling, not an alarm, must degrade /healthz: %+v", st)
+	}
 }
 
 // TestTelemetryServerStartClose serves over a real listener on ":0".

@@ -100,8 +100,8 @@ type (
 	// lockstep (local, pipelined, or hard barrier).
 	SyncClass = libc.SyncClass
 	// VariantID numbers the members of a variant set: 0 is the leader,
-	// 1..N-1 the follower slots. Alarm.Variant and the ledger's
-	// per-variant axis carry it.
+	// 1..N-1 the follower slots. Alarm.Variant, trace events and the
+	// ledger's per-variant axis all carry it.
 	VariantID = core.VariantID
 
 	// Recorder is the flight-recorder observability plane.
@@ -127,9 +127,9 @@ type (
 	AnomalyDetector = anomaly.Detector
 	// AnomalyConfig tunes the detector rules (start from DefaultAnomalyConfig).
 	AnomalyConfig = anomaly.Config
-	// IncidentEngine correlates alarms, faults, detaches, watchdog trips,
-	// and anomalies into incidents with causal timelines and root-cause
-	// attribution (served at /incidents).
+	// IncidentEngine correlates alarms, faults, detaches, restarts,
+	// rollbacks and anomalies into incidents with causal timelines and
+	// root-cause attribution (served at /incidents).
 	IncidentEngine = incident.Engine
 	// Incident is one correlated group of signal events.
 	Incident = incident.Incident
