@@ -8,7 +8,7 @@
 //	smvx-replay inspect <wal-dir>
 //	smvx-replay forensics <wal-dir>
 //	smvx-replay tables <wal-dir>
-//	smvx-replay diff [-variant leader|follower] [-context 5] <wal-a> <wal-b>
+//	smvx-replay diff [-variant leader|follower|follower2…follower8] [-context 5] <wal-a> <wal-b>
 //	smvx-replay diff -variants <wal-dir>
 //	smvx-replay export [-format chrome|table|metrics] [-o out] <wal-dir>
 //
@@ -133,7 +133,7 @@ func cmdTables(args []string, out io.Writer) error {
 
 func cmdDiff(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
-	variant := fs.String("variant", "leader", "which variant's call stream to diff across runs: leader | follower")
+	variant := fs.String("variant", "leader", "which variant's call stream to diff across runs: "+variantNames)
 	variants := fs.Bool("variants", false, "diff one run's leader stream against each follower's stream")
 	context := fs.Int("context", replay.DefaultDiffContext, "libc calls of leading context to print per side")
 	if err := fs.Parse(args); err != nil {
@@ -163,16 +163,11 @@ func cmdDiff(args []string, out io.Writer) error {
 	}
 
 	if fs.NArg() != 2 {
-		return fmt.Errorf("usage: smvx-replay diff [-variant leader|follower] <wal-a> <wal-b>")
+		return fmt.Errorf("usage: smvx-replay diff [-variant %s] <wal-a> <wal-b>", variantNames)
 	}
-	var v obs.Variant
-	switch *variant {
-	case "leader":
-		v = obs.VariantLeader
-	case "follower":
-		v = obs.VariantFollower
-	default:
-		return fmt.Errorf("unknown variant %q", *variant)
+	v, err := parseVariant(*variant)
+	if err != nil {
+		return err
 	}
 	a, err := load(fs.Arg(0))
 	if err != nil {
@@ -189,6 +184,20 @@ func cmdDiff(args []string, out io.Writer) error {
 	}
 	fmt.Fprint(out, d.Format(fs.Arg(0), fs.Arg(1)))
 	return nil
+}
+
+// variantNames lists the names -variant takes.
+var variantNames = "leader | follower | follower2 … " + (obs.VariantNone - 1).String()
+
+// parseVariant returns the variant obs.Variant.String names name: the
+// leader or one follower slot.
+func parseVariant(name string) (obs.Variant, error) {
+	for v := obs.VariantLeader; v < obs.VariantNone; v++ {
+		if v.String() == name {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown variant %q (want %s)", name, variantNames)
 }
 
 func cmdExport(args []string, out io.Writer) error {

@@ -176,3 +176,75 @@ func BenchmarkRendezvous(b *testing.B) {
 func BenchmarkRingDrain(b *testing.B) {
 	benchLoop(b, timeRound, WithLockstepMode(LockstepPipelined), WithLagWindow(16))
 }
+
+// BenchmarkTrampoline is one interception outside a protected region with
+// a recorder attached: the trampoline's PKRU writes and stack pivot around
+// a direct libc call.
+func BenchmarkTrampoline(b *testing.B) {
+	env, mon := loopApp(b, timeRound, nil, nil)
+	th, err := env.MainThread()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := mon.Init(th); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	if err := th.Run(func(tt *machine.Thread) {
+		args := []uint64{uint64(tt.Global("g_buf")), 0}
+		mon.Intercept(tt, 0, "gettimeofday", args) // allocates the safe stack
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			mon.Intercept(tt, 0, "gettimeofday", args)
+		}
+		b.StopTimer()
+	}); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkVariantCreate is one empty protected region over a heap of 35
+// resident pages linked by a few pointers each: mvx_start clones the image
+// and heap into every follower window and relocates their pointers, and
+// mvx_end reaps the followers. Before each region the leader stores into 5
+// of the pages, as a request does.
+func BenchmarkVariantCreate(b *testing.B) {
+	const pages, written = 35, 5
+	for _, n := range []int{2, 3} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			env, mon := loopApp(b, timeRound, nil, nil, WithVariants(n))
+			th, err := env.MainThread()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := mon.Init(th); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			if err := th.Run(func(tt *machine.Thread) {
+				blocks := make([]mem.Addr, pages)
+				for i := range blocks {
+					blocks[i] = mem.Addr(tt.Libc("malloc", mem.PageSize))
+				}
+				for i, p := range blocks {
+					for k := 0; k < 4; k++ {
+						tt.Store64(p+mem.Addr(k*512), uint64(blocks[(i*7+k)%pages]))
+					}
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for k := 0; k < written; k++ {
+						tt.Store64(blocks[(i*written+k)%pages]+8, uint64(i))
+					}
+					runLoop(b, tt, mon, 0)
+				}
+				b.StopTimer()
+			}); err != nil {
+				b.Fatal(err)
+			}
+			if stats := mon.LastCreation(); stats.PointersRelocated < pages*4*(n-1) {
+				b.Fatalf("relocated %d pointers, want at least %d", stats.PointersRelocated, pages*4*(n-1))
+			}
+		})
+	}
+}

@@ -426,6 +426,7 @@ type Monitor struct {
 	followerStacks []mem.Addr        // follower stack regions
 	slotNames      []slotNames       // per-slot thread and region names, built once
 	ringPool       [][]*leaderRecord // per-slot pipelined ring records kept between regions
+	scanHits       []mem.PointerHit  // relocateRange's hit list, kept between regions
 	variantReady   bool              // clones exist and can be refreshed
 	reports        []RegionReport
 

@@ -505,25 +505,29 @@ func (mo *Monitor) relocateDataPointers(delta int64) (int, error) {
 }
 
 // relocateRange rebases every pointer-looking slot in [lo, hi) whose value
-// falls inside the leader's image or heap.
+// falls inside the leader's image or its heap below the watermark. The scan
+// is given the whole heap region, whose bounds stay put as the heap grows,
+// so the pages' cached candidates outlive the growth; hits past the
+// watermark are dropped here.
 func (mo *Monitor) relocateRange(lo, hi mem.Addr, delta int64) (int, error) {
 	as := mo.m.AddressSpace()
 	imgLo, imgHi := mo.img.Base, mo.img.End()
-	heapLo := mo.leaderHeapBase()
+	heapLo, heapSize := mo.lib.HeapBounds(0)
 	heapHi := mo.lib.HeapWatermark(0)
-	hits := as.ScanPointers(lo, hi, func(v mem.Addr) bool {
-		if v >= imgLo && v < imgHi {
-			return true
+	ranges := [2]mem.ValueRange{{Lo: imgLo, Hi: imgHi}, {Lo: heapLo, Hi: heapLo + mem.Addr(heapSize)}}
+	mo.scanHits = as.ScanPointers(lo, hi, ranges[:], mo.scanHits[:0])
+	relocated := 0
+	for _, h := range mo.scanHits {
+		if (h.Value < imgLo || h.Value >= imgHi) && h.Value >= heapHi {
+			continue
 		}
-		return heapLo != 0 && v >= heapLo && v < heapHi
-	})
-	for _, h := range hits {
 		nv := uint64(int64(h.Value) + delta)
 		if err := as.Write64(h.Slot, nv); err != nil {
 			return 0, fmt.Errorf("smvx: relocate %s: %w", h.Slot, err)
 		}
+		relocated++
 	}
-	return len(hits), nil
+	return relocated, nil
 }
 
 // End implements machine.MVX: the mvx_end() call. It waits for each

@@ -162,6 +162,18 @@ func (e *FaultError) Error() string {
 type page struct {
 	data  [PageSize]byte
 	taint []byte // lazily allocated; parallel per-byte taint tags
+
+	// stamp names the page's contents. Every change to data takes a fresh
+	// stamp from the address space, and a whole-page copy hands its
+	// source's stamp to the copy, so two pages with one stamp hold the
+	// same bytes. The pointer scan's cache is keyed on it (see scan.go).
+	stamp uint64
+	// src is the page this one was last copied from. Its candidate cache
+	// serves this page for as long as it was built for this page's stamp.
+	src *page
+	// cands caches the page's pointer candidates for the contents stamped
+	// cands.stamp.
+	cands candidates
 }
 
 // mapping is one mapped region and its page table: one slot per page of the
@@ -197,6 +209,13 @@ type AddressSpace struct {
 	// gen stamps the region table and page set for the thread TLBs; see
 	// bumpLocked.
 	gen uint64
+
+	// stamps numbers page contents (see page.stamp). scanRanges are the
+	// value ranges the pages' candidate caches were built for, and
+	// scanEpoch numbers the sets of ranges the scan has been given.
+	stamps     uint64
+	scanRanges []ValueRange
+	scanEpoch  uint64
 
 	counter *clock.Counter
 	wall    *clock.Counter
@@ -458,6 +477,7 @@ func (as *AddressSpace) takePageLocked() *page {
 	} else {
 		pg = &page{}
 	}
+	as.stampLocked(pg)
 	switch {
 	case !as.taintEnabled.Load():
 		pg.taint = nil
@@ -468,6 +488,13 @@ func (as *AddressSpace) takePageLocked() *page {
 	}
 	as.resident++
 	return pg
+}
+
+// stampLocked gives pg's contents a fresh stamp after its bytes changed.
+// Must be called with the write lock held.
+func (as *AddressSpace) stampLocked(pg *page) {
+	as.stamps++
+	pg.stamp = as.stamps
 }
 
 // releaseLocked puts a page its table no longer holds on the free list.
@@ -544,6 +571,7 @@ func (as *AddressSpace) accessLocked(a Addr, buf []byte, op mpk.Access, pkru *mp
 		if op == mpk.Write {
 			as.cowSaveLocked(addr.PageBase(), pg, wall)
 			off += copy(pg.data[po:], buf[off:])
+			as.stampLocked(pg)
 		} else {
 			off += copy(buf[off:], pg.data[po:])
 		}

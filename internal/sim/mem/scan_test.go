@@ -28,9 +28,7 @@ func TestScanPointersFindsAlignedSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hits := as.ScanPointers(0x600000, 0x601000, func(v Addr) bool {
-		return v >= textBase && v < textEnd
-	})
+	hits := as.ScanPointers(0x600000, 0x601000, []ValueRange{{Lo: textBase, Hi: textEnd}}, nil)
 	if len(hits) != 2 {
 		t.Fatalf("hits = %d, want 2: %v", len(hits), hits)
 	}
@@ -50,7 +48,7 @@ func TestScanPointersSkipsNonResident(t *testing.T) {
 	}
 	_ = as.Write64(0x100000, 0x400000) // touch exactly one page
 	before := ctr.Cycles()
-	hits := as.ScanPointers(0x100000, 0x100000+256*PageSize, func(v Addr) bool { return v == 0x400000 })
+	hits := as.ScanPointers(0x100000, 0x100000+256*PageSize, []ValueRange{{Lo: 0x400000, Hi: 0x400001}}, nil)
 	cost := ctr.Cycles() - before
 	if len(hits) != 1 {
 		t.Fatalf("hits = %d, want 1", len(hits))
@@ -70,12 +68,12 @@ func TestScanCostScalesWithResidency(t *testing.T) {
 	}
 	_ = as.Touch(0x100000, 4*PageSize)
 	before := ctr.Cycles()
-	as.ScanPointers(0x100000, 0x100000+64*PageSize, func(Addr) bool { return false })
+	as.ScanPointers(0x100000, 0x100000+64*PageSize, nil, nil)
 	cost4 := ctr.Cycles() - before
 
 	_ = as.Touch(0x100000, 32*PageSize)
 	before = ctr.Cycles()
-	as.ScanPointers(0x100000, 0x100000+64*PageSize, func(Addr) bool { return false })
+	as.ScanPointers(0x100000, 0x100000+64*PageSize, nil, nil)
 	cost32 := ctr.Cycles() - before
 
 	if cost32 <= cost4*6 {
@@ -250,7 +248,7 @@ func TestScanPointersConcurrentWithRemap(t *testing.T) {
 	if err := plant(stable, mine); err != nil {
 		t.Fatal(err)
 	}
-	isPointer := func(v Addr) bool { return v >= mine && v < theirs+pages }
+	pointerRanges := []ValueRange{{Lo: mine, Hi: theirs + pages}}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -282,7 +280,7 @@ func TestScanPointersConcurrentWithRemap(t *testing.T) {
 		}
 	}()
 	for round := 0; round < 200; round++ {
-		hits := as.ScanPointers(stable, stable+pages*PageSize, isPointer)
+		hits := as.ScanPointers(stable, stable+pages*PageSize, pointerRanges, nil)
 		if len(hits) != pages {
 			t.Fatalf("round %d: stable region has %d hits, want %d", round, len(hits), pages)
 		}
@@ -291,7 +289,7 @@ func TestScanPointersConcurrentWithRemap(t *testing.T) {
 				t.Fatalf("round %d: hit %d = %+v", round, p, h)
 			}
 		}
-		for _, h := range as.ScanPointers(victim, victim+pages*PageSize, isPointer) {
+		for _, h := range as.ScanPointers(victim, victim+pages*PageSize, pointerRanges, nil) {
 			p := (h.Slot - victim) / PageSize
 			if h.Slot != victim+p*PageSize+8*p || h.Value != mine+p {
 				t.Fatalf("round %d: victim scan saw %+v, not one of its own pointers", round, h)
@@ -326,8 +324,9 @@ func BenchmarkCloneScanUnmap(b *testing.B) {
 			}
 		}
 	}
-	intoHeap := func(v Addr) bool { return v >= heap && v < watermark }
+	intoHeap := []ValueRange{{Lo: heap, Hi: watermark}}
 	shift := func(a Addr) Addr { return Addr(int64(a) + delta) }
+	var hits []PointerHit
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -335,7 +334,7 @@ func BenchmarkCloneScanUnmap(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if hits := as.ScanPointers(clone.Base, shift(watermark), intoHeap); len(hits) != 4*resident {
+		if hits = as.ScanPointers(clone.Base, shift(watermark), intoHeap, hits[:0]); len(hits) != 4*resident {
 			b.Fatalf("scan found %d pointers, want %d", len(hits), 4*resident)
 		}
 		if err := as.Unmap(clone.Base); err != nil {

@@ -224,6 +224,7 @@ func (as *AddressSpace) Restore(s *Snapshot) error {
 			m.pages[j] = pg
 		}
 		pg.data = cp.data
+		as.stampLocked(pg)
 		if cp.taint != nil {
 			pg.taint = append([]byte(nil), cp.taint...)
 		} else {
