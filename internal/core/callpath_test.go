@@ -207,12 +207,23 @@ func BenchmarkTrampoline(b *testing.B) {
 // resident pages linked by a few pointers each: mvx_start clones the image
 // and heap into every follower window and relocates their pointers, and
 // mvx_end reaps the followers. Before each region the leader stores into 5
-// of the pages, as a request does.
+// of the pages, as a request does. The rollback case is N=2 under
+// PolicyRollback, where mvx_start also captures the entry checkpoint.
 func BenchmarkVariantCreate(b *testing.B) {
 	const pages, written = 35, 5
-	for _, n := range []int{2, 3} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			env, mon := loopApp(b, timeRound, nil, nil, WithVariants(n))
+	cases := []struct {
+		name   string
+		n      int
+		policy DivergencePolicy
+	}{
+		{"N=2", 2, PolicyKillBoth},
+		{"N=3", 3, PolicyKillBoth},
+		{"rollback", 2, PolicyRollback},
+	}
+	for _, c := range cases {
+		n := c.n
+		b.Run(c.name, func(b *testing.B) {
+			env, mon := loopApp(b, timeRound, nil, nil, WithVariants(n), WithPolicy(c.policy))
 			th, err := env.MainThread()
 			if err != nil {
 				b.Fatal(err)

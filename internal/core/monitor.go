@@ -424,6 +424,7 @@ type Monitor struct {
 	regionCalls    map[string]uint64 // protected fn -> libc calls (Figure 8)
 	followerBases  []mem.Addr        // cloned section/heap regions
 	followerStacks []mem.Addr        // follower stack regions
+	followerTIDs   []int             // launched follower threads, whose safe stacks destroyStacks reclaims
 	slotNames      []slotNames       // per-slot thread and region names, built once
 	ringPool       [][]*leaderRecord // per-slot pipelined ring records kept between regions
 	scanHits       []mem.PointerHit  // relocateRange's hit list, kept between regions
@@ -439,12 +440,13 @@ type Monitor struct {
 	restartsUsed  int
 	nextRestartAt clock.Cycles // earliest virtual time a restart may happen
 
-	// Rollback state (PolicyRollback; see snapshot.go). ckpt is the last
-	// captured variant checkpoint and redo the emulation-write log since
-	// its capture. lastSnapAt is leader-goroutine-only (checkpoints are
-	// captured inside a rendezvous). The streak fields count consecutive
-	// rollbacks at the same root-cause ordinal; escalated flips once the
-	// RollbackBudget is exhausted and is read lock-free by contain().
+	// Rollback state (PolicyRollback; see snapshot.go). ckpt is the active
+	// region's last captured variant checkpoint (nil between regions) and
+	// redo the emulation-write log since its capture. lastSnapAt is
+	// leader-goroutine-only (checkpoints are captured inside a
+	// rendezvous). The streak fields count consecutive rollbacks at the
+	// same root-cause ordinal; escalated flips once the RollbackBudget is
+	// exhausted and is read lock-free by contain().
 	ckpt                *VariantSnapshot
 	redo                *RedoLog
 	lastSnapAt          clock.Cycles
@@ -807,7 +809,9 @@ func (mo *Monitor) snapshot(role string, t *machine.Thread) obs.ThreadSnapshot {
 
 // safeStackFor returns (allocating on demand) the thread's trampoline safe
 // stack top. Safe stacks are per-thread TLS in the monitor's address range,
-// protected by the monitor key (Section 3.4).
+// protected by the monitor key (Section 3.4); a follower thread's goes with
+// it in destroyStacks. Addresses are never reused, so each stack keeps its
+// place however many followers come and go.
 func (mo *Monitor) safeStackFor(t *machine.Thread) mem.Addr {
 	mo.mu.Lock()
 	defer mo.mu.Unlock()

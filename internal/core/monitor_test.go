@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -507,37 +508,51 @@ func TestRSSGrowsWithFollowerAndShrinksOnDestroy(t *testing.T) {
 	}
 }
 
+// TestRepeatedRegionsReuseWindow: back-to-back regions reuse the follower
+// windows at N=2 and N=3, and each region's teardown reclaims everything
+// its followers mapped, their trampoline safe stacks included, so the
+// region table is as long after the last region as after the first.
 func TestRepeatedRegionsReuseWindow(t *testing.T) {
-	env, mon := testApp(t)
-	defineProtected(t, env)
-	th, _ := env.Machine.NewThread("main", 0)
-	if err := mon.Init(th); err != nil {
-		t.Fatal(err)
-	}
-	err := th.Run(func(tt *machine.Thread) {
-		for i := 0; i < 3; i++ {
-			if err := mon.Start(tt, "protected_func"); err != nil {
-				t.Errorf("Start #%d: %v", i, err)
-				return
+	for _, n := range []int{2, 3} {
+		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) {
+			env, _ := testApp(t)
+			mon := New(env.Machine, env.LibC, WithSeed(11), WithVariants(n))
+			defineProtected(t, env)
+			th, _ := env.Machine.NewThread("main", 0)
+			if err := mon.Init(th); err != nil {
+				t.Fatal(err)
 			}
-			tt.Call("protected_func")
-			if err := mon.End(tt); err != nil {
-				t.Errorf("End #%d: %v", i, err)
-				return
+			var tables []int // region-table length after each region
+			err := th.Run(func(tt *machine.Thread) {
+				for i := 0; i < 3; i++ {
+					if err := mon.Start(tt, "protected_func"); err != nil {
+						t.Errorf("Start #%d: %v", i, err)
+						return
+					}
+					tt.Call("protected_func")
+					if err := mon.End(tt); err != nil {
+						t.Errorf("End #%d: %v", i, err)
+						return
+					}
+					tables = append(tables, len(env.AS.Regions()))
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alarms := mon.Alarms(); len(alarms) != 0 {
-		t.Fatalf("alarms across repeated regions: %v", alarms)
-	}
-	if got := mon.RegionLibcCalls()["protected_func"]; got != 18 {
-		t.Errorf("RegionLibcCalls = %d, want 18 (3 regions x 6 calls)", got)
-	}
-	if len(mon.Reports()) != 3 {
-		t.Errorf("reports = %d, want 3", len(mon.Reports()))
+			if alarms := mon.Alarms(); len(alarms) != 0 {
+				t.Fatalf("alarms across repeated regions: %v", alarms)
+			}
+			if got := mon.RegionLibcCalls()["protected_func"]; got != 18 {
+				t.Errorf("RegionLibcCalls = %d, want 18 (3 regions x 6 calls)", got)
+			}
+			if len(mon.Reports()) != 3 {
+				t.Errorf("reports = %d, want 3", len(mon.Reports()))
+			}
+			if len(tables) == 3 && tables[2] != tables[0] {
+				t.Errorf("region table holds %v regions after each region, want it to stay the same size", tables)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"smvx/internal/boot"
 	"smvx/internal/obs"
+	"smvx/internal/sim/clock"
 	"smvx/internal/sim/machine"
 )
 
@@ -121,6 +122,94 @@ func TestRollbackRestoresMemoryToCheckpoint(t *testing.T) {
 	}
 	if after != 0 {
 		t.Errorf("g_buf+128 = %#x after restore, want the checkpoint value 0", after)
+	}
+}
+
+// TestCheckpointEndsWithRegion: only the region that captured a checkpoint
+// can restore it, so End disarms it once the rollback decision is made.
+// After a clean region under PolicyRollback, a leader store to a page that
+// was resident at the capture costs what it costs under kill-both, with no
+// pre-image copy, and tearing the followers down charges nothing; a later
+// region that diverges still rewinds to its own entry checkpoint.
+func TestCheckpointEndsWithRegion(t *testing.T) {
+	// run serves a clean region protected_func(1) under policy, then
+	// returns what one leader store to .data and DestroyFollower cost.
+	// Under rollback it then serves protected_func(2), whose follower
+	// faults, and returns g_buf+128 as its rollback left it.
+	run := func(t *testing.T, policy DivergencePolicy, mode LockstepMode) (store, destroy clock.Cycles, after uint64) {
+		env, mon, _ := policyApp(t, WithPolicy(policy), WithLockstepMode(mode))
+		env.Prog.MustDefine("protected_func", func(th *machine.Thread, args []uint64) uint64 {
+			g := th.Global("g_buf")
+			th.Libc("gettimeofday", uint64(g), 0)
+			th.Store64(g+128, argAt(args, 0)) // after the entry checkpoint
+			if th.Bias() != 0 && argAt(args, 0) == 2 {
+				th.Load64(0xdead_0000_0000) // unmapped: follower faults
+			}
+			th.Libc("close", 0)
+			return 0
+		})
+		th, err := env.MainThread()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mon.Init(th); err != nil {
+			t.Fatal(err)
+		}
+		ctr := env.Machine.Counter()
+		runErr := th.Run(func(tt *machine.Thread) {
+			data := tt.Global("g_data_target")
+			tt.Store64(data, 1) // resident at the capture, untouched in the region
+			if err := mon.Start(tt, "protected_func", 1); err != nil {
+				t.Errorf("Start: %v", err)
+				return
+			}
+			tt.Call("protected_func", 1)
+			if err := mon.End(tt); err != nil {
+				t.Errorf("End of the clean region: %v", err)
+				return
+			}
+			mark := ctr.Cycles()
+			tt.Store64(data, 2)
+			store = ctr.Cycles() - mark
+			mark = ctr.Cycles()
+			mon.DestroyFollower()
+			destroy = ctr.Cycles() - mark
+			if policy != PolicyRollback {
+				return
+			}
+			if err := mon.Start(tt, "protected_func", 2); err != nil {
+				t.Errorf("Start: %v", err)
+				return
+			}
+			tt.Call("protected_func", 2)
+			if err := mon.End(tt); !errors.Is(err, machine.ErrRegionRolledBack) {
+				t.Errorf("End of the diverged region = %v, want ErrRegionRolledBack", err)
+				return
+			}
+			after = tt.Load64(tt.Global("g_buf") + 128)
+		})
+		if runErr != nil {
+			t.Fatalf("leader crashed: %v", runErr)
+		}
+		if policy == PolicyRollback && mon.Rollbacks() != 1 {
+			t.Errorf("Rollbacks = %d, want 1", mon.Rollbacks())
+		}
+		return store, destroy, after
+	}
+	for _, mode := range []LockstepMode{LockstepStrict, LockstepPipelined} {
+		t.Run(mode.String(), func(t *testing.T) {
+			killStore, _, _ := run(t, PolicyKillBoth, mode)
+			store, destroy, after := run(t, PolicyRollback, mode)
+			if store != killStore {
+				t.Errorf("leader store after End cost %d cycles under rollback, %d under kill-both", store, killStore)
+			}
+			if destroy != 0 {
+				t.Errorf("DestroyFollower after End charged %d cycles, want 0", destroy)
+			}
+			if after != 1 {
+				t.Errorf("g_buf+128 = %#x after the rollback, want 1, its value at the diverged region's entry", after)
+			}
+		})
 	}
 }
 

@@ -50,7 +50,8 @@ type VariantSnapshot struct {
 	Fn string
 	// Mem is the copy-on-write address-space snapshot: leader and follower
 	// regions, permissions, MPK keys, and taint tags, with per-page dirty
-	// tracking armed until the next capture.
+	// tracking armed from the capture until the next capture or the end of
+	// its region, whichever comes first.
 	Mem *mem.Snapshot
 	// Leader and Followers are the variants' architectural thread states
 	// (registers, stack top, call stack) at the capture rendezvous:
@@ -191,12 +192,21 @@ func (mo *Monitor) captureCheckpoint(s *session, leader *machine.Thread, parked 
 	}
 }
 
-// Checkpoint returns the last captured variant checkpoint (nil before the
-// first capture).
-func (mo *Monitor) Checkpoint() *VariantSnapshot {
+// dropCheckpoint ends the region's checkpoint once End's rollback decision
+// is made: only the capturing region can restore it, so the next region's
+// teardown and the leader's stores between regions copy no pre-image for
+// it, and its redo tail goes with it. A no-op when the region captured
+// none (a leader-only region, or after escalation).
+func (mo *Monitor) dropCheckpoint() {
 	mo.mu.Lock()
-	defer mo.mu.Unlock()
-	return mo.ckpt
+	ck := mo.ckpt
+	mo.ckpt = nil
+	mo.mu.Unlock()
+	if ck == nil {
+		return
+	}
+	mo.m.AddressSpace().DropSnapshot(ck.Mem)
+	mo.redo.Reset()
 }
 
 // Snapshots returns how many variant checkpoints the monitor captured.
@@ -224,8 +234,8 @@ func (mo *Monitor) Escalated() bool { return mo.escalated.Load() }
 // region "wind down" (execute the attacker's payload and crash), control
 // transfers back to the Invoke boundary, where End restores the
 // checkpoint. A no-op under every other policy, for raw Start/Call/End
-// callers (nothing to unwind to), once rollback has escalated, and before
-// the first checkpoint exists.
+// callers (nothing to unwind to), once rollback has escalated, and in a
+// region that captured no checkpoint.
 func (s *session) maybeAbortRegion(t *machine.Thread, name string, idx uint64) {
 	mo := s.mon
 	if mo.opts.Policy != PolicyRollback || !s.abortable || mo.escalated.Load() {
@@ -257,8 +267,8 @@ const (
 // maybeRollback runs the rollback decision at region exit, after the
 // severed follower has wound down and the leader is the only thread
 // touching the address space. On a diverged region it restores both
-// variants to the last checkpoint, replays the redo tail through the
-// emulation write path, and re-arms lockstep for the next region entry;
+// variants to the region's last checkpoint, replays the redo tail through
+// the emulation write path, and re-arms lockstep for the next region entry;
 // consecutive same-ordinal rollbacks exhaust the budget and escalate to
 // kill-both instead (the escalating region's alarms are re-marked
 // unhandled — the paper's verdict stands). Returns what happened so End
@@ -311,9 +321,9 @@ func (mo *Monitor) maybeRollback(s *session, leaderTID int, diverged bool) rollb
 		return rollbackEscalated
 	}
 	if ck == nil {
-		// Divergence before the first rendezvous of the first region:
-		// nothing to restore, but the next region still re-arms full
-		// lockstep (detachFollower never set the degraded flag).
+		// The region captured no checkpoint: nothing to restore, but the
+		// next region still re-arms full lockstep (detachFollower never
+		// set the degraded flag).
 		return rollbackNone
 	}
 	start := mo.m.Counter().Cycles()

@@ -195,6 +195,9 @@ func (mo *Monitor) Start(t *machine.Thread, fn string, args ...uint64) error {
 	mo.lastCreation = stats // clone cycles patched below
 	mo.followerBases = append([]mem.Addr{}, newBases...)
 	mo.variantReady = true
+	for _, sl := range launched {
+		mo.followerTIDs = append(mo.followerTIDs, sl.tid)
+	}
 	mo.mu.Unlock()
 
 	// The leader's PKRU now excludes every follower key.
@@ -533,9 +536,10 @@ func (mo *Monitor) relocateRange(lo, hi mem.Addr, delta int64) (int, error) {
 // End implements machine.MVX: the mvx_end() call. It waits for each
 // follower via the wait() syscall — bounded by the rendezvous deadline, so
 // a follower that never exits the region trips the watchdog instead of
-// deadlocking mvx_end — merges the variants, records the region report, and
-// leaves the followers' mappings in place (they are reclaimed by the next
-// Start or by DestroyFollower).
+// deadlocking mvx_end — merges the variants, decides on a rollback and then
+// ends the region's checkpoint, records the region report, and leaves the
+// followers' mappings in place (they are reclaimed by the next Start or by
+// DestroyFollower).
 func (mo *Monitor) End(t *machine.Thread) error {
 	mo.mu.Lock()
 	s := mo.session
@@ -607,6 +611,7 @@ func (mo *Monitor) End(t *machine.Thread) error {
 	// the watchdog is stopped, and the leader is the only thread touching
 	// the address space, so the in-place restore cannot race a variant.
 	outcome := mo.maybeRollback(s, t.TID(), s.diverged.Load() || followerErr != nil)
+	mo.dropCheckpoint()
 
 	anyDetached := false
 	for _, sl := range s.slots {
@@ -708,14 +713,23 @@ func (mo *Monitor) destroyFollower() {
 	}
 }
 
-// destroyStacks unmaps the followers' stack regions (a fresh stack is
-// created per region even under variant reuse).
+// destroyStacks unmaps the followers' stack regions and their threads'
+// trampoline safe stacks (a fresh follower thread is created per region
+// even under variant reuse). A region a rollback already removed is
+// skipped.
 func (mo *Monitor) destroyStacks() {
+	as := mo.m.AddressSpace()
 	mo.mu.Lock()
 	stacks := mo.followerStacks
 	mo.followerStacks = nil
+	for _, tid := range mo.followerTIDs {
+		if top, ok := mo.safeStacks[tid]; ok {
+			delete(mo.safeStacks, tid)
+			_ = as.Unmap(top - safeStackPages*mem.PageSize)
+		}
+	}
+	mo.followerTIDs = mo.followerTIDs[:0]
 	mo.mu.Unlock()
-	as := mo.m.AddressSpace()
 	for _, b := range stacks {
 		_ = as.Unmap(b)
 	}

@@ -201,9 +201,9 @@ type AddressSpace struct {
 	// resident counts the pages faulted in across every table.
 	resident int
 	// free holds the pages Unmap and Restore released; the next fault-in
-	// takes one, zeroed, instead of allocating. Page pointers are therefore
-	// only dereferenced under mu: once it is dropped a page may be recycled
-	// into another region.
+	// takes one instead of allocating, zeroed unless all of it is about to
+	// be overwritten. Page pointers are therefore only dereferenced under
+	// mu: once it is dropped a page may be recycled into another region.
 	free []*page
 
 	// gen stamps the region table and page set for the thread TLBs; see
@@ -459,21 +459,25 @@ func (as *AddressSpace) residentLocked(a Addr, op mpk.Access) (*page, error) {
 	}
 	i := m.slot(a)
 	if m.pages[i] == nil {
-		m.pages[i] = as.takePageLocked()
+		m.pages[i] = as.takePageLocked(true)
 	}
 	return m.pages[i], nil
 }
 
-// takePageLocked returns a zeroed, untainted page for a fault-in, reusing
-// a released one when the free list has it, and counts it resident. Must
-// be called with the write lock held.
-func (as *AddressSpace) takePageLocked() *page {
+// takePageLocked returns an untainted page for a fault-in, reusing a
+// released one when the free list has it, and counts it resident. A
+// recycled page is zeroed only when zero is set: a caller that overwrites
+// all of the page's bytes next passes false. Must be called with the write
+// lock held.
+func (as *AddressSpace) takePageLocked(zero bool) *page {
 	var pg *page
 	if n := len(as.free); n > 0 {
 		pg = as.free[n-1]
 		as.free[n-1] = nil
 		as.free = as.free[:n-1]
-		pg.data = [PageSize]byte{}
+		if zero {
+			pg.data = [PageSize]byte{}
+		}
 	} else {
 		pg = &page{}
 	}

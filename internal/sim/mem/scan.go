@@ -222,11 +222,13 @@ func (as *AddressSpace) CloneRegionShifted(srcBase Addr, delta int64, newName st
 
 // copyResidentLocked copies every resident page of src, taint tags
 // included, to the same offset from dstBase, charging one PageCopy per
-// page; non-resident pages stay non-resident at the destination. Each copy
-// takes its source's stamp and remembers its source, whose pointer
-// candidates it can then share. It walks src's page table, so it costs
-// O(src's slots) plus one region lookup per resident page. Must be called
-// with the write lock held.
+// page; non-resident pages stay non-resident at the destination. A
+// destination page faulted in here is not zeroed first, since the copy
+// overwrites all of it, and has no pre-image to save. Each copy takes its
+// source's stamp and remembers its source, whose pointer candidates it can
+// then share. It walks src's page table, so it costs O(src's slots) plus
+// one region lookup per resident page. Must be called with the write lock
+// held.
 func (as *AddressSpace) copyResidentLocked(src *mapping, dstBase Addr) error {
 	copied := clock.Cycles(0)
 	for j, pg := range src.pages {
@@ -234,11 +236,18 @@ func (as *AddressSpace) copyResidentLocked(src *mapping, dstBase Addr) error {
 			continue
 		}
 		dst := dstBase + Addr(j)*PageSize
-		npg, err := as.residentLocked(dst, mpk.Read)
-		if err != nil {
-			return err
+		m := as.mappingAtLocked(dst)
+		if m == nil {
+			return &FaultError{Kind: FaultUnmapped, Addr: dst, Access: mpk.Read}
 		}
-		as.cowSaveLocked(dst.PageBase(), npg, true)
+		i := m.slot(dst)
+		npg := m.pages[i]
+		if npg == nil {
+			npg = as.takePageLocked(false)
+			m.pages[i] = npg
+		} else {
+			as.cowSaveLocked(dst.PageBase(), npg, true)
+		}
 		npg.data = pg.data
 		npg.stamp, npg.src = pg.stamp, pg
 		if pg.taint != nil {

@@ -14,7 +14,8 @@ import (
 //
 // Only the most recently captured snapshot is "active": the mutation paths
 // save pre-images into it, so only it can be restored. Capturing a new
-// snapshot deactivates (and permanently invalidates) the previous one.
+// snapshot, or dropping this one, deactivates (and permanently
+// invalidates) it.
 // Capture is O(resident pages) bookkeeping; the page copies are deferred
 // to first-write time, which is what makes checkpointing cheap enough to
 // run at a fixed cadence while the protected region executes.
@@ -105,20 +106,15 @@ func (as *AddressSpace) Snapshot() *Snapshot {
 	return s
 }
 
-// ActiveSnapshot returns the snapshot currently armed for copy-on-write,
-// or nil.
-func (as *AddressSpace) ActiveSnapshot() *Snapshot {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	return as.snap
-}
-
-// DropSnapshot disarms the active snapshot without restoring it. Saved
-// pre-images are released.
-func (as *AddressSpace) DropSnapshot() {
+// DropSnapshot disarms s without restoring it, so later mutations save no
+// pre-image into it. It does nothing when s is no longer the active
+// snapshot: a newer capture has disarmed it.
+func (as *AddressSpace) DropSnapshot(s *Snapshot) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	as.snap = nil
+	if as.snap == s {
+		as.snap = nil
+	}
 }
 
 // cowSaveLocked preserves the pre-image of the page at base into the
@@ -220,7 +216,7 @@ func (as *AddressSpace) Restore(s *Snapshot) error {
 		j := m.slot(base)
 		pg := m.pages[j]
 		if pg == nil {
-			pg = as.takePageLocked()
+			pg = as.takePageLocked(false)
 			m.pages[j] = pg
 		}
 		pg.data = cp.data

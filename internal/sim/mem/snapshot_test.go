@@ -253,7 +253,8 @@ func TestSnapshotRepeatedRestore(t *testing.T) {
 }
 
 // TestSnapshotDirtyPageAccounting: DirtyPages counts each dirtied page
-// once, regardless of how many writes hit it.
+// once, regardless of how many writes hit it, and stops counting once the
+// snapshot is dropped.
 func TestSnapshotDirtyPageAccounting(t *testing.T) {
 	as := newTestSpace(t)
 	mustMap(t, as, Region{Name: "d", Base: 0x1000, Size: 4 * PageSize, Perm: PermRW})
@@ -278,6 +279,18 @@ func TestSnapshotDirtyPageAccounting(t *testing.T) {
 	if got := snap.DirtyPages(); got != 2 {
 		t.Fatalf("DirtyPages = %d, want 2", got)
 	}
+	// A dropped snapshot saves nothing more, neither for a store nor for
+	// an unmap of its resident pages.
+	as.DropSnapshot(snap)
+	if err := as.Write64(0x1000+3*PageSize, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Unmap(0x1000); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.DirtyPages(); got != 2 {
+		t.Fatalf("DirtyPages = %d after the drop, want 2", got)
+	}
 }
 
 // TestSnapshotStaleRestoreRejected: only the active snapshot can restore;
@@ -294,7 +307,11 @@ func TestSnapshotStaleRestoreRejected(t *testing.T) {
 	if err := as.Restore(fresh); err != nil {
 		t.Errorf("restoring the active snapshot: %v", err)
 	}
-	as.DropSnapshot()
+	as.DropSnapshot(old) // superseded: leaves fresh armed
+	if err := as.Restore(fresh); err != nil {
+		t.Errorf("restoring the active snapshot after dropping a stale one: %v", err)
+	}
+	as.DropSnapshot(fresh)
 	if err := as.Restore(fresh); err == nil {
 		t.Error("restoring after DropSnapshot should fail")
 	}
