@@ -69,8 +69,9 @@ func runLoop(tb testing.TB, t *machine.Thread, mon *Monitor, k int) {
 
 // TestLibcCallPathsAllocateNothing: once warm, one simulated libc call
 // allocates nothing on the host — unprotected, through a strict rendezvous
-// (N=2 and N=3), or through a pipelined enqueue and drain with barriers
-// (N=3, lag 16) — with a recorder attached. Regions with extra calls are
+// (N=2 and N=3), through a pipelined enqueue and drain with barriers
+// (N=3, lag 16), or either under PolicyRollback (N=2) — with a recorder
+// attached. Regions with extra calls are
 // measured against the same regions without them, so variant creation and
 // the other per-region costs cancel out. Allocations count on every
 // goroutine, the followers' included.
@@ -85,6 +86,10 @@ func TestLibcCallPathsAllocateNothing(t *testing.T) {
 		{"strict", true, nil},
 		{"strict-n3", true, []Option{WithVariants(3)}},
 		{"pipelined-n3", true, []Option{WithLockstepMode(LockstepPipelined), WithVariants(3)}},
+		// Only the entry checkpoint: the extra rounds add no capture.
+		{"rollback", true, []Option{WithPolicy(PolicyRollback), WithSnapshotInterval(0)}},
+		{"rollback-pipelined", true, []Option{WithPolicy(PolicyRollback), WithSnapshotInterval(0),
+			WithLockstepMode(LockstepPipelined)}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

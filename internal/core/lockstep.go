@@ -191,10 +191,10 @@ type session struct {
 	// followers' concurrent charges drop out of the measured wait.
 	arrivals [MaxVariants - 1]slotArrival
 
-	// stage is the leader's staging buffer for the output-buffer copies of
-	// the strict emulate and the pipelined captureOutputs (leader goroutine
-	// only). Whatever must outlive the call, such as a redo-log entry, is
-	// copied out of it.
+	// stage is the leader's staging buffer for captureOutputs' buffer
+	// views (leader goroutine only): a strict rendezvous writes them into a
+	// follower before the next capture, and a pipelined publish frames them
+	// into its ring record.
 	stage []byte
 }
 
@@ -529,7 +529,7 @@ func (s *session) resolve(t *machine.Thread, name string, args []uint64, arr []s
 		// before this call's divergence checks — a rendezvous that fails
 		// them below was still quiescent when captured, and the budget
 		// catches a checkpoint that keeps absorbing the same divergence.
-		s.mon.captureCheckpoint(s, t, arr, name, idx)
+		s.mon.captureCheckpoint(s, t, name, idx)
 	}
 	// Ballot 0 is the leader; ballot i+1 is arr[i]. A record that does not
 	// frame cannot be compared, which is itself a divergence (that slot's
@@ -654,7 +654,12 @@ func (s *session) resolve(t *machine.Thread, name string, args []uint64, arr []s
 	total := 0
 	var faulted uint16
 	for i, w := range winners {
-		copied, efault := s.emulate(name, args, w.args, ret, idx, w.slot)
+		// The copy runs on the leader's side of the rendezvous, so it names
+		// no thread: its per-byte charge reaches no variant's own clock
+		// (ROADMAP item 1).
+		var out [1]emuBuf
+		bufs := s.captureOutputs(out[:0], name, args, ret, w.slot.delta)
+		copied, efault := s.applyResult(nil, w.slot, name, idx, args, w.args, bufs)
 		total += copied
 		if efault {
 			faulted |= 1 << i
@@ -824,109 +829,141 @@ func (s *session) overrun(t *machine.Thread, sl *followerSlot, name string) {
 	panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDivergence})
 }
 
-// emulate copies the leader's output buffers into one follower's
-// corresponding buffers, translating embedded pointers for the special
-// category, and returns bytes copied plus whether a follower destination
-// buffer was unwritable (AlarmEmulationFault raised). sl is the target
-// slot — pointer rebasing lands in its window. Copies run with monitor
-// privileges (raw address-space access — the monitor's PKRU has every
-// key enabled).
-func (s *session) emulate(name string, leaderArgs, followerArgs []uint64, ret uint64, idx uint64, sl *followerSlot) (int, bool) {
+// outKind says how an emulated call's output buffer is sized, and what
+// the copy checks or rewrites on the way (Table 1, Section 3.3).
+type outKind uint8
+
+const (
+	outFixed     outKind = iota // size bytes
+	outRet                      // size bytes per unit the call returned
+	outEvents                   // outRet over epoll_events, each leader-space epoll_data rebased
+	outLeaderPtr                // size bytes, only through a pointer into the leader's space
+)
+
+// emuOutput is one emulated call's output buffer: the argument that points
+// at it and the bytes the leader's call wrote there.
+type emuOutput struct {
+	arg  int
+	size int
+	kind outKind
+}
+
+// epollEventSize is sizeof(struct epoll_event): 8 bytes of events, then
+// the 8-byte epoll_data.
+const epollEventSize = 16
+
+// emuOutputs is Table 1's result emulation for every call that writes
+// through a pointer argument: the leader executes the call, and each
+// follower receives these bytes in its own buffer. The strict rendezvous
+// and the pipelined publish both capture by it, and fault injection reads
+// it through OutputArg. Table 1's other two argument-buffer calls copy
+// nothing: the simulated apps leave accept4's peer address unused, and
+// the simulated sendfile writes no offset back.
+var emuOutputs = map[string]emuOutput{
+	"read":         {1, 1, outRet},
+	"recv":         {1, 1, outRet},
+	"stat":         {1, 24, outFixed},
+	"fstat":        {1, 24, outFixed},
+	"gettimeofday": {0, 16, outFixed},
+	"time":         {0, 8, outFixed},
+	"localtime_r":  {1, 64, outFixed},
+	"getsockopt":   {2, 8, outFixed},
+	"ioctl":        {2, 8, outLeaderPtr},
+	"epoll_wait":   {1, epollEventSize, outEvents},
+	"epoll_pwait":  {1, epollEventSize, outEvents},
+}
+
+// OutputArg returns the argument through which a libc call receives the
+// leader's emulated output buffer, and false for a call whose emulation
+// copies no buffer. Like ScalarArgMask it exports the monitor's own table,
+// so fault injection corrupts exactly the buffer the emulation writes.
+func OutputArg(name string) (int, bool) {
+	o, ok := emuOutputs[name]
+	return o.arg, ok
+}
+
+// captureOutputs appends to dst a view of the output buffer the leader's
+// call wrote, read into the leader's staging buffer as emuOutputs
+// describes it. delta is the target slot's window shift: epoll_data
+// entries that point into the leader's space are rebased into that slot's
+// window here, while the leader's heap watermark still reflects the moment
+// of the call. The view lasts until the next capture: a strict rendezvous
+// applies it to its slot at once, and a pipelined publish frames it into
+// the slot's ring record, so the leader overwriting the buffer while it
+// runs ahead cannot corrupt a follower's copy.
+func (s *session) captureOutputs(dst []emuBuf, name string, args []uint64, ret uint64, delta int64) []emuBuf {
+	out, ok := emuOutputs[name]
+	src := mem.Addr(argAt(args, out.arg))
+	if !ok || src == 0 || (out.kind == outLeaderPtr && !s.inLeaderSpace(src)) {
+		return dst
+	}
+	n := out.size
+	if out.kind == outRet || out.kind == outEvents {
+		n *= max(int(int64(ret)), 0)
+	}
+	if n == 0 {
+		return dst
+	}
+	as := s.mon.m.AddressSpace()
+	buf := s.staging(n)
+	if out.kind == outEvents {
+		// One load per event: the capture ends at the first event it
+		// cannot read.
+		for i := 0; i < n; i += epollEventSize {
+			ev := buf[i : i+epollEventSize]
+			if err := as.ReadAt(src+mem.Addr(i), ev); err != nil {
+				buf = buf[:i]
+				break
+			}
+			if d := fromLE(ev[8:]); s.inLeaderSpace(mem.Addr(d)) {
+				toLE(ev[8:], uint64(int64(d)+delta))
+			}
+		}
+	} else if err := as.ReadAt(src, buf); err != nil {
+		buf = nil
+	}
+	if len(buf) == 0 {
+		return dst
+	}
+	return append(dst, emuBuf{argIdx: out.arg, data: buf})
+}
+
+// applyResult writes the leader's buffer views into slot sl's own argument
+// buffers and returns the bytes copied and whether a follower buffer was
+// unwritable (AlarmEmulationFault raised). The copy runs with monitor
+// privileges (raw address-space access: the monitor's PKRU has every key
+// enabled). t is charged the per-byte copy: the pipelined follower that
+// drained the record, off the leader's critical path, or nil inside a
+// strict rendezvous.
+func (s *session) applyResult(t *machine.Thread, sl *followerSlot, name string, idx uint64, largs, fargs []uint64, bufs []emuBuf) (int, bool) {
 	as := s.mon.m.AddressSpace()
 	costs := s.mon.m.Costs()
+	copied := 0
 	faulted := false
-	copyBuf := func(argIdx, n int) int {
-		if n <= 0 {
-			return 0
+	for _, b := range bufs {
+		dst := mem.Addr(argAt(fargs, b.argIdx))
+		src := mem.Addr(argAt(largs, b.argIdx))
+		if dst == 0 || len(b.data) == 0 {
+			continue
 		}
-		src := mem.Addr(argAt(leaderArgs, argIdx))
-		dst := mem.Addr(argAt(followerArgs, argIdx))
-		if src == 0 || dst == 0 {
-			return 0
-		}
-		buf := s.staging(n)
-		if err := as.ReadAt(src, buf); err != nil {
-			return 0
-		}
-		if err := as.WriteAt(dst, buf); err != nil {
-			// The follower's destination buffer is unmapped or
-			// unwritable — a corrupted follower. Attribute it precisely
-			// so replay diffing can tell it apart from the generic
-			// divergence the stale data would cause later.
+		if err := as.WriteAt(dst, b.data); err != nil {
+			// The follower's destination buffer is unmapped or unwritable:
+			// a corrupted follower. Attribute it precisely so replay
+			// diffing can tell it apart from the generic divergence the
+			// stale data would cause later.
 			s.mon.raiseAlarm(Alarm{
 				Reason: AlarmEmulationFault, CallIndex: idx, Function: s.fn,
 				LeaderCall: name, Variant: sl.id,
-				Detail: fmt.Sprintf("emulation copy of %d bytes into follower buffer %#x failed: %v",
-					n, dst, err),
+				Detail: fmt.Sprintf("emulation copy of %d bytes into follower buffer %v failed: %v",
+					len(b.data), dst, err),
 			})
 			s.diverged.Store(true)
 			faulted = true
-			return 0
+			continue
 		}
-		_ = as.CopyTaint(dst, src, n)
-		s.mon.m.ChargeThread(nil, costs.LockstepCopyPerByte*cyclesOf(n))
-		if s.mon.opts.Policy == PolicyRollback {
-			// The kernel-sourced bytes just landed in the follower's
-			// buffer; log them so a rollback can replay the post-snapshot
-			// libc tail. buf is the reused staging buffer, so the log
-			// keeps a copy.
-			s.mon.redo.Append(idx, name, dst, append([]byte(nil), buf...))
-		}
-		return n
-	}
-
-	retN := 0
-	if int64(ret) > 0 {
-		retN = int(int64(ret))
-	}
-	copied := 0
-	switch name {
-	case "read", "recv":
-		copied = copyBuf(1, retN)
-	case "stat", "fstat":
-		copied = copyBuf(1, 24)
-	case "gettimeofday":
-		copied = copyBuf(0, 16)
-	case "time":
-		copied = copyBuf(0, 8)
-	case "localtime_r":
-		copied = copyBuf(1, 64)
-	case "getsockopt":
-		copied = copyBuf(2, 8)
-	case "ioctl":
-		// Special: the third argument is emulated only when it looks like
-		// a pointer into the process's address space (Section 3.3).
-		if s.inLeaderSpace(mem.Addr(argAt(leaderArgs, 2))) {
-			copied = copyBuf(2, 8)
-		}
-	case "epoll_wait", "epoll_pwait":
-		// Special: copy the events array; epoll_data entries that are
-		// pointers into the leader's space must be rebased into the
-		// follower's window (Section 3.3).
-		n := retN
-		src := mem.Addr(argAt(leaderArgs, 1))
-		dst := mem.Addr(argAt(followerArgs, 1))
-		total := 0
-		for i := 0; i < n; i++ {
-			var entry [16]byte
-			if err := as.ReadAt(src+mem.Addr(i*16), entry[:]); err != nil {
-				break
-			}
-			data := fromLE(entry[8:])
-			if s.inLeaderSpace(mem.Addr(data)) {
-				data = uint64(int64(data) + sl.delta)
-				toLE(entry[8:], data)
-			}
-			if err := as.WriteAt(dst+mem.Addr(i*16), entry[:]); err != nil {
-				break
-			}
-			if s.mon.opts.Policy == PolicyRollback {
-				s.mon.redo.Append(idx, name, dst+mem.Addr(i*16), append([]byte(nil), entry[:]...))
-			}
-			total += 16
-		}
-		s.mon.m.ChargeThread(nil, costs.LockstepCopyPerByte*cyclesOf(total))
-		copied = total
+		_ = as.CopyTaint(dst, src, len(b.data))
+		s.mon.m.ChargeThread(t, costs.LockstepCopyPerByte*cyclesOf(len(b.data)))
+		copied += len(b.data)
 	}
 	return copied, faulted
 }

@@ -7,8 +7,10 @@ import (
 	"smvx/internal/libc"
 )
 
-// TestScalarMaskCoverage: every simulated libc call has a scalar mask, and
-// no mask marks a known pointer position as comparable.
+// TestScalarMaskCoverage: every simulated libc call has a scalar mask, no
+// mask marks a known pointer position as comparable, and no emulated
+// output argument is scalar-compared: each follower passes its own
+// window's buffer.
 func TestScalarMaskCoverage(t *testing.T) {
 	// Positions that carry pointers per call signature.
 	pointerArgs := map[string][]int{
@@ -27,6 +29,17 @@ func TestScalarMaskCoverage(t *testing.T) {
 			if pos < len(mask) && mask[pos] {
 				t.Errorf("%s: arg %d is a pointer but marked scalar-comparable", name, pos)
 			}
+		}
+	}
+	for name := range emuOutputs {
+		mask := ScalarArgMask(name)
+		arg, ok := OutputArg(name)
+		if !ok || mask == nil {
+			t.Errorf("%s: emulated, but OutputArg = %d, %v and mask %v", name, arg, ok, mask)
+			continue
+		}
+		if arg < len(mask) && mask[arg] {
+			t.Errorf("%s: output arg %d is scalar-compared", name, arg)
 		}
 	}
 }

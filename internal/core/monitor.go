@@ -211,9 +211,9 @@ type RegionReport struct {
 	// FollowerRestarted reports that PolicyRestartFollower re-cloned a
 	// fresh follower at this region's entry.
 	FollowerRestarted bool
-	// RolledBack reports that PolicyRollback restored both variants to
-	// the last checkpoint and replayed the redo tail at this region's
-	// exit; the next region re-arms full lockstep.
+	// RolledBack reports that PolicyRollback restored the address space
+	// to the region's last checkpoint at its exit; the next region re-arms
+	// full lockstep.
 	RolledBack bool
 }
 
@@ -441,14 +441,12 @@ type Monitor struct {
 	nextRestartAt clock.Cycles // earliest virtual time a restart may happen
 
 	// Rollback state (PolicyRollback; see snapshot.go). ckpt is the active
-	// region's last captured variant checkpoint (nil between regions) and
-	// redo the emulation-write log since its capture. lastSnapAt is
+	// region's last captured checkpoint (nil between regions). lastSnapAt is
 	// leader-goroutine-only (checkpoints are captured inside a
 	// rendezvous). The streak fields count consecutive rollbacks at the
 	// same root-cause ordinal; escalated flips once the RollbackBudget is
 	// exhausted and is read lock-free by contain().
-	ckpt                *VariantSnapshot
-	redo                *RedoLog
+	ckpt                *mem.Snapshot
 	lastSnapAt          clock.Cycles
 	snapshots           int
 	rollbacks           int
@@ -501,7 +499,6 @@ func New(m *machine.Machine, lib *libc.LibC, opts ...Option) *Monitor {
 		safeStacks:  make(map[int]mem.Addr),
 		regionCalls: make(map[string]uint64),
 		quarantined: make(map[int]bool),
-		redo:        NewRedoLog(),
 	}
 	mo.slotDown = make([]bool, mo.numFollowers())
 	mo.slotNames = newSlotNames(mo.numFollowers())

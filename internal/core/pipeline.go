@@ -27,7 +27,6 @@ import (
 	"smvx/internal/sim/clock"
 	"smvx/internal/sim/kernel"
 	"smvx/internal/sim/machine"
-	"smvx/internal/sim/mem"
 )
 
 // LockstepMode selects the rendezvous discipline for protected regions.
@@ -209,7 +208,9 @@ func (s *session) publish(t *machine.Thread, name string, args []uint64, idx uin
 		rec.wire = appendCallRecord(rec.wire[:0], name, args)
 		rec.result = rec.result[:0]
 		if sc == libc.SyncPipelined {
-			rec.result = s.captureOutputs(rec.result, name, args, ret, errno, sl.delta)
+			var out [1]emuBuf
+			rec.result = appendResultRecord(rec.result, ret, errno,
+				s.captureOutputs(out[:0], name, args, ret, sl.delta))
 		}
 		if lr := s.lr; lr != nil {
 			lr.Add(ledger.PhaseMarshal, obs.VariantLeader, cls, 0, mshMark,
@@ -513,111 +514,4 @@ func (s *session) followerTimedOut(t *machine.Thread, sl *followerSlot, name str
 	s.diverged.Store(true)
 	s.mon.rec.Metrics().Inc("rendezvous.timeout")
 	s.mon.severFromFollower(s, sl, t, "rendezvous-timeout")
-}
-
-// captureOutputs appends to dst the result record of the leader's call:
-// ret, errno and a snapshot of the buffer the call wrote through its
-// pointer arguments — the per-call rules of emulate (lockstep.go), applied
-// at call time so the record is immune to the leader overwriting the
-// buffer while it runs ahead. The snapshot is read into the leader's
-// staging buffer and framed into dst. delta is the target slot's window
-// shift: epoll_data entries that point into the leader's space are
-// rebased into that slot's window here, while the leader's heap
-// watermark still reflects the moment of the call.
-func (s *session) captureOutputs(dst []byte, name string, args []uint64, ret uint64, errno kernel.Errno, delta int64) []byte {
-	as := s.mon.m.AddressSpace()
-	var out [1]emuBuf
-	bufs := out[:0]
-	grab := func(argIdx, n int) {
-		if n <= 0 {
-			return
-		}
-		src := mem.Addr(argAt(args, argIdx))
-		if src == 0 {
-			return
-		}
-		buf := s.staging(n)
-		if err := as.ReadAt(src, buf); err != nil {
-			return
-		}
-		bufs = append(bufs, emuBuf{argIdx: argIdx, data: buf})
-	}
-	retN := 0
-	if int64(ret) > 0 {
-		retN = int(int64(ret))
-	}
-	switch name {
-	case "read", "recv":
-		grab(1, retN)
-	case "stat", "fstat":
-		grab(1, 24)
-	case "gettimeofday":
-		grab(0, 16)
-	case "time":
-		grab(0, 8)
-	case "localtime_r":
-		grab(1, 64)
-	case "getsockopt":
-		grab(2, 8)
-	case "accept4":
-		// The peer-address buffer is unused by the simulated apps.
-	case "epoll_wait", "epoll_pwait":
-		src := mem.Addr(argAt(args, 1))
-		data := s.staging(0)
-		for i := 0; i < retN; i++ {
-			var entry [16]byte
-			if err := as.ReadAt(src+mem.Addr(i*16), entry[:]); err != nil {
-				break
-			}
-			d := fromLE(entry[8:])
-			if s.inLeaderSpace(mem.Addr(d)) {
-				toLE(entry[8:], uint64(int64(d)+delta))
-			}
-			data = append(data, entry[:]...)
-		}
-		s.stage = data
-		if len(data) > 0 {
-			bufs = append(bufs, emuBuf{argIdx: 1, data: data})
-		}
-	}
-	return appendResultRecord(dst, ret, errno, bufs)
-}
-
-// applyResult writes the decoded buffer snapshots into the follower's own
-// argument buffers, with the same fault attribution as the strict
-// emulate. The per-byte copy cost is charged to the follower thread —
-// off the leader's critical path, unlike strict mode where the copy
-// happens inside the rendezvous.
-func (s *session) applyResult(t *machine.Thread, sl *followerSlot, name string, idx uint64, largs, fargs []uint64, bufs []emuBuf) (int, bool) {
-	as := s.mon.m.AddressSpace()
-	costs := s.mon.m.Costs()
-	copied := 0
-	faulted := false
-	for _, b := range bufs {
-		dst := mem.Addr(argAt(fargs, b.argIdx))
-		src := mem.Addr(argAt(largs, b.argIdx))
-		if dst == 0 || len(b.data) == 0 {
-			continue
-		}
-		if err := as.WriteAt(dst, b.data); err != nil {
-			s.mon.raiseAlarm(Alarm{
-				Reason: AlarmEmulationFault, CallIndex: idx, Function: s.fn,
-				LeaderCall: name, Variant: sl.id,
-				Detail: fmt.Sprintf("emulation copy of %d bytes into follower buffer %#x failed: %v",
-					len(b.data), dst, err),
-			})
-			s.diverged.Store(true)
-			faulted = true
-			continue
-		}
-		_ = as.CopyTaint(dst, src, len(b.data))
-		s.mon.m.ChargeThread(t, costs.LockstepCopyPerByte*cyclesOf(len(b.data)))
-		if s.mon.opts.Policy == PolicyRollback {
-			// Same redo capture as the strict emulate: b.data is a view into
-			// a ring record the leader will refill, so the log keeps a copy.
-			s.mon.redo.Append(idx, name, dst, append([]byte(nil), b.data...))
-		}
-		copied += len(b.data)
-	}
-	return copied, faulted
 }

@@ -351,6 +351,9 @@ func TestPipelinedEmulationFault(t *testing.T) {
 			if found.CallIndex != 1 {
 				t.Errorf("CallIndex = %d, want 1 (the gettimeofday)", found.CallIndex)
 			}
+			if !strings.Contains(found.Detail, "buffer 0x6f6f00000000 ") {
+				t.Errorf("Detail = %q, want it to name the follower buffer 0x6f6f00000000", found.Detail)
+			}
 			if found.Handled != (tc.policy != PolicyKillBoth) {
 				t.Errorf("Handled = %v under %s", found.Handled, tc.policy)
 			}

@@ -30,12 +30,12 @@ const (
 	// subject to a bounded restart budget and a virtual-cycle backoff;
 	// once the budget is spent it degrades to leader-continue.
 	PolicyRestartFollower
-	// PolicyRollback survives a divergence by rewinding: the variants'
-	// memory is restored to the last copy-on-write checkpoint (captured at
-	// a quiescent rendezvous every SnapshotInterval virtual cycles), the
-	// post-snapshot libc tail is replayed from the redo log through the
-	// emulation path, and the next protected region re-arms full lockstep
-	// with a freshly cloned follower — no degraded single-variant window.
+	// PolicyRollback survives a divergence by rewinding: once the region's
+	// followers have wound down, the address space is restored to the
+	// last copy-on-write checkpoint (captured at region entry and at a
+	// quiescent rendezvous every SnapshotInterval virtual cycles), and the
+	// next protected region re-arms full lockstep with freshly cloned
+	// followers — no degraded single-variant window.
 	// Repeated rollbacks at the same root-cause ordinal (no forward
 	// progress) exhaust RollbackBudget and escalate to kill-both.
 	PolicyRollback

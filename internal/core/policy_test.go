@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -337,6 +338,9 @@ func TestEmulationFaultAlarm(t *testing.T) {
 			}
 			if tc.policy == PolicyKillBoth && mon.UnhandledAlarmCount() == 0 {
 				t.Error("kill-both must leave the alarm unhandled")
+			}
+			if !strings.Contains(found.Detail, "buffer 0x6f6f00000000 ") {
+				t.Errorf("Detail = %q, want it to name the follower buffer 0x6f6f00000000", found.Detail)
 			}
 		})
 	}

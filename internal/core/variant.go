@@ -211,7 +211,7 @@ func (mo *Monitor) Start(t *machine.Thread, fn string, args ...uint64) error {
 	// Strict mode re-captures at rendezvous cadence; pipelined mode only at
 	// barriers — a region that diverges before any barrier rewinds here.
 	if mo.snapshotDue(s) {
-		mo.captureCheckpoint(s, t, nil, fn, 0)
+		mo.captureCheckpoint(s, t, fn, 0)
 	}
 
 	cloneMark := ctr.Cycles()

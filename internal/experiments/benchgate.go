@@ -84,14 +84,13 @@ func DefaultGateRules() []GateRule {
 		// lower-is-better violation counts (undetected, benign_failed,
 		// pwned, leader_only, worker_dead) with deterministic baselines, so
 		// they gate exactly. Throughput stays ungated (higher-is-better,
-		// which the one-sided band cannot express), cycle/byte costs get a
+		// which the one-sided band cannot express), cycle costs get a
 		// wide band, and snapshot counts a small absolute slack for cadence
 		// jitter against the region clock.
 		{Name: "survival-rps", Contains: "survival.", Suffix: ".rps", Skip: true},
 		{Name: "survival-pct", Contains: "survival.", Suffix: ".pct_native", Skip: true},
 		{Name: "survival-cycles", Contains: "survival.", Suffix: "_cycles", Tolerance: 0.5, Slack: 200000},
 		{Name: "survival-snapshots", Contains: "survival.", Suffix: ".snapshots", Tolerance: 0, Slack: 2},
-		{Name: "survival-redo", Contains: "survival.", Suffix: ".redo_bytes", Tolerance: 0.5, Slack: 64},
 		{Name: "survival-exact", Contains: "survival.", Tolerance: 0},
 		// N-variant matrix: detection, survival, and outvote counts are
 		// deterministic votes over deterministic records, so they gate

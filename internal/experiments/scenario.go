@@ -149,7 +149,6 @@ type Cell struct {
 	Snapshots      int
 	CaptureCycles  uint64
 	RecoveryCycles uint64
-	RedoBytes      uint64
 	// The incident plane: incidents opened, and the first incident's
 	// severity, attributed root cause with its libc-call ordinal, and
 	// fault-to-first-detection latency on the virtual clock (valid when
@@ -277,7 +276,6 @@ func runScenario(seed int64, s Scenario) (Cell, error) {
 	c.Snapshots = mon.Snapshots()
 	c.CaptureCycles = m.HistSum("snapshot.capture.cycles")
 	c.RecoveryCycles = m.HistSum("rollback.recovery.cycles")
-	c.RedoBytes = m.Counter("rollback.redo.bytes")
 
 	incs := eng.Incidents()
 	c.Incidents = len(incs)

@@ -295,16 +295,16 @@ func (r *SurvivalResult) String() string {
 	b.WriteString("\n")
 
 	fmt.Fprintf(&b, "snapshot-interval sweep (rollback, arg-flip@4:repeat-every:8, %d regions):\n", survivalRegions)
-	fmt.Fprintf(&b, "%-12s %9s %9s %14s %15s %10s %13s\n",
-		"interval", "snapshots", "rollbacks", "capture-cyc", "recovery-cyc", "redo-B", "total-cyc")
+	fmt.Fprintf(&b, "%-12s %9s %9s %14s %15s %13s\n",
+		"interval", "snapshots", "rollbacks", "capture-cyc", "recovery-cyc", "total-cyc")
 	for _, row := range r.Sweep {
 		iv := "entry-only"
 		if row.Interval > 0 {
 			iv = fmt.Sprintf("%d", row.Interval)
 		}
-		fmt.Fprintf(&b, "%-12s %9d %9d %14d %15d %10d %13d\n",
+		fmt.Fprintf(&b, "%-12s %9d %9d %14d %15d %13d\n",
 			iv, row.Snapshots, row.Rollbacks, row.CaptureCycles,
-			row.RecoveryCycles, row.RedoBytes, row.Cycles)
+			row.RecoveryCycles, row.Cycles)
 	}
 	return b.String()
 }
@@ -356,7 +356,6 @@ func (r *SurvivalResult) RecordMetrics(bench *obs.Metrics) {
 		bench.SetGauge(p+"rollbacks", float64(row.Rollbacks))
 		bench.SetGauge(p+"capture_cycles", float64(row.CaptureCycles))
 		bench.SetGauge(p+"recovery_cycles", float64(row.RecoveryCycles))
-		bench.SetGauge(p+"redo_bytes", float64(row.RedoBytes))
 		bench.SetGauge(p+"total_cycles", float64(row.Cycles))
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 
 	"smvx/internal/core"
-	"smvx/internal/libc"
 	"smvx/internal/obs"
 	"smvx/internal/sim/clock"
 	"smvx/internal/sim/machine"
@@ -42,9 +41,11 @@ const (
 	// FollowerStall charges StallCycles of busy-work before the chosen
 	// call, blowing the rendezvous deadline.
 	FollowerStall
-	// EmulBufCorrupt rewrites the output-buffer pointer of the first
-	// CatRetBuf call at or after the chosen ordinal to an unmapped
-	// address, so the leader's emulation copy faults (AlarmEmulationFault).
+	// EmulBufCorrupt rewrites the output-buffer pointer of the first call,
+	// at or after the chosen ordinal, that receives an emulated output
+	// buffer (core.OutputArg) through a non-null pointer. The pointer then
+	// names an unmapped address, so the emulation copy into it faults
+	// (AlarmEmulationFault).
 	EmulBufCorrupt
 )
 
@@ -93,7 +94,8 @@ const CorruptAddr uint64 = 0x6f6f_0000_0000
 type Fault struct {
 	Kind Kind
 	// Call is the 1-based follower libc-call ordinal the fault fires at
-	// (EmulBufCorrupt: the first CatRetBuf call at or after it).
+	// (EmulBufCorrupt: the first call with an emulated output buffer at or
+	// after it).
 	Call uint64
 	// Bit selects the flipped bit for ArgFlip (mod 64).
 	Bit uint
@@ -253,7 +255,7 @@ func (p *Plan) hook(t *machine.Thread, name string, args []uint64) []uint64 {
 		if f.Variant != k {
 			continue
 		}
-		if !p.triggers(f, n, name) {
+		if !p.triggers(f, n, name, args) {
 			continue
 		}
 		if f.Every == 0 {
@@ -272,18 +274,25 @@ func (p *Plan) hook(t *machine.Thread, name string, args []uint64) []uint64 {
 }
 
 // triggers decides whether fault f fires at follower call n to name.
-func (p *Plan) triggers(f Fault, n uint64, name string) bool {
+func (p *Plan) triggers(f Fault, n uint64, name string, args []uint64) bool {
 	if f.Every > 0 {
 		if n < f.Call || (n-f.Call)%f.Every != 0 {
 			return false
 		}
-		// A repeating EmulBufCorrupt still only bites CatRetBuf calls.
-		return f.Kind != EmulBufCorrupt || libc.CategoryOf(name) == libc.CatRetBuf
+		// A repeating EmulBufCorrupt still only bites emulated buffers.
+		return f.Kind != EmulBufCorrupt || emulatedBuf(name, args)
 	}
 	if f.Kind == EmulBufCorrupt {
-		return n >= f.Call && libc.CategoryOf(name) == libc.CatRetBuf
+		return n >= f.Call && emulatedBuf(name, args)
 	}
 	return n == f.Call
+}
+
+// emulatedBuf reports whether the call receives an emulated output buffer
+// through a non-null pointer: a buffer the monitor copies into.
+func emulatedBuf(name string, args []uint64) bool {
+	i, ok := core.OutputArg(name)
+	return ok && i < len(args) && args[i] != 0
 }
 
 // record surfaces the firing to the flight recorder and metrics.
@@ -332,13 +341,9 @@ func (p *Plan) apply(t *machine.Thread, f Fault, n uint64, name string, args []u
 		}
 		return append([]uint64(nil), args[:len(args)-1]...)
 	case EmulBufCorrupt:
-		mask := core.ScalarArgMask(name)
 		out := append([]uint64(nil), args...)
-		for i := range out {
-			if i >= len(mask) || !mask[i] {
-				out[i] = CorruptAddr
-				return out
-			}
+		if i, ok := core.OutputArg(name); ok && i < len(out) {
+			out[i] = CorruptAddr
 		}
 		return out
 	default:

@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"smvx/internal/sim/image"
 	"smvx/internal/sim/kernel"
 	"smvx/internal/sim/machine"
+	"smvx/internal/sim/mem"
 )
 
 func TestKindStringRoundTrip(t *testing.T) {
@@ -157,7 +159,7 @@ func TestNewNormalizesVariant(t *testing.T) {
 // slot 1.
 func TestVariantSlotUnderCustomDelta(t *testing.T) {
 	for _, delta := range []int64{core.FollowerDelta, core.FollowerDelta / 2} {
-		alarms := shutdownRegion(t, "arg-flip@3:variant:2", core.WithDelta(delta))
+		alarms := chaosRegion(t, "arg-flip@3:variant:2", shutdowns, core.WithDelta(delta))
 		if len(alarms) != 1 {
 			t.Errorf("delta %#x: %d alarms, want one: %v", delta, len(alarms), alarms)
 			continue
@@ -169,25 +171,34 @@ func TestVariantSlotUnderCustomDelta(t *testing.T) {
 	}
 }
 
-// shutdownRegion runs one protected region of six shutdown calls under an
-// N=3, leader-continue monitor with the chaos spec installed, and returns
-// the monitor's alarms.
-func shutdownRegion(t *testing.T, spec string, opts ...core.Option) []core.Alarm {
+// shutdowns is a region body of six shutdown calls.
+func shutdowns(th *machine.Thread, _ mem.Addr) {
+	for i := 0; i < 6; i++ {
+		th.Libc("shutdown", uint64(100+i), 2)
+	}
+}
+
+// chaosRegion runs one protected region of body under an N=3,
+// leader-continue monitor with the chaos spec installed, and returns the
+// monitor's alarms. body gets the calling variant's own copy of the
+// 4 KiB g_buf; the kernel's file system holds /f.
+func chaosRegion(t *testing.T, spec string, body func(th *machine.Thread, g mem.Addr), opts ...core.Option) []core.Alarm {
 	t.Helper()
 	img := image.NewBuilder("chaosapp", 0x400000).
 		AddFunc("main", 64).
 		AddFunc("protected_func", 128).
+		AddBSS("g_buf", 4096).
 		NeedLibc(libc.Names()...).
 		Build()
 	prog := machine.NewProgram(img)
-	env, err := boot.NewEnv(kernel.New(clock.DefaultCosts(), 7), prog, boot.WithSeed(7))
+	k := kernel.New(clock.DefaultCosts(), 7)
+	k.FS().WriteFile("/f", []byte("file bytes"))
+	env, err := boot.NewEnv(k, prog, boot.WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	prog.MustDefine("protected_func", func(th *machine.Thread, args []uint64) uint64 {
-		for i := 0; i < 6; i++ {
-			th.Libc("shutdown", uint64(100+i), 2)
-		}
+		body(th, th.Global("g_buf"))
 		return 0
 	})
 	plan, err := Parse(spec, 7)
@@ -223,22 +234,34 @@ func shutdownRegion(t *testing.T, spec string, opts ...core.Option) []core.Alarm
 
 func TestTriggers(t *testing.T) {
 	p := New(1)
-	if !p.triggers(Fault{Kind: ArgFlip, Call: 3}, 3, "write") {
+	if !p.triggers(Fault{Kind: ArgFlip, Call: 3}, 3, "write", nil) {
 		t.Error("arg-flip did not trigger at its ordinal")
 	}
-	if p.triggers(Fault{Kind: ArgFlip, Call: 3}, 4, "write") {
+	if p.triggers(Fault{Kind: ArgFlip, Call: 3}, 4, "write", nil) {
 		t.Error("arg-flip triggered off-ordinal")
 	}
-	// EmulBufCorrupt waits for the first CatRetBuf call at or after Call.
+	// EmulBufCorrupt waits for the first call at or after Call that
+	// receives an emulated output buffer through a non-null pointer.
 	f := Fault{Kind: EmulBufCorrupt, Call: 2}
-	if p.triggers(f, 1, "gettimeofday") {
-		t.Error("emu-corrupt fired before its ordinal")
-	}
-	if p.triggers(f, 2, "close") {
-		t.Error("emu-corrupt fired on a non-RetBuf call")
-	}
-	if !p.triggers(f, 5, "gettimeofday") {
-		t.Error("emu-corrupt missed a RetBuf call past its ordinal")
+	tv := []uint64{0x400800, 0}
+	for _, c := range []struct {
+		n    uint64
+		name string
+		args []uint64
+		want bool
+	}{
+		{1, "gettimeofday", tv, false},     // before its ordinal
+		{2, "close", []uint64{3}, false},   // nothing emulated
+		{2, "accept4", []uint64{3}, false}, // a RetBuf call that copies no buffer
+		{2, "sendfile", []uint64{4, 5, 0x400800, 9}, false},
+		{2, "time", []uint64{0}, false},       // a null output pointer
+		{2, "time", []uint64{0x400800}, true}, // a RetOnly call that writes one
+		{5, "gettimeofday", tv, true},
+		{5, "stat", []uint64{0x400800, 0x400900}, true},
+	} {
+		if got := p.triggers(f, c.n, c.name, c.args); got != c.want {
+			t.Errorf("emu-corrupt@2 at call %d %s%#x = %v, want %v", c.n, c.name, c.args, got, c.want)
+		}
 	}
 }
 
@@ -251,25 +274,27 @@ func TestTriggersRepeatEvery(t *testing.T) {
 	repeat := Fault{Kind: ArgFlip, Call: 4, Every: 6}
 	for n := uint64(1); n <= 40; n++ {
 		wantRepeat := n >= 4 && (n-4)%6 == 0
-		if got := p.triggers(repeat, n, "write"); got != wantRepeat {
+		if got := p.triggers(repeat, n, "write", nil); got != wantRepeat {
 			t.Errorf("repeat triggers at call %d = %v, want %v", n, got, wantRepeat)
 		}
 		// At the anchor ordinal the two rules agree; before it neither fires.
 		if n <= 4 {
-			if p.triggers(single, n, "write") != p.triggers(repeat, n, "write") {
+			if p.triggers(single, n, "write", nil) != p.triggers(repeat, n, "write", nil) {
 				t.Errorf("single and repeat disagree at call %d", n)
 			}
 		}
 	}
-	// A repeating emu-corrupt keeps the CatRetBuf gate on top of the cadence.
+	// A repeating emu-corrupt keeps the emulated-buffer gate on top of the
+	// cadence.
 	ec := Fault{Kind: EmulBufCorrupt, Call: 2, Every: 3}
-	if p.triggers(ec, 5, "close") {
-		t.Error("repeating emu-corrupt fired on a non-RetBuf call")
+	tv := []uint64{0x400800, 0}
+	if p.triggers(ec, 5, "close", []uint64{3}) {
+		t.Error("repeating emu-corrupt fired on a call with no emulated buffer")
 	}
-	if !p.triggers(ec, 5, "gettimeofday") {
-		t.Error("repeating emu-corrupt missed an on-cadence RetBuf call")
+	if !p.triggers(ec, 5, "gettimeofday", tv) {
+		t.Error("repeating emu-corrupt missed an on-cadence emulated buffer")
 	}
-	if p.triggers(ec, 6, "gettimeofday") {
+	if p.triggers(ec, 6, "gettimeofday", tv) {
 		t.Error("repeating emu-corrupt fired off-cadence")
 	}
 }
@@ -303,12 +328,63 @@ func TestApplyIPCTruncate(t *testing.T) {
 	}
 }
 
+// TestApplyEmulBufCorrupt: emu-corrupt rewrites exactly the argument the
+// emulation copies into, not the first pointer: stat's path, localtime_r's
+// input time and the epoll fd stay put.
 func TestApplyEmulBufCorrupt(t *testing.T) {
 	p := New(1)
-	// gettimeofday(tv, tz): both pointers — the first becomes CorruptAddr.
-	out := p.apply(nil, Fault{Kind: EmulBufCorrupt}, 1, "gettimeofday", []uint64{0x400800, 0})
-	if out[0] != CorruptAddr {
-		t.Errorf("corrupt gave %#x, want %#x", out[0], CorruptAddr)
+	const b, c = 0x400800, CorruptAddr
+	for _, tc := range []struct {
+		name      string
+		args, out []uint64
+	}{
+		{"gettimeofday", []uint64{b, 0}, []uint64{c, 0}},
+		{"stat", []uint64{0x400100, b}, []uint64{0x400100, c}},
+		{"localtime_r", []uint64{0x400100, b}, []uint64{0x400100, c}},
+		{"getsockopt", []uint64{3, 7, b}, []uint64{3, 7, c}},
+		{"epoll_wait", []uint64{5, b, 8, 0}, []uint64{5, c, 8, 0}},
+		{"accept4", []uint64{3}, []uint64{3}},
+	} {
+		args := append([]uint64(nil), tc.args...)
+		got := p.apply(nil, Fault{Kind: EmulBufCorrupt}, 1, tc.name, args)
+		if fmt.Sprint(got) != fmt.Sprint(tc.out) {
+			t.Errorf("%s%#x corrupted to %#x, want %#x", tc.name, tc.args, got, tc.out)
+		}
+		if fmt.Sprint(args) != fmt.Sprint(tc.args) {
+			t.Errorf("%s: corrupt mutated the caller's slice", tc.name)
+		}
+	}
+}
+
+// TestEmuCorruptRaisesEmulationFault: emu-corrupt@1 on a region whose first
+// call is stat or localtime_r raises AlarmEmulationFault at call 1 against
+// the corrupted follower, as its doc promises, even though the call's
+// first pointer argument is an input.
+func TestEmuCorruptRaisesEmulationFault(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body func(th *machine.Thread, g mem.Addr)
+	}{
+		{"stat", func(th *machine.Thread, g mem.Addr) {
+			th.WriteCString(g, "/f")
+			th.Libc("stat", uint64(g), uint64(g+256))
+		}},
+		{"localtime_r", func(th *machine.Thread, g mem.Addr) {
+			th.Store64(g, 86400)
+			th.Libc("localtime_r", uint64(g), uint64(g+256))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			alarms := chaosRegion(t, "emu-corrupt@1", tc.body)
+			if len(alarms) != 1 {
+				t.Fatalf("%d alarms, want one: %v", len(alarms), alarms)
+			}
+			if a := alarms[0]; a.Reason != core.AlarmEmulationFault || a.Variant != 1 || a.CallIndex != 1 ||
+				!strings.Contains(a.Detail, mem.Addr(CorruptAddr).String()) {
+				t.Errorf("alarm %s variant %d at call %d (%q), want %s variant 1 at call 1 naming %v",
+					a.Reason, a.Variant, a.CallIndex, a.Detail, core.AlarmEmulationFault, mem.Addr(CorruptAddr))
+			}
+		})
 	}
 }
 

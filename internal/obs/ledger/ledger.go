@@ -69,8 +69,8 @@ const (
 	// PhaseSnapshot is one copy-on-write variant checkpoint captured at a
 	// quiescent rendezvous (PolicyRollback survivability).
 	PhaseSnapshot
-	// PhaseRestore is one rollback recovery: checkpoint restore plus the
-	// redo-log replay of the post-snapshot libc tail.
+	// PhaseRestore is one rollback recovery: the checkpoint restore. It
+	// copies no emulation bytes, so its byte column reads 0.
 	PhaseRestore
 
 	// NumPhases sizes per-phase arrays.

@@ -116,8 +116,8 @@ const (
 	EvSnapshot
 	// EvRollback is one PolicyRollback recovery: Name is the protected
 	// function, Arg0 the root-cause libc-call ordinal (the first divergence
-	// of the rolled-back region), Arg1 the recovery latency in cycles
-	// (restore plus redo replay), Ret the restored checkpoint generation.
+	// of the rolled-back region), Arg1 the recovery latency in cycles (the
+	// checkpoint restore), Ret the restored checkpoint generation.
 	EvRollback
 	// EvRegionAbort is one mid-flight region unwind: the monitor aborted a
 	// compromised region (dead follower under PolicyRollback) back to its
