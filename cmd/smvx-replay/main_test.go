@@ -52,7 +52,7 @@ func recordNginx(t *testing.T, requests int, args ...string) string {
 	}
 	r.AB(requests)
 	_ = r.Exit() // a contained divergence still ends the run with an error
-	if err := rt.Blackbox.Close(); err != nil {
+	if err := rt.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	return dir

@@ -186,8 +186,9 @@ func (c *Config) Resolve(labels map[string]string) (*Runtime, error) {
 		// is cheap and feeds /fleet, /healthz, and the -metrics summary.
 		rt.Fleet = tables.Fleet
 	}
-	// Mirror ledger charges into the recorder (and through it into the
-	// WAL) so smvx-replay can rebuild the ledger offline.
+	// Mirror the ledger's cells into the recorder (and through it into
+	// the WAL) at each region end and at Seal, so smvx-replay can rebuild
+	// the ledger offline.
 	rt.Ledger.SetRecorder(rt.Recorder)
 	if c.Blackbox != "" {
 		cfg := rt.Recorder.Config()
@@ -303,8 +304,22 @@ func (rt *Runtime) AttachMonitor(mon *core.Monitor) {
 	}
 }
 
+// Seal ends the run's recorded stream: it flushes every cost-ledger
+// region, in name order, into the recorder — a region whose leader never
+// reached mvx_end (a kill-both leader that crashed mid-region) has
+// flushed nothing yet — and then seals the black-box WAL, if one is open.
+// Finish calls it; code that replays a run's WAL without Finish seals it
+// here too.
+func (rt *Runtime) Seal() error {
+	rt.Ledger.Flush()
+	if rt.Blackbox == nil {
+		return nil
+	}
+	return rt.Blackbox.Close()
+}
+
 // Finish quiesces the plane after the run: linger the telemetry server,
-// seal the black-box WAL, publish derived metrics, and — unless Quiet —
+// seal the run (Seal), publish derived metrics, and — unless Quiet —
 // emit the metrics table, forensics reports, and Chrome trace the flags
 // asked for. Safe to call on a plane with nothing attached.
 func (rt *Runtime) Finish() error {
@@ -319,12 +334,10 @@ func (rt *Runtime) Finish() error {
 	if rec == nil {
 		return nil
 	}
-	if rt.Blackbox != nil {
-		if err := rt.Blackbox.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "blackbox WAL incomplete: %v\n", err)
-		} else {
-			fmt.Printf("blackbox WAL sealed in %s (inspect with smvx-replay)\n", rt.Blackbox.Dir())
-		}
+	if err := rt.Seal(); err != nil {
+		fmt.Fprintf(os.Stderr, "blackbox WAL incomplete: %v\n", err)
+	} else if rt.Blackbox != nil {
+		fmt.Printf("blackbox WAL sealed in %s (inspect with smvx-replay)\n", rt.Blackbox.Dir())
 	}
 	rec.PublishDerived()
 	if rt.cfg.Quiet {

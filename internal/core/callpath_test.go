@@ -38,18 +38,20 @@ func loopApp(tb testing.TB, round func(th *machine.Thread, g mem.Addr), begin, e
 	return env, mon
 }
 
-// syncClassRound makes one call of each pipelined sync class: gettimeofday
-// (its result rides the ring), strlen of the empty string in the zeroed
-// g_buf (local) and time (a barrier, whose result the rendezvous
-// emulates). Under strict lockstep all three rendezvous, and gettimeofday
-// and time are emulated.
+// syncClassRound makes one call of each pipelined sync class:
+// gettimeofday and time (pipelined: their results ride the ring), strlen
+// of the empty string in the zeroed g_buf (local) and shutdown(-1,
+// SHUT_RDWR) (a barrier: a ret-only call that changes state, though this
+// one changes none, since it fails with EBADF). Under strict lockstep all
+// four rendezvous, and gettimeofday and time are emulated.
 func syncClassRound(th *machine.Thread, g mem.Addr) {
 	th.Libc("gettimeofday", uint64(g), 0)
 	th.Libc("strlen", uint64(g+256))
 	th.Libc("time", uint64(g+16))
+	th.Libc("shutdown", math.MaxUint64, 2)
 }
 
-const syncClassCalls = 3
+const syncClassCalls = 4
 
 // runLoop runs protected_func(k) on t, as a protected region when mon is
 // non-nil; mvx_start hands the followers the same k.
@@ -80,15 +82,18 @@ func TestLibcCallPathsAllocateNothing(t *testing.T) {
 	cases := []struct {
 		name    string
 		protect bool
-		opts    []Option
+		// barriers: every round must run at least one pipelined barrier
+		// rendezvous.
+		barriers bool
+		opts     []Option
 	}{
-		{"unprotected", false, nil},
-		{"strict", true, nil},
-		{"strict-n3", true, []Option{WithVariants(3)}},
-		{"pipelined-n3", true, []Option{WithLockstepMode(LockstepPipelined), WithVariants(3)}},
+		{"unprotected", false, false, nil},
+		{"strict", true, false, nil},
+		{"strict-n3", true, false, []Option{WithVariants(3)}},
+		{"pipelined-n3", true, true, []Option{WithLockstepMode(LockstepPipelined), WithVariants(3)}},
 		// Only the entry checkpoint: the extra rounds add no capture.
-		{"rollback", true, []Option{WithPolicy(PolicyRollback), WithSnapshotInterval(0)}},
-		{"rollback-pipelined", true, []Option{WithPolicy(PolicyRollback), WithSnapshotInterval(0),
+		{"rollback", true, false, []Option{WithPolicy(PolicyRollback), WithSnapshotInterval(0)}},
+		{"rollback-pipelined", true, true, []Option{WithPolicy(PolicyRollback), WithSnapshotInterval(0),
 			WithLockstepMode(LockstepPipelined)}},
 	}
 	for _, c := range cases {
@@ -103,6 +108,7 @@ func TestLibcCallPathsAllocateNothing(t *testing.T) {
 			} else if err := mon.Init(th); err != nil {
 				t.Fatal(err)
 			}
+			barriers := func() uint64 { return env.Obs.Metrics().Counter(obs.MetricLockstepBarrier) }
 			mallocs := func(tt *machine.Thread, k int) uint64 {
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
@@ -114,13 +120,16 @@ func TestLibcCallPathsAllocateNothing(t *testing.T) {
 				return ms.Mallocs - before
 			}
 			perCall := math.Inf(1)
+			var extraBarriers uint64
 			if err := th.Run(func(tt *machine.Thread) {
 				mallocs(tt, base+extra) // warm up
 				// The smallest of three differences: runtime background
 				// work only ever adds allocations.
 				for try := 0; try < 3; try++ {
 					without := mallocs(tt, base)
+					b := barriers()
 					with := mallocs(tt, base+extra)
+					extraBarriers = barriers() - b
 					d := (float64(with) - float64(without)) / (regions * extra * syncClassCalls)
 					perCall = min(perCall, d)
 				}
@@ -129,6 +138,10 @@ func TestLibcCallPathsAllocateNothing(t *testing.T) {
 			}
 			if mon != nil && len(mon.Alarms()) != 0 {
 				t.Fatalf("alarms: %v", mon.Alarms())
+			}
+			if c.barriers && extraBarriers < regions*(base+extra) {
+				t.Errorf("%d pipelined barriers in %d regions of %d rounds, want one per round at least",
+					extraBarriers, regions, base+extra)
 			}
 			if perCall > 0.01 {
 				t.Errorf("%.3f allocations per libc call, want 0", perCall)

@@ -537,9 +537,9 @@ func (mo *Monitor) relocateRange(lo, hi mem.Addr, delta int64) (int, error) {
 // follower via the wait() syscall — bounded by the rendezvous deadline, so
 // a follower that never exits the region trips the watchdog instead of
 // deadlocking mvx_end — merges the variants, decides on a rollback and then
-// ends the region's checkpoint, records the region report, and leaves the
-// followers' mappings in place (they are reclaimed by the next Start or by
-// DestroyFollower).
+// ends the region's checkpoint, flushes the region's cost-ledger cells,
+// records the region report, and leaves the followers' mappings in place
+// (they are reclaimed by the next Start or by DestroyFollower).
 func (mo *Monitor) End(t *machine.Thread) error {
 	mo.mu.Lock()
 	s := mo.session
@@ -612,6 +612,9 @@ func (mo *Monitor) End(t *machine.Thread) error {
 	// the address space, so the in-place restore cannot race a variant.
 	outcome := mo.maybeRollback(s, t.TID(), s.diverged.Load() || followerErr != nil)
 	mo.dropCheckpoint()
+	// The region's cost cells, its snapshot and restore charges included,
+	// reach the recorder before its EvRegionEnd.
+	s.lr.Flush()
 
 	anyDetached := false
 	for _, sl := range s.slots {

@@ -1,6 +1,7 @@
 package blackbox
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -75,6 +76,29 @@ func TestRoundTripEventsAndAlarms(t *testing.T) {
 	// Fn attribution survives the round trip.
 	if run.Events[0].Fn != "handler" {
 		t.Errorf("event Fn = %q, want handler", run.Events[0].Fn)
+	}
+}
+
+// TestMetaFormatVersions: the reader decodes the meta record of a
+// version-1 WAL (per-charge ledger events) and of a version-2 one
+// (per-region ledger cells), and refuses any other version, so an older
+// reader cannot mistake a newer WAL for one with an empty ledger.
+func TestMetaFormatVersions(t *testing.T) {
+	want := testMeta()
+	payload := appendMeta(nil, want)[1:]
+	if v, _ := binary.Uvarint(payload); v != FormatVersion || FormatVersion != 2 {
+		t.Fatalf("meta written as version %d, FormatVersion %d: want 2", v, FormatVersion)
+	}
+	// The version is the payload's first uvarint; re-stamp it.
+	rest := payload[1:]
+	for ver, ok := range map[uint64]bool{0: false, 1: true, 2: true, 3: false} {
+		m, err := decodeMeta(append(binary.AppendUvarint(nil, ver), rest...))
+		if ok && (err != nil || !reflect.DeepEqual(m, want)) {
+			t.Errorf("version %d: meta %+v, %v; want %+v", ver, m, err, want)
+		}
+		if !ok && (err == nil || !strings.Contains(err.Error(), "unsupported WAL format version")) {
+			t.Errorf("version %d decoded (err %v), want it refused", ver, err)
+		}
 	}
 }
 

@@ -25,9 +25,21 @@
 // frame makes damage detectable: a reader stops a segment cleanly at the
 // first truncated or corrupted frame and keeps everything before it.
 //
+// The meta record opens with the format version. Version 2 (FormatVersion)
+// carries the cost ledger as obs.EvLedgerCell events, one per cell that
+// moved, flushed at each region's mvx_end and at the end of the run;
+// version 1 carried one obs.EvLedger event per charge. The framing and
+// record encoding are the same in both, and the reader accepts both, so
+// version-1 WALs still replay to their ledger. Only a sealed version-2 WAL
+// (cli.Runtime.Seal) carries the whole ledger: a WAL cut off by a host
+// crash lacks the cells of every region still in flight, and its replayed
+// ledger is smaller with no damage note to say so.
+//
 // Writes are buffered; the Writer flushes (and fsyncs) on every alarm and
 // on Close, so the records leading up to a divergence are on disk even if
-// the host process dies immediately after raising it.
+// the host process dies immediately after raising it — all but the
+// in-flight region's ledger cells, which reach the recorder only at that
+// region's mvx_end or at the seal.
 package blackbox
 
 import (
@@ -43,8 +55,14 @@ import (
 // Magic begins every segment file.
 const Magic = "sMVXWAL1"
 
-// FormatVersion is bumped when the record encoding changes incompatibly.
-const FormatVersion = 1
+// FormatVersion is the version the writer stamps into each meta record.
+// It is bumped when the record encoding, or what the records mean to
+// replay, changes incompatibly, so that an older reader refuses a newer
+// WAL: a version-1 reader would replay a version-2 WAL to an empty ledger.
+const FormatVersion = 2
+
+// minFormatVersion is the oldest version the reader still decodes.
+const minFormatVersion = 1
 
 // Record types (first payload byte).
 const (
@@ -293,7 +311,7 @@ func decodeUints(d *decoder) []uint64 {
 func decodeMeta(payload []byte) (Meta, error) {
 	d := &decoder{buf: payload}
 	ver := d.uvarint()
-	if !d.bad && ver != FormatVersion {
+	if !d.bad && (ver < minFormatVersion || ver > FormatVersion) {
 		return Meta{}, fmt.Errorf("blackbox: unsupported WAL format version %d", ver)
 	}
 	m := Meta{Capacity: int(d.uvarint()), ForensicWindow: int(d.uvarint())}

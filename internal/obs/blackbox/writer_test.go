@@ -25,8 +25,8 @@ func nginxEvent() obs.Event {
 	}
 }
 
-// referenceFrame frames one payload the way FormatVersion 1 lays it out,
-// independently of the Writer: uvarint(len) ‖ payload ‖ crc32c (LE).
+// referenceFrame frames one payload the way every FormatVersion lays it
+// out, independently of the Writer: uvarint(len) ‖ payload ‖ crc32c (LE).
 func referenceFrame(payload []byte) []byte {
 	b := binary.AppendUvarint(nil, uint64(len(payload)))
 	b = append(b, payload...)

@@ -193,11 +193,14 @@ func buildReport(idx int, a AlarmInfo, events []Event, window int) string {
 // first. Telemetry span events are excluded: their durations are global-
 // clock differences taken while both variants run concurrently, which
 // would break the report's byte-for-byte determinism guarantee (and they
-// duplicate the libc/lockstep events already in the window).
+// duplicate the libc/lockstep events already in the window). Cost-ledger
+// events are excluded too: they are bookkeeping, not behaviour, and a
+// region-end flush would fill the window with cells.
 func variantTail(events []Event, v Variant, n int) []Event {
 	tail := make([]Event, 0, n)
 	for i := len(events) - 1; i >= 0 && len(tail) < n; i-- {
-		if events[i].Kind == EvSpanBegin || events[i].Kind == EvSpanEnd {
+		switch events[i].Kind {
+		case EvSpanBegin, EvSpanEnd, EvLedger, EvLedgerCell:
 			continue
 		}
 		if events[i].Variant == v {

@@ -17,9 +17,14 @@
 //     strings are interned at package init;
 //   - allocation counts come from an optional probe (test/bench mode
 //     only) so production instrumentation never touches runtime.MemStats;
-//   - every Add optionally mirrors into the flight recorder as an
-//     EvLedger event, which TapEvent folds back through Add's own cell
-//     update: replay re-derives the ledger byte-identically from the WAL.
+//   - Add only updates cells; with a recorder attached, Flush mirrors each
+//     cell that moved since the region's previous flush as one
+//     EvLedgerCell event. The monitor flushes a region at its mvx_end and
+//     the run flushes every region before it seals the WAL, and TapEvent
+//     folds each cell back through Add's own cell update: replay
+//     re-derives the ledger byte-identically from a sealed WAL, at a cost
+//     of a few dozen events per region instead of one per charge. A WAL
+//     cut off by a host crash lacks the regions still in flight.
 package ledger
 
 import (
@@ -137,8 +142,8 @@ var phaseClassNames = func() (out [NumPhases][NumClasses]string) {
 	return
 }()
 
-// PhaseClassName returns the interned "phase/class" label an Add records
-// under (the EvLedger event Name).
+// PhaseClassName returns the interned "phase/class" label a cell is
+// recorded under (the EvLedgerCell event Name).
 func PhaseClassName(p Phase, c Class) string {
 	if p >= NumPhases {
 		p = 0
@@ -185,6 +190,11 @@ type cell struct {
 	bytes  atomic.Uint64
 }
 
+// flushedCell is what one cell read at its region's previous flush.
+type flushedCell struct {
+	count, cycles, bytes uint64
+}
+
 // Region is one protected function's ledger. The monitor holds one per
 // session; instrumentation sites hold the pointer and call Add with no
 // map lookups on the hot path. A nil Region is the disabled state.
@@ -192,6 +202,10 @@ type Region struct {
 	led   *Ledger
 	name  string
 	cells [NumPhases][NumClasses][obs.MaxVariants]cell // indexed by variant
+
+	// flushMu serializes Flush, the only reader and writer of flushed.
+	flushMu sync.Mutex
+	flushed [NumPhases][NumClasses][obs.MaxVariants]flushedCell
 }
 
 // Ledger aggregates Regions and carries the run configuration the
@@ -225,9 +239,12 @@ func (l *Ledger) SetRun(mode, policy string, lag int) {
 	l.mu.Unlock()
 }
 
-// SetRecorder mirrors every Add into rec as an EvLedger event — the hook
-// that makes the ledger re-derivable from the black-box WAL. Set it
-// before the run starts.
+// SetRecorder makes Flush mirror the ledger's cells into rec as
+// EvLedgerCell events — the hook that makes the ledger re-derivable from
+// the black-box WAL. Set it before the run starts. The mirror carries
+// counts, cycles and bytes, not the allocation probe's column: no run
+// mirrors a ledger with the probe on (the CLI never enables the probe, and
+// the experiments' scenario cells never mirror).
 func (l *Ledger) SetRecorder(rec *obs.Recorder) {
 	if l == nil {
 		return
@@ -238,7 +255,9 @@ func (l *Ledger) SetRecorder(rec *obs.Recorder) {
 // EnableAllocProbe turns on heap-allocation accounting using the runtime
 // /gc/heap/allocs:objects counter. The counter is process-global, so
 // concurrent non-ledger goroutines add noise — this is a test/bench-mode
-// hook, not a production default. Call before the run starts.
+// hook, not a production default. Call before the run starts. The
+// allocation column stays live-only: Flush does not mirror it, so a
+// ledger rebuilt from the WAL reads 0 allocations.
 func (l *Ledger) EnableAllocProbe() {
 	if l == nil {
 		return
@@ -283,7 +302,8 @@ func (rg *Region) Mark() Mark {
 
 // Add charges one phase occurrence to the region: cycles on the virtual
 // clock, the allocation delta since m (when the probe is on), and bytes
-// of payload moved. Nil-safe; the enabled path is allocation-free.
+// of payload moved. It only updates the cell, recorder or not: Flush
+// mirrors it. Nil-safe; the enabled path is allocation-free.
 func (rg *Region) Add(p Phase, v obs.Variant, c Class, cycles clock.Cycles, m Mark, bytes uint64) {
 	if rg == nil {
 		return
@@ -300,40 +320,100 @@ func (rg *Region) Add(p Phase, v obs.Variant, c Class, cycles clock.Cycles, m Ma
 			allocs = cur - m.v
 		}
 	}
-	rg.charge(p, v, c, uint64(cycles), allocs, bytes)
-	if rec := rg.led.rec; rec != nil {
-		rec.RecordIn(rg.name, obs.EvLedger, v, 0, phaseClassNames[p][c],
-			uint64(cycles), allocs, bytes)
-	}
+	rg.charge(p, v, c, 1, uint64(cycles), allocs, bytes)
 }
 
 // charge is the one mutation of a region's cells, shared by the live Add
-// and the replay fold TapEvent.
-func (rg *Region) charge(p Phase, v obs.Variant, c Class, cycles, allocs, bytes uint64) {
+// (count 1) and the replay fold TapEvent (a flushed cell's count).
+func (rg *Region) charge(p Phase, v obs.Variant, c Class, count, cycles, allocs, bytes uint64) {
 	if v >= obs.VariantNone {
 		// An event with no variant (monitor bookkeeping) is charged to
 		// the leader.
 		v = obs.VariantLeader
 	}
 	cl := &rg.cells[p][c][v]
-	cl.count.Add(1)
+	cl.count.Add(count)
 	cl.cycles.Add(cycles)
 	cl.allocs.Add(allocs)
 	cl.bytes.Add(bytes)
 }
 
-// TapEvent is the ledger's obs.Tap fold: an EvLedger event (Fn = region,
-// Name = "phase/class", Arg0/Arg1/Ret = cycles/allocs/bytes) charges its
-// cell as the Add that recorded it did. Other events are ignored.
+// Flush records one EvLedgerCell event for each cell whose count, cycles
+// or bytes moved since the region's previous flush, carrying the
+// movement. It is the ledger's one recording site. A charge that races a
+// flush may land its count in one flush and its cycles in the next, so a
+// flushed cell can read count 0; the sums stay exact. Nil-safe, a no-op
+// without a recorder, and allocation-free.
+func (rg *Region) Flush() {
+	if rg == nil || rg.led.rec == nil {
+		return
+	}
+	rec := rg.led.rec
+	rg.flushMu.Lock()
+	defer rg.flushMu.Unlock()
+	for p := range rg.cells {
+		for c := range rg.cells[p] {
+			for vi := range rg.cells[p][c] {
+				cl, last := &rg.cells[p][c][vi], &rg.flushed[p][c][vi]
+				cur := flushedCell{count: cl.count.Load(), cycles: cl.cycles.Load(), bytes: cl.bytes.Load()}
+				if cur == *last {
+					continue
+				}
+				rec.RecordIn(rg.name, obs.EvLedgerCell, obs.Variant(vi), 0, phaseClassNames[p][c],
+					cur.cycles-last.cycles, cur.count-last.count, cur.bytes-last.bytes)
+				*last = cur
+			}
+		}
+	}
+}
+
+// Flush flushes every region, in name order — the end-of-run flush that
+// also reaches a region whose leader never got to its mvx_end (a
+// kill-both leader that crashed mid-region). Nil-safe.
+func (l *Ledger) Flush() {
+	if l == nil {
+		return
+	}
+	for _, rg := range l.sortedRegions() {
+		rg.Flush()
+	}
+}
+
+// sortedRegions returns the ledger's regions sorted by name.
+func (l *Ledger) sortedRegions() []*Region {
+	l.mu.Lock()
+	regions := make([]*Region, 0, len(l.regions))
+	for _, rg := range l.regions {
+		regions = append(regions, rg)
+	}
+	l.mu.Unlock()
+	sort.Slice(regions, func(i, j int) bool { return regions[i].name < regions[j].name })
+	return regions
+}
+
+// TapEvent is the ledger's obs.Tap fold. An EvLedgerCell event (Fn =
+// region, Name = "phase/class", Arg0/Arg1/Ret = cycles/charges/bytes)
+// charges its cell with the flushed movement; a version-1 WAL's EvLedger
+// event (Arg1 = allocations) charges it as the one Add that recorded it.
+// Other events are ignored.
 func (l *Ledger) TapEvent(e obs.Event) {
-	if l == nil || e.Kind != obs.EvLedger {
+	if l == nil {
+		return
+	}
+	var count, allocs uint64
+	switch e.Kind {
+	case obs.EvLedgerCell:
+		count = e.Arg1
+	case obs.EvLedger:
+		count, allocs = 1, e.Arg1
+	default:
 		return
 	}
 	p, c, ok := parsePhaseClass(e.Name)
 	if !ok {
 		return
 	}
-	l.Region(e.Fn).charge(p, e.Variant, c, e.Arg0, e.Arg1, e.Ret)
+	l.Region(e.Fn).charge(p, e.Variant, c, count, e.Arg0, allocs, e.Ret)
 }
 
 var variantNames = func() (out [obs.MaxVariants]string) {
@@ -376,13 +456,8 @@ func (l *Ledger) Snapshot() Snapshot {
 	}
 	l.mu.Lock()
 	snap := Snapshot{Mode: l.mode, Policy: l.policy, LagWindow: l.lag}
-	regions := make([]*Region, 0, len(l.regions))
-	for _, rg := range l.regions {
-		regions = append(regions, rg)
-	}
 	l.mu.Unlock()
-	sort.Slice(regions, func(i, j int) bool { return regions[i].name < regions[j].name })
-	for _, rg := range regions {
+	for _, rg := range l.sortedRegions() {
 		rs := RegionSnapshot{Region: rg.name}
 		for p := Phase(0); p < NumPhases; p++ {
 			for c := Class(0); c < NumClasses; c++ {
@@ -420,14 +495,8 @@ func (l *Ledger) LeaderSyncCycles() uint64 {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	regions := make([]*Region, 0, len(l.regions))
-	for _, rg := range l.regions {
-		regions = append(regions, rg)
-	}
-	l.mu.Unlock()
 	var sum uint64
-	for _, rg := range regions {
+	for _, rg := range l.sortedRegions() {
 		for _, p := range [...]Phase{PhaseRendezvous, PhaseEnqueue, PhaseBarrier, PhaseWait} {
 			for c := Class(0); c < NumClasses; c++ {
 				sum += rg.cells[p][c][0].cycles.Load()
@@ -443,13 +512,7 @@ func (l *Ledger) Totals() (calls, cycles, allocs uint64) {
 	if l == nil {
 		return 0, 0, 0
 	}
-	l.mu.Lock()
-	regions := make([]*Region, 0, len(l.regions))
-	for _, rg := range l.regions {
-		regions = append(regions, rg)
-	}
-	l.mu.Unlock()
-	for _, rg := range regions {
+	for _, rg := range l.sortedRegions() {
 		for p := Phase(0); p < NumPhases; p++ {
 			for c := Class(0); c < NumClasses; c++ {
 				for vi := 0; vi < obs.MaxVariants; vi++ {

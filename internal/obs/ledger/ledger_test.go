@@ -3,9 +3,11 @@ package ledger
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"smvx/internal/obs"
+	"smvx/internal/sim/clock"
 )
 
 func TestPhaseClassNameRoundtrip(t *testing.T) {
@@ -99,6 +101,46 @@ func TestLeaderSyncCycles(t *testing.T) {
 	}
 }
 
+// ledgerJSON renders a ledger as the /ledger endpoint and the replay
+// parity comparison do.
+func ledgerJSON(t testing.TB, l *Ledger) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := l.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// fold folds events into a fresh ledger labeled like live, as replay does.
+func fold(live *Ledger, events []obs.Event) *Ledger {
+	rebuilt := New()
+	snap := live.Snapshot()
+	rebuilt.SetRun(snap.Mode, snap.Policy, snap.LagWindow)
+	for _, e := range events {
+		rebuilt.TapEvent(e)
+	}
+	return rebuilt
+}
+
+// cellEvents returns the EvLedgerCell events recorded since from.
+func cellEvents(t *testing.T, rec *obs.Recorder, from int) []obs.Event {
+	t.Helper()
+	var out []obs.Event
+	for _, e := range rec.Events()[from:] {
+		switch e.Kind {
+		case obs.EvLedgerCell:
+			if _, _, ok := parsePhaseClass(e.Name); !ok || e.Fn != "vuln" || e.TID != 0 {
+				t.Fatalf("malformed cell event %+v", e)
+			}
+			out = append(out, e)
+		case obs.EvLedger:
+			t.Fatalf("per-charge EvLedger event recorded: %+v", e)
+		}
+	}
+	return out
+}
+
 func TestRecorderMirrorAndRawRebuild(t *testing.T) {
 	rec := obs.NewRecorder(obs.Config{})
 	live := New()
@@ -108,36 +150,127 @@ func TestRecorderMirrorAndRawRebuild(t *testing.T) {
 	rg.Add(PhaseEnqueue, obs.VariantLeader, ClassPipelined, 250, Mark{}, 0)
 	rg.Add(PhaseWait, obs.VariantLeader, ClassPipelined, 120, Mark{}, 0)
 	rg.Add(PhaseEmulate, obs.VariantFollower, ClassPipelined, 64, Mark{}, 64)
+	if n := rec.Total(); n != 0 {
+		t.Fatalf("Add recorded %d events; only Flush records", n)
+	}
 
-	// Fold the recorded events back into a fresh ledger, as replay does.
+	// Three charged cells flush as three cell events.
+	rg.Flush()
+	if cells := cellEvents(t, rec, 0); len(cells) != 3 {
+		t.Fatalf("first flush recorded %d cells, want 3: %+v", len(cells), cells)
+	}
+
+	// Two more charges to one cell flush as that cell alone, carrying
+	// the two charges' movement.
+	rg.Add(PhaseEmulate, obs.VariantFollower, ClassPipelined, 64, Mark{}, 64)
+	rg.Add(PhaseEmulate, obs.VariantFollower, ClassPipelined, 32, Mark{}, 32)
+	mark := len(rec.Events())
+	rg.Flush()
+	cells := cellEvents(t, rec, mark)
+	want := obs.Event{Kind: obs.EvLedgerCell, Variant: obs.VariantFollower, Fn: "vuln",
+		Name: PhaseClassName(PhaseEmulate, ClassPipelined), Arg0: 96, Arg1: 2, Ret: 96}
+	if len(cells) != 1 {
+		t.Fatalf("second flush recorded %d cells, want 1: %+v", len(cells), cells)
+	}
+	got := cells[0]
+	got.Seq, got.VSeq, got.TS = 0, 0, 0
+	if got != want {
+		t.Fatalf("second flush cell = %+v, want %+v", got, want)
+	}
+
+	// A flush with nothing new records nothing, and so does the
+	// ledger-wide flush.
+	total := rec.Total()
+	rg.Flush()
+	live.Flush()
+	if rec.Total() != total {
+		t.Fatalf("flushes with nothing new recorded %d events", rec.Total()-total)
+	}
+
+	// Folding every recorded event rebuilds the live ledger. The fold
+	// ignores other event kinds and unknown phase/class names.
+	events := append(rec.Events(),
+		obs.Event{Kind: obs.EvLibcEnter, Fn: "vuln", Name: "wait/pipelined", Arg0: 1},
+		obs.Event{Kind: obs.EvLedgerCell, Fn: "vuln", Name: "wait/bogus", Arg0: 1, Arg1: 1})
+	if a, b := ledgerJSON(t, live), ledgerJSON(t, fold(live, events)); a != b {
+		t.Fatalf("rebuilt ledger differs from live:\nlive:\n%s\nrebuilt:\n%s", a, b)
+	}
+}
+
+// TestLegacyChargeEventFoldsAsOneCharge: a version-1 WAL's per-charge
+// EvLedger event (Arg1 = allocations) folds as the one Add that recorded
+// it, so older WALs replay to the ledger they always did.
+func TestLegacyChargeEventFoldsAsOneCharge(t *testing.T) {
+	live := New()
+	rg := live.Region("vuln")
+	rg.charge(PhaseCompare, obs.VariantFollower, ClassBarrier, 1, 300, 2, 48)
+	rg.charge(PhaseCompare, obs.VariantFollower, ClassBarrier, 1, 100, 0, 16)
+	name := PhaseClassName(PhaseCompare, ClassBarrier)
+	events := []obs.Event{
+		{Kind: obs.EvLedger, Variant: obs.VariantFollower, Fn: "vuln", Name: name, Arg0: 300, Arg1: 2, Ret: 48},
+		{Kind: obs.EvLedger, Variant: obs.VariantFollower, Fn: "vuln", Name: name, Arg0: 100, Arg1: 0, Ret: 16},
+	}
+	rebuilt := fold(live, events)
+	if a, b := ledgerJSON(t, live), ledgerJSON(t, rebuilt); a != b {
+		t.Fatalf("legacy fold differs from live:\nlive:\n%s\nrebuilt:\n%s", a, b)
+	}
+	if cl := rebuilt.Snapshot().Regions[0].Cells[0]; cl.Count != 2 || cl.Allocs != 2 {
+		t.Fatalf("legacy cell = %+v, want 2 charges and 2 allocations", cl)
+	}
+}
+
+// TestConcurrentChargesAndFlushesFoldExactly: four goroutines charge cells
+// of several variants while a fifth flushes in a loop. A flush can split
+// one charge's count and cycles across two cell events; after a final
+// flush the fold of everything recorded, tapped in record order as the
+// WAL holds it, still equals the live ledger exactly.
+func TestConcurrentChargesAndFlushesFoldExactly(t *testing.T) {
+	rec := obs.NewRecorder(obs.Config{})
+	live := New()
+	live.SetRecorder(rec)
 	rebuilt := New()
-	rebuilt.SetRun("pipelined", "kill-both", 16)
-	n := 0
-	for _, e := range rec.Events() {
-		if e.Kind == obs.EvLedger {
-			if _, _, ok := parsePhaseClass(e.Name); !ok {
-				t.Fatalf("unparseable EvLedger name %q", e.Name)
+	rec.SetTap(rebuilt)
+	rg := live.Region("vuln")
+	const workers, charges = 4, 20000
+	var charging, flushing sync.WaitGroup
+	stop := make(chan struct{})
+	flushing.Add(1)
+	go func() {
+		defer flushing.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				rg.Flush()
 			}
-			n++
 		}
-		rebuilt.TapEvent(e)
+	}()
+	for w := 0; w < workers; w++ {
+		charging.Add(1)
+		go func(w int) {
+			defer charging.Done()
+			for i := 0; i < charges; i++ {
+				p := Phase((w + i) % int(NumPhases))
+				rg.Add(p, obs.Variant(w%3), ClassPipelined, clock.Cycles(i%7+1), Mark{}, uint64(i%3))
+			}
+		}(w)
 	}
-	// The fold ignores other event kinds and unknown phase/class names.
-	rebuilt.TapEvent(obs.Event{Kind: obs.EvLibcEnter, Fn: "vuln", Name: "wait/pipelined", Arg0: 1})
-	rebuilt.TapEvent(obs.Event{Kind: obs.EvLedger, Fn: "vuln", Name: "wait/bogus", Arg0: 1})
-	if n != 3 {
-		t.Fatalf("mirrored events = %d, want 3", n)
+	charging.Wait()
+	close(stop)
+	flushing.Wait()
+	rg.Flush()
+	if a, b := ledgerJSON(t, live), ledgerJSON(t, rebuilt); a != b {
+		t.Fatalf("fold differs from live after concurrent flushes:\nlive:\n%s\nrebuilt:\n%s", a, b)
 	}
-
-	var a, b bytes.Buffer
-	if err := live.WriteJSON(&a); err != nil {
-		t.Fatal(err)
+	var want uint64
+	for w := 0; w < workers; w++ {
+		for i := 0; i < charges; i++ {
+			want += uint64(i%7 + 1)
+		}
 	}
-	if err := rebuilt.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatalf("rebuilt ledger differs from live:\nlive:\n%s\nrebuilt:\n%s", a.String(), b.String())
+	if _, cycles, _ := live.Totals(); cycles != want {
+		t.Fatalf("live cycles = %d, want %d", cycles, want)
 	}
 }
 
@@ -197,7 +330,9 @@ func TestNilLedgerIsFreeNoop(t *testing.T) {
 		t.Fatal("nil ledger returned a non-nil region")
 	}
 	rg.Add(PhaseLibc, obs.VariantLeader, ClassLocal, 1, rg.Mark(), 0)
-	l.TapEvent(obs.Event{Kind: obs.EvLedger, Fn: "fn", Name: PhaseClassName(PhaseLibc, ClassLocal), Arg0: 1})
+	rg.Flush()
+	l.Flush()
+	l.TapEvent(obs.Event{Kind: obs.EvLedgerCell, Fn: "fn", Name: PhaseClassName(PhaseLibc, ClassLocal), Arg0: 1, Arg1: 1})
 	if got := l.LeaderSyncCycles(); got != 0 {
 		t.Fatalf("nil LeaderSyncCycles = %d", got)
 	}
@@ -219,14 +354,45 @@ func TestZeroAllocDisabledAndEnabledHotPath(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("disabled (nil) hot path allocates %v/op", n)
 	}
-	// Enabled without probe or recorder: the production -ledger hot path.
+	// Enabled, with a recorder attached: the production -ledger hot path,
+	// which records nothing.
 	l := New()
+	rec := obs.NewRecorder(obs.Config{})
+	l.SetRecorder(rec)
 	rg := l.Region("fn")
 	if n := testing.AllocsPerRun(200, func() {
 		m := rg.Mark()
 		rg.Add(PhaseWait, obs.VariantLeader, ClassPipelined, 100, m, 0)
 	}); n != 0 {
 		t.Fatalf("enabled hot path allocates %v/op", n)
+	}
+	if n := rec.Total(); n != 0 {
+		t.Fatalf("Add recorded %d events", n)
+	}
+}
+
+// TestFlushAllocatesNothing: a region-end flush that records cells of
+// several phases and variants allocates nothing, and neither does the
+// ledger-wide flush.
+func TestFlushAllocatesNothing(t *testing.T) {
+	l := New()
+	rec := obs.NewRecorder(obs.Config{})
+	l.SetRecorder(rec)
+	rg := l.Region("fn")
+	if n := testing.AllocsPerRun(200, func() {
+		rg.Add(PhaseWait, obs.VariantLeader, ClassPipelined, 100, Mark{}, 0)
+		rg.Add(PhaseDrain, obs.VariantFollower, ClassPipelined, 40, Mark{}, 0)
+		rg.Add(PhaseEmulate, obs.Variant(2), ClassBarrier, 64, Mark{}, 64)
+		rg.Flush()
+	}); n != 0 {
+		t.Fatalf("Flush allocates %v/op", n)
+	}
+	if rec.Total() == 0 {
+		t.Fatal("Flush recorded nothing")
+	}
+	var nilRg *Region
+	if n := testing.AllocsPerRun(200, func() { nilRg.Flush() }); n != 0 {
+		t.Fatalf("nil Flush allocates %v/op", n)
 	}
 }
 

@@ -87,10 +87,12 @@ const (
 	// follower at a region entry: Name is the protected function, Arg0 the
 	// restart ordinal (1-based).
 	EvFollowerRestarted
-	// EvLedger is one rendezvous cost-ledger phase charge: Fn is the
-	// protected region, Name the interned "phase/class" pair, Arg0 the
-	// cycles, Arg1 the allocation count, Ret the bytes moved. The stream of
-	// these events is what lets replay rebuild the ledger from the WAL.
+	// EvLedger is one rendezvous cost-ledger phase charge, as version-1
+	// WALs recorded it, one event per charge: Fn is the protected region,
+	// Name the interned "phase/class" pair, Arg0 the cycles, Arg1 the
+	// allocation count, Ret the bytes moved. No code records it now (the
+	// ledger records EvLedgerCell); it keeps its number so that older WALs
+	// still replay to their ledger.
 	EvLedger
 	// EvRequestStart opens one application request span at accept time:
 	// Name is the application, Arg0 the request id, TS the accept-time
@@ -124,6 +126,13 @@ const (
 	// Invoke boundary instead of letting it run to completion. Name is the
 	// protected function.
 	EvRegionAbort
+	// EvLedgerCell is one cost-ledger cell's movement since its region's
+	// previous flush: Fn is the protected region, Name the interned
+	// "phase/class" pair, Variant the cell's variant, Arg0 the cycles,
+	// Arg1 the number of charges, Ret the bytes moved. A region flushes at
+	// its mvx_end and at the end of the run, so the stream of these events
+	// is what lets replay rebuild the ledger from the WAL.
+	EvLedgerCell
 )
 
 // String names the event kind.
@@ -179,6 +188,8 @@ func (k EventKind) String() string {
 		return "rollback"
 	case EvRegionAbort:
 		return "region-abort"
+	case EvLedgerCell:
+		return "ledger-cell"
 	default:
 		return "unknown"
 	}

@@ -10,15 +10,24 @@ import (
 )
 
 // playScenario drives one deterministic synthetic divergence into a fresh
-// recorder — the same sequence every call, like a seeded run.
-func playScenario() *Recorder {
+// recorder — the same sequence every call, like a seeded run. With
+// ledger, cost-ledger events of both kinds land between each variant's
+// libc events.
+func playScenario(ledger bool) *Recorder {
 	ctr := clock.NewCounter()
 	r := NewRecorder(Config{Capacity: 64, ForensicWindow: 4, Clock: ctr})
 	for i := 0; i < 6; i++ {
 		ctr.Charge(100)
 		r.Record(EvLibcEnter, VariantLeader, 1, "write", 1, uint64(0x5000+i), 0)
+		if ledger {
+			r.RecordIn("protected_fn", EvLedger, VariantLeader, 0, "libc/barrier", 60, 0, 0)
+		}
 		r.Record(EvLibcExit, VariantLeader, 1, "write", 0, 0, 10)
 		r.Record(EvLibcEnter, VariantFollower, 2, "write", 1, uint64(0x6000+i), 0)
+		if ledger {
+			r.RecordIn("protected_fn", EvLedgerCell, VariantFollower, 0, "wait/barrier", 500, 2, 0)
+			r.RecordIn("protected_fn", EvLedgerCell, VariantLeader, 0, "rendezvous/barrier", 2000, 1, 0)
+		}
 		r.Record(EvLibcExit, VariantFollower, 2, "write", 0, 0, 10)
 	}
 	r.Record(EvPageFault, VariantFollower, 2, "unmapped", 0xdead0, 0, 0)
@@ -39,7 +48,7 @@ func playScenario() *Recorder {
 }
 
 func TestForensicReportContents(t *testing.T) {
-	r := playScenario()
+	r := playScenario(false)
 	reports := r.ForensicReports()
 	if len(reports) != 1 {
 		t.Fatalf("reports = %d, want 1", len(reports))
@@ -64,8 +73,8 @@ func TestForensicReportContents(t *testing.T) {
 // TestForensicReportDeterminism is the issue's determinism property: two
 // identical seeded runs must produce byte-identical forensics reports.
 func TestForensicReportDeterminism(t *testing.T) {
-	a := playScenario().ForensicReports()
-	b := playScenario().ForensicReports()
+	a := playScenario(false).ForensicReports()
+	b := playScenario(false).ForensicReports()
 	if len(a) != len(b) {
 		t.Fatalf("report counts differ: %d vs %d", len(a), len(b))
 	}
@@ -73,6 +82,18 @@ func TestForensicReportDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Errorf("report %d differs:\n--- run A ---\n%s\n--- run B ---\n%s", i, a[i], b[i])
 		}
+	}
+}
+
+// TestForensicTailsSkipLedgerEvents: cost-ledger bookkeeping — a
+// version-1 WAL's per-charge EvLedger events and the EvLedgerCell events
+// of a region's flush — takes no slot of a variant's forensic tail, so a
+// run that mirrors its ledger reports exactly what a run without one does.
+func TestForensicTailsSkipLedgerEvents(t *testing.T) {
+	plain, mirrored := playScenario(false).ForensicReports(), playScenario(true).ForensicReports()
+	if len(plain) != 1 || len(mirrored) != 1 || plain[0] != mirrored[0] {
+		t.Fatalf("ledger events changed the report:\n--- without ---\n%s\n--- with ---\n%s",
+			strings.Join(plain, "\n"), strings.Join(mirrored, "\n"))
 	}
 }
 
@@ -90,7 +111,7 @@ func TestForensicWindowBoundedByAvailable(t *testing.T) {
 }
 
 func TestChromeTraceExport(t *testing.T) {
-	r := playScenario()
+	r := playScenario(false)
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -127,7 +148,7 @@ func TestChromeTraceExport(t *testing.T) {
 }
 
 func TestEventTableText(t *testing.T) {
-	r := playScenario()
+	r := playScenario(false)
 	txt := r.TableText()
 	if !strings.Contains(txt, "libc-enter") || !strings.Contains(txt, "page-fault") {
 		t.Fatalf("table missing kinds:\n%s", txt)
@@ -138,20 +159,15 @@ func TestEventTableText(t *testing.T) {
 }
 
 func TestEventKindAndVariantStrings(t *testing.T) {
-	kinds := []EventKind{
-		EvLibcEnter, EvLibcExit, EvLockstep, EvEmulated, EvPKRUWrite,
-		EvStackPivot, EvVariantPhase, EvRegionStart, EvRegionEnd,
-		EvPageFault, EvSyscall, EvAlarm,
-	}
 	seen := map[string]bool{}
-	for _, k := range kinds {
+	for k := EvLibcEnter; k <= EvLedgerCell; k++ {
 		s := k.String()
 		if s == "unknown" || seen[s] {
 			t.Errorf("kind %d stringifies badly: %q", k, s)
 		}
 		seen[s] = true
 	}
-	if EventKind(200).String() != "unknown" {
+	if EventKind(200).String() != "unknown" || (EvLedgerCell+1).String() != "unknown" {
 		t.Error("out-of-range kind should be unknown")
 	}
 	if VariantLeader.String() != "leader" || VariantFollower.String() != "follower" {

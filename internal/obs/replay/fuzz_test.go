@@ -12,9 +12,10 @@ import (
 )
 
 // fuzzSeedSegment records a small run that feeds every derived table —
-// ledger charges of the leader and two followers, request spans, an
-// injected fault, a rollback, a rendezvous span and an alarm — and
-// returns its one sealed segment's file name and bytes.
+// ledger cells of the leader and two followers flushed at each region
+// end, one per-charge ledger event as a version-1 WAL holds it, request
+// spans, an injected fault, a rollback, a rendezvous span and an alarm —
+// and returns its one sealed segment's file name and bytes.
 func fuzzSeedSegment(f *testing.F) (string, []byte) {
 	f.Helper()
 	dir := f.TempDir()
@@ -41,8 +42,11 @@ func fuzzSeedSegment(f *testing.F) (string, []byte) {
 		span := rec.BeginRendezvousSpan(obs.VariantLeader, 1, obs.NewSpanNames("write").Rendezvous, 2)
 		ctr.Charge(20)
 		span.End(64)
+		rg.Flush()
 		sp.End(i != 1)
 	}
+	rec.RecordIn("handler", obs.EvLedger, obs.VariantFollower, 0,
+		ledger.PhaseClassName(ledger.PhaseCompare, ledger.ClassBarrier), 120, 1, 48)
 	rec.Record(obs.EvFaultInjected, obs.VariantFollower, 2, "arg-flip:strlen", 6, 0, 0)
 	rec.RecordIn("handler", obs.EvRollback, obs.VariantNone, 0, "handler", 8, 0, 1)
 	rec.Alarm(obs.AlarmInfo{Reason: "libc argument mismatch", CallIndex: 8, Function: "handler"})

@@ -30,8 +30,8 @@ type recorded struct {
 // use, seals each one's black-box WAL, replays it, and requires every
 // table the live run had — the cost ledger's JSON, the fleet and incident
 // tables, the forensics reports — to equal its replay byte for byte. The
-// first eight runs are the command lines below as given to experiments
-// -run cve and to smvx; the ninth folds an exploit's incidents through
+// first nine runs are the command lines below as given to experiments
+// -run cve and to smvx; the tenth folds an exploit's incidents through
 // a non-default correlation window, which replay must read back from the
 // WAL's labels.
 func TestReplayParity(t *testing.T) {
@@ -78,6 +78,14 @@ func TestReplayParity(t *testing.T) {
 			check: func(t *testing.T, run recorded) {
 				wantContains(t, "incidents", run.tables.Incidents.TableText(), "rollback ngx_http_process_request_line")
 				wantContains(t, "ledger", run.tables.Ledger.TableText(), "policy=rollback", " snapshot ", " restore ")
+			}},
+		{name: "rollback-pipelined",
+			args: []string{"-lockstep", "pipelined", "-chaos", "arg-flip@6:repeat-every:160", "-policy", "rollback",
+				"-incidents", "-ledger"},
+			protect: "ngx_http_process_request_line", requests: 8,
+			check: func(t *testing.T, run recorded) {
+				// The followers' drain charges reach the WAL too.
+				wantContains(t, "ledger", run.tables.Ledger.TableText(), "mode=pipelined", " drain ", " restore ")
 			}},
 		{name: "n3",
 			args: []string{"-variants", "3", "-chaos", "arg-flip@6:variant:2", "-policy", "leader-continue",
@@ -173,7 +181,7 @@ func TestReplayParity(t *testing.T) {
 
 // record runs one recording through cli.Config.Resolve the way the
 // binaries do — experiments -run cve, or smvx's runServer — then seals
-// the WAL and replays it.
+// the run with Runtime.Seal and replays the WAL.
 func record(t *testing.T, args []string, cve bool, protect string, requests int) recorded {
 	t.Helper()
 	dir := t.TempDir()
@@ -213,7 +221,10 @@ func record(t *testing.T, args []string, cve bool, protect string, requests int)
 		// an error; its WAL is what gets replayed.
 		_ = r.Exit()
 	}
-	if err := rt.Blackbox.Close(); err != nil {
+	// Seal as Runtime.Finish does: the ledger's final flush reaches the
+	// regions that never ended (the CVE's kill-both leader crashes
+	// mid-region), then the WAL is sealed.
+	if err := rt.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	// Runtime.Finish closes the telemetry server after it seals the WAL.

@@ -50,7 +50,8 @@ func NewTables(labels map[string]string) Tables {
 // Tables rebuilds the run's derived tables from the WAL alone: it builds
 // them from the meta labels with NewTables, as the live run did, and
 // folds the full event stream through them in one pass. The live ledger
-// and fleet mirror every update as an event, and the live incident engine
+// mirrors its cells as events at each region end and before the WAL is
+// sealed, the live fleet mirrors every update, and the live incident engine
 // tapped the recorder in WAL order, so each rebuilt table equals the live
 // one (the incident engine's live-only forensic bundles aside).
 func (r *Replay) Tables() Tables {
