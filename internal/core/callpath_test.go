@@ -72,8 +72,10 @@ func runLoop(tb testing.TB, t *machine.Thread, mon *Monitor, k int) {
 // TestLibcCallPathsAllocateNothing: once warm, one simulated libc call
 // allocates nothing on the host — unprotected, through a strict rendezvous
 // (N=2 and N=3), through a pipelined enqueue and drain with barriers
-// (N=3, lag 16), or either under PolicyRollback (N=2) — with a recorder
-// attached. Regions with extra calls are
+// (N=3, lag 16), either under PolicyRollback (N=2), or at ReMon's syscall
+// granularity (strict N=2 and pipelined N=3, where strlen skips the
+// monitor and shutdown pays a ptrace stop) — with a recorder attached.
+// Regions with extra calls are
 // measured against the same regions without them, so variant creation and
 // the other per-region costs cancel out. Allocations count on every
 // goroutine, the followers' included.
@@ -95,6 +97,9 @@ func TestLibcCallPathsAllocateNothing(t *testing.T) {
 		{"rollback", true, false, []Option{WithPolicy(PolicyRollback), WithSnapshotInterval(0)}},
 		{"rollback-pipelined", true, true, []Option{WithPolicy(PolicyRollback), WithSnapshotInterval(0),
 			WithLockstepMode(LockstepPipelined)}},
+		{"syscall-strict", true, false, []Option{WithSyscallGranularity()}},
+		{"syscall-pipelined-n3", true, true, []Option{WithSyscallGranularity(),
+			WithLockstepMode(LockstepPipelined), WithVariants(3)}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

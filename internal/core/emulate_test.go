@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"smvx/internal/boot"
+	"smvx/internal/libc"
 	"smvx/internal/sim/clock"
 	"smvx/internal/sim/kernel"
 	"smvx/internal/sim/machine"
@@ -110,14 +111,16 @@ func emuSetup(t *testing.T, env *boot.Env, h1, h2 mem.Addr) *emuFixture {
 // leader's heap, and each follower must see them rebased into its own
 // window.
 func TestEmulationCopiesEveryOutput(t *testing.T) {
-	names := make([]string, 0, len(emuOutputs))
-	for name := range emuOutputs {
+	var names []string
+	for _, name := range libc.Names() {
+		if libc.Lookup(name).Out.Size == 0 {
+			continue
+		}
 		if emuCases[name] == nil {
 			t.Errorf("%s: in the emulation table but not exercised here", name)
 		}
 		names = append(names, name)
 	}
-	slices.Sort(names)
 	for _, mode := range []LockstepMode{LockstepStrict, LockstepPipelined} {
 		for _, name := range names {
 			t.Run(mode.String()+"/"+name, func(t *testing.T) {
@@ -172,17 +175,18 @@ func testEmulatedCall(t *testing.T, mode LockstepMode, name string) {
 		t.Fatalf("alarms: %v", alarms)
 	}
 	leader := got[0]
-	out := emuOutputs[name]
-	n := out.size
-	if out.kind == outRet || out.kind == outEvents {
+	f := libc.Lookup(name)
+	out := f.Out
+	n := out.Size
+	if out.Kind == libc.OutRet || out.Kind == libc.OutEvents {
 		n *= int(int64(rets[0]))
 	}
 	if n <= 0 || bytes.Equal(leader[:n], bytes.Repeat([]byte{0xee}, n)) {
 		t.Fatalf("the leader's %s wrote nothing to compare (ret %d)", name, int64(rets[0]))
 	}
-	if out.kind == outEvents {
+	if out.Kind == libc.OutEvents {
 		var data []mem.Addr
-		for i := 0; i < n; i += epollEventSize {
+		for i := 0; i < n; i += out.Size {
 			data = append(data, mem.Addr(binary.LittleEndian.Uint64(leader[i+8:])))
 		}
 		slices.Sort(data)
@@ -192,8 +196,8 @@ func testEmulatedCall(t *testing.T, mode LockstepMode, name string) {
 	}
 	for k := 1; k < mon.opts.Variants; k++ {
 		want := slices.Clone(leader)
-		if out.kind == outEvents {
-			for i := 0; i < n; i += epollEventSize {
+		if out.Kind == libc.OutEvents {
+			for i := 0; i < n; i += out.Size {
 				d := binary.LittleEndian.Uint64(want[i+8:])
 				binary.LittleEndian.PutUint64(want[i+8:], uint64(int64(d)+int64(k)*mon.opts.Delta))
 			}
@@ -201,7 +205,7 @@ func testEmulatedCall(t *testing.T, mode LockstepMode, name string) {
 		if !bytes.Equal(got[k], want) {
 			t.Errorf("follower %d's buffer after %s:\n got %x\nwant %x", k, name, got[k], want)
 		}
-		if ScalarRet(name) && rets[k] != rets[0] {
+		if !f.PtrRet && rets[k] != rets[0] {
 			t.Errorf("follower %d's %s returned %d, the leader %d", k, name, rets[k], rets[0])
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"smvx/internal/libc"
 	"smvx/internal/sim/kernel"
 )
 
@@ -49,7 +50,7 @@ func TestDecodeCallRecordName(t *testing.T) {
 	if err != nil || name != "open" {
 		t.Fatalf("decode against another call = (%q, %v), want open", name, err)
 	}
-	if v := compareCalls("write", []uint64{1}, name, []uint64{1}); v.reason != AlarmCallMismatch {
+	if v := compareCalls(libc.Lookup("write"), "write", []uint64{1}, name, []uint64{1}); v.reason != AlarmCallMismatch {
 		t.Errorf("compare after a mismatched decode = %v, want a call mismatch", v.reason)
 	}
 	wire[1] = 'O' // the copy must not alias the wire

@@ -375,9 +375,9 @@ func (s *session) watch(deadline clock.Cycles) {
 // leaderCall runs the leader's side of one lockstep libc call: a full
 // rendezvous with every attached follower slot. Pipelined sessions branch
 // into the run-ahead engine (pipeline.go).
-func (s *session) leaderCall(t *machine.Thread, name string, args []uint64) uint64 {
+func (s *session) leaderCall(t *machine.Thread, f *libc.Func, args []uint64) uint64 {
 	if s.pipelined {
-		return s.leaderCallPipelined(t, name, args)
+		return s.leaderCallPipelined(t, f, args)
 	}
 	idx := s.calls.Add(1)
 	var buf [MaxVariants - 1]*followerSlot
@@ -386,10 +386,10 @@ func (s *session) leaderCall(t *machine.Thread, name string, args []uint64) uint
 		// Degraded single-variant mode after a policy detach: no
 		// rendezvous to charge or wait for. Under rollback the detach means
 		// a follower faulted — unwind instead of running un-replicated.
-		s.maybeAbortRegion(t, name, idx)
-		return s.mon.lib.Call(t, name, args)
+		s.maybeAbortRegion(t, f, idx)
+		return s.mon.lib.CallFunc(t, f, args)
 	}
-	return s.rendezvous(t, name, args, idx, att, false)
+	return s.rendezvous(t, f, args, idx, att, false)
 }
 
 // slotArrival pairs a follower slot with the call record it published at a
@@ -410,9 +410,9 @@ type slotArrival struct {
 // rendezvous is recorded: the region unwinds under rollback — the leader
 // may be executing hijacked control flow — and otherwise the leader runs
 // the call un-replicated so the region can wind down.
-func (s *session) rendezvous(t *machine.Thread, name string, args []uint64, idx uint64, slots []*followerSlot, barrier bool) uint64 {
+func (s *session) rendezvous(t *machine.Thread, f *libc.Func, args []uint64, idx uint64, slots []*followerSlot, barrier bool) uint64 {
 	per := s.mon.m.Costs().LockstepRendezvous
-	if s.mon.opts.SyscallGranularity && cpMonCalls[name] {
+	if s.mon.opts.SyscallGranularity && f.CPMon {
 		per = s.mon.m.Costs().PtraceStop
 	}
 	entry := per * clock.Cycles(len(slots))
@@ -424,20 +424,19 @@ func (s *session) rendezvous(t *machine.Thread, name string, args []uint64, idx 
 		if barrier {
 			obsRec.Metrics().Inc(obs.MetricLockstepBarrier)
 		}
-		span = obsRec.BeginRendezvousSpan(obs.VariantLeader, t.TID(), spanNames(name).Rendezvous,
-			uint64(libc.CategoryOf(name)))
+		span = obsRec.BeginRendezvousSpan(obs.VariantLeader, t.TID(), f.Spans.Rendezvous, uint64(f.Cat))
 	}
 	phase := ledger.PhaseRendezvous
 	if barrier {
 		phase = ledger.PhaseBarrier
-		slots, _, _ = s.publish(t, name, args, idx, slots, 0, 0)
+		slots, _, _ = s.publish(t, f, args, idx, slots, 0, 0)
 	}
 	s.waitingSince.Store(int64(waitStart) + 1)
-	arr := s.collect(t, slots, name, idx, s.arrivals[:0])
+	arr := s.collect(t, slots, f.Name, idx, s.arrivals[:0])
 	s.waitingSince.Store(0)
 	if len(arr) == 0 {
-		s.maybeAbortRegion(t, name, idx)
-		ret := s.mon.lib.Call(t, name, args)
+		s.maybeAbortRegion(t, f, idx)
+		ret := s.mon.lib.CallFunc(t, f, args)
 		span.End(ret)
 		return ret
 	}
@@ -453,7 +452,7 @@ func (s *session) rendezvous(t *machine.Thread, name string, args []uint64, idx 
 		// histogram observed above — the ledger/histogram reconciliation
 		// invariant. A barrier's wait started before its ring appends, so
 		// it folds in any backpressure the barrier record hit.
-		cls := ledger.ClassOf(name)
+		cls := ledger.Class(f.Sync)
 		lr.Add(phase, obs.VariantLeader, cls, entry, ledger.Mark{}, 0)
 		lr.Add(ledger.PhaseWait, obs.VariantLeader, cls, wait, ledger.Mark{}, 0)
 	}
@@ -464,14 +463,14 @@ func (s *session) rendezvous(t *machine.Thread, name string, args []uint64, idx 
 		kept := arr[:0]
 		for _, a := range arr {
 			if a.rec.lag > d {
-				s.rendezvousTimeout(t, a.slot, a.rec, name, idx)
+				s.rendezvousTimeout(t, a.slot, a.rec, f.Name, idx)
 				continue
 			}
 			kept = append(kept, a)
 		}
 		arr = kept
 	}
-	ret := s.resolve(t, name, args, arr, idx)
+	ret := s.resolve(t, f, args, arr, idx)
 	span.End(ret)
 	return ret
 }
@@ -521,7 +520,8 @@ func (s *session) collect(t *machine.Thread, slots []*followerSlot, name string,
 // leader. A lone follower ballot that loses raises the pairwise compare's
 // own alarm (call or argument mismatch); among more ballots a loser is
 // outvoted. When no follower votes with the leader it runs the call alone.
-func (s *session) resolve(t *machine.Thread, name string, args []uint64, arr []slotArrival, idx uint64) uint64 {
+func (s *session) resolve(t *machine.Thread, f *libc.Func, args []uint64, arr []slotArrival, idx uint64) uint64 {
+	name := f.Name
 	if len(arr) > 0 && s.mon.snapshotDue(s) {
 		// A quiescent anchor point: every arrived variant is parked at the
 		// same ordinal (in pipelined mode this is a barrier, so the rings are
@@ -529,7 +529,7 @@ func (s *session) resolve(t *machine.Thread, name string, args []uint64, arr []s
 		// before this call's divergence checks — a rendezvous that fails
 		// them below was still quiescent when captured, and the budget
 		// catches a checkpoint that keeps absorbing the same divergence.
-		s.mon.captureCheckpoint(s, t, name, idx)
+		s.mon.captureCheckpoint(s, t, ledger.Class(f.Sync), idx)
 	}
 	// Ballot 0 is the leader; ballot i+1 is arr[i]. A record that does not
 	// frame cannot be compared, which is itself a divergence (that slot's
@@ -556,7 +556,7 @@ func (s *session) resolve(t *machine.Thread, name string, args []uint64, arr []s
 		s.diverged.Store(true)
 		s.rejectFollower(a.slot, a.rec, "ipc-corruption")
 	}
-	res := Vote(ballots)
+	res := vote(f, ballots)
 	obsRec := s.mon.rec
 	if res.Winner != 0 {
 		// The followers outvoted the leader. The leader is the only variant
@@ -579,8 +579,8 @@ func (s *session) resolve(t *machine.Thread, name string, args []uint64, arr []s
 				s.rejectFollower(a.slot, a.rec, "outvoted")
 			}
 		}
-		s.maybeAbortRegion(t, name, idx)
-		return s.mon.lib.Call(t, name, args)
+		s.maybeAbortRegion(t, f, idx)
+		return s.mon.lib.CallFunc(t, f, args)
 	}
 
 	// Leader in the majority: quarantine each losing follower; the
@@ -599,7 +599,7 @@ func (s *session) resolve(t *machine.Thread, name string, args []uint64, arr []s
 		var alarm Alarm
 		cause := "outvoted"
 		if valid == 1 {
-			v := compareCalls(name, args, b.Name, b.Args)
+			v := compareCalls(f, name, args, b.Name, b.Args)
 			alarm, cause = v.alarm(s.fn, idx, name, b.Name), v.cause()
 		} else {
 			alarm = Alarm{
@@ -618,23 +618,22 @@ func (s *session) resolve(t *machine.Thread, name string, args []uint64, arr []s
 		s.rejectFollower(a.slot, a.rec, cause)
 	}
 	if len(winners) == 0 {
-		return s.mon.lib.Call(t, name, args)
+		return s.mon.lib.CallFunc(t, f, args)
 	}
 
-	cat := libc.CategoryOf(name)
 	if obsRec != nil {
-		obsRec.Record(obs.EvLockstep, obs.VariantLeader, t.TID(), name, uint64(cat), idx, 0)
-		obsRec.Metrics().Inc(obs.LockstepCategoryMetricName(uint64(cat)))
+		obsRec.Record(obs.EvLockstep, obs.VariantLeader, t.TID(), name, uint64(f.Cat), idx, 0)
+		obsRec.Metrics().Inc(obs.LockstepCategoryMetricName(uint64(f.Cat)))
 	}
 	if lr := s.lr; lr != nil {
 		// Decode+compare charges no virtual cycles (the cost model folds it
 		// into the rendezvous entry); the ledger still counts occurrences,
 		// allocations, and the wire volume verified.
-		lr.Add(ledger.PhaseCompare, obs.VariantLeader, ledger.ClassOf(name),
+		lr.Add(ledger.PhaseCompare, obs.VariantLeader, ledger.Class(f.Sync),
 			0, cmpMark, wireBytes)
 	}
-	ret := s.mon.lib.Call(t, name, args)
-	if cat == libc.CatLocal {
+	ret := s.mon.lib.CallFunc(t, f, args)
+	if f.Cat == libc.CatLocal {
 		// User-space call: each variant executes in its own space.
 		for _, w := range winners {
 			w.rec.resp <- callResult{mode: modeLocal}
@@ -648,7 +647,7 @@ func (s *session) resolve(t *machine.Thread, name string, args []uint64, arr []s
 	errno := t.Errno()
 	var esp obs.EmulationSpan
 	if obsRec != nil {
-		esp = obsRec.BeginEmulationSpan(obs.VariantLeader, t.TID(), spanNames(name).Emulation, uint64(cat))
+		esp = obsRec.BeginEmulationSpan(obs.VariantLeader, t.TID(), f.Spans.Emulation, uint64(f.Cat))
 	}
 	emuMark := s.lr.Mark()
 	total := 0
@@ -658,8 +657,8 @@ func (s *session) resolve(t *machine.Thread, name string, args []uint64, arr []s
 		// no thread: its per-byte charge reaches no variant's own clock
 		// (ROADMAP item 1).
 		var out [1]emuBuf
-		bufs := s.captureOutputs(out[:0], name, args, ret, w.slot.delta)
-		copied, efault := s.applyResult(nil, w.slot, name, idx, args, w.args, bufs)
+		bufs := s.captureOutputs(out[:0], f, args, ret, w.slot.delta)
+		copied, efault := s.applyResult(nil, w.slot, f, idx, args, w.args, bufs)
 		total += copied
 		if efault {
 			faulted |= 1 << i
@@ -667,7 +666,7 @@ func (s *session) resolve(t *machine.Thread, name string, args []uint64, arr []s
 	}
 	esp.End(uint64(total))
 	if lr := s.lr; lr != nil {
-		lr.Add(ledger.PhaseEmulate, obs.VariantLeader, ledger.ClassOf(name),
+		lr.Add(ledger.PhaseEmulate, obs.VariantLeader, ledger.Class(f.Sync),
 			s.mon.m.Costs().LockstepCopyPerByte*cyclesOf(total), emuMark, uint64(total))
 	}
 	s.emulatedBytes.Add(uint64(total))
@@ -740,11 +739,11 @@ func (s *session) followerSnapshots(t *machine.Thread) []obs.ThreadSnapshot {
 // followerCall runs one follower slot's side of a lockstep call: a full
 // rendezvous. Pipelined sessions drain the slot's rendezvous ring instead
 // (pipeline.go).
-func (s *session) followerCall(t *machine.Thread, sl *followerSlot, name string, args []uint64) uint64 {
+func (s *session) followerCall(t *machine.Thread, sl *followerSlot, f *libc.Func, args []uint64) uint64 {
 	if s.pipelined {
-		return s.followerCallPipelined(t, sl, name, args)
+		return s.followerCallPipelined(t, sl, f, args)
 	}
-	return s.followerRendezvous(t, sl, name, args, sl.lag(t))
+	return s.followerRendezvous(t, sl, f, args, sl.lag(t))
 }
 
 // followerRendezvous runs one follower slot's side of a full rendezvous —
@@ -752,8 +751,8 @@ func (s *session) followerCall(t *machine.Thread, sl *followerSlot, name string,
 // has drained: publish the call on the slot's rendezvous lane, wait for
 // the leader's verdict, and apply it. lag is the slot's own cycles since
 // its previous rendezvous.
-func (s *session) followerRendezvous(t *machine.Thread, sl *followerSlot, name string, args []uint64, lag clock.Cycles) uint64 {
-	fv := sl.id
+func (s *session) followerRendezvous(t *machine.Thread, sl *followerSlot, f *libc.Func, args []uint64, lag clock.Cycles) uint64 {
+	fv, name := sl.id, f.Name
 	mshMark := s.lr.Mark()
 	rec := &sl.call
 	rec.name, rec.thread, rec.lag = name, t, lag
@@ -762,7 +761,7 @@ func (s *session) followerRendezvous(t *machine.Thread, sl *followerSlot, name s
 	var cls ledger.Class
 	var fwaitStart clock.Cycles
 	if lr != nil {
-		cls = ledger.ClassOf(name)
+		cls = ledger.Class(f.Sync)
 		lr.Add(ledger.PhaseMarshal, fv, cls, 0, mshMark, uint64(len(rec.wire)))
 		fwaitStart = s.mon.m.Counter().Cycles()
 	}
@@ -786,8 +785,8 @@ func (s *session) followerRendezvous(t *machine.Thread, sl *followerSlot, name s
 			s.mon.m.Counter().Cycles()-fwaitStart, ledger.Mark{}, 0)
 	}
 	if res.mode == modeLocal {
-		// lib.Call records the follower's enter/exit events itself.
-		return s.mon.lib.Call(t, name, args)
+		// lib.CallFunc records the follower's enter/exit events itself.
+		return s.mon.lib.CallFunc(t, f, args)
 	}
 	// The follower never reaches libc for this call, so record the pair
 	// here: enter back-dated to the rendezvous arrival, exit when the
@@ -829,76 +828,23 @@ func (s *session) overrun(t *machine.Thread, sl *followerSlot, name string) {
 	panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDivergence})
 }
 
-// outKind says how an emulated call's output buffer is sized, and what
-// the copy checks or rewrites on the way (Table 1, Section 3.3).
-type outKind uint8
-
-const (
-	outFixed     outKind = iota // size bytes
-	outRet                      // size bytes per unit the call returned
-	outEvents                   // outRet over epoll_events, each leader-space epoll_data rebased
-	outLeaderPtr                // size bytes, only through a pointer into the leader's space
-)
-
-// emuOutput is one emulated call's output buffer: the argument that points
-// at it and the bytes the leader's call wrote there.
-type emuOutput struct {
-	arg  int
-	size int
-	kind outKind
-}
-
-// epollEventSize is sizeof(struct epoll_event): 8 bytes of events, then
-// the 8-byte epoll_data.
-const epollEventSize = 16
-
-// emuOutputs is Table 1's result emulation for every call that writes
-// through a pointer argument: the leader executes the call, and each
-// follower receives these bytes in its own buffer. The strict rendezvous
-// and the pipelined publish both capture by it, and fault injection reads
-// it through OutputArg. Table 1's other two argument-buffer calls copy
-// nothing: the simulated apps leave accept4's peer address unused, and
-// the simulated sendfile writes no offset back.
-var emuOutputs = map[string]emuOutput{
-	"read":         {1, 1, outRet},
-	"recv":         {1, 1, outRet},
-	"stat":         {1, 24, outFixed},
-	"fstat":        {1, 24, outFixed},
-	"gettimeofday": {0, 16, outFixed},
-	"time":         {0, 8, outFixed},
-	"localtime_r":  {1, 64, outFixed},
-	"getsockopt":   {2, 8, outFixed},
-	"ioctl":        {2, 8, outLeaderPtr},
-	"epoll_wait":   {1, epollEventSize, outEvents},
-	"epoll_pwait":  {1, epollEventSize, outEvents},
-}
-
-// OutputArg returns the argument through which a libc call receives the
-// leader's emulated output buffer, and false for a call whose emulation
-// copies no buffer. Like ScalarArgMask it exports the monitor's own table,
-// so fault injection corrupts exactly the buffer the emulation writes.
-func OutputArg(name string) (int, bool) {
-	o, ok := emuOutputs[name]
-	return o.arg, ok
-}
-
 // captureOutputs appends to dst a view of the output buffer the leader's
-// call wrote, read into the leader's staging buffer as emuOutputs
-// describes it. delta is the target slot's window shift: epoll_data
+// call wrote, read into the leader's staging buffer as the call's row
+// describes it (f.Out). delta is the target slot's window shift: epoll_data
 // entries that point into the leader's space are rebased into that slot's
 // window here, while the leader's heap watermark still reflects the moment
 // of the call. The view lasts until the next capture: a strict rendezvous
 // applies it to its slot at once, and a pipelined publish frames it into
 // the slot's ring record, so the leader overwriting the buffer while it
 // runs ahead cannot corrupt a follower's copy.
-func (s *session) captureOutputs(dst []emuBuf, name string, args []uint64, ret uint64, delta int64) []emuBuf {
-	out, ok := emuOutputs[name]
-	src := mem.Addr(argAt(args, out.arg))
-	if !ok || src == 0 || (out.kind == outLeaderPtr && !s.inLeaderSpace(src)) {
+func (s *session) captureOutputs(dst []emuBuf, f *libc.Func, args []uint64, ret uint64, delta int64) []emuBuf {
+	out := f.Out
+	src := mem.Addr(argAt(args, out.Arg))
+	if out.Size == 0 || src == 0 || (out.Kind == libc.OutLeaderPtr && !s.inLeaderSpace(src)) {
 		return dst
 	}
-	n := out.size
-	if out.kind == outRet || out.kind == outEvents {
+	n := out.Size
+	if out.Kind == libc.OutRet || out.Kind == libc.OutEvents {
 		n *= max(int(int64(ret)), 0)
 	}
 	if n == 0 {
@@ -906,11 +852,11 @@ func (s *session) captureOutputs(dst []emuBuf, name string, args []uint64, ret u
 	}
 	as := s.mon.m.AddressSpace()
 	buf := s.staging(n)
-	if out.kind == outEvents {
+	if out.Kind == libc.OutEvents {
 		// One load per event: the capture ends at the first event it
-		// cannot read.
-		for i := 0; i < n; i += epollEventSize {
-			ev := buf[i : i+epollEventSize]
+		// cannot read. An event's epoll_data follows its 8 bytes of events.
+		for i := 0; i < n; i += out.Size {
+			ev := buf[i : i+out.Size]
 			if err := as.ReadAt(src+mem.Addr(i), ev); err != nil {
 				buf = buf[:i]
 				break
@@ -925,7 +871,7 @@ func (s *session) captureOutputs(dst []emuBuf, name string, args []uint64, ret u
 	if len(buf) == 0 {
 		return dst
 	}
-	return append(dst, emuBuf{argIdx: out.arg, data: buf})
+	return append(dst, emuBuf{argIdx: out.Arg, data: buf})
 }
 
 // applyResult writes the leader's buffer views into slot sl's own argument
@@ -935,7 +881,7 @@ func (s *session) captureOutputs(dst []emuBuf, name string, args []uint64, ret u
 // enabled). t is charged the per-byte copy: the pipelined follower that
 // drained the record, off the leader's critical path, or nil inside a
 // strict rendezvous.
-func (s *session) applyResult(t *machine.Thread, sl *followerSlot, name string, idx uint64, largs, fargs []uint64, bufs []emuBuf) (int, bool) {
+func (s *session) applyResult(t *machine.Thread, sl *followerSlot, f *libc.Func, idx uint64, largs, fargs []uint64, bufs []emuBuf) (int, bool) {
 	as := s.mon.m.AddressSpace()
 	costs := s.mon.m.Costs()
 	copied := 0
@@ -953,7 +899,7 @@ func (s *session) applyResult(t *machine.Thread, sl *followerSlot, name string, 
 			// stale data would cause later.
 			s.mon.raiseAlarm(Alarm{
 				Reason: AlarmEmulationFault, CallIndex: idx, Function: s.fn,
-				LeaderCall: name, Variant: sl.id,
+				LeaderCall: f.Name, Variant: sl.id,
 				Detail: fmt.Sprintf("emulation copy of %d bytes into follower buffer %v failed: %v",
 					len(b.data), dst, err),
 			})
@@ -984,105 +930,18 @@ func (s *session) inLeaderSpace(v mem.Addr) bool {
 	return false
 }
 
-// scalarMismatch compares the non-pointer arguments of a libc call between
+// scalarMismatch compares the scalar arguments of a call to f between
 // variants, returning the first differing pair.
-func scalarMismatch(name string, leader, follower []uint64) (bad bool, l, f uint64) {
+func scalarMismatch(f *libc.Func, leader, follower []uint64) (bad bool, l, fv uint64) {
 	if len(leader) != len(follower) {
 		return true, uint64(len(leader)), uint64(len(follower))
 	}
-	mask := scalarArgMasks[name]
-	for i := 0; i < len(leader) && i < len(mask); i++ {
-		if mask[i] && leader[i] != follower[i] {
+	for i := range leader {
+		if f.Scalar(i) && leader[i] != follower[i] {
 			return true, leader[i], follower[i]
 		}
 	}
 	return false, 0, 0
-}
-
-// ScalarArgMask returns, per argument position of a libc call, whether the
-// value is a scalar (comparable across variants) as opposed to a pointer
-// (whose value legitimately differs between the variants' non-overlapping
-// address windows). Positions beyond the mask are not comparable. This is
-// the rendezvous check's own table, exported so offline analysis
-// (internal/obs/replay) applies the exact same pointer semantics when
-// diffing a recorded leader stream against its follower stream. The
-// returned slice is shared: callers must not modify it.
-func ScalarArgMask(name string) []bool { return scalarArgMasks[name] }
-
-// ScalarRet reports whether a libc call's return value is a scalar,
-// comparable across variants. Allocation and buffer calls return pointers
-// into the calling variant's own window, so their values differ between
-// variants by construction.
-func ScalarRet(name string) bool {
-	switch name {
-	case "malloc", "calloc", "realloc", "memcpy", "memset", "localtime_r":
-		return false
-	default:
-		return true
-	}
-}
-
-// scalarArgMasks is the table behind ScalarArgMask. The masks are shared
-// and read-only, so the rendezvous compare allocates nothing.
-var scalarArgMasks = map[string][]bool{
-	"open":         {false, true},
-	"mkdir":        {false, true},
-	"stat":         {false, false}, // path and stat buffer: both pointers
-	"close":        {false, false},
-	"epoll_create": {false, false},
-	"socket":       {false, false},
-	"random":       {false, false},
-	"time":         {false, false},
-	"free":         {false, false},
-	"strlen":       {false, false},
-	"atoi":         {false, false},
-	"localtime_r":  {false, false},
-	"read":         {true, false, true},
-	"recv":         {true, false, true},
-	"write":        {true, false, true},
-	"send":         {true, false, true},
-	"writev":       {true, false, true},
-	"fstat":        {true, false},
-	"gettimeofday": {false, true},
-	"sendfile":     {true, true, false, true},
-	"bind":         {true, true},
-	"listen":       {true, true},
-	"connect":      {true, true},
-	"shutdown":     {true, true},
-	"setsockopt":   {true, true, true},
-	"getsockopt":   {true, true, false},
-	"ioctl":        {true, true, false},
-	"epoll_ctl":    {true, true, true, false},
-	"epoll_wait":   {true, false, true, true},
-	"epoll_pwait":  {true, false, true, true, true},
-	"malloc":       {true},
-	"calloc":       {true, true},
-	"realloc":      {false, true},
-	"memcpy":       {false, false, true},
-	"memset":       {false, false, true},
-	"strcmp":       {false, false},
-	"strncmp":      {false, false, true},
-	"snprintf":     {false, true, false},
-}
-
-// callSpans holds the lockstep span names of every simulated call, built
-// once like libc's metric-name table and never written afterwards, so an
-// enabled recorder opens spans without concatenating.
-var callSpans = func() map[string]obs.SpanNames {
-	out := make(map[string]obs.SpanNames, len(libc.Table1))
-	for _, name := range libc.Names() {
-		out[name] = obs.NewSpanNames(name)
-	}
-	return out
-}()
-
-// spanNames returns the lockstep span names of the call name, building
-// them for a name outside the table.
-func spanNames(name string) obs.SpanNames {
-	if n, ok := callSpans[name]; ok {
-		return n
-	}
-	return obs.NewSpanNames(name)
 }
 
 func cyclesOf(n int) clock.Cycles {

@@ -21,25 +21,20 @@ func TestScalarMaskCoverage(t *testing.T) {
 		"epoll_wait": {1}, "epoll_pwait": {1},
 		"free": {0}, "realloc": {0}, "memcpy": {0, 1}, "memset": {0},
 		"strlen": {0}, "strcmp": {0, 1}, "strncmp": {0, 1}, "atoi": {0},
-		"snprintf": {0, 2}, "sendfile": {2},
+		"snprintf": {0, 2}, "sendfile": {2}, "accept4": {1, 2},
 	}
 	for _, name := range libc.Names() {
-		mask := ScalarArgMask(name)
+		f := libc.Lookup(name)
+		if f.Args == "" {
+			t.Errorf("%s: no scalar mask", name)
+		}
 		for _, pos := range pointerArgs[name] {
-			if pos < len(mask) && mask[pos] {
+			if f.Scalar(pos) {
 				t.Errorf("%s: arg %d is a pointer but marked scalar-comparable", name, pos)
 			}
 		}
-	}
-	for name := range emuOutputs {
-		mask := ScalarArgMask(name)
-		arg, ok := OutputArg(name)
-		if !ok || mask == nil {
-			t.Errorf("%s: emulated, but OutputArg = %d, %v and mask %v", name, arg, ok, mask)
-			continue
-		}
-		if arg < len(mask) && mask[arg] {
-			t.Errorf("%s: output arg %d is scalar-compared", name, arg)
+		if f.Out.Size != 0 && f.Scalar(f.Out.Arg) {
+			t.Errorf("%s: output arg %d is scalar-compared", name, f.Out.Arg)
 		}
 	}
 }
@@ -49,12 +44,12 @@ func TestScalarMaskCoverage(t *testing.T) {
 func TestScalarMismatchProperty(t *testing.T) {
 	names := libc.Names()
 	f := func(nameIdx uint8, a, b, c uint64) bool {
-		name := names[int(nameIdx)%len(names)]
+		row := libc.Lookup(names[int(nameIdx)%len(names)])
 		args := []uint64{a, b, c}
-		if bad, _, _ := scalarMismatch(name, args, args); bad {
+		if bad, _, _ := scalarMismatch(row, args, args); bad {
 			return false
 		}
-		if bad, _, _ := scalarMismatch(name, args, args[:2]); !bad {
+		if bad, _, _ := scalarMismatch(row, args, args[:2]); !bad {
 			return false
 		}
 		return true
@@ -68,15 +63,15 @@ func TestScalarMismatchProperty(t *testing.T) {
 // is always flagged.
 func TestScalarMismatchDetectsScalarChange(t *testing.T) {
 	for _, name := range libc.Names() {
-		mask := ScalarArgMask(name)
-		for i, isScalar := range mask {
-			if !isScalar {
+		f := libc.Lookup(name)
+		for i := range f.Args {
+			if !f.Scalar(i) {
 				continue
 			}
-			leader := []uint64{10, 20, 30, 40, 50}[:len(mask)]
+			leader := []uint64{10, 20, 30, 40, 50}[:len(f.Args)]
 			follower := append([]uint64(nil), leader...)
 			follower[i] ^= 0xFF
-			if bad, _, _ := scalarMismatch(name, leader, follower); !bad {
+			if bad, _, _ := scalarMismatch(f, leader, follower); !bad {
 				t.Errorf("%s: scalar arg %d change undetected", name, i)
 			}
 		}
@@ -87,16 +82,16 @@ func TestScalarMismatchDetectsScalarChange(t *testing.T) {
 // argument (legitimately different across variants) is never flagged.
 func TestScalarMismatchIgnoresPointerChange(t *testing.T) {
 	for _, name := range libc.Names() {
-		mask := ScalarArgMask(name)
-		for i, isScalar := range mask {
-			if isScalar {
+		f := libc.Lookup(name)
+		for i := range f.Args {
+			if f.Scalar(i) {
 				continue
 			}
-			leader := []uint64{10, 20, 30, 40, 50}[:len(mask)]
+			leader := []uint64{10, 20, 30, 40, 50}[:len(f.Args)]
 			follower := append([]uint64(nil), leader...)
 			follower[i] += 0x2000_0000_0000 // the follower-window delta
-			if bad, l, f := scalarMismatch(name, leader, follower); bad {
-				t.Errorf("%s: pointer arg %d flagged (%#x vs %#x)", name, i, l, f)
+			if bad, l, fv := scalarMismatch(f, leader, follower); bad {
+				t.Errorf("%s: pointer arg %d flagged (%#x vs %#x)", name, i, l, fv)
 			}
 		}
 	}

@@ -507,8 +507,8 @@ func New(m *machine.Machine, lib *libc.LibC, opts ...Option) *Monitor {
 		// Charge the libc dispatch itself to the ledger's libc phase. The
 		// hook loads the active region lock-free; outside a region it is
 		// nil and Add is a no-op.
-		lib.SetLedgerHook(func(v obs.Variant, name string, d clock.Cycles) {
-			mo.curRegion.Load().Add(ledger.PhaseLibc, v, ledger.ClassOf(name), d, ledger.Mark{}, 0)
+		lib.SetLedgerHook(func(v obs.Variant, f *libc.Func, d clock.Cycles) {
+			mo.curRegion.Load().Add(ledger.PhaseLibc, v, ledger.Class(f.Sync), d, ledger.Mark{}, 0)
 		})
 	}
 	return mo

@@ -11,7 +11,7 @@ package core
 // ring asynchronously and performs the exact same decode-before-compare
 // divergence checks at drain time, attributing any alarm to the ordinal
 // the leader stamped on the record. The three emulation categories become
-// sync classes (libc.SyncClassOf): results-emulation calls pipeline
+// sync classes (each call row's Sync): results-emulation calls pipeline
 // freely, local calls pipeline with no result payload, and state-changing
 // or externally-visible calls are hard barriers — the leader drains every
 // ring and completes the strict rendezvous, the same vote for any number
@@ -84,7 +84,8 @@ const pipelineGrace = 200 * time.Millisecond
 // the canonical-varint call record (name + args); result — present for
 // pipelined-class calls — frames the return value, errno, and output
 // buffer snapshots captured at call time. The follower decodes both
-// rather than trusting in-process fields. A barrier record carries no
+// rather than trusting in-process fields; fn, the leader's call row, only
+// tells the drain how to handle the record. A barrier record carries no
 // result: the follower hands its own callRecord over the slot's
 // rendezvous lane and the set completes a full rendezvous.
 //
@@ -92,12 +93,10 @@ const pipelineGrace = 200 * time.Millisecond
 // included, the follower sends it back on the slot's free lane, and the
 // leader refills it, wire and result buffers included, for a later call.
 type leaderRecord struct {
-	idx     uint64 // 1-based libc-call ordinal, stamped by the leader
-	wire    []byte
-	cat     libc.Category
-	barrier bool
-	local   bool
-	result  []byte
+	idx    uint64 // 1-based libc-call ordinal, stamped by the leader
+	wire   []byte
+	fn     *libc.Func
+	result []byte
 }
 
 // emuBuf is one output-buffer snapshot inside a result record: the bytes
@@ -121,7 +120,7 @@ const (
 // classify, execute, publish on every live slot's ring (blocking only when
 // a lag window is exhausted), and barrier where the effects become
 // externally visible.
-func (s *session) leaderCallPipelined(t *machine.Thread, name string, args []uint64) uint64 {
+func (s *session) leaderCallPipelined(t *machine.Thread, f *libc.Func, args []uint64) uint64 {
 	idx := s.calls.Add(1)
 	var buf [MaxVariants - 1]*followerSlot
 	att := s.attached(buf[:0])
@@ -140,30 +139,30 @@ func (s *session) leaderCallPipelined(t *machine.Thread, name string, args []uin
 		// follower died. Under rollback the region is unwound here (the
 		// leader's remaining control flow is suspect); otherwise the leader
 		// continues un-replicated (as in strict mode).
-		s.maybeAbortRegion(t, name, idx)
-		return s.mon.lib.Call(t, name, args)
+		s.maybeAbortRegion(t, f, idx)
+		return s.mon.lib.CallFunc(t, f, args)
 	}
-	if libc.SyncClassOf(name) == libc.SyncBarrier {
-		return s.rendezvous(t, name, args, idx, live, true)
+	if f.Sync == libc.SyncBarrier {
+		return s.rendezvous(t, f, args, idx, live, true)
 	}
-	return s.enqueue(t, name, args, idx, live)
+	return s.enqueue(t, f, args, idx, live)
 }
 
 // enqueue runs one non-barrier pipelined call: execute it once, then
 // publish a record on every live slot's ring. When no slot accepted the
 // record (each died or severed itself at drain time, the alarms raised on
 // its goroutine) rollback unwinds here.
-func (s *session) enqueue(t *machine.Thread, name string, args []uint64, idx uint64, live []*followerSlot) uint64 {
+func (s *session) enqueue(t *machine.Thread, f *libc.Func, args []uint64, idx uint64, live []*followerSlot) uint64 {
 	entry := s.mon.m.Costs().LockstepEnqueue * clock.Cycles(len(live))
 	s.mon.m.ChargeThread(t, entry)
 	// Execute before publishing: the records carry the concrete result
 	// (and output-buffer snapshots) the followers will verify and apply.
 	// Snapshots are taken now, so the leader overwriting the buffer while
 	// running ahead cannot corrupt a follower's copy.
-	ret := s.mon.lib.Call(t, name, args)
-	accepted, depth, wait := s.publish(t, name, args, idx, live, ret, t.Errno())
+	ret := s.mon.lib.CallFunc(t, f, args)
+	accepted, depth, wait := s.publish(t, f, args, idx, live, ret, t.Errno())
 	if len(accepted) == 0 {
-		s.maybeAbortRegion(t, name, idx)
+		s.maybeAbortRegion(t, f, idx)
 		return ret
 	}
 	if obsRec := s.mon.rec; obsRec != nil {
@@ -176,7 +175,7 @@ func (s *session) enqueue(t *machine.Thread, name string, args []uint64, idx uin
 	if lr := s.lr; lr != nil {
 		// Enqueue+wait sum to the rendezvous.leader.cycles observation
 		// above — the ledger/histogram reconciliation invariant.
-		cls := ledger.ClassOf(name)
+		cls := ledger.Class(f.Sync)
 		lr.Add(ledger.PhaseEnqueue, obs.VariantLeader, cls, entry, ledger.Mark{}, 0)
 		lr.Add(ledger.PhaseWait, obs.VariantLeader, cls, wait, ledger.Mark{}, 0)
 	}
@@ -189,10 +188,7 @@ func (s *session) enqueue(t *machine.Thread, name string, args []uint64, idx uin
 // accepted the record, the deepest ring among them, and the cycles the
 // leader spent blocked on full rings. A slot that stopped draining inside
 // the deadline is timed out.
-func (s *session) publish(t *machine.Thread, name string, args []uint64, idx uint64, slots []*followerSlot, ret uint64, errno kernel.Errno) ([]*followerSlot, int, clock.Cycles) {
-	sc := libc.SyncClassOf(name)
-	cls := ledger.ClassOf(name)
-	cat := libc.CategoryOf(name)
+func (s *session) publish(t *machine.Thread, f *libc.Func, args []uint64, idx uint64, slots []*followerSlot, ret uint64, errno kernel.Errno) ([]*followerSlot, int, clock.Cycles) {
 	accepted, depth := slots[:0], 0
 	var wait clock.Cycles
 	for _, sl := range slots {
@@ -203,17 +199,16 @@ func (s *session) publish(t *machine.Thread, name string, args []uint64, idx uin
 		default:
 			rec = new(leaderRecord)
 		}
-		rec.idx, rec.cat = idx, cat
-		rec.barrier, rec.local = sc == libc.SyncBarrier, sc == libc.SyncLocal
-		rec.wire = appendCallRecord(rec.wire[:0], name, args)
+		rec.idx, rec.fn = idx, f
+		rec.wire = appendCallRecord(rec.wire[:0], f.Name, args)
 		rec.result = rec.result[:0]
-		if sc == libc.SyncPipelined {
+		if f.Sync == libc.SyncPipelined {
 			var out [1]emuBuf
 			rec.result = appendResultRecord(rec.result, ret, errno,
-				s.captureOutputs(out[:0], name, args, ret, sl.delta))
+				s.captureOutputs(out[:0], f, args, ret, sl.delta))
 		}
 		if lr := s.lr; lr != nil {
-			lr.Add(ledger.PhaseMarshal, obs.VariantLeader, cls, 0, mshMark,
+			lr.Add(ledger.PhaseMarshal, obs.VariantLeader, ledger.Class(f.Sync), 0, mshMark,
 				uint64(len(rec.wire)+len(rec.result)))
 		}
 		start := s.mon.m.Counter().Cycles()
@@ -225,7 +220,7 @@ func (s *session) publish(t *machine.Thread, name string, args []uint64, idx uin
 		case appendDead:
 			s.diverged.Store(true)
 		case appendTimedOut:
-			s.rendezvousTimeout(t, sl, nil, name, idx)
+			s.rendezvousTimeout(t, sl, nil, f.Name, idx)
 		}
 	}
 	return accepted, depth, wait
@@ -286,8 +281,8 @@ func (s *session) appendRecord(t *machine.Thread, sl *followerSlot, rec *leaderR
 // leader record from the slot's ring and verify it — the strict
 // rendezvous's decode-before-compare checks, moved to drain time and
 // attributed to the ordinal the leader stamped on the record.
-func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, name string, args []uint64) uint64 {
-	fv := sl.id
+func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, f *libc.Func, args []uint64) uint64 {
+	fv, name := sl.id, f.Name
 	costs := s.mon.m.Costs()
 	s.mon.m.ChargeThread(t, costs.LockstepEnqueue)
 	lag := sl.lag(t)
@@ -303,7 +298,7 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, nam
 	var cls ledger.Class
 	var dqStart clock.Cycles
 	if lr != nil {
-		cls = ledger.ClassOf(name)
+		cls = ledger.Class(f.Sync)
 		lr.Add(ledger.PhaseDrain, fv, cls,
 			costs.LockstepEnqueue, ledger.Mark{}, 0)
 		dqStart = s.mon.m.Counter().Cycles()
@@ -320,7 +315,7 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, nam
 	var dspan obs.DrainSpan
 	if obsRec != nil {
 		arriveTS = s.mon.m.Counter().Cycles()
-		dspan = obsRec.BeginDrainSpan(fv, t.TID(), spanNames(name).Drain, uint64(rec.cat))
+		dspan = obsRec.BeginDrainSpan(fv, t.TID(), f.Spans.Drain, uint64(rec.fn.Cat))
 	}
 
 	// Drain-time divergence checks: decode what crossed the ring, then
@@ -334,14 +329,14 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, nam
 			Detail:       fmt.Sprintf("corrupt IPC call record: %v", derr),
 		}, "ipc-corruption")
 	}
-	if v := compareCalls(lname, largs, name, args); v.reason != 0 {
+	if v := compareCalls(f, lname, largs, name, args); v.reason != 0 {
 		s.drainDiverged(t, sl, v.alarm(s.fn, rec.idx, lname, name), v.cause())
 	}
 
 	if obsRec != nil {
-		obsRec.Record(obs.EvLockstep, fv, t.TID(), name, uint64(rec.cat), rec.idx, 0)
+		obsRec.Record(obs.EvLockstep, fv, t.TID(), name, uint64(rec.fn.Cat), rec.idx, 0)
 		m := obsRec.Metrics()
-		m.Inc(obs.LockstepCategoryMetricName(uint64(rec.cat)))
+		m.Inc(obs.LockstepCategoryMetricName(uint64(rec.fn.Cat)))
 		m.Observe(obs.MetricRendezvousLag, s.calls.Load()-rec.idx)
 		obsRec.ObserveSeries(obs.SeriesLag, s.calls.Load()-rec.idx)
 	}
@@ -350,19 +345,19 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, nam
 			0, cmpMark, uint64(len(rec.wire)))
 	}
 
-	if rec.barrier {
+	switch rec.fn.Sync {
+	case libc.SyncBarrier:
 		sl.recycle(rec)
 		// Everything before the barrier has drained, so the leader's
 		// verdict arrives exactly as in strict lockstep.
-		ret := s.followerRendezvous(t, sl, name, args, lag)
+		ret := s.followerRendezvous(t, sl, f, args, lag)
 		dspan.End(ret)
 		return ret
-	}
-	if rec.local {
+	case libc.SyncLocal:
 		sl.recycle(rec)
 		// User-space call: execute in the follower's own window.
-		// lib.Call records the follower's enter/exit events itself.
-		ret := s.mon.lib.Call(t, name, args)
+		// lib.CallFunc records the follower's enter/exit events itself.
+		ret := s.mon.lib.CallFunc(t, f, args)
 		dspan.End(ret)
 		return ret
 	}
@@ -379,7 +374,7 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, nam
 			Detail: fmt.Sprintf("corrupt IPC result record: %v", rerr),
 		}, "ipc-corruption")
 	}
-	copied, faulted := s.applyResult(t, sl, name, rec.idx, largs, args, bufs)
+	copied, faulted := s.applyResult(t, sl, f, rec.idx, largs, args, bufs)
 	sl.recycle(rec)
 	if lr != nil {
 		lr.Add(ledger.PhaseEmulate, fv, cls,

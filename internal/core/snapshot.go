@@ -25,6 +25,7 @@ package core
 import (
 	"fmt"
 
+	"smvx/internal/libc"
 	"smvx/internal/obs"
 	"smvx/internal/obs/ledger"
 	"smvx/internal/sim/machine"
@@ -51,8 +52,8 @@ func (mo *Monitor) snapshotDue(s *session) bool {
 // call idx: at region entry, before any follower is launched, or inside a
 // rendezvous with every arrived follower parked on its reply (at a
 // pipelined barrier the rings are drained). The snapshot replaces the
-// region's previous checkpoint.
-func (mo *Monitor) captureCheckpoint(s *session, leader *machine.Thread, name string, idx uint64) {
+// region's previous checkpoint; the ledger charges it to class cls.
+func (mo *Monitor) captureCheckpoint(s *session, leader *machine.Thread, cls ledger.Class, idx uint64) {
 	start := mo.m.Counter().Cycles()
 	ms := mo.m.AddressSpace().Snapshot()
 	mo.mu.Lock()
@@ -63,7 +64,7 @@ func (mo *Monitor) captureCheckpoint(s *session, leader *machine.Thread, name st
 	now := mo.m.Counter().Cycles()
 	mo.lastSnapAt = now
 	if lr := s.lr; lr != nil {
-		lr.Add(ledger.PhaseSnapshot, obs.VariantLeader, ledger.ClassOf(name),
+		lr.Add(ledger.PhaseSnapshot, obs.VariantLeader, cls,
 			now-start, ledger.Mark{}, uint64(ms.ResidentPages())*mem.PageSize)
 	}
 	if obsRec := mo.rec; obsRec != nil {
@@ -118,7 +119,7 @@ func (mo *Monitor) Escalated() bool { return mo.escalated.Load() }
 // checkpoint. A no-op under every other policy, for raw Start/Call/End
 // callers (nothing to unwind to), once rollback has escalated, and in a
 // region that captured no checkpoint.
-func (s *session) maybeAbortRegion(t *machine.Thread, name string, idx uint64) {
+func (s *session) maybeAbortRegion(t *machine.Thread, f *libc.Func, idx uint64) {
 	mo := s.mon
 	if mo.opts.Policy != PolicyRollback || !s.abortable || mo.escalated.Load() {
 		return
@@ -134,7 +135,7 @@ func (s *session) maybeAbortRegion(t *machine.Thread, name string, idx uint64) {
 	}
 	t.AbortRegion(s.fn, fmt.Sprintf(
 		"follower dead at %s@call%d under rollback; unwinding to checkpoint gen %d",
-		name, idx, ck.Generation()))
+		f.Name, idx, ck.Generation()))
 }
 
 // rollbackOutcome is what maybeRollback decided at region exit.

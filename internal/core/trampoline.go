@@ -11,7 +11,7 @@ import (
 
 // ledgerTrampoline charges one interception's fixed entry cost (WRPKRU
 // dance plus the optional stack pivot) to the cost ledger.
-func (s *session) ledgerTrampoline(v obs.Variant, name string, costs clock.CostTable, pivoted bool) {
+func (s *session) ledgerTrampoline(v obs.Variant, f *libc.Func, costs clock.CostTable, pivoted bool) {
 	lr := s.lr
 	if lr == nil {
 		return
@@ -20,22 +20,7 @@ func (s *session) ledgerTrampoline(v obs.Variant, name string, costs clock.CostT
 	if pivoted {
 		c += costs.StackPivot
 	}
-	lr.Add(ledger.PhaseTrampoline, v, ledger.ClassOf(name), c, ledger.Mark{}, 0)
-}
-
-// userSpaceCall reports whether a libc call never reaches the kernel, so a
-// syscall-granularity monitor never sees it: the allocator, string and
-// memory functions, and localtime_r.
-func userSpaceCall(name string) bool {
-	return name == "localtime_r" || libc.CategoryOf(name) == libc.CatLocal
-}
-
-// cpMonCalls are the security-sensitive system calls ReMon routes through
-// its ptrace-based cross-process monitor, CP-MON (Section 2.1, footnote 1);
-// at syscall granularity their rendezvous costs a ptrace stop.
-var cpMonCalls = map[string]bool{
-	"open": true, "mkdir": true, "bind": true, "listen": true,
-	"setsockopt": true, "shutdown": true,
+	lr.Add(ledger.PhaseTrampoline, v, ledger.Class(f.Sync), c, ledger.Mark{}, 0)
 }
 
 // Intercept implements machine.Interposer: the MPK trampoline of Figure 4.
@@ -47,10 +32,12 @@ var cpMonCalls = map[string]bool{
 // passthrough outside a protected region, lockstep inside one — and
 // (4) restores the stack and re-arms MPK on the way out. The two WRPKRU
 // executions and the fixed pivot cost are charged per interception, which
-// is what makes sMVX's per-libc-call overhead visible in Figure 7.
+// is what makes sMVX's per-libc-call overhead visible in Figure 7. The
+// call's row is looked up once here and rides the whole call path.
 func (mo *Monitor) Intercept(t *machine.Thread, slot int, name string, args []uint64) uint64 {
-	if mo.opts.SyscallGranularity && userSpaceCall(name) {
-		return mo.lib.Call(t, name, args)
+	f := libc.Lookup(name)
+	if mo.opts.SyscallGranularity && f.UserSpace {
+		return mo.lib.CallFunc(t, f, args)
 	}
 	costs := mo.m.Costs()
 	mo.m.ChargeThread(t, costs.TrampolineEntry)
@@ -102,16 +89,16 @@ func (mo *Monitor) Intercept(t *machine.Thread, slot int, name string, args []ui
 	}
 	if s == nil {
 		// Outside any protected region: plain interception, direct libc.
-		return mo.lib.Call(t, name, args)
+		return mo.lib.CallFunc(t, f, args)
 	}
 	if t.TID() == s.leaderTID {
-		s.ledgerTrampoline(v, name, costs, pivoted)
-		return s.leaderCall(t, name, args)
+		s.ledgerTrampoline(v, f, costs, pivoted)
+		return s.leaderCall(t, f, args)
 	}
 	if sl := s.slotByTID(t.TID()); sl != nil {
-		s.ledgerTrampoline(v, name, costs, pivoted)
-		return s.followerCall(t, sl, name, args)
+		s.ledgerTrampoline(v, f, costs, pivoted)
+		return s.followerCall(t, sl, f, args)
 	}
 	// Unrelated thread (e.g. another worker): passthrough.
-	return mo.lib.Call(t, name, args)
+	return mo.lib.CallFunc(t, f, args)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"smvx/internal/obs"
+	"smvx/internal/obs/ledger"
 	"smvx/internal/sim/clock"
 	"smvx/internal/sim/image"
 	"smvx/internal/sim/machine"
@@ -210,8 +211,10 @@ func (mo *Monitor) Start(t *machine.Thread, fn string, args ...uint64) error {
 	// launched, so this is the region's one guaranteed quiescent anchor.
 	// Strict mode re-captures at rendezvous cadence; pipelined mode only at
 	// barriers — a region that diverges before any barrier rewinds here.
+	// No call is in flight, so the ledger charges it to the barrier class,
+	// as it does a name outside the call table.
 	if mo.snapshotDue(s) {
-		mo.captureCheckpoint(s, t, fn, 0)
+		mo.captureCheckpoint(s, t, ledger.ClassBarrier, 0)
 	}
 
 	cloneMark := ctr.Cycles()

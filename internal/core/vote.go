@@ -1,14 +1,18 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"smvx/internal/libc"
+)
 
 // Majority voting over the variant set: the one rendezvous rule.
 //
 // Every rendezvous, strict or at a pipelined barrier, is a vote. Ballot 0
 // is the leader's call; each follower slot whose record arrived and
 // decoded casts one more. Ballots agree under compareCalls — the same libc
-// call name and no scalar-argument mismatch under scalarArgMask (pointer
-// arguments legitimately differ between the variants' address windows) —
+// call name and no scalar-argument mismatch under the call row's Args
+// (pointer arguments legitimately differ between the variants' windows) —
 // the largest agreement class wins, and ties go to the leader. The paper's
 // pair is the one-ballot case: a disagreeing follower loses the 1-1 tie,
 // and a lone losing ballot keeps the pairwise alarm (call or argument
@@ -57,14 +61,15 @@ type callVerdict struct {
 }
 
 // compareCalls is the rendezvous equivalence: same libc call, same scalar
-// arguments. It alone decides the vote's agreement classes, the alarm a
+// arguments. f is the row of either call: its mask decides only once the
+// names agree. It alone decides the vote's agreement classes, the alarm a
 // lone losing follower raises, and the pipelined drain-time check.
-func compareCalls(lname string, largs []uint64, fname string, fargs []uint64) callVerdict {
+func compareCalls(f *libc.Func, lname string, largs []uint64, fname string, fargs []uint64) callVerdict {
 	if lname != fname {
 		return callVerdict{reason: AlarmCallMismatch}
 	}
-	if bad, l, f := scalarMismatch(lname, largs, fargs); bad {
-		return callVerdict{reason: AlarmArgMismatch, l: l, f: f}
+	if bad, l, fv := scalarMismatch(f, largs, fargs); bad {
+		return callVerdict{reason: AlarmArgMismatch, l: l, f: fv}
 	}
 	return callVerdict{}
 }
@@ -96,6 +101,14 @@ func (v callVerdict) cause() string {
 // index, so a split vote never outvotes the leader. At most MaxVariants
 // ballots may vote, and the vote allocates nothing.
 func Vote(ballots []Ballot) VoteResult {
+	if len(ballots) == 0 {
+		return VoteResult{Winner: -1}
+	}
+	return vote(libc.Lookup(ballots[0].Name), ballots)
+}
+
+// vote is Vote with f, the row of ballot 0's call, already looked up.
+func vote(f *libc.Func, ballots []Ballot) VoteResult {
 	if len(ballots) > MaxVariants {
 		panic(fmt.Sprintf("core.Vote: %d ballots, at most %d variants vote", len(ballots), MaxVariants))
 	}
@@ -109,7 +122,16 @@ func Vote(ballots []Ballot) VoteResult {
 		}
 		class[i] = i
 		for j := 0; j < i; j++ {
-			if class[j] == j && compareCalls(ballots[j].Name, ballots[j].Args, b.Name, b.Args).reason == 0 {
+			if class[j] != j {
+				continue
+			}
+			fj := f
+			if ballots[j].Name != f.Name {
+				// A class founded by a call other than ballot 0's: rare,
+				// since it takes a diverging variant.
+				fj = libc.Lookup(ballots[j].Name)
+			}
+			if compareCalls(fj, ballots[j].Name, ballots[j].Args, b.Name, b.Args).reason == 0 {
 				class[i] = j
 				break
 			}

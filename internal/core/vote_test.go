@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"smvx/internal/libc"
 )
 
 // voteBallot builds a valid ballot for a "write(fd, buf, len)" call with
@@ -168,15 +170,16 @@ func TestVoteAllocatesNothing(t *testing.T) {
 // pairwise alarm it yields for a lone losing follower.
 func TestCompareCallsVerdicts(t *testing.T) {
 	args := []uint64{3, 0x400500, 17}
-	if v := compareCalls("write", args, "write", []uint64{3, 0x2000_0040_0500, 17}); v.reason != 0 {
+	write := libc.Lookup("write")
+	if v := compareCalls(write, "write", args, "write", []uint64{3, 0x2000_0040_0500, 17}); v.reason != 0 {
 		t.Errorf("pointer-only difference = %+v, want agreement", v)
 	}
-	call := compareCalls("write", args, "read", args)
+	call := compareCalls(write, "write", args, "read", args)
 	if a := call.alarm("f", 4, "write", "read"); a.Reason != AlarmCallMismatch || call.cause() != "call-mismatch" ||
 		a.Detail != "leader called write, follower called read" {
 		t.Errorf("name mismatch alarm = %+v (cause %s)", a, call.cause())
 	}
-	arg := compareCalls("write", args, "write", []uint64{2, 0x400500, 17})
+	arg := compareCalls(write, "write", args, "write", []uint64{2, 0x400500, 17})
 	if a := arg.alarm("f", 4, "write", "write"); a.Reason != AlarmArgMismatch || arg.cause() != "arg-mismatch" ||
 		a.Detail != "write arg mismatch: leader 0x3 vs follower 0x2" || a.CallIndex != 4 {
 		t.Errorf("arg mismatch alarm = %+v (cause %s)", a, arg.cause())

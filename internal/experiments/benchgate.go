@@ -64,13 +64,19 @@ func DefaultGateRules() []GateRule {
 		// median are the real perf contract; tail percentiles at C>1 measure
 		// queueing delay set by host goroutine scheduling (observed 2x
 		// run-to-run) so they only gate order-of-magnitude blowups, and the
-		// single worst request is pure scheduling artifact — ungated. rps
-		// and pct_native are higher-is-better and stay ungated.
+		// single worst request is pure scheduling artifact — ungated.
+		// Throughput is higher-is-better, so where it repeats it gates
+		// exactly and a drop fails: each one-client cell's rps and
+		// pct_native, and native's c64 pct_native (100 by construction).
+		// The other c64 rps and pct_native keys depend on which client's
+		// bytes reach the server first (ROADMAP item 1c) and stay ungated.
 		{Name: "fleet-served", Contains: "fleet.", Suffix: ".completed", Tolerance: 0},
 		{Name: "fleet-throughput", Contains: "fleet.", Suffix: ".cycles_per_request", Tolerance: 0.35, Slack: 20000},
 		{Name: "fleet-p50", Contains: "fleet.", Suffix: ".p50_cycles", Tolerance: 0.5, Slack: 50000},
 		{Name: "fleet-max", Contains: "fleet.", Suffix: ".max_cycles", Skip: true},
 		{Name: "fleet-tail", Contains: "fleet.", Suffix: "_cycles", Tolerance: 3.0, Slack: 100000},
+		{Name: "fleet-c1-throughput", Contains: ".c1.", Tolerance: 0},
+		{Name: "fleet-native-pct", Suffix: ".native.c64.pct_native", Tolerance: 0},
 		{Name: "fleet-ungated", Contains: "fleet.", Skip: true},
 		// Incident matrix: the per-cell incident count is the detection
 		// contract (the artifact itself also asserts exactly one per fault)
@@ -83,12 +89,14 @@ func DefaultGateRules() []GateRule {
 		// Survival benchmark: integrity/detection series are recorded as
 		// lower-is-better violation counts (undetected, benign_failed,
 		// pwned, leader_only, worker_dead) with deterministic baselines, so
-		// they gate exactly. Throughput stays ungated (higher-is-better,
-		// which the one-sided band cannot express), cycle costs get a
-		// wide band, and snapshot counts a small absolute slack for cadence
-		// jitter against the region clock.
-		{Name: "survival-rps", Contains: "survival.", Suffix: ".rps", Skip: true},
-		{Name: "survival-pct", Contains: "survival.", Suffix: ".pct_native", Skip: true},
+		// they gate exactly. Throughput gates exactly where it repeats (the
+		// native and kill-both rows), so a drop fails; the rollback rows'
+		// rps and pct_native move with goroutine scheduling (ROADMAP item
+		// 1) and stay ungated. Cycle costs get a wide band, and snapshot
+		// counts a small absolute slack for cadence jitter against the
+		// region clock.
+		{Name: "survival-rps", Contains: "survival.attack.rollback_", Suffix: ".rps", Skip: true},
+		{Name: "survival-pct", Contains: "survival.attack.rollback_", Suffix: ".pct_native", Skip: true},
 		{Name: "survival-cycles", Contains: "survival.", Suffix: "_cycles", Tolerance: 0.5, Slack: 200000},
 		{Name: "survival-snapshots", Contains: "survival.", Suffix: ".snapshots", Tolerance: 0, Slack: 2},
 		{Name: "survival-exact", Contains: "survival.", Tolerance: 0},

@@ -70,6 +70,26 @@ func TestGateBenchReconcileCeiling(t *testing.T) {
 	}
 }
 
+// TestGateBenchThroughputDropFails: the throughput keys that repeat run to
+// run gate exactly, so a 1% drop fails; the ones that still move with
+// scheduling stay ungated.
+func TestGateBenchThroughputDropFails(t *testing.T) {
+	for _, key := range []string{"fleet.nginx.strict.c1.rps", "survival.attack.native.rps"} {
+		base := map[string]float64{key: 6408}
+		fresh := map[string]float64{key: 6408 * 0.99}
+		if v := GateBench(base, fresh, DefaultGateRules()); len(v) != 1 || !strings.Contains(v[0], key) {
+			t.Errorf("1%% drop in %s: violations = %v, want one naming it", key, v)
+		}
+	}
+	for _, key := range []string{"fleet.nginx.strict.c64.rps", "survival.attack.rollback_strict.rps"} {
+		base := map[string]float64{key: 6408}
+		fresh := map[string]float64{key: 6408 * 0.99}
+		if v := GateBench(base, fresh, DefaultGateRules()); len(v) != 0 {
+			t.Errorf("1%% drop in the ungated %s: violations = %v", key, v)
+		}
+	}
+}
+
 func TestGateBenchIgnoresUngatedAndNewMetrics(t *testing.T) {
 	base := map[string]float64{"nvariant.n3.overhead_pct": 20}
 	fresh := map[string]float64{

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 
 	"smvx/internal/core"
+	"smvx/internal/libc"
 	"smvx/internal/obs"
 	"smvx/internal/sim/clock"
 	"smvx/internal/sim/machine"
@@ -43,7 +44,7 @@ const (
 	FollowerStall
 	// EmulBufCorrupt rewrites the output-buffer pointer of the first call,
 	// at or after the chosen ordinal, that receives an emulated output
-	// buffer (core.OutputArg) through a non-null pointer. The pointer then
+	// buffer (its libc row's Out) through a non-null pointer. The pointer then
 	// names an unmapped address, so the emulation copy into it faults
 	// (AlarmEmulationFault).
 	EmulBufCorrupt
@@ -291,8 +292,8 @@ func (p *Plan) triggers(f Fault, n uint64, name string, args []uint64) bool {
 // emulatedBuf reports whether the call receives an emulated output buffer
 // through a non-null pointer: a buffer the monitor copies into.
 func emulatedBuf(name string, args []uint64) bool {
-	i, ok := core.OutputArg(name)
-	return ok && i < len(args) && args[i] != 0
+	o := libc.Lookup(name).Out
+	return o.Size != 0 && o.Arg < len(args) && args[o.Arg] != 0
 }
 
 // record surfaces the firing to the flight recorder and metrics.
@@ -323,10 +324,10 @@ func (p *Plan) apply(t *machine.Thread, f Fault, n uint64, name string, args []u
 		}
 		return args
 	case ArgFlip:
-		mask := core.ScalarArgMask(name)
+		row := libc.Lookup(name)
 		out := append([]uint64(nil), args...)
 		for i := range out {
-			if i < len(mask) && mask[i] {
+			if row.Scalar(i) {
 				out[i] ^= 1 << (f.Bit % 64)
 				return out
 			}
@@ -342,8 +343,8 @@ func (p *Plan) apply(t *machine.Thread, f Fault, n uint64, name string, args []u
 		return append([]uint64(nil), args[:len(args)-1]...)
 	case EmulBufCorrupt:
 		out := append([]uint64(nil), args...)
-		if i, ok := core.OutputArg(name); ok && i < len(out) {
-			out[i] = CorruptAddr
+		if o := libc.Lookup(name).Out; o.Size != 0 && o.Arg < len(out) {
+			out[o.Arg] = CorruptAddr
 		}
 		return out
 	default:

@@ -171,6 +171,33 @@ func TestVariantSlotUnderCustomDelta(t *testing.T) {
 	}
 }
 
+// TestArgFlipOnFDs: close's fd and accept4's fd are compared across the
+// variants, so an arg-flip on either is a divergence: the lone follower's
+// argument mismatch at N=2, and an outvoted follower at N=3.
+func TestArgFlipOnFDs(t *testing.T) {
+	for _, call := range []string{"close", "accept4"} {
+		body := func(th *machine.Thread, _ mem.Addr) {
+			for i := 0; i < 3; i++ {
+				th.Libc(call, uint64(100+i)) // no such fds: each call fails with EBADF
+			}
+		}
+		for _, c := range []struct {
+			n    int
+			want core.AlarmReason
+		}{{2, core.AlarmArgMismatch}, {3, core.AlarmOutvoted}} {
+			alarms := chaosRegion(t, "arg-flip@2", body, core.WithVariants(c.n))
+			if len(alarms) != 1 {
+				t.Errorf("%s at N=%d: %d alarms, want one: %v", call, c.n, len(alarms), alarms)
+				continue
+			}
+			if a := alarms[0]; a.Reason != c.want || a.Variant != 1 || a.CallIndex != 2 {
+				t.Errorf("%s at N=%d: alarm %s variant %d at call %d, want %s variant 1 at call 2",
+					call, c.n, a.Reason, a.Variant, a.CallIndex, c.want)
+			}
+		}
+	}
+}
+
 // shutdowns is a region body of six shutdown calls.
 func shutdowns(th *machine.Thread, _ mem.Addr) {
 	for i := 0; i < 6; i++ {
@@ -303,9 +330,8 @@ func TestApplyArgFlip(t *testing.T) {
 	p := New(1)
 	// write(fd, buf, len): fd is scalar, buf is a pointer — the flip must
 	// land on fd, not the pointer.
-	mask := core.ScalarArgMask("write")
-	if len(mask) < 2 || !mask[0] || mask[1] {
-		t.Fatalf("scalar mask for write = %v; test assumes (scalar, pointer, ...)", mask)
+	if f := libc.Lookup("write"); !f.Scalar(0) || f.Scalar(1) {
+		t.Fatalf("scalar mask for write = %q; test assumes (scalar, pointer, ...)", f.Args)
 	}
 	args := []uint64{3, 0x400500, 17}
 	out := p.apply(nil, Fault{Kind: ArgFlip, Bit: 2}, 5, "write", args)

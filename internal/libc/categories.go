@@ -42,78 +42,3 @@ func (c Category) String() string {
 		return "unknown"
 	}
 }
-
-// Slug is the category's metric-label form, used in labeled metric names
-// (rendezvous.cycles{category=ret_buf}) and metric-name components. It
-// matches obs.CategoryLabel by category code.
-func (c Category) Slug() string {
-	switch c {
-	case CatRetOnly:
-		return "ret_only"
-	case CatRetBuf:
-		return "ret_buf"
-	case CatSpecial:
-		return "special"
-	case CatLocal:
-		return "local"
-	default:
-		return "unknown"
-	}
-}
-
-// Table1 maps every simulated libc call to its emulation category. The
-// first three categories reproduce Table 1 of the paper verbatim; CatLocal
-// covers the rest of the 35+ calls the monitor simulates for the follower.
-var Table1 = map[string]Category{
-	// "Libc calls only requiring return value emulation".
-	"open": CatRetOnly, "close": CatRetOnly, "shutdown": CatRetOnly,
-	"write": CatRetOnly, "writev": CatRetOnly,
-	"epoll_ctl": CatRetOnly, "setsockopt": CatRetOnly,
-	// Connection management shares the category: results are scalars.
-	"socket": CatRetOnly, "bind": CatRetOnly, "listen": CatRetOnly,
-	"connect": CatRetOnly, "send": CatRetOnly, "mkdir": CatRetOnly,
-	"epoll_create": CatRetOnly, "time": CatRetOnly, "random": CatRetOnly,
-
-	// "Libc calls requiring return value and argument buffer emulation".
-	"sendfile": CatRetBuf, "stat": CatRetBuf, "read": CatRetBuf,
-	"fstat": CatRetBuf, "gettimeofday": CatRetBuf, "accept4": CatRetBuf,
-	"recv": CatRetBuf, "getsockopt": CatRetBuf, "localtime_r": CatRetBuf,
-
-	// "Libc calls requiring special emulation".
-	"ioctl": CatSpecial, "epoll_wait": CatSpecial, "epoll_pwait": CatSpecial,
-
-	// User-space-only calls: executed by each variant in its own space.
-	"malloc": CatLocal, "free": CatLocal, "calloc": CatLocal,
-	"realloc": CatLocal, "memcpy": CatLocal, "memset": CatLocal,
-	"strlen": CatLocal, "strcmp": CatLocal, "strncmp": CatLocal,
-	"atoi": CatLocal, "snprintf": CatLocal,
-}
-
-// CategoryOf returns the emulation category for a libc call name, defaulting
-// to CatRetOnly for anything unknown (the conservative choice: leader-only
-// execution).
-func CategoryOf(name string) Category {
-	if c, ok := Table1[name]; ok {
-		return c
-	}
-	return CatRetOnly
-}
-
-// Names returns all simulated libc call names, sorted by category then name
-// — the rows of Table 1.
-func Names() []string {
-	out := make([]string, 0, len(Table1))
-	for n := range Table1 {
-		out = append(out, n)
-	}
-	sortStrings(out)
-	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}

@@ -41,11 +41,11 @@ type LibC struct {
 	heaps map[int64]*heapAlloc
 	rng   *rand.Rand
 
-	counts map[string]uint64
-	total  atomic.Uint64
+	calls [len(funcs)]atomic.Uint64 // per row of the call table
+	total atomic.Uint64
 
 	rec     *obs.Recorder
-	ledHook func(v obs.Variant, name string, d clock.Cycles)
+	ledHook func(v obs.Variant, f *Func, d clock.Cycles)
 }
 
 var _ machine.LibcDispatcher = (*LibC)(nil)
@@ -58,7 +58,6 @@ func New(proc *kernel.Process, counter *clock.Counter, costs clock.CostTable, se
 		costs:   costs,
 		heaps:   make(map[int64]*heapAlloc),
 		rng:     rand.New(rand.NewSource(seed)),
-		counts:  make(map[string]uint64),
 	}
 }
 
@@ -72,11 +71,11 @@ func (l *LibC) Proc() *kernel.Process { return l.proc }
 func (l *LibC) SetRecorder(r *obs.Recorder) { l.rec = r }
 
 // SetLedgerHook attaches a per-call cost-ledger callback: after every
-// dispatched call, hook(v, name, d) receives the calling thread's variant
-// and the call's measured cycle delta. The monitor installs it to charge
+// dispatched call, hook(v, f, d) receives the calling thread's variant,
+// the call's row and its measured cycle delta. The monitor installs it to charge
 // the ledger's libc phase — libc itself never imports the ledger. Must be
 // set before threads run; nil (the default) keeps the call path hook-free.
-func (l *LibC) SetLedgerHook(hook func(v obs.Variant, name string, d clock.Cycles)) {
+func (l *LibC) SetLedgerHook(hook func(v obs.Variant, f *Func, d clock.Cycles)) {
 	l.ledHook = hook
 }
 
@@ -152,9 +151,10 @@ func (l *LibC) HeapWatermark(bias int64) mem.Addr {
 
 // CallCount returns how many times the named libc function was called.
 func (l *LibC) CallCount(name string) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.counts[name]
+	if f := Lookup(name); f.id >= 0 {
+		return l.calls[f.id].Load()
+	}
+	return 0
 }
 
 // TotalCalls returns the total libc calls dispatched — the numerator of the
@@ -163,17 +163,10 @@ func (l *LibC) TotalCalls() uint64 { return l.total.Load() }
 
 // ResetCounts zeroes the call counters.
 func (l *LibC) ResetCounts() {
-	l.mu.Lock()
-	l.counts = make(map[string]uint64)
-	l.mu.Unlock()
+	for i := range l.calls {
+		l.calls[i].Store(0)
+	}
 	l.total.Store(0)
-}
-
-func (l *LibC) count(name string) {
-	l.total.Add(1)
-	l.mu.Lock()
-	l.counts[name]++
-	l.mu.Unlock()
 }
 
 // clampLen converts a size_t length argument to int, bounding it at the
@@ -204,9 +197,14 @@ func ok(t *machine.Thread, v uint64) uint64 {
 // in the calling thread's variant space. Unknown names crash the thread, as
 // an unresolvable PLT entry would.
 func (l *LibC) Call(t *machine.Thread, name string, args []uint64) uint64 {
+	return l.CallFunc(t, Lookup(name), args)
+}
+
+// CallFunc is Call for a caller that already holds the call's row.
+func (l *LibC) CallFunc(t *machine.Thread, f *Func, args []uint64) uint64 {
 	r, hook := l.rec, l.ledHook
 	if r == nil && hook == nil {
-		return l.dispatch(t, name, args)
+		return l.dispatch(t, f, args)
 	}
 	var fn string
 	v := obs.Variant(t.Variant())
@@ -219,53 +217,31 @@ func (l *LibC) Call(t *machine.Thread, name string, args []uint64) uint64 {
 			a1 = args[1]
 		}
 		fn = t.Fn()
-		r.RecordIn(fn, obs.EvLibcEnter, v, t.TID(), name, a0, a1, 0)
+		r.RecordIn(fn, obs.EvLibcEnter, v, t.TID(), f.Name, a0, a1, 0)
 	}
 	start := l.counter.Cycles()
-	ret := l.dispatch(t, name, args)
+	ret := l.dispatch(t, f, args)
 	// The virtual clock is shared between concurrently executing variants,
 	// so samples include any cycles the other variant charged meanwhile —
 	// the histograms are indicative, not exact per-call costs.
 	d := l.counter.Cycles() - start
 	if hook != nil {
-		hook(v, name, d)
+		hook(v, f, d)
 	}
 	if r != nil {
-		names, ok := callCycleMetrics[name]
-		if !ok {
-			names = cycleMetricsFor(name)
-		}
-		r.Metrics().Observe(names.call, uint64(d))
-		r.Metrics().Observe(names.category, uint64(d))
-		r.RecordIn(fn, obs.EvLibcExit, v, t.TID(), name, 0, 0, ret)
+		r.Metrics().Observe(f.CycleMetric, uint64(d))
+		r.Metrics().Observe(f.CategoryCycleMetric, uint64(d))
+		r.RecordIn(fn, obs.EvLibcExit, v, t.TID(), f.Name, 0, 0, ret)
 	}
 	return ret
 }
 
-// cycleMetrics are the two histograms an instrumented call observes: its
-// own and its Table 1 category's.
-type cycleMetrics struct{ call, category string }
-
-func cycleMetricsFor(name string) cycleMetrics {
-	return cycleMetrics{
-		call:     "libc.cycles." + name,
-		category: "libc.cycles{category=" + CategoryOf(name).Slug() + "}",
-	}
-}
-
-// callCycleMetrics pre-builds the histogram names of every simulated call,
-// so the instrumented path observes without concatenating.
-var callCycleMetrics = func() map[string]cycleMetrics {
-	out := make(map[string]cycleMetrics, len(Table1))
-	for _, name := range Names() {
-		out[name] = cycleMetricsFor(name)
-	}
-	return out
-}()
-
 // dispatch is the uninstrumented call path.
-func (l *LibC) dispatch(t *machine.Thread, name string, args []uint64) uint64 {
-	l.count(name)
+func (l *LibC) dispatch(t *machine.Thread, f *Func, args []uint64) uint64 {
+	l.total.Add(1)
+	if f.id >= 0 {
+		l.calls[f.id].Add(1)
+	}
 	t.ChargeUser(l.costs.LibcBase)
 	arg := func(i int) uint64 {
 		if i < len(args) {
@@ -273,7 +249,7 @@ func (l *LibC) dispatch(t *machine.Thread, name string, args []uint64) uint64 {
 		}
 		return 0
 	}
-	switch name {
+	switch f.Name {
 	case "open":
 		path := t.CString(mem.Addr(arg(0)), CStrMax)
 		fd, e := l.proc.Open(path, int(arg(1)))
@@ -494,7 +470,7 @@ func (l *LibC) dispatch(t *machine.Thread, name string, args []uint64) uint64 {
 		return l.snprintf(t, args)
 	default:
 		panic(&machine.Crash{Thread: t.Name(), IP: t.IP(),
-			Err: fmt.Errorf("libc: unresolved function %q", name)})
+			Err: fmt.Errorf("libc: unresolved function %q", f.Name)})
 	}
 }
 

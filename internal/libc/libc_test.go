@@ -3,6 +3,7 @@ package libc
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 
 	"smvx/internal/obs"
@@ -628,10 +629,42 @@ func TestInstrumentedCallBuildsNoMetricName(t *testing.T) {
 	if m.Histogram("libc.cycles{category=local}").Count == 0 {
 		t.Error("no libc.cycles{category=local} observations")
 	}
-	for _, c := range []Category{CatRetOnly, CatRetBuf, CatSpecial, CatLocal} {
-		if got, want := obs.LockstepCategoryMetricName(uint64(c)), "lockstep.category."+c.Slug(); got != want {
+	for c, label := range map[Category]string{CatRetOnly: "ret_only", CatRetBuf: "ret_buf", CatSpecial: "special", CatLocal: "local"} {
+		if got, want := obs.LockstepCategoryMetricName(uint64(c)), "lockstep.category."+label; got != want {
 			t.Errorf("lockstep counter for %v = %q, want %q", c, got, want)
 		}
+		if got, want := obs.CategoryLabel(uint64(c)), label; got != want {
+			t.Errorf("label of %v = %q, want %q", c, got, want)
+		}
+	}
+}
+
+// TestCallTable: the table is sorted by name, which is the PLT layout
+// scenario images take from Names, and Lookup finds every row by its
+// name with its prebuilt names. A name outside the table gets the
+// conservative facts under its own name.
+func TestCallTable(t *testing.T) {
+	names := Names()
+	if !slices.IsSorted(names) || len(names) != len(funcs) {
+		t.Errorf("Names() = %v, want the %d rows sorted by name", names, len(funcs))
+	}
+	for i, name := range names {
+		f := Lookup(name)
+		if f != &funcs[i] || f.Name != name {
+			t.Errorf("Lookup(%q) = row %q, want row %d", name, f.Name, i)
+		}
+		if f.CycleMetric != "libc.cycles."+name || f.Spans != obs.NewSpanNames(name) ||
+			f.CategoryCycleMetric != "libc.cycles{category="+obs.CategoryLabel(uint64(f.Cat))+"}" {
+			t.Errorf("%s: prebuilt names %q, %q, %v", name, f.CycleMetric, f.CategoryCycleMetric, f.Spans)
+		}
+		if f.Cat == CatLocal && !f.UserSpace {
+			t.Errorf("%s: a local call must never reach the kernel", name)
+		}
+	}
+	u := Lookup("dlopen")
+	if u.Name != "dlopen" || u.Cat != CatRetOnly || u.Sync != SyncBarrier || u.Args != "" || u.Out.Size != 0 ||
+		u.PtrRet || u.UserSpace || u.CPMon || u.Spans.Rendezvous != "rendezvous:dlopen" {
+		t.Errorf("Lookup(\"dlopen\") = %+v, want a conservative row of its own", *u)
 	}
 }
 

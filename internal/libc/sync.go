@@ -39,42 +39,3 @@ func (c SyncClass) String() string {
 		return "unknown"
 	}
 }
-
-// syncOverrides lists the calls whose sync class does not follow from
-// their emulation category alone.
-var syncOverrides = map[string]SyncClass{
-	// sendfile emulates a buffer (CatRetBuf) but pushes bytes onto a
-	// socket — externally visible, so it must not run ahead of
-	// verification.
-	"sendfile": SyncBarrier,
-	// ioctl is special-emulation but configures kernel objects.
-	"ioctl": SyncBarrier,
-	// epoll waits only report readiness; the epoll_data rebase is part of
-	// the buffer snapshot, so they pipeline like other input calls.
-	"epoll_wait":  SyncPipelined,
-	"epoll_pwait": SyncPipelined,
-	// time and random return scalars read from the kernel without
-	// changing observable state: safe to pipeline despite CatRetOnly.
-	"time":   SyncPipelined,
-	"random": SyncPipelined,
-}
-
-// SyncClassOf returns the pipelined-lockstep sync class for a libc call
-// name. Unknown calls synchronize as barriers — the conservative choice:
-// a call the monitor cannot classify must not retire unverified work.
-func SyncClassOf(name string) SyncClass {
-	if c, ok := syncOverrides[name]; ok {
-		return c
-	}
-	switch CategoryOf(name) {
-	case CatLocal:
-		return SyncLocal
-	case CatRetBuf, CatSpecial:
-		// Input/result emulation: the follower only consumes data.
-		return SyncPipelined
-	default:
-		// CatRetOnly and anything unknown: state-changing leader-only
-		// execution (open/write/close/socket configuration).
-		return SyncBarrier
-	}
-}

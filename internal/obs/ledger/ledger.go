@@ -37,7 +37,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"smvx/internal/libc"
 	"smvx/internal/obs"
 	"smvx/internal/sim/clock"
 )
@@ -98,7 +97,8 @@ func (p Phase) String() string {
 
 // Class is a libc call's sync class, mirroring libc.SyncClass by code
 // (0=unknown, 1=local, 2=pipelined, 3=barrier) so the ledger can be
-// rebuilt from persisted events without consulting the libc tables.
+// rebuilt from persisted events without consulting the libc table: a
+// call's class is Class(f.Sync) of its row f.
 type Class uint8
 
 // Classes.
@@ -120,15 +120,6 @@ func (c Class) String() string {
 		return classNames[c]
 	}
 	return "unknown"
-}
-
-// ClassOf returns the sync class of a libc call by name.
-func ClassOf(name string) Class {
-	c := Class(libc.SyncClassOf(name))
-	if c >= NumClasses {
-		return ClassUnknown
-	}
-	return c
 }
 
 // phaseClassNames interns every "phase/class" label pair at init so the

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"smvx/internal/libc"
 	"smvx/internal/obs"
 	"smvx/internal/sim/clock"
 )
@@ -31,11 +32,11 @@ func TestPhaseClassNameRoundtrip(t *testing.T) {
 
 func TestClassOf(t *testing.T) {
 	// malloc is local, read is pipelined, write is a barrier in the libc
-	// sync tables; the ledger classes must mirror them by code.
+	// call table; the ledger classes must mirror them by code.
 	cases := map[string]Class{"malloc": ClassLocal, "read": ClassPipelined, "write": ClassBarrier}
 	for name, want := range cases {
-		if got := ClassOf(name); got != want {
-			t.Errorf("ClassOf(%q) = %v, want %v", name, got, want)
+		if got := Class(libc.SyncClassOf(name)); got != want {
+			t.Errorf("Class(libc.SyncClassOf(%q)) = %v, want %v", name, got, want)
 		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"smvx/internal/analysis"
-	"smvx/internal/core"
+	"smvx/internal/libc"
 	"smvx/internal/obs"
 )
 
@@ -229,18 +229,18 @@ func (r *Replay) DiffVariants(context int) []VariantDivergence {
 }
 
 // variantKey is the leader-vs-follower call identity: pointer-position
-// arguments (per core.ScalarArgMask, the live monitor's own table) and
-// pointer returns are zeroed out of the comparison.
+// arguments and pointer returns, per the call's row in the libc call table
+// the live monitor compares by, are zeroed out of the comparison.
 func variantKey(c LibcCall) callKey {
 	k := c.key()
-	mask := core.ScalarArgMask(c.Name)
-	if len(mask) < 1 || !mask[0] {
+	f := libc.Lookup(c.Name)
+	if !f.Scalar(0) {
 		k.Arg0 = 0
 	}
-	if len(mask) < 2 || !mask[1] {
+	if !f.Scalar(1) {
 		k.Arg1 = 0
 	}
-	if !core.ScalarRet(c.Name) {
+	if f.PtrRet {
 		k.Ret = 0
 	}
 	return k

@@ -15,7 +15,8 @@ import "smvx/internal/sim/clock"
 
 // CategoryLabel returns the metric label slug for a Table 1 emulation
 // category code. It mirrors libc.Category (which obs cannot import)
-// by code: 1=ret_only, 2=ret_buf, 3=special, 4=local.
+// by code: 1=ret_only, 2=ret_buf, 3=special, 4=local. It is the one
+// category label table: libc builds its metric names from it.
 func CategoryLabel(code uint64) string {
 	switch code {
 	case 1:
@@ -94,8 +95,8 @@ func LockstepCategoryMetricName(code uint64) string {
 
 // SpanNames are the names of the lockstep spans one libc call opens. The
 // hot path passes a prebuilt field to the matching Begin*Span, so build
-// them once per call name (NewSpanNames at init, into a table nothing
-// writes afterwards) rather than once per span.
+// them once per call name (libc's call table holds them on each row)
+// rather than once per span.
 type SpanNames struct {
 	Rendezvous, Emulation, Drain string
 }
