@@ -201,8 +201,8 @@ func BenchmarkRingDrain(b *testing.B) {
 }
 
 // BenchmarkTrampoline is one interception outside a protected region with
-// a recorder attached: the trampoline's PKRU writes and stack pivot around
-// a direct libc call.
+// a recorder attached: the trampoline's PKRU writes and stack pivot, and
+// its one trampoline event, around a direct libc call.
 func BenchmarkTrampoline(b *testing.B) {
 	env, mon := loopApp(b, timeRound, nil, nil)
 	th, err := env.MainThread()

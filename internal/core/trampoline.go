@@ -33,7 +33,8 @@ func (s *session) ledgerTrampoline(v obs.Variant, f *libc.Func, costs clock.Cost
 // (4) restores the stack and re-arms MPK on the way out. The two WRPKRU
 // executions and the fixed pivot cost are charged per interception, which
 // is what makes sMVX's per-libc-call overhead visible in Figure 7. The
-// call's row is looked up once here and rides the whole call path.
+// call's row is looked up once here and rides the whole call path, and
+// the whole pass is recorded once, as one EvTrampoline at entry.
 func (mo *Monitor) Intercept(t *machine.Thread, slot int, name string, args []uint64) uint64 {
 	f := libc.Lookup(name)
 	if mo.opts.SyscallGranularity && f.UserSpace {
@@ -41,29 +42,23 @@ func (mo *Monitor) Intercept(t *machine.Thread, slot int, name string, args []ui
 	}
 	costs := mo.m.Costs()
 	mo.m.ChargeThread(t, costs.TrampolineEntry)
-	rec := mo.rec
-	v := obs.Variant(t.Variant())
 
 	// DEACTIVATE_MPK_PROT(): open the monitor's pages for this thread.
-	oldPKRU := t.PKRU()
-	t.WRPKRU(mo.monPKRU())
-	if rec != nil {
-		rec.Record(obs.EvPKRUWrite, v, t.TID(), "deactivate-prot", uint64(mo.monPKRU()), 0, 0)
-	}
+	oldPKRU, monPKRU := t.PKRU(), mo.monPKRU()
+	t.WRPKRU(monPKRU)
 
 	// Switch stacks: the reference monitor and the actual libc call run on
 	// the MPK-protected safe stack.
-	var oldSP mem.Addr
-	pivoted := false
-	if !mo.opts.DisableSafeStack {
+	var oldSP, safeSP mem.Addr
+	pivoted := !mo.opts.DisableSafeStack
+	if pivoted {
 		mo.m.ChargeThread(t, costs.StackPivot)
-		oldSP = t.SP()
-		t.SetSP(mo.safeStackFor(t))
-		pivoted = true
-		if rec != nil {
-			rec.Record(obs.EvStackPivot, v, t.TID(), name, uint64(oldSP), uint64(t.SP()), 0)
-		}
+		oldSP, safeSP = t.SP(), mo.safeStackFor(t)
+		t.SetSP(safeSP)
 	}
+	v := obs.Variant(t.Variant())
+	mo.rec.Record(obs.EvTrampoline, v, t.TID(), name,
+		uint64(oldPKRU)|uint64(monPKRU)<<32, uint64(oldSP), uint64(safeSP))
 	defer func() {
 		// On the way out — including a simulated crash unwinding through
 		// here — restore the unsafe stack and ACTIVATE_MPK_PROT().
@@ -71,9 +66,6 @@ func (mo *Monitor) Intercept(t *machine.Thread, slot int, name string, args []ui
 			t.SetSP(oldSP)
 		}
 		t.WRPKRU(oldPKRU)
-		if rec != nil {
-			rec.Record(obs.EvPKRUWrite, v, t.TID(), "activate-prot", uint64(oldPKRU), 0, 0)
-		}
 	}()
 
 	mo.mu.Lock()

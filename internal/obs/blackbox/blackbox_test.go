@@ -80,18 +80,19 @@ func TestRoundTripEventsAndAlarms(t *testing.T) {
 }
 
 // TestMetaFormatVersions: the reader decodes the meta record of a
-// version-1 WAL (per-charge ledger events) and of a version-2 one
-// (per-region ledger cells), and refuses any other version, so an older
-// reader cannot mistake a newer WAL for one with an empty ledger.
+// version-1 WAL (per-charge ledger events), of a version-2 one
+// (per-region ledger cells) and of a version-3 one (one trampoline event
+// per pass, one event per span), and refuses any other version, so an
+// older reader cannot mistake a newer WAL for one it would misrender.
 func TestMetaFormatVersions(t *testing.T) {
 	want := testMeta()
 	payload := appendMeta(nil, want)[1:]
-	if v, _ := binary.Uvarint(payload); v != FormatVersion || FormatVersion != 2 {
-		t.Fatalf("meta written as version %d, FormatVersion %d: want 2", v, FormatVersion)
+	if v, _ := binary.Uvarint(payload); v != FormatVersion || FormatVersion != 3 {
+		t.Fatalf("meta written as version %d, FormatVersion %d: want 3", v, FormatVersion)
 	}
 	// The version is the payload's first uvarint; re-stamp it.
 	rest := payload[1:]
-	for ver, ok := range map[uint64]bool{0: false, 1: true, 2: true, 3: false} {
+	for ver, ok := range map[uint64]bool{0: false, 1: true, 2: true, 3: true, 4: false} {
 		m, err := decodeMeta(append(binary.AppendUvarint(nil, ver), rest...))
 		if ok && (err != nil || !reflect.DeepEqual(m, want)) {
 			t.Errorf("version %d: meta %+v, %v; want %+v", ver, m, err, want)

@@ -25,15 +25,20 @@
 // frame makes damage detectable: a reader stops a segment cleanly at the
 // first truncated or corrupted frame and keeps everything before it.
 //
-// The meta record opens with the format version. Version 2 (FormatVersion)
-// carries the cost ledger as obs.EvLedgerCell events, one per cell that
-// moved, flushed at each region's mvx_end and at the end of the run;
-// version 1 carried one obs.EvLedger event per charge. The framing and
-// record encoding are the same in both, and the reader accepts both, so
-// version-1 WALs still replay to their ledger. Only a sealed version-2 WAL
-// (cli.Runtime.Seal) carries the whole ledger: a WAL cut off by a host
-// crash lacks the cells of every region still in flight, and its replayed
-// ledger is smaller with no damage note to say so.
+// The meta record opens with the format version. Version 3 (FormatVersion)
+// records each trampoline pass as one obs.EvTrampoline event and each
+// telemetry span as one obs.EvSpan at its end; versions 1 and 2 recorded
+// two obs.EvPKRUWrite events and one obs.EvStackPivot per pass and an
+// obs.EvSpanBegin/obs.EvSpanEnd pair per span. Versions 2 and 3 carry the
+// cost ledger as obs.EvLedgerCell events, one per cell that moved, flushed
+// at each region's mvx_end and at the end of the run; version 1 carried
+// one obs.EvLedger event per charge. The framing and record encoding are
+// the same in all three, the retired kinds keep their numbers and their
+// renderers, and the reader accepts all three, so older WALs still replay
+// to their forensics, traces and ledger. Only a sealed WAL of version 2 or
+// later (cli.Runtime.Seal) carries the whole ledger: a WAL cut off by a
+// host crash lacks the cells of every region still in flight, and its
+// replayed ledger is smaller with no damage note to say so.
 //
 // Writes are buffered; the Writer flushes (and fsyncs) on every alarm and
 // on Close, so the records leading up to a divergence are on disk even if
@@ -58,8 +63,10 @@ const Magic = "sMVXWAL1"
 // FormatVersion is the version the writer stamps into each meta record.
 // It is bumped when the record encoding, or what the records mean to
 // replay, changes incompatibly, so that an older reader refuses a newer
-// WAL: a version-1 reader would replay a version-2 WAL to an empty ledger.
-const FormatVersion = 2
+// WAL: a version-1 reader would replay a version-2 WAL to an empty ledger,
+// and a version-2 reader would render a version-3 WAL's trampoline and
+// span events as unknown kinds.
+const FormatVersion = 3
 
 // minFormatVersion is the oldest version the reader still decodes.
 const minFormatVersion = 1

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"smvx/internal/sim/clock"
 )
 
 // chromeEvent is one entry of the Chrome trace_event JSON array
@@ -13,7 +15,8 @@ type chromeEvent struct {
 	Name string            `json:"name"`
 	Cat  string            `json:"cat"`
 	Ph   string            `json:"ph"`
-	TS   float64           `json:"ts"` // microseconds
+	TS   float64           `json:"ts"`            // microseconds
+	Dur  *float64          `json:"dur,omitempty"` // microseconds, complete (X) events only
 	PID  int               `json:"pid"`
 	TID  int               `json:"tid"`
 	Args map[string]string `json:"args,omitempty"`
@@ -22,7 +25,8 @@ type chromeEvent struct {
 
 // WriteChromeTrace renders the buffered events in Chrome trace_event JSON
 // ("traceEvents" array). Libc enter/exit pairs become duration (B/E)
-// events; everything else becomes an instant event. Timestamps are
+// events, a span becomes one complete (X) event that starts its duration
+// before its end; everything else becomes an instant event. Timestamps are
 // virtual-clock microseconds.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	return WriteChromeTraceEvents(w, r.Events())
@@ -66,6 +70,14 @@ func WriteChromeTraceEvents(w io.Writer, events []Event) error {
 		case EvSpanEnd:
 			ce.Ph = "E"
 			ce.Cat = "span:" + e.Variant.String()
+			ce.Args = map[string]string{"cycles": fmt.Sprintf("%d", e.Arg0)}
+		case EvSpan:
+			d := clock.Cycles(e.Arg0)
+			dur := d.Micros()
+			ce.Ph = "X"
+			ce.Cat = "span:" + e.Variant.String()
+			ce.TS = (e.TS - d).Micros()
+			ce.Dur = &dur
 			ce.Args = map[string]string{"cycles": fmt.Sprintf("%d", e.Arg0)}
 		default:
 			ce.Ph = "i"

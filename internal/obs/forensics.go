@@ -154,7 +154,19 @@ func buildReport(idx int, a AlarmInfo, events []Event, window int) string {
 	}
 	fmt.Fprintf(&b, "detail: %s\n", a.Detail)
 
-	for _, v := range []Variant{VariantLeader, VariantFollower} {
+	// The leader's and the first follower's tails always print; a further
+	// slot's prints when the ring holds any event of it, so a report at
+	// N≥3 shows the slot that diverged, or that its events were evicted.
+	var present [VariantNone]bool
+	for _, e := range events {
+		if e.Variant < VariantNone {
+			present[e.Variant] = true
+		}
+	}
+	for v := VariantLeader; v < VariantNone; v++ {
+		if v > VariantFollower && !present[v] {
+			continue
+		}
 		tail := variantTail(events, v, window)
 		fmt.Fprintf(&b, "--- %s: final %d events ---\n", v, len(tail))
 		for i, e := range tail {
@@ -200,7 +212,7 @@ func variantTail(events []Event, v Variant, n int) []Event {
 	tail := make([]Event, 0, n)
 	for i := len(events) - 1; i >= 0 && len(tail) < n; i-- {
 		switch events[i].Kind {
-		case EvSpanBegin, EvSpanEnd, EvLedger, EvLedgerCell:
+		case EvSpan, EvSpanBegin, EvSpanEnd, EvLedger, EvLedgerCell:
 			continue
 		}
 		if events[i].Variant == v {
@@ -230,6 +242,12 @@ func formatEventLine(e Event) string {
 		return fmt.Sprintf("%-12s pkru=0x%x", e.Kind, e.Arg0)
 	case EvStackPivot:
 		return fmt.Sprintf("%-12s sp 0x%x -> 0x%x", e.Kind, e.Arg0, e.Arg1)
+	case EvTrampoline:
+		line := fmt.Sprintf("%-12s %s pkru 0x%x -> 0x%x", e.Kind, e.Name, uint32(e.Arg0), e.Arg0>>32)
+		if e.Ret != 0 {
+			line += fmt.Sprintf(" sp 0x%x -> 0x%x", e.Arg1, e.Ret)
+		}
+		return line
 	case EvVariantPhase:
 		return fmt.Sprintf("%-12s %s %d cycles", e.Kind, e.Name, e.Arg0)
 	case EvPageFault:
@@ -240,7 +258,7 @@ func formatEventLine(e Event) string {
 		return fmt.Sprintf("%-12s %s call#%d", e.Kind, e.Name, e.Arg0)
 	case EvSpanBegin:
 		return fmt.Sprintf("%-12s %s", e.Kind, e.Name)
-	case EvSpanEnd:
+	case EvSpanEnd, EvSpan:
 		return fmt.Sprintf("%-12s %s %d cycles", e.Kind, e.Name, e.Arg0)
 	case EvWatchdog:
 		return fmt.Sprintf("%-12s %s", e.Kind, e.Name)
@@ -257,13 +275,16 @@ func formatEventLine(e Event) string {
 	}
 }
 
-// short is the per-variant index prefix used in report event lines.
+// short is the per-variant index prefix used in report event lines: L for
+// the leader, F for the first follower and F2 … F8 for the further slots.
 func (v Variant) short() string {
-	switch v {
-	case VariantLeader:
+	switch {
+	case v == VariantLeader:
 		return "L"
-	case VariantFollower:
+	case v == VariantFollower:
 		return "F"
+	case v < VariantNone:
+		return "F" + string(rune('0'+int(v)))
 	default:
 		return "?"
 	}

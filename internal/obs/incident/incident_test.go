@@ -68,7 +68,7 @@ func TestNonSignalEventsIgnored(t *testing.T) {
 	eng := New(1000)
 	eng.TapEvent(ev(obs.EvLibcEnter, 10, "read", 0))
 	eng.TapEvent(ev(obs.EvLockstep, 20, "read", 0))
-	eng.TapEvent(ev(obs.EvSpanEnd, 30, "rendezvous:read", 0))
+	eng.TapEvent(ev(obs.EvSpan, 30, "rendezvous:read", 0))
 	if n := eng.Count(); n != 0 {
 		t.Fatalf("non-signal events opened %d incidents", n)
 	}

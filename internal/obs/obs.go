@@ -8,8 +8,8 @@
 // provides three pieces:
 //
 //   - a fixed-capacity ring buffer of typed, virtual-clock-timestamped
-//     events (libc call entry/exit per variant, lockstep decisions, PKRU
-//     writes and trampoline stack pivots, variant-creation phases, page
+//     events (libc call entry/exit per variant, lockstep decisions, one
+//     trampoline pass per interception, variant-creation phases, page
 //     faults, alarms),
 //   - a metrics registry of counters, gauges and cycle histograms,
 //   - flight-recorder forensics reports: for every alarm, the final events
@@ -46,10 +46,11 @@ const (
 	// EvEmulated is one leader→follower result copy: Arg0 is bytes copied.
 	EvEmulated
 	// EvPKRUWrite is one protection-key rights register update: Arg0 is the
-	// new PKRU value.
+	// new PKRU value. No code records it now (the trampoline records one
+	// EvTrampoline); it keeps its number so that older WALs still replay.
 	EvPKRUWrite
 	// EvStackPivot is one trampoline safe-stack switch: Arg0 the old SP,
-	// Arg1 the new SP.
+	// Arg1 the new SP. Retired with EvPKRUWrite, for the same reason.
 	EvStackPivot
 	// EvVariantPhase is one variant-creation phase from the Table 2
 	// breakdown: Name is the phase, Arg0 its cycle cost.
@@ -65,11 +66,13 @@ const (
 	EvSyscall
 	// EvAlarm is a raised divergence alarm: Name is the reason.
 	EvAlarm
-	// EvSpanBegin / EvSpanEnd bracket one typed telemetry span (rendezvous,
-	// emulation, variant creation): Name is "<kind>:<detail>", Arg0 is
+	// EvSpanBegin / EvSpanEnd bracketed one typed telemetry span in WAL
+	// format versions 1 and 2: Name is "<kind>:<detail>", Arg0 is
 	// kind-specific (the emulation category code for rendezvous/emulation
 	// spans). On EvSpanEnd, Arg0 is the span duration in cycles and
-	// Arg1/Ret carry the kind's payload.
+	// Arg1/Ret carry the kind's payload. No code records them now (a span
+	// records one EvSpan); they keep their numbers so that older WALs
+	// still replay.
 	EvSpanBegin
 	EvSpanEnd
 	// EvWatchdog is an SLO watchdog trip: Name is the violated threshold.
@@ -133,6 +136,18 @@ const (
 	// its mvx_end and at the end of the run, so the stream of these events
 	// is what lets replay rebuild the ledger from the WAL.
 	EvLedgerCell
+	// EvTrampoline is one pass through the MPK trampoline of Figure 4,
+	// recorded at entry: Name is the libc call, Arg0 the thread's own PKRU
+	// (restored on exit) in its low 32 bits and the monitor's PKRU in its
+	// high 32, Arg1 the unsafe SP and Ret the safe-stack top (both 0 when
+	// the safe stack is disabled).
+	EvTrampoline
+	// EvSpan is one typed telemetry span (rendezvous, emulation, drain,
+	// variant creation), recorded when it ends: TS is the end, Name is
+	// "<kind>:<detail>", Arg0 the duration in cycles, Arg1/Ret the kind's
+	// payload (the emulation category code in Arg1 for rendezvous,
+	// emulation and drain spans).
+	EvSpan
 )
 
 // String names the event kind.
@@ -190,6 +205,10 @@ func (k EventKind) String() string {
 		return "region-abort"
 	case EvLedgerCell:
 		return "ledger-cell"
+	case EvTrampoline:
+		return "trampoline"
+	case EvSpan:
+		return "span"
 	default:
 		return "unknown"
 	}
@@ -277,8 +296,10 @@ type Config struct {
 }
 
 // DefaultCapacity is the default ring size. It is deliberately generous:
-// at ~5 events per intercepted libc call it holds the last few hundred
-// calls of both variants, far more than a forensic window needs.
+// at about 4.5 events per intercepted libc call (a traced
+// nginx-rollback-attack request records 714 over 160 interceptions) it
+// holds the last 900 or so interceptions, a few hundred calls of each
+// variant, far more than a forensic window needs.
 const DefaultCapacity = 4096
 
 // DefaultForensicWindow is the per-variant event tail a report shows.

@@ -97,6 +97,35 @@ func TestForensicTailsSkipLedgerEvents(t *testing.T) {
 	}
 }
 
+// TestForensicReportShowsFurtherSlots: past the first follower, a report
+// prints a tail for each slot the ring holds events of, prefixed F2, F3
+// and so on, and none for a slot it holds nothing of. A slot whose only
+// events are ledger cells gets an empty tail: its own events were evicted.
+func TestForensicReportShowsFurtherSlots(t *testing.T) {
+	r := NewRecorder(Config{ForensicWindow: 2})
+	r.Record(EvLibcEnter, VariantLeader, 1, "close", 3, 0, 0)
+	r.Record(EvLibcEnter, VariantFollower, 2, "close", 3, 0, 0)
+	r.Record(EvTrampoline, Variant(2), 3, "close", 0x0000000000000114, 0x200001418df8, 0x5500f64fa000)
+	r.Record(EvLibcEnter, Variant(2), 3, "close", 4, 0, 0)
+	r.RecordIn("protected_fn", EvLedgerCell, Variant(4), 0, "wait/barrier", 500, 2, 0)
+	r.Alarm(AlarmInfo{Reason: "variant outvoted", Detail: "variant 2 outvoted 2-to-1"})
+	rep := r.ForensicReports()[0]
+	want := `--- follower: final 1 events ---
+  [F-1] libc-enter   close(0x3, 0x0)
+--- follower2: final 2 events ---
+  [F2-2] trampoline   close pkru 0x114 -> 0x0 sp 0x200001418df8 -> 0x5500f64fa000
+  [F2-1] libc-enter   close(0x4, 0x0)
+--- follower4: final 0 events ---
+=== END FLIGHT RECORDER ===
+`
+	if !strings.Contains(rep, want) {
+		t.Errorf("report:\n%s\nwant it to end with:\n%s", rep, want)
+	}
+	if two := playScenario(false).ForensicReports()[0]; strings.Contains(two, "follower2") {
+		t.Errorf("a pair's report prints a second follower:\n%s", two)
+	}
+}
+
 func TestForensicWindowBoundedByAvailable(t *testing.T) {
 	r := NewRecorder(Config{Capacity: 8, ForensicWindow: 16})
 	r.Record(EvLibcEnter, VariantLeader, 1, "open", 0, 0, 0)
@@ -147,6 +176,25 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 }
 
+// TestChromeTraceSpanIsOneCompleteEvent: a span recorded at its end
+// exports as one complete (X) event that starts its duration earlier.
+func TestChromeTraceSpanIsOneCompleteEvent(t *testing.T) {
+	ctr := clock.NewCounter()
+	r := NewRecorder(Config{Clock: ctr})
+	ctr.Charge(2100)
+	sp := r.BeginEmulationSpan(VariantLeader, 1, NewSpanNames("recv").Emulation, 2)
+	ctr.Charge(1050)
+	sp.End(4144)
+	var buf bytes.Buffer
+	if err := r.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"name":"emulation:recv","cat":"span:leader","ph":"X","ts":1,"dur":0.5,"pid":1,"tid":1,"args":{"cycles":"1050"}}`
+	if !strings.Contains(buf.String(), want) {
+		t.Errorf("chrome trace:\n%s\nwant the span as %s", buf.String(), want)
+	}
+}
+
 func TestEventTableText(t *testing.T) {
 	r := playScenario(false)
 	txt := r.TableText()
@@ -160,14 +208,14 @@ func TestEventTableText(t *testing.T) {
 
 func TestEventKindAndVariantStrings(t *testing.T) {
 	seen := map[string]bool{}
-	for k := EvLibcEnter; k <= EvLedgerCell; k++ {
+	for k := EvLibcEnter; k <= EvSpan; k++ {
 		s := k.String()
 		if s == "unknown" || seen[s] {
 			t.Errorf("kind %d stringifies badly: %q", k, s)
 		}
 		seen[s] = true
 	}
-	if EventKind(200).String() != "unknown" || (EvLedgerCell+1).String() != "unknown" {
+	if EventKind(200).String() != "unknown" || (EvSpan+1).String() != "unknown" {
 		t.Error("out-of-range kind should be unknown")
 	}
 	if VariantLeader.String() != "leader" || VariantFollower.String() != "follower" {

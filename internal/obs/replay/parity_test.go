@@ -29,11 +29,11 @@ type recorded struct {
 // table: it records runs through the same cli.Config.Resolve the binaries
 // use, seals each one's black-box WAL, replays it, and requires every
 // table the live run had — the cost ledger's JSON, the fleet and incident
-// tables, the forensics reports — to equal its replay byte for byte. The
-// first nine runs are the command lines below as given to experiments
-// -run cve and to smvx; the tenth folds an exploit's incidents through
-// a non-default correlation window, which replay must read back from the
-// WAL's labels.
+// tables, the forensics reports, the Chrome trace and the event table —
+// to equal its replay byte for byte. The first nine runs are the command
+// lines below as given to experiments -run cve and to smvx; the tenth
+// folds an exploit's incidents through a non-default correlation window,
+// which replay must read back from the WAL's labels.
 func TestReplayParity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -100,6 +100,11 @@ func TestReplayParity(t *testing.T) {
 					t.Errorf("diverging followers = %+v, want follower2 alone", divs)
 				}
 				wantContains(t, "variant diff", variantDiff(run.replay), "--- follower2 ---")
+				// The report that names the outvoted slot has a tail of its
+				// own. Its events were evicted from the ring by the end of
+				// the run; its ledger cells, which no tail shows, were not.
+				wantContains(t, "forensics", strings.Join(run.live.Recorder.ForensicReports(), "\n"),
+					"variant 2 outvoted", "--- follower2: final ")
 			}},
 		{name: "n3-clean", args: []string{"-variants", "3"},
 			protect: "ngx_worker_process_cycle", requests: 5,
@@ -173,6 +178,19 @@ func TestReplayParity(t *testing.T) {
 			if live, rebuilt := run.live.Recorder.ForensicReports(), run.replay.ForensicReports(); !reflect.DeepEqual(live, rebuilt) {
 				t.Errorf("replayed forensics differ from live\nlive:\n%s\nreplayed:\n%s",
 					strings.Join(live, "\n"), strings.Join(rebuilt, "\n"))
+			}
+			var liveTrace, rebuiltTrace bytes.Buffer
+			if err := run.live.Recorder.WriteChromeTrace(&liveTrace); err != nil {
+				t.Fatal(err)
+			}
+			if err := run.replay.WriteChromeTrace(&rebuiltTrace); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(liveTrace.Bytes(), rebuiltTrace.Bytes()) {
+				t.Errorf("replayed Chrome trace differs from live (%d and %d bytes)", liveTrace.Len(), rebuiltTrace.Len())
+			}
+			if live, rebuilt := run.live.Recorder.TableText(), run.replay.TableText(); live != rebuilt {
+				t.Errorf("replayed event table differs from live\nlive:\n%s\nreplayed:\n%s", live, rebuilt)
 			}
 			tc.check(t, run)
 		})

@@ -100,9 +100,10 @@ func (r *Replay) RebuildMetrics() *obs.Metrics {
 			m.Inc(obs.LockstepCategoryMetricName(e.Arg0))
 		case obs.EvEmulated:
 			m.Add("lockstep.emulated.bytes", e.Arg0)
-		case obs.EvSpanEnd:
-			// EvSpanEnd: Name is "<kind>:<detail>", Arg0 the duration in
-			// cycles, Arg1 the category code for rendezvous/emulation spans.
+		case obs.EvSpan, obs.EvSpanEnd:
+			// A span (EvSpanEnd before WAL format version 3): Name is
+			// "<kind>:<detail>", Arg0 the duration in cycles, Arg1 the
+			// category code for rendezvous/emulation spans.
 			switch kind, _, _ := strings.Cut(e.Name, ":"); kind {
 			case "rendezvous":
 				m.Observe(obs.RendezvousMetricName(e.Arg1), e.Arg0)
@@ -125,13 +126,21 @@ func (r *Replay) RebuildMetrics() *obs.Metrics {
 }
 
 // Summary renders a one-screen inspection of the run: metadata, stream
-// sizes, per-variant totals, alarms, and any damage notes. Each variant
-// present gets its own count; events with no variant affinity count as
-// none, so the counts sum to the total.
+// sizes, per-variant totals, per-kind totals, alarms, and any damage
+// notes. Each variant present gets its own count; events with no variant
+// affinity count as none, so the counts sum to the total. Each kind
+// present gets its own count too, in kind order.
 func (r *Replay) Summary() string {
-	var perVariant [256]uint64
+	var perVariant, perKind [256]uint64
 	for _, e := range r.Run.Events {
 		perVariant[e.Variant]++
+		perKind[e.Kind]++
+	}
+	var kinds []string
+	for k, n := range perKind {
+		if n > 0 {
+			kinds = append(kinds, fmt.Sprintf("%s %d", obs.EventKind(k), n))
+		}
 	}
 	var counts []string
 	none := uint64(len(r.Run.Events))
@@ -158,6 +167,7 @@ func (r *Replay) Summary() string {
 	}
 	s += fmt.Sprintf("  events: %d total (%s), ring view %d\n",
 		len(r.Run.Events), strings.Join(counts, ", "), len(r.RingView()))
+	s += fmt.Sprintf("  kinds: %s\n", strings.Join(kinds, ", "))
 	s += fmt.Sprintf("  alarms: %d\n", len(r.Run.Alarms))
 	for i, a := range r.Run.Alarms {
 		s += fmt.Sprintf("    #%d %s at call %d in %s\n", i+1, a.Reason, a.CallIndex, a.Function)

@@ -15,7 +15,7 @@ import (
 func scenario(t *testing.T, dir string) *obs.Recorder {
 	t.Helper()
 	ctr := clock.NewCounter()
-	// Capacity 16 with ~70 events: the ring evicts most of the run, so the
+	// Capacity 16 with ~60 events: the ring evicts most of the run, so the
 	// byte-identity assertions below prove RingView truncation is right.
 	rec := obs.NewRecorder(obs.Config{Capacity: 16, ForensicWindow: 4, Clock: ctr})
 	w, err := blackbox.Open(dir, blackbox.Meta{Capacity: 16, ForensicWindow: 4}, blackbox.Options{NoSync: true})
@@ -219,15 +219,81 @@ func TestSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A second follower's event and a request event, which has no
-	// variant, get counts of their own: the counts sum to the total.
+	// variant, get counts of their own: the counts sum to the total. Each
+	// kind gets its count too, in kind order, and those sum to it as well.
 	r.Run.Events = append(r.Run.Events,
 		obs.Event{Kind: obs.EvLibcEnter, Variant: obs.Variant(2), TID: 3, Name: "write"},
 		obs.Event{Kind: obs.EvRequestStart, Variant: obs.VariantNone, Name: "nginx"})
 	s := r.Summary()
 	for _, want := range []string{"segments: 1", "ring capacity: 16", "alarms: 1", "call name mismatch",
-		"events: 75 total (leader 48, follower 24, follower2 1, none 2), ring view 16"} {
+		"events: 63 total (leader 36, follower 24, follower2 1, none 2), ring view 16",
+		"kinds: libc-enter 25, libc-exit 24, alarm 1, request-start 1, span 12\n"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q:\n%s", want, s)
 		}
+	}
+}
+
+// TestRetiredKindsReplayUnchanged: a version-2 WAL's trampoline pass (two
+// pkru-write events around a stack-pivot) and its span (a span-begin and
+// span-end pair) still render as they did when they were recorded — the
+// same forensic lines, the same Chrome B/E pair, the same span histogram —
+// and a version-3 span of the same rendezvous folds to that histogram.
+func TestRetiredKindsReplayUnchanged(t *testing.T) {
+	l := obs.VariantLeader
+	events := []obs.Event{
+		{Seq: 1, VSeq: 1, TS: 1000, Kind: obs.EvPKRUWrite, Variant: l, TID: 1, Name: "deactivate-prot"},
+		{Seq: 2, VSeq: 2, TS: 1040, Kind: obs.EvStackPivot, Variant: l, TID: 1, Name: "read", Arg0: 0x7ffcfffcfde8, Arg1: 0x5500f64f5000},
+		{Seq: 3, VSeq: 3, TS: 1100, Kind: obs.EvSpanBegin, Variant: l, TID: 1, Name: "rendezvous:read", Arg0: 2},
+		{Seq: 4, VSeq: 4, TS: 1100, Kind: obs.EvLibcEnter, Variant: l, TID: 1, Fn: "handler", Name: "read", Arg0: 5, Arg1: 0x7ffcfffcf000},
+		{Seq: 5, VSeq: 5, TS: 1900, Kind: obs.EvLibcExit, Variant: l, TID: 1, Fn: "handler", Name: "read", Ret: 64},
+		{Seq: 6, VSeq: 6, TS: 2300, Kind: obs.EvSpanEnd, Variant: l, TID: 1, Name: "rendezvous:read", Arg0: 1200, Arg1: 2, Ret: 64},
+		{Seq: 7, VSeq: 7, TS: 2340, Kind: obs.EvPKRUWrite, Variant: l, TID: 1, Name: "activate-prot", Arg0: 0x44},
+	}
+	alarms := []obs.AlarmInfo{{Reason: "argument mismatch", CallIndex: 1, Function: "handler", Detail: "d"}}
+
+	report := obs.BuildForensicReports(alarms, events, 16)[0]
+	wantTail := `--- leader: final 5 events ---
+  [L-5] pkru-write   pkru=0x0
+  [L-4] stack-pivot  sp 0x7ffcfffcfde8 -> 0x5500f64f5000
+  [L-3] libc-enter   read(0x5, 0x7ffcfffcf000)
+  [L-2] libc-exit    read -> 0x40
+  [L-1] pkru-write   pkru=0x44
+--- follower: final 0 events ---
+`
+	if !strings.Contains(report, wantTail) {
+		t.Errorf("forensic report:\n%s\nwant the tails:\n%s", report, wantTail)
+	}
+
+	var trace bytes.Buffer
+	if err := obs.WriteChromeTraceEvents(&trace, events); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`{"name":"deactivate-prot","cat":"pkru-write","ph":"i","ts":0.47619047619047616,"pid":1,"tid":1,"args":{"arg0":"0x0","variant":"leader"},"s":"t"}`,
+		`{"name":"read","cat":"stack-pivot","ph":"i","ts":0.4952380952380952,"pid":1,"tid":1,"args":{"arg0":"0x7ffcfffcfde8","variant":"leader"},"s":"t"}`,
+		`{"name":"rendezvous:read","cat":"span:leader","ph":"B","ts":0.5238095238095238,"pid":1,"tid":1}`,
+		`{"name":"rendezvous:read","cat":"span:leader","ph":"E","ts":1.0952380952380951,"pid":1,"tid":1,"args":{"cycles":"1200"}}`,
+	} {
+		if !strings.Contains(trace.String(), want) {
+			t.Errorf("chrome trace missing %s:\n%s", want, trace.String())
+		}
+	}
+
+	hist := obs.RendezvousMetricName(2)
+	rebuilt := (&Replay{Run: &blackbox.Run{Events: events, Alarms: alarms}}).RebuildMetrics()
+	if h := rebuilt.Histogram(hist); h.Count != 1 || h.Sum != 1200 || h.Min != 1200 || h.Max != 1200 {
+		t.Errorf("%s = %+v, want the one 1200-cycle span", hist, h)
+	}
+	for kind, n := range map[string]uint64{"pkru_write": 2, "stack_pivot": 1, "span_begin": 1, "span_end": 1} {
+		if got := rebuilt.Counter("replay.events." + kind); got != n {
+			t.Errorf("replay.events.%s = %d, want %d", kind, got, n)
+		}
+	}
+
+	current := []obs.Event{{TS: 2300, Kind: obs.EvSpan, Variant: l, TID: 1, Name: "rendezvous:read", Arg0: 1200, Arg1: 2, Ret: 64}}
+	folded := (&Replay{Run: &blackbox.Run{Events: current}}).RebuildMetrics()
+	if got, want := folded.Histogram(hist), rebuilt.Histogram(hist); got != want {
+		t.Errorf("a span folds to %+v, its begin/end pair to %+v", got, want)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"smvx/internal/sim/clock"
 )
 
 func TestRingWraparound(t *testing.T) {
@@ -217,19 +219,29 @@ func TestEvictionCounter(t *testing.T) {
 	}
 }
 
+// TestSpanRecordsEventsAndHistogram: a span records one EvSpan when it
+// ends, stamped with the end and carrying its duration, category and
+// result, and feeds its labeled histogram.
 func TestSpanRecordsEventsAndHistogram(t *testing.T) {
-	r := NewRecorder(Config{})
+	ctr := clock.NewCounter()
+	r := NewRecorder(Config{Clock: ctr})
+	ctr.Charge(100)
 	sp := r.BeginRendezvousSpan(VariantLeader, 1, NewSpanNames("read").Rendezvous, 2)
-	sp.End(42)
+	if n := r.Total(); n != 0 {
+		t.Fatalf("an open span recorded %d events, want none", n)
+	}
+	ctr.Charge(30)
+	if d := sp.End(42); d != 30 {
+		t.Errorf("span duration = %d, want 30", d)
+	}
 	ev := r.Events()
-	if len(ev) != 2 || ev[0].Kind != EvSpanBegin || ev[1].Kind != EvSpanEnd {
+	if len(ev) != 1 || ev[0].Kind != EvSpan {
 		t.Fatalf("span events = %+v", ev)
 	}
-	if ev[0].Name != "rendezvous:read" || ev[0].Arg0 != 2 {
-		t.Errorf("begin event = %+v", ev[0])
-	}
-	if ev[1].Ret != 42 {
-		t.Errorf("end event ret = %d, want 42", ev[1].Ret)
+	want := Event{Seq: 1, VSeq: 1, TS: 130, Kind: EvSpan, Variant: VariantLeader, TID: 1,
+		Name: "rendezvous:read", Arg0: 30, Arg1: 2, Ret: 42}
+	if ev[0] != want {
+		t.Errorf("span event = %+v, want %+v", ev[0], want)
 	}
 	h := r.Metrics().Histogram("rendezvous.cycles{category=ret_buf}")
 	if h.Count != 1 {

@@ -3,11 +3,13 @@ package obs
 import "smvx/internal/sim/clock"
 
 // Typed spans are the tracing half of the live telemetry plane: a span
-// brackets one logical operation (a lockstep rendezvous, a result
-// emulation, a variant creation) with EvSpanBegin/EvSpanEnd events on the
-// ring and, on End, feeds the duration into a labeled histogram — the
+// measures one logical operation (a lockstep rendezvous, a result
+// emulation, a pipelined drain, a variant creation) and records once, at
+// its end: one EvSpan event on the ring, stamped with the end and carrying
+// the duration, and the duration fed into a labeled histogram — the
 // per-category RTT distributions the Prometheus exporter serves as
-// smvx_rendezvous_cycles{category=...}.
+// smvx_rendezvous_cycles{category=...}. A span cut short (a region abort
+// or a crash unwinding through it) records nothing.
 //
 // Spans are small value types. Beginning a span on a nil Recorder returns
 // the zero span, whose End is a no-op: instrumentation sites pay nothing
@@ -119,20 +121,20 @@ type span struct {
 	name  string
 }
 
-func (r *Recorder) beginSpan(v Variant, tid int, name string, a0 uint64) span {
-	ts := r.now()
-	r.RecordAt(ts, EvSpanBegin, v, tid, name, a0, 0, 0)
-	return span{rec: r, start: ts, v: v, tid: tid, name: name}
+func (r *Recorder) beginSpan(v Variant, tid int, name string) span {
+	return span{rec: r, start: r.now(), v: v, tid: tid, name: name}
 }
 
-// end closes the span: records EvSpanEnd (Arg0 = duration), observes the
-// duration into metric (if non-empty), and returns the duration.
+// end closes the span: records EvSpan (TS = the end, Arg0 = duration),
+// observes the duration into metric (if non-empty), and returns the
+// duration.
 func (s span) end(metric string, a1, ret uint64) clock.Cycles {
 	if s.rec == nil {
 		return 0
 	}
-	d := s.rec.now() - s.start
-	s.rec.RecordAt(s.start+d, EvSpanEnd, s.v, s.tid, s.name, uint64(d), a1, ret)
+	ts := s.rec.now()
+	d := ts - s.start
+	s.rec.RecordAt(ts, EvSpan, s.v, s.tid, s.name, uint64(d), a1, ret)
 	if metric != "" {
 		s.rec.metrics.Observe(metric, uint64(d))
 	}
@@ -157,7 +159,7 @@ func (r *Recorder) BeginRendezvousSpan(v Variant, tid int, name string, category
 	if category >= uint64(len(rendezvousMetricNames)) {
 		category = 0
 	}
-	return RendezvousSpan{s: r.beginSpan(v, tid, name, category), category: category}
+	return RendezvousSpan{s: r.beginSpan(v, tid, name), category: category}
 }
 
 // End closes the rendezvous with the leader's return value.
@@ -186,7 +188,7 @@ func (r *Recorder) BeginEmulationSpan(v Variant, tid int, name string, category 
 	if category >= uint64(len(emulationMetricNames)) {
 		category = 0
 	}
-	return EmulationSpan{s: r.beginSpan(v, tid, name, category), category: category}
+	return EmulationSpan{s: r.beginSpan(v, tid, name), category: category}
 }
 
 // End closes the emulation with the number of bytes copied.
@@ -214,7 +216,7 @@ func (r *Recorder) BeginDrainSpan(v Variant, tid int, name string, category uint
 	if category >= uint64(len(drainMetricNames)) {
 		category = 0
 	}
-	return DrainSpan{s: r.beginSpan(v, tid, name, category), category: category}
+	return DrainSpan{s: r.beginSpan(v, tid, name), category: category}
 }
 
 // End closes the drain with the follower's return value.
@@ -239,7 +241,7 @@ func (r *Recorder) BeginVariantCreateSpan(tid int, fn string) VariantCreateSpan 
 	if r == nil {
 		return VariantCreateSpan{}
 	}
-	return VariantCreateSpan{s: r.beginSpan(VariantNone, tid, "variant-create:"+fn, 0)}
+	return VariantCreateSpan{s: r.beginSpan(VariantNone, tid, "variant-create:"+fn)}
 }
 
 // End closes the creation span with the number of pointers relocated.

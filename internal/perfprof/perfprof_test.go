@@ -122,7 +122,7 @@ func TestFromTrace(t *testing.T) {
 		// Exit whose enter was evicted from the ring: skipped.
 		{Kind: obs.EvLibcExit, TID: 3, Name: "orphan", TS: 10},
 		// Non-libc events are ignored.
-		{Kind: obs.EvPKRUWrite, TID: 1, Name: "activate-prot", TS: 500},
+		{Kind: obs.EvTrampoline, TID: 1, Name: "recv", TS: 500},
 	}
 	p := FromTrace(events)
 	if got := p.Inclusive("recv"); got != 300 {
