@@ -169,6 +169,7 @@ func NewEnv(k *kernel.Kernel, prog *machine.Program, opts ...Option) (*Env, erro
 	proc.SetWallCounter(wall)
 	lib := libc.New(proc, counter, o.Costs, o.Seed)
 	lib.RegisterHeap(0, DefaultHeapBase, heapSize)
+	lib.BindPLT(img.PLTSlots())
 	if o.Recorder != nil {
 		o.Recorder.SetClock(counter)
 		proc.SetRecorder(o.Recorder)

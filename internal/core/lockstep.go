@@ -422,7 +422,7 @@ func (s *session) rendezvous(t *machine.Thread, f *libc.Func, args []uint64, idx
 	var span obs.RendezvousSpan
 	if obsRec != nil {
 		if barrier {
-			obsRec.Metrics().Inc(obs.MetricLockstepBarrier)
+			s.mon.cells.barrier.Inc()
 		}
 		span = obsRec.BeginRendezvousSpan(obs.VariantLeader, t.TID(), f.Spans.Rendezvous, uint64(f.Cat))
 	}
@@ -443,8 +443,8 @@ func (s *session) rendezvous(t *machine.Thread, f *libc.Func, args []uint64, idx
 	wait := s.mon.m.Counter().Cycles() - waitStart
 	t.AddWaitCycles(wait)
 	if obsRec != nil {
-		obsRec.Metrics().Observe("lockstep.wait.cycles", uint64(wait))
-		obsRec.Metrics().Observe(obs.MetricRendezvousLeaderCycles, uint64(entry+wait))
+		s.mon.cells.wait.Observe(uint64(wait))
+		s.mon.cells.leader.Observe(uint64(entry + wait))
 		obsRec.ObserveSeries(obs.SeriesRendezvous, uint64(entry+wait))
 	}
 	if lr := s.lr; lr != nil {
@@ -623,7 +623,7 @@ func (s *session) resolve(t *machine.Thread, f *libc.Func, args []uint64, arr []
 
 	if obsRec != nil {
 		obsRec.Record(obs.EvLockstep, obs.VariantLeader, t.TID(), name, uint64(f.Cat), idx, 0)
-		obsRec.Metrics().Inc(obs.LockstepCategoryMetricName(uint64(f.Cat)))
+		obsRec.LockstepCategoryCounter(uint64(f.Cat)).Inc()
 	}
 	if lr := s.lr; lr != nil {
 		// Decode+compare charges no virtual cycles (the cost model folds it
@@ -672,7 +672,7 @@ func (s *session) resolve(t *machine.Thread, f *libc.Func, args []uint64, arr []
 	s.emulatedBytes.Add(uint64(total))
 	if obsRec != nil {
 		obsRec.Record(obs.EvEmulated, obs.VariantLeader, t.TID(), name, uint64(total), 0, ret)
-		obsRec.Metrics().Add("lockstep.emulated.bytes", uint64(total))
+		s.mon.cells.emulated.Add(uint64(total))
 	}
 	for i, w := range winners {
 		if faulted&(1<<i) != 0 && s.mon.contain() {

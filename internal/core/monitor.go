@@ -411,10 +411,17 @@ type Monitor struct {
 	trampolineBase mem.Addr
 	monDataBase    mem.Addr
 
-	mu         sync.Mutex
-	setup      bool
-	safeStacks map[int]mem.Addr // tid -> safe stack top (TLS)
-	nextStack  mem.Addr
+	// rows are the image's PLT slots resolved to libc call-table rows by
+	// Setup, so an interception finds its call's row by slot.
+	rows libc.PLTRows
+	// cells are the monitor's per-call metric cells, resolved once by New
+	// (nil cells, whose updates are no-ops, without a recorder).
+	cells monCells
+
+	mu        sync.Mutex
+	setup     bool
+	tids      map[int]tidState // per-thread trampoline state, by TID
+	nextStack mem.Addr
 
 	session *session
 
@@ -432,11 +439,10 @@ type Monitor struct {
 	reports        []RegionReport
 
 	// Fault-containment state (see policy.go). slotDown marks follower
-	// slots detached by the policy; degraded means every slot is down and
-	// regions run leader-only.
-	quarantined   map[int]bool // detached follower TIDs barred from the trampoline
-	slotDown      []bool       // per-slot detach flags, persistent across regions
-	degraded      bool         // all follower slots down; regions run leader-only
+	// slots detached by the policy (their TIDs are quarantined in tids);
+	// degraded means every slot is down and regions run leader-only.
+	slotDown      []bool // per-slot detach flags, persistent across regions
+	degraded      bool   // all follower slots down; regions run leader-only
 	restartsUsed  int
 	nextRestartAt clock.Cycles // earliest virtual time a restart may happen
 
@@ -496,9 +502,9 @@ func New(m *machine.Machine, lib *libc.LibC, opts ...Option) *Monitor {
 		opts:        o,
 		rec:         o.Recorder,
 		led:         o.Ledger,
-		safeStacks:  make(map[int]mem.Addr),
+		cells:       newMonCells(o.Recorder.Metrics()),
+		tids:        make(map[int]tidState),
 		regionCalls: make(map[string]uint64),
-		quarantined: make(map[int]bool),
 	}
 	mo.slotDown = make([]bool, mo.numFollowers())
 	mo.slotNames = newSlotNames(mo.numFollowers())
@@ -606,8 +612,10 @@ func (mo *Monitor) Setup() error {
 	mo.nextStack = slot + 64*mem.PageSize
 
 	// Patch every .got.plt slot to the trampoline: from now on all libc
-	// calls are under the monitor's interception.
-	for i := range mo.img.PLTSlots() {
+	// calls are under the monitor's interception, and each finds its row
+	// by slot.
+	mo.rows = libc.NewPLTRows(mo.img.PLTSlots())
+	for i := range mo.rows {
 		target := mo.trampolineBase + mem.Addr(i)
 		if err := as.Write64(mo.img.GOTSlotAddr(i), uint64(target)); err != nil {
 			return fmt.Errorf("smvx: patch got slot %d: %w", i, err)
@@ -804,31 +812,59 @@ func (mo *Monitor) snapshot(role string, t *machine.Thread) obs.ThreadSnapshot {
 	}
 }
 
-// safeStackFor returns (allocating on demand) the thread's trampoline safe
-// stack top. Safe stacks are per-thread TLS in the monitor's address range,
-// protected by the monitor key (Section 3.4); a follower thread's goes with
-// it in destroyStacks. Addresses are never reused, so each stack keeps its
-// place however many followers come and go.
-func (mo *Monitor) safeStackFor(t *machine.Thread) mem.Addr {
+// tidState is one thread's trampoline state: its safe-stack top, 0 until
+// its first pivot maps the stack, and whether it is a detached follower
+// barred from the trampoline.
+type tidState struct {
+	safeStack   mem.Addr
+	quarantined bool
+}
+
+// trampolineState reads what one interception needs of the monitor in one
+// lock section and one per-TID lookup: the active session, whether t is
+// quarantined, and, when pivot, t's safe-stack top. Safe stacks are
+// per-thread TLS in the monitor's address range, protected by the monitor
+// key (Section 3.4), mapped on the thread's first interception; a follower
+// thread's goes with it in destroyStacks. Addresses are never reused, so
+// each stack keeps its place however many followers come and go.
+func (mo *Monitor) trampolineState(t *machine.Thread, pivot bool) (*session, bool, mem.Addr) {
 	mo.mu.Lock()
 	defer mo.mu.Unlock()
-	if top, ok := mo.safeStacks[t.TID()]; ok {
-		return top
+	st := mo.tids[t.TID()]
+	if pivot && st.safeStack == 0 {
+		base := mo.nextStack
+		mo.nextStack += mem.Addr((safeStackPages + 1) * mem.PageSize) // +1 guard
+		as := mo.m.AddressSpace()
+		if _, err := as.Map(mem.Region{
+			Name: fmt.Sprintf("smvx:safestack:%d", t.TID()),
+			Base: base,
+			Size: safeStackPages * mem.PageSize,
+			Perm: mem.PermRW,
+			Key:  mo.pkeyMonitor,
+		}); err != nil {
+			// Safe-stack exhaustion is a monitor bug; crash the thread.
+			panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: err})
+		}
+		st.safeStack = base + safeStackPages*mem.PageSize
+		mo.tids[t.TID()] = st
 	}
-	base := mo.nextStack
-	mo.nextStack += mem.Addr((safeStackPages + 1) * mem.PageSize) // +1 guard
-	as := mo.m.AddressSpace()
-	if _, err := as.Map(mem.Region{
-		Name: fmt.Sprintf("smvx:safestack:%d", t.TID()),
-		Base: base,
-		Size: safeStackPages * mem.PageSize,
-		Perm: mem.PermRW,
-		Key:  mo.pkeyMonitor,
-	}); err != nil {
-		// Safe-stack exhaustion is a monitor bug; crash the thread.
-		panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: err})
+	return mo.session, st.quarantined, st.safeStack
+}
+
+// monCells are the monitor's per-call metric cells.
+type monCells struct {
+	wait, leader, lag *obs.HistCell // lockstep.wait.cycles, rendezvous.leader.cycles, rendezvous.lag
+	barrier, emulated *obs.CounterCell
+	depth             *obs.GaugeCell // pipeline.depth
+}
+
+func newMonCells(m *obs.Metrics) monCells {
+	return monCells{
+		wait:     m.HistCell("lockstep.wait.cycles"),
+		leader:   m.HistCell(obs.MetricRendezvousLeaderCycles),
+		lag:      m.HistCell(obs.MetricRendezvousLag),
+		barrier:  m.CounterCell(obs.MetricLockstepBarrier),
+		emulated: m.CounterCell("lockstep.emulated.bytes"),
+		depth:    m.GaugeCell(obs.MetricPipelineDepth),
 	}
-	top := base + safeStackPages*mem.PageSize
-	mo.safeStacks[t.TID()] = top
-	return top
 }

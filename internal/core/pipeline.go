@@ -166,9 +166,8 @@ func (s *session) enqueue(t *machine.Thread, f *libc.Func, args []uint64, idx ui
 		return ret
 	}
 	if obsRec := s.mon.rec; obsRec != nil {
-		m := obsRec.Metrics()
-		m.Observe(obs.MetricRendezvousLeaderCycles, uint64(entry+wait))
-		m.SetGauge(obs.MetricPipelineDepth, float64(depth))
+		s.mon.cells.leader.Observe(uint64(entry + wait))
+		s.mon.cells.depth.Set(float64(depth))
 		obsRec.ObserveSeries(obs.SeriesRendezvous, uint64(entry+wait))
 		obsRec.ObserveSeries(obs.SeriesPipelineDepth, uint64(depth))
 	}
@@ -249,9 +248,7 @@ func (s *session) appendRecord(t *machine.Thread, sl *followerSlot, rec *leaderR
 	unblocked := func() appendVerdict {
 		now := s.mon.m.Counter().Cycles()
 		t.AddWaitCycles(now - waitStart)
-		if obsRec := s.mon.rec; obsRec != nil {
-			obsRec.Metrics().Observe("lockstep.wait.cycles", uint64(now-waitStart))
-		}
+		s.mon.cells.wait.Observe(uint64(now - waitStart))
 		return appendOK
 	}
 	select {
@@ -335,9 +332,8 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, f *
 
 	if obsRec != nil {
 		obsRec.Record(obs.EvLockstep, fv, t.TID(), name, uint64(rec.fn.Cat), rec.idx, 0)
-		m := obsRec.Metrics()
-		m.Inc(obs.LockstepCategoryMetricName(uint64(rec.fn.Cat)))
-		m.Observe(obs.MetricRendezvousLag, s.calls.Load()-rec.idx)
+		obsRec.LockstepCategoryCounter(uint64(rec.fn.Cat)).Inc()
+		s.mon.cells.lag.Observe(s.calls.Load() - rec.idx)
 		obsRec.ObserveSeries(obs.SeriesLag, s.calls.Load()-rec.idx)
 	}
 	if lr != nil {
@@ -383,7 +379,7 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, f *
 	s.emulatedBytes.Add(uint64(copied))
 	if obsRec != nil {
 		obsRec.Record(obs.EvEmulated, fv, t.TID(), name, uint64(copied), 0, ret)
-		obsRec.Metrics().Add("lockstep.emulated.bytes", uint64(copied))
+		s.mon.cells.emulated.Add(uint64(copied))
 		obsRec.RecordInAt(arriveTS, t.Fn(), obs.EvLibcEnter, fv, t.TID(), name,
 			argAt(args, 0), argAt(args, 1), 0)
 		obsRec.RecordIn(t.Fn(), obs.EvLibcExit, fv, t.TID(), name, 0, 0, ret)

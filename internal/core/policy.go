@@ -164,7 +164,9 @@ func (mo *Monitor) detachFollower(s *session, sl *followerSlot, cause string) {
 		// woken by it observes the quarantine entry.
 		mo.mu.Lock()
 		if sl.tid != 0 {
-			mo.quarantined[sl.tid] = true
+			st := mo.tids[sl.tid]
+			st.quarantined = true
+			mo.tids[sl.tid] = st
 		}
 		wasDown := mo.slotDown[sl.id-1]
 		if mo.contain() {

@@ -33,10 +33,11 @@ func (s *session) ledgerTrampoline(v obs.Variant, f *libc.Func, costs clock.Cost
 // (4) restores the stack and re-arms MPK on the way out. The two WRPKRU
 // executions and the fixed pivot cost are charged per interception, which
 // is what makes sMVX's per-libc-call overhead visible in Figure 7. The
-// call's row is looked up once here and rides the whole call path, and
-// the whole pass is recorded once, as one EvTrampoline at entry.
+// call's row is Setup's row for the slot, and it rides the whole call
+// path; the monitor's state is read in one lock section, and the whole
+// pass is recorded once, as one EvTrampoline at entry.
 func (mo *Monitor) Intercept(t *machine.Thread, slot int, name string, args []uint64) uint64 {
-	f := libc.Lookup(name)
+	f := mo.rows.Row(slot, name)
 	if mo.opts.SyscallGranularity && f.UserSpace {
 		return mo.lib.CallFunc(t, f, args)
 	}
@@ -49,11 +50,14 @@ func (mo *Monitor) Intercept(t *machine.Thread, slot int, name string, args []ui
 
 	// Switch stacks: the reference monitor and the actual libc call run on
 	// the MPK-protected safe stack.
-	var oldSP, safeSP mem.Addr
 	pivoted := !mo.opts.DisableSafeStack
 	if pivoted {
 		mo.m.ChargeThread(t, costs.StackPivot)
-		oldSP, safeSP = t.SP(), mo.safeStackFor(t)
+	}
+	s, quarantined, safeTop := mo.trampolineState(t, pivoted)
+	var oldSP, safeSP mem.Addr
+	if pivoted {
+		oldSP, safeSP = t.SP(), safeTop
 		t.SetSP(safeSP)
 	}
 	v := obs.Variant(t.Variant())
@@ -67,11 +71,6 @@ func (mo *Monitor) Intercept(t *machine.Thread, slot int, name string, args []ui
 		}
 		t.WRPKRU(oldPKRU)
 	}()
-
-	mo.mu.Lock()
-	s := mo.session
-	quarantined := mo.quarantined[t.TID()]
-	mo.mu.Unlock()
 
 	if quarantined {
 		// A detached follower (possibly resuming after a stall, possibly

@@ -729,9 +729,16 @@ func (mo *Monitor) destroyStacks() {
 	stacks := mo.followerStacks
 	mo.followerStacks = nil
 	for _, tid := range mo.followerTIDs {
-		if top, ok := mo.safeStacks[tid]; ok {
-			delete(mo.safeStacks, tid)
-			_ = as.Unmap(top - safeStackPages*mem.PageSize)
+		st, ok := mo.tids[tid]
+		if !ok || st.safeStack == 0 {
+			continue
+		}
+		_ = as.Unmap(st.safeStack - safeStackPages*mem.PageSize)
+		if st.quarantined {
+			st.safeStack = 0
+			mo.tids[tid] = st
+		} else {
+			delete(mo.tids, tid)
 		}
 	}
 	mo.followerTIDs = mo.followerTIDs[:0]

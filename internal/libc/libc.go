@@ -44,8 +44,17 @@ type LibC struct {
 	calls [len(funcs)]atomic.Uint64 // per row of the call table
 	total atomic.Uint64
 
+	plt PLTRows // the bound image's PLT slots (BindPLT)
+
 	rec     *obs.Recorder
+	cells   [len(funcs)]rowCells // per row of the call table, resolved by SetRecorder
 	ledHook func(v obs.Variant, f *Func, d clock.Cycles)
+}
+
+// rowCells are the histograms one row's instrumented call observes: its
+// CycleMetric and its CategoryCycleMetric.
+type rowCells struct {
+	cycles, category *obs.HistCell
 }
 
 var _ machine.LibcDispatcher = (*LibC)(nil)
@@ -65,10 +74,23 @@ func New(proc *kernel.Process, counter *clock.Counter, costs clock.CostTable, se
 func (l *LibC) Proc() *kernel.Process { return l.proc }
 
 // SetRecorder attaches a flight recorder; every dispatched call then emits
-// enter/exit events and a per-call cycle histogram. Must be called before
-// threads run; a nil recorder (the default) keeps the call path free of any
-// observability work.
-func (l *LibC) SetRecorder(r *obs.Recorder) { l.rec = r }
+// enter/exit events and a per-call cycle histogram. The histograms of
+// every row of the call table are resolved here, once. Must be called
+// before threads run; a nil recorder (the default) keeps the call path
+// free of any observability work.
+func (l *LibC) SetRecorder(r *obs.Recorder) {
+	l.rec = r
+	m := r.Metrics()
+	for i := range funcs {
+		l.cells[i] = rowCells{m.HistCell(funcs[i].CycleMetric), m.HistCell(funcs[i].CategoryCycleMetric)}
+	}
+}
+
+// BindPLT resolves the PLT layout of the image the libc serves (its
+// PLTSlots) to call-table rows, so that an unpatched PLT call finds its
+// row by slot. Must be called before threads run; without it every call
+// looks its row up by name.
+func (l *LibC) BindPLT(names []string) { l.plt = NewPLTRows(names) }
 
 // SetLedgerHook attaches a per-call cost-ledger callback: after every
 // dispatched call, hook(v, f, d) receives the calling thread's variant,
@@ -193,11 +215,12 @@ func ok(t *machine.Thread, v uint64) uint64 {
 	return v
 }
 
-// Call dispatches one libc call. Pointer arguments are simulated addresses
-// in the calling thread's variant space. Unknown names crash the thread, as
-// an unresolvable PLT entry would.
-func (l *LibC) Call(t *machine.Thread, name string, args []uint64) uint64 {
-	return l.CallFunc(t, Lookup(name), args)
+// Call dispatches one libc call, made through PLT slot slot (pass -1 for
+// none). Pointer arguments are simulated addresses in the calling thread's
+// variant space. Unknown names crash the thread, as an unresolvable PLT
+// entry would.
+func (l *LibC) Call(t *machine.Thread, slot int, name string, args []uint64) uint64 {
+	return l.CallFunc(t, l.plt.Row(slot, name), args)
 }
 
 // CallFunc is Call for a caller that already holds the call's row.
@@ -229,8 +252,14 @@ func (l *LibC) CallFunc(t *machine.Thread, f *Func, args []uint64) uint64 {
 		hook(v, f, d)
 	}
 	if r != nil {
-		r.Metrics().Observe(f.CycleMetric, uint64(d))
-		r.Metrics().Observe(f.CategoryCycleMetric, uint64(d))
+		if f.id >= 0 {
+			c := &l.cells[f.id]
+			c.cycles.Observe(uint64(d))
+			c.category.Observe(uint64(d))
+		} else {
+			r.Metrics().Observe(f.CycleMetric, uint64(d))
+			r.Metrics().Observe(f.CategoryCycleMetric, uint64(d))
+		}
 		r.RecordIn(fn, obs.EvLibcExit, v, t.TID(), f.Name, 0, 0, ret)
 	}
 	return ret

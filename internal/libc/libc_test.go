@@ -48,6 +48,7 @@ func newRig(t testing.TB) *rig {
 	proc := k.NewProcess(ctr)
 	l := New(proc, ctr, costs, 7)
 	l.RegisterHeap(0, heapBase, heapSize)
+	l.BindPLT(img.PLTSlots())
 	prog := machine.NewProgram(img)
 	m := machine.New(prog, as, proc, l, ctr, costs)
 	return &rig{img: img, prog: prog, m: m, l: l, as: as, k: k, proc: proc}
@@ -614,9 +615,10 @@ func TestInstrumentedCallBuildsNoMetricName(t *testing.T) {
 	var bare, instrumented float64
 	r.run(t, func(th *machine.Thread, _ []uint64) uint64 {
 		args := []uint64{uint64(th.Global("g_buf"))}
-		bare = testing.AllocsPerRun(100, func() { r.l.Call(th, "strlen", args) })
+		slot, _ := r.img.PLTSlot("strlen")
+		bare = testing.AllocsPerRun(100, func() { r.l.Call(th, slot, "strlen", args) })
 		r.l.SetRecorder(obs.NewRecorder(obs.Config{}))
-		instrumented = testing.AllocsPerRun(100, func() { r.l.Call(th, "strlen", args) })
+		instrumented = testing.AllocsPerRun(100, func() { r.l.Call(th, slot, "strlen", args) })
 		return 0
 	})
 	if instrumented != bare {
@@ -666,13 +668,24 @@ func TestCallTable(t *testing.T) {
 		u.PtrRet || u.UserSpace || u.CPMon || u.Spans.Rendezvous != "rendezvous:dlopen" {
 		t.Errorf("Lookup(\"dlopen\") = %+v, want a conservative row of its own", *u)
 	}
+	// A PLT layout's rows are the table's; a slot outside the layout, or
+	// one whose row names another call, falls back to Lookup.
+	rows := NewPLTRows([]string{"write", "read"})
+	for _, c := range []struct {
+		slot int
+		name string
+	}{{0, "write"}, {1, "read"}, {1, "write"}, {-1, "read"}, {2, "close"}} {
+		if got := rows.Row(c.slot, c.name); got != Lookup(c.name) {
+			t.Errorf("Row(%d, %q) = row %q, want Lookup's", c.slot, c.name, got.Name)
+		}
+	}
 }
 
 func TestUnknownLibcCrashes(t *testing.T) {
 	r := newRig(t)
 	th, _ := r.m.NewThread("t", 0)
 	err := th.Run(func(t *machine.Thread) {
-		r.l.Call(t, "dlopen", nil)
+		r.l.Call(t, -1, "dlopen", nil)
 	})
 	if err == nil {
 		t.Error("unknown libc function should crash")
@@ -734,10 +747,11 @@ func BenchmarkLibcStrings(b *testing.B) {
 		{"strncmp", []uint64{uint64(g), uint64(g + 64), 8}},
 		{"snprintf", []uint64{out, 128, uint64(g + 128), uint64(g), uint64(g + 64)}},
 	} {
+		slot, _ := r.img.PLTSlot(c.name)
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sinkRet = r.l.Call(th, c.name, c.args)
+				sinkRet = r.l.Call(th, slot, c.name, c.args)
 			}
 		})
 	}

@@ -151,6 +151,30 @@ func Lookup(name string) *Func {
 	return f
 }
 
+// PLTRows is an image's PLT layout resolved to call-table rows, one per
+// slot, so that a call through slot i finds its row by index.
+type PLTRows []*Func
+
+// NewPLTRows looks up the row of each PLT slot's name (an image's
+// PLTSlots), once.
+func NewPLTRows(names []string) PLTRows {
+	rows := make(PLTRows, len(names))
+	for i, name := range names {
+		rows[i] = Lookup(name)
+	}
+	return rows
+}
+
+// Row returns the row of the call name made through PLT slot slot. A slot
+// outside the layout, or one whose row names another call, falls back to
+// Lookup.
+func (r PLTRows) Row(slot int, name string) *Func {
+	if slot >= 0 && slot < len(r) && r[slot].Name == name {
+		return r[slot]
+	}
+	return Lookup(name)
+}
+
 // CategoryOf returns the emulation category of a libc call name.
 func CategoryOf(name string) Category { return Lookup(name).Cat }
 

@@ -120,10 +120,12 @@ func TestMetricsMergeMinHandling(t *testing.T) {
 			m.Observe("h", v)
 		}
 		if len(vals) == 0 {
-			// Force an empty histogram to exist (Count==0, Min==0).
-			m.mu.Lock()
-			m.hists["h"] = &Hist{}
-			m.mu.Unlock()
+			// Force an empty histogram to exist (Count==0, Min==0): a
+			// cell that shows in the exports without an observation.
+			c := m.HistCell("h")
+			c.mu.Lock()
+			c.live = true
+			c.mu.Unlock()
 		}
 		return m
 	}

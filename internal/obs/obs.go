@@ -394,6 +394,7 @@ type Recorder struct {
 	clk     atomic.Pointer[clock.Counter]
 	window  int
 	metrics *Metrics
+	cells   spanCells
 	alarms  []AlarmInfo
 	evicted uint64
 	sink    Sink
@@ -418,6 +419,7 @@ func NewRecorder(cfg Config) *Recorder {
 		window:  cfg.ForensicWindow,
 		metrics: NewMetrics(),
 	}
+	r.cells = newSpanCells(r.metrics)
 	if cfg.Clock != nil {
 		r.clk.Store(cfg.Clock)
 	}

@@ -24,20 +24,16 @@ import (
 func (m *Metrics) WritePrometheus(w io.Writer) error {
 	fams := make(promFamilies)
 	if m != nil {
-		m.mu.Lock()
-		for name, v := range m.counters {
+		m.each(func(name string, v uint64) {
 			fams.add(name, "counter")
 			fams.put(name, promSeries{c: v})
-		}
-		for name, v := range m.gauges {
+		}, func(name string, v float64) {
 			fams.add(name, "gauge")
 			fams.put(name, promSeries{g: v})
-		}
-		for name, h := range m.hists {
+		}, func(name string, h *Hist) {
 			fams.add(name, "histogram")
 			fams.put(name, promSeries{h: *h})
-		}
-		m.mu.Unlock()
+		})
 	}
 	return writeProm(w, fams)
 }

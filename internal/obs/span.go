@@ -112,32 +112,65 @@ func NewSpanNames(call string) SpanNames {
 	}
 }
 
+// spanCells are the recorder's span and lockstep metric cells, resolved
+// once when the recorder is made, indexed by category code where the
+// metric is labeled.
+type spanCells struct {
+	rendezvous, emulation, drain [6]*HistCell
+	variantCreate                *HistCell
+	lockstepCategory             [6]*CounterCell
+}
+
+func newSpanCells(m *Metrics) spanCells {
+	var c spanCells
+	for code := range c.rendezvous {
+		c.rendezvous[code] = m.HistCell(rendezvousMetricNames[code])
+		c.emulation[code] = m.HistCell(emulationMetricNames[code])
+		c.drain[code] = m.HistCell(drainMetricNames[code])
+		c.lockstepCategory[code] = m.CounterCell(lockstepCategoryNames[code])
+	}
+	c.variantCreate = m.HistCell("variant.create.cycles")
+	return c
+}
+
+// LockstepCategoryCounter returns the counter cell a lockstep call of the
+// given category code increments (LockstepCategoryMetricName's cell); nil,
+// whose Inc is a no-op, on a nil recorder.
+func (r *Recorder) LockstepCategoryCounter(code uint64) *CounterCell {
+	if r == nil {
+		return nil
+	}
+	if code >= uint64(len(r.cells.lockstepCategory)) {
+		code = 0
+	}
+	return r.cells.lockstepCategory[code]
+}
+
 // span is the machinery shared by the typed spans.
 type span struct {
 	rec   *Recorder
+	cell  *HistCell
 	start clock.Cycles
 	v     Variant
 	tid   int
 	name  string
 }
 
-func (r *Recorder) beginSpan(v Variant, tid int, name string) span {
-	return span{rec: r, start: r.now(), v: v, tid: tid, name: name}
+func (r *Recorder) beginSpan(v Variant, tid int, name string, cell *HistCell) span {
+	return span{rec: r, cell: cell, start: r.now(), v: v, tid: tid, name: name}
 }
 
 // end closes the span: records EvSpan (TS = the end, Arg0 = duration),
-// observes the duration into metric (if non-empty), and returns the
+// observes the duration into the span's histogram cell, and returns the
 // duration.
-func (s span) end(metric string, a1, ret uint64) clock.Cycles {
+func (s span) end(a1, ret uint64) clock.Cycles {
 	if s.rec == nil {
 		return 0
 	}
 	ts := s.rec.now()
 	d := ts - s.start
 	s.rec.RecordAt(ts, EvSpan, s.v, s.tid, s.name, uint64(d), a1, ret)
-	if metric != "" {
-		s.rec.metrics.Observe(metric, uint64(d))
-	}
+	s.cell.Observe(uint64(d))
 	return d
 }
 
@@ -159,15 +192,12 @@ func (r *Recorder) BeginRendezvousSpan(v Variant, tid int, name string, category
 	if category >= uint64(len(rendezvousMetricNames)) {
 		category = 0
 	}
-	return RendezvousSpan{s: r.beginSpan(v, tid, name), category: category}
+	return RendezvousSpan{s: r.beginSpan(v, tid, name, r.cells.rendezvous[category]), category: category}
 }
 
 // End closes the rendezvous with the leader's return value.
 func (sp RendezvousSpan) End(ret uint64) clock.Cycles {
-	if sp.s.rec == nil {
-		return 0
-	}
-	return sp.s.end(rendezvousMetricNames[sp.category], sp.category, ret)
+	return sp.s.end(sp.category, ret)
 }
 
 // EmulationSpan measures one leader→follower result emulation (the Table 1
@@ -188,15 +218,12 @@ func (r *Recorder) BeginEmulationSpan(v Variant, tid int, name string, category 
 	if category >= uint64(len(emulationMetricNames)) {
 		category = 0
 	}
-	return EmulationSpan{s: r.beginSpan(v, tid, name), category: category}
+	return EmulationSpan{s: r.beginSpan(v, tid, name, r.cells.emulation[category]), category: category}
 }
 
 // End closes the emulation with the number of bytes copied.
 func (sp EmulationSpan) End(bytesCopied uint64) clock.Cycles {
-	if sp.s.rec == nil {
-		return 0
-	}
-	return sp.s.end(emulationMetricNames[sp.category], sp.category, bytesCopied)
+	return sp.s.end(sp.category, bytesCopied)
 }
 
 // DrainSpan measures the follower's side of one pipelined-lockstep drain:
@@ -216,15 +243,12 @@ func (r *Recorder) BeginDrainSpan(v Variant, tid int, name string, category uint
 	if category >= uint64(len(drainMetricNames)) {
 		category = 0
 	}
-	return DrainSpan{s: r.beginSpan(v, tid, name), category: category}
+	return DrainSpan{s: r.beginSpan(v, tid, name, r.cells.drain[category]), category: category}
 }
 
 // End closes the drain with the follower's return value.
 func (sp DrainSpan) End(ret uint64) clock.Cycles {
-	if sp.s.rec == nil {
-		return 0
-	}
-	return sp.s.end(drainMetricNames[sp.category], sp.category, ret)
+	return sp.s.end(sp.category, ret)
 }
 
 // VariantCreateSpan measures one end-to-end mvx_start variant creation
@@ -241,10 +265,10 @@ func (r *Recorder) BeginVariantCreateSpan(tid int, fn string) VariantCreateSpan 
 	if r == nil {
 		return VariantCreateSpan{}
 	}
-	return VariantCreateSpan{s: r.beginSpan(VariantNone, tid, "variant-create:"+fn)}
+	return VariantCreateSpan{s: r.beginSpan(VariantNone, tid, "variant-create:"+fn, r.cells.variantCreate)}
 }
 
 // End closes the creation span with the number of pointers relocated.
 func (sp VariantCreateSpan) End(pointersRelocated uint64) clock.Cycles {
-	return sp.s.end("variant.create.cycles", pointersRelocated, 0)
+	return sp.s.end(pointersRelocated, 0)
 }

@@ -75,6 +75,10 @@ type Image struct {
 	symbols  []Symbol // sorted by Addr
 	byName   map[string]int
 
+	// pltBase and gotBase are the .plt and .got.plt section addresses,
+	// kept so that a slot's stub and GOT word are one addition away.
+	pltBase, gotBase mem.Addr
+
 	// pltSlots[i] is the libc function name reached through PLT slot i.
 	pltSlots []string
 	pltIndex map[string]int
@@ -203,8 +207,8 @@ func (b *Builder) Build() *Image {
 	add(SecRodata, rodataSize, mem.PermRead)
 	data := add(SecData, dataSize, mem.PermRW)
 	bss := add(SecBSS, bssSize, mem.PermRW)
-	add(SecPLT, pltSize, mem.PermRX)
-	add(SecGotPLT, gotSize, mem.PermRW)
+	img.pltBase = add(SecPLT, pltSize, mem.PermRX).Addr
+	img.gotBase = add(SecGotPLT, gotSize, mem.PermRW).Addr
 
 	for _, f := range b.funcs {
 		img.symbols = append(img.symbols, Symbol{Name: f.Name, Addr: text.Addr + f.Addr, Size: f.Size})
@@ -298,12 +302,12 @@ func (img *Image) PLTSlots() []string {
 
 // PLTEntryAddr returns the address of PLT slot i.
 func (img *Image) PLTEntryAddr(i int) mem.Addr {
-	return img.sections[SecPLT].Addr + mem.Addr(i*PLTEntrySize)
+	return img.pltBase + mem.Addr(i*PLTEntrySize)
 }
 
 // GOTSlotAddr returns the address of the .got.plt word for slot i.
 func (img *Image) GOTSlotAddr(i int) mem.Addr {
-	return img.sections[SecGotPLT].Addr + mem.Addr(i*8)
+	return img.gotBase + mem.Addr(i*8)
 }
 
 // MapInto maps every section into the address space, fills .text and .plt

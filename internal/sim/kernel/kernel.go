@@ -136,7 +136,7 @@ func (p *Process) enter(name string) {
 		p.ticker.TickSyscall(p.pid, name, p.k.costs.SyscallCost())
 	}
 	p.rec.Record(obs.EvSyscall, obs.VariantNone, p.pid, name, uint64(p.pid), 0, 0)
-	p.rec.Metrics().Inc("syscall.total")
+	p.syscallCell.Inc()
 }
 
 // SyscallCount returns the number of syscalls this process issued with the
@@ -197,6 +197,10 @@ type Process struct {
 	rec     *obs.Recorder
 	ticker  CycleTicker
 
+	// syscallCell is the recorder's syscall.total counter, resolved once
+	// by SetRecorder (nil without a recorder).
+	syscallCell *obs.CounterCell
+
 	mu     sync.Mutex
 	fds    map[int]*FD
 	nextFD int
@@ -212,9 +216,13 @@ type Process struct {
 func (p *Process) SetWallCounter(c *clock.Counter) { p.wall = c }
 
 // SetRecorder attaches a flight recorder; every syscall entry then emits an
-// EvSyscall event. Must be called before threads run; nil (the default)
-// keeps the syscall path free of observability work.
-func (p *Process) SetRecorder(r *obs.Recorder) { p.rec = r }
+// EvSyscall event and counts in syscall.total. Must be called before
+// threads run; nil (the default) keeps the syscall path free of
+// observability work.
+func (p *Process) SetRecorder(r *obs.Recorder) {
+	p.rec = r
+	p.syscallCell = r.Metrics().CounterCell("syscall.total")
+}
 
 // CycleTicker receives the virtual cycles each syscall charges. Kernel
 // work bypasses machine.ChargeThread (the process charges its counter

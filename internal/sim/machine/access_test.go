@@ -175,7 +175,7 @@ func TestTLBConcurrentRemap(t *testing.T) {
 // arguments it is handed.
 type argSum struct{}
 
-func (argSum) Call(_ *Thread, _ string, args []uint64) uint64 {
+func (argSum) Call(_ *Thread, _ int, _ string, args []uint64) uint64 {
 	var sum uint64
 	for _, a := range args {
 		sum += a

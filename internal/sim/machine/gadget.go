@@ -59,7 +59,7 @@ func (t *Thread) runGadgets(ip mem.Addr) {
 					t.fault(err)
 				}
 				if mem.Addr(target) == image.LibcSentinelBase+mem.Addr(slot) {
-					rax = t.m.libc.Call(t, name, args)
+					rax = t.m.libc.Call(t, slot, name, args)
 				} else if ipo := t.m.hooks.Load().interposer; ipo != nil {
 					rax = ipo.Intercept(t, slot, name, args)
 				} else {

@@ -33,13 +33,20 @@ type Body func(t *Thread, args []uint64) uint64
 
 // Program binds an image to the Go bodies of its functions.
 type Program struct {
-	img    *image.Image
-	bodies map[string]Body
+	img   *image.Image
+	funcs map[string]defined
+}
+
+// defined is one function the program defines: its symbol and its body,
+// so that a call finds both with one lookup.
+type defined struct {
+	sym  image.Symbol
+	body Body
 }
 
 // NewProgram creates a program for an image.
 func NewProgram(img *image.Image) *Program {
-	return &Program{img: img, bodies: make(map[string]Body)}
+	return &Program{img: img, funcs: make(map[string]defined)}
 }
 
 // Image returns the program's image.
@@ -48,10 +55,11 @@ func (p *Program) Image() *image.Image { return p.img }
 // Define registers the body of a function that must exist in the image's
 // symbol table.
 func (p *Program) Define(name string, body Body) error {
-	if _, ok := p.img.Lookup(name); !ok {
+	sym, ok := p.img.Lookup(name)
+	if !ok {
 		return fmt.Errorf("machine: define %q: no such symbol in image %s", name, p.img.Name)
 	}
-	p.bodies[name] = body
+	p.funcs[name] = defined{sym: sym, body: body}
 	return nil
 }
 
@@ -67,10 +75,11 @@ func (p *Program) MustDefine(name string, body Body) *Program {
 // LibcDispatcher executes a libc call on behalf of a thread. The libc
 // package implements it; the monitor wraps it.
 type LibcDispatcher interface {
-	// Call runs the named libc function with the given arguments
-	// (pointers are simulated addresses) and returns the result value.
-	// Errors are reported through the thread's errno, as in C.
-	Call(t *Thread, name string, args []uint64) uint64
+	// Call runs the libc function name, reached through the image's PLT
+	// slot slot, with the given arguments (pointers are simulated
+	// addresses) and returns the result value. Errors are reported
+	// through the thread's errno, as in C.
+	Call(t *Thread, slot int, name string, args []uint64) uint64
 }
 
 // Interposer receives libc calls whose GOT slot has been patched away from

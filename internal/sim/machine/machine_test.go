@@ -17,7 +17,7 @@ type fakeLibc struct {
 	ret   uint64
 }
 
-func (f *fakeLibc) Call(t *Thread, name string, args []uint64) uint64 {
+func (f *fakeLibc) Call(t *Thread, slot int, name string, args []uint64) uint64 {
 	f.calls = append(f.calls, name)
 	return f.ret
 }
@@ -31,7 +31,7 @@ type fakeInterposer struct {
 
 func (f *fakeInterposer) Intercept(t *Thread, slot int, name string, args []uint64) uint64 {
 	f.calls = append(f.calls, name)
-	return f.inner.Call(t, name, args)
+	return f.inner.Call(t, slot, name, args)
 }
 
 type testRig struct {

@@ -450,15 +450,14 @@ func (t *Thread) Compute(n uint64) {
 // address was overwritten (a stack smash), control transfers to the gadget
 // interpreter instead of returning — exactly how a ROP chain gains control.
 func (t *Thread) Call(name string, args ...uint64) uint64 {
-	sym, ok := t.m.prog.img.Lookup(name)
+	d, ok := t.m.prog.funcs[name]
 	if !ok {
-		t.fault(fmt.Errorf("machine: call to unresolved symbol %q", name))
-	}
-	body, ok := t.m.prog.bodies[name]
-	if !ok {
+		if _, ok := t.m.prog.img.Lookup(name); !ok {
+			t.fault(fmt.Errorf("machine: call to unresolved symbol %q", name))
+		}
 		t.fault(fmt.Errorf("machine: symbol %q has no body", name))
 	}
-	addr := mem.Addr(int64(sym.Addr) + t.bias)
+	addr := mem.Addr(int64(d.sym.Addr) + t.bias)
 	t.checkExecWindow(addr)
 	if err := t.m.as.CheckExec(addr); err != nil {
 		t.fault(err)
@@ -501,7 +500,7 @@ func (t *Thread) Call(name string, args ...uint64) uint64 {
 		}
 	}
 
-	rax := body(t, args)
+	rax := d.body(t, args)
 
 	if prof != nil {
 		var inclusive clock.Cycles
@@ -761,7 +760,7 @@ func (t *Thread) Libc(name string, args ...uint64) uint64 {
 	}
 	if mem.Addr(target) == image.LibcSentinelBase+mem.Addr(slot) {
 		// Unpatched: straight into libc.
-		return t.m.libc.Call(t, name, regs)
+		return t.m.libc.Call(t, slot, name, regs)
 	}
 	ipo := t.m.hooks.Load().interposer
 	if ipo == nil {
