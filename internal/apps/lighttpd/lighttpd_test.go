@@ -7,6 +7,7 @@ import (
 
 	"smvx/internal/boot"
 	"smvx/internal/core"
+	"smvx/internal/obs"
 	"smvx/internal/sim/clock"
 	"smvx/internal/sim/kernel"
 	"smvx/internal/workload"
@@ -52,17 +53,30 @@ func TestServes4KBPage(t *testing.T) {
 }
 
 func TestStatCacheAvoidsRepeatSyscalls(t *testing.T) {
-	srv, env, client := serveEnv(t, Config{Port: 8080, MaxRequests: 5})
+	rec := obs.NewRecorder(obs.Config{Capacity: 1 << 16})
+	srv, env, client := serveEnv(t, Config{Port: 8080, MaxRequests: 5}, boot.WithRecorder(rec))
 	done := runServer(t, srv, env)
 	_ = workload.RunAB(client, 8080, "/index.html", 5)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+	if rec.Evicted() != 0 {
+		t.Fatalf("recorder evicted %d events", rec.Evicted())
+	}
+	count := func(name string) int {
+		n := 0
+		for _, e := range rec.Events() {
+			if e.Kind == obs.EvSyscall && e.TID == env.Proc.PID() && e.Name == name {
+				n++
+			}
+		}
+		return n
+	}
 	// Only the first request misses: one stat/open pair total.
-	if got := env.Proc.SyscallCount("stat"); got != 1 {
+	if got := count("stat"); got != 1 {
 		t.Errorf("stat syscalls = %d, want 1 (stat cache)", got)
 	}
-	if got := env.Proc.SyscallCount("open"); got != 1 {
+	if got := count("open"); got != 1 {
 		t.Errorf("open syscalls = %d, want 1", got)
 	}
 }

@@ -53,6 +53,16 @@ func syncClassRound(th *machine.Thread, g mem.Addr) {
 
 const syncClassCalls = 4
 
+// copyRound makes one memcpy and one memset of 256 bytes within g_buf:
+// local calls that each variant runs in its own window, staged through
+// its thread's copy buffer.
+func copyRound(th *machine.Thread, g mem.Addr) {
+	th.Libc("memcpy", uint64(g+512), uint64(g+1024), 256)
+	th.Libc("memset", uint64(g+1536), 0x5a, 256)
+}
+
+const copyCalls = 2
+
 // runLoop runs protected_func(k) on t, as a protected region when mon is
 // non-nil; mvx_start hands the followers the same k.
 func runLoop(tb testing.TB, t *machine.Thread, mon *Monitor, k int) {
@@ -75,7 +85,8 @@ func runLoop(tb testing.TB, t *machine.Thread, mon *Monitor, k int) {
 // (N=3, lag 16), either under PolicyRollback (N=2), or at ReMon's syscall
 // granularity (strict N=2 and pipelined N=3, where strlen skips the
 // monitor and shutdown pays a ptrace stop) — with a recorder attached.
-// Regions with extra calls are
+// The copy cases run copyRound's memcpy and memset unprotected, strict and
+// pipelined at N=3. Regions with extra calls are
 // measured against the same regions without them, so variant creation and
 // the other per-region costs cancel out. Allocations count on every
 // goroutine, the followers' included. The variants run on one P: with
@@ -86,30 +97,35 @@ func runLoop(tb testing.TB, t *machine.Thread, mon *Monitor, k int) {
 // one P the two sets allocated exactly alike in 48 of 48 runs.
 func TestLibcCallPathsAllocateNothing(t *testing.T) {
 	const regions, base, extra = 4, 8, 64
+	pipelinedN3 := []Option{WithLockstepMode(LockstepPipelined), WithVariants(3)}
 	cases := []struct {
-		name    string
-		protect bool
-		// barriers: every round must run at least one pipelined barrier
-		// rendezvous.
-		barriers bool
-		opts     []Option
+		name  string
+		round func(th *machine.Thread, g mem.Addr)
+		calls int // libc calls per round
+		// protect runs the rounds in protected regions; barriers: every
+		// round must run at least one pipelined barrier rendezvous.
+		protect, barriers bool
+		opts              []Option
 	}{
-		{"unprotected", false, false, nil},
-		{"strict", true, false, nil},
-		{"strict-n3", true, false, []Option{WithVariants(3)}},
-		{"pipelined-n3", true, true, []Option{WithLockstepMode(LockstepPipelined), WithVariants(3)}},
+		{"unprotected", syncClassRound, syncClassCalls, false, false, nil},
+		{"strict", syncClassRound, syncClassCalls, true, false, nil},
+		{"strict-n3", syncClassRound, syncClassCalls, true, false, []Option{WithVariants(3)}},
+		{"pipelined-n3", syncClassRound, syncClassCalls, true, true, pipelinedN3},
 		// Only the entry checkpoint: the extra rounds add no capture.
-		{"rollback", true, false, []Option{WithPolicy(PolicyRollback), WithSnapshotInterval(0)}},
-		{"rollback-pipelined", true, true, []Option{WithPolicy(PolicyRollback), WithSnapshotInterval(0),
+		{"rollback", syncClassRound, syncClassCalls, true, false, []Option{WithPolicy(PolicyRollback), WithSnapshotInterval(0)}},
+		{"rollback-pipelined", syncClassRound, syncClassCalls, true, true, []Option{WithPolicy(PolicyRollback), WithSnapshotInterval(0),
 			WithLockstepMode(LockstepPipelined)}},
-		{"syscall-strict", true, false, []Option{WithSyscallGranularity()}},
-		{"syscall-pipelined-n3", true, true, []Option{WithSyscallGranularity(),
+		{"syscall-strict", syncClassRound, syncClassCalls, true, false, []Option{WithSyscallGranularity()}},
+		{"syscall-pipelined-n3", syncClassRound, syncClassCalls, true, true, []Option{WithSyscallGranularity(),
 			WithLockstepMode(LockstepPipelined), WithVariants(3)}},
+		{"unprotected-copy", copyRound, copyCalls, false, false, nil},
+		{"strict-copy", copyRound, copyCalls, true, false, nil},
+		{"pipelined-n3-copy", copyRound, copyCalls, true, false, pipelinedN3},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			env, mon := loopApp(t, syncClassRound, nil, nil, c.opts...)
+			env, mon := loopApp(t, c.round, nil, nil, c.opts...)
 			th, err := env.MainThread()
 			if err != nil {
 				t.Fatal(err)
@@ -141,7 +157,7 @@ func TestLibcCallPathsAllocateNothing(t *testing.T) {
 					b := barriers()
 					with := mallocs(tt, base+extra)
 					extraBarriers = barriers() - b
-					d := (float64(with) - float64(without)) / (regions * extra * syncClassCalls)
+					d := (float64(with) - float64(without)) / float64(regions*extra*c.calls)
 					perCall = min(perCall, d)
 				}
 			}); err != nil {

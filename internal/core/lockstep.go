@@ -59,6 +59,12 @@ type callResult struct {
 // address-space window (delta), thread identity, IPC lanes (the rendezvous
 // channel and the pipelined run-ahead ring with its own drain cursor), and
 // per-slot lifecycle state (death, policy detach).
+//
+// The monitor keeps each slot from region to region (see takeSlots): its
+// lanes, call record, decode buffers, ring records and launch closure are
+// built once, and a clean region's exit leaves them for the next region,
+// which resets only the per-region state. A region that severs any slot
+// has them all rebuilt.
 type followerSlot struct {
 	id    VariantID // 1-based slot index; window sits at id*Delta
 	delta int64     // this slot's address-window shift
@@ -89,12 +95,76 @@ type followerSlot struct {
 	drained uint64
 	fCycles clock.Cycles
 
+	// The region's launch: sess and args (the protected function's
+	// arguments rebased into the slot's window) are set by the leader
+	// before it clones the slot's thread, which runs launch, bound once.
+	// ft is the follower's machine thread, kept after it exits so that the
+	// next region's follower takes its buffers.
+	sess   *session
+	args   []uint64
+	launch func() error
+	ft     *machine.Thread
+
 	deadOnce sync.Once
 	dead     chan struct{}
 	err      error
 
 	detachOnce sync.Once
 	detachCh   chan struct{}
+}
+
+// newSlot builds follower slot id, taking over the ring records on the
+// free lane of old, the slot it replaces (nil for none): a record there is
+// past its follower's last read. One that old's follower still holds, or
+// one stranded on old's ring, is left behind.
+func (mo *Monitor) newSlot(id VariantID, old *followerSlot) *followerSlot {
+	sl := &followerSlot{
+		id:       id,
+		delta:    mo.opts.Delta * int64(id),
+		req:      make(chan *callRecord),
+		call:     callRecord{resp: make(chan callResult, 1)},
+		dead:     make(chan struct{}),
+		detachCh: make(chan struct{}),
+	}
+	sl.call.wire = sl.wireBuf[:0]
+	sl.launch = sl.runFollower
+	if mo.opts.Lockstep == LockstepPipelined {
+		// Up to LagWindow records sit in the ring, the follower holds the
+		// one it drains and the leader the one it fills, so free never
+		// holds more than LagWindow+2 and a return never blocks.
+		sl.ring = make(chan *leaderRecord, mo.opts.LagWindow)
+		sl.free = make(chan *leaderRecord, mo.opts.LagWindow+2)
+	drain:
+		for old != nil {
+			select {
+			case rec := <-old.free:
+				sl.free <- rec
+			default:
+				break drain
+			}
+		}
+	}
+	return sl
+}
+
+// reset readies a slot its previous region left clean for the next one.
+// That region's follower has exited, so nothing else reads the slot; the
+// records a follower that left early stranded on its ring go back on the
+// free lane.
+func (sl *followerSlot) reset() {
+	sl.tid, sl.thread = 0, nil
+	sl.drained, sl.fCycles = 0, 0
+	sl.deadOnce = sync.Once{}
+	sl.dead = make(chan struct{})
+	sl.err = nil
+	for {
+		select {
+		case rec := <-sl.ring:
+			sl.recycle(rec)
+		default:
+			return
+		}
+	}
 }
 
 // markDead records the slot's termination (normal or crash) and wakes the
@@ -140,13 +210,16 @@ func (sl *followerSlot) drainPending() {
 
 // session is one active protected region: the leader plus the variant
 // set's follower slots in lockstep. Channels model the shared-memory IPC
-// ring with its mutexes and condition variables (Section 3.2).
+// ring with its mutexes and condition variables (Section 3.2). A session
+// is built per region; an orphaned follower of a severed slot may still
+// read its session after the region ends.
 type session struct {
 	mon *Monitor
 	fn  string
 
 	leaderTID int
 	slots     []*followerSlot
+	slotArr   [MaxVariants - 1]*followerSlot // backs slots
 
 	leaderDone chan struct{}
 
@@ -156,13 +229,11 @@ type session struct {
 	pipelined bool
 
 	// Containment state (see policy.go): timedOut is closed when a
-	// rendezvous deadline blows; watchStop ends the watchdog goroutine at
-	// region exit. waitingSince is the leader's current rendezvous wait
-	// start (cycles+1; 0 = not waiting), polled by the watchdog.
+	// rendezvous deadline blows. waitingSince is the leader's current
+	// rendezvous wait start (cycles+1; 0 = not waiting), polled by the
+	// monitor's watchdog.
 	timeoutOnce  sync.Once
 	timedOut     chan struct{}
-	watchOnce    sync.Once
-	watchStop    chan struct{}
 	waitingSince atomic.Int64
 
 	leaderOnly bool // degraded session that never had a follower
@@ -190,58 +261,55 @@ type session struct {
 	// entry, and that host delay before the wait starts lets the
 	// followers' concurrent charges drop out of the measured wait.
 	arrivals [MaxVariants - 1]slotArrival
-
-	// stage is the leader's staging buffer for captureOutputs' buffer
-	// views (leader goroutine only): a strict rendezvous writes them into a
-	// follower before the next capture, and a pipelined publish frames them
-	// into its ring record.
-	stage []byte
 }
 
-func newSession(mon *Monitor, fn string, delta int64, leaderTID int) *session {
-	s := &session{
+// newSession opens a region with no follower slots seated yet.
+func newSession(mon *Monitor, fn string, leaderTID int) *session {
+	return &session{
 		mon:        mon,
 		fn:         fn,
 		leaderTID:  leaderTID,
 		leaderDone: make(chan struct{}),
 		timedOut:   make(chan struct{}),
-		watchStop:  make(chan struct{}),
 		pipelined:  mon.opts.Lockstep == LockstepPipelined,
 		lr:         mon.led.Region(fn),
 	}
-	n := mon.numFollowers()
-	s.slots = make([]*followerSlot, n)
-	for i := 0; i < n; i++ {
-		sl := &followerSlot{
-			id:       VariantID(i + 1),
-			delta:    delta * int64(i+1),
-			req:      make(chan *callRecord),
-			call:     callRecord{resp: make(chan callResult, 1)},
-			dead:     make(chan struct{}),
-			detachCh: make(chan struct{}),
-		}
-		sl.call.wire = sl.wireBuf[:0]
-		if s.pipelined {
-			// Up to LagWindow records sit in the ring, the follower holds the
-			// one it drains and the leader the one it fills, so free never
-			// holds more than LagWindow+2 and a return never blocks.
-			sl.ring = make(chan *leaderRecord, mon.opts.LagWindow)
-			sl.free = make(chan *leaderRecord, mon.opts.LagWindow+2)
-		}
-		s.slots[i] = sl
-	}
-	if s.pipelined {
-		s.lendRecords()
-	}
-	return s
 }
 
-// staging returns the leader's staging buffer resized to n bytes.
-func (s *session) staging(n int) []byte {
-	if cap(s.stage) < n {
-		s.stage = make([]byte, n)
+// takeSlots seats the monitor's follower slots in s. They are reset when
+// the previous region left every slot attached, and rebuilt when it
+// severed any: a severed slot's orphaned follower may still run, and it
+// reads the whole set through its own session. Call with mo.mu held.
+func (s *session) takeSlots() {
+	mo := s.mon
+	rebuild := false
+	for _, sl := range mo.slots {
+		rebuild = rebuild || sl == nil || sl.detached()
 	}
-	return s.stage[:n]
+	s.slots = s.slotArr[:len(mo.slots)]
+	for i, sl := range mo.slots {
+		if rebuild {
+			sl = mo.newSlot(VariantID(i+1), sl)
+			mo.slots[i] = sl
+		} else {
+			sl.reset()
+		}
+		sl.sess = s
+		s.slots[i] = sl
+	}
+}
+
+// staging returns the leader's staging buffer for captureOutputs' buffer
+// views resized to n bytes. The monitor keeps it between regions; only
+// the leader goroutine touches it: a strict rendezvous writes the views
+// into a follower before the next capture, and a pipelined publish frames
+// them into its ring record.
+func (s *session) staging(n int) []byte {
+	mo := s.mon
+	if cap(mo.stage) < n {
+		mo.stage = make([]byte, n)
+	}
+	return mo.stage[:n]
 }
 
 // attached appends the slots the policy has not severed to buf, in slot
@@ -283,11 +351,12 @@ func (s *session) liveAttached() int {
 	return n
 }
 
-// slotByTID maps a thread ID to its follower slot (nil for the leader or
-// unrelated threads). The slot count is tiny; a linear scan beats a map.
-func (s *session) slotByTID(tid int) *followerSlot {
-	for _, sl := range s.slots {
-		if sl.tid == tid && tid != 0 {
+// slotOf returns the follower slot whose thread t is (nil for the leader
+// or an unrelated thread). A follower thread carries its slot's id as its
+// variant, so no other thread reads a slot here.
+func (s *session) slotOf(t *machine.Thread) *followerSlot {
+	if v := t.Variant(); v > 0 && v <= len(s.slots) {
+		if sl := s.slots[v-1]; sl.tid == t.TID() {
 			return sl
 		}
 	}
@@ -312,11 +381,6 @@ func (s *session) tripTimeout() {
 	s.timeoutOnce.Do(func() { close(s.timedOut) })
 }
 
-// stopWatch ends the deadline watchdog at region exit.
-func (s *session) stopWatch() {
-	s.watchOnce.Do(func() { close(s.watchStop) })
-}
-
 // Watchdog tuning: the poll interval, and how many consecutive polls with a
 // frozen virtual clock (leader waiting, no cycles charged anywhere) trip
 // the deadline early.
@@ -325,51 +389,91 @@ const (
 	watchdogFrozenPolls = 250
 )
 
-// watch is the rendezvous deadline watchdog: a real-time poller that trips
-// the session's timeout when the leader has waited past the virtual-cycle
-// deadline, or — the frozen-clock breaker — when the leader is waiting and
-// virtual time has stopped advancing entirely (a follower hung off-CPU
-// charges no cycles, so a purely virtual deadline would never fire).
-// Stalls that do charge cycles are caught deterministically from the
-// arrived record's lag in rendezvous; the watchdog covers followers that
-// never arrive at all.
-func (s *session) watch(deadline clock.Cycles) {
-	ticker := time.NewTicker(watchdogPoll)
-	defer ticker.Stop()
-	frozenFor := 0
-	var lastWait int64
-	var lastNow clock.Cycles
-	for {
-		select {
-		case <-s.watchStop:
-			return
-		case <-ticker.C:
-		}
-		if s.allSlotsDead() {
-			return
-		}
-		w := s.waitingSince.Load()
-		now := s.mon.m.Counter().Cycles()
-		if w == 0 {
-			frozenFor = 0
-			lastWait = 0
-			continue
-		}
-		if now-clock.Cycles(w-1) >= deadline {
-			s.tripTimeout()
-			return
-		}
-		if w == lastWait && now == lastNow {
-			frozenFor++
-			if frozenFor >= watchdogFrozenPolls {
-				s.tripTimeout()
-				return
-			}
-		} else {
-			frozenFor = 0
-		}
-		lastWait, lastNow = w, now
+// watchdog is the monitor's rendezvous deadline watchdog: one real-time
+// timer, armed for a session at mvx_start and stopped at mvx_end, whose
+// every poll trips the session's timeout when the leader has waited past
+// the virtual-cycle deadline, or — the frozen-clock breaker — when the
+// leader is waiting and virtual time has stopped advancing entirely (a
+// follower hung off-CPU charges no cycles, so a purely virtual deadline
+// would never fire). Stalls that do charge cycles are caught
+// deterministically from the arrived record's lag in rendezvous; the
+// watchdog covers followers that never arrive at all. It stops polling a
+// session once it trips or every slot has died.
+type watchdog struct {
+	mu    sync.Mutex
+	timer *time.Timer
+	s     *session // the armed session; nil while stopped
+
+	deadline  clock.Cycles
+	frozenFor int
+	lastWait  int64
+	lastNow   clock.Cycles
+}
+
+// arm starts polling s against deadline.
+func (w *watchdog) arm(s *session, deadline clock.Cycles) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.s, w.deadline = s, deadline
+	w.frozenFor, w.lastWait, w.lastNow = 0, 0, 0
+	if w.timer == nil {
+		w.timer = time.AfterFunc(watchdogPoll, w.poll)
+		return
 	}
+	w.timer.Reset(watchdogPoll)
+}
+
+// disarm stops polling s at its region exit. Once it returns, no poll
+// reads s.
+func (w *watchdog) disarm(s *session) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.s == s {
+		w.s = nil
+		w.timer.Stop()
+	}
+}
+
+// poll runs on the timer's goroutine.
+func (w *watchdog) poll() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.s == nil {
+		return
+	}
+	if w.check(w.s) {
+		w.timer.Reset(watchdogPoll)
+		return
+	}
+	w.s = nil
+}
+
+// check is one poll of s; it reports whether to keep polling.
+func (w *watchdog) check(s *session) bool {
+	if s.allSlotsDead() {
+		return false
+	}
+	wait := s.waitingSince.Load()
+	now := s.mon.m.Counter().Cycles()
+	if wait == 0 {
+		w.frozenFor, w.lastWait = 0, 0
+		return true
+	}
+	if now-clock.Cycles(wait-1) >= w.deadline {
+		s.tripTimeout()
+		return false
+	}
+	if wait == w.lastWait && now == w.lastNow {
+		w.frozenFor++
+		if w.frozenFor >= watchdogFrozenPolls {
+			s.tripTimeout()
+			return false
+		}
+	} else {
+		w.frozenFor = 0
+	}
+	w.lastWait, w.lastNow = wait, now
+	return true
 }
 
 // leaderCall runs the leader's side of one lockstep libc call: a full

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -433,10 +434,14 @@ type Monitor struct {
 	followerStacks []mem.Addr        // follower stack regions
 	followerTIDs   []int             // launched follower threads, whose safe stacks destroyStacks reclaims
 	slotNames      []slotNames       // per-slot thread and region names, built once
-	ringPool       [][]*leaderRecord // per-slot pipelined ring records kept between regions
+	slots          []*followerSlot   // per-slot host machinery, kept between regions (see takeSlots)
+	stage          []byte            // the leader's staging buffer (see session.staging)
 	scanHits       []mem.PointerHit  // relocateRange's hit list, kept between regions
 	variantReady   bool              // clones exist and can be refreshed
 	reports        []RegionReport
+
+	// wd is the rendezvous deadline watchdog, one timer for every region.
+	wd watchdog
 
 	// Fault-containment state (see policy.go). slotDown marks follower
 	// slots detached by the policy (their TIDs are quarantined in tids);
@@ -508,7 +513,7 @@ func New(m *machine.Machine, lib *libc.LibC, opts ...Option) *Monitor {
 	}
 	mo.slotDown = make([]bool, mo.numFollowers())
 	mo.slotNames = newSlotNames(mo.numFollowers())
-	mo.ringPool = make([][]*leaderRecord, mo.numFollowers())
+	mo.slots = make([]*followerSlot, mo.numFollowers())
 	if mo.led != nil {
 		// Charge the libc dispatch itself to the ledger's libc phase. The
 		// hook loads the active region lock-free; outside a region it is
@@ -678,11 +683,12 @@ func (mo *Monitor) Phase() string {
 
 // FollowerLive reports whether any follower variant is currently running —
 // a region is active and at least one attached follower thread has not
-// terminated.
+// terminated. It reads the slots under the lock that the next region's
+// Start resets them under.
 func (mo *Monitor) FollowerLive() bool {
 	mo.mu.Lock()
+	defer mo.mu.Unlock()
 	s := mo.session
-	mo.mu.Unlock()
 	if s == nil {
 		return false
 	}
@@ -835,8 +841,9 @@ func (mo *Monitor) trampolineState(t *machine.Thread, pivot bool) (*session, boo
 		base := mo.nextStack
 		mo.nextStack += mem.Addr((safeStackPages + 1) * mem.PageSize) // +1 guard
 		as := mo.m.AddressSpace()
+		var name [40]byte
 		if _, err := as.Map(mem.Region{
-			Name: fmt.Sprintf("smvx:safestack:%d", t.TID()),
+			Name: string(strconv.AppendInt(append(name[:0], "smvx:safestack:"...), int64(t.TID()), 10)),
 			Base: base,
 			Size: safeStackPages * mem.PageSize,
 			Perm: mem.PermRW,

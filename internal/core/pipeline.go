@@ -394,47 +394,8 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, f *
 	return ret
 }
 
-// lendRecords puts the ring records the monitor kept from earlier
-// pipelined regions on each slot's free lane, so a region starts with the
-// records, and the buffers, that the previous ones grew. A slot never has
-// more records than its free lane holds (see newSession), so the sends
-// never block.
-func (s *session) lendRecords() {
-	mo := s.mon
-	mo.mu.Lock()
-	defer mo.mu.Unlock()
-	for i, sl := range s.slots {
-		for _, rec := range mo.ringPool[i] {
-			sl.free <- rec
-		}
-		clear(mo.ringPool[i])
-		mo.ringPool[i] = mo.ringPool[i][:0]
-	}
-}
-
-// keepRecords takes the records on each slot's free lane back into the
-// monitor's pool at region exit, after the followers have wound down.
-// Only records on a free lane are past their follower's last read; one a
-// severed follower still holds, or one stranded on a ring, is left behind.
-// Call with mo.mu held.
-func (s *session) keepRecords() {
-	for i, sl := range s.slots {
-		pool := s.mon.ringPool[i]
-	drain:
-		for {
-			select {
-			case rec := <-sl.free:
-				pool = append(pool, rec)
-			default:
-				break drain
-			}
-		}
-		s.mon.ringPool[i] = pool
-	}
-}
-
 // recycle hands a drained record back to the leader for a later call. The
-// free lane has room for every record the slot can hold (see newSession);
+// free lane has room for every record the slot can hold (see newSlot);
 // were it ever full, the record would just be dropped.
 func (sl *followerSlot) recycle(rec *leaderRecord) {
 	select {

@@ -86,7 +86,7 @@ func (mo *Monitor) Intercept(t *machine.Thread, slot int, name string, args []ui
 		s.ledgerTrampoline(v, f, costs, pivoted)
 		return s.leaderCall(t, f, args)
 	}
-	if sl := s.slotByTID(t.TID()); sl != nil {
+	if sl := s.slotOf(t); sl != nil {
 		s.ledgerTrampoline(v, f, costs, pivoted)
 		return s.followerCall(t, sl, f, args)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"smvx/internal/obs"
 	"smvx/internal/obs/ledger"
@@ -85,13 +86,14 @@ func (mo *Monitor) Start(t *machine.Thread, fn string, args ...uint64) error {
 	// region runs leader-only; with only some slots down the up slots keep
 	// lockstep and the down ones stay quarantined.
 	restarted := false
-	upSlot := make([]bool, mo.numFollowers())
+	var upBuf, downBuf [MaxVariants - 1]bool
+	upSlot := upBuf[:mo.numFollowers()]
 	for i := range upSlot {
 		upSlot[i] = true
 	}
 	if mo.contain() {
 		mo.mu.Lock()
-		down := append([]bool(nil), mo.slotDown...)
+		down := downBuf[:copy(downBuf[:], mo.slotDown)]
 		used := mo.restartsUsed
 		nextAt := mo.nextRestartAt
 		mo.mu.Unlock()
@@ -134,7 +136,8 @@ func (mo *Monitor) Start(t *machine.Thread, fn string, args ...uint64) error {
 	// sum is observed separately as variant.creation.cycles below.
 	createSpan := mo.rec.BeginVariantCreateSpan(t.TID(), fn)
 
-	upDeltas := make([]int64, 0, mo.numFollowers())
+	var deltaBuf [MaxVariants - 1]int64
+	upDeltas := deltaBuf[:0]
 	for k := 1; k <= mo.numFollowers(); k++ {
 		if upSlot[k-1] {
 			upDeltas = append(upDeltas, delta*int64(k))
@@ -145,17 +148,12 @@ func (mo *Monitor) Start(t *machine.Thread, fn string, args ...uint64) error {
 	reuse := mo.opts.ReuseVariant && mo.variantReady
 	mo.mu.Unlock()
 
-	var newBases []mem.Addr
 	if reuse {
 		// Section 5 mitigation: the followers' mappings persist across
 		// regions; only their contents are refreshed and re-scanned, off
 		// the critical path (charged to total CPU, not wall time). Fresh
 		// stacks are still needed per region.
 		mo.destroyStacks()
-		mo.mu.Lock()
-		newBases = append([]mem.Addr{}, mo.followerBases...)
-		mo.mu.Unlock()
-
 		wall := as.GetWallCounter()
 		as.SetWallCounter(nil)
 		err := mo.refreshVariant(upDeltas, &stats)
@@ -165,40 +163,40 @@ func (mo *Monitor) Start(t *machine.Thread, fn string, args ...uint64) error {
 		}
 	} else {
 		// Reclaim any previous mappings before recreating from scratch.
-		mo.destroyFollower()
-		var err error
-		if newBases, err = mo.createVariants(upSlot, upDeltas, &stats); err != nil {
+		bases := mo.destroyFollower()
+		bases, err := mo.createVariants(upSlot, upDeltas, &stats, bases)
+		if err != nil {
 			return err
 		}
+		mo.mu.Lock()
+		mo.followerBases = bases
+		mo.mu.Unlock()
 	}
 
 	// Step 4 — clone() each follower thread and redirect it to the
 	// protected function.
-	s := newSession(mo, fn, delta, t.TID())
+	s := newSession(mo, fn, t.TID())
 	s.restarted = restarted
-	launched := make([]*followerSlot, 0, len(s.slots))
+	var launchBuf [MaxVariants - 1]*followerSlot
+	launched := launchBuf[:0]
+	mo.mu.Lock()
+	s.takeSlots()
 	for i, sl := range s.slots {
 		if !upSlot[i] {
 			// The slot stays quarantined this region: born detached and
 			// dead so the rendezvous paths skip it.
-			sl := sl
 			sl.detachOnce.Do(func() { close(sl.detachCh) })
 			sl.markDead(nil)
 			continue
 		}
 		sl.tid = mo.m.AllocTID()
 		launched = append(launched, sl)
+		mo.followerTIDs = append(mo.followerTIDs, sl.tid)
 	}
-
-	mo.mu.Lock()
 	mo.session = s
 	mo.curRegion.Store(s.lr)
 	mo.lastCreation = stats // clone cycles patched below
-	mo.followerBases = append([]mem.Addr{}, newBases...)
 	mo.variantReady = true
-	for _, sl := range launched {
-		mo.followerTIDs = append(mo.followerTIDs, sl.tid)
-	}
 	mo.mu.Unlock()
 
 	// The leader's PKRU now excludes every follower key.
@@ -219,83 +217,24 @@ func (mo *Monitor) Start(t *machine.Thread, fn string, args ...uint64) error {
 
 	cloneMark := ctr.Cycles()
 	for _, sl := range launched {
-		sl := sl
-		dk := sl.delta
-		ftid := sl.tid
-		tname := mo.slotNames[sl.id-1].thread
-		fStackBase := mem.Addr(int64(mo.img.End())+dk) + 0x100_0000
-		imgLo := mem.Addr(int64(mo.img.Base) + dk)
-		imgHi := mem.Addr(int64(mo.img.End()) + dk)
 		// Rebase pointer-looking arguments into this slot's window: the
 		// protected function's argument variables (Listing 1) may point
 		// into the leader's image or heap, and each follower must see its
 		// own copy — the same address-range treatment the special
 		// emulation category applies to epoll_data (Section 3.3).
-		fargs := make([]uint64, len(args))
-		for i, a := range args {
+		sl.args = sl.args[:0]
+		for _, a := range args {
 			v := mem.Addr(a)
 			if (v >= mo.img.Base && v < mo.img.End()) ||
 				(heapLo != 0 && v >= heapLo && v < heapHi) {
-				fargs[i] = uint64(int64(a) + dk)
-			} else {
-				fargs[i] = a
+				a = uint64(int64(a) + sl.delta)
 			}
+			sl.args = append(sl.args, a)
 		}
-		th := mo.m.Process().CloneThread(func() error {
-			ft, err := mo.m.NewThreadAt(tname, ftid, fStackBase, followerStackPages, dk)
-			if err != nil {
-				err = fmt.Errorf("smvx: follower thread: %w", err)
-				mo.raiseAlarm(Alarm{
-					Reason: AlarmFollowerFault, Function: fn,
-					Variant: sl.id, Detail: err.Error(),
-				})
-				sl.markDead(err)
-				return err
-			}
-			ft.SetVariant(int(sl.id))
-			mo.mu.Lock()
-			mo.followerStacks = append(mo.followerStacks, ft.StackBase())
-			mo.mu.Unlock()
-			if err := mo.m.AddressSpace().SetRegionKey(ft.StackBase(), mo.pkeyFollowers[sl.id-1]); err != nil {
-				sl.markDead(err)
-				return err
-			}
-			// The follower's view: only its own window is executable. The
-			// leader's gadget addresses are "otherwise unmapped" here
-			// (Section 4.2).
-			ft.SetBackground(true)
-			ft.SetExecWindow([2]mem.Addr{imgLo, imgHi})
-			ft.WRPKRU(mo.appPKRU(ft))
-			runErr := ft.Run(func(t *machine.Thread) { t.Call(fn, fargs...) })
-			if runErr != nil && !errors.Is(runErr, ErrDetached) {
-				// The fault is detected on the follower's own goroutine: the
-				// leader is still running, so only the follower's thread state
-				// may be read here. An ErrDetached death is just the policy
-				// winding a severed follower down — no new alarm.
-				var snaps []obs.ThreadSnapshot
-				if mo.rec != nil {
-					var fe *mem.FaultError
-					if errors.As(runErr, &fe) {
-						mo.rec.Record(obs.EvPageFault, sl.id, ft.TID(),
-							fe.Kind.String(), uint64(fe.Addr), 0, 0)
-					}
-					snaps = []obs.ThreadSnapshot{mo.snapshot("follower", ft)}
-				}
-				mo.raiseAlarm(Alarm{
-					Reason: AlarmFollowerFault, CallIndex: s.calls.Load(),
-					Function: fn, Variant: sl.id, Detail: runErr.Error(),
-				}, snaps...)
-				if mo.contain() {
-					mo.detachFollower(s, sl, "follower-fault")
-				}
-			}
-			sl.markDead(runErr)
-			return runErr
-		})
-		sl.thread = th
+		sl.thread = mo.m.Process().CloneThread(sl.launch)
 	}
 	if d := mo.opts.RendezvousDeadline; d > 0 {
-		go s.watch(d)
+		mo.wd.arm(s, d)
 	}
 	cloneCost := ctr.Cycles() - cloneMark
 	if floor := mo.m.Costs().ThreadClone * clock.Cycles(len(launched)); cloneCost < floor {
@@ -335,12 +274,76 @@ func (mo *Monitor) Start(t *machine.Thread, fn string, args ...uint64) error {
 	return nil
 }
 
+// runFollower is the body of the slot's follower thread for one region
+// (followerSlot.launch): it builds the follower's machine thread in the
+// slot's window and runs the protected function there with the slot's
+// rebased arguments.
+func (sl *followerSlot) runFollower() error {
+	s := sl.sess
+	mo := s.mon
+	dk := sl.delta
+	fStackBase := mem.Addr(int64(mo.img.End())+dk) + 0x100_0000
+	ft, err := mo.m.NewThreadAt(mo.slotNames[sl.id-1].thread, sl.tid, fStackBase, followerStackPages, dk)
+	if err != nil {
+		err = fmt.Errorf("smvx: follower thread: %w", err)
+		mo.raiseAlarm(Alarm{
+			Reason: AlarmFollowerFault, Function: s.fn,
+			Variant: sl.id, Detail: err.Error(),
+		})
+		sl.markDead(err)
+		return err
+	}
+	if sl.ft != nil {
+		ft.TakeBuffers(sl.ft)
+	}
+	sl.ft = ft
+	ft.SetVariant(int(sl.id))
+	mo.mu.Lock()
+	mo.followerStacks = append(mo.followerStacks, ft.StackBase())
+	mo.mu.Unlock()
+	if err := mo.m.AddressSpace().SetRegionKey(ft.StackBase(), mo.pkeyFollowers[sl.id-1]); err != nil {
+		sl.markDead(err)
+		return err
+	}
+	// The follower's view: only its own window is executable. The
+	// leader's gadget addresses are "otherwise unmapped" here
+	// (Section 4.2).
+	ft.SetBackground(true)
+	ft.SetExecWindow([2]mem.Addr{mem.Addr(int64(mo.img.Base) + dk), mem.Addr(int64(mo.img.End()) + dk)})
+	ft.WRPKRU(mo.appPKRU(ft))
+	runErr := ft.Run(func(t *machine.Thread) { t.Call(s.fn, sl.args...) })
+	if runErr != nil && !errors.Is(runErr, ErrDetached) {
+		// The fault is detected on the follower's own goroutine: the
+		// leader is still running, so only the follower's thread state
+		// may be read here. An ErrDetached death is just the policy
+		// winding a severed follower down — no new alarm.
+		var snaps []obs.ThreadSnapshot
+		if mo.rec != nil {
+			var fe *mem.FaultError
+			if errors.As(runErr, &fe) {
+				mo.rec.Record(obs.EvPageFault, sl.id, ft.TID(),
+					fe.Kind.String(), uint64(fe.Addr), 0, 0)
+			}
+			snaps = []obs.ThreadSnapshot{mo.snapshot("follower", ft)}
+		}
+		mo.raiseAlarm(Alarm{
+			Reason: AlarmFollowerFault, CallIndex: s.calls.Load(),
+			Function: s.fn, Variant: sl.id, Detail: runErr.Error(),
+		}, snaps...)
+		if mo.contain() {
+			mo.detachFollower(s, sl, "follower-fault")
+		}
+	}
+	sl.markDead(runErr)
+	return runErr
+}
+
 // createVariants builds every up slot's window from scratch — Table 2's
 // copy+move, .data/.bss relocation and heap scan phases, charged into stats
-// — and returns the bases of the regions it mapped. On error it unmaps
-// those regions and drops the cloned heaps, so a failed mvx_start leaves
-// no untracked follower mapping to block the next one.
-func (mo *Monitor) createVariants(upSlot []bool, upDeltas []int64, stats *CreationStats) (bases []mem.Addr, err error) {
+// — and returns the bases of the regions it mapped, appended to bases. On
+// error it unmaps those regions and drops the cloned heaps, so a failed
+// mvx_start leaves no untracked follower mapping to block the next one.
+func (mo *Monitor) createVariants(upSlot []bool, upDeltas []int64, stats *CreationStats, bases []mem.Addr) (_ []mem.Addr, err error) {
 	as := mo.m.AddressSpace()
 	ctr := mo.m.Counter()
 	defer func() {
@@ -353,7 +356,6 @@ func (mo *Monitor) createVariants(upSlot []bool, upDeltas []int64, stats *Creati
 		for _, dk := range upDeltas {
 			mo.lib.DropHeap(dk)
 		}
-		bases = nil
 	}()
 
 	// Step 1 — process duplication: clone every image section plus the
@@ -452,17 +454,12 @@ func (mo *Monitor) relocate(deltas []int64, stats *CreationStats) error {
 
 // startLeaderOnly opens a degraded protected region with no followers: the
 // policy detached (or could not yet restart) every other variant, so the
-// leader runs single-variant — dMVX's detached mode. No clone work happens
-// and lockstep calls go straight to libc. EvRegionStart carries Arg0=1 to
-// mark the degraded entry.
+// leader runs single-variant — dMVX's detached mode. No clone work happens,
+// the session seats no slot, and lockstep calls go straight to libc.
+// EvRegionStart carries Arg0=1 to mark the degraded entry.
 func (mo *Monitor) startLeaderOnly(t *machine.Thread, fn string) error {
-	s := newSession(mo, fn, mo.opts.Delta, t.TID())
+	s := newSession(mo, fn, t.TID())
 	s.leaderOnly = true
-	for _, sl := range s.slots {
-		sl := sl
-		sl.detachOnce.Do(func() { close(sl.detachCh) })
-		sl.markDead(nil)
-	}
 	mo.mu.Lock()
 	mo.session = s
 	mo.curRegion.Store(s.lr)
@@ -574,6 +571,17 @@ func (mo *Monitor) End(t *machine.Thread) error {
 			case <-done:
 				finished = true
 			case <-s.timedOut:
+				// The deadline tripped, perhaps on another slot. A slot still
+				// attached gets the grace window a rendezvous grants (see
+				// collect): one released from its last call a moment ago is
+				// winding down, not hung.
+				if !sl.detached() {
+					select {
+					case <-done:
+						finished = true
+					case <-time.After(pipelineGrace):
+					}
+				}
 			}
 		}
 		s.waitingSince.Store(0)
@@ -597,7 +605,7 @@ func (mo *Monitor) End(t *machine.Thread) error {
 			followerErr = serr
 		}
 	}
-	s.stopWatch()
+	mo.wd.disarm(s)
 	// A pipelined follower that left the region early strands unverified
 	// leader records on its ring — a sequence divergence even when nothing
 	// faulted (strict mode reaches the same verdict via the slot's death at
@@ -642,9 +650,6 @@ func (mo *Monitor) End(t *machine.Thread) error {
 	}
 	mo.regionCalls[s.fn] += report.LibcCalls
 	mo.reports = append(mo.reports, report)
-	if s.pipelined {
-		s.keepRecords()
-	}
 	mo.session = nil
 	mo.curRegion.Store(nil)
 	mo.mu.Unlock()
@@ -703,7 +708,9 @@ func (mo *Monitor) DestroyFollower() {
 	mo.destroyFollower()
 }
 
-func (mo *Monitor) destroyFollower() {
+// destroyFollower reclaims every follower mapping and returns the emptied
+// list of their bases for the next creation to fill.
+func (mo *Monitor) destroyFollower() []mem.Addr {
 	mo.destroyStacks()
 	mo.mu.Lock()
 	bases := mo.followerBases
@@ -717,6 +724,7 @@ func (mo *Monitor) destroyFollower() {
 	for k := 1; k <= mo.numFollowers(); k++ {
 		mo.lib.DropHeap(mo.opts.Delta * int64(k))
 	}
+	return bases[:0]
 }
 
 // destroyStacks unmaps the followers' stack regions and their threads'
@@ -726,8 +734,7 @@ func (mo *Monitor) destroyFollower() {
 func (mo *Monitor) destroyStacks() {
 	as := mo.m.AddressSpace()
 	mo.mu.Lock()
-	stacks := mo.followerStacks
-	mo.followerStacks = nil
+	defer mo.mu.Unlock()
 	for _, tid := range mo.followerTIDs {
 		st, ok := mo.tids[tid]
 		if !ok || st.safeStack == 0 {
@@ -742,10 +749,10 @@ func (mo *Monitor) destroyStacks() {
 		}
 	}
 	mo.followerTIDs = mo.followerTIDs[:0]
-	mo.mu.Unlock()
-	for _, b := range stacks {
+	for _, b := range mo.followerStacks {
 		_ = as.Unmap(b)
 	}
+	mo.followerStacks = mo.followerStacks[:0]
 }
 
 // refreshVariant re-copies the leader's current state into the persistent

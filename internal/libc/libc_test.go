@@ -746,6 +746,8 @@ func BenchmarkLibcStrings(b *testing.B) {
 		{"strcmp", []uint64{uint64(g), uint64(g + 64)}},
 		{"strncmp", []uint64{uint64(g), uint64(g + 64), 8}},
 		{"snprintf", []uint64{out, 128, uint64(g + 128), uint64(g), uint64(g + 64)}},
+		{"memcpy", []uint64{out, uint64(g), 256}},
+		{"memset", []uint64{out, 0x5a, 256}},
 	} {
 		slot, _ := r.img.PLTSlot(c.name)
 		b.Run(c.name, func(b *testing.B) {

@@ -7,14 +7,16 @@
 // is responsible for copying between simulated memory and kernel buffers,
 // exactly where the user/kernel boundary sits on a real system. Every
 // syscall entry charges two context switches plus kernel work to the cycle
-// counter and increments a per-name syscall counter, which the evaluation
-// uses for the libc:syscall ratio of Figure 7.
+// counter and counts toward the process's syscall total, which the
+// evaluation uses for the libc:syscall ratio of Figure 7; an attached
+// recorder sees each entry, by name, as an EvSyscall event.
 package kernel
 
 import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"smvx/internal/obs"
@@ -119,8 +121,8 @@ func (k *Kernel) FS() *FS { return k.fs }
 
 // enter accounts for one syscall entry by this process: two user/kernel
 // context switches plus base kernel work, charged to the process's counter,
-// and bumps the process's per-name counter. The per-process totals feed the
-// libc:syscall ratio of Figure 7.
+// and one more in the process's total, which feeds the libc:syscall ratio
+// of Figure 7.
 func (p *Process) enter(name string) {
 	if p.counter != nil {
 		p.counter.Charge(p.k.costs.SyscallCost())
@@ -128,10 +130,7 @@ func (p *Process) enter(name string) {
 	if p.wall != nil {
 		p.wall.Charge(p.k.costs.SyscallCost())
 	}
-	p.syscallMu.Lock()
-	p.syscallCounts[name]++
-	p.syscallTotal++
-	p.syscallMu.Unlock()
+	p.syscallTotal.Add(1)
 	if p.ticker != nil {
 		p.ticker.TickSyscall(p.pid, name, p.k.costs.SyscallCost())
 	}
@@ -139,28 +138,8 @@ func (p *Process) enter(name string) {
 	p.syscallCell.Inc()
 }
 
-// SyscallCount returns the number of syscalls this process issued with the
-// given name.
-func (p *Process) SyscallCount(name string) uint64 {
-	p.syscallMu.Lock()
-	defer p.syscallMu.Unlock()
-	return p.syscallCounts[name]
-}
-
 // SyscallTotal returns the total number of syscalls this process issued.
-func (p *Process) SyscallTotal() uint64 {
-	p.syscallMu.Lock()
-	defer p.syscallMu.Unlock()
-	return p.syscallTotal
-}
-
-// ResetSyscallCounts zeroes this process's syscall counters.
-func (p *Process) ResetSyscallCounts() {
-	p.syscallMu.Lock()
-	defer p.syscallMu.Unlock()
-	p.syscallCounts = make(map[string]uint64)
-	p.syscallTotal = 0
-}
+func (p *Process) SyscallTotal() uint64 { return p.syscallTotal.Load() }
 
 // fdKind discriminates the object behind a file descriptor.
 type fdKind int
@@ -205,9 +184,7 @@ type Process struct {
 	fds    map[int]*FD
 	nextFD int
 
-	syscallMu     sync.Mutex
-	syscallCounts map[string]uint64
-	syscallTotal  uint64
+	syscallTotal atomic.Uint64
 }
 
 // SetWallCounter attaches the elapsed-time counter; syscall costs are
@@ -242,12 +219,11 @@ func (k *Kernel) NewProcess(counter *clock.Counter) *Process {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	p := &Process{
-		k:             k,
-		pid:           k.nextPID,
-		counter:       counter,
-		fds:           make(map[int]*FD),
-		nextFD:        3, // 0,1,2 reserved
-		syscallCounts: make(map[string]uint64),
+		k:       k,
+		pid:     k.nextPID,
+		counter: counter,
+		fds:     make(map[int]*FD),
+		nextFD:  3, // 0,1,2 reserved
 	}
 	k.nextPID++
 	k.processes[p.pid] = p

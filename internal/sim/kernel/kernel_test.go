@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"smvx/internal/obs"
 	"smvx/internal/sim/clock"
 )
 
@@ -11,6 +12,26 @@ func newTestProc(t *testing.T) *Process {
 	t.Helper()
 	k := New(clock.DefaultCosts(), 42)
 	return k.NewProcess(clock.NewCounter())
+}
+
+// recordSyscalls attaches a recorder to p and returns how many syscalls of
+// a name p has entered since, counted as the recorder's EvSyscall events.
+func recordSyscalls(t *testing.T, p *Process) func(name string) int {
+	t.Helper()
+	rec := obs.NewRecorder(obs.Config{})
+	p.SetRecorder(rec)
+	return func(name string) int {
+		if rec.Evicted() != 0 {
+			t.Fatalf("recorder evicted %d events", rec.Evicted())
+		}
+		n := 0
+		for _, e := range rec.Events() {
+			if e.Kind == obs.EvSyscall && e.Name == name {
+				n++
+			}
+		}
+		return n
+	}
 }
 
 func TestErrnoStrings(t *testing.T) {
@@ -187,21 +208,18 @@ func TestCloseAndBadFD(t *testing.T) {
 
 func TestSyscallCounting(t *testing.T) {
 	p := newTestProc(t)
+	count := recordSyscalls(t, p)
 	fd, _ := p.Open("/dev/null", ORdwr)
 	_, _ = p.Write(fd, []byte("a"))
 	_, _ = p.Write(fd, []byte("b"))
-	if got := p.SyscallCount("write"); got != 2 {
-		t.Errorf("SyscallCount(write) = %d, want 2", got)
+	if got := count("write"); got != 2 {
+		t.Errorf("write syscalls = %d, want 2", got)
 	}
-	if got := p.SyscallCount("open"); got != 1 {
-		t.Errorf("SyscallCount(open) = %d, want 1", got)
+	if got := count("open"); got != 1 {
+		t.Errorf("open syscalls = %d, want 1", got)
 	}
 	if got := p.SyscallTotal(); got != 3 {
 		t.Errorf("SyscallTotal = %d, want 3", got)
-	}
-	p.ResetSyscallCounts()
-	if got := p.SyscallTotal(); got != 0 {
-		t.Errorf("SyscallTotal after reset = %d", got)
 	}
 }
 

@@ -147,6 +147,7 @@ func TestRecvOnNotConnected(t *testing.T) {
 // have copied, is accounted as that syscall, and fails the way it would.
 func TestReceiveMatchesReadAndRecv(t *testing.T) {
 	server, client := twoProcs(t)
+	count := recordSyscalls(t, server)
 	lfd, _ := server.Socket()
 	_ = server.Bind(lfd, 8080)
 	_ = server.Listen(lfd, 1)
@@ -169,8 +170,8 @@ func TestReceiveMatchesReadAndRecv(t *testing.T) {
 	if b, e := server.Receive(afd, 1<<20, true); e != OK || string(b) != "xyz" {
 		t.Errorf("Receive = (%q, %v), want \"xyz\"", b, e)
 	}
-	if server.SyscallCount("recv") != 2 || server.SyscallCount("read") != 1 {
-		t.Errorf("accounted recv %d, read %d; want 2 and 1", server.SyscallCount("recv"), server.SyscallCount("read"))
+	if count("recv") != 2 || count("read") != 1 {
+		t.Errorf("accounted recv %d, read %d; want 2 and 1", count("recv"), count("read"))
 	}
 	_ = client.Shutdown(cfd, 1)
 	if b, e := server.Receive(afd, 8, true); e != OK || len(b) != 0 {

@@ -48,7 +48,10 @@ var tidCounter struct {
 // CloneThread starts fn on a new simulated thread sharing the caller's
 // address space, charging the clone() cost from Table 2 (~9.5us for an
 // empty function — threads share the address space, so no page-table
-// duplication is needed). The returned Thread must be Wait()ed.
+// duplication is needed). The returned Thread must be Wait()ed. The
+// simulated thread runs on a parked host goroutine when one is idle (see
+// hostPool), so its host stack is already grown; that changes no
+// simulated quantity.
 func (p *Process) CloneThread(fn func() error) *Thread {
 	p.enter("clone")
 	if p.counter != nil {
@@ -63,14 +66,60 @@ func (p *Process) CloneThread(fn func() error) *Thread {
 	tidCounter.mu.Unlock()
 
 	t := &Thread{tid: tid, done: make(chan struct{})}
-	go func() {
-		defer close(t.done)
-		err := fn()
-		t.mu.Lock()
-		t.err = err
-		t.mu.Unlock()
-	}()
+	j := hostJob{t: t, fn: fn}
+	select {
+	case w := <-hostPool:
+		w <- j
+	default:
+		go runHost(j)
+	}
 	return t
+}
+
+// HostPoolSize bounds how many idle host goroutines CloneThread keeps
+// parked for the next simulated thread. A goroutine that finds the pool
+// full when its thread exits ends instead, so the pool holds at most this
+// many goroutines beyond the simulated threads that are running.
+const HostPoolSize = 16
+
+// hostJob is one simulated thread's body and handle.
+type hostJob struct {
+	t  *Thread
+	fn func() error
+}
+
+// hostPool holds the job lanes of the parked host goroutines, one lane
+// each. A lane has room for one job, so CloneThread's hand-off never
+// waits for the goroutine to be scheduled. The pool is shared by every
+// process: a parked goroutine holds nothing of the thread it last ran.
+var hostPool = make(chan chan hostJob, HostPoolSize)
+
+// runHost runs j and then, while the pool has room, parks for the next
+// job instead of ending.
+func runHost(j hostJob) {
+	var lane chan hostJob
+	for {
+		j.run()
+		j = hostJob{} // a parked goroutine must not keep its last thread alive
+		if lane == nil {
+			lane = make(chan hostJob, 1)
+		}
+		select {
+		case hostPool <- lane:
+		default:
+			return
+		}
+		j = <-lane
+	}
+}
+
+// run executes the thread body and publishes its exit.
+func (j hostJob) run() {
+	defer close(j.t.done)
+	err := j.fn()
+	j.t.mu.Lock()
+	j.t.err = err
+	j.t.mu.Unlock()
 }
 
 // WaitThread blocks until the thread exits, counting the wait() syscall

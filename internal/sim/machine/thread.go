@@ -134,8 +134,16 @@ type Thread struct {
 	// not keep the slice after the call returns. Owning goroutine only.
 	argRegs [maxRegArgs]uint64
 
+	// copyBuf stages Memcpy's and Memset's bytes between the address
+	// space's read and write. Owning goroutine only.
+	copyBuf []byte
+
 	depth int
 }
+
+// maxKeptCopy is the largest copy whose staging buffer a thread keeps for
+// its next copy; a larger copy stages through a buffer of its own.
+const maxKeptCopy = 64 << 10
 
 // maxRegArgs is how many libc arguments fit in the argument registers; a
 // call with more gets a heap copy.
@@ -186,6 +194,18 @@ func (m *Machine) NewThreadAt(name string, tid int, stackBase mem.Addr, stackPag
 		pkru: mpk.AllowAll,
 	}
 	return t, nil
+}
+
+// TakeBuffers hands t the host buffers of old, a thread that has exited
+// and never runs again: the backing arrays of its call stack and
+// execution window and its copy staging buffer, so a thread started in
+// old's place does not grow them again. No simulated state moves: t keeps
+// its own registers, stack, TLB and counters.
+func (t *Thread) TakeBuffers(old *Thread) {
+	t.fnStack = old.fnStack[:0]
+	t.execWindow = old.execWindow[:0]
+	t.copyBuf = old.copyBuf
+	old.fnStack, old.execWindow, old.copyBuf = nil, nil, nil
 }
 
 // AllocTID reserves a fresh thread id for callers that place thread stacks
@@ -661,10 +681,24 @@ func (t *Thread) WriteBytes(addr mem.Addr, b []byte) {
 	}
 }
 
+// copyStage returns a staging buffer of n bytes for one copy: the
+// thread's own, grown as needed, unless n is outside [0, maxKeptCopy].
+func (t *Thread) copyStage(n int) []byte {
+	if n < 0 || n > maxKeptCopy {
+		return make([]byte, n)
+	}
+	if cap(t.copyBuf) < n {
+		t.copyBuf = make([]byte, n)
+	}
+	return t.copyBuf[:n]
+}
+
 // Memcpy copies n bytes within simulated memory, propagating per-byte
-// taint tags like a tainted memcpy in libdft.
+// taint tags like a tainted memcpy in libdft. The whole source is read
+// before the destination is written, so overlapping ranges copy as
+// memmove does.
 func (t *Thread) Memcpy(dst, src mem.Addr, n int) {
-	buf := make([]byte, n)
+	buf := t.copyStage(n)
 	if err := t.readMem(src, buf); err != nil {
 		t.fault(err)
 	}
@@ -680,7 +714,7 @@ func (t *Thread) Memcpy(dst, src mem.Addr, n int) {
 
 // Memset fills n bytes with v and clears their taint (constant data).
 func (t *Thread) Memset(addr mem.Addr, v byte, n int) {
-	buf := make([]byte, n)
+	buf := t.copyStage(n)
 	for i := range buf {
 		buf[i] = v
 	}
