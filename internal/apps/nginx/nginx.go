@@ -153,6 +153,66 @@ func BuildImage() *image.Image {
 type Server struct {
 	cfg  Config
 	prog *machine.Program
+	g    globals
+}
+
+// globals are the server's .data and .bss symbols, resolved once when
+// the server is built.
+type globals struct {
+	listenFD      machine.Global // ngx_listen_fd
+	epollFD       machine.Global // ngx_epoll_fd
+	logFD         machine.Global // ngx_log_fd
+	requestCount  machine.Global // ngx_request_count
+	stopFlag      machine.Global // ngx_stop_flag
+	maxRequests   machine.Global // ngx_max_requests
+	docroot       machine.Global // ngx_docroot
+	authUser      machine.Global // ngx_auth_user
+	authPass      machine.Global // ngx_auth_pass
+	connections   machine.Global // ngx_connections
+	eventsBuf     machine.Global // ngx_events_buf
+	uriBuf        machine.Global // ngx_uri_buf
+	methodBuf     machine.Global // ngx_method_buf
+	pathBuf       machine.Global // ngx_path_buf
+	headerNameBuf machine.Global // ngx_header_name_buf
+	headerValBuf  machine.Global // ngx_header_val_buf
+	teBuf         machine.Global // ngx_te_buf
+	authBuf       machine.Global // ngx_auth_buf
+	statBuf       machine.Global // ngx_stat_buf
+	respBuf       machine.Global // ngx_resp_buf
+	logBuf        machine.Global // ngx_log_buf
+	timeBuf       machine.Global // ngx_time_buf
+	iovBuf        machine.Global // ngx_iov_buf
+	scratch       machine.Global // ngx_scratch
+}
+
+// resolveGlobals resolves every global the bodies use in prog's image.
+func resolveGlobals(prog *machine.Program) globals {
+	return globals{
+		listenFD:      prog.Global("ngx_listen_fd"),
+		epollFD:       prog.Global("ngx_epoll_fd"),
+		logFD:         prog.Global("ngx_log_fd"),
+		requestCount:  prog.Global("ngx_request_count"),
+		stopFlag:      prog.Global("ngx_stop_flag"),
+		maxRequests:   prog.Global("ngx_max_requests"),
+		docroot:       prog.Global("ngx_docroot"),
+		authUser:      prog.Global("ngx_auth_user"),
+		authPass:      prog.Global("ngx_auth_pass"),
+		connections:   prog.Global("ngx_connections"),
+		eventsBuf:     prog.Global("ngx_events_buf"),
+		uriBuf:        prog.Global("ngx_uri_buf"),
+		methodBuf:     prog.Global("ngx_method_buf"),
+		pathBuf:       prog.Global("ngx_path_buf"),
+		headerNameBuf: prog.Global("ngx_header_name_buf"),
+		headerValBuf:  prog.Global("ngx_header_val_buf"),
+		teBuf:         prog.Global("ngx_te_buf"),
+		authBuf:       prog.Global("ngx_auth_buf"),
+		statBuf:       prog.Global("ngx_stat_buf"),
+		respBuf:       prog.Global("ngx_resp_buf"),
+		logBuf:        prog.Global("ngx_log_buf"),
+		timeBuf:       prog.Global("ngx_time_buf"),
+		iovBuf:        prog.Global("ngx_iov_buf"),
+		scratch:       prog.Global("ngx_scratch"),
+	}
 }
 
 // server aliases Server for the body methods.
@@ -171,6 +231,7 @@ func NewServer(cfg Config) *Server {
 	}
 	s := &Server{cfg: cfg}
 	s.prog = machine.NewProgram(BuildImage())
+	s.g = resolveGlobals(s.prog)
 	s.define(s.prog)
 	return s
 }
@@ -235,12 +296,12 @@ func (s *Server) Run(t *machine.Thread) error {
 func (s *server) fnMain(t *machine.Thread, _ []uint64) uint64 {
 	t.Block("init")
 	// Install configuration into .data (the parsed nginx.conf).
-	t.WriteCString(t.Global("ngx_docroot"), s.cfg.DocRoot)
-	t.WriteCString(t.Global("ngx_auth_user"), s.cfg.AuthUser)
-	t.WriteCString(t.Global("ngx_auth_pass"), s.cfg.AuthPass)
-	t.Store64(t.Global("ngx_max_requests"), uint64(s.cfg.MaxRequests))
-	t.Store64(t.Global("ngx_stop_flag"), 0)
-	t.Store64(t.Global("ngx_request_count"), 0)
+	t.WriteCString(s.g.docroot.In(t), s.cfg.DocRoot)
+	t.WriteCString(s.g.authUser.In(t), s.cfg.AuthUser)
+	t.WriteCString(s.g.authPass.In(t), s.cfg.AuthPass)
+	t.Store64(s.g.maxRequests.In(t), uint64(s.cfg.MaxRequests))
+	t.Store64(s.g.stopFlag.In(t), 0)
+	t.Store64(s.g.requestCount.In(t), 0)
 	t.Compute(2000) // config parsing
 	return s.protectCall(t, "ngx_master_process_cycle")
 }
@@ -262,22 +323,22 @@ func (s *server) fnWorkerCycle(t *machine.Thread, _ []uint64) uint64 {
 	t.Libc("listen", lfd, 511)
 	epfd := t.Libc("epoll_create")
 	// Register the listener with its fd as epoll_data.
-	scratch := t.Global("ngx_scratch")
+	scratch := s.g.scratch.In(t)
 	t.Store64(scratch, 1 /* EPOLLIN */)
 	t.Store64(scratch+8, lfd)
 	t.Libc("epoll_ctl", epfd, 1 /* ADD */, lfd, uint64(scratch))
-	t.Store64(t.Global("ngx_listen_fd"), lfd)
-	t.Store64(t.Global("ngx_epoll_fd"), epfd)
+	t.Store64(s.g.listenFD.In(t), lfd)
+	t.Store64(s.g.epollFD.In(t), epfd)
 
 	if s.cfg.AccessLog {
 		path := scratch + 64
 		t.WriteCString(path, "/var/log/nginx/access.log")
 		logFD := t.Libc("open", uint64(path), 0x441 /* O_WRONLY|O_CREAT|O_APPEND */)
-		t.Store64(t.Global("ngx_log_fd"), logFD)
+		t.Store64(s.g.logFD.In(t), logFD)
 	} else {
-		t.Store64(t.Global("ngx_log_fd"), ^uint64(0))
+		t.Store64(s.g.logFD.In(t), ^uint64(0))
 	}
-	t.Memset(t.Global("ngx_connections"), 0, connMax*connSlotSize)
+	t.Memset(s.g.connections.In(t), 0, connMax*connSlotSize)
 
 	// Preallocate the worker's connection/request pools (ngx_palloc
 	// arenas); resident heap the variant-creation scan must cover.
@@ -291,7 +352,7 @@ func (s *server) fnWorkerCycle(t *machine.Thread, _ []uint64) uint64 {
 	}
 
 	t.Block("worker-loop")
-	for t.Load64(t.Global("ngx_stop_flag")) == 0 {
+	for t.Load64(s.g.stopFlag.In(t)) == 0 {
 		s.protectCall(t, "ngx_process_events_and_timers")
 	}
 
@@ -299,7 +360,7 @@ func (s *server) fnWorkerCycle(t *machine.Thread, _ []uint64) uint64 {
 	// Drain connections still open at shutdown so their clients see EOF
 	// instead of hanging, and their spans are accounted as aborted.
 	for i := 0; i < connMax; i++ {
-		slot := t.Global("ngx_connections") + mem.Addr(i*connSlotSize)
+		slot := s.g.connections.In(t) + mem.Addr(i*connSlotSize)
 		if t.Load64(slot+connOffFD) != 0 {
 			s.protectCall(t, "ngx_close_connection", uint64(slot))
 		}
@@ -307,7 +368,7 @@ func (s *server) fnWorkerCycle(t *machine.Thread, _ []uint64) uint64 {
 	if t.Bias() == 0 { // follower re-runs the loop; only the leader tracks spans
 		s.cfg.Track.CloseAll()
 	}
-	if logFD := t.Load64(t.Global("ngx_log_fd")); int64(logFD) >= 0 {
+	if logFD := t.Load64(s.g.logFD.In(t)); int64(logFD) >= 0 {
 		t.Libc("close", logFD)
 	}
 	t.Libc("close", epfd)
@@ -322,12 +383,12 @@ func (s *server) fnProcessEvents(t *machine.Thread, _ []uint64) uint64 {
 }
 
 func (s *server) fnEpollProcessEvents(t *machine.Thread, _ []uint64) uint64 {
-	epfd := t.Load64(t.Global("ngx_epoll_fd"))
-	lfd := t.Load64(t.Global("ngx_listen_fd"))
-	evBuf := t.Global("ngx_events_buf")
+	epfd := t.Load64(s.g.epollFD.In(t))
+	lfd := t.Load64(s.g.listenFD.In(t))
+	evBuf := s.g.eventsBuf.In(t)
 	n := t.Libc("epoll_wait", epfd, uint64(evBuf), 16, ^uint64(0))
 	if int64(n) <= 0 {
-		t.Store64(t.Global("ngx_stop_flag"), 1)
+		t.Store64(s.g.stopFlag.In(t), 1)
 		return 0
 	}
 	for i := uint64(0); i < n; i++ {
@@ -348,7 +409,7 @@ func (s *server) fnEpollProcessEvents(t *machine.Thread, _ []uint64) uint64 {
 		}
 		t.Block("conn-ready")
 		s.protectCall(t, "ngx_http_wait_request_handler", data)
-		if t.Load64(t.Global("ngx_stop_flag")) != 0 {
+		if t.Load64(s.g.stopFlag.In(t)) != 0 {
 			break
 		}
 	}
@@ -361,7 +422,7 @@ func (s *server) fnEventAccept(t *machine.Thread, _ []uint64) uint64 {
 	// of being accepted-and-dropped, so a high-concurrency sweep queues
 	// rather than fails (the epoll listener event is level-triggered and
 	// re-fires once a slot frees up).
-	conns := t.Global("ngx_connections")
+	conns := s.g.connections.In(t)
 	var slot mem.Addr
 	for i := 0; i < connMax; i++ {
 		addr := conns + mem.Addr(i*connSlotSize)
@@ -373,10 +434,10 @@ func (s *server) fnEventAccept(t *machine.Thread, _ []uint64) uint64 {
 	if slot == 0 {
 		return 0
 	}
-	lfd := t.Load64(t.Global("ngx_listen_fd"))
+	lfd := t.Load64(s.g.listenFD.In(t))
 	fd := t.Libc("accept4", lfd)
 	if int64(fd) < 0 {
-		t.Store64(t.Global("ngx_stop_flag"), 1)
+		t.Store64(s.g.stopFlag.In(t), 1)
 		return 0
 	}
 	t.Libc("setsockopt", fd, 1 /* TCP_NODELAY */, 1)
@@ -386,10 +447,10 @@ func (s *server) fnEventAccept(t *machine.Thread, _ []uint64) uint64 {
 	t.Store64(slot+connOffLen, 0)
 	t.Store64(slot+connOffState, 1)
 	// Register the connection with a POINTER as epoll_data.
-	scratch := t.Global("ngx_scratch")
+	scratch := s.g.scratch.In(t)
 	t.Store64(scratch, 1|0x10 /* EPOLLIN|EPOLLHUP */)
 	t.Store64(scratch+8, uint64(slot))
-	t.Libc("epoll_ctl", t.Load64(t.Global("ngx_epoll_fd")), 1, fd, uint64(scratch))
+	t.Libc("epoll_ctl", t.Load64(s.g.epollFD.In(t)), 1, fd, uint64(scratch))
 	if t.Bias() == 0 {
 		s.cfg.Track.Accept(uint64(slot))
 	}
@@ -429,10 +490,10 @@ func (s *server) fnWaitRequestHandler(t *machine.Thread, args []uint64) uint64 {
 	}
 
 	// Account the request and stop at the configured limit.
-	cnt := t.Load64(t.Global("ngx_request_count")) + 1
-	t.Store64(t.Global("ngx_request_count"), cnt)
-	if max := t.Load64(t.Global("ngx_max_requests")); max > 0 && cnt >= max {
-		t.Store64(t.Global("ngx_stop_flag"), 1)
+	cnt := t.Load64(s.g.requestCount.In(t)) + 1
+	t.Store64(s.g.requestCount.In(t), cnt)
+	if max := t.Load64(s.g.maxRequests.In(t)); max > 0 && cnt >= max {
+		t.Store64(s.g.stopFlag.In(t), 1)
 	}
 	if s.cfg.OnRequest != nil {
 		s.cfg.OnRequest(cnt)
@@ -451,7 +512,7 @@ func (s *server) fnProcessRequestLine(t *machine.Thread, args []uint64) uint64 {
 	t.At(0x20)
 
 	// Method: bytes up to the first space.
-	method := t.Global("ngx_method_buf")
+	method := s.g.methodBuf.In(t)
 	i := 0
 	for ; i < 15; i++ {
 		c := t.Load8(buf + mem.Addr(i))
@@ -464,7 +525,7 @@ func (s *server) fnProcessRequestLine(t *machine.Thread, args []uint64) uint64 {
 	i++
 
 	// URI: bytes up to the next space.
-	uri := t.Global("ngx_uri_buf")
+	uri := s.g.uriBuf.In(t)
 	j := 0
 	for ; j < 255; j++ {
 		c := t.Load8(buf + mem.Addr(i+j))
@@ -495,7 +556,7 @@ func (s *server) fnProcessRequestLine(t *machine.Thread, args []uint64) uint64 {
 		ulen := t.Libc("strlen", uint64(uri))
 		t.Libc("memcpy", req+32, uint64(uri), ulen+1)
 	}
-	scratch0 := t.Global("ngx_scratch")
+	scratch0 := s.g.scratch.In(t)
 	t.WriteCString(scratch0+128, "..")
 	t.Libc("strncmp", uint64(uri), uint64(scratch0+128), 2)
 
@@ -517,10 +578,10 @@ func (s *server) fnProcessRequestHeaders(t *machine.Thread, args []uint64) uint6
 	t.Block("parse-headers")
 	t.At(0x30)
 
-	nameBuf := t.Global("ngx_header_name_buf")
-	valBuf := t.Global("ngx_header_val_buf")
-	teBuf := t.Global("ngx_te_buf")
-	authBuf := t.Global("ngx_auth_buf")
+	nameBuf := s.g.headerNameBuf.In(t)
+	valBuf := s.g.headerValBuf.In(t)
+	teBuf := s.g.teBuf.In(t)
+	authBuf := s.g.authBuf.In(t)
 	t.Store8(teBuf, 0)
 	t.Store8(authBuf, 0)
 
@@ -575,7 +636,7 @@ func (s *server) fnProcessRequestHeaders(t *machine.Thread, args []uint64) uint6
 		// hash groups collide in the small table).
 		nameLen := t.Libc("strlen", uint64(nameBuf))
 		valLen := t.Libc("strlen", uint64(valBuf))
-		scratch := t.Global("ngx_scratch")
+		scratch := s.g.scratch.In(t)
 		for _, hn := range headerNames {
 			t.WriteCString(scratch+256, hn)
 			if t.Libc("strncmp", uint64(nameBuf), uint64(scratch+256), nameLen+1) == 0 {
@@ -600,8 +661,8 @@ func (s *server) fnProcessRequest(t *machine.Thread, args []uint64) uint64 {
 	conn := args[0]
 	t.Block("process")
 	t.At(0x40)
-	scratch := t.Global("ngx_scratch")
-	teBuf := t.Global("ngx_te_buf")
+	scratch := s.g.scratch.In(t)
+	teBuf := s.g.teBuf.In(t)
 	t.WriteCString(scratch+640, "chunked")
 	if t.Libc("strcmp", uint64(teBuf), uint64(scratch+640)) == 0 {
 		t.Block("chunked-body")
@@ -616,10 +677,10 @@ func (s *server) fnProcessRequest(t *machine.Thread, args []uint64) uint64 {
 
 func (s *server) fnHTTPHandler(t *machine.Thread, args []uint64) uint64 {
 	conn := args[0]
-	uri := t.Global("ngx_uri_buf")
+	uri := s.g.uriBuf.In(t)
 	t.Block("handler")
 	t.At(0x50)
-	scratch := t.Global("ngx_scratch")
+	scratch := s.g.scratch.In(t)
 	t.WriteCString(scratch+704, "/private")
 	if t.Libc("strncmp", uint64(uri), uint64(scratch+704), 8) == 0 {
 		if t.Call("ngx_http_auth_basic_handler", conn) != 0 {
@@ -633,11 +694,11 @@ func (s *server) fnAuthBasic(t *machine.Thread, args []uint64) uint64 {
 	conn := args[0]
 	t.Block("auth-check")
 	t.At(0x60)
-	authBuf := t.Global("ngx_auth_buf")
-	scratch := t.Global("ngx_scratch")
+	authBuf := s.g.authBuf.In(t)
+	scratch := s.g.scratch.In(t)
 	// Expected credential: "user:pass" (the simulation skips base64).
-	user := t.CString(t.Global("ngx_auth_user"), 31)
-	pass := t.CString(t.Global("ngx_auth_pass"), 31)
+	user := t.CString(s.g.authUser.In(t), 31)
+	pass := t.CString(s.g.authPass.In(t), 31)
 	t.WriteCString(scratch+768, user+":"+pass)
 	if t.Libc("strcmp", uint64(authBuf), uint64(scratch+768)) == 0 {
 		t.Block("auth-ok")
@@ -658,13 +719,13 @@ func (s *server) fnContentPhase(t *machine.Thread, args []uint64) uint64 {
 func (s *server) fnStaticHandler(t *machine.Thread, args []uint64) uint64 {
 	conn := mem.Addr(args[0])
 	fd := t.Load64(conn + connOffFD)
-	uri := t.Global("ngx_uri_buf")
-	path := t.Global("ngx_path_buf")
+	uri := s.g.uriBuf.In(t)
+	path := s.g.pathBuf.In(t)
 	t.Block("static")
 	t.At(0x70)
 
 	// path = docroot + uri (or +/index.html for "/").
-	scratch := t.Global("ngx_scratch")
+	scratch := s.g.scratch.In(t)
 	t.WriteCString(scratch+832, "%s%s")
 	uriLen := t.Libc("strlen", uint64(uri))
 	target := uint64(uri)
@@ -672,7 +733,7 @@ func (s *server) fnStaticHandler(t *machine.Thread, args []uint64) uint64 {
 		t.WriteCString(scratch+896, "/index.html")
 		target = uint64(scratch + 896)
 	}
-	t.Libc("snprintf", uint64(path), 255, uint64(scratch+832), uint64(t.Global("ngx_docroot")), target)
+	t.Libc("snprintf", uint64(path), 255, uint64(scratch+832), uint64(s.g.docroot.In(t)), target)
 
 	// MIME type lookup over the extension table.
 	extTable := []string{".html", ".css", ".js", ".png"}
@@ -684,7 +745,7 @@ func (s *server) fnStaticHandler(t *machine.Thread, args []uint64) uint64 {
 		}
 	}
 
-	statBuf := t.Global("ngx_stat_buf")
+	statBuf := s.g.statBuf.In(t)
 	if int64(t.Libc("stat", uint64(path), uint64(statBuf))) < 0 {
 		t.Block("static-404")
 		return t.Call("ngx_http_special_response_handler", uint64(conn), 404)
@@ -711,10 +772,10 @@ func (s *server) fnHeaderFilter(t *machine.Thread, args []uint64) uint64 {
 	t.Block("header-filter")
 	t.At(0x80)
 
-	resp := t.Global("ngx_resp_buf")
-	scratch := t.Global("ngx_scratch")
+	resp := s.g.respBuf.In(t)
+	scratch := s.g.scratch.In(t)
 	// Date header (ngx_http_time): formatted separately then spliced in.
-	dateBuf := t.Global("ngx_time_buf") + 64
+	dateBuf := s.g.timeBuf.In(t) + 64
 	t.WriteCString(scratch+896, "Date: day %d")
 	t.Libc("snprintf", uint64(dateBuf), 48, uint64(scratch+896), size%7)
 	t.Libc("strlen", uint64(dateBuf))
@@ -724,7 +785,7 @@ func (s *server) fnHeaderFilter(t *machine.Thread, args []uint64) uint64 {
 	n := t.Libc("snprintf", uint64(resp), 511, uint64(scratch+960), status, uint64(verAddr), size)
 
 	// writev the status line + headers as one gathering write.
-	iov := t.Global("ngx_iov_buf")
+	iov := s.g.iovBuf.In(t)
 	t.Store64(iov, uint64(resp))
 	t.Store64(iov+8, n)
 	t.Libc("writev", fd, uint64(iov), 1)
@@ -736,8 +797,8 @@ func (s *server) fnSpecialResponse(t *machine.Thread, args []uint64) uint64 {
 	status := args[1]
 	fd := t.Load64(conn + connOffFD)
 	t.Block("special-response")
-	resp := t.Global("ngx_resp_buf")
-	scratch := t.Global("ngx_scratch")
+	resp := s.g.respBuf.In(t)
+	scratch := s.g.scratch.In(t)
 	t.WriteCString(scratch+960, "HTTP/1.1 %d X\r\nContent-Length: 0\r\n\r\n")
 	n := t.Libc("snprintf", uint64(resp), 511, uint64(scratch+960), status)
 	t.Libc("send", fd, uint64(resp), n)
@@ -805,26 +866,26 @@ func (s *server) fnParseChunked(t *machine.Thread, args []uint64) uint64 {
 }
 
 func (s *server) fnLogHandler(t *machine.Thread, args []uint64) uint64 {
-	logFD := t.Load64(t.Global("ngx_log_fd"))
+	logFD := t.Load64(s.g.logFD.In(t))
 	if int64(logFD) < 0 {
 		return 0
 	}
 	t.Block("access-log")
-	tb := t.Global("ngx_time_buf")
+	tb := s.g.timeBuf.In(t)
 	t.Libc("gettimeofday", uint64(tb), 0)
 	sec := t.Load64(tb)
 	t.Store64(tb+16, sec)
 	t.Libc("localtime_r", uint64(tb+16), uint64(tb+24))
-	t.Libc("strlen", uint64(t.Global("ngx_method_buf")))
-	t.Libc("strlen", uint64(t.Global("ngx_uri_buf")))
-	logBuf := t.Global("ngx_log_buf")
-	scratch := t.Global("ngx_scratch")
+	t.Libc("strlen", uint64(s.g.methodBuf.In(t)))
+	t.Libc("strlen", uint64(s.g.uriBuf.In(t)))
+	logBuf := s.g.logBuf.In(t)
+	scratch := s.g.scratch.In(t)
 	t.WriteCString(scratch+960, "[%d:%d:%d] \"%s %s\" 200\n")
 	hour := t.Load64(tb + 24 + 16)
 	min := t.Load64(tb + 24 + 8)
 	secs := t.Load64(tb + 24)
 	n := t.Libc("snprintf", uint64(logBuf), 511, uint64(scratch+960),
-		hour, min, secs, uint64(t.Global("ngx_method_buf")), uint64(t.Global("ngx_uri_buf")))
+		hour, min, secs, uint64(s.g.methodBuf.In(t)), uint64(s.g.uriBuf.In(t)))
 	t.Libc("write", logFD, uint64(logBuf), n)
 	return n
 }
@@ -843,7 +904,7 @@ func (s *server) fnCloseConnection(t *machine.Thread, args []uint64) uint64 {
 	fd := t.Load64(conn + connOffFD)
 	buf := t.Load64(conn + connOffBuf)
 	t.Block("close-conn")
-	epfd := t.Load64(t.Global("ngx_epoll_fd"))
+	epfd := t.Load64(s.g.epollFD.In(t))
 	t.Libc("epoll_ctl", epfd, 2 /* DEL */, fd, 0)
 	t.Libc("shutdown", fd, 1)
 	t.Libc("close", fd)

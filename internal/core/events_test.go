@@ -10,20 +10,20 @@ import (
 	"smvx/internal/sim/machine"
 )
 
-// kindTally counts every recorded event by kind, and the trampoline
+// kindTally counts every recorded event by kind, and the libc-call
 // events by libc call, as a recorder tap.
 type kindTally struct {
-	mu          sync.Mutex
-	kinds       [256]uint64
-	trampolines map[string]uint64
+	mu    sync.Mutex
+	kinds [256]uint64
+	calls map[string]uint64
 }
 
 func (k *kindTally) TapEvent(e obs.Event) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	k.kinds[e.Kind]++
-	if e.Kind == obs.EvTrampoline {
-		k.trampolines[e.Name]++
+	if e.Kind == obs.EvLibcCall {
+		k.calls[e.Name]++
 	}
 }
 
@@ -31,20 +31,20 @@ func (k *kindTally) TapEvent(e obs.Event) {
 func (k *kindTally) snapshot() ([256]uint64, map[string]uint64) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	t := make(map[string]uint64, len(k.trampolines))
-	for name, n := range k.trampolines {
+	t := make(map[string]uint64, len(k.calls))
+	for name, n := range k.calls {
 		t[name] = n
 	}
 	return k.kinds, t
 }
 
 // TestInterceptionEventBudget pins what one round of syncClassRound's four
-// calls records: one trampoline event per call and variant that enters
-// the trampoline, none for a call syscall granularity sends straight to
-// libc, no record of the retired per-pass and per-span kinds, and a fixed
-// event total per round. Regions with extra rounds are counted against
-// the same regions without them, so the per-region events cancel out. A
-// change that records more per call has to change this test.
+// calls records: one libc-call event per call and variant, the trampoline
+// pass included, and for a call syscall granularity sends straight to
+// libc too; no record of the retired per-pass, per-call-edge and per-span
+// kinds; and a fixed event total per round. Regions with extra rounds are
+// counted against the same regions without them, so the per-region events
+// cancel out. A change that records more per call has to change this test.
 func TestInterceptionEventBudget(t *testing.T) {
 	const base, extra = 2, 8
 	calls := []string{"gettimeofday", "strlen", "time", "shutdown"}
@@ -52,22 +52,20 @@ func TestInterceptionEventBudget(t *testing.T) {
 		name    string
 		protect bool
 		opts    []Option
-		// variants is how many threads make each call; skip is the call
-		// syscall granularity sends straight to libc.
+		// variants is how many threads make each call.
 		variants uint64
-		skip     string
 		// perRound is the pinned event total of one round.
 		perRound uint64
 	}{
-		{"strict", true, nil, 2, "", 41},
-		{"pipelined-n3", true, []Option{WithLockstepMode(LockstepPipelined), WithVariants(3)}, 3, "", 63},
-		{"unprotected", false, nil, 1, "", 15},
-		{"syscall-strict", true, []Option{WithSyscallGranularity()}, 2, "strlen", 37},
+		{"strict", true, nil, 2, 25},
+		{"pipelined-n3", true, []Option{WithLockstepMode(LockstepPipelined), WithVariants(3)}, 3, 39},
+		{"unprotected", false, nil, 1, 7},
+		{"syscall-strict", true, []Option{WithSyscallGranularity()}, 2, 23},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			env, mon := loopApp(t, syncClassRound, nil, nil, c.opts...)
-			tally := &kindTally{trampolines: map[string]uint64{}}
+			tally := &kindTally{calls: map[string]uint64{}}
 			env.Obs.SetTap(tally)
 			th, err := env.MainThread()
 			if err != nil {
@@ -107,18 +105,15 @@ func TestInterceptionEventBudget(t *testing.T) {
 				}
 				total += d
 			}
-			for _, retired := range []obs.EventKind{obs.EvPKRUWrite, obs.EvStackPivot, obs.EvSpanBegin, obs.EvSpanEnd} {
+			for _, retired := range []obs.EventKind{obs.EvPKRUWrite, obs.EvStackPivot, obs.EvSpanBegin, obs.EvSpanEnd,
+				obs.EvTrampoline, obs.EvLibcEnter, obs.EvLibcExit} {
 				if with[retired] != 0 || without[retired] != 0 {
 					t.Errorf("recorded %d %s events", with[retired]+without[retired], retired)
 				}
 			}
 			for _, call := range calls {
-				want := c.variants
-				if call == c.skip {
-					want = 0
-				}
-				if got := (tWith[call] - tWithout[call]) / extra; got != want {
-					t.Errorf("%d trampoline events per %s, want %d", got, call, want)
+				if got := (tWith[call] - tWithout[call]) / extra; got != c.variants {
+					t.Errorf("%d libc-call events per %s, want %d", got, call, c.variants)
 				}
 			}
 			if got := total / extra; got != c.perRound {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -130,6 +131,14 @@ func TestSeveredSlotIsNeverReused(t *testing.T) {
 	}
 	if orphanEvents == 0 {
 		t.Error("the released orphan never reached the trampoline")
+	}
+	// A quarantined thread gets no safe stack: the orphan's was unmapped
+	// with its region, and its trampoline pass mapped no other.
+	orphanStack := "smvx:safestack:" + strconv.Itoa(tids[0])
+	for _, r := range env.AS.Regions() {
+		if r.Name == orphanStack {
+			t.Errorf("the released orphan left %s mapped at %v", r.Name, r.Base)
+		}
 	}
 }
 

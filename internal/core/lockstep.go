@@ -889,21 +889,17 @@ func (s *session) followerRendezvous(t *machine.Thread, sl *followerSlot, f *lib
 			s.mon.m.Counter().Cycles()-fwaitStart, ledger.Mark{}, 0)
 	}
 	if res.mode == modeLocal {
-		// lib.CallFunc records the follower's enter/exit events itself.
+		// lib.CallFunc marks the follower's call itself.
 		return s.mon.lib.CallFunc(t, f, args)
 	}
-	// The follower never reaches libc for this call, so record the pair
-	// here: enter back-dated to the rendezvous arrival, exit when the
-	// emulated result lands.
+	// The follower never reaches libc for this call: the call began at the
+	// rendezvous arrival, and ends when the pass returns with the emulated
+	// result.
 	if obsRec != nil {
-		obsRec.RecordInAt(arriveTS, t.Fn(), obs.EvLibcEnter, fv, t.TID(), name,
-			argAt(args, 0), argAt(args, 1), 0)
+		t.LibcCall().Enter = arriveTS
 	}
 	switch res.mode {
 	case modeEmulated:
-		if obsRec != nil {
-			obsRec.RecordIn(t.Fn(), obs.EvLibcExit, fv, t.TID(), name, 0, 0, res.ret)
-		}
 		t.SetErrno(res.errno)
 		return res.ret
 	case modeDetach:

@@ -819,32 +819,49 @@ func (mo *Monitor) snapshot(role string, t *machine.Thread) obs.ThreadSnapshot {
 }
 
 // tidState is one thread's trampoline state: its safe-stack top, 0 until
-// its first pivot maps the stack, and whether it is a detached follower
-// barred from the trampoline.
+// one is reserved, whether the stack is mapped, and whether the thread is
+// a detached follower barred from the trampoline.
 type tidState struct {
 	safeStack   mem.Addr
+	mapped      bool
 	quarantined bool
+}
+
+// reserveStackLocked reserves the next safe-stack address and returns the
+// stack's top. Addresses are never reused, so each stack keeps its place
+// however many followers come and go. Caller holds mo.mu.
+func (mo *Monitor) reserveStackLocked() mem.Addr {
+	base := mo.nextStack
+	mo.nextStack += mem.Addr((safeStackPages + 1) * mem.PageSize) // +1 guard
+	return base + safeStackPages*mem.PageSize
 }
 
 // trampolineState reads what one interception needs of the monitor in one
 // lock section and one per-TID lookup: the active session, whether t is
 // quarantined, and, when pivot, t's safe-stack top. Safe stacks are
 // per-thread TLS in the monitor's address range, protected by the monitor
-// key (Section 3.4), mapped on the thread's first interception; a follower
-// thread's goes with it in destroyStacks. Addresses are never reused, so
-// each stack keeps its place however many followers come and go.
+// key (Section 3.4), mapped on the thread's first interception: at an
+// address Start reserved in slot order for a follower, at the next one for
+// any other thread. A follower thread's goes with it in destroyStacks. A
+// quarantined thread is about to be wound down: it gets no stack (top 0),
+// so an orphan released past its region maps nothing no teardown would
+// unmap.
 func (mo *Monitor) trampolineState(t *machine.Thread, pivot bool) (*session, bool, mem.Addr) {
 	mo.mu.Lock()
 	defer mo.mu.Unlock()
 	st := mo.tids[t.TID()]
-	if pivot && st.safeStack == 0 {
-		base := mo.nextStack
-		mo.nextStack += mem.Addr((safeStackPages + 1) * mem.PageSize) // +1 guard
+	if st.quarantined || !pivot {
+		return mo.session, st.quarantined, 0
+	}
+	if !st.mapped {
+		if st.safeStack == 0 {
+			st.safeStack = mo.reserveStackLocked()
+		}
 		as := mo.m.AddressSpace()
 		var name [40]byte
 		if _, err := as.Map(mem.Region{
 			Name: string(strconv.AppendInt(append(name[:0], "smvx:safestack:"...), int64(t.TID()), 10)),
-			Base: base,
+			Base: st.safeStack - safeStackPages*mem.PageSize,
 			Size: safeStackPages * mem.PageSize,
 			Perm: mem.PermRW,
 			Key:  mo.pkeyMonitor,
@@ -852,10 +869,10 @@ func (mo *Monitor) trampolineState(t *machine.Thread, pivot bool) (*session, boo
 			// Safe-stack exhaustion is a monitor bug; crash the thread.
 			panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: err})
 		}
-		st.safeStack = base + safeStackPages*mem.PageSize
+		st.mapped = true
 		mo.tids[t.TID()] = st
 	}
-	return mo.session, st.quarantined, st.safeStack
+	return mo.session, false, st.safeStack
 }
 
 // monCells are the monitor's per-call metric cells.

@@ -352,7 +352,7 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, f *
 	case libc.SyncLocal:
 		sl.recycle(rec)
 		// User-space call: execute in the follower's own window.
-		// lib.CallFunc records the follower's enter/exit events itself.
+		// lib.CallFunc marks the follower's call itself.
 		ret := s.mon.lib.CallFunc(t, f, args)
 		dspan.End(ret)
 		return ret
@@ -380,9 +380,8 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, f *
 	if obsRec != nil {
 		obsRec.Record(obs.EvEmulated, fv, t.TID(), name, uint64(copied), 0, ret)
 		s.mon.cells.emulated.Add(uint64(copied))
-		obsRec.RecordInAt(arriveTS, t.Fn(), obs.EvLibcEnter, fv, t.TID(), name,
-			argAt(args, 0), argAt(args, 1), 0)
-		obsRec.RecordIn(t.Fn(), obs.EvLibcExit, fv, t.TID(), name, 0, 0, ret)
+		// The emulated call began at the ring arrival.
+		t.LibcCall().Enter = arriveTS
 	}
 	dspan.End(ret)
 	if faulted && s.mon.contain() {

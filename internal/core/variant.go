@@ -192,6 +192,12 @@ func (mo *Monitor) Start(t *machine.Thread, fn string, args ...uint64) error {
 		sl.tid = mo.m.AllocTID()
 		launched = append(launched, sl)
 		mo.followerTIDs = append(mo.followerTIDs, sl.tid)
+		if !mo.opts.DisableSafeStack {
+			// The slot's safe stack is reserved here, in slot order, so each
+			// slot's address is the same from run to run whichever follower
+			// reaches the trampoline first; its first interception maps it.
+			mo.tids[sl.tid] = tidState{safeStack: mo.reserveStackLocked()}
+		}
 	}
 	mo.session = s
 	mo.curRegion.Store(s.lr)
@@ -730,20 +736,22 @@ func (mo *Monitor) destroyFollower() []mem.Addr {
 // destroyStacks unmaps the followers' stack regions and their threads'
 // trampoline safe stacks (a fresh follower thread is created per region
 // even under variant reuse). A region a rollback already removed is
-// skipped.
+// skipped. A quarantined TID keeps its entry, without a stack, so that
+// its orphan, should it resume, still winds down.
 func (mo *Monitor) destroyStacks() {
 	as := mo.m.AddressSpace()
 	mo.mu.Lock()
 	defer mo.mu.Unlock()
 	for _, tid := range mo.followerTIDs {
 		st, ok := mo.tids[tid]
-		if !ok || st.safeStack == 0 {
+		if !ok {
 			continue
 		}
-		_ = as.Unmap(st.safeStack - safeStackPages*mem.PageSize)
+		if st.mapped {
+			_ = as.Unmap(st.safeStack - safeStackPages*mem.PageSize)
+		}
 		if st.quarantined {
-			st.safeStack = 0
-			mo.tids[tid] = st
+			mo.tids[tid] = tidState{quarantined: true}
 		} else {
 			delete(mo.tids, tid)
 		}

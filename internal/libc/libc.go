@@ -73,8 +73,9 @@ func New(proc *kernel.Process, counter *clock.Counter, costs clock.CostTable, se
 // Proc returns the kernel process this libc runs against.
 func (l *LibC) Proc() *kernel.Process { return l.proc }
 
-// SetRecorder attaches a flight recorder; every dispatched call then emits
-// enter/exit events and a per-call cycle histogram. The histograms of
+// SetRecorder attaches a flight recorder; every dispatched call then is
+// recorded as one libc-call event (see CallFunc) and observed in a per-call
+// cycle histogram. The histograms of
 // every row of the call table are resolved here, once. Must be called
 // before threads run; a nil recorder (the default) keeps the call path
 // free of any observability work.
@@ -223,44 +224,69 @@ func (l *LibC) Call(t *machine.Thread, slot int, name string, args []uint64) uin
 	return l.CallFunc(t, l.plt.Row(slot, name), args)
 }
 
-// CallFunc is Call for a caller that already holds the call's row.
+// CallFunc is Call for a caller that already holds the call's row. With a
+// recorder attached, a call is recorded once, as one obs.EvLibcCall when
+// it is over: here, unless the thread's call is timed by an interposed
+// PLT pass (machine.LibcCall), which then records it with the pass and
+// only takes its entry and exit from here.
 func (l *LibC) CallFunc(t *machine.Thread, f *Func, args []uint64) uint64 {
-	r, hook := l.rec, l.ledHook
-	if r == nil && hook == nil {
-		return l.dispatch(t, f, args)
-	}
-	var fn string
-	v := obs.Variant(t.Variant())
-	if r != nil {
-		var a0, a1 uint64
-		if len(args) > 0 {
-			a0 = args[0]
+	r := l.rec
+	if r == nil {
+		if l.ledHook == nil {
+			return l.dispatch(t, f, args)
 		}
-		if len(args) > 1 {
-			a1 = args[1]
-		}
-		fn = t.Fn()
-		r.RecordIn(fn, obs.EvLibcEnter, v, t.TID(), f.Name, a0, a1, 0)
+		return l.measured(t, f, args)
 	}
+	lc := t.LibcCall()
+	if lc.Open {
+		lc.Enter = r.Now()
+		ret := l.measured(t, f, args)
+		lc.Exit, lc.Exited = r.Now(), true
+		return ret
+	}
+	e := obs.Event{
+		Kind: obs.EvLibcCall, Variant: obs.Variant(t.Variant()), TID: t.TID(),
+		Fn: t.Fn(), Name: f.Name, Flags: obs.FlagUnreturned,
+	}
+	if len(args) > 0 {
+		e.Arg0 = args[0]
+	}
+	if len(args) > 1 {
+		e.Arg1 = args[1]
+	}
+	e.TS = r.Now()
+	defer func() {
+		// A call that unwinds is recorded as it unwinds.
+		e.Dur = r.Now() - e.TS
+		r.RecordEvent(&e)
+	}()
+	e.Ret = l.measured(t, f, args)
+	e.Flags = 0
+	return e.Ret
+}
+
+// measured dispatches one call and feeds its cycle delta to the ledger
+// hook and, with a recorder, the row's histograms. The virtual clock is
+// shared between concurrently executing variants, so samples include any
+// cycles the other variant charged meanwhile — the histograms are
+// indicative, not exact per-call costs.
+func (l *LibC) measured(t *machine.Thread, f *Func, args []uint64) uint64 {
 	start := l.counter.Cycles()
 	ret := l.dispatch(t, f, args)
-	// The virtual clock is shared between concurrently executing variants,
-	// so samples include any cycles the other variant charged meanwhile —
-	// the histograms are indicative, not exact per-call costs.
 	d := l.counter.Cycles() - start
-	if hook != nil {
-		hook(v, f, d)
+	if hook := l.ledHook; hook != nil {
+		hook(obs.Variant(t.Variant()), f, d)
 	}
-	if r != nil {
-		if f.id >= 0 {
-			c := &l.cells[f.id]
-			c.cycles.Observe(uint64(d))
-			c.category.Observe(uint64(d))
-		} else {
-			r.Metrics().Observe(f.CycleMetric, uint64(d))
-			r.Metrics().Observe(f.CategoryCycleMetric, uint64(d))
-		}
-		r.RecordIn(fn, obs.EvLibcExit, v, t.TID(), f.Name, 0, 0, ret)
+	switch {
+	case l.rec == nil:
+	case f.id >= 0:
+		c := &l.cells[f.id]
+		c.cycles.Observe(uint64(d))
+		c.category.Observe(uint64(d))
+	default:
+		m := l.rec.Metrics()
+		m.Observe(f.CycleMetric, uint64(d))
+		m.Observe(f.CategoryCycleMetric, uint64(d))
 	}
 	return ret
 }

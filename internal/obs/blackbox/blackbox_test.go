@@ -31,6 +31,16 @@ func writeScenario(t *testing.T, dir string, opts Options) *obs.Recorder {
 		rec.RecordIn("handler", obs.EvLibcEnter, obs.VariantLeader, 1, "write", 1, uint64(0x5000+i), 0)
 		rec.RecordIn("handler", obs.EvLibcExit, obs.VariantLeader, 1, "write", 0, 0, 10)
 	}
+	// Version 4's libc calls, one that returned and one that unwound,
+	// carry the extra fields.
+	for _, flags := range []obs.EventFlags{obs.FlagIntercepted, obs.FlagIntercepted | obs.FlagUnreturned} {
+		ctr.Charge(100)
+		rec.RecordEvent(&obs.Event{
+			TS: ctr.Cycles() - 40, Kind: obs.EvLibcCall, Variant: obs.VariantFollower, Flags: flags,
+			TID: 2, Fn: "handler", Name: "recv", Arg0: 3, Arg1: 0x5500_0000_1000, Ret: 312,
+			Dur: 40, PKRU: 0x5555_5550 | 0x4<<32, SP: 0x7ffc_fffc_fde8, SafeSP: 0x5500_f64f_5000,
+		})
+	}
 	rec.Alarm(obs.AlarmInfo{
 		Reason: "follower variant fault", CallIndex: 7, Function: "protected_fn",
 		FollowerCall: "write", Detail: "thread crashed at 0xdead0",
@@ -81,18 +91,19 @@ func TestRoundTripEventsAndAlarms(t *testing.T) {
 
 // TestMetaFormatVersions: the reader decodes the meta record of a
 // version-1 WAL (per-charge ledger events), of a version-2 one
-// (per-region ledger cells) and of a version-3 one (one trampoline event
-// per pass, one event per span), and refuses any other version, so an
-// older reader cannot mistake a newer WAL for one it would misrender.
+// (per-region ledger cells), of a version-3 one (one trampoline event per
+// pass, one event per span) and of a version-4 one (one libc-call event
+// per call), and refuses any other version, so an older reader cannot
+// mistake a newer WAL for one it would misrender.
 func TestMetaFormatVersions(t *testing.T) {
 	want := testMeta()
 	payload := appendMeta(nil, want)[1:]
-	if v, _ := binary.Uvarint(payload); v != FormatVersion || FormatVersion != 3 {
-		t.Fatalf("meta written as version %d, FormatVersion %d: want 3", v, FormatVersion)
+	if v, _ := binary.Uvarint(payload); v != FormatVersion || FormatVersion != 4 {
+		t.Fatalf("meta written as version %d, FormatVersion %d: want 4", v, FormatVersion)
 	}
 	// The version is the payload's first uvarint; re-stamp it.
 	rest := payload[1:]
-	for ver, ok := range map[uint64]bool{0: false, 1: true, 2: true, 3: true, 4: false} {
+	for ver, ok := range map[uint64]bool{0: false, 1: true, 2: true, 3: true, 4: true, 5: false} {
 		m, err := decodeMeta(append(binary.AppendUvarint(nil, ver), rest...))
 		if ok && (err != nil || !reflect.DeepEqual(m, want)) {
 			t.Errorf("version %d: meta %+v, %v; want %+v", ver, m, err, want)
@@ -199,7 +210,7 @@ func TestCorruptionHandling(t *testing.T) {
 		wantAlarms int
 		wantNote   string
 	}
-	const scenarioEvents = 13 // 6 enter/exit pairs + EvAlarm
+	const scenarioEvents = 15 // 6 enter/exit pairs, 2 libc calls + EvAlarm
 	cases := []tc{
 		{
 			name: "truncated-final-record",

@@ -26,6 +26,14 @@ func fuzzSeedSegment(f *testing.F) []byte {
 			Name: "write", Fn: "handler", Arg0: uint64(0x5000 + i), Ret: 10,
 		})
 	}
+	// A version-4 libc call, whose record carries the flags byte and four
+	// uvarints past the common fields.
+	w.SinkEvent(obs.Event{
+		Seq: 9, VSeq: 9, TS: 9000, Kind: obs.EvLibcCall, Variant: obs.VariantFollower,
+		Flags: obs.FlagIntercepted | obs.FlagUnreturned, TID: 2, Name: "recv", Fn: "handler",
+		Arg0: 3, Arg1: 0x5500_0000_1000, Dur: 640, PKRU: 0x5555_5550 | 0x4<<32,
+		SP: 0x7ffc_fffc_fde8, SafeSP: 0x5500_f64f_5000,
+	})
 	w.SinkAlarm(obs.AlarmInfo{
 		Reason: "follower variant fault", CallIndex: 7, Function: "handler",
 		FollowerCall: "write", Detail: "thread crashed at 0xdead0",

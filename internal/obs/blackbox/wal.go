@@ -25,20 +25,27 @@
 // frame makes damage detectable: a reader stops a segment cleanly at the
 // first truncated or corrupted frame and keeps everything before it.
 //
-// The meta record opens with the format version. Version 3 (FormatVersion)
-// records each trampoline pass as one obs.EvTrampoline event and each
-// telemetry span as one obs.EvSpan at its end; versions 1 and 2 recorded
-// two obs.EvPKRUWrite events and one obs.EvStackPivot per pass and an
-// obs.EvSpanBegin/obs.EvSpanEnd pair per span. Versions 2 and 3 carry the
-// cost ledger as obs.EvLedgerCell events, one per cell that moved, flushed
-// at each region's mvx_end and at the end of the run; version 1 carried
-// one obs.EvLedger event per charge. The framing and record encoding are
-// the same in all three, the retired kinds keep their numbers and their
-// renderers, and the reader accepts all three, so older WALs still replay
-// to their forensics, traces and ledger. Only a sealed WAL of version 2 or
-// later (cli.Runtime.Seal) carries the whole ledger: a WAL cut off by a
-// host crash lacks the cells of every region still in flight, and its
-// replayed ledger is smaller with no damage note to say so.
+// The meta record opens with the format version. Version 4 (FormatVersion)
+// records each libc call of each variant as one obs.EvLibcCall event, its
+// trampoline pass included, whose record carries the event's flags byte
+// and four more uvarints after the common fields: its duration, PKRU pair,
+// unsafe SP and safe-stack top. Version 3 recorded each call as an
+// obs.EvTrampoline event at the pass's entry and an
+// obs.EvLibcEnter/obs.EvLibcExit pair; versions 1 and 2 recorded two
+// obs.EvPKRUWrite events and one obs.EvStackPivot per pass instead of the
+// obs.EvTrampoline. Versions 3 and 4 record each telemetry span as one
+// obs.EvSpan at its end, versions 1 and 2 as an
+// obs.EvSpanBegin/obs.EvSpanEnd pair. Versions 2 to 4 carry the cost
+// ledger as obs.EvLedgerCell events, one per cell that moved, flushed at
+// each region's mvx_end and at the end of the run; version 1 carried one
+// obs.EvLedger event per charge. The framing and every other record
+// encoding are the same in all four, the retired kinds keep their numbers
+// and their renderers, and the reader accepts all four, so older WALs
+// still replay to their forensics, traces and ledger. Only a sealed WAL of
+// version 2 or later (cli.Runtime.Seal) carries the whole ledger: a WAL
+// cut off by a host crash lacks the cells of every region still in
+// flight, and its replayed ledger is smaller with no damage note to say
+// so.
 //
 // Writes are buffered; the Writer flushes (and fsyncs) on every alarm and
 // on Close, so the records leading up to a divergence are on disk even if
@@ -64,9 +71,10 @@ const Magic = "sMVXWAL1"
 // It is bumped when the record encoding, or what the records mean to
 // replay, changes incompatibly, so that an older reader refuses a newer
 // WAL: a version-1 reader would replay a version-2 WAL to an empty ledger,
-// and a version-2 reader would render a version-3 WAL's trampoline and
-// span events as unknown kinds.
-const FormatVersion = 3
+// a version-2 reader would render a version-3 WAL's trampoline and span
+// events as unknown kinds, and a version-3 reader would neither decode a
+// version-4 libc call's extra fields nor pair it into calls.
+const FormatVersion = 4
 
 // minFormatVersion is the oldest version the reader still decodes.
 const minFormatVersion = 1
@@ -146,6 +154,13 @@ func appendEvent(b []byte, e obs.Event) []byte {
 	b = binary.AppendUvarint(b, e.Ret)
 	b = appendString(b, e.Fn)
 	b = appendString(b, e.Name)
+	if e.Kind == obs.EvLibcCall {
+		b = append(b, byte(e.Flags))
+		b = binary.AppendUvarint(b, uint64(e.Dur))
+		b = binary.AppendUvarint(b, e.PKRU)
+		b = binary.AppendUvarint(b, e.SP)
+		b = binary.AppendUvarint(b, e.SafeSP)
+	}
 	return b
 }
 
@@ -261,6 +276,13 @@ func decodeEvent(payload []byte) (obs.Event, error) {
 	e.Ret = d.uvarint()
 	e.Fn = d.string()
 	e.Name = d.string()
+	if e.Kind == obs.EvLibcCall {
+		e.Flags = obs.EventFlags(d.byte())
+		e.Dur = clock.Cycles(d.uvarint())
+		e.PKRU = d.uvarint()
+		e.SP = d.uvarint()
+		e.SafeSP = d.uvarint()
+	}
 	if d.bad {
 		return obs.Event{}, fmt.Errorf("blackbox: short event payload")
 	}

@@ -24,10 +24,11 @@ type chromeEvent struct {
 }
 
 // WriteChromeTrace renders the buffered events in Chrome trace_event JSON
-// ("traceEvents" array). Libc enter/exit pairs become duration (B/E)
-// events, a span becomes one complete (X) event that starts its duration
-// before its end; everything else becomes an instant event. Timestamps are
-// virtual-clock microseconds.
+// ("traceEvents" array). A libc call becomes one complete (X) event from
+// its entry, or a begin (B) event alone when it never returned, as the
+// enter of an older WAL's enter/exit (B/E) pair did; a span becomes one
+// complete event that starts its duration before its end; everything else
+// becomes an instant event. Timestamps are virtual-clock microseconds.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	return WriteChromeTraceEvents(w, r.Events())
 }
@@ -58,6 +59,19 @@ func WriteChromeTraceEvents(w io.Writer, events []Event) error {
 			ce.Ph = "E"
 			ce.Cat = "libc:" + e.Variant.String()
 			ce.Args = map[string]string{"ret": fmt.Sprintf("0x%x", e.Ret)}
+		case EvLibcCall:
+			ce.Ph = "B"
+			ce.Cat = "libc:" + e.Variant.String()
+			ce.Args = map[string]string{
+				"arg0": fmt.Sprintf("0x%x", e.Arg0),
+				"arg1": fmt.Sprintf("0x%x", e.Arg1),
+			}
+			if e.Returned() {
+				dur := e.Dur.Micros()
+				ce.Ph = "X"
+				ce.Dur = &dur
+				ce.Args["ret"] = fmt.Sprintf("0x%x", e.Ret)
+			}
 		case EvRegionStart:
 			ce.Ph = "B"
 			ce.Cat = "region"
@@ -105,14 +119,20 @@ func (r *Recorder) TableText() string {
 	return TableTextEvents(r.Events())
 }
 
-// TableTextEvents renders an event snapshot as the same plain-text table.
+// TableTextEvents renders an event snapshot as the same plain-text table:
+// an event's forensic line, and for a libc call that returned, the cycles
+// it ran.
 func TableTextEvents(events []Event) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-8s %-6s %-14s %-4s %-9s %s\n",
 		"seq", "vseq", "cycles", "tid", "variant", "event")
 	for _, e := range events {
-		fmt.Fprintf(&b, "%-8d %-6d %-14d %-4d %-9s %s\n",
+		fmt.Fprintf(&b, "%-8d %-6d %-14d %-4d %-9s %s",
 			e.Seq, e.VSeq, uint64(e.TS), e.TID, e.Variant, formatEventLine(e))
+		if e.Kind == EvLibcCall && e.Returned() {
+			fmt.Fprintf(&b, " in %d cycles", e.Dur)
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -234,6 +234,18 @@ func formatEventLine(e Event) string {
 		return fmt.Sprintf("%-12s %s(0x%x, 0x%x)", e.Kind, e.Name, e.Arg0, e.Arg1)
 	case EvLibcExit:
 		return fmt.Sprintf("%-12s %s -> 0x%x", e.Kind, e.Name, e.Ret)
+	case EvLibcCall:
+		line := fmt.Sprintf("%-12s %s(0x%x, 0x%x) -> 0x%x", e.Kind, e.Name, e.Arg0, e.Arg1, e.Ret)
+		if !e.Returned() {
+			line = fmt.Sprintf("%-12s %s(0x%x, 0x%x) unreturned", e.Kind, e.Name, e.Arg0, e.Arg1)
+		}
+		if e.Flags&FlagIntercepted != 0 {
+			line += fmt.Sprintf(" pkru 0x%x -> 0x%x", uint32(e.PKRU), e.PKRU>>32)
+			if e.SafeSP != 0 {
+				line += fmt.Sprintf(" sp 0x%x -> 0x%x", e.SP, e.SafeSP)
+			}
+		}
+		return line
 	case EvLockstep:
 		return fmt.Sprintf("%-12s %s category=%d", e.Kind, e.Name, e.Arg0)
 	case EvEmulated:

@@ -8,9 +8,9 @@
 // provides three pieces:
 //
 //   - a fixed-capacity ring buffer of typed, virtual-clock-timestamped
-//     events (libc call entry/exit per variant, lockstep decisions, one
-//     trampoline pass per interception, variant-creation phases, page
-//     faults, alarms),
+//     events (one record per libc call and variant, trampoline pass
+//     included, lockstep decisions, variant-creation phases, page faults,
+//     alarms),
 //   - a metrics registry of counters, gauges and cycle histograms,
 //   - flight-recorder forensics reports: for every alarm, the final events
 //     of each variant plus register/stack snapshots of the involved
@@ -37,7 +37,11 @@ type EventKind uint8
 
 // Event kinds.
 const (
-	// EvLibcEnter / EvLibcExit bracket one libc call by one variant.
+	// EvLibcEnter / EvLibcExit bracketed one libc call by one variant in
+	// WAL format versions 1 to 3: Arg0/Arg1 the first two arguments on
+	// enter, Ret the return value on exit. No code of the monitor records
+	// them now (a call records one EvLibcCall); they keep their numbers so
+	// that older WALs still replay.
 	EvLibcEnter EventKind = iota + 1
 	EvLibcExit
 	// EvLockstep is one leader/follower rendezvous decision: Name is the
@@ -46,8 +50,9 @@ const (
 	// EvEmulated is one leader→follower result copy: Arg0 is bytes copied.
 	EvEmulated
 	// EvPKRUWrite is one protection-key rights register update: Arg0 is the
-	// new PKRU value. No code records it now (the trampoline records one
-	// EvTrampoline); it keeps its number so that older WALs still replay.
+	// new PKRU value. No code records it now (a trampoline pass's PKRU
+	// values ride on its EvLibcCall); it keeps its number so that older
+	// WALs still replay.
 	EvPKRUWrite
 	// EvStackPivot is one trampoline safe-stack switch: Arg0 the old SP,
 	// Arg1 the new SP. Retired with EvPKRUWrite, for the same reason.
@@ -136,11 +141,13 @@ const (
 	// its mvx_end and at the end of the run, so the stream of these events
 	// is what lets replay rebuild the ledger from the WAL.
 	EvLedgerCell
-	// EvTrampoline is one pass through the MPK trampoline of Figure 4,
-	// recorded at entry: Name is the libc call, Arg0 the thread's own PKRU
-	// (restored on exit) in its low 32 bits and the monitor's PKRU in its
-	// high 32, Arg1 the unsafe SP and Ret the safe-stack top (both 0 when
-	// the safe stack is disabled).
+	// EvTrampoline was one pass through the MPK trampoline of Figure 4 in
+	// WAL format version 3, recorded at entry: Name is the libc call, Arg0
+	// the thread's own PKRU (restored on exit) in its low 32 bits and the
+	// monitor's PKRU in its high 32, Arg1 the unsafe SP and Ret the
+	// safe-stack top (both 0 when the safe stack is disabled). No code
+	// records it now (EvLibcCall carries the pass); it keeps its number so
+	// that older WALs still replay.
 	EvTrampoline
 	// EvSpan is one typed telemetry span (rendezvous, emulation, drain,
 	// variant creation), recorded when it ends: TS is the end, Name is
@@ -148,6 +155,36 @@ const (
 	// payload (the emulation category code in Arg1 for rendezvous,
 	// emulation and drain spans).
 	EvSpan
+	// EvLibcCall is one libc call by one variant, recorded once, when the
+	// call is over: Fn is the calling function, Name the call, Arg0/Arg1
+	// its first two arguments and Ret its return value. TS is where the
+	// call began (libc's entry, or for a follower call whose result the
+	// monitor emulates, the follower's rendezvous arrival) and Dur how long
+	// it ran until it returned. A call made through the MPK trampoline of
+	// Figure 4 is recorded by the trampoline as it leaves, marked
+	// FlagIntercepted: PKRU holds the thread's own PKRU in its low 32 bits
+	// and the monitor's in its high 32, SP the unsafe stack pointer and
+	// SafeSP the safe-stack top (both 0 without a pivot). A pass that
+	// unwinds instead of returning (a crash, a region abort, a detach) is
+	// still recorded, as it unwinds, marked FlagUnreturned with Ret 0 and
+	// Dur up to the unwind; one that never reached libc keeps the
+	// trampoline's entry as its TS. A call that bypasses the trampoline
+	// (the unpatched native path, syscall granularity's user-space calls)
+	// is recorded by libc itself.
+	EvLibcCall
+)
+
+// EventFlags are kind-specific marks on an event.
+type EventFlags uint8
+
+// Event flags.
+const (
+	// FlagIntercepted marks an EvLibcCall made through the trampoline,
+	// whose PKRU, SP and SafeSP hold the pass.
+	FlagIntercepted EventFlags = 1 << iota
+	// FlagUnreturned marks an EvLibcCall that unwound instead of
+	// returning.
+	FlagUnreturned
 )
 
 // String names the event kind.
@@ -209,6 +246,8 @@ func (k EventKind) String() string {
 		return "trampoline"
 	case EvSpan:
 		return "span"
+	case EvLibcCall:
+		return "libc-call"
 	default:
 		return "unknown"
 	}
@@ -270,10 +309,13 @@ type Event struct {
 	Kind EventKind
 	// Variant attributes the event.
 	Variant Variant
+	// Flags marks the event (EvLibcCall's FlagIntercepted and
+	// FlagUnreturned).
+	Flags EventFlags
 	// TID is the simulated thread id (0 if not applicable).
 	TID int
 	// Fn is the simulated function issuing the event, when the recording
-	// site knows it (libc enter/exit record the caller). It is what lets
+	// site knows it (a libc call records its caller). It is what lets
 	// the offline trace diff attribute a divergent libc call to a function
 	// the way Section 3.2 attributes a divergent basic block.
 	Fn string
@@ -281,7 +323,15 @@ type Event struct {
 	Name string
 	// Arg0, Arg1, Ret carry kind-specific payload.
 	Arg0, Arg1, Ret uint64
+	// Dur, PKRU, SP and SafeSP carry the rest of EvLibcCall's payload: the
+	// call's duration in cycles and its trampoline pass (see EvLibcCall).
+	Dur        clock.Cycles
+	PKRU       uint64
+	SP, SafeSP uint64
 }
+
+// Returned reports whether an EvLibcCall returned (see FlagUnreturned).
+func (e Event) Returned() bool { return e.Flags&FlagUnreturned == 0 }
 
 // Config sizes a Recorder.
 type Config struct {
@@ -296,9 +346,9 @@ type Config struct {
 }
 
 // DefaultCapacity is the default ring size. It is deliberately generous:
-// at about 4.5 events per intercepted libc call (a traced
-// nginx-rollback-attack request records 714 over 160 interceptions) it
-// holds the last 900 or so interceptions, a few hundred calls of each
+// at about 2.5 events per intercepted libc call (a traced
+// nginx-rollback-attack request records 393 over 160 interceptions) it
+// holds the last 1,600 or so interceptions, several hundred calls of each
 // variant, far more than a forensic window needs.
 const DefaultCapacity = 4096
 
@@ -566,34 +616,40 @@ func (r *Recorder) RecordInAt(ts clock.Cycles, fn string, kind EventKind, v Vari
 	r.recordAt(ts, kind, v, tid, fn, name, a0, a1, ret)
 }
 
+// RecordEvent appends *e as it is given, stamping only its sequence
+// numbers into it: the recording site for a kind whose payload the
+// positional methods above do not carry (EvLibcCall). It takes a pointer
+// so that the event, 128 bytes, is copied only into the ring, the sink
+// and the tap.
+func (r *Recorder) RecordEvent(e *Event) {
+	if r == nil {
+		return
+	}
+	r.commit(e)
+}
+
 func (r *Recorder) recordAt(ts clock.Cycles, kind EventKind, v Variant, tid int, fn, name string, a0, a1, ret uint64) {
-	if v > VariantNone {
-		v = VariantNone
+	r.commit(&Event{TS: ts, Kind: kind, Variant: v, TID: tid, Fn: fn, Name: name, Arg0: a0, Arg1: a1, Ret: ret})
+}
+
+// commit stamps e's sequence numbers and hands it to the ring, the sink
+// and the tap.
+func (r *Recorder) commit(e *Event) {
+	if e.Variant > VariantNone {
+		e.Variant = VariantNone
 	}
 	r.mu.Lock()
-	r.vseq[v]++
+	r.vseq[e.Variant]++
 	if r.ring.full() {
 		r.evicted++
 	}
-	e := Event{
-		Seq:     r.ring.seq + 1,
-		VSeq:    r.vseq[v],
-		TS:      ts,
-		Kind:    kind,
-		Variant: v,
-		TID:     tid,
-		Fn:      fn,
-		Name:    name,
-		Arg0:    a0,
-		Arg1:    a1,
-		Ret:     ret,
-	}
-	r.ring.push(e)
+	e.Seq, e.VSeq = r.ring.seq+1, r.vseq[e.Variant]
+	r.ring.push(*e)
 	if r.sink != nil {
-		r.sink.SinkEvent(e)
+		r.sink.SinkEvent(*e)
 	}
 	if r.tap != nil {
-		r.tap.TapEvent(e)
+		r.tap.TapEvent(*e)
 	}
 	r.mu.Unlock()
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"smvx/internal/sim/clock"
 )
@@ -206,16 +207,25 @@ func TestEventTableText(t *testing.T) {
 	}
 }
 
+// TestEventSize pins the ring's cost per event: the ring holds its events
+// by value, and EvLibcCall's payload took four words past the 96 bytes
+// an event had before it, its flags sitting in padding.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n > 128 {
+		t.Errorf("an Event takes %d bytes, want at most 128", n)
+	}
+}
+
 func TestEventKindAndVariantStrings(t *testing.T) {
 	seen := map[string]bool{}
-	for k := EvLibcEnter; k <= EvSpan; k++ {
+	for k := EvLibcEnter; k <= EvLibcCall; k++ {
 		s := k.String()
 		if s == "unknown" || seen[s] {
 			t.Errorf("kind %d stringifies badly: %q", k, s)
 		}
 		seen[s] = true
 	}
-	if EventKind(200).String() != "unknown" || (EvSpan+1).String() != "unknown" {
+	if EventKind(200).String() != "unknown" || (EvLibcCall+1).String() != "unknown" {
 		t.Error("out-of-range kind should be unknown")
 	}
 	if VariantLeader.String() != "leader" || VariantFollower.String() != "follower" {

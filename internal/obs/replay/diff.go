@@ -9,11 +9,12 @@ import (
 	"smvx/internal/obs"
 )
 
-// LibcCall is one paired libc enter/exit of one variant, reconstructed
-// from the event stream. It is the unit of the offline trace diff: where
-// Section 3.2 diffs basic-block logs, the replayer diffs libc-call logs —
-// the granularity sMVX itself observes — and attributes each call to its
-// simulated calling function.
+// LibcCall is one libc call of one variant, reconstructed from the event
+// stream: an EvLibcCall record, or in an older WAL a paired enter/exit.
+// It is the unit of the offline trace diff: where Section 3.2 diffs
+// basic-block logs, the replayer diffs libc-call logs — the granularity
+// sMVX itself observes — and attributes each call to its simulated
+// calling function.
 type LibcCall struct {
 	// Index is the call's position in its variant's call sequence.
 	Index int
@@ -27,8 +28,8 @@ type LibcCall struct {
 	Arg0, Arg1 uint64
 	// Ret is the recorded return value (valid when Completed).
 	Ret uint64
-	// Completed reports whether the exit event was seen — false means the
-	// call never returned (crash, abort, or truncated WAL).
+	// Completed reports whether the call returned — false means it never
+	// did (crash, abort, detach, or in an older WAL a truncated stream).
 	Completed bool
 }
 
@@ -62,8 +63,10 @@ func (c LibcCall) key() callKey {
 }
 
 // Calls reconstructs one variant's libc-call sequence from an event
-// stream by pairing EvLibcEnter with the following EvLibcExit of the same
-// thread. Calls whose exit never arrived stay Completed=false.
+// stream: one call per EvLibcCall, Completed unless it is marked
+// unreturned. A WAL older than format version 4 pairs EvLibcEnter with
+// the following EvLibcExit of the same thread; a call whose exit never
+// arrived stays Completed=false.
 func Calls(events []obs.Event, v obs.Variant) []LibcCall {
 	var out []LibcCall
 	pending := make(map[int]int) // tid -> index in out of the open call
@@ -72,6 +75,15 @@ func Calls(events []obs.Event, v obs.Variant) []LibcCall {
 			continue
 		}
 		switch e.Kind {
+		case obs.EvLibcCall:
+			c := LibcCall{
+				Index: len(out), Variant: v,
+				Fn: e.Fn, Name: e.Name, Arg0: e.Arg0, Arg1: e.Arg1,
+			}
+			if e.Returned() {
+				c.Ret, c.Completed = e.Ret, true
+			}
+			out = append(out, c)
 		case obs.EvLibcEnter:
 			pending[e.TID] = len(out)
 			out = append(out, LibcCall{

@@ -2,11 +2,13 @@ package replay
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
 	"smvx/internal/obs"
 	"smvx/internal/obs/blackbox"
+	"smvx/internal/perfprof"
 	"smvx/internal/sim/clock"
 )
 
@@ -239,6 +241,11 @@ func TestSummary(t *testing.T) {
 // span-end pair) still render as they did when they were recorded — the
 // same forensic lines, the same Chrome B/E pair, the same span histogram —
 // and a version-3 span of the same rendezvous folds to that histogram.
+// A version-3 call (a trampoline event, then a libc enter/exit pair) still
+// renders its forensic lines, Chrome events, profile sample and replayed
+// call as version 3's reader did, and the version-4 libc-call record of
+// the same call gives the same sample and call, one complete Chrome event
+// over the same interval.
 func TestRetiredKindsReplayUnchanged(t *testing.T) {
 	l := obs.VariantLeader
 	events := []obs.Event{
@@ -295,5 +302,58 @@ func TestRetiredKindsReplayUnchanged(t *testing.T) {
 	folded := (&Replay{Run: &blackbox.Run{Events: current}}).RebuildMetrics()
 	if got, want := folded.Histogram(hist), rebuilt.Histogram(hist); got != want {
 		t.Errorf("a span folds to %+v, its begin/end pair to %+v", got, want)
+	}
+
+	v3 := []obs.Event{
+		{Seq: 1, VSeq: 1, TS: 3000, Kind: obs.EvTrampoline, Variant: l, TID: 1, Name: "recv", Arg0: 0x5555_5550, Arg1: 0x7ffcfffcfde8, Ret: 0x5500f64f5000},
+		{Seq: 2, VSeq: 2, TS: 3040, Kind: obs.EvLibcEnter, Variant: l, TID: 1, Fn: "handler", Name: "recv", Arg0: 3, Arg1: 0x7ffcfffcf000},
+		{Seq: 3, VSeq: 3, TS: 3700, Kind: obs.EvLibcExit, Variant: l, TID: 1, Fn: "handler", Name: "recv", Ret: 0x138},
+	}
+	report = obs.BuildForensicReports(alarms, v3, 16)[0]
+	wantTail = `--- leader: final 3 events ---
+  [L-3] trampoline   recv pkru 0x55555550 -> 0x0 sp 0x7ffcfffcfde8 -> 0x5500f64f5000
+  [L-2] libc-enter   recv(0x3, 0x7ffcfffcf000)
+  [L-1] libc-exit    recv -> 0x138
+`
+	if !strings.Contains(report, wantTail) {
+		t.Errorf("forensic report:\n%s\nwant the tail:\n%s", report, wantTail)
+	}
+	trace.Reset()
+	if err := obs.WriteChromeTraceEvents(&trace, v3); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`{"name":"recv","cat":"trampoline","ph":"i","ts":1.4285714285714286,"pid":1,"tid":1,"args":{"arg0":"0x55555550","variant":"leader"},"s":"t"}`,
+		`{"name":"recv","cat":"libc:leader","ph":"B","ts":1.4476190476190476,"pid":1,"tid":1,"args":{"arg0":"0x3","arg1":"0x7ffcfffcf000"}}`,
+		`{"name":"recv","cat":"libc:leader","ph":"E","ts":1.7619047619047619,"pid":1,"tid":1,"args":{"ret":"0x138"}}`,
+	} {
+		if !strings.Contains(trace.String(), want) {
+			t.Errorf("chrome trace missing %s:\n%s", want, trace.String())
+		}
+	}
+	wantSample := []perfprof.Sample{{Fn: "recv", Inclusive: 660, Calls: 1}}
+	wantCall := []LibcCall{{Variant: l, Fn: "handler", Name: "recv", Arg0: 3, Arg1: 0x7ffcfffcf000, Ret: 0x138, Completed: true}}
+	v4 := []obs.Event{{
+		Seq: 1, VSeq: 1, TS: 3040, Kind: obs.EvLibcCall, Variant: l, Flags: obs.FlagIntercepted,
+		TID: 1, Fn: "handler", Name: "recv", Arg0: 3, Arg1: 0x7ffcfffcf000, Ret: 0x138, Dur: 660,
+		PKRU: 0x5555_5550, SP: 0x7ffcfffcfde8, SafeSP: 0x5500f64f5000,
+	}}
+	for _, c := range []struct {
+		version string
+		events  []obs.Event
+	}{{"3", v3}, {"4", v4}} {
+		if got := perfprof.FromTrace(c.events).Report(); !reflect.DeepEqual(got, wantSample) {
+			t.Errorf("version %s: FromTrace = %+v, want %+v", c.version, got, wantSample)
+		}
+		if got := Calls(c.events, l); !reflect.DeepEqual(got, wantCall) {
+			t.Errorf("version %s: Calls = %+v, want %+v", c.version, got, wantCall)
+		}
+	}
+	trace.Reset()
+	if err := obs.WriteChromeTraceEvents(&trace, v4); err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"name":"recv","cat":"libc:leader","ph":"X","ts":1.4476190476190476,"dur":0.3142857142857143,"pid":1,"tid":1,"args":{"arg0":"0x3","arg1":"0x7ffcfffcf000","ret":"0x138"}}`; !strings.Contains(trace.String(), want) {
+		t.Errorf("chrome trace missing %s:\n%s", want, trace.String())
 	}
 }

@@ -135,15 +135,22 @@ func (p *Profiler) FlameText(total clock.Cycles) string {
 }
 
 // FromTrace builds a profiler from a flight-recorder event stream: each
-// libc enter/exit pair becomes one sample attributed to the call name, with
-// the virtual-clock delta between the two events as its inclusive cost. The
-// resulting profiler renders through Report/FlameText like a live one, so a
-// flame summary is derivable from a saved trace alone.
+// libc call becomes one sample attributed to the call name, with its
+// duration as its inclusive cost. A call that never returned is a sample
+// too, with the cycles it ran before it unwound, so it leaves nothing open
+// on its thread. In a WAL older than format version 4 a sample is an
+// enter/exit pair, the virtual-clock delta between the two events its
+// cost, and an enter that never saw its exit stays open. The resulting
+// profiler renders through Report/FlameText like a live one, so a flame
+// summary is derivable from a saved trace alone.
 func FromTrace(events []obs.Event) *Profiler {
 	p := New()
 	open := make(map[int][]obs.Event) // tid -> pending enter events
 	for _, e := range events {
 		switch e.Kind {
+		case obs.EvLibcCall:
+			p.OnEnter(e.TID, e.Name)
+			p.OnExit(e.TID, e.Name, e.Dur)
 		case obs.EvLibcEnter:
 			open[e.TID] = append(open[e.TID], e)
 			p.OnEnter(e.TID, e.Name)

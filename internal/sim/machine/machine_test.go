@@ -140,6 +140,34 @@ func TestGlobalsLoadStore(t *testing.T) {
 	}
 }
 
+// TestResolvedGlobals: a global resolved once gives each thread its own
+// view's address, the bias added on use, and one the image lacks faults
+// the thread that uses it, as Thread.Global does.
+func TestResolvedGlobals(t *testing.T) {
+	r := newRig(t)
+	counter, ghost := r.prog.Global("g_counter"), r.prog.Global("g_ghost")
+	sym, _ := r.img.Lookup("g_counter")
+	for _, bias := range []int64{0, 0x1000_0000} {
+		th, err := r.m.NewThread("t", bias)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, want mem.Addr
+		if err := th.Run(func(t *Thread) { got, want = counter.In(t), t.Global("g_counter") }); err != nil {
+			t.Fatal(err)
+		}
+		if got != want || got != mem.Addr(int64(sym.Addr)+bias) {
+			t.Errorf("bias %#x: In = %#x, Thread.Global = %#x, want %#x", bias, got, want, int64(sym.Addr)+bias)
+		}
+	}
+	th, _ := r.m.NewThread("t", 0)
+	err := th.Run(func(t *Thread) { ghost.In(t) })
+	var crash *Crash
+	if !errors.As(err, &crash) || !strings.Contains(err.Error(), `unresolved symbol "g_ghost"`) {
+		t.Errorf("using an unresolved global = %v, want a crash naming it", err)
+	}
+}
+
 func TestUnresolvedSymbolCrashes(t *testing.T) {
 	r := newRig(t)
 	th, _ := r.m.NewThread("t", 0)

@@ -138,8 +138,34 @@ type Thread struct {
 	// space's read and write. Owning goroutine only.
 	copyBuf []byte
 
+	// libcCall times the libc call of the thread's current interposed PLT
+	// pass (see LibcCall). Owning goroutine only.
+	libcCall LibcCall
+
 	depth int
 }
+
+// LibcCall is the virtual-clock timing of the libc call a thread makes
+// through one interposed PLT pass. The interposer opens it as the pass
+// enters and reads it back as the pass leaves; between the two, libc (or
+// the monitor, for a call whose result it emulates) marks where the call
+// began and ended. A thread makes one pass at a time: libc never calls
+// back through the PLT.
+type LibcCall struct {
+	// Open reports that an interposer times the thread's call, so libc
+	// marks the call here instead of recording it.
+	Open bool
+	// Enter is where the call began: the pass's entry until libc's entry,
+	// or the arrival of a follower whose call is emulated, replaces it.
+	Enter clock.Cycles
+	// Exit is where libc returned, when Exited.
+	Exit   clock.Cycles
+	Exited bool
+}
+
+// LibcCall returns the timing of the thread's current interposed libc
+// call. Owning goroutine only.
+func (t *Thread) LibcCall() *LibcCall { return &t.libcCall }
 
 // maxKeptCopy is the largest copy whose staging buffer a thread keeps for
 // its next copy; a larger copy stages through a buffer of its own.
@@ -429,11 +455,32 @@ func (t *Thread) checkExecWindow(addr mem.Addr) {
 
 // Global resolves a data symbol to its address in this thread's view.
 func (t *Thread) Global(name string) mem.Addr {
-	sym, ok := t.m.prog.img.Lookup(name)
-	if !ok {
-		t.fault(fmt.Errorf("machine: unresolved symbol %q", name))
+	return t.m.prog.Global(name).In(t)
+}
+
+// Global is one symbol of a program's image, resolved once
+// (Program.Global), so that a body on a hot path adds the calling
+// thread's bias instead of looking the name up on every use.
+type Global struct {
+	name string
+	addr mem.Addr
+	ok   bool
+}
+
+// Global resolves name in the program's image. A name the image lacks is
+// kept unresolved, and faults the thread that uses it.
+func (p *Program) Global(name string) Global {
+	sym, ok := p.img.Lookup(name)
+	return Global{name: name, addr: sym.Addr, ok: ok}
+}
+
+// In returns the symbol's address in t's view, faulting t if the symbol
+// is unresolved.
+func (g Global) In(t *Thread) mem.Addr {
+	if !g.ok {
+		t.fault(fmt.Errorf("machine: unresolved symbol %q", g.name))
 	}
-	return mem.Addr(int64(sym.Addr) + t.bias)
+	return mem.Addr(int64(g.addr) + t.bias)
 }
 
 // FuncAddr resolves a function symbol to its entry address in this
