@@ -523,21 +523,26 @@ func (s *session) rendezvous(t *machine.Thread, f *libc.Func, args []uint64, idx
 	s.mon.m.ChargeThread(t, entry)
 	obsRec := s.mon.rec
 	waitStart := s.mon.m.Counter().Cycles()
-	var span obs.RendezvousSpan
-	if obsRec != nil {
-		if barrier {
-			s.mon.cells.barrier.Inc()
-		}
-		span = obsRec.BeginRendezvousSpan(obs.VariantLeader, t.TID(), f.Spans.Rendezvous, uint64(f.Cat))
-	}
 	phase := ledger.PhaseRendezvous
 	if barrier {
+		if obsRec != nil {
+			s.mon.cells.barrier.Inc()
+		}
 		phase = ledger.PhaseBarrier
 		slots, _, _ = s.publish(t, f, args, idx, slots, 0, 0)
 	}
 	s.waitingSince.Store(int64(waitStart) + 1)
 	arr := s.collect(t, slots, f.Name, idx, s.arrivals[:0])
 	s.waitingSince.Store(0)
+	// The span opens once every slot is parked (arrived, dead or timed out)
+	// and resolve closes it before it releases a winner, so no follower
+	// that votes with the leader charges the shared counter inside it: its
+	// duration does not depend on how the host scheduled the variants. The
+	// wait before it is the leader histogram's and the ledger's.
+	var span obs.RendezvousSpan
+	if obsRec != nil {
+		span = obsRec.BeginRendezvousSpan(obs.VariantLeader, t.TID(), f.Spans.Rendezvous, uint64(f.Cat))
+	}
 	if len(arr) == 0 {
 		s.maybeAbortRegion(t, f, idx)
 		ret := s.mon.lib.CallFunc(t, f, args)
@@ -574,9 +579,7 @@ func (s *session) rendezvous(t *machine.Thread, f *libc.Func, args []uint64, idx
 		}
 		arr = kept
 	}
-	ret := s.resolve(t, f, args, arr, idx)
-	span.End(ret)
-	return ret
+	return s.resolve(t, f, args, arr, idx, span)
 }
 
 // collect waits for each slot's rendezvous record in slot order and
@@ -624,7 +627,9 @@ func (s *session) collect(t *machine.Thread, slots []*followerSlot, name string,
 // leader. A lone follower ballot that loses raises the pairwise compare's
 // own alarm (call or argument mismatch); among more ballots a loser is
 // outvoted. When no follower votes with the leader it runs the call alone.
-func (s *session) resolve(t *machine.Thread, f *libc.Func, args []uint64, arr []slotArrival, idx uint64) uint64 {
+// span is the rendezvous's span, ended with the leader's return value
+// before any winner is released.
+func (s *session) resolve(t *machine.Thread, f *libc.Func, args []uint64, arr []slotArrival, idx uint64, span obs.RendezvousSpan) uint64 {
 	name := f.Name
 	if len(arr) > 0 && s.mon.snapshotDue(s) {
 		// A quiescent anchor point: every arrived variant is parked at the
@@ -684,7 +689,9 @@ func (s *session) resolve(t *machine.Thread, f *libc.Func, args []uint64, arr []
 			}
 		}
 		s.maybeAbortRegion(t, f, idx)
-		return s.mon.lib.CallFunc(t, f, args)
+		ret := s.mon.lib.CallFunc(t, f, args)
+		span.End(ret)
+		return ret
 	}
 
 	// Leader in the majority: quarantine each losing follower; the
@@ -722,7 +729,9 @@ func (s *session) resolve(t *machine.Thread, f *libc.Func, args []uint64, arr []
 		s.rejectFollower(a.slot, a.rec, cause)
 	}
 	if len(winners) == 0 {
-		return s.mon.lib.CallFunc(t, f, args)
+		ret := s.mon.lib.CallFunc(t, f, args)
+		span.End(ret)
+		return ret
 	}
 
 	if obsRec != nil {
@@ -739,6 +748,7 @@ func (s *session) resolve(t *machine.Thread, f *libc.Func, args []uint64, arr []
 	ret := s.mon.lib.CallFunc(t, f, args)
 	if f.Cat == libc.CatLocal {
 		// User-space call: each variant executes in its own space.
+		span.End(ret)
 		for _, w := range winners {
 			w.rec.resp <- callResult{mode: modeLocal}
 		}
@@ -778,6 +788,7 @@ func (s *session) resolve(t *machine.Thread, f *libc.Func, args []uint64, arr []
 		obsRec.Record(obs.EvEmulated, obs.VariantLeader, t.TID(), name, uint64(total), 0, ret)
 		s.mon.cells.emulated.Add(uint64(total))
 	}
+	span.End(ret)
 	for i, w := range winners {
 		if faulted&(1<<i) != 0 && s.mon.contain() {
 			// The follower's result buffer is gone; it cannot keep up.

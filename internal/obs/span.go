@@ -174,9 +174,13 @@ func (s span) end(a1, ret uint64) clock.Cycles {
 	return d
 }
 
-// RendezvousSpan measures one leader/follower lockstep rendezvous — from
-// the leader posting the call to the paired decision completing. Its
-// duration lands in rendezvous.cycles{category=...}.
+// RendezvousSpan measures the decision of one leader/follower lockstep
+// rendezvous — from every follower being parked at it to the verdict,
+// before a follower that voted with the leader is released: the vote, the
+// leader's call and the emulation. The wait for the followers is not in it
+// (the leader's rendezvous.leader.cycles carries that), so such a
+// follower's charges never land inside it. Its duration lands in
+// rendezvous.cycles{category=...}.
 type RendezvousSpan struct {
 	s        span
 	category uint64
